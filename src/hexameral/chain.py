@@ -18,6 +18,7 @@ import numpy as np
 from .errors import (
     ChainFormatError,
     FrameDeterminantError,
+    GeometryError,
     LinkLengthViolation,
     NotClosed,
     ParameterOutOfRange,
@@ -74,14 +75,20 @@ class AssembledChain:
 
 
 def assemble(chain: ChainParams) -> AssembledChain:
-    """Propagate through every link; failures are annotated with the link index."""
+    """Propagate through every link; failures carry the index of their link.
+
+    A failing link re-raises its own error with ``link_index`` set and the
+    message prefixed by ``link <i>: ``.
+    """
     states = [chain.initial]
     reps = []
     for i, (tau, j) in enumerate(chain.links):
         try:
             state, rep = propagate(states[-1], tau, j)
-        except Exception as exc:
-            raise type(exc)(f"link {i}: {exc}") from exc
+        except GeometryError as exc:
+            exc.link_index = i
+            exc.args = (f"link {i}: {exc}",)
+            raise
         states.append(state)
         reps.append(rep)
     return AssembledChain(tuple(states), tuple(reps))
@@ -130,12 +137,25 @@ def closure_report(chain: ChainParams, samples_per_link: int = ANGLE_SAMPLES) ->
     return closure_of(chain, assembled, samples_per_link)
 
 
+def end_target(chain: ChainParams, target: LinkState | None = None) -> LinkState:
+    """The state a chain must end in: ``target``, else its start turned by pi/3."""
+    if target is not None:
+        return target
+    return LinkState(chain.initial.frame.compose(ROT60), chain.initial.tangent)
+
+
 def closure_of(chain: ChainParams, assembled: AssembledChain,
-               samples_per_link: int = ANGLE_SAMPLES) -> ClosureReport:
-    """closure_report for a chain that is already assembled."""
-    start, end = chain.initial, assembled.final
-    frame_res = frame_distance(end.frame, start.frame.compose(ROT60))
-    tangent_res = start.tangent.distance(end.tangent)
+               samples_per_link: int = ANGLE_SAMPLES,
+               target: LinkState | None = None) -> ClosureReport:
+    """closure_report for a chain that is already assembled.
+
+    With a ``target`` the residuals measure an open segment's end state
+    against it instead of against the closure condition.
+    """
+    target = end_target(chain, target)
+    end = assembled.final
+    frame_res = frame_distance(end.frame, target.frame)
+    tangent_res = target.tangent.distance(end.tangent)
     margin = angle_margin_of(chain, assembled, samples_per_link)
     return ClosureReport(frame_res, tangent_res, margin >= -ANGLE_TOL, margin)
 
@@ -162,6 +182,19 @@ def _merge(tau_a: float, tau_b: float) -> float:
     return tau_a + tau_b - tau_a * tau_b
 
 
+def merged_links(links: Iterable[LinkParam]) -> list[LinkParam]:
+    """Degenerate entries dropped, same-index neighbours merged."""
+    stack: list[LinkParam] = []
+    for tau, j in links:
+        if tau == 0.0:
+            continue
+        if stack and stack[-1].j == j:
+            stack[-1] = LinkParam(_merge(stack[-1].tau, tau), j)
+        else:
+            stack.append(LinkParam(tau, j))
+    return stack
+
+
 def normalize_links(chain: ChainParams) -> ChainParams:
     """Canonical link list: merged same-index runs, zero padding between jumps.
 
@@ -170,16 +203,8 @@ def normalize_links(chain: ChainParams) -> ChainParams:
     consecutive indices always advance by two.  Assembled geometry (area,
     closure) is unchanged.
     """
-    stack: list[LinkParam] = []
-    for tau, j in chain.links:
-        if tau == 0.0:
-            continue
-        if stack and stack[-1].j == j:
-            stack[-1] = LinkParam(_merge(stack[-1].tau, tau), j)
-        else:
-            stack.append(LinkParam(tau, j))
     padded: list[LinkParam] = []
-    for link in stack:
+    for link in merged_links(chain.links):
         if padded:
             j = (padded[-1].j + 2) % 6
             while j != link.j:
@@ -230,6 +255,8 @@ def _reals(raw, n: int, what: str) -> list[float]:
     for v in raw:
         if isinstance(v, bool) or not isinstance(v, (int, float)):
             raise ChainFormatError(f"{what} must contain only numbers")
+        if not math.isfinite(v):
+            raise ChainFormatError(f"{what} must contain only finite numbers")
         out.append(float(v))
     return out
 

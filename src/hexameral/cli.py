@@ -12,22 +12,9 @@ import json
 import sys
 from dataclasses import dataclass
 
-import numpy as np
-
-from .chain import (
-    ANGLE_TOL,
-    FEASIBLE_TOL,
-    ChainParams,
-    assemble,
-    chain_to_dict,
-    closure_of,
-    link_length,
-    load_chain,
-)
-from .domain import density, export_json, export_svg, from_chain, smoothed_octagon
-from .errors import GeometryError, InfeasibleInput, LinkLengthViolation, NotClosed
-from .hyperlink import circle_tangent, frame_at, link_multicurve, t_end
-from .multicurve import convexity_value, rank_classify
+from .chain import FEASIBLE_TOL, ChainParams, chain_to_dict, link_length, load_chain
+from .domain import export_json, export_svg, from_chain, smoothed_octagon, verify_checks
+from .errors import GeometryError, InfeasibleInput
 from .optimize import (
     SearchSpec,
     decode_five_link,
@@ -36,11 +23,8 @@ from .optimize import (
     result_to_dict,
     spec_to_dict,
 )
-from .sl2 import star_check
 
 SUBCOMMANDS = ("octagon", "density", "verify", "five-link", "reduce-link", "export")
-STAR_SAMPLES = 33
-CURVE_SAMPLES = 16
 
 
 class UsageError(Exception):
@@ -100,60 +84,9 @@ def _cmd_density(config: CommandConfig) -> int:
     return 0
 
 
-def _verify_checks(chain: ChainParams, tol: float) -> list[tuple[str, bool, str]]:
-    checks: list[tuple[str, bool, str]] = []
-    try:
-        assembled = assemble(chain)
-    except GeometryError as exc:
-        return [("assembly", False, str(exc))]
-    checks.append(("assembly", True, f"{len(assembled.states) - 1} links"))
-
-    star_margin = np.inf
-    det_margin = np.inf
-    convex_min = np.inf
-    ranks = []
-    rank_ok = True
-    for rep in assembled.reps:
-        if rep.tau == 0.0:
-            continue
-        for t in np.linspace(rep.t0, t_end(rep), STAR_SAMPLES):
-            x = circle_tangent(frame_at(rep, float(t)))
-            star_margin = min(star_margin, x.c - np.sqrt(3.0) * abs(x.a),
-                              -(3.0 * x.b + x.c))
-            det_margin = min(det_margin, -x.a * x.a - x.b * x.c)
-        curves = link_multicurve(rep, samples=CURVE_SAMPLES)
-        convex_min = min(convex_min,
-                         min(convexity_value(s) for c in curves for s in c))
-        label = rank_classify(curves)
-        ranks.append(label.value)
-        rank_ok = rank_ok and label.value == 1
-    checks.append(("star-conditions", bool(star_margin > 0.0),
-                   f"min margin {star_margin:.3e}"))
-    checks.append(("tangent-determinant", bool(det_margin > 0.0),
-                   f"min -a^2-bc {det_margin:.3e}"))
-    # linear arcs have zero acceleration, so weak convexity is the invariant
-    checks.append(("convexity-sampling", bool(convex_min >= 0.0),
-                   f"min value {convex_min:.3e}"))
-    checks.append(("rank-per-link", rank_ok, f"ranks {ranks}"))
-
-    report = closure_of(chain, assembled)
-    checks.append(("closure", report.closed(tol),
-                   f"frame {report.frame_residual:.3e} "
-                   f"tangent {report.tangent_residual:.3e}"))
-    checks.append(("angle-condition", report.angle_margin >= -ANGLE_TOL,
-                   f"margin {report.angle_margin:.3e}"))
-
-    try:
-        n = link_length(chain, closure_tol=tol)
-        checks.append(("link-length", True, f"{n}, (n-1) = 0 mod 3"))
-    except (NotClosed, LinkLengthViolation) as exc:
-        checks.append(("link-length", False, str(exc)))
-    return checks
-
-
 def _cmd_verify(config: CommandConfig) -> int:
     chain = load_chain(config.input_path)
-    checks = _verify_checks(chain, config.closure_tol)
+    checks = verify_checks(chain, config.closure_tol)
     width = max(len(name) for name, _, _ in checks)
     for name, ok, detail in checks:
         verdict = "pass" if ok else "FAIL"

@@ -7,11 +7,12 @@ is area / sqrt(12).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .chain import (
+    ANGLE_TOL,
     FEASIBLE_TOL,
     STRICT_TOL,
     AssembledChain,
@@ -23,9 +24,17 @@ from .chain import (
     closure_of,
     link_length,
 )
-from .errors import NotClosed
-from .hyperlink import SquareRep, circle_tangent, curve_points, frame_at, link_map, t_end
-from .multicurve import STANDARD, CurveSample, MultiPoint
+from .errors import GeometryError, LinkLengthViolation, NotClosed
+from .hyperlink import (
+    SquareRep,
+    circle_tangent,
+    curve_points,
+    frame_at,
+    link_map,
+    link_multicurve,
+    t_end,
+)
+from .multicurve import STANDARD, CurveSample, MultiPoint, convexity_value, rank_classify
 from .sl2 import PlaneVector, TangentElement, wedge
 
 SQRT12 = math.sqrt(12.0)
@@ -44,6 +53,10 @@ OCTAGON_LINK_AREA = (
 )
 OCTAGON_DENSITY = (8.0 - math.sqrt(32.0) - math.log(2.0)) / (math.sqrt(8.0) - 1.0)
 CIRCLE_DENSITY = math.pi / SQRT12
+
+# Samples per link behind the verify checklist's margins.
+VERIFY_STAR_SAMPLES = 33
+VERIFY_CURVE_SAMPLES = 16
 
 
 @dataclass(frozen=True)
@@ -171,10 +184,10 @@ def circle_multicurve(samples: int = 16) -> list[list[CurveSample]]:
     return curves
 
 
-def star_profile(dom: HexameralDomain, per_link: int = 32) -> np.ndarray:
-    """Star margins (c - sqrt(3)|a|, -(3b + c), det X) sampled along the boundary."""
+def _star_rows(assembled: AssembledChain, per_link: int) -> np.ndarray:
+    """Rows (c - sqrt(3)|a|, -(3b + c), det X) of the circle tangent per sample."""
     rows = []
-    for rep in dom.assembled.reps:
+    for rep in assembled.reps:
         if rep.tau == 0.0:
             continue
         for t in np.linspace(rep.t0, t_end(rep), per_link):
@@ -184,7 +197,62 @@ def star_profile(dom: HexameralDomain, per_link: int = 32) -> np.ndarray:
                 -(3.0 * x.b + x.c),
                 x.det(),
             ))
-    return np.array(rows)
+    return np.array(rows).reshape(-1, 3)
+
+
+def star_profile(dom: HexameralDomain, per_link: int = 32) -> np.ndarray:
+    """Star margins (c - sqrt(3)|a|, -(3b + c), det X) sampled along the boundary."""
+    return _star_rows(dom.assembled, per_link)
+
+
+def verify_checks(chain: ChainParams,
+                  tol: float = FEASIBLE_TOL) -> list[tuple[str, bool, str]]:
+    """The invariant checklist of a chain: (name, passed, detail) rows in order.
+
+    Assembly failure ends the list; otherwise star and determinant margins,
+    convexity, rank one per link, closure, the angle condition and the link
+    count follow.
+    """
+    try:
+        assembled = assemble(chain)
+    except GeometryError as exc:
+        return [("assembly", False, str(exc))]
+    checks = [("assembly", True, f"{len(assembled.states) - 1} links")]
+
+    rows = _star_rows(assembled, VERIFY_STAR_SAMPLES)
+    star_margin = float(rows[:, :2].min()) if len(rows) else math.inf
+    det_margin = float(rows[:, 2].min()) if len(rows) else math.inf
+    convex_min = math.inf
+    ranks = []
+    for rep in assembled.reps:
+        if rep.tau == 0.0:
+            continue
+        curves = link_multicurve(rep, samples=VERIFY_CURVE_SAMPLES)
+        convex_min = min(convex_min,
+                         min(convexity_value(s) for c in curves for s in c))
+        ranks.append(rank_classify(curves).value)
+    checks.append(("star-conditions", star_margin > 0.0,
+                   f"min margin {star_margin:.3e}"))
+    checks.append(("tangent-determinant", det_margin > 0.0,
+                   f"min -a^2-bc {det_margin:.3e}"))
+    # linear arcs have zero acceleration, so weak convexity is the invariant
+    checks.append(("convexity-sampling", convex_min >= 0.0,
+                   f"min value {convex_min:.3e}"))
+    checks.append(("rank-per-link", all(r == 1 for r in ranks), f"ranks {ranks}"))
+
+    report = closure_of(chain, assembled)
+    checks.append(("closure", report.closed(tol),
+                   f"frame {report.frame_residual:.3e} "
+                   f"tangent {report.tangent_residual:.3e}"))
+    checks.append(("angle-condition", report.angle_margin >= -ANGLE_TOL,
+                   f"margin {report.angle_margin:.3e}"))
+
+    try:
+        n = link_length(chain, closure_tol=tol)
+        checks.append(("link-length", True, f"{n}, (n-1) = 0 mod 3"))
+    except (NotClosed, LinkLengthViolation) as exc:
+        checks.append(("link-length", False, str(exc)))
+    return checks
 
 
 def initial_multipoint(dom: HexameralDomain) -> MultiPoint:
@@ -209,12 +277,7 @@ def export_json(dom: HexameralDomain) -> dict:
     doc["area"] = dom.area
     doc["density"] = dom.density
     doc["link_length"] = link_length(dom.chain)
-    doc["closure"] = {
-        "frame_residual": dom.closure.frame_residual,
-        "tangent_residual": dom.closure.tangent_residual,
-        "angle_ok": dom.closure.angle_ok,
-        "angle_margin": dom.closure.angle_margin,
-    }
+    doc["closure"] = asdict(dom.closure)
     return doc
 
 

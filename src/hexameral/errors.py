@@ -2,7 +2,12 @@
 
 
 class GeometryError(RuntimeError):
-    """Base class for all invariant and feasibility failures."""
+    """Base class for all invariant and feasibility failures.
+
+    ``link_index`` is the chain link at which assembly failed, or None.
+    """
+
+    link_index: int | None = None
 
 
 class FrameDeterminantError(GeometryError):

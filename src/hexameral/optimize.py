@@ -1,15 +1,18 @@
 """Derivative-free searches over chain parameters.
 
-Two experiments: minimizing density over closed five-link chains, and
-refitting a six-link segment with five links between the same endpoint
-states.  Both use Nelder-Mead with quadratic exterior penalties plus a
-least-squares feasibility polish, so reported incumbents sit on the
-constraint set rather than inside the penalty dead band.
+Both experiments are one endpoint problem: minimise an area functional over
+link parameters subject to the chain ending in a target state.  The
+five-link density search targets the start state turned by pi/3 (a closed
+chain); link reduction refits a six-link segment with five links ending in
+the segment's own end state.  Both use Nelder-Mead with quadratic exterior
+penalties plus a least-squares feasibility polish, so reported incumbents
+sit on the constraint set rather than inside the penalty dead band.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 from scipy.optimize import least_squares, minimize
@@ -18,22 +21,24 @@ from .chain import (
     ANGLE_TOL,
     FEASIBLE_TOL,
     STRICT_TOL,
-    AssembledChain,
     ChainParams,
     ClosureReport,
     LinkParam,
     angle_margin_of,
     assemble,
     closure_of,
+    end_target,
+    merged_links,
 )
 from .domain import SQRT12, smoothed_octagon
 from .errors import GeometryError, InfeasibleInput
 from .hyperlink import LinkState, circle_tangent
-from .sl2 import IDENTITY, ROT60, ProjectiveTangent, TangentElement, frame_distance
+from .sl2 import IDENTITY, ProjectiveTangent, TangentElement
 
 FIVE_LINK_PATTERN = (0, 2, 4, 2, 0)
 TAU_HI = 1.0 - 1e-6
 FAIL_PENALTY_SCALE = 7.0
+FAIL_RESIDUAL = 1.0e3
 IMPROVEMENT_MARGIN = 1e-9
 
 DEFAULT_BOUNDS = (
@@ -45,6 +50,7 @@ DEFAULT_BOUNDS = (
     (0.0, TAU_HI),
     (0.0, TAU_HI),
 )
+SEGMENT_BOUNDS = ((0.0, TAU_HI),) * 5
 
 _NO_CLOSURE = ClosureReport(math.inf, math.inf, False, -math.inf)
 
@@ -101,6 +107,204 @@ class SearchResult:
     trace: tuple[tuple[int, float], ...] | None
 
 
+def _hinge(value: float, slack: float) -> float:
+    return max(0.0, value - slack)
+
+
+def _closure_penalty(report: ClosureReport, w: PenaltyWeights) -> float:
+    pen = w.closure * (
+        _hinge(report.frame_residual, FEASIBLE_TOL) ** 2
+        + _hinge(report.tangent_residual, FEASIBLE_TOL) ** 2
+    )
+    pen += w.angle * _hinge(-report.angle_margin, ANGLE_TOL) ** 2
+    return pen
+
+
+def _endpoint_residuals(final: LinkState, target: LinkState) -> np.ndarray:
+    """End state minus target: four frame entries, three tangent components."""
+    frame_diff = np.array(final.frame.entries()) - np.array(target.frame.entries())
+    tangent_diff = np.array(final.tangent.components()) - np.array(
+        target.tangent.components()
+    )
+    return np.concatenate([frame_diff, tangent_diff])
+
+
+class Evaluation(NamedTuple):
+    """One point of an endpoint problem; ``report`` is None where assembly failed."""
+
+    value: float
+    penalty: float
+    residuals: np.ndarray
+    report: ClosureReport | None
+    chain: ChainParams | None
+
+    def feasible(self) -> bool:
+        """Strict closure, not merely a vanishing penalty.
+
+        The penalty's dead band (residuals up to the feasibility tolerance)
+        admits chains that miss their target by enough to shift the value
+        at the same order, and those must not be reported as optima.
+        """
+        return self.report is not None and self.report.closed(STRICT_TOL)
+
+
+@dataclass(frozen=True)
+class EndpointProblem:
+    """Minimise ``value(area)`` over a box subject to the chain ending in a target.
+
+    ``decode`` maps search variables to a chain; a ``target`` of None means
+    the chain's own start state turned by pi/3.  ``fail_value`` stands in
+    for the value where no chain can be assembled.
+    """
+
+    decode: Callable[[np.ndarray], ChainParams]
+    value: Callable[[float], float]
+    fail_value: float
+    weights: PenaltyWeights
+    bounds: tuple[tuple[float, float], ...]
+    target: LinkState | None = None
+
+    def box(self) -> tuple[np.ndarray, np.ndarray]:
+        return (np.array([b[0] for b in self.bounds]),
+                np.array([b[1] for b in self.bounds]))
+
+    def residuals(self, x) -> np.ndarray:
+        """Endpoint equations as a residual vector for the feasibility polish."""
+        try:
+            chain = self.decode(x)
+            final = assemble(chain).final
+        except GeometryError:
+            return np.full(7, FAIL_RESIDUAL)
+        return _endpoint_residuals(final, end_target(chain, self.target))
+
+    def evaluate(self, x) -> Evaluation:
+        """Value plus quadratic penalty; zero penalty exactly on feasible chains.
+
+        A chain that fails to assemble at link i is charged on a slope that
+        falls as i grows, so the search can climb out of the failure plateau.
+        """
+        w = self.weights
+        try:
+            chain = self.decode(x)
+        except GeometryError:
+            return Evaluation(self.fail_value, w.feasibility * FAIL_PENALTY_SCALE,
+                              np.full(7, FAIL_RESIDUAL), None, None)
+        try:
+            assembled = assemble(chain)
+        except GeometryError as exc:
+            slope = 1.0 + len(chain.links) - exc.link_index
+            return Evaluation(self.fail_value, w.feasibility * slope,
+                              np.full(7, FAIL_RESIDUAL), None, chain)
+        target = end_target(chain, self.target)
+        report = closure_of(chain, assembled, target=target)
+        return Evaluation(self.value(assembled.area()), _closure_penalty(report, w),
+                          _endpoint_residuals(assembled.final, target), report, chain)
+
+
+def _rank(ev: Evaluation) -> tuple[int, float]:
+    """Incumbent order: feasible points by value, then the rest by value + penalty."""
+    return (0, ev.value) if ev.feasible() else (1, ev.value + ev.penalty)
+
+
+class _Search:
+    """Evaluation count and incumbent shared by every stage of one search."""
+
+    def __init__(self, trace_on: bool) -> None:
+        self.evals = 0
+        self.x: np.ndarray | None = None
+        self.best: Evaluation | None = None
+        self.trace: list[tuple[int, float]] | None = [] if trace_on else None
+
+    def measure(self, problem: EndpointProblem, x) -> Evaluation:
+        self.evals += 1
+        return problem.evaluate(x)
+
+    def objective(self, problem: EndpointProblem) -> Callable[[np.ndarray], float]:
+        def penalized(x) -> float:
+            ev = self.measure(problem, x)
+            return ev.value + ev.penalty
+        return penalized
+
+    def offer(self, problem: EndpointProblem, x) -> None:
+        ev = self.measure(problem, x)
+        if self.best is None or _rank(ev) < _rank(self.best):
+            self.x = np.array(x, dtype=float)
+            self.best = ev
+            if self.trace is not None and ev.feasible():
+                self.trace.append((self.evals, ev.value))
+
+
+def _snap(problem: EndpointProblem, x, max_nfev: int) -> np.ndarray:
+    """Least-squares projection onto the endpoint constraint, inside the box."""
+    lo, hi = problem.box()
+    return least_squares(problem.residuals, np.clip(x, lo, hi),
+                         bounds=(lo, hi), max_nfev=max_nfev).x
+
+
+def _refine(run: _Search, problem: EndpointProblem, x0, maxfev: int,
+            xatol: float, polish_nfev: int) -> np.ndarray:
+    """Nelder-Mead on the penalized value, then the polish; both are offered."""
+    res = minimize(
+        run.objective(problem), x0, method="Nelder-Mead", bounds=problem.bounds,
+        options={"maxfev": maxfev, "xatol": xatol, "fatol": 1e-12,
+                 "adaptive": True},
+    )
+    lo, hi = problem.box()
+    run.offer(problem, np.clip(res.x, lo, hi))
+    polished = _snap(problem, res.x, polish_nfev)
+    run.offer(problem, polished)
+    return polished
+
+
+def _manifold_descent(run: _Search, problem: EndpointProblem, x0,
+                      polish_nfev: int, iters=25, fd_step=1e-7) -> np.ndarray:
+    """Projected-gradient descent of the value along the endpoint manifold.
+
+    Nelder-Mead stalls once the simplex straddles the constraint set, so the
+    final approach re-snaps feasibility after every step and moves only in
+    the numerical null space of the endpoint Jacobian.  Steps are accepted
+    only when the snapped point stays feasible and lowers the value, which
+    also keeps reported values on the honest side of the dead band.
+    """
+    _, hi = problem.box()
+    x = _snap(problem, np.asarray(x0, dtype=float), polish_nfev)
+    here = run.measure(problem, x)
+    if not here.feasible():
+        return x
+    value = here.value
+    n = len(x)
+    for _ in range(iters):
+        base = problem.residuals(x)
+        jac = np.empty((len(base), n))
+        grad = np.empty(n)
+        for k in range(n):
+            sign = 1.0 if x[k] + fd_step <= hi[k] else -1.0
+            step = np.zeros(n)
+            step[k] = sign * fd_step
+            jac[:, k] = (problem.residuals(x + step) - base) / (sign * fd_step)
+            grad[k] = (run.measure(problem, x + step).value - value) / (sign * fd_step)
+        _, sing, vt = np.linalg.svd(jac)
+        null = vt[sing < 1e-4 * sing[0]] if sing[0] > 0.0 else vt
+        if len(null) == 0:
+            null = vt[-2:]
+        direction = null.T @ (null @ grad)
+        norm = np.linalg.norm(direction)
+        if norm < 1e-14:
+            break
+        direction /= norm
+        scale = 1e-2
+        while scale > 1e-12:
+            cand = _snap(problem, x - scale * direction, polish_nfev)
+            ev = run.measure(problem, cand)
+            if ev.feasible() and ev.value < value:
+                x, value = cand, ev.value
+                break
+            scale /= 4.0
+        else:
+            break
+    return x
+
+
 def decode_five_link(params) -> ChainParams:
     """Seven search variables to a chain: two tangent components, five taus.
 
@@ -123,52 +327,23 @@ def decode_five_link(params) -> ChainParams:
     return ChainParams(initial, links)
 
 
-def _hinge(value: float, slack: float) -> float:
-    return max(0.0, value - slack)
+def _density(chain_area: float) -> float:
+    """Packing density of the domain: twice the chain area over sqrt(12)."""
+    return 2.0 * chain_area / SQRT12
 
 
-def _closure_penalty(report: ClosureReport, w: PenaltyWeights) -> float:
-    pen = w.closure * (
-        _hinge(report.frame_residual, FEASIBLE_TOL) ** 2
-        + _hinge(report.tangent_residual, FEASIBLE_TOL) ** 2
-    )
-    pen += w.angle * _hinge(-report.angle_margin, ANGLE_TOL) ** 2
-    return pen
-
-
-def _evaluate_five_link(
-    params, weights: PenaltyWeights
-) -> tuple[float, float, ClosureReport | None]:
-    try:
-        chain = decode_five_link(params)
-    except GeometryError:
-        return 1.0, weights.feasibility * FAIL_PENALTY_SCALE, None
-    try:
-        assembled = assemble(chain)
-    except GeometryError as exc:
-        done = _links_assembled(exc)
-        return 1.0, weights.feasibility * (1.0 + len(chain.links) - done), None
-    report = closure_of(chain, assembled)
-    density = 2.0 * assembled.area() / SQRT12
-    return density, _closure_penalty(report, weights), report
+def five_link_problem(weights: PenaltyWeights = PenaltyWeights(),
+                      bounds=DEFAULT_BOUNDS) -> EndpointProblem:
+    """Closed five-link chains with density as the value."""
+    return EndpointProblem(decode_five_link, _density, 1.0, weights, bounds)
 
 
 def five_link_objective(
     params, weights: PenaltyWeights = PenaltyWeights()
 ) -> tuple[float, float]:
     """Density plus quadratic penalty; zero penalty exactly on feasible chains."""
-    density, penalty, _ = _evaluate_five_link(params, weights)
-    return density, penalty
-
-
-def _links_assembled(exc: GeometryError) -> int:
-    # assemble() prefixes failures with "link <i>: ", giving a usable slope
-    text = str(exc)
-    if text.startswith("link "):
-        head = text[5:].split(":", 1)[0]
-        if head.isdigit():
-            return int(head)
-    return 0
+    ev = five_link_problem(weights).evaluate(params)
+    return ev.value, ev.penalty
 
 
 def octagon_embedding() -> np.ndarray:
@@ -180,129 +355,12 @@ def octagon_embedding() -> np.ndarray:
     return np.array([a, b, tau, tau, tau, 0.0, tau])
 
 
-def _five_link_residuals(params) -> np.ndarray:
-    """Closure equations as a residual vector for the feasibility polish."""
-    try:
-        chain = decode_five_link(params)
-        assembled = assemble(chain)
-    except GeometryError:
-        return np.full(7, 1.0e3)
-    start, end = chain.initial, assembled.final
-    frame_diff = np.array(end.frame.entries()) - np.array(
-        start.frame.compose(ROT60).entries()
-    )
-    tangent_diff = np.array(end.tangent.components()) - np.array(
-        start.tangent.components()
-    )
-    return np.concatenate([frame_diff, tangent_diff])
-
-
-def _manifold_descent(x0, lo, hi, measure, snap, iters=25,
-                      fd_step=1e-7) -> np.ndarray:
-    """Projected-gradient density descent along the closure manifold.
-
-    Nelder-Mead stalls once the simplex straddles the constraint set, so the
-    final approach re-snaps feasibility after every step and moves only in
-    the numerical null space of the closure Jacobian.  Steps are accepted
-    only when the snapped point stays feasible and lowers the density, which
-    also keeps reported densities on the honest side of the dead band.
-    """
-    x = snap(np.asarray(x0, dtype=float))
-    density, penalty, report = measure(x)
-    if report is None or not report.closed(STRICT_TOL):
-        return x
-    n = len(x)
-    for _ in range(iters):
-        jac = np.empty((7, n))
-        grad = np.empty(n)
-        base = _five_link_residuals(x)
-        for k in range(n):
-            sign = 1.0 if x[k] + fd_step <= hi[k] else -1.0
-            step = np.zeros(n)
-            step[k] = sign * fd_step
-            jac[:, k] = (_five_link_residuals(x + step) - base) / (sign * fd_step)
-            grad[k] = (measure(x + step)[0] - density) / (sign * fd_step)
-        _, sing, vt = np.linalg.svd(jac)
-        null = vt[sing < 1e-4 * sing[0]] if sing[0] > 0.0 else vt
-        if len(null) == 0:
-            null = vt[-2:]
-        direction = null.T @ (null @ grad)
-        norm = np.linalg.norm(direction)
-        if norm < 1e-14:
-            break
-        direction /= norm
-        scale = 1e-2
-        moved = False
-        while scale > 1e-12:
-            cand = snap(np.clip(x - scale * direction, lo, hi))
-            cd, cp, crep = measure(cand)
-            if (cp == 0.0 and crep is not None
-                    and crep.closed(STRICT_TOL) and cd < density):
-                x, density = cand, cd
-                moved = True
-                break
-            scale /= 4.0
-        if not moved:
-            break
-    return x
-
-
-class _Incumbent:
-    """Best point so far: strictly closed beats everything, then lower density.
-
-    Feasibility demands closure at the strict tier, not merely a vanishing
-    penalty: the penalty's dead band (residuals up to the feasibility
-    tolerance) admits chains that fail to close by enough to shift density
-    at the same order, and those must not be reported as feasible optima.
-    """
-
-    def __init__(self, trace_on: bool) -> None:
-        self.params: np.ndarray | None = None
-        self.density = math.inf
-        self.penalty = math.inf
-        self.feasible = False
-        self.trace: list[tuple[int, float]] | None = [] if trace_on else None
-
-    def offer(self, params: np.ndarray, density: float, penalty: float,
-              report: ClosureReport | None, evals: int) -> None:
-        feasible = report is not None and report.closed(STRICT_TOL)
-        if self.params is None:
-            better = True
-        elif feasible != self.feasible:
-            better = feasible
-        elif feasible:
-            better = density < self.density
-        else:
-            better = density + penalty < self.density + self.penalty
-        if better:
-            self.params = np.array(params, dtype=float)
-            self.density, self.penalty, self.feasible = density, penalty, feasible
-            if self.trace is not None and feasible:
-                self.trace.append((evals, density))
-
-
 def five_link_search(spec: SearchSpec) -> SearchResult:
     """Multi-start penalized Nelder-Mead with a least-squares polish."""
     rng = np.random.default_rng(spec.seed)
-    weights = spec.penalty_weights
-    lo = np.array([b[0] for b in spec.bounds])
-    hi = np.array([b[1] for b in spec.bounds])
-    evals = 0
-
-    def measure(p) -> tuple[float, float, ClosureReport | None]:
-        nonlocal evals
-        evals += 1
-        return _evaluate_five_link(p, weights)
-
-    def objective(p) -> float:
-        density, penalty, _ = measure(p)
-        return density + penalty
-
-    incumbent = _Incumbent(spec.trace)
-
-    def offer(p) -> None:
-        density, penalty, report = measure(p)
-        incumbent.offer(p, density, penalty, report, evals)
+    problem = five_link_problem(spec.penalty_weights, spec.bounds)
+    lo, hi = problem.box()
+    run = _Search(spec.trace)
 
     starts = []
     if spec.start is not None:
@@ -310,47 +368,30 @@ def five_link_search(spec: SearchSpec) -> SearchResult:
     while len(starts) < spec.restarts:
         starts.append(lo + (hi - lo) * rng.uniform(size=len(lo)))
 
-    def snap(p) -> np.ndarray:
-        return least_squares(
-            _five_link_residuals, np.clip(p, lo, hi),
-            bounds=(lo, hi), max_nfev=200,
-        ).x
-
     if spec.max_evals == 0:
-        offer(starts[0])
+        run.offer(problem, starts[0])
     else:
         budget = max(50, spec.max_evals // len(starts))
+        objective = run.objective(problem)
         for p0 in starts:
-            offer(p0)
+            run.offer(problem, p0)
             # pull the start onto the closure manifold first: cold starts
             # otherwise leave Nelder-Mead on the assembly-failure plateau
-            snapped = snap(p0)
-            offer(snapped)
+            snapped = _snap(problem, p0, 200)
+            run.offer(problem, snapped)
             if objective(snapped) < objective(p0):
                 p0 = snapped
-            res = minimize(
-                objective, p0, method="Nelder-Mead", bounds=spec.bounds,
-                options={"maxfev": budget, "xatol": 1e-9, "fatol": 1e-12,
-                         "adaptive": True},
-            )
-            offer(np.clip(res.x, lo, hi))
-            polished = snap(res.x)
-            offer(polished)
-            offer(_manifold_descent(polished, lo, hi, measure, snap))
+            polished = _refine(run, problem, p0, budget, 1e-9, 200)
+            run.offer(problem, _manifold_descent(run, problem, polished, 200))
 
-    best = incumbent.params
-    try:
-        chain = decode_five_link(best)
-        closure = closure_of(chain, assemble(chain))
-    except GeometryError:
-        closure = _NO_CLOSURE
+    best = run.best
     return SearchResult(
-        tuple(float(v) for v in best),
-        incumbent.density,
-        closure,
-        incumbent.feasible,
-        evals,
-        tuple(incumbent.trace) if incumbent.trace is not None else None,
+        tuple(float(v) for v in run.x),
+        best.value,
+        best.report if best.report is not None else _NO_CLOSURE,
+        best.feasible(),
+        run.evals,
+        tuple(run.trace) if run.trace is not None else None,
     )
 
 
@@ -359,20 +400,6 @@ def _consecutive_distinct_patterns() -> list[tuple[int, ...]]:
     for _ in range(4):
         patterns = [p + (j,) for p in patterns for j in (0, 2, 4) if j != p[-1]]
     return patterns
-
-
-def _cleaned_links(chain: ChainParams) -> list[LinkParam]:
-    """Drop degenerate links and merge same-index neighbours."""
-    stack: list[LinkParam] = []
-    for tau, j in chain.links:
-        if tau == 0.0:
-            continue
-        if stack and stack[-1].j == j:
-            merged = stack[-1].tau + tau - stack[-1].tau * tau
-            stack[-1] = LinkParam(merged, j)
-        else:
-            stack.append(LinkParam(tau, j))
-    return stack
 
 
 @dataclass(frozen=True)
@@ -391,7 +418,7 @@ def link_reduction_experiment(six_link: ChainParams,
     """Search five-link chains joining the endpoint states of a six-link one.
 
     Hyperbolic indices are enumerated over all consecutive-distinct patterns
-    while the five turning fractions are optimized per pattern; the cleaned
+    while the five turning fractions are optimized per pattern; the merged
     input links seed their own pattern, so degenerate six-link chains are
     refit exactly.
     """
@@ -407,125 +434,45 @@ def link_reduction_experiment(six_link: ChainParams,
             f"six-link segment violates the angle condition by {-margin:.3e}"
         )
 
-    target = assembled.final
-    start_state = six_link.initial
     six_area = assembled.area()
-    weights = spec.penalty_weights
     rng = np.random.default_rng(spec.seed)
-    lo = np.zeros(5)
-    hi = np.full(5, TAU_HI)
-    evals = 0
+    run = _Search(False)
 
-    def build(pattern, taus) -> ChainParams:
-        links = tuple(LinkParam(float(t), j) for t, j in zip(taus, pattern))
-        return ChainParams(start_state, links)
-
-    def residuals(pattern, taus) -> np.ndarray:
-        try:
-            fitted = assemble(build(pattern, taus))
-        except GeometryError:
-            return np.full(7, 1.0e3)
-        frame_diff = np.array(fitted.final.frame.entries()) - np.array(
-            target.frame.entries()
-        )
-        tangent_diff = np.array(fitted.final.tangent.components()) - np.array(
-            target.tangent.components()
-        )
-        return np.concatenate([frame_diff, tangent_diff])
-
-    def measure(pattern, taus) -> tuple[float, float, AssembledChain | None]:
-        nonlocal evals
-        evals += 1
-        try:
-            chain = build(pattern, taus)
-            fitted = assemble(chain)
-        except GeometryError as exc:
-            done = _links_assembled(exc)
-            return math.inf, weights.feasibility * (6.0 - done), None
-        frame_res = frame_distance(fitted.final.frame, target.frame)
-        tangent_res = fitted.final.tangent.distance(target.tangent)
-        pen = weights.closure * (
-            _hinge(frame_res, FEASIBLE_TOL) ** 2
-            + _hinge(tangent_res, FEASIBLE_TOL) ** 2
-        )
-        pen += weights.angle * _hinge(
-            -angle_margin_of(chain, fitted), ANGLE_TOL
-        ) ** 2
-        return fitted.area(), pen, fitted
-
-    best_area = math.inf
-    best_links: tuple[LinkParam, ...] = ()
-    best_residual = math.inf
-    best_feasible = False
-    best_score = math.inf
-
-    def offer(pattern, taus) -> None:
-        nonlocal best_area, best_links, best_residual, best_feasible, best_score
-        area, pen, fitted = measure(pattern, taus)
-        if fitted is None:
-            return
-        residual = float(np.max(np.abs(residuals(pattern, taus))))
-        # strict endpoint matching, for the same reason the five-link
-        # search demands strict closure: dead-band fits shift the area
-        feas = pen == 0.0 and residual <= STRICT_TOL
-        score = area if feas else area + pen
-        if best_links and feas == best_feasible:
-            better = score < best_score
-        elif best_links:
-            better = feas
-        else:
-            better = True
-        if better:
-            best_area = area
-            best_links = tuple(
-                LinkParam(float(t), j) for t, j in zip(taus, pattern)
-            )
-            best_residual = residual
-            best_feasible = feas
-            best_score = score
+    def segment_problem(pattern: tuple[int, ...]) -> EndpointProblem:
+        def decode(taus) -> ChainParams:
+            return ChainParams(six_link.initial, tuple(zip(taus, pattern)))
+        return EndpointProblem(decode, lambda area: area, 0.0,
+                               spec.penalty_weights, SEGMENT_BOUNDS,
+                               assembled.final)
 
     patterns = _consecutive_distinct_patterns()
-    seed_links = _cleaned_links(six_link)
-    seed_taus = None
+    seed_links = merged_links(six_link.links)
     seed_pattern = None
     if 1 <= len(seed_links) <= 5:
-        taus = [l.tau for l in seed_links] + [0.0] * (5 - len(seed_links))
+        seed_taus = np.array([l.tau for l in seed_links]
+                             + [0.0] * (5 - len(seed_links)))
         js = [l.j for l in seed_links]
         while len(js) < 5:
-            js.append((js[-1] + 2) % 6 if js else 0)
-        if all(x != y for x, y in zip(js, js[1:])):
-            seed_pattern = tuple(js)
-            seed_taus = np.array(taus)
+            js.append((js[-1] + 2) % 6)
+        seed_pattern = tuple(js)
 
     per_pattern = max(60, spec.max_evals // (len(patterns) + 1))
     for pattern in patterns:
+        problem = segment_problem(pattern)
         starts = [np.full(5, 0.3)]
         for _ in range(spec.restarts - 1):
             starts.append(rng.uniform(0.05, 0.9, size=5))
         if pattern == seed_pattern:
             starts.insert(0, seed_taus)
         for t0 in starts:
-            def objective(taus):
-                area, pen, _ = measure(pattern, taus)
-                return (0.0 if math.isinf(area) else area) + pen
+            _refine(run, problem, t0, per_pattern, 1e-10, 120)
 
-            res = minimize(
-                objective, t0, method="Nelder-Mead",
-                bounds=[(0.0, TAU_HI)] * 5,
-                options={"maxfev": per_pattern, "xatol": 1e-10,
-                         "fatol": 1e-12, "adaptive": True},
-            )
-            offer(pattern, np.clip(res.x, lo, hi))
-            polish = least_squares(
-                lambda t: residuals(pattern, t), np.clip(res.x, lo, hi),
-                bounds=(lo, hi), max_nfev=120,
-            )
-            offer(pattern, polish.x)
-
-    improved = best_feasible and best_area < six_area - IMPROVEMENT_MARGIN
+    best = run.best
+    feasible = best.feasible()
     return LinkReductionReport(
-        six_area, best_area, best_links, best_residual,
-        best_feasible, improved, evals,
+        six_area, best.value, best.chain.links,
+        float(np.max(np.abs(best.residuals))), feasible,
+        feasible and best.value < six_area - IMPROVEMENT_MARGIN, run.evals,
     )
 
 
@@ -533,11 +480,7 @@ def spec_to_dict(spec: SearchSpec) -> dict:
     return {
         "variable_count": spec.variable_count,
         "bounds": [list(b) for b in spec.bounds],
-        "penalty_weights": {
-            "closure": spec.penalty_weights.closure,
-            "angle": spec.penalty_weights.angle,
-            "feasibility": spec.penalty_weights.feasibility,
-        },
+        "penalty_weights": asdict(spec.penalty_weights),
         "restarts": spec.restarts,
         "max_evals": spec.max_evals,
         "seed": spec.seed,
@@ -551,11 +494,6 @@ def result_to_dict(result: SearchResult) -> dict:
         "best_density": result.best_density,
         "feasible": result.feasible,
         "eval_count": result.eval_count,
-        "closure": {
-            "frame_residual": result.closure.frame_residual,
-            "tangent_residual": result.closure.tangent_residual,
-            "angle_ok": result.closure.angle_ok,
-            "angle_margin": result.closure.angle_margin,
-        },
+        "closure": asdict(result.closure),
         "trace": None if result.trace is None else [list(t) for t in result.trace],
     }

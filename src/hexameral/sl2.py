@@ -113,10 +113,6 @@ def frame_distance(g: FrameMatrix, h: FrameMatrix) -> float:
     return max(abs(p - q) for p, q in zip(g.entries(), h.entries()))
 
 
-def apply(g: FrameMatrix, v: PlaneVector) -> PlaneVector:
-    return g.apply(v)
-
-
 @dataclass(frozen=True, slots=True)
 class TangentElement:
     """Traceless 2x2 matrix [[a, b], [c, -a]] in coordinates (a, b, c)."""

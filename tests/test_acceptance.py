@@ -37,8 +37,8 @@ from hexameral.multicurve import STANDARD, CurveSample, rank_classify
 from hexameral.optimize import (
     DEFAULT_BOUNDS,
     SearchSpec,
-    _five_link_residuals,
     decode_five_link,
+    five_link_problem,
     five_link_search,
     link_reduction_experiment,
     octagon_embedding,
@@ -136,7 +136,7 @@ def test_criterion_05_link_length_congruence():
     accepted = 0
     for _ in range(10):
         p = np.clip(emb + rng.normal(0.0, 0.02, 7), lo, hi)
-        snapped = least_squares(_five_link_residuals, p,
+        snapped = least_squares(five_link_problem().residuals, p,
                                 bounds=(lo, hi), max_nfev=200).x
         chain = decode_five_link(snapped)
         if not closure_report(chain).closed():

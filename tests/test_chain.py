@@ -13,6 +13,7 @@ from hexameral.chain import (
     chain_area,
     chain_from_dict,
     chain_to_dict,
+    closure_of,
     closure_report,
     link_length,
     load_chain,
@@ -22,6 +23,7 @@ from hexameral.chain import (
 from hexameral.domain import OCTAGON_LINK_AREA, OCTAGON_TAU
 from hexameral.errors import (
     ChainFormatError,
+    GeometryError,
     LinkLengthViolation,
     NotClosed,
     NotRankOneCompatible,
@@ -67,6 +69,29 @@ class TestAssemble:
         bad = ChainParams(bad_state, (LinkParam(0.3, 0), LinkParam(0.3, 2)))
         with pytest.raises(NotRankOneCompatible, match="link 0"):
             assemble(bad)
+
+    def test_failure_keeps_class_and_link_index(self, octagon, monkeypatch):
+        import hexameral.chain as chain_module
+
+        class Stalled(GeometryError):
+            # a constructor unlike Exception's must survive the annotation
+            def __init__(self, why, where):
+                super().__init__(f"{why} at t = {where}")
+
+        real = chain_module.propagate
+        calls = []
+
+        def fail_at_link_2(state, tau, j):
+            calls.append(j)
+            if len(calls) == 3:
+                raise Stalled("stalled", 0.5)
+            return real(state, tau, j)
+
+        monkeypatch.setattr(chain_module, "propagate", fail_at_link_2)
+        with pytest.raises(Stalled, match=r"^link 2: stalled at t = 0\.5$") as info:
+            assemble(octagon.chain)
+        assert info.value.link_index == 2
+        assert info.value.__cause__ is None  # re-raised, not wrapped
 
     def test_parameter_errors_name_link(self, octagon):
         with pytest.raises(ParameterOutOfRange, match="link 1"):
@@ -121,6 +146,13 @@ class TestClosureReport:
                 transform_state(g, octagon.chain.initial), octagon.chain.links))
             assert abs(moved.frame_residual - base.frame_residual) < 1e-9
             assert abs(moved.tangent_residual - base.tangent_residual) < 1e-9
+
+    def test_target_measures_open_segment(self, octagon):
+        segment = ChainParams(octagon.chain.initial, octagon.chain.links[:2])
+        assembled = assemble(segment)
+        report = closure_of(segment, assembled, target=assembled.final)
+        assert report.residual() < 1e-15 and report.angle_ok
+        assert closure_of(segment, assembled).residual() > 0.1
 
     def test_angle_margin_of_open_segment(self, octagon):
         margin = angle_margin_of(ChainParams(octagon.chain.initial,
@@ -257,6 +289,21 @@ class TestJsonDialect:
         path.write_text("{not json")
         with pytest.raises(ChainFormatError):
             load_chain(str(path))
+
+    @pytest.mark.parametrize("field,index", [("frame", 3), ("tangent", 2)])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_initial_rejected(self, octagon, field, index, value):
+        doc = chain_to_dict(octagon.chain)
+        doc["initial"][field][index] = value
+        with pytest.raises(ChainFormatError, match="finite"):
+            chain_from_dict(doc)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_tau_rejected(self, octagon, value):
+        doc = chain_to_dict(octagon.chain)
+        doc["links"][1]["tau"] = value
+        with pytest.raises(ChainFormatError, match="link 1"):
+            chain_from_dict(doc)
 
     def test_extra_top_level_keys_accepted(self, octagon):
         doc = chain_to_dict(octagon.chain)

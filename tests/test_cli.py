@@ -78,6 +78,18 @@ class TestVerifyCommand:
         assert diag["error"] == "VerifyFailed"
         assert "closure" in diag["detail"]
 
+    @pytest.mark.parametrize("field,index", [("frame", 1), ("tangent", 0)])
+    def test_nan_in_initial_state_is_a_format_error(self, octagon_file, tmp_path,
+                                                    capsys, field, index):
+        doc = json.loads(open(octagon_file).read())
+        doc["initial"][field][index] = float("nan")
+        path = tmp_path / "nan.json"
+        path.write_text(json.dumps(doc))  # json writes the NaN literal
+        assert main(["verify", str(path)]) == 1
+        diag = stderr_diagnostic(capsys)
+        assert diag["error"] == "ChainFormatError"
+        assert f"initial.{field}" in diag["detail"]
+
     def test_malformed_chain_file(self, tmp_path, capsys):
         path = tmp_path / "broken.json"
         path.write_text('{"links": []}')

@@ -21,6 +21,7 @@ from hexameral.domain import (
     octagon_square_rep,
     smoothed_octagon,
     star_profile,
+    verify_checks,
 )
 from hexameral.domain import _hexagon_vertices
 from hexameral.errors import NotClosed
@@ -130,6 +131,37 @@ class TestStarProfile:
 
     def test_det_column_positive(self, octagon):
         assert float(star_profile(octagon)[:, 2].min()) > 0.1
+
+
+class TestVerifyChecks:
+    def test_octagon_rows(self, octagon):
+        checks = verify_checks(octagon.chain)
+        assert [name for name, _, _ in checks] == [
+            "assembly", "star-conditions", "tangent-determinant",
+            "convexity-sampling", "rank-per-link", "closure",
+            "angle-condition", "link-length",
+        ]
+        assert all(ok is True for _, ok, _ in checks)
+        assert checks[0][2] == "4 links"
+        assert checks[4][2] == "ranks [1, 1, 1, 1]"
+        assert checks[7][2] == "4, (n-1) = 0 mod 3"
+
+    def test_star_margins_match_profile(self, octagon):
+        profile = star_profile(octagon, per_link=33)
+        detail = dict((name, text) for name, _, text in verify_checks(octagon.chain))
+        assert detail["star-conditions"] == f"min margin {profile[:, :2].min():.3e}"
+        assert detail["tangent-determinant"] == f"min -a^2-bc {profile[:, 2].min():.3e}"
+
+    def test_assembly_failure_ends_the_list(self):
+        from hexameral.hyperlink import LinkState
+        from hexameral.sl2 import FrameMatrix, ProjectiveTangent, TangentElement
+        bad = ChainParams(
+            LinkState(FrameMatrix(1.0, 0.0, 0.0, 1.0),
+                      ProjectiveTangent.from_tangent(TangentElement(0.0, 1.0, 1.0))),
+            ((0.3, 0), (0.3, 2)))
+        [(name, ok, detail)] = verify_checks(bad)
+        assert (name, ok) == ("assembly", False)
+        assert detail.startswith("link 0: ")
 
 
 class TestInitialMultipoint:

@@ -63,6 +63,24 @@ class TestFiveLinkObjective:
         assert density == 1.0
         assert penalty == 70.0
 
+    @pytest.mark.parametrize("link,penalty", [(0, 60.0), (3, 30.0)])
+    def test_assembly_failure_slope(self, monkeypatch, link, penalty):
+        import hexameral.chain as chain_module
+        from hexameral.errors import NotRankOneCompatible
+        real = chain_module.propagate
+        params = octagon_embedding()
+        calls = []
+
+        def fail_at(state, tau, j):
+            calls.append(j)
+            if len(calls) == link + 1:
+                raise NotRankOneCompatible("forced")
+            return real(state, tau, j)
+
+        monkeypatch.setattr(chain_module, "propagate", fail_at)
+        # one penalty step per link left unassembled, plus one
+        assert five_link_objective(params) == (1.0, penalty)
+
     def test_pure_function(self):
         p = [0.05, -0.6, 0.4, 0.5, 0.3, 0.2, 0.6]
         assert five_link_objective(p) == five_link_objective(p)
