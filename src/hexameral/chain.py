@@ -23,9 +23,26 @@ from .errors import (
     NotClosed,
     ParameterOutOfRange,
 )
-from .hyperlink import LinkState, SquareRep, frame_grid, link_area, link_map, propagate, t_end
+from .hyperlink import (
+    LinkState,
+    SquareRep,
+    _link_lead,
+    frame_grids,
+    link_area,
+    propagate,
+    t_end,
+)
 from .multicurve import STANDARD
-from .sl2 import ROT60, FrameMatrix, ProjectiveTangent, TangentElement, frame_distance
+from .sl2 import (
+    ROT60,
+    FrameMatrix,
+    ProjectiveTangent,
+    TangentElement,
+    _compose,
+    _inverse,
+    _unit_det,
+    frame_distance,
+)
 
 # Residual bound under which closure_report classifies a chain as closed.
 FEASIBLE_TOL = 1e-6
@@ -54,9 +71,9 @@ class ChainParams:
         object.__setattr__(self, "links", links)
         for i, (tau, j) in enumerate(links):
             if not 0.0 <= tau < 1.0:
-                raise ParameterOutOfRange(f"link {i}: tau = {tau!r} outside [0, 1)")
+                raise ParameterOutOfRange(f"tau = {tau!r} outside [0, 1)").at_link(i)
             if j not in (0, 2, 4):
-                raise ParameterOutOfRange(f"link {i}: index j = {j!r} not in (0, 2, 4)")
+                raise ParameterOutOfRange(f"index j = {j!r} not in (0, 2, 4)").at_link(i)
 
 
 @dataclass(frozen=True)
@@ -86,8 +103,7 @@ def assemble(chain: ChainParams) -> AssembledChain:
         try:
             state, rep = propagate(states[-1], tau, j)
         except GeometryError as exc:
-            exc.link_index = i
-            exc.args = (f"link {i}: {exc}",)
+            exc.at_link(i)
             raise
         states.append(state)
         reps.append(rep)
@@ -113,22 +129,36 @@ class ClosureReport:
         return self.residual() <= tol and self.angle_ok
 
 
+def _sample_rows(t0s: np.ndarray, t1s: np.ndarray, n: int) -> np.ndarray:
+    """Row l is np.linspace(t0s[l], t1s[l], n), bit for bit."""
+    if n > 1 and not ((t1s - t0s) / (n - 1)).all():
+        # a zero step sends all of a stacked linspace down its denormal path
+        return np.array([np.linspace(lo, hi, n) for lo, hi in zip(t0s, t1s)])
+    return np.linspace(t0s, t1s, n, axis=1)
+
+
 def _sweep_angles(chain: ChainParams, assembled: AssembledChain,
                   samples_per_link: int) -> np.ndarray:
-    """Angles of frame(t0)^{-1} phi(t) u*_0 sampled along every link."""
-    inv0 = chain.initial.frame.inverse()
+    """Angles of frame(t0)^{-1} phi(t) u*_0 sampled along every link.
+
+    All non-degenerate links are sampled in one stacked pass.
+    """
+    links = [(state, rep) for state, rep in zip(assembled.states, assembled.reps)
+             if rep.tau != 0.0]
+    if not links:
+        return np.zeros(1)
+    inv0 = _inverse(chain.initial.frame.entries())
+    leads = np.array([
+        _compose(inv0, _unit_det(*_link_lead(state.frame.entries(), rep.a, rep.k,
+                                             rep.t0, rep.j)))
+        for state, rep in links
+    ]).reshape(-1, 1, 2, 2)
+    reps = [rep for _, rep in links]
+    ts = _sample_rows(np.array([rep.t0 for rep in reps]),
+                      np.array([t_end(rep) for rep in reps]), samples_per_link)
     u0 = np.array([STANDARD[0].x, STANDARD[0].y])
-    chunks = [np.zeros(1)]
-    for state, rep in zip(assembled.states, assembled.reps):
-        if rep.tau == 0.0:
-            continue
-        lead = inv0.compose(link_map(state, rep))
-        ts = np.linspace(rep.t0, t_end(rep), samples_per_link)
-        frames = frame_grid(rep, ts)
-        lead_mat = np.array([[lead.alpha, lead.beta], [lead.gamma, lead.delta]])
-        pts = (lead_mat @ frames) @ u0
-        chunks.append(np.arctan2(pts[:, 1], pts[:, 0]))
-    return np.concatenate(chunks)
+    pts = (leads @ frame_grids(reps, ts)) @ u0
+    return np.concatenate((np.zeros(1), np.arctan2(pts[..., 1], pts[..., 0]).ravel()))
 
 
 def closure_report(chain: ChainParams, samples_per_link: int = ANGLE_SAMPLES) -> ClosureReport:
@@ -248,6 +278,14 @@ def chain_to_dict(chain: ChainParams) -> dict:
     }
 
 
+def _as_float(v: int | float) -> float:
+    """float(v), with integers beyond float range as signed infinities."""
+    try:
+        return float(v)
+    except OverflowError:
+        return math.inf if v > 0 else -math.inf
+
+
 def _reals(raw, n: int, what: str) -> list[float]:
     if not isinstance(raw, list) or len(raw) != n:
         raise ChainFormatError(f"{what} must be a list of {n} numbers")
@@ -255,9 +293,10 @@ def _reals(raw, n: int, what: str) -> list[float]:
     for v in raw:
         if isinstance(v, bool) or not isinstance(v, (int, float)):
             raise ChainFormatError(f"{what} must contain only numbers")
-        if not math.isfinite(v):
+        x = _as_float(v)
+        if not math.isfinite(x):
             raise ChainFormatError(f"{what} must contain only finite numbers")
-        out.append(float(v))
+        out.append(x)
     return out
 
 
@@ -289,7 +328,7 @@ def chain_from_dict(data: dict) -> ChainParams:
             raise ChainFormatError(f"link {i}: tau must be a number")
         if isinstance(j, bool) or not isinstance(j, int):
             raise ChainFormatError(f"link {i}: j must be an integer")
-        links.append(LinkParam(float(tau), j))
+        links.append(LinkParam(_as_float(tau), j))
     try:
         return ChainParams(LinkState(frame, tangent), tuple(links))
     except ParameterOutOfRange as exc:
@@ -306,6 +345,6 @@ def load_chain(path: str) -> ChainParams:
     with open(path, encoding="utf-8") as fh:
         try:
             data = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # also bad UTF-8 and over-long integers
             raise ChainFormatError(f"invalid JSON: {exc}") from exc
     return chain_from_dict(data)

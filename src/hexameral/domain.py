@@ -57,6 +57,9 @@ CIRCLE_DENSITY = math.pi / SQRT12
 # Samples per link behind the verify checklist's margins.
 VERIFY_STAR_SAMPLES = 33
 VERIFY_CURVE_SAMPLES = 16
+# Rows of the verify checklist that sample the links.
+SAMPLED_CHECKS = ("star-conditions", "tangent-determinant", "convexity-sampling",
+                  "rank-per-link")
 
 
 @dataclass(frozen=True)
@@ -205,6 +208,34 @@ def star_profile(dom: HexameralDomain, per_link: int = 32) -> np.ndarray:
     return _star_rows(dom.assembled, per_link)
 
 
+def _sampled_checks(assembled: AssembledChain) -> list[tuple[str, bool, str]]:
+    """Star, determinant, convexity and rank rows, sampled on every real link.
+
+    With no non-degenerate link nothing is sampled, and no row can pass.
+    """
+    links = [rep for rep in assembled.reps if rep.tau != 0.0]
+    if not links:
+        empty = "nothing sampled: no link is non-degenerate"
+        return [(name, False, empty) for name in SAMPLED_CHECKS]
+    rows = _star_rows(assembled, VERIFY_STAR_SAMPLES)
+    convex_min = math.inf
+    ranks = []
+    for rep in links:
+        curves = link_multicurve(rep, samples=VERIFY_CURVE_SAMPLES)
+        convex_min = min(convex_min,
+                         min(convexity_value(s) for c in curves for s in c))
+        ranks.append(rank_classify(curves).value)
+    star_margin = float(rows[:, :2].min())
+    det_margin = float(rows[:, 2].min())
+    return [
+        ("star-conditions", star_margin > 0.0, f"min margin {star_margin:.3e}"),
+        ("tangent-determinant", det_margin > 0.0, f"min -a^2-bc {det_margin:.3e}"),
+        # linear arcs have zero acceleration, so weak convexity is the invariant
+        ("convexity-sampling", convex_min >= 0.0, f"min value {convex_min:.3e}"),
+        ("rank-per-link", all(r == 1 for r in ranks), f"ranks {ranks}"),
+    ]
+
+
 def verify_checks(chain: ChainParams,
                   tol: float = FEASIBLE_TOL) -> list[tuple[str, bool, str]]:
     """The invariant checklist of a chain: (name, passed, detail) rows in order.
@@ -219,26 +250,7 @@ def verify_checks(chain: ChainParams,
         return [("assembly", False, str(exc))]
     checks = [("assembly", True, f"{len(assembled.states) - 1} links")]
 
-    rows = _star_rows(assembled, VERIFY_STAR_SAMPLES)
-    star_margin = float(rows[:, :2].min()) if len(rows) else math.inf
-    det_margin = float(rows[:, 2].min()) if len(rows) else math.inf
-    convex_min = math.inf
-    ranks = []
-    for rep in assembled.reps:
-        if rep.tau == 0.0:
-            continue
-        curves = link_multicurve(rep, samples=VERIFY_CURVE_SAMPLES)
-        convex_min = min(convex_min,
-                         min(convexity_value(s) for c in curves for s in c))
-        ranks.append(rank_classify(curves).value)
-    checks.append(("star-conditions", star_margin > 0.0,
-                   f"min margin {star_margin:.3e}"))
-    checks.append(("tangent-determinant", det_margin > 0.0,
-                   f"min -a^2-bc {det_margin:.3e}"))
-    # linear arcs have zero acceleration, so weak convexity is the invariant
-    checks.append(("convexity-sampling", convex_min >= 0.0,
-                   f"min value {convex_min:.3e}"))
-    checks.append(("rank-per-link", all(r == 1 for r in ranks), f"ranks {ranks}"))
+    checks.extend(_sampled_checks(assembled))
 
     report = closure_of(chain, assembled)
     checks.append(("closure", report.closed(tol),

@@ -9,6 +9,12 @@ class GeometryError(RuntimeError):
 
     link_index: int | None = None
 
+    def at_link(self, i: int) -> "GeometryError":
+        """Tag the error with link ``i``: set ``link_index``, prefix ``link i: ``."""
+        self.link_index = i
+        self.args = (f"link {i}: {self}",)
+        return self
+
 
 class FrameDeterminantError(GeometryError):
     """Raised when a frame's determinant is too far from one to repair."""

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -29,10 +30,17 @@ from .errors import (
 from .multicurve import STANDARD, CurveSample, MultiPoint
 from .sl2 import (
     SQRT3,
+    Frame,
     FrameMatrix,
     PlaneVector,
     ProjectiveTangent,
     TangentElement,
+    _adjoint,
+    _inverse,
+    _product,
+    _star,
+    _unit_det,
+    _unit_tangent,
     adjoint,
     star_check,
     wedge,
@@ -197,38 +205,55 @@ def _columns_inverse(p1: PlaneVector, p2: PlaneVector) -> tuple[float, float, fl
     return (p2.y / w, -p2.x / w, -p1.y / w, p1.x / w)
 
 
-def _canonical_frame(rep: SquareRep, t: float) -> FrameMatrix:
-    """The unique frame sending u*_m to sigma_m(t) for every index m."""
-    hyp, line_x, _ = _base_samples(rep, t)
-    ia, ib, ic, id_ = _columns_inverse(STANDARD[rep.j], STANDARD[rep.j + 2])
-    p1, p2 = hyp[0], line_x[0]
-    return FrameMatrix(
-        p1.x * ia + p2.x * ic,
-        p1.x * ib + p2.x * id_,
-        p1.y * ia + p2.y * ic,
-        p1.y * ib + p2.y * id_,
-    )
+# Per index j: the inverse of the columns (u*_j, u*_{j+2}) and the edge
+# points u*_{j+2}, u*_{j+4} (j = 4 wraps to u*_0, u*_2).
+_STANDARD_INVERSE = {j: _columns_inverse(STANDARD[j], STANDARD[j + 2]) for j in (0, 2, 4)}
+_EDGE_POINTS = {
+    j: (STANDARD[j + 2].x, STANDARD[j + 2].y, STANDARD[j + 4].x, STANDARD[j + 4].y)
+    for j in (0, 2, 4)
+}
 
 
-def _canonical_tangent(rep: SquareRep, t: float) -> TangentElement:
-    """Velocity matrix X(t) with sigma_m'(t) = X(t) sigma_m(t)."""
-    hyp, line_x, _ = _base_samples(rep, t)
-    p1, p2 = hyp[0], line_x[0]
-    v1, v2 = hyp[1], line_x[1]
-    w = wedge(p1, p2)
-    m00 = (v1.x * p2.y - v2.x * p1.y) / w
-    m01 = (-v1.x * p2.x + v2.x * p1.x) / w
-    m10 = (v1.y * p2.y - v2.y * p1.y) / w
-    m11 = (-v1.y * p2.x + v2.y * p1.x) / w
-    return TangentElement(0.5 * (m00 - m11), m01, m10)
+# The scalar kernel: one link's frames and tangents over plain floats.
+
+def _square_frame(a: float, k: float, t: float, j: int) -> Frame:
+    """Entries of the frame sending u*_m to sigma_m(t), before the determinant rule."""
+    s = (1.0 - k) / t
+    p1x, p1y = a * (-1.0 - s), a * (-1.0 - t)
+    p2x, p2y = a, a * t
+    ia, ib, ic, id_ = _STANDARD_INVERSE[j]
+    return (p1x * ia + p2x * ic, p1x * ib + p2x * id_,
+            p1y * ia + p2y * ic, p1y * ib + p2y * id_)
+
+
+def _square_tangent(a: float, k: float, t: float) -> tuple[float, float, float]:
+    """Coordinates of X(t) with sigma_m'(t) = X(t) sigma_m(t)."""
+    s = (1.0 - k) / t
+    ds = -(1.0 - k) / (t * t)
+    p1x, p1y = a * (-1.0 - s), a * (-1.0 - t)
+    p2x, p2y = a, a * t
+    v1x, v1y = -a * ds, -a
+    v2x, v2y = 0.0, a
+    w = p1x * p2y - p1y * p2x
+    m00 = (v1x * p2y - v2x * p1y) / w
+    m01 = (-v1x * p2x + v2x * p1x) / w
+    m10 = (v1y * p2y - v2y * p1y) / w
+    m11 = (-v1y * p2x + v2y * p1x) / w
+    return (0.5 * (m00 - m11), m01, m10)
+
+
+def _link_lead(frame: Frame, a: float, k: float, t0: float, j: int) -> Frame:
+    """Entries of frame C(t0)^{-1}, before the determinant rule: the link map."""
+    return _product(frame, _inverse(_unit_det(*_square_frame(a, k, t0, j))))
 
 
 def frame_at(rep: SquareRep, t: float) -> LinkState:
     """Link state at parameter t of the canonical square representation."""
     _check_range(rep, t)
+    k = rep.k
     return LinkState(
-        _canonical_frame(rep, t),
-        ProjectiveTangent.from_tangent(_canonical_tangent(rep, t)),
+        FrameMatrix(*_square_frame(rep.a, k, t, rep.j)),
+        ProjectiveTangent(TangentElement(*_unit_tangent(*_square_tangent(rep.a, k, t)))),
     )
 
 
@@ -240,35 +265,41 @@ def propagate(state: LinkState, tau: float, j: int) -> tuple[LinkState, SquareRe
     the +y and -x axes by a unit-determinant map, whose residual diagonal
     freedom is fixed by requiring both mapped edge points to share the
     coordinate value a.  The recovered t0 must land in (-1, k-1).
+
+    Frames are entry tuples under the one determinant rule throughout;
+    only the returned state and representation are built as objects.
     """
     if not 0.0 <= tau < 1.0:
         raise ParameterOutOfRange(f"tau = {tau!r} outside [0, 1)")
     if j not in (0, 2, 4):
         raise ParameterOutOfRange(f"hyperbolic index j = {j!r} not in (0, 2, 4)")
-    x = state.tangent.rep
-    p2 = state.frame.apply(STANDARD[j + 2])
-    p4 = state.frame.apply(STANDARD[j + 4])
-    d2 = x.apply(p2)
-    d4 = x.apply(p4)
-    w = wedge(d2, d4)
-    scale = d2.norm() * d4.norm()
+    xa, xb, xc = state.tangent.components()
+    frame = state.frame.entries()
+    al, be, ga, de = frame
+    u2x, u2y, u4x, u4y = _EDGE_POINTS[j]
+    p2x, p2y = al * u2x + be * u2y, ga * u2x + de * u2y
+    p4x, p4y = al * u4x + be * u4y, ga * u4x + de * u4y
+    d2x, d2y = xa * p2x + xb * p2y, xc * p2x - xa * p2y
+    d4x, d4y = xa * p4x + xb * p4y, xc * p4x - xa * p4y
+    w = d2x * d4y - d2y * d4x
+    scale = math.hypot(d2x, d2y) * math.hypot(d4x, d4y)
     if scale == 0.0 or abs(w) < VELOCITY_TOL * scale:
         raise DegenerateVelocity("edge velocities are linearly dependent")
     if w < 0.0:
         raise NotRankOneCompatible("edge velocities wind clockwise; star conditions fail")
-    if not star_check(adjoint(state.frame.inverse(), x)):
+    if not _star(*_adjoint(_inverse(frame), xa, xb, xc)):
         raise NotRankOneCompatible("state tangent violates the star inequalities")
     # h0 sends d2 to (0, w) and d4 to (-1, 0) with determinant one.
-    h0 = FrameMatrix(d2.y / w, -d2.x / w, d4.y, -d4.x)
-    q2 = h0.apply(p2)
-    q4 = h0.apply(p4)
-    if q2.x <= 0.0 or q4.y <= 0.0:
+    hal, hbe, hga, hde = _unit_det(d2y / w, -d2x / w, d4y, -d4x)
+    q2x, q2y = hal * p2x + hbe * p2y, hga * p2x + hde * p2y
+    q4x, q4y = hal * p4x + hbe * p4y, hga * p4x + hde * p4y
+    if q2x <= 0.0 or q4y <= 0.0:
         raise NotRankOneCompatible("edge points map off the positive axes")
-    a = math.sqrt(q2.x * q4.y)
+    a = math.sqrt(q2x * q4y)
     if a * a <= MIN_SCALE_SQ:
         raise NotRankOneCompatible(f"recovered scale a = {a!r} gives no hyperbola")
-    t0 = q2.y / q4.y
-    s0 = q4.x / q2.x
+    t0 = q2y / q4y
+    s0 = q4x / q2x
     k = SQRT3 / (2.0 * a * a)
     if not (-1.0 < t0 < k - 1.0 and -1.0 < s0 < k - 1.0):
         raise NotRankOneCompatible(
@@ -277,16 +308,16 @@ def propagate(state: LinkState, tau: float, j: int) -> tuple[LinkState, SquareRe
     rep = SquareRep(a, t0, tau, j)
     if tau == 0.0:
         return state, rep
-    t1 = t_end(rep)
-    g = state.frame.compose(_canonical_frame(rep, t0).inverse())
-    frame_out = g.compose(_canonical_frame(rep, t1))
-    tangent_out = ProjectiveTangent.from_tangent(adjoint(g, _canonical_tangent(rep, t1)))
-    return LinkState(frame_out, tangent_out), rep
+    t1 = t0 + tau * (k - 1.0 - t0)
+    g = _unit_det(*_link_lead(frame, a, k, t0, j))
+    frame_out = FrameMatrix(*_product(g, _unit_det(*_square_frame(a, k, t1, j))))
+    tangent_out = _unit_tangent(*_adjoint(g, *_square_tangent(a, k, t1)))
+    return LinkState(frame_out, ProjectiveTangent(TangentElement(*tangent_out))), rep
 
 
 def link_map(state: LinkState, rep: SquareRep) -> FrameMatrix:
     """The frame g with state = g applied to the canonical link start."""
-    return state.frame.compose(_canonical_frame(rep, rep.t0).inverse())
+    return FrameMatrix(*_link_lead(state.frame.entries(), rep.a, rep.k, rep.t0, rep.j))
 
 
 def link_multicurve(rep: SquareRep, samples: int = 16,
@@ -336,15 +367,24 @@ def curve_points(rep: SquareRep, ts: np.ndarray, m: int) -> np.ndarray:
     return sign * out
 
 
+def frame_grids(reps: Sequence[SquareRep], ts: np.ndarray) -> np.ndarray:
+    """Canonical frames of each link at its own row of parameters.
+
+    ``ts`` has shape (L, n), one row per rep; the result has shape
+    (L, n, 2, 2).  Every row is computed exactly as the one-link case.
+    """
+    a = np.array([rep.a for rep in reps])[:, None]
+    one_minus_k = np.array([1.0 - rep.k for rep in reps])[:, None]
+    inv = np.array([_STANDARD_INVERSE[rep.j] for rep in reps]).reshape(-1, 1, 2, 2)
+    s = one_minus_k / ts
+    cols = np.empty(ts.shape + (2, 2))
+    cols[..., 0, 0] = a * (-1.0 - s)
+    cols[..., 1, 0] = a * (-1.0 - ts)
+    cols[..., 0, 1] = a
+    cols[..., 1, 1] = a * ts
+    return cols @ inv
+
+
 def frame_grid(rep: SquareRep, ts: np.ndarray) -> np.ndarray:
     """Canonical frames at parameters ts as an array of shape (len(ts), 2, 2)."""
-    hyp = curve_points(rep, ts, rep.j)
-    edge = curve_points(rep, ts, rep.j + 2)
-    ia, ib, ic, id_ = _columns_inverse(STANDARD[rep.j], STANDARD[rep.j + 2])
-    inv_mat = np.array([[ia, ib], [ic, id_]])
-    cols = np.empty((len(hyp), 2, 2))
-    cols[:, 0, 0] = hyp[:, 0]
-    cols[:, 1, 0] = hyp[:, 1]
-    cols[:, 0, 1] = edge[:, 0]
-    cols[:, 1, 1] = edge[:, 1]
-    return cols @ inv_mat
+    return frame_grids((rep,), np.asarray(ts, dtype=float)[None, :])[0]

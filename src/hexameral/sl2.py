@@ -46,6 +46,38 @@ def wedge(u: PlaneVector, v: PlaneVector) -> float:
     return u.x * v.y - u.y * v.x
 
 
+# Frames inside hot loops are plain entry tuples (alpha, beta, gamma, delta).
+Frame = tuple[float, float, float, float]
+
+
+def _unit_det(al: float, be: float, ga: float, de: float) -> Frame:
+    """The determinant rule of every frame: reject far from one, rescale near it."""
+    det = al * de - be * ga
+    if abs(det - 1.0) > DET_REJECT_TOL:
+        raise FrameDeterminantError(f"frame determinant {det!r} too far from 1")
+    if abs(det - 1.0) > DET_TOL:
+        # det is within 1e-9 of 1, hence positive; rescale to kill drift.
+        fix = 1.0 / math.sqrt(det)
+        return (al * fix, be * fix, ga * fix, de * fix)
+    return (al, be, ga, de)
+
+
+def _product(g: Frame, h: Frame) -> Frame:
+    """Entries of the matrix product g h, before the determinant rule."""
+    al, be, ga, de = g
+    ph, qh, rh, sh = h
+    return (al * ph + be * rh, al * qh + be * sh, ga * ph + de * rh, ga * qh + de * sh)
+
+
+def _compose(g: Frame, h: Frame) -> Frame:
+    return _unit_det(*_product(g, h))
+
+
+def _inverse(g: Frame) -> Frame:
+    al, be, ga, de = g
+    return _unit_det(de, -be, -ga, al)
+
+
 @dataclass(frozen=True, slots=True)
 class FrameMatrix:
     """Element of SL2(R); determinant is re-projected to one on construction."""
@@ -56,16 +88,11 @@ class FrameMatrix:
     delta: float
 
     def __post_init__(self) -> None:
-        det = self.alpha * self.delta - self.beta * self.gamma
-        if abs(det - 1.0) > DET_REJECT_TOL:
-            raise FrameDeterminantError(f"frame determinant {det!r} too far from 1")
-        if abs(det - 1.0) > DET_TOL:
-            # det is within 1e-9 of 1, hence positive; rescale to kill drift.
-            fix = 1.0 / math.sqrt(det)
-            object.__setattr__(self, "alpha", self.alpha * fix)
-            object.__setattr__(self, "beta", self.beta * fix)
-            object.__setattr__(self, "gamma", self.gamma * fix)
-            object.__setattr__(self, "delta", self.delta * fix)
+        entries = (self.alpha, self.beta, self.gamma, self.delta)
+        fixed = _unit_det(*entries)
+        if fixed != entries:
+            for name, value in zip(("alpha", "beta", "gamma", "delta"), fixed):
+                object.__setattr__(self, name, value)
 
     def det(self) -> float:
         return self.alpha * self.delta - self.beta * self.gamma
@@ -78,12 +105,7 @@ class FrameMatrix:
 
     def compose(self, other: "FrameMatrix") -> "FrameMatrix":
         """Matrix product self * other (other acts first)."""
-        return FrameMatrix(
-            self.alpha * other.alpha + self.beta * other.gamma,
-            self.alpha * other.beta + self.beta * other.delta,
-            self.gamma * other.alpha + self.delta * other.gamma,
-            self.gamma * other.beta + self.delta * other.delta,
-        )
+        return FrameMatrix(*_product(self.entries(), other.entries()))
 
     def __matmul__(self, other: "FrameMatrix") -> "FrameMatrix":
         return self.compose(other)
@@ -134,24 +156,29 @@ class TangentElement:
         return TangentElement(factor * self.a, factor * self.b, factor * self.c)
 
 
+def _adjoint(g: Frame, a: float, b: float, c: float) -> tuple[float, float, float]:
+    """Coordinates of g X g^{-1} for X = [[a, b], [c, -a]]."""
+    al, be, ga, de = g
+    # First column of X g^{-1} then of g (X g^{-1}); inverse is the adjugate.
+    m00 = a * de + b * (-ga)
+    m01 = a * (-be) + b * al
+    m10 = c * de - a * (-ga)
+    m11 = c * (-be) - a * al
+    return (al * m00 + be * m10, al * m01 + be * m11, ga * m00 + de * m10)
+
+
 def adjoint(g: FrameMatrix, x: TangentElement) -> TangentElement:
     """Conjugated tangent g X g^{-1}, again traceless."""
-    al, be, ga, de = g.entries()
-    # First column of X g^{-1} then of g (X g^{-1}); inverse is the adjugate.
-    m00 = x.a * de + x.b * (-ga)
-    m01 = x.a * (-be) + x.b * al
-    m10 = x.c * de - x.a * (-ga)
-    m11 = x.c * (-be) - x.a * al
-    return TangentElement(
-        al * m00 + be * m10,
-        al * m01 + be * m11,
-        ga * m00 + de * m10,
-    )
+    return TangentElement(*_adjoint(g.entries(), x.a, x.b, x.c))
+
+
+def _star(a: float, b: float, c: float) -> bool:
+    return SQRT3 * abs(a) < c and 3.0 * b + c < 0.0
 
 
 def star_check(x: TangentElement) -> bool:
     """Strict convexity inequalities sqrt(3)|a| < c and 3b + c < 0."""
-    return SQRT3 * abs(x.a) < x.c and 3.0 * x.b + x.c < 0.0
+    return _star(x.a, x.b, x.c)
 
 
 def exp_tangent(x: TangentElement, t: float) -> FrameMatrix:
@@ -177,6 +204,15 @@ def exp_tangent(x: TangentElement, t: float) -> FrameMatrix:
     )
 
 
+def _unit_tangent(a: float, b: float, c: float) -> tuple[float, float, float]:
+    """The unit-norm representative of a tangent's positive-scalar class."""
+    n = math.sqrt(a * a + b * b + c * c)
+    if n < 1e-300:
+        raise DegenerateVelocity("cannot project a zero tangent")
+    f = 1.0 / n
+    return (f * a, f * b, f * c)
+
+
 @dataclass(frozen=True, slots=True)
 class ProjectiveTangent:
     """Positive-scalar class of a tangent, stored with unit Euclidean norm.
@@ -191,10 +227,7 @@ class ProjectiveTangent:
 
     @staticmethod
     def from_tangent(x: TangentElement) -> "ProjectiveTangent":
-        n = x.norm()
-        if n < 1e-300:
-            raise DegenerateVelocity("cannot project a zero tangent")
-        return ProjectiveTangent(x.scaled(1.0 / n))
+        return ProjectiveTangent(TangentElement(*_unit_tangent(x.a, x.b, x.c)))
 
     def components(self) -> tuple[float, float, float]:
         return (self.rep.a, self.rep.b, self.rep.c)

@@ -94,9 +94,10 @@ class TestAssemble:
         assert info.value.__cause__ is None  # re-raised, not wrapped
 
     def test_parameter_errors_name_link(self, octagon):
-        with pytest.raises(ParameterOutOfRange, match="link 1"):
+        with pytest.raises(ParameterOutOfRange, match="link 1") as exc:
             ChainParams(octagon.chain.initial,
                         (LinkParam(0.3, 0), LinkParam(-0.1, 2)))
+        assert exc.value.link_index == 1
 
 
 class TestChainArea:

@@ -78,6 +78,24 @@ class TestVerifyCommand:
         assert diag["error"] == "VerifyFailed"
         assert "closure" in diag["detail"]
 
+    def test_all_degenerate_chain_fails_sampled_rows(self, octagon_file, tmp_path,
+                                                     capsys):
+        doc = json.loads(open(octagon_file).read())
+        doc["links"] = [{"tau": 0.0, "j": 0}, {"tau": 0.0, "j": 2}]
+        path = tmp_path / "degenerate.json"
+        path.write_text(json.dumps(doc))
+        assert main(["verify", str(path)]) == 1
+        captured = capsys.readouterr()
+        verdicts = dict(line.split()[:2] for line in captured.out.splitlines())
+        sampled = ("star-conditions", "tangent-determinant",
+                   "convexity-sampling", "rank-per-link")
+        for name in sampled:
+            assert verdicts[name] == "FAIL"
+        assert "no link is non-degenerate" in captured.out
+        diag = json.loads(captured.err.strip())
+        assert diag["error"] == "VerifyFailed"
+        assert all(name in diag["detail"].split(",") for name in sampled)
+
     @pytest.mark.parametrize("field,index", [("frame", 1), ("tangent", 0)])
     def test_nan_in_initial_state_is_a_format_error(self, octagon_file, tmp_path,
                                                     capsys, field, index):

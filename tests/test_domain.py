@@ -152,6 +152,14 @@ class TestVerifyChecks:
         assert detail["star-conditions"] == f"min margin {profile[:, :2].min():.3e}"
         assert detail["tangent-determinant"] == f"min -a^2-bc {profile[:, 2].min():.3e}"
 
+    def test_all_degenerate_chain_samples_nothing(self, octagon):
+        chain = ChainParams(octagon.chain.initial, ((0.0, 0), (0.0, 2)))
+        rows = {name: (ok, detail) for name, ok, detail in verify_checks(chain)}
+        assert rows["assembly"] == (True, "2 links")
+        for name in ("star-conditions", "tangent-determinant",
+                     "convexity-sampling", "rank-per-link"):
+            assert rows[name] == (False, "nothing sampled: no link is non-degenerate")
+
     def test_assembly_failure_ends_the_list(self):
         from hexameral.hyperlink import LinkState
         from hexameral.sl2 import FrameMatrix, ProjectiveTangent, TangentElement
