@@ -46,11 +46,11 @@ from .multicurve import (
 from .hyperlink import (
     LinkState,
     SquareRep,
-    canonical_multipoint,
     circle_tangent,
     frame_at,
     k_of,
     link_area,
+    link_curves,
     link_multicurve,
     propagate,
     t_end,

@@ -137,27 +137,37 @@ def _sample_rows(t0s: np.ndarray, t1s: np.ndarray, n: int) -> np.ndarray:
     return np.linspace(t0s, t1s, n, axis=1)
 
 
-def _sweep_angles(chain: ChainParams, assembled: AssembledChain,
-                  samples_per_link: int) -> np.ndarray:
-    """Angles of frame(t0)^{-1} phi(t) u*_0 sampled along every link.
+def relative_frames(chain: ChainParams, assembled: AssembledChain,
+                    n: int) -> tuple[tuple[SquareRep, ...], np.ndarray, np.ndarray]:
+    """Frames frame(t0)^{-1} phi(t) at n parameters along every non-degenerate link.
 
-    All non-degenerate links are sampled in one stacked pass.
+    Returns those links' square representations, their parameter rows
+    (L, n) and the relative frames (L, n, 2, 2), all from one stacked pass.
     """
     links = [(state, rep) for state, rep in zip(assembled.states, assembled.reps)
              if rep.tau != 0.0]
     if not links:
-        return np.zeros(1)
+        return (), np.empty((0, n)), np.empty((0, n, 2, 2))
     inv0 = _inverse(chain.initial.frame.entries())
     leads = np.array([
         _compose(inv0, _unit_det(*_link_lead(state.frame.entries(), rep.a, rep.k,
                                              rep.t0, rep.j)))
         for state, rep in links
     ]).reshape(-1, 1, 2, 2)
-    reps = [rep for _, rep in links]
+    reps = tuple(rep for _, rep in links)
     ts = _sample_rows(np.array([rep.t0 for rep in reps]),
-                      np.array([t_end(rep) for rep in reps]), samples_per_link)
+                      np.array([t_end(rep) for rep in reps]), n)
+    return reps, ts, leads @ frame_grids(reps, ts)
+
+
+def _sweep_angles(chain: ChainParams, assembled: AssembledChain,
+                  samples_per_link: int) -> np.ndarray:
+    """Angles of frame(t0)^{-1} phi(t) u*_0 sampled along every link."""
+    reps, _, frames = relative_frames(chain, assembled, samples_per_link)
+    if not reps:
+        return np.zeros(1)
     u0 = np.array([STANDARD[0].x, STANDARD[0].y])
-    pts = (leads @ frame_grids(reps, ts)) @ u0
+    pts = frames @ u0
     return np.concatenate((np.zeros(1), np.arctan2(pts[..., 1], pts[..., 0]).ravel()))
 
 

@@ -50,7 +50,7 @@ class CommandConfig:
             raise UsageError(f"{self.subcommand} requires an input chain file")
         if self.format not in ("json", "svg"):
             raise UsageError(f"unknown format {self.format!r}")
-        if self.closure_tol <= 0.0:
+        if not self.closure_tol > 0.0:  # NaN included
             raise UsageError("closure tolerance must be positive")
 
 

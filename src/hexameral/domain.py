@@ -28,8 +28,8 @@ from .errors import GeometryError, LinkLengthViolation, NotClosed
 from .hyperlink import (
     SquareRep,
     circle_tangent,
-    curve_points,
     frame_at,
+    link_curves,
     link_map,
     link_multicurve,
     t_end,
@@ -144,16 +144,16 @@ def smoothed_octagon() -> HexameralDomain:
 
 def boundary_polyline(dom: HexameralDomain, per_link: int = 64) -> BoundaryPolyline:
     """All six curve images over the fundamental interval, in boundary order."""
-    coords = []
-    for m in range(6):
-        for state, rep in zip(dom.assembled.states, dom.assembled.reps):
-            if rep.tau == 0.0:
-                continue
-            g = link_map(state, rep)
-            g_mat = np.array([[g.alpha, g.beta], [g.gamma, g.delta]])
-            ts = np.linspace(rep.t0, t_end(rep), per_link, endpoint=False)
-            coords.append(curve_points(rep, ts, m) @ g_mat.T)
-    pts = np.concatenate(coords)
+    links = []
+    for state, rep in zip(dom.assembled.states, dom.assembled.reps):
+        if rep.tau == 0.0:
+            continue
+        g = link_map(state, rep)
+        g_mat = np.array([[g.alpha, g.beta], [g.gamma, g.delta]])
+        ts = np.linspace(rep.t0, t_end(rep), per_link, endpoint=False)
+        links.append((link_curves(rep, ts)[:, 0], g_mat))
+    pts = np.concatenate([positions[m] @ g_mat.T for m in range(6)
+                          for positions, g_mat in links])
     return BoundaryPolyline(tuple(PlaneVector(x, y) for x, y in pts), closed=True)
 
 

@@ -27,7 +27,7 @@ from .errors import (
     ParameterOutOfRange,
     ScaleTooSmall,
 )
-from .multicurve import STANDARD, CurveSample, MultiPoint
+from .multicurve import STANDARD, CurveSample
 from .sl2 import (
     SQRT3,
     Frame,
@@ -109,64 +109,23 @@ def link_area(rep: SquareRep) -> float:
     )
 
 
-def _check_range(rep: SquareRep, t: float) -> None:
+def _check_range(rep: SquareRep, t) -> None:
+    """Reject parameters outside the link's range, NaN included; t may be an array."""
     t1 = t_end(rep)
     lo, hi = min(rep.t0, t1), max(rep.t0, t1)
-    if not lo - RANGE_TOL <= t <= hi + RANGE_TOL:
-        raise ParameterOutOfRange(f"t = {t!r} outside link range [{lo!r}, {hi!r}]")
+    inside = (lo - RANGE_TOL <= t) & (t <= hi + RANGE_TOL)
+    if not np.all(inside):
+        bad = float(np.extract(np.logical_not(inside), t)[0])
+        raise ParameterOutOfRange(f"t = {bad!r} outside link range [{lo!r}, {hi!r}]")
 
 
-def _base_samples(rep: SquareRep, t: float):
-    """Position, velocity, acceleration of the three canonical even curves."""
-    a, k = rep.a, rep.k
+def _square_points(a, k, t):
+    """Positions of the hyperbola, the x = a line and the y = a line at t.
+
+    Pure arithmetic, so floats and broadcast arrays give the same bits.
+    """
     s = (1.0 - k) / t
-    ds = -(1.0 - k) / (t * t)
-    dds = 2.0 * (1.0 - k) / (t * t * t)
-    hyp = (
-        PlaneVector(a * (-1.0 - s), a * (-1.0 - t)),
-        PlaneVector(-a * ds, -a),
-        PlaneVector(-a * dds, 0.0),
-    )
-    line_x = (
-        PlaneVector(a, a * t),
-        PlaneVector(0.0, a),
-        PlaneVector(0.0, 0.0),
-    )
-    line_y = (
-        PlaneVector(a * s, a),
-        PlaneVector(a * ds, 0.0),
-        PlaneVector(a * dds, 0.0),
-    )
-    return hyp, line_x, line_y
-
-
-@dataclass(frozen=True)
-class MultiCurveSample:
-    """All six curves of a link sampled at one parameter value."""
-
-    t: float
-    samples: tuple[CurveSample, ...]
-
-    @property
-    def multipoint(self) -> MultiPoint:
-        return MultiPoint(tuple(s.position for s in self.samples))
-
-
-def canonical_multipoint(rep: SquareRep, t: float) -> MultiCurveSample:
-    """Sample positions, velocities and accelerations at parameter t."""
-    _check_range(rep, t)
-    hyp, line_x, line_y = _base_samples(rep, t)
-    by_residue = {0: hyp, 2: line_x, 4: line_y}
-    samples = []
-    for m in range(6):
-        r = (m - rep.j) % 6
-        if r in by_residue:
-            pos, vel, acc = by_residue[r]
-        else:
-            pos, vel, acc = by_residue[(r + 3) % 6]
-            pos, vel, acc = -pos, -vel, -acc
-        samples.append(CurveSample(t, pos, vel, acc))
-    return MultiCurveSample(t, tuple(samples))
+    return (a * (-1.0 - s), a * (-1.0 - t)), (a, a * t), (a * s, a)
 
 
 @dataclass(frozen=True)
@@ -218,9 +177,7 @@ _EDGE_POINTS = {
 
 def _square_frame(a: float, k: float, t: float, j: int) -> Frame:
     """Entries of the frame sending u*_m to sigma_m(t), before the determinant rule."""
-    s = (1.0 - k) / t
-    p1x, p1y = a * (-1.0 - s), a * (-1.0 - t)
-    p2x, p2y = a, a * t
+    (p1x, p1y), (p2x, p2y), _ = _square_points(a, k, t)
     ia, ib, ic, id_ = _STANDARD_INVERSE[j]
     return (p1x * ia + p2x * ic, p1x * ib + p2x * id_,
             p1y * ia + p2y * ic, p1y * ib + p2y * id_)
@@ -228,10 +185,8 @@ def _square_frame(a: float, k: float, t: float, j: int) -> Frame:
 
 def _square_tangent(a: float, k: float, t: float) -> tuple[float, float, float]:
     """Coordinates of X(t) with sigma_m'(t) = X(t) sigma_m(t)."""
-    s = (1.0 - k) / t
+    (p1x, p1y), (p2x, p2y), _ = _square_points(a, k, t)
     ds = -(1.0 - k) / (t * t)
-    p1x, p1y = a * (-1.0 - s), a * (-1.0 - t)
-    p2x, p2y = a, a * t
     v1x, v1y = -a * ds, -a
     v2x, v2y = 0.0, a
     w = p1x * p2y - p1y * p2x
@@ -320,51 +275,51 @@ def link_map(state: LinkState, rep: SquareRep) -> FrameMatrix:
     return FrameMatrix(*_link_lead(state.frame.entries(), rep.a, rep.k, rep.t0, rep.j))
 
 
-def link_multicurve(rep: SquareRep, samples: int = 16,
-                    g: FrameMatrix | None = None) -> list[list[CurveSample]]:
-    """Six sampled curves of one link, optionally moved by a frame g."""
-    lo, hi = rep.t0, t_end(rep)
-    if rep.tau == 0.0:
-        raise ParameterOutOfRange("cannot sample a zero-length link")
-    curves: list[list[CurveSample]] = [[] for _ in range(6)]
-    for t in np.linspace(lo, hi, max(samples, 2)):
-        mc = canonical_multipoint(rep, float(t))
-        for m, s in enumerate(mc.samples):
-            if g is None:
-                curves[m].append(s)
-            else:
-                curves[m].append(CurveSample(
-                    s.t, g.apply(s.position), g.apply(s.velocity),
-                    g.apply(s.acceleration)))
+def link_curves(rep: SquareRep, ts) -> np.ndarray:
+    """Positions, velocities and accelerations of the six curves at parameters ts.
+
+    The result has shape (6, 3, n, 2): curve m, derivative order, sample, (x, y).
+    """
+    t = np.asarray(ts, dtype=float)
+    _check_range(rep, t)
+    a, k = rep.a, rep.k
+    ds = -(1.0 - k) / (t * t)
+    dds = 2.0 * (1.0 - k) / (t * t * t)
+    hyp, line_x, line_y = _square_points(a, k, t)
+    # even curves j, j+2, j+4: hyperbola, x = a, y = a; zero entries stay +0.0
+    even = np.zeros((3, 3, t.size, 2))
+    even[0, 0, :, 0], even[0, 0, :, 1] = hyp
+    even[0, 1, :, 0], even[0, 1, :, 1] = -a * ds, -a
+    even[0, 2, :, 0] = -a * dds
+    even[1, 0, :, 0], even[1, 0, :, 1] = line_x
+    even[1, 1, :, 1] = a
+    even[2, 0, :, 0], even[2, 0, :, 1] = line_y
+    even[2, 1, :, 0] = a * ds
+    even[2, 2, :, 0] = a * dds
+    curves = np.empty((6,) + even.shape[1:])
+    for i in range(3):
+        m = rep.j + 2 * i
+        curves[m % 6] = even[i]
+        # odd curves are central reflections of the even ones
+        curves[(m + 3) % 6] = -even[i]
     return curves
 
 
-# Vectorized sampling used by closure checks, polylines and quadrature.
-
-def curve_points(rep: SquareRep, ts: np.ndarray, m: int) -> np.ndarray:
-    """Positions of curve m at parameters ts, shape (len(ts), 2)."""
-    a, k = rep.a, rep.k
-    t = np.asarray(ts, dtype=float)
-    s = (1.0 - k) / t
-    r = (m - rep.j) % 6
-    sign = 1.0
-    if r % 2 == 1:
-        # odd curves are central reflections of the even ones
-        r = (r + 3) % 6
-        sign = -1.0
-    out = np.empty((t.size, 2))
-    if r == 0:
-        out[:, 0] = a * (-1.0 - s)
-        out[:, 1] = a * (-1.0 - t)
-    elif r == 2:
-        out[:, 0] = a
-        out[:, 1] = a * t
-    elif r == 4:
-        out[:, 0] = a * s
-        out[:, 1] = a
-    else:
-        raise ParameterOutOfRange(f"curve index residue {r} is not even")
-    return sign * out
+def link_multicurve(rep: SquareRep, samples: int = 16,
+                    g: FrameMatrix | None = None) -> list[list[CurveSample]]:
+    """Six sampled curves of one link, optionally moved by a frame g."""
+    if rep.tau == 0.0:
+        raise ParameterOutOfRange("cannot sample a zero-length link")
+    ts = np.linspace(rep.t0, t_end(rep), max(samples, 2))
+    curves = link_curves(rep, ts)
+    if g is not None:
+        x, y = curves[..., 0], curves[..., 1]
+        curves = np.stack((g.alpha * x + g.beta * y, g.gamma * x + g.delta * y), axis=-1)
+    return [
+        [CurveSample(t, PlaneVector(*p), PlaneVector(*v), PlaneVector(*acc))
+         for t, p, v, acc in zip(ts.tolist(), *curve.tolist())]
+        for curve in curves
+    ]
 
 
 def frame_grids(reps: Sequence[SquareRep], ts: np.ndarray) -> np.ndarray:
@@ -374,17 +329,12 @@ def frame_grids(reps: Sequence[SquareRep], ts: np.ndarray) -> np.ndarray:
     (L, n, 2, 2).  Every row is computed exactly as the one-link case.
     """
     a = np.array([rep.a for rep in reps])[:, None]
-    one_minus_k = np.array([1.0 - rep.k for rep in reps])[:, None]
+    k = np.array([rep.k for rep in reps])[:, None]
     inv = np.array([_STANDARD_INVERSE[rep.j] for rep in reps]).reshape(-1, 1, 2, 2)
-    s = one_minus_k / ts
+    (p1x, p1y), (p2x, p2y), _ = _square_points(a, k, ts)
     cols = np.empty(ts.shape + (2, 2))
-    cols[..., 0, 0] = a * (-1.0 - s)
-    cols[..., 1, 0] = a * (-1.0 - ts)
-    cols[..., 0, 1] = a
-    cols[..., 1, 1] = a * ts
+    cols[..., 0, 0] = p1x
+    cols[..., 1, 0] = p1y
+    cols[..., 0, 1] = p2x
+    cols[..., 1, 1] = p2y
     return cols @ inv
-
-
-def frame_grid(rep: SquareRep, ts: np.ndarray) -> np.ndarray:
-    """Canonical frames at parameters ts as an array of shape (len(ts), 2, 2)."""
-    return frame_grids((rep,), np.asarray(ts, dtype=float)[None, :])[0]

@@ -70,7 +70,6 @@ class PenaltyWeights:
 
 @dataclass(frozen=True)
 class SearchSpec:
-    variable_count: int = 7
     bounds: tuple[tuple[float, float], ...] = DEFAULT_BOUNDS
     penalty_weights: PenaltyWeights = PenaltyWeights()
     restarts: int = 3
@@ -82,8 +81,6 @@ class SearchSpec:
     def __post_init__(self) -> None:
         if not self.bounds:
             raise InfeasibleInput("bounds must be nonempty")
-        if self.variable_count != len(self.bounds):
-            raise InfeasibleInput("variable_count disagrees with bounds")
         for lo, hi in self.bounds:
             if not lo < hi:
                 raise InfeasibleInput(f"empty bound interval ({lo!r}, {hi!r})")
@@ -93,7 +90,7 @@ class SearchSpec:
             raise InfeasibleInput("max_evals must be nonnegative")
         if self.start is not None:
             object.__setattr__(self, "start", tuple(float(v) for v in self.start))
-            if len(self.start) != self.variable_count:
+            if len(self.start) != len(self.bounds):
                 raise InfeasibleInput("start point has the wrong dimension")
 
 
@@ -478,7 +475,7 @@ def link_reduction_experiment(six_link: ChainParams,
 
 def spec_to_dict(spec: SearchSpec) -> dict:
     return {
-        "variable_count": spec.variable_count,
+        "variable_count": len(spec.bounds),
         "bounds": [list(b) for b in spec.bounds],
         "penalty_weights": asdict(spec.penalty_weights),
         "restarts": spec.restarts,

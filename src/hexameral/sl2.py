@@ -53,7 +53,7 @@ Frame = tuple[float, float, float, float]
 def _unit_det(al: float, be: float, ga: float, de: float) -> Frame:
     """The determinant rule of every frame: reject far from one, rescale near it."""
     det = al * de - be * ga
-    if abs(det - 1.0) > DET_REJECT_TOL:
+    if not abs(det - 1.0) <= DET_REJECT_TOL:  # a NaN determinant fails too
         raise FrameDeterminantError(f"frame determinant {det!r} too far from 1")
     if abs(det - 1.0) > DET_TOL:
         # det is within 1e-9 of 1, hence positive; rescale to kill drift.

@@ -13,9 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chain import ChainParams, assemble
+from .chain import ChainParams, assemble, relative_frames
 from .errors import ParameterOutOfRange, SignCondition, StarViolation, WedgeMismatch
-from .hyperlink import frame_grid, t_end
+from .hyperlink import t_end
 from .multicurve import STANDARD
 from .sl2 import SQRT3, FrameMatrix, TangentElement, star_check, wedge
 
@@ -78,27 +78,16 @@ def chain_path(chain: ChainParams, per_link: int = 256) -> FramePath:
     """The frame path traced by a chain, one unit of parameter per link."""
     if per_link < 2:
         raise ParameterOutOfRange("per_link must be at least 2")
-    assembled = assemble(chain)
-    inv0 = np.array(chain.initial.frame.inverse().entries()).reshape(2, 2)
+    reps, ts, rel = relative_frames(chain, assemble(chain), per_link)
     grid: list[float] = []
-    mats: list[np.ndarray] = []
-    pos = 0
-    for state, rep in zip(assembled.states, assembled.reps):
-        if rep.tau == 0.0:
-            continue
-        ts = np.linspace(rep.t0, t_end(rep), per_link)
-        canon = frame_grid(rep, ts)
-        canon0_inv = np.linalg.inv(canon[0])
-        # state.frame = g * canonical(t0), so relative frames share one g
-        move = inv0 @ np.array(state.frame.entries()).reshape(2, 2)
-        rel = move @ canon0_inv @ canon
+    frames: list[FrameMatrix] = []
+    for pos, (rep, row, mats) in enumerate(zip(reps, ts.tolist(), rel.tolist())):
+        # links after the first share their start sample with the previous end
         start = 1 if pos > 0 else 0
-        for i in range(start, per_link):
-            grid.append(pos + (float(ts[i]) - rep.t0) / (t_end(rep) - rep.t0))
-            mats.append(rel[i])
-        pos += 1
-    frames = tuple(FrameMatrix(m[0, 0], m[0, 1], m[1, 0], m[1, 1]) for m in mats)
-    return FramePath(tuple(grid), frames)
+        t0, t1 = rep.t0, t_end(rep)
+        grid.extend(pos + (t - t0) / (t1 - t0) for t in row[start:])
+        frames.extend(FrameMatrix(*m[0], *m[1]) for m in mats[start:])
+    return FramePath(tuple(grid), tuple(frames))
 
 
 def area_functional(path: FramePath) -> float:

@@ -4,8 +4,9 @@ import math
 import numpy as np
 import pytest
 
-from hexameral.hyperlink import SquareRep, curve_points, t_end
-from hexameral.sl2 import SQRT3, FrameMatrix, TangentElement, exp_tangent
+from hexameral.hyperlink import SquareRep, link_curves, t_end
+from hexameral.multicurve import CurveSample
+from hexameral.sl2 import SQRT3, FrameMatrix, PlaneVector, TangentElement, exp_tangent
 
 
 @pytest.fixture(scope="session")
@@ -44,6 +45,12 @@ def random_frame(rng, scale: float = 0.8) -> FrameMatrix:
     return exp_tangent(x, scale / max(x.norm(), 1e-9))
 
 
+def curve_samples(rep: SquareRep, t: float) -> list[CurveSample]:
+    """The six curves of a link sampled at one parameter t, indexed by curve."""
+    return [CurveSample(t, PlaneVector(*p), PlaneVector(*v), PlaneVector(*acc))
+            for p, v, acc in link_curves(rep, [t])[:, :, 0].tolist()]
+
+
 def sector_quadrature(rep: SquareRep, samples: int) -> float:
     """Shoelace oracle for link_area: origin sectors of the even curves.
 
@@ -51,9 +58,10 @@ def sector_quadrature(rep: SquareRep, samples: int) -> float:
     parts drop out of the shoelace sum, leaving consecutive origin triangles.
     """
     ts = np.linspace(rep.t0, t_end(rep), samples)
+    positions = link_curves(rep, ts)[:, 0]
     total = 0.0
     for m in (0, 2, 4):
-        p = curve_points(rep, ts, m)
+        p = positions[m]
         x, y = p[:, 0], p[:, 1]
         total += 0.5 * float(np.sum(x[:-1] * y[1:] - x[1:] * y[:-1]))
     return total

@@ -108,6 +108,17 @@ class TestVerifyCommand:
         assert diag["error"] == "ChainFormatError"
         assert f"initial.{field}" in diag["detail"]
 
+    def test_nan_determinant_frame_is_a_format_error(self, octagon_file, tmp_path,
+                                                      capsys):
+        doc = json.loads(open(octagon_file).read())
+        doc["initial"]["frame"] = [1e200, 1e200, 1e200, 1e200]
+        path = tmp_path / "overflow.json"
+        path.write_text(json.dumps(doc))
+        assert main(["verify", str(path)]) == 1
+        diag = stderr_diagnostic(capsys)
+        assert diag["error"] == "ChainFormatError"
+        assert "determinant" in diag["detail"]
+
     def test_malformed_chain_file(self, tmp_path, capsys):
         path = tmp_path / "broken.json"
         path.write_text('{"links": []}')
@@ -213,6 +224,12 @@ class TestCommandConfig:
     def test_nonpositive_tolerance(self):
         with pytest.raises(UsageError):
             CommandConfig("octagon", closure_tol=0.0)
+
+    def test_nan_tolerance(self, octagon_file, capsys):
+        with pytest.raises(UsageError):
+            CommandConfig("density", input_path=octagon_file, closure_tol=float("nan"))
+        assert main(["density", octagon_file, "--closure-tol", "nan"]) == 1
+        assert stderr_diagnostic(capsys)["error"] == "UsageError"
 
     def test_defaults_are_valid(self):
         cfg = CommandConfig("five-link")

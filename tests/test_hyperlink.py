@@ -13,13 +13,12 @@ from hexameral.errors import (
 from hexameral.hyperlink import (
     LinkState,
     SquareRep,
-    canonical_multipoint,
     circle_tangent,
-    curve_points,
     frame_at,
-    frame_grid,
+    frame_grids,
     k_of,
     link_area,
+    link_curves,
     link_map,
     link_multicurve,
     propagate,
@@ -27,7 +26,7 @@ from hexameral.hyperlink import (
     t_end,
     transform_state,
 )
-from hexameral.multicurve import convexity_value
+from hexameral.multicurve import MultiPoint, convexity_value
 from hexameral.sl2 import (
     IDENTITY,
     ProjectiveTangent,
@@ -37,7 +36,7 @@ from hexameral.sl2 import (
     wedge,
 )
 
-from conftest import random_frame, random_square_rep, sector_quadrature
+from conftest import curve_samples, random_frame, random_square_rep, sector_quadrature
 
 SQRT2 = math.sqrt(2.0)
 
@@ -125,9 +124,10 @@ class TestCanonicalMultipoint:
         for _ in range(50):
             rep = random_square_rep(rng)
             t = rng.uniform(rep.t0, t_end(rep))
-            mc = canonical_multipoint(rep, float(t))
-            assert abs(wedge(mc.samples[(rep.j + 2) % 6].position,
-                             mc.samples[(rep.j + 4) % 6].position)
+            mc = curve_samples(rep, float(t))
+            MultiPoint(tuple(s.position for s in mc))
+            assert abs(wedge(mc[(rep.j + 2) % 6].position,
+                             mc[(rep.j + 4) % 6].position)
                        - math.sqrt(3.0) / 2.0) < 1e-12
 
     def test_hyperbola_equation(self, rng):
@@ -135,7 +135,7 @@ class TestCanonicalMultipoint:
         for _ in range(50):
             rep = random_square_rep(rng)
             t = float(rng.uniform(rep.t0, t_end(rep)))
-            p = canonical_multipoint(rep, t).samples[rep.j].position
+            p = curve_samples(rep, t)[rep.j].position
             a = rep.a
             assert abs((p.x + a) * (p.y + a) - a * a * (1.0 - rep.k)) < 1e-10
 
@@ -148,15 +148,15 @@ class TestCanonicalMultipoint:
     def test_out_of_range(self):
         rep = octagon_square_rep()
         with pytest.raises(ParameterOutOfRange):
-            canonical_multipoint(rep, 0.5)
+            link_curves(rep, [0.5])
 
     def test_hyperbolic_curve_convex_linear_flat(self, rng):
         rep = random_square_rep(rng)
         t = float(rng.uniform(rep.t0, t_end(rep)))
-        mc = canonical_multipoint(rep, t)
-        assert convexity_value(mc.samples[rep.j]) > 0.0
+        mc = curve_samples(rep, t)
+        assert convexity_value(mc[rep.j]) > 0.0
         for r in (2, 4):
-            assert convexity_value(mc.samples[(rep.j + r) % 6]) == 0.0
+            assert convexity_value(mc[(rep.j + r) % 6]) == 0.0
 
 
 class TestCurvePoints:
@@ -164,17 +164,17 @@ class TestCurvePoints:
         rep = random_square_rep(rng)
         ts = np.linspace(rep.t0, t_end(rep), 7)
         for m in range(6):
-            pts = curve_points(rep, ts, m)
+            pts = link_curves(rep, ts)[m, 0]
             for row, t in zip(pts, ts):
-                p = canonical_multipoint(rep, float(t)).samples[m].position
+                p = curve_samples(rep, float(t))[m].position
                 assert abs(row[0] - p.x) < 1e-12 and abs(row[1] - p.y) < 1e-12
 
     def test_central_reflection(self, rng):
         rep = random_square_rep(rng)
         ts = np.linspace(rep.t0, t_end(rep), 5)
         for m in range(3):
-            assert np.max(np.abs(curve_points(rep, ts, m)
-                                 + curve_points(rep, ts, m + 3))) < 1e-12
+            assert np.max(np.abs(link_curves(rep, ts)[m, 0]
+                                 + link_curves(rep, ts)[m + 3, 0])) < 1e-12
 
 
 class TestFrameAt:
@@ -183,11 +183,11 @@ class TestFrameAt:
             rep = random_square_rep(rng)
             t = float(rng.uniform(rep.t0, t_end(rep)))
             state = frame_at(rep, t)
-            mc = canonical_multipoint(rep, t)
+            mc = curve_samples(rep, t)
             from hexameral.multicurve import STANDARD
             for m in range(6):
                 err = (state.frame.apply(STANDARD[m])
-                       - mc.samples[m].position).norm()
+                       - mc[m].position).norm()
                 assert err < 1e-10
 
     def test_unit_determinant(self, rng):
@@ -205,7 +205,7 @@ class TestFrameAt:
     def test_frame_grid_consistency(self, rng):
         rep = random_square_rep(rng)
         ts = np.linspace(rep.t0, t_end(rep), 9)
-        grid = frame_grid(rep, ts)
+        grid = frame_grids((rep,), ts[None, :])[0]
         for mat, t in zip(grid, ts):
             state = frame_at(rep, float(t))
             assert np.max(np.abs(

@@ -1,11 +1,13 @@
-"""The scalar link kernel and the stacked sweep pass against object-path oracles.
+"""The scalar link kernel, the stacked sweep pass and the link sampler against
+object-path oracles.
 
 The oracles below are the frame-object implementations of ``propagate`` and
 of the per-link sweep-angle sampling: every intermediate frame is a
 ``FrameMatrix`` (so the determinant rule runs at each step) and every link
 is sampled on its own.  The library must agree with them exactly, on
 success (states, square representations, sweep angles) and on failure
-(error class, failing link, message).
+(error class, failing link, message).  The curve sampler is held to the
+``PlaneVector`` sampler it replaced, one parameter at a time, bit for bit.
 """
 import math
 
@@ -13,6 +15,7 @@ import numpy as np
 import pytest
 
 from hexameral.chain import ANGLE_SAMPLES, ChainParams, LinkParam, _sweep_angles, assemble
+from hexameral.domain import boundary_polyline, from_chain
 from hexameral.errors import (
     DegenerateVelocity,
     GeometryError,
@@ -25,12 +28,14 @@ from hexameral.hyperlink import (
     LinkState,
     SquareRep,
     frame_at,
-    frame_grid,
+    frame_grids,
+    link_curves,
     link_map,
+    link_multicurve,
     t_end,
     transform_state,
 )
-from hexameral.multicurve import STANDARD
+from hexameral.multicurve import STANDARD, CurveSample
 from hexameral.optimize import DEFAULT_BOUNDS, decode_five_link, octagon_embedding
 from hexameral.sl2 import (
     SQRT3,
@@ -43,7 +48,7 @@ from hexameral.sl2 import (
     wedge,
 )
 
-from conftest import random_frame, random_star_tangent
+from conftest import random_frame, random_square_rep, random_star_tangent, split_octagon_period
 
 
 # Object-path oracle of one link.
@@ -280,7 +285,8 @@ def test_zero_step_link_beside_normal_links(octagon):
 def test_frame_grid_matches_oracle(octagon, count):
     for rep in octagon.assembled.reps:
         ts = np.linspace(rep.t0, t_end(rep), count)
-        assert np.array_equal(frame_grid(rep, ts), _oracle_frame_grid(rep, ts))
+        assert np.array_equal(frame_grids((rep,), ts[None, :])[0],
+                              _oracle_frame_grid(rep, ts))
 
 
 def test_frame_at_and_link_map_match_oracle(octagon):
@@ -291,3 +297,153 @@ def test_frame_at_and_link_map_match_oracle(octagon):
                                  ProjectiveTangent.from_tangent(_oracle_tangent(rep, t)))
             assert frame_at(rep, t) == expected
         assert link_map(state, rep) == state.frame.compose(_oracle_frame(rep, rep.t0).inverse())
+
+
+# Object-path oracle of the curve sampler.
+
+def _oracle_base_samples(rep: SquareRep, t: float):
+    """Position, velocity, acceleration of the three canonical even curves."""
+    a, k = rep.a, rep.k
+    s = (1.0 - k) / t
+    ds = -(1.0 - k) / (t * t)
+    dds = 2.0 * (1.0 - k) / (t * t * t)
+    hyp = (
+        PlaneVector(a * (-1.0 - s), a * (-1.0 - t)),
+        PlaneVector(-a * ds, -a),
+        PlaneVector(-a * dds, 0.0),
+    )
+    line_x = (
+        PlaneVector(a, a * t),
+        PlaneVector(0.0, a),
+        PlaneVector(0.0, 0.0),
+    )
+    line_y = (
+        PlaneVector(a * s, a),
+        PlaneVector(a * ds, 0.0),
+        PlaneVector(a * dds, 0.0),
+    )
+    return hyp, line_x, line_y
+
+
+def oracle_curve_samples(rep: SquareRep, t: float) -> list[CurveSample]:
+    hyp, line_x, line_y = _oracle_base_samples(rep, t)
+    by_residue = {0: hyp, 2: line_x, 4: line_y}
+    samples = []
+    for m in range(6):
+        r = (m - rep.j) % 6
+        if r in by_residue:
+            pos, vel, acc = by_residue[r]
+        else:
+            pos, vel, acc = by_residue[(r + 3) % 6]
+            pos, vel, acc = -pos, -vel, -acc
+        samples.append(CurveSample(t, pos, vel, acc))
+    return samples
+
+
+def oracle_link_multicurve(rep: SquareRep, samples: int, g: FrameMatrix | None):
+    curves = [[] for _ in range(6)]
+    for t in np.linspace(rep.t0, t_end(rep), max(samples, 2)):
+        for m, s in enumerate(oracle_curve_samples(rep, float(t))):
+            if g is not None:
+                s = CurveSample(s.t, g.apply(s.position), g.apply(s.velocity),
+                                g.apply(s.acceleration))
+            curves[m].append(s)
+    return curves
+
+
+def oracle_curve_points(rep: SquareRep, ts: np.ndarray, m: int) -> np.ndarray:
+    """The array sampler of positions that the boundary polyline used."""
+    a, k = rep.a, rep.k
+    t = np.asarray(ts, dtype=float)
+    s = (1.0 - k) / t
+    r = (m - rep.j) % 6
+    sign = 1.0
+    if r % 2 == 1:
+        r = (r + 3) % 6
+        sign = -1.0
+    out = np.empty((t.size, 2))
+    if r == 0:
+        out[:, 0] = a * (-1.0 - s)
+        out[:, 1] = a * (-1.0 - t)
+    elif r == 2:
+        out[:, 0] = a
+        out[:, 1] = a * t
+    else:
+        out[:, 0] = a * s
+        out[:, 1] = a
+    return sign * out
+
+
+def oracle_boundary_points(assembled, per_link: int) -> np.ndarray:
+    coords = []
+    for m in range(6):
+        for state, rep in zip(assembled.states, assembled.reps):
+            if rep.tau == 0.0:
+                continue
+            g = link_map(state, rep)
+            g_mat = np.array([[g.alpha, g.beta], [g.gamma, g.delta]])
+            ts = np.linspace(rep.t0, t_end(rep), per_link, endpoint=False)
+            coords.append(oracle_curve_points(rep, ts, m) @ g_mat.T)
+    return np.concatenate(coords)
+
+
+def _bits(curves) -> list:
+    """Every float of sampled curves as its hex form, so -0.0 differs from 0.0."""
+    return [[tuple(v.hex() for v in (s.t, s.position.x, s.position.y, s.velocity.x,
+                                      s.velocity.y, s.acceleration.x, s.acceleration.y))
+             for s in curve] for curve in curves]
+
+
+def _sampler_reps(rng, count: int):
+    """Seeded random links, the same number at each hyperbolic index."""
+    reps = []
+    for i in range(count):
+        rep = random_square_rep(rng)
+        reps.append(SquareRep(rep.a, rep.t0, rep.tau, (0, 2, 4)[i % 3]))
+    return reps
+
+
+def test_link_curves_match_oracle():
+    rng = np.random.default_rng(41)
+    for rep in _sampler_reps(rng, 510):
+        # both link endpoints plus interior parameters
+        ts = np.concatenate((np.linspace(rep.t0, t_end(rep), int(rng.integers(2, 9))),
+                             rng.uniform(rep.t0, t_end(rep), 3)))
+        expected = np.array([
+            [[[v.x, v.y] for v in (s.position, s.velocity, s.acceleration)]
+             for s in oracle_curve_samples(rep, float(t))]
+            for t in ts
+        ])  # (n, 6, 3, 2)
+        assert link_curves(rep, ts).tobytes() == expected.transpose(1, 2, 0, 3).tobytes()
+
+
+def test_link_multicurve_matches_oracle():
+    rng = np.random.default_rng(42)
+    for rep in _sampler_reps(rng, 510):
+        samples = int(rng.choice((2, 4, 16)))
+        moved = transform_state(random_frame(rng), frame_at(rep, rep.t0))
+        for g in (None, link_map(moved, rep)):
+            assert (_bits(link_multicurve(rep, samples, g))
+                    == _bits(oracle_link_multicurve(rep, samples, g)))
+
+
+def test_boundary_polyline_matches_oracle(octagon):
+    rng = np.random.default_rng(43)
+    moved = ChainParams(transform_state(random_frame(rng), octagon.chain.initial),
+                        octagon.chain.links)
+    for chain in (octagon.chain, moved, split_octagon_period(octagon)):
+        dom = from_chain(chain)
+        for per_link in (1, 5, 64):
+            pts = np.array([[p.x, p.y] for p in boundary_polyline(dom, per_link).points])
+            assert pts.tobytes() == oracle_boundary_points(dom.assembled, per_link).tobytes()
+
+
+@pytest.mark.parametrize("bad", [0.5, -1.0, math.nan])
+def test_sampler_rejects_parameters_outside_link(octagon, bad):
+    rep = octagon.assembled.reps[0]
+    inside = np.linspace(rep.t0, t_end(rep), 4)
+    for ts in ([bad], np.append(inside, bad), np.insert(inside, 2, bad)):
+        with pytest.raises(ParameterOutOfRange, match="outside link range"):
+            link_curves(rep, ts)
+    with pytest.raises(ParameterOutOfRange, match="outside link range"):
+        frame_at(rep, bad)

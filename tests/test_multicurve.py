@@ -23,7 +23,7 @@ from hexameral.multicurve import (
 )
 from hexameral.sl2 import PlaneVector, wedge
 
-from conftest import random_frame
+from conftest import curve_samples, random_frame
 
 
 def check_multipoint_relations(mp: MultiPoint, tol: float = 1e-9):
@@ -73,7 +73,6 @@ class TestMultipointFromPair:
     def test_octagon_initial_pair(self):
         # the two linear-curve points of the octagon link at its start
         from hexameral.domain import octagon_square_rep
-        from hexameral.hyperlink import canonical_multipoint
         rep = octagon_square_rep()
         s0 = (1.0 - rep.k) / rep.t0
         mp = multipoint_from_pair(
@@ -81,9 +80,9 @@ class TestMultipointFromPair:
             PlaneVector(rep.a * s0, rep.a),
         )
         check_multipoint_relations(mp)
-        canon = canonical_multipoint(rep, rep.t0)
+        canon = curve_samples(rep, rep.t0)
         err = max(
-            (mp[m] - canon.samples[(m + 2) % 6].position).norm()
+            (mp[m] - canon[(m + 2) % 6].position).norm()
             for m in range(6)
         )
         assert err < 1e-12
@@ -118,9 +117,8 @@ class TestConvexityValue:
 
     def test_octagon_hyperbola_positive(self):
         from hexameral.domain import octagon_square_rep
-        from hexameral.hyperlink import canonical_multipoint
         rep = octagon_square_rep()
-        sample = canonical_multipoint(rep, -0.6).samples[rep.j]
+        sample = curve_samples(rep, -0.6)[rep.j]
         assert convexity_value(sample) > 0.0
 
     def test_missing_acceleration(self):

@@ -94,10 +94,6 @@ class TestFiveLinkObjective:
 
 
 class TestSpecValidation:
-    def test_bounds_count_mismatch(self):
-        with pytest.raises(InfeasibleInput):
-            SearchSpec(variable_count=6)
-
     def test_empty_bound_interval(self):
         bounds = (((0.5, 0.5),) + SearchSpec().bounds[1:])
         with pytest.raises(InfeasibleInput):

@@ -56,6 +56,11 @@ class TestFrameMatrix:
         with pytest.raises(FrameDeterminantError):
             FrameMatrix(2.0, 0.0, 0.0, 1.0)
 
+    def test_nan_determinant_rejected(self):
+        # 1e200 * 1e200 overflows, so the determinant is inf - inf = nan
+        with pytest.raises(FrameDeterminantError):
+            FrameMatrix(1e200, 1e200, 1e200, 1e200)
+
     def test_small_drift_repaired(self):
         eps = 1e-10
         g = FrameMatrix(1.0 + eps, 0.0, 0.0, 1.0)
