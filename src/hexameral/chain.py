@@ -4,7 +4,13 @@ A chain is an initial link state plus a list of (tau, j) parameters.  A
 closed chain covers the fundamental boundary interval: its final frame is
 the initial frame composed with a rotation by pi/3 and its projective
 tangent returns to the start.  The sweep angle of the relative position
-frame^{-1} phi(t) u*_0 must grow monotonically from 0 to pi/3.
+frame(t0)^{-1} phi(t) u*_0 must grow monotonically from 0 to pi/3.
+
+Inside one link that angle is monotone: the relative position moves on a
+convex arc with wedge(p, X p) > 0 under the star conditions, which
+``propagate`` checks at every link start.  So the angle's extremes and its
+smallest increment over a chain are all taken at link ends, and the angle
+condition is read from the link-end states that ``assemble`` returns.
 """
 from __future__ import annotations
 
@@ -32,7 +38,6 @@ from .hyperlink import (
     propagate,
     t_end,
 )
-from .multicurve import STANDARD
 from .sl2 import (
     ROT60,
     FrameMatrix,
@@ -40,6 +45,7 @@ from .sl2 import (
     TangentElement,
     _compose,
     _inverse,
+    _product,
     _unit_det,
     frame_distance,
 )
@@ -49,7 +55,6 @@ FEASIBLE_TOL = 1e-6
 # Stricter tier used by verification suites.
 STRICT_TOL = 1e-9
 ANGLE_TOL = 1e-9
-ANGLE_SAMPLES = 64
 
 SIXTH_TURN = math.pi / 3.0
 
@@ -160,21 +165,9 @@ def relative_frames(chain: ChainParams, assembled: AssembledChain,
     return reps, ts, leads @ frame_grids(reps, ts)
 
 
-def _sweep_angles(chain: ChainParams, assembled: AssembledChain,
-                  samples_per_link: int) -> np.ndarray:
-    """Angles of frame(t0)^{-1} phi(t) u*_0 sampled along every link."""
-    reps, _, frames = relative_frames(chain, assembled, samples_per_link)
-    if not reps:
-        return np.zeros(1)
-    u0 = np.array([STANDARD[0].x, STANDARD[0].y])
-    pts = frames @ u0
-    return np.concatenate((np.zeros(1), np.arctan2(pts[..., 1], pts[..., 0]).ravel()))
-
-
-def closure_report(chain: ChainParams, samples_per_link: int = ANGLE_SAMPLES) -> ClosureReport:
+def closure_report(chain: ChainParams) -> ClosureReport:
     """Frame and tangent closure residuals plus the sweep-angle check."""
-    assembled = assemble(chain)
-    return closure_of(chain, assembled, samples_per_link)
+    return closure_of(chain, assemble(chain))
 
 
 def end_target(chain: ChainParams, target: LinkState | None = None) -> LinkState:
@@ -185,7 +178,6 @@ def end_target(chain: ChainParams, target: LinkState | None = None) -> LinkState
 
 
 def closure_of(chain: ChainParams, assembled: AssembledChain,
-               samples_per_link: int = ANGLE_SAMPLES,
                target: LinkState | None = None) -> ClosureReport:
     """closure_report for a chain that is already assembled.
 
@@ -196,25 +188,38 @@ def closure_of(chain: ChainParams, assembled: AssembledChain,
     end = assembled.final
     frame_res = frame_distance(end.frame, target.frame)
     tangent_res = target.tangent.distance(end.tangent)
-    margin = angle_margin_of(chain, assembled, samples_per_link)
+    margin = angle_margin_of(chain, assembled)
     return ClosureReport(frame_res, tangent_res, margin >= -ANGLE_TOL, margin)
 
 
-def angle_margin_of(chain: ChainParams, assembled: AssembledChain | None = None,
-                    samples_per_link: int = ANGLE_SAMPLES) -> float:
+def angle_margin_of(chain: ChainParams, assembled: AssembledChain | None = None) -> float:
     """Worst slack of the sweep-angle condition; negative means violated.
 
     The sweep angle must stay in [0, pi/3] and increase monotonically; the
-    margin is the smallest of the two range slacks and the smallest sampled
+    margin is the smallest of the two range slacks and the smallest
     increment.  Valid for open segments as well as closed chains.
+
+    The angles are those of frame(t0)^{-1} phi u*_0 at the start and end of
+    every non-degenerate link, after a leading 0.  Within a link the angle
+    is monotone (see the module docstring), so denser samples inside a link
+    add no extreme and no smaller increment; the increments across a link
+    join compare two readings of the same state and sit at rounding level.
+    A sweep past pi, far outside the condition, wraps inside some link; the
+    wrap is charged as that link's backward end-minus-start step.
     """
     if assembled is None:
         assembled = assemble(chain)
-    angles = _sweep_angles(chain, assembled, samples_per_link)
-    low = float(angles.min())
-    high = SIXTH_TURN - float(angles.max())
-    mono = float(np.diff(angles).min()) if angles.size > 1 else 0.0
-    return min(low, high, mono)
+    inv0 = _inverse(chain.initial.frame.entries())
+    angles = [0.0]
+    for start, end, rep in zip(assembled.states, assembled.states[1:], assembled.reps):
+        if rep.tau == 0.0:
+            continue
+        for state in (start, end):
+            # u*_0 = (1, 0): the relative position is the first column
+            al, _, ga, _ = _product(inv0, state.frame.entries())
+            angles.append(math.atan2(ga, al))
+    mono = min((b - a for a, b in zip(angles, angles[1:])), default=0.0)
+    return min(min(angles), SIXTH_TURN - max(angles), mono)
 
 
 def _merge(tau_a: float, tau_b: float) -> float:

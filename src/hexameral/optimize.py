@@ -15,7 +15,6 @@ from dataclasses import asdict, dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
-from scipy.optimize import least_squares, minimize
 
 from .chain import (
     ANGLE_TOL,
@@ -53,6 +52,27 @@ DEFAULT_BOUNDS = (
 SEGMENT_BOUNDS = ((0.0, TAU_HI),) * 5
 
 _NO_CLOSURE = ClosureReport(math.inf, math.inf, False, -math.inf)
+
+# scipy's solvers become the module globals ``least_squares`` and
+# ``minimize`` on first use, through _load_solvers or a module attribute
+# lookup: importing scipy.optimize costs about half a second that callers
+# who never search should not pay.
+_SOLVERS = ("least_squares", "minimize")
+
+
+def _load_solvers() -> None:
+    if "minimize" not in globals():
+        from scipy import optimize as solvers
+
+        for name in _SOLVERS:
+            globals()[name] = getattr(solvers, name)
+
+
+def __getattr__(name: str):
+    if name in _SOLVERS:
+        _load_solvers()
+        return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 @dataclass(frozen=True)
@@ -233,6 +253,7 @@ class _Search:
 
 def _snap(problem: EndpointProblem, x, max_nfev: int) -> np.ndarray:
     """Least-squares projection onto the endpoint constraint, inside the box."""
+    _load_solvers()
     lo, hi = problem.box()
     return least_squares(problem.residuals, np.clip(x, lo, hi),
                          bounds=(lo, hi), max_nfev=max_nfev).x
@@ -241,6 +262,7 @@ def _snap(problem: EndpointProblem, x, max_nfev: int) -> np.ndarray:
 def _refine(run: _Search, problem: EndpointProblem, x0, maxfev: int,
             xatol: float, polish_nfev: int) -> np.ndarray:
     """Nelder-Mead on the penalized value, then the polish; both are offered."""
+    _load_solvers()
     res = minimize(
         run.objective(problem), x0, method="Nelder-Mead", bounds=problem.bounds,
         options={"maxfev": maxfev, "xatol": xatol, "fatol": 1e-12,

@@ -75,9 +75,20 @@ def rotation_path(span: float = math.pi / 3.0, samples: int = 64) -> FramePath:
 
 
 def chain_path(chain: ChainParams, per_link: int = 256) -> FramePath:
-    """The frame path traced by a chain, one unit of parameter per link."""
+    """The frame path traced by a chain, one unit of parameter per link.
+
+    Consecutive links share a grid point, so L non-degenerate links give
+    L * (per_link - 1) + 1 points, of which a FramePath needs MIN_GRID.
+    """
     if per_link < 2:
-        raise ParameterOutOfRange("per_link must be at least 2")
+        raise ParameterOutOfRange(f"per_link = {per_link!r} must be at least 2")
+    links = sum(tau != 0.0 for tau, _ in chain.links)
+    points = links * (per_link - 1) + 1
+    if points < MIN_GRID:
+        raise ParameterOutOfRange(
+            f"per_link = {per_link!r} gives {points} grid points over {links} "
+            f"links; a frame path needs at least {MIN_GRID}"
+        )
     reps, ts, rel = relative_frames(chain, assemble(chain), per_link)
     grid: list[float] = []
     frames: list[FrameMatrix] = []

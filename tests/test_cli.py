@@ -1,8 +1,13 @@
 """Command line behavior: outputs, exit codes, diagnostics, determinism."""
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import hexameral
 from hexameral.chain import save_chain
 from hexameral.cli import CommandConfig, UsageError, main
 from hexameral.domain import OCTAGON_DENSITY
@@ -234,3 +239,32 @@ class TestCommandConfig:
     def test_defaults_are_valid(self):
         cfg = CommandConfig("five-link")
         assert cfg.restarts == 3 and cfg.seed == 0
+
+
+# Runs in a fresh interpreter: prints whether scipy.optimize is loaded after
+# the import and after each command that never searches.
+_SCIPY_PROBE = """
+import json, sys
+import hexameral
+from hexameral.cli import main
+loaded = {"import hexameral": "scipy.optimize" in sys.modules}
+for argv in (["octagon", "-o", "oct.json"], ["density", "oct.json"],
+             ["verify", "oct.json"],
+             ["export", "oct.json", "--format", "svg", "-o", "oct.svg"],
+             ["export", "oct.json", "--format", "json", "-o", "oct.geo.json"]):
+    assert main(argv) == 0, argv
+    loaded[" ".join(argv)] = "scipy.optimize" in sys.modules
+print(json.dumps(loaded))
+"""
+
+
+def test_commands_without_search_leave_scipy_unloaded(tmp_path):
+    src = str(Path(hexameral.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    done = subprocess.run([sys.executable, "-c", _SCIPY_PROBE], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    loaded = json.loads(done.stdout.strip().splitlines()[-1])
+    assert len(loaded) == 6
+    assert loaded == dict.fromkeys(loaded, False)

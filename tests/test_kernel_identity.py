@@ -1,20 +1,30 @@
-"""The scalar link kernel, the stacked sweep pass and the link sampler against
-object-path oracles.
+"""The scalar link kernel, the stacked relative-frame pass, the angle margin
+and the link sampler against object-path oracles.
 
 The oracles below are the frame-object implementations of ``propagate`` and
 of the per-link sweep-angle sampling: every intermediate frame is a
 ``FrameMatrix`` (so the determinant rule runs at each step) and every link
 is sampled on its own.  The library must agree with them exactly, on
-success (states, square representations, sweep angles) and on failure
-(error class, failing link, message).  The curve sampler is held to the
-``PlaneVector`` sampler it replaced, one parameter at a time, bit for bit.
+success (states, square representations, sampled sweep angles) and on
+failure (error class, failing link, message).  The angle margin, read from
+link-end states, is held to the margins of the sampled oracle sweep at 64
+and 512 samples per link.  The curve sampler is held to the ``PlaneVector``
+sampler it replaced, one parameter at a time, bit for bit.
 """
 import math
 
 import numpy as np
 import pytest
 
-from hexameral.chain import ANGLE_SAMPLES, ChainParams, LinkParam, _sweep_angles, assemble
+from hexameral.chain import (
+    ANGLE_TOL,
+    SIXTH_TURN,
+    ChainParams,
+    LinkParam,
+    angle_margin_of,
+    assemble,
+    relative_frames,
+)
 from hexameral.domain import boundary_polyline, from_chain
 from hexameral.errors import (
     DegenerateVelocity,
@@ -49,6 +59,9 @@ from hexameral.sl2 import (
 )
 
 from conftest import random_frame, random_square_rep, random_star_tangent, split_octagon_period
+
+# Samples per link of the sampled sweep the angle check used to run.
+ANGLE_SAMPLES = 64
 
 
 # Object-path oracle of one link.
@@ -219,9 +232,20 @@ def _moved_segments(rng, count: int):
     return chains
 
 
+def _library_sweep_angles(chain: ChainParams, assembled, samples: int) -> np.ndarray:
+    """The sampled sweep from the library's stacked relative-frame pass."""
+    reps, _, frames = relative_frames(chain, assembled, samples)
+    if not reps:
+        return np.zeros(1)
+    u0 = np.array([STANDARD[0].x, STANDARD[0].y])
+    pts = frames @ u0
+    return np.concatenate((np.zeros(1), np.arctan2(pts[..., 1], pts[..., 0]).ravel()))
+
+
 def _library(chain: ChainParams, samples: int):
     assembled = assemble(chain)
-    return assembled.states, assembled.reps, _sweep_angles(chain, assembled, samples)
+    return (assembled.states, assembled.reps,
+            _library_sweep_angles(chain, assembled, samples))
 
 
 def _oracle(chain: ChainParams, samples: int):
@@ -279,6 +303,85 @@ def test_zero_step_link_beside_normal_links(octagon):
     links = (LinkParam(0.3, 0), LinkParam(1e-300, 2), LinkParam(0.4, 4))
     chain = ChainParams(octagon.chain.initial, links)
     assert _assert_identical(chain, ANGLE_SAMPLES) == "ok"
+
+
+# The angle margin from link-end states against the sampled oracle sweep.
+
+def _sampled_margin(angles: np.ndarray) -> float:
+    """The margin's definition over a sampled sweep: range slacks, least increment."""
+    mono = float(np.diff(angles).min()) if angles.size > 1 else 0.0
+    return min(float(angles.min()), SIXTH_TURN - float(angles.max()), mono)
+
+
+def _octagon_periods(octagon, count: int) -> ChainParams:
+    """``count`` octagon periods in a row: a sweep of count * pi/3."""
+    return ChainParams(octagon.chain.initial, tuple(
+        LinkParam(t, (j + 2 * p) % 6) for p in range(count) for t, j in octagon.chain.links))
+
+
+def _octagon_variants(rng, octagon, count: int):
+    """The octagon, its period split at a random point, and two periods (a
+    sweep of 2 pi/3, past the condition's pi/3), each moved by SL2."""
+    bases = [octagon.chain, split_octagon_period(octagon), _octagon_periods(octagon, 2)]
+    chains = list(bases)
+    for i in range(count):
+        if i % 3 == 1:
+            base = split_octagon_period(octagon, float(rng.uniform(0.05, 0.5)))
+        else:
+            base = bases[i % 3]
+        chains.append(ChainParams(transform_state(random_frame(rng), base.initial),
+                                  base.links))
+    return chains
+
+
+def _reduce_segments(rng, octagon, count: int):
+    """Six links with consecutive-distinct indices from the octagon's start."""
+    chains = []
+    for _ in range(count):
+        js = [int(rng.choice((0, 2, 4)))]
+        while len(js) < 6:
+            js.append(int(rng.choice([j for j in (0, 2, 4) if j != js[-1]])))
+        taus = rng.uniform(0.05, 0.4, 6)
+        chains.append(ChainParams(octagon.chain.initial,
+                                  tuple(LinkParam(float(t), j) for t, j in zip(taus, js))))
+    return chains
+
+
+def test_angle_margin_matches_sampled_oracle(octagon):
+    chains = (_five_link_points(np.random.default_rng(31), 1600)
+              + _moved_segments(np.random.default_rng(32), 600)
+              + _octagon_variants(np.random.default_rng(33), octagon, 60)
+              + _reduce_segments(np.random.default_rng(34), octagon, 400))
+    verdicts = []
+    for chain in chains:
+        try:
+            assembled = assemble(chain)
+        except GeometryError:
+            continue
+        margin = angle_margin_of(chain, assembled)
+        for samples in (ANGLE_SAMPLES, 512):
+            sampled = _sampled_margin(
+                oracle_sweep_angles(chain, assembled.states, assembled.reps, samples))
+            assert (margin >= -ANGLE_TOL) == (sampled >= -ANGLE_TOL), (margin, sampled)
+            assert abs(margin - sampled) <= 1e-12, (margin, sampled)
+        verdicts.append(margin >= -ANGLE_TOL)
+    # both verdicts are exercised in quantity
+    assert verdicts.count(False) > 300 and verdicts.count(True) > 300
+
+
+def test_angle_margin_charges_a_wrapped_sweep(octagon):
+    # four periods sweep 4 pi/3: the angle passes pi inside a link and wraps
+    # back, a step of more than pi the wrong way
+    chain = _octagon_periods(octagon, 4)
+    assert angle_margin_of(chain) < -math.pi
+    sampled = _sampled_margin(oracle_sweep_angles(chain, *oracle_assemble(chain),
+                                                  ANGLE_SAMPLES))
+    assert sampled < -math.pi
+
+
+def test_angle_margin_without_links_is_zero(octagon):
+    for links in ((), (LinkParam(0.0, 0), LinkParam(0.0, 2))):
+        assert angle_margin_of(ChainParams(octagon.chain.initial, links)) == 0.0
 
 
 @pytest.mark.parametrize("count", [1, 2, 9])

@@ -231,3 +231,14 @@ def test_embedding_matches_octagon_tangent(octagon):
         circle_tangent(octagon.chain.initial))
     assert chain.initial.tangent.distance(target) < 1e-15
     assert abs(chain.links[0].tau - octagon.chain.links[0].tau) < 1e-15
+
+
+def test_solvers_are_module_attributes():
+    # the solvers load on first use but stay reachable under their scipy names
+    import scipy.optimize
+
+    from hexameral import optimize
+    assert optimize.minimize is scipy.optimize.minimize
+    assert optimize.least_squares is scipy.optimize.least_squares
+    with pytest.raises(AttributeError):
+        optimize.differential_evolution

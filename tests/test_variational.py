@@ -100,6 +100,13 @@ class TestEulerLagrange:
         with pytest.raises(ParameterOutOfRange):
             chain_path(octagon.chain, per_link=1)
 
+    def test_chain_path_needs_a_full_grid(self, octagon):
+        # four links share three points: 4 * (per_link - 1) + 1 >= 16
+        for per_link in (2, 4):
+            with pytest.raises(ParameterOutOfRange, match=f"per_link = {per_link}"):
+                chain_path(octagon.chain, per_link)
+        assert len(chain_path(octagon.chain, 5).grid) == 17
+
 
 class TestSecondVariation:
     def test_neutral_direction(self):
