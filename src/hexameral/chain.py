@@ -32,7 +32,9 @@ from .errors import (
 from .hyperlink import (
     LinkState,
     SquareRep,
+    _entry,
     _link_lead,
+    _transfer,
     frame_grids,
     link_area,
     propagate,
@@ -113,6 +115,39 @@ def assemble(chain: ChainParams) -> AssembledChain:
         states.append(state)
         reps.append(rep)
     return AssembledChain(tuple(states), tuple(reps))
+
+
+def assemble_jacobian(chain: ChainParams,
+                      head: np.ndarray) -> tuple[AssembledChain, np.ndarray]:
+    """assemble, plus the derivatives of the final state and the area.
+
+    The variables are m leading ones, whose derivative of the initial state
+    is ``head`` (5, m) in propagate_jacobian's coordinates, then the link
+    taus in order.  Returns the assembled chain and a (6, m + links) array:
+    the final state's derivative over the area gradient.
+
+    This is propagate_jacobian composed link by link, except that between
+    two links the out tangent's sphere coordinates and the next link's
+    reading of them cancel: the chain carries (xi, da, dt0) of the next link
+    and converts to sphere coordinates only at its two ends.
+    """
+    assembled = assemble(chain)
+    m = head.shape[1]
+    links = chain.links
+    d_state = np.zeros((6, m + len(links)))
+    if not links:
+        d_state[:5, :m] = head
+        return assembled, d_state
+    d_state[:3, :m] = head[:3]
+    d_state[3:5, :m] = np.array(_entry(chain.initial, links[0].j)) @ head
+    steps = zip(assembled.states, assembled.states[1:], assembled.reps)
+    for i, (state, out, rep) in enumerate(steps):
+        next_j = links[i + 1].j if i + 1 < len(links) else None
+        transfer = np.array(_transfer(state.frame.entries(), out, rep, next_j))
+        d_state = transfer[:, :6] @ d_state
+        # no earlier link reads this tau
+        d_state[:, m + i] = transfer[:, 6]
+    return assembled, d_state
 
 
 def chain_area(chain: ChainParams) -> float:

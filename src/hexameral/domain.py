@@ -213,26 +213,36 @@ def _sampled_checks(assembled: AssembledChain) -> list[tuple[str, bool, str]]:
 
     With no non-degenerate link nothing is sampled, and no row can pass.
     """
-    links = [rep for rep in assembled.reps if rep.tau != 0.0]
+    links = [(i, rep) for i, rep in enumerate(assembled.reps) if rep.tau != 0.0]
     if not links:
         empty = "nothing sampled: no link is non-degenerate"
         return [(name, False, empty) for name in SAMPLED_CHECKS]
     rows = _star_rows(assembled, VERIFY_STAR_SAMPLES)
     convex_min = math.inf
     ranks = []
-    for rep in links:
+    rank_error = None
+    for i, rep in links:
         curves = link_multicurve(rep, samples=VERIFY_CURVE_SAMPLES)
         convex_min = min(convex_min,
                          min(convexity_value(s) for c in curves for s in c))
-        ranks.append(rank_classify(curves).value)
+        if rank_error is None:
+            try:
+                ranks.append(rank_classify(curves).value)
+            except GeometryError as exc:
+                # e.g. a hyperbola so flat that its samples read as a line
+                rank_error = str(exc.at_link(i))
     star_margin = float(rows[:, :2].min())
     det_margin = float(rows[:, 2].min())
+    if rank_error is None:
+        rank_row = ("rank-per-link", all(r == 1 for r in ranks), f"ranks {ranks}")
+    else:
+        rank_row = ("rank-per-link", False, rank_error)
     return [
         ("star-conditions", star_margin > 0.0, f"min margin {star_margin:.3e}"),
         ("tangent-determinant", det_margin > 0.0, f"min -a^2-bc {det_margin:.3e}"),
         # linear arcs have zero acceleration, so weak convexity is the invariant
         ("convexity-sampling", convex_min >= 0.0, f"min value {convex_min:.3e}"),
-        ("rank-per-link", all(r == 1 for r in ranks), f"ranks {ranks}"),
+        rank_row,
     ]
 
 

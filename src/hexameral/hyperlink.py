@@ -36,8 +36,10 @@ from .sl2 import (
     ProjectiveTangent,
     TangentElement,
     _adjoint,
+    _adjoint_matrix,
     _inverse,
     _product,
+    _sphere_basis,
     _star,
     _unit_det,
     _unit_tangent,
@@ -268,6 +270,168 @@ def propagate(state: LinkState, tau: float, j: int) -> tuple[LinkState, SquareRe
     frame_out = FrameMatrix(*_product(g, _unit_det(*_square_frame(a, k, t1, j))))
     tangent_out = _unit_tangent(*_adjoint(g, *_square_tangent(a, k, t1)))
     return LinkState(frame_out, ProjectiveTangent(TangentElement(*tangent_out))), rep
+
+
+# The derivative path.  A state moves in five local coordinates: its frame F
+# as F exp(xi), xi = (a, b, c) in sl2, and its unit tangent along the two
+# directions _sphere_basis gives at it.  By left SL2 equivariance a link
+# sees its in state only through (a, t0) of its rep, so inside a chain a
+# link acts on the reduced coordinates (xi, da, dt0) plus its own dtau, and
+# sphere coordinates are needed only where a chain starts and ends.
+
+def _row_times(u, m) -> tuple[float, float, float]:
+    """The row vector u times the 3x3 matrix with rows m."""
+    return (u[0] * m[0][0] + u[1] * m[1][0] + u[2] * m[2][0],
+            u[0] * m[0][1] + u[1] * m[1][1] + u[2] * m[2][1],
+            u[0] * m[0][2] + u[1] * m[1][2] + u[2] * m[2][2])
+
+
+def _edge_forms(j: int):
+    """Gradients in y of u2 ^ y u2, u4 ^ y u4 and u2 ^ y u4, and u2 ^ u4."""
+    u2x, u2y, u4x, u4y = _EDGE_POINTS[j]
+
+    def form(ux, uy, vx, vy):
+        # u ^ y v = ux (yc vx - ya vy) - uy (ya vx + yb vy), linear in y
+        return (-(ux * vy + uy * vx), -uy * vy, ux * vx)
+
+    return (form(u2x, u2y, u2x, u2y), form(u4x, u4y, u4x, u4y),
+            form(u2x, u2y, u4x, u4y), u2x * u4y - u2y * u4x)
+
+
+_EDGE_FORMS = {j: _edge_forms(j) for j in (0, 2, 4)}
+
+
+def _rep_gradient(y: tuple[float, float, float], j: int) -> tuple[tuple[float, ...], ...]:
+    """Gradients of the recovered a and t0 in the pulled-back tangent y.
+
+    From the state (identity, y) propagate's recovery reads a^2 = A B / w and
+    t0 = C / B, with the linear forms A = u2 ^ y u2, B = u4 ^ y u4,
+    C = u2 ^ y u4 and w = y u2 ^ y u4 = (A B - C^2) / (u2 ^ u4).  Both are
+    unchanged by scaling y.  Written as below, the gradient of a has no
+    cancelling terms where A and w both get small, as they do for nearly
+    straight hyperbolas.
+    """
+    ya, yb, yc = y
+    (a0, a1, a2), (b0, b1, b2), (c0, c1, c2), w0 = _EDGE_FORMS[j]
+    big_a = a0 * ya + a1 * yb + a2 * yc
+    big_b = b0 * ya + b1 * yb + b2 * yc
+    big_c = c0 * ya + c1 * yb + c2 * yc
+    gap = big_a * big_b - big_c * big_c
+    t0 = big_c / big_b
+    # da = (a / 2) C (2 dC - C (dA / A + dB / B)) / (A B - C^2)
+    f = 0.5 * math.sqrt(w0 * big_a * big_b / gap) * big_c / gap
+    fa, fb = f * big_c / big_a, f * big_c / big_b
+    return ((2.0 * f * c0 - fa * a0 - fb * b0, 2.0 * f * c1 - fa * a1 - fb * b1,
+             2.0 * f * c2 - fa * a2 - fb * b2),
+            ((c0 - t0 * b0) / big_b, (c1 - t0 * b1) / big_b, (c2 - t0 * b2) / big_b))
+
+
+def _entry(state: LinkState, j: int) -> list[tuple[float, ...]]:
+    """Rows da and dt0 of the link at index j over the state's five coordinates.
+
+    The link reads the pulled-back tangent y = F^{-1} X F: moving F to
+    F exp(xi) moves y by [y, xi], and a tangent step e moves it by F^{-1} e F.
+    """
+    inv = _inverse(state.frame.entries())
+    x = state.tangent.components()
+    ya, yb, yc = y = _adjoint(inv, *x)
+    e1, e2 = (_adjoint(inv, *e) for e in _sphere_basis(*x))
+    return [(2.0 * (gc * yc - gb * yb), 2.0 * gb * ya - ga * yc, ga * yb - 2.0 * gc * ya,
+             ga * e1[0] + gb * e1[1] + gc * e1[2], ga * e2[0] + gb * e2[1] + gc * e2[2])
+            for ga, gb, gc in _rep_gradient(y, j)]
+
+
+def _transfer(frame: Frame, out: LinkState, rep: SquareRep,
+              next_j: int | None) -> list[tuple[float, ...]]:
+    """One link's first derivatives as a 6x7 matrix on reduced coordinates.
+
+    Columns: the in state's xi, da and dt0 of this link, the chain area so
+    far (carried through), then dtau.  Rows: the out frame's xi; then da and
+    dt0 of a following link at index ``next_j``, or with ``next_j`` None the
+    out tangent's two sphere coordinates; then the area with link_area added.
+
+    With G = F C(t0)^{-1} the link is F_out = G C(t1), and the canonical
+    frame C(t) moves as (X(t) dt + nu(t) da) C(t), nu(t) = (-1/a, 2/(a t), 0).
+    So, with B = Ad(C(t1)^{-1}),
+
+        xi_out = Ad(F_out^{-1} F) xi + B [(nu(t1) - nu(t0)) da - X(t0) dt0 + X(t1) dt1],
+
+    where dt1 = (1 - tau) dt0 - (2 tau k / a) da + (k - 1 - t0) dtau.  The
+    out tangent pulled back to the out frame is L = B X(t1) up to scale; it
+    moves by dL = B [(0, -2/(a t1^2), 0) da + X'(t1) dt1], which is all a
+    following link reads, while the out tangent itself moves by
+    F_out ([xi_out, L] + dL) F_out^{-1} before normalisation.
+    """
+    a, t0, tau = rep.a, rep.t0, rep.tau
+    k = SQRT3 / (2.0 * a * a)
+    t1 = t0 + tau * (k - 1.0 - t0)
+    stretch = 2.0 * tau * k / a
+    span = k - 1.0 - t0
+
+    def row(on_xi, by_a, by_t0, by_t1, carry=0.0):
+        return (on_xi[0], on_xi[1], on_xi[2], by_a - stretch * by_t1,
+                by_t0 + (1.0 - tau) * by_t1, carry, by_t1 * span)
+
+    # X(t) = (q/t, -q/t^2, 1/k) with q = (1 - k)/k
+    q = (1.0 - k) / k
+    back = _inverse(_unit_det(*_square_frame(a, k, t1, rep.j)))
+    ba, _, bc, _ = back
+    lift = (-ba * bc, ba * ba, -bc * bc)  # B (0, 1, 0)
+    step_nu = 2.0 / (a * t1) - 2.0 / (a * t0)
+    lift0 = _adjoint(back, q / t0, -q / (t0 * t0), 1.0 / k)
+    lift1 = _adjoint(back, q / t1, -q / (t1 * t1), 1.0 / k)
+    to_in = _adjoint_matrix(_product(_inverse(out.frame.entries()), frame))
+    rows = [row(to_in[r], step_nu * lift[r], -lift0[r], lift1[r]) for r in range(3)]
+
+    lift_a = -2.0 / (a * t1 * t1)
+    lift_t = _adjoint(back, -q / (t1 * t1), 2.0 * q / (t1 * t1 * t1), 0.0)
+    if next_j is not None:
+        for g in _rep_gradient(lift1, next_j):
+            rows.append(row((0.0, 0.0, 0.0),
+                            lift_a * (g[0] * lift[0] + g[1] * lift[1] + g[2] * lift[2]), 0.0,
+                            g[0] * lift_t[0] + g[1] * lift_t[1] + g[2] * lift_t[2]))
+    else:
+        # sphere basis rows r pulled back through F_out, over the norm of
+        # F_out L F_out^{-1}; r . [z, L] = rk . z, and [L, L] = 0
+        w = _adjoint(out.frame.entries(), *lift1)
+        scale = 1.0 / math.sqrt(w[0] * w[0] + w[1] * w[1] + w[2] * w[2])
+        ad_out = _adjoint_matrix(out.frame.entries())
+        l0, l1, l2 = lift1
+        for e in _sphere_basis(*out.tangent.components()):
+            r0, r1, r2 = _row_times(e, ad_out)
+            r0, r1, r2 = r0 * scale, r1 * scale, r2 * scale
+            rk = (2.0 * (l1 * r1 - l2 * r2), l2 * r0 - 2.0 * l0 * r1,
+                  2.0 * l0 * r2 - l1 * r0)
+            rows.append(row(_row_times(rk, to_in),
+                            step_nu * (rk[0] * lift[0] + rk[1] * lift[1] + rk[2] * lift[2])
+                            + lift_a * (r0 * lift[0] + r1 * lift[1] + r2 * lift[2]),
+                            -(rk[0] * lift0[0] + rk[1] * lift0[1] + rk[2] * lift0[2]),
+                            r0 * lift_t[0] + r1 * lift_t[1] + r2 * lift_t[2]))
+
+    # link_area = a^2 [(1-k)(1/t0 - 1/t1 - ln(t0/t1)) + t1 - t0]
+    s = a * a * (1.0 - k)
+    rows.append(row((0.0, 0.0, 0.0),
+                    2.0 * a * (1.0 / t0 - 1.0 / t1 - math.log(t0 / t1) + t1 - t0),
+                    -s * (1.0 + t0) / (t0 * t0) - a * a, s * (1.0 + t1) / (t1 * t1) + a * a,
+                    1.0))
+    return rows
+
+
+def propagate_jacobian(state: LinkState, tau: float,
+                       j: int) -> tuple[LinkState, SquareRep, np.ndarray]:
+    """propagate, plus the first derivatives of its out state and of link_area.
+
+    Returns (out state, rep, jac) with ``jac`` 6x6.  Its columns are the in
+    state's five coordinates, then tau; its rows the out state's five, then
+    link_area.  At tau = 0 the tau column is the one-sided derivative.
+    """
+    out, rep = propagate(state, tau, j)
+    transfer = np.array(_transfer(state.frame.entries(), out, rep, None))
+    jac = np.empty((6, 6))
+    jac[:, :5] = transfer[:, 3:5] @ _entry(state, j)
+    jac[:, :3] += transfer[:, :3]
+    jac[:, 5] = transfer[:, 6]
+    return out, rep, jac
 
 
 def link_map(state: LinkState, rep: SquareRep) -> FrameMatrix:

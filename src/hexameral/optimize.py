@@ -1,12 +1,16 @@
-"""Derivative-free searches over chain parameters.
+"""Searches over chain parameters.
 
 Both experiments are one endpoint problem: minimise an area functional over
-link parameters subject to the chain ending in a target state.  The
-five-link density search targets the start state turned by pi/3 (a closed
-chain); link reduction refits a six-link segment with five links ending in
-the segment's own end state.  Both use Nelder-Mead with quadratic exterior
-penalties plus a least-squares feasibility polish, so reported incumbents
-sit on the constraint set rather than inside the penalty dead band.
+link parameters subject to the chain ending in a target state, with the
+endpoint residuals and their exact Jacobian.  The five-link density search
+targets the start state turned by pi/3 (a closed chain) and runs
+Nelder-Mead with quadratic exterior penalties, a least-squares feasibility
+polish and a projected descent, so reported incumbents sit on the
+constraint set rather than inside the penalty dead band.  Link reduction
+refits a six-link segment with five links ending in the segment's own end
+state: per index pattern that is five equations in five turning fractions,
+solved by bounded Newton steps (``least_squares`` on the exact Jacobian)
+from each start; the least area among the strictly closed roots wins.
 """
 from __future__ import annotations
 
@@ -25,6 +29,7 @@ from .chain import (
     LinkParam,
     angle_margin_of,
     assemble,
+    assemble_jacobian,
     closure_of,
     end_target,
     merged_links,
@@ -32,7 +37,15 @@ from .chain import (
 from .domain import SQRT12, smoothed_octagon
 from .errors import GeometryError, InfeasibleInput
 from .hyperlink import LinkState, circle_tangent
-from .sl2 import IDENTITY, ProjectiveTangent, TangentElement
+from .sl2 import (
+    IDENTITY,
+    ROT60,
+    ProjectiveTangent,
+    TangentElement,
+    _adjoint_matrix,
+    _inverse,
+    _sphere_basis,
+)
 
 FIVE_LINK_PATTERN = (0, 2, 4, 2, 0)
 TAU_HI = 1.0 - 1e-6
@@ -146,6 +159,30 @@ def _endpoint_residuals(final: LinkState, target: LinkState) -> np.ndarray:
     return np.concatenate([frame_diff, tangent_diff])
 
 
+def _endpoint_jacobian(state: LinkState) -> np.ndarray:
+    """Derivative of a state's seven residual entries in its local coordinates.
+
+    The frame F moves as F exp(xi), so its entries move as F xi; the tangent
+    moves along its sphere basis.
+    """
+    al, be, ga, de = state.frame.entries()
+    (p0, p1, p2), (q0, q1, q2) = _sphere_basis(*state.tangent.components())
+    return np.array(((al, 0.0, be, 0.0, 0.0), (-be, al, 0.0, 0.0, 0.0),
+                     (ga, 0.0, de, 0.0, 0.0), (-de, ga, 0.0, 0.0, 0.0),
+                     (0.0, 0.0, 0.0, p0, q0), (0.0, 0.0, 0.0, p1, q1),
+                     (0.0, 0.0, 0.0, p2, q2)))
+
+
+# A start frame F0 moved to F0 exp(xi) turns its target F0 R into
+# F0 R exp(Ad(R^{-1}) xi), R the rotation by pi/3.
+_TARGET_TURN = np.array(_adjoint_matrix(_inverse(ROT60.entries())))
+
+
+def _fixed_start(x, chain: ChainParams) -> np.ndarray:
+    """Start-state derivative of a decoder whose variables are all taus."""
+    return np.zeros((5, len(x) - len(chain.links)))
+
+
 class Evaluation(NamedTuple):
     """One point of an endpoint problem; ``report`` is None where assembly failed."""
 
@@ -169,9 +206,12 @@ class Evaluation(NamedTuple):
 class EndpointProblem:
     """Minimise ``value(area)`` over a box subject to the chain ending in a target.
 
-    ``decode`` maps search variables to a chain; a ``target`` of None means
-    the chain's own start state turned by pi/3.  ``fail_value`` stands in
-    for the value where no chain can be assembled.
+    ``decode`` maps search variables to a chain whose link taus are the
+    last variables; ``start_jacobian(x, chain)`` is the derivative (5, m) of
+    the decoded start state in the m variables before them, in
+    ``propagate_jacobian``'s coordinates.  A ``target`` of None means the
+    chain's own start state turned by pi/3.  ``fail_value`` stands in for
+    the value where no chain can be assembled.
     """
 
     decode: Callable[[np.ndarray], ChainParams]
@@ -180,6 +220,7 @@ class EndpointProblem:
     weights: PenaltyWeights
     bounds: tuple[tuple[float, float], ...]
     target: LinkState | None = None
+    start_jacobian: Callable[[np.ndarray, ChainParams], np.ndarray] = _fixed_start
 
     def box(self) -> tuple[np.ndarray, np.ndarray]:
         return (np.array([b[0] for b in self.bounds]),
@@ -193,6 +234,22 @@ class EndpointProblem:
         except GeometryError:
             return np.full(7, FAIL_RESIDUAL)
         return _endpoint_residuals(final, end_target(chain, self.target))
+
+    def jacobian(self, x) -> np.ndarray:
+        """The exact 7 x n Jacobian of ``residuals``; zero where no chain assembles."""
+        try:
+            chain = self.decode(x)
+            head = self.start_jacobian(x, chain)
+            assembled, d_state = assemble_jacobian(chain, head)
+        except GeometryError:
+            return np.zeros((7, len(x)))
+        jac = _endpoint_jacobian(assembled.final) @ d_state[:5]
+        if self.target is None:
+            # the target, the start turned by pi/3, moves with the start
+            d_target = head.copy()
+            d_target[:3] = _TARGET_TURN @ head[:3]
+            jac[:, :head.shape[1]] -= _endpoint_jacobian(end_target(chain)) @ d_target
+        return jac
 
     def evaluate(self, x) -> Evaluation:
         """Value plus quadratic penalty; zero penalty exactly on feasible chains.
@@ -224,7 +281,11 @@ def _rank(ev: Evaluation) -> tuple[int, float]:
 
 
 class _Search:
-    """Evaluation count and incumbent shared by every stage of one search."""
+    """Evaluation count and incumbent shared by every stage of one search.
+
+    Every chain assembly counts as an evaluation: ``measure``, and the
+    residual and Jacobian callables handed to the solvers through ``counted``.
+    """
 
     def __init__(self, trace_on: bool) -> None:
         self.evals = 0
@@ -242,6 +303,14 @@ class _Search:
             return ev.value + ev.penalty
         return penalized
 
+    def counted(self, fn: Callable[[np.ndarray], np.ndarray]
+                ) -> Callable[[np.ndarray], np.ndarray]:
+        """``fn`` with every call counted as an evaluation."""
+        def call(x) -> np.ndarray:
+            self.evals += 1
+            return fn(x)
+        return call
+
     def offer(self, problem: EndpointProblem, x) -> None:
         ev = self.measure(problem, x)
         if self.best is None or _rank(ev) < _rank(self.best):
@@ -251,11 +320,12 @@ class _Search:
                 self.trace.append((self.evals, ev.value))
 
 
-def _snap(problem: EndpointProblem, x, max_nfev: int) -> np.ndarray:
+def _snap(run: _Search, problem: EndpointProblem, x, max_nfev: int,
+          jac="2-point") -> np.ndarray:
     """Least-squares projection onto the endpoint constraint, inside the box."""
     _load_solvers()
     lo, hi = problem.box()
-    return least_squares(problem.residuals, np.clip(x, lo, hi),
+    return least_squares(run.counted(problem.residuals), np.clip(x, lo, hi), jac=jac,
                          bounds=(lo, hi), max_nfev=max_nfev).x
 
 
@@ -270,7 +340,7 @@ def _refine(run: _Search, problem: EndpointProblem, x0, maxfev: int,
     )
     lo, hi = problem.box()
     run.offer(problem, np.clip(res.x, lo, hi))
-    polished = _snap(problem, res.x, polish_nfev)
+    polished = _snap(run, problem, res.x, polish_nfev)
     run.offer(problem, polished)
     return polished
 
@@ -286,21 +356,22 @@ def _manifold_descent(run: _Search, problem: EndpointProblem, x0,
     also keeps reported values on the honest side of the dead band.
     """
     _, hi = problem.box()
-    x = _snap(problem, np.asarray(x0, dtype=float), polish_nfev)
+    x = _snap(run, problem, np.asarray(x0, dtype=float), polish_nfev)
+    residuals = run.counted(problem.residuals)
     here = run.measure(problem, x)
     if not here.feasible():
         return x
     value = here.value
     n = len(x)
     for _ in range(iters):
-        base = problem.residuals(x)
+        base = residuals(x)
         jac = np.empty((len(base), n))
         grad = np.empty(n)
         for k in range(n):
             sign = 1.0 if x[k] + fd_step <= hi[k] else -1.0
             step = np.zeros(n)
             step[k] = sign * fd_step
-            jac[:, k] = (problem.residuals(x + step) - base) / (sign * fd_step)
+            jac[:, k] = (residuals(x + step) - base) / (sign * fd_step)
             grad[k] = (run.measure(problem, x + step).value - value) / (sign * fd_step)
         _, sing, vt = np.linalg.svd(jac)
         null = vt[sing < 1e-4 * sing[0]] if sing[0] > 0.0 else vt
@@ -313,7 +384,7 @@ def _manifold_descent(run: _Search, problem: EndpointProblem, x0,
         direction /= norm
         scale = 1e-2
         while scale > 1e-12:
-            cand = _snap(problem, x - scale * direction, polish_nfev)
+            cand = _snap(run, problem, x - scale * direction, polish_nfev)
             ev = run.measure(problem, cand)
             if ev.feasible() and ev.value < value:
                 x, value = cand, ev.value
@@ -346,6 +417,16 @@ def decode_five_link(params) -> ChainParams:
     return ChainParams(initial, links)
 
 
+def _five_link_start(params, chain: ChainParams) -> np.ndarray:
+    """Derivative of decode_five_link's start state in (a, b): only the tangent moves."""
+    a, b = float(params[0]), float(params[1])
+    c = math.sqrt(1.0 - a * a - b * b)
+    # the tangent (a, b, c) moves by (1, 0, -a/c) and (0, 1, -b/c)
+    (p0, p1, p2), (q0, q1, q2) = _sphere_basis(*chain.initial.tangent.components())
+    return np.array(((0.0, 0.0), (0.0, 0.0), (0.0, 0.0),
+                     (p0 - p2 * a / c, p1 - p2 * b / c), (q0 - q2 * a / c, q1 - q2 * b / c)))
+
+
 def _density(chain_area: float) -> float:
     """Packing density of the domain: twice the chain area over sqrt(12)."""
     return 2.0 * chain_area / SQRT12
@@ -354,7 +435,8 @@ def _density(chain_area: float) -> float:
 def five_link_problem(weights: PenaltyWeights = PenaltyWeights(),
                       bounds=DEFAULT_BOUNDS) -> EndpointProblem:
     """Closed five-link chains with density as the value."""
-    return EndpointProblem(decode_five_link, _density, 1.0, weights, bounds)
+    return EndpointProblem(decode_five_link, _density, 1.0, weights, bounds,
+                           start_jacobian=_five_link_start)
 
 
 def five_link_objective(
@@ -396,7 +478,7 @@ def five_link_search(spec: SearchSpec) -> SearchResult:
             run.offer(problem, p0)
             # pull the start onto the closure manifold first: cold starts
             # otherwise leave Nelder-Mead on the assembly-failure plateau
-            snapped = _snap(problem, p0, 200)
+            snapped = _snap(run, problem, p0, 200)
             run.offer(problem, snapped)
             if objective(snapped) < objective(p0):
                 p0 = snapped
@@ -436,10 +518,11 @@ def link_reduction_experiment(six_link: ChainParams,
                               spec: SearchSpec) -> LinkReductionReport:
     """Search five-link chains joining the endpoint states of a six-link one.
 
-    Hyperbolic indices are enumerated over all consecutive-distinct patterns
-    while the five turning fractions are optimized per pattern; the merged
-    input links seed their own pattern, so degenerate six-link chains are
-    refit exactly.
+    Hyperbolic indices are enumerated over all consecutive-distinct patterns.
+    Per pattern the five turning fractions solve the endpoint equations by
+    bounded Newton steps from each start; the start itself is offered too,
+    and the merged input links seed their own pattern, so degenerate
+    six-link chains are refit exactly.
     """
     if len(six_link.links) != 6:
         raise InfeasibleInput(f"expected six links, got {len(six_link.links)}")
@@ -484,7 +567,10 @@ def link_reduction_experiment(six_link: ChainParams,
         if pattern == seed_pattern:
             starts.insert(0, seed_taus)
         for t0 in starts:
-            _refine(run, problem, t0, per_pattern, 1e-10, 120)
+            run.offer(problem, t0)
+            # five equations in five taus: bounded Newton on the exact Jacobian
+            run.offer(problem, _snap(run, problem, t0, per_pattern,
+                                     jac=run.counted(problem.jacobian)))
 
     best = run.best
     feasible = best.feasible()

@@ -167,6 +167,32 @@ def _adjoint(g: Frame, a: float, b: float, c: float) -> tuple[float, float, floa
     return (al * m00 + be * m10, al * m01 + be * m11, ga * m00 + de * m10)
 
 
+def _adjoint_matrix(g: Frame) -> tuple[tuple[float, float, float], ...]:
+    """Rows of X -> g X g^{-1} on coordinates (a, b, c), for unit-determinant g."""
+    al, be, ga, de = g
+    return ((al * de + be * ga, -al * ga, be * de),
+            (-2.0 * al * be, al * al, -be * be),
+            (2.0 * ga * de, -ga * ga, de * de))
+
+
+def _sphere_basis(a: float, b: float, c: float) -> tuple[tuple[float, float, float], ...]:
+    """Two orthonormal directions tangent to the unit sphere at (a, b, c).
+
+    The first is the coordinate axis least aligned with the point, less its
+    component along the point; the second is the point crossed with the first.
+    """
+    if abs(a) <= abs(b) and abs(a) <= abs(c):
+        f = 1.0 / math.sqrt(1.0 - a * a)
+        e0, e1, e2 = (1.0 - a * a) * f, -a * b * f, -a * c * f
+    elif abs(b) <= abs(c):
+        f = 1.0 / math.sqrt(1.0 - b * b)
+        e0, e1, e2 = -b * a * f, (1.0 - b * b) * f, -b * c * f
+    else:
+        f = 1.0 / math.sqrt(1.0 - c * c)
+        e0, e1, e2 = -c * a * f, -c * b * f, (1.0 - c * c) * f
+    return ((e0, e1, e2), (b * e2 - c * e1, c * e0 - a * e2, a * e1 - b * e0))
+
+
 def adjoint(g: FrameMatrix, x: TangentElement) -> TangentElement:
     """Conjugated tangent g X g^{-1}, again traceless."""
     return TangentElement(*_adjoint(g.entries(), x.a, x.b, x.c))

@@ -85,3 +85,15 @@ def split_octagon_period(octagon, ta: float = 0.25):
 
 def uniform_grid(n: int, hi: float = 2.0 * math.pi) -> np.ndarray:
     return np.linspace(0.0, hi, n)
+
+
+def flat_hyperbola_chain():
+    """Two links from a state whose first hyperbola has a^2 = (sqrt(3)/2)(1 + 1e-11).
+
+    The chain assembles, but the hyperbola is so close to its asymptotes
+    that its sampled curve mixes linear and curved readings.
+    """
+    from hexameral.chain import ChainParams, LinkParam
+    from hexameral.hyperlink import MIN_SCALE_SQ, frame_at
+    start = frame_at(SquareRep(math.sqrt(MIN_SCALE_SQ * (1.0 + 1e-11)), -0.5, 0.5, 0), -0.5)
+    return ChainParams(start, (LinkParam(0.5, 0), LinkParam(0.5, 2)))

@@ -12,7 +12,7 @@ from hexameral.chain import save_chain
 from hexameral.cli import CommandConfig, UsageError, main
 from hexameral.domain import OCTAGON_DENSITY
 
-from conftest import split_octagon_period
+from conftest import flat_hyperbola_chain, split_octagon_period
 
 
 @pytest.fixture()
@@ -100,6 +100,20 @@ class TestVerifyCommand:
         diag = json.loads(captured.err.strip())
         assert diag["error"] == "VerifyFailed"
         assert all(name in diag["detail"].split(",") for name in sampled)
+
+    def test_flat_hyperbola_fails_rank_row(self, tmp_path, capsys):
+        # a link whose hyperbola is so flat (a^2 = (sqrt(3)/2)(1 + 1e-11))
+        # that its samples read as a line assembles, and verify still prints
+        # its checklist with rank-per-link failed
+        save_chain(flat_hyperbola_chain(), str(tmp_path / "flat.json"))
+        assert main(["verify", str(tmp_path / "flat.json")]) == 1
+        captured = capsys.readouterr()
+        rows = dict(line.split(None, 1) for line in captured.out.splitlines())
+        assert rows["assembly"].split()[0] == "pass"
+        assert rows["rank-per-link"].startswith("FAIL  link 0: curve j=0: samples mix")
+        # the two links are an open segment, so closure fails as well
+        failed = json.loads(captured.err.strip())["detail"].split(",")
+        assert failed == ["rank-per-link", "closure", "link-length"]
 
     @pytest.mark.parametrize("field,index", [("frame", 1), ("tangent", 0)])
     def test_nan_in_initial_state_is_a_format_error(self, octagon_file, tmp_path,
@@ -241,19 +255,21 @@ class TestCommandConfig:
         assert cfg.restarts == 3 and cfg.seed == 0
 
 
-# Runs in a fresh interpreter: prints whether scipy.optimize is loaded after
-# the import and after each command that never searches.
+# Runs in a fresh interpreter: prints which of scipy.optimize and sympy are
+# loaded after the import and after each command that never searches.
 _SCIPY_PROBE = """
 import json, sys
 import hexameral
 from hexameral.cli import main
-loaded = {"import hexameral": "scipy.optimize" in sys.modules}
+def heavy():
+    return [name for name in ("scipy.optimize", "sympy") if name in sys.modules]
+loaded = {"import hexameral": heavy()}
 for argv in (["octagon", "-o", "oct.json"], ["density", "oct.json"],
              ["verify", "oct.json"],
              ["export", "oct.json", "--format", "svg", "-o", "oct.svg"],
              ["export", "oct.json", "--format", "json", "-o", "oct.geo.json"]):
     assert main(argv) == 0, argv
-    loaded[" ".join(argv)] = "scipy.optimize" in sys.modules
+    loaded[" ".join(argv)] = heavy()
 print(json.dumps(loaded))
 """
 
@@ -267,4 +283,5 @@ def test_commands_without_search_leave_scipy_unloaded(tmp_path):
     assert done.returncode == 0, done.stderr
     loaded = json.loads(done.stdout.strip().splitlines()[-1])
     assert len(loaded) == 6
-    assert loaded == dict.fromkeys(loaded, False)
+    # sympy is a test-only oracle; the library never imports it
+    assert all(names == [] for names in loaded.values()), loaded

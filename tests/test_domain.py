@@ -29,7 +29,7 @@ from hexameral.hyperlink import link_area, transform_state
 from hexameral.multicurve import rank_classify
 from hexameral.sl2 import PlaneVector, wedge
 
-from conftest import polygon_area, random_frame
+from conftest import flat_hyperbola_chain, polygon_area, random_frame
 
 SQRT12 = math.sqrt(12.0)
 
@@ -159,6 +159,17 @@ class TestVerifyChecks:
         for name in ("star-conditions", "tangent-determinant",
                      "convexity-sampling", "rank-per-link"):
             assert rows[name] == (False, "nothing sampled: no link is non-degenerate")
+
+    def test_unclassifiable_rank_is_a_failed_row(self):
+        rows = verify_checks(flat_hyperbola_chain())
+        assert [name for name, _, _ in rows] == [
+            "assembly", "star-conditions", "tangent-determinant",
+            "convexity-sampling", "rank-per-link", "closure",
+            "angle-condition", "link-length",
+        ]
+        name, ok, detail = rows[4]
+        assert not ok
+        assert detail == "link 0: curve j=0: samples mix linear and curved behaviour"
 
     def test_assembly_failure_ends_the_list(self):
         from hexameral.hyperlink import LinkState

@@ -27,7 +27,7 @@ def test_probe_search_fingerprint():
     start = np.clip(octagon_embedding() + 1e-3 * step / np.linalg.norm(step), lo, hi)
     result = five_link_search(SearchSpec(start=tuple(float(v) for v in start),
                                          restarts=1, max_evals=2000, seed=0))
-    assert result.eval_count == 2068
+    assert result.eval_count == 2700
     assert repr(result.best_density) == "0.9024141829986706"
     assert result.feasible
 
@@ -35,6 +35,6 @@ def test_probe_search_fingerprint():
 def test_split_period_reduction_fingerprint(octagon):
     report = link_reduction_experiment(split_octagon_period(octagon),
                                        SearchSpec(restarts=1, max_evals=3000))
-    assert report.eval_count == 3087
+    assert report.eval_count == 1561
     assert repr(report.six_area) == "1.5630272144218342"
     assert repr(report.five_area) == "1.563027214421835"

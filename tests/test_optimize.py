@@ -4,9 +4,17 @@ import math
 import numpy as np
 import pytest
 
-from hexameral.chain import STRICT_TOL, ChainParams, LinkParam, chain_area
+from hexameral.chain import (
+    ANGLE_TOL,
+    STRICT_TOL,
+    ChainParams,
+    LinkParam,
+    angle_margin_of,
+    assemble,
+    chain_area,
+)
 from hexameral.domain import OCTAGON_DENSITY
-from hexameral.errors import InfeasibleInput
+from hexameral.errors import GeometryError, InfeasibleInput
 from hexameral.optimize import (
     FIVE_LINK_PATTERN,
     PenaltyWeights,
@@ -19,6 +27,8 @@ from hexameral.optimize import (
     result_to_dict,
     spec_to_dict,
 )
+from hexameral.sl2 import frame_distance
+
 from conftest import split_octagon_period
 
 
@@ -194,6 +204,43 @@ class TestLinkReduction:
         assert abs(report.five_area - report.six_area) < 1e-8
         assert report.endpoint_residual < STRICT_TOL
         assert report.five_area >= report.six_area - 1e-9
+
+
+def _random_segments(octagon, rng, count: int):
+    """Six consecutive-distinct links from the octagon's start that assemble
+    and meet the angle condition."""
+    segments = []
+    while len(segments) < count:
+        js = [int(rng.choice((0, 2, 4)))]
+        while len(js) < 6:
+            js.append(int(rng.choice([j for j in (0, 2, 4) if j != js[-1]])))
+        taus = rng.uniform(0.05, 0.4, 6)
+        segment = ChainParams(octagon.chain.initial,
+                              tuple(LinkParam(float(t), j) for t, j in zip(taus, js)))
+        try:
+            assembled = assemble(segment)
+        except GeometryError:
+            continue
+        if angle_margin_of(segment, assembled) >= -ANGLE_TOL:
+            segments.append(segment)
+    return segments
+
+
+def test_feasible_refits_reassemble_to_the_target(octagon):
+    feasible = 0
+    for segment in _random_segments(octagon, np.random.default_rng(7), 4):
+        report = link_reduction_experiment(segment, SearchSpec(restarts=1, max_evals=3000))
+        if not report.feasible:
+            continue
+        feasible += 1
+        target = assemble(segment).final
+        refit = ChainParams(segment.initial, report.five_links)
+        assembled = assemble(refit)
+        assert frame_distance(assembled.final.frame, target.frame) <= STRICT_TOL
+        assert target.tangent.distance(assembled.final.tangent) <= STRICT_TOL
+        assert angle_margin_of(refit, assembled) >= -ANGLE_TOL
+        assert abs(assembled.area() - report.five_area) <= 1e-12
+    assert feasible >= 2
 
 
 class TestSerialization:
