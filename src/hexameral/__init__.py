@@ -96,7 +96,6 @@ from .variational import (
 from .optimize import (
     SearchResult,
     SearchSpec,
-    five_link_objective,
     five_link_search,
     link_reduction_experiment,
     octagon_embedding,

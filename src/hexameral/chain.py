@@ -17,7 +17,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
@@ -33,22 +33,17 @@ from .hyperlink import (
     LinkState,
     SquareRep,
     _entry,
-    _link_lead,
     _transfer,
-    frame_grids,
     link_area,
     propagate,
-    t_end,
 )
 from .sl2 import (
     ROT60,
     FrameMatrix,
     ProjectiveTangent,
     TangentElement,
-    _compose,
     _inverse,
     _product,
-    _unit_det,
     frame_distance,
 )
 
@@ -169,37 +164,6 @@ class ClosureReport:
         return self.residual() <= tol and self.angle_ok
 
 
-def _sample_rows(t0s: np.ndarray, t1s: np.ndarray, n: int) -> np.ndarray:
-    """Row l is np.linspace(t0s[l], t1s[l], n), bit for bit."""
-    if n > 1 and not ((t1s - t0s) / (n - 1)).all():
-        # a zero step sends all of a stacked linspace down its denormal path
-        return np.array([np.linspace(lo, hi, n) for lo, hi in zip(t0s, t1s)])
-    return np.linspace(t0s, t1s, n, axis=1)
-
-
-def relative_frames(chain: ChainParams, assembled: AssembledChain,
-                    n: int) -> tuple[tuple[SquareRep, ...], np.ndarray, np.ndarray]:
-    """Frames frame(t0)^{-1} phi(t) at n parameters along every non-degenerate link.
-
-    Returns those links' square representations, their parameter rows
-    (L, n) and the relative frames (L, n, 2, 2), all from one stacked pass.
-    """
-    links = [(state, rep) for state, rep in zip(assembled.states, assembled.reps)
-             if rep.tau != 0.0]
-    if not links:
-        return (), np.empty((0, n)), np.empty((0, n, 2, 2))
-    inv0 = _inverse(chain.initial.frame.entries())
-    leads = np.array([
-        _compose(inv0, _unit_det(*_link_lead(state.frame.entries(), rep.a, rep.k,
-                                             rep.t0, rep.j)))
-        for state, rep in links
-    ]).reshape(-1, 1, 2, 2)
-    reps = tuple(rep for _, rep in links)
-    ts = _sample_rows(np.array([rep.t0 for rep in reps]),
-                      np.array([t_end(rep) for rep in reps]), n)
-    return reps, ts, leads @ frame_grids(reps, ts)
-
-
 def closure_report(chain: ChainParams) -> ClosureReport:
     """Frame and tangent closure residuals plus the sweep-angle check."""
     return closure_of(chain, assemble(chain))
@@ -305,6 +269,11 @@ def link_length(chain: ChainParams, closure_tol: float = FEASIBLE_TOL) -> int:
         raise NotClosed(
             f"closure residual {report.residual():.3e} exceeds {closure_tol:.1e}"
         )
+    return normalized_length(chain)
+
+
+def normalized_length(chain: ChainParams) -> int:
+    """link_length without its closure check, for chains already known closed."""
     links = normalize_links(chain).links
     if not links:
         raise LinkLengthViolation("closed chain has no non-degenerate links")

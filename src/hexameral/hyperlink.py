@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -212,6 +211,13 @@ def frame_at(rep: SquareRep, t: float) -> LinkState:
         FrameMatrix(*_square_frame(rep.a, k, t, rep.j)),
         ProjectiveTangent(TangentElement(*_unit_tangent(*_square_tangent(rep.a, k, t)))),
     )
+
+
+def _circle_tangent_at(rep: SquareRep, t: float) -> tuple[float, float, float]:
+    """circle_tangent(frame_at(rep, t)) as a float triple, without the range check."""
+    k = rep.k
+    frame = _unit_det(*_square_frame(rep.a, k, t, rep.j))
+    return _adjoint(_inverse(frame), *_unit_tangent(*_square_tangent(rep.a, k, t)))
 
 
 def propagate(state: LinkState, tau: float, j: int) -> tuple[LinkState, SquareRep]:
@@ -485,20 +491,3 @@ def link_multicurve(rep: SquareRep, samples: int = 16,
         for curve in curves
     ]
 
-
-def frame_grids(reps: Sequence[SquareRep], ts: np.ndarray) -> np.ndarray:
-    """Canonical frames of each link at its own row of parameters.
-
-    ``ts`` has shape (L, n), one row per rep; the result has shape
-    (L, n, 2, 2).  Every row is computed exactly as the one-link case.
-    """
-    a = np.array([rep.a for rep in reps])[:, None]
-    k = np.array([rep.k for rep in reps])[:, None]
-    inv = np.array([_STANDARD_INVERSE[rep.j] for rep in reps]).reshape(-1, 1, 2, 2)
-    (p1x, p1y), (p2x, p2y), _ = _square_points(a, k, ts)
-    cols = np.empty(ts.shape + (2, 2))
-    cols[..., 0, 0] = p1x
-    cols[..., 1, 0] = p1y
-    cols[..., 0, 1] = p2x
-    cols[..., 1, 1] = p2y
-    return cols @ inv

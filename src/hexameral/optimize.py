@@ -439,14 +439,6 @@ def five_link_problem(weights: PenaltyWeights = PenaltyWeights(),
                            start_jacobian=_five_link_start)
 
 
-def five_link_objective(
-    params, weights: PenaltyWeights = PenaltyWeights()
-) -> tuple[float, float]:
-    """Density plus quadratic penalty; zero penalty exactly on feasible chains."""
-    ev = five_link_problem(weights).evaluate(params)
-    return ev.value, ev.penalty
-
-
 def octagon_embedding() -> np.ndarray:
     """The smoothed octagon as a seven-vector of the five-link search space."""
     dom = smoothed_octagon()

@@ -13,9 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chain import ChainParams, assemble, relative_frames
+from .chain import ChainParams, assemble
 from .errors import ParameterOutOfRange, SignCondition, StarViolation, WedgeMismatch
-from .hyperlink import t_end
+from .hyperlink import _STANDARD_INVERSE, link_curves, link_map, t_end
 from .multicurve import STANDARD
 from .sl2 import SQRT3, FrameMatrix, TangentElement, star_check, wedge
 
@@ -89,15 +89,24 @@ def chain_path(chain: ChainParams, per_link: int = 256) -> FramePath:
             f"per_link = {per_link!r} gives {points} grid points over {links} "
             f"links; a frame path needs at least {MIN_GRID}"
         )
-    reps, ts, rel = relative_frames(chain, assemble(chain), per_link)
+    assembled = assemble(chain)
+    inv0 = chain.initial.frame.inverse()
+    real = [(state, rep) for state, rep in zip(assembled.states, assembled.reps)
+            if rep.tau != 0.0]
     grid: list[float] = []
     frames: list[FrameMatrix] = []
-    for pos, (rep, row, mats) in enumerate(zip(reps, ts.tolist(), rel.tolist())):
+    for pos, (state, rep) in enumerate(real):
+        t0, t1 = rep.t0, t_end(rep)
+        ts = np.linspace(t0, t1, per_link)
+        # the canonical frame sends u*_j, u*_{j+2} to curves j and j+2
+        p = link_curves(rep, ts)[:, 0]
+        canonical = (np.stack((p[rep.j], p[(rep.j + 2) % 6]), axis=-1)
+                     @ np.reshape(_STANDARD_INVERSE[rep.j], (2, 2)))
+        lead = np.reshape(inv0.compose(link_map(state, rep)).entries(), (2, 2))
         # links after the first share their start sample with the previous end
         start = 1 if pos > 0 else 0
-        t0, t1 = rep.t0, t_end(rep)
-        grid.extend(pos + (t - t0) / (t1 - t0) for t in row[start:])
-        frames.extend(FrameMatrix(*m[0], *m[1]) for m in mats[start:])
+        grid.extend(pos + (t - t0) / (t1 - t0) for t in ts.tolist()[start:])
+        frames.extend(FrameMatrix(*m[0], *m[1]) for m in (lead @ canonical).tolist()[start:])
     return FramePath(tuple(grid), tuple(frames))
 
 

@@ -38,7 +38,7 @@ class TestOctagonCommand:
         out = capsys.readouterr().out
         assert "FAIL" not in out
         for name in ("assembly", "star-conditions", "tangent-determinant",
-                     "convexity-sampling", "rank-per-link", "closure",
+                     "convexity", "rank-per-link", "closure",
                      "angle-condition", "link-length"):
             assert name in out
 
@@ -93,7 +93,7 @@ class TestVerifyCommand:
         captured = capsys.readouterr()
         verdicts = dict(line.split()[:2] for line in captured.out.splitlines())
         sampled = ("star-conditions", "tangent-determinant",
-                   "convexity-sampling", "rank-per-link")
+                   "convexity", "rank-per-link")
         for name in sampled:
             assert verdicts[name] == "FAIL"
         assert "no link is non-degenerate" in captured.out
@@ -101,19 +101,31 @@ class TestVerifyCommand:
         assert diag["error"] == "VerifyFailed"
         assert all(name in diag["detail"].split(",") for name in sampled)
 
-    def test_flat_hyperbola_fails_rank_row(self, tmp_path, capsys):
+    def test_flat_hyperbola_passes_rank_row(self, tmp_path, capsys):
         # a link whose hyperbola is so flat (a^2 = (sqrt(3)/2)(1 + 1e-11))
-        # that its samples read as a line assembles, and verify still prints
-        # its checklist with rank-per-link failed
+        # that its samples read as a line assembles, and its rank row,
+        # read from wedge(v, acc) at the link ends, passes
         save_chain(flat_hyperbola_chain(), str(tmp_path / "flat.json"))
         assert main(["verify", str(tmp_path / "flat.json")]) == 1
         captured = capsys.readouterr()
         rows = dict(line.split(None, 1) for line in captured.out.splitlines())
         assert rows["assembly"].split()[0] == "pass"
-        assert rows["rank-per-link"].startswith("FAIL  link 0: curve j=0: samples mix")
-        # the two links are an open segment, so closure fails as well
+        assert rows["rank-per-link"] == "pass  ranks [1, 1]"
+        # the two links are an open segment, so closure fails
         failed = json.loads(captured.err.strip())["detail"].split(",")
-        assert failed == ["rank-per-link", "closure", "link-length"]
+        assert failed == ["closure", "link-length"]
+
+    def test_angle_failure_leaves_closure_row_passing(self, octagon_file, tmp_path,
+                                                      capsys):
+        doc = json.loads(open(octagon_file).read())
+        doc["links"][0]["tau"] += 2e-5
+        path = tmp_path / "angle.json"
+        path.write_text(json.dumps(doc))
+        assert main(["verify", str(path), "--closure-tol", "1e-3"]) == 1
+        captured = capsys.readouterr()
+        verdicts = dict(line.split()[:2] for line in captured.out.splitlines())
+        assert verdicts["closure"] == "pass"
+        assert json.loads(captured.err.strip())["detail"] == "angle-condition"
 
     @pytest.mark.parametrize("field,index", [("frame", 1), ("tangent", 0)])
     def test_nan_in_initial_state_is_a_format_error(self, octagon_file, tmp_path,
@@ -197,6 +209,18 @@ class TestExportCommand:
         text = path.read_text()
         assert text.startswith("<?xml")
         assert text.count("<circle") == 6
+
+    def test_json_export_keeps_closure_tolerance(self, octagon_file, tmp_path, capsys):
+        # residual 1.8e-5: closed at --closure-tol 1e-3, as density finds too
+        doc = json.loads(open(octagon_file).read())
+        doc["links"][0]["tau"] -= 2e-5
+        path = tmp_path / "loose.json"
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "loose.geo.json"
+        loose = ["--closure-tol", "1e-3"]
+        assert main(["density", str(path)] + loose) == 0
+        assert main(["export", str(path), "--format", "json", "-o", str(out)] + loose) == 0
+        assert json.loads(out.read_text())["link_length"] == 4
 
     def test_json_roundtrip(self, octagon_file, tmp_path, capsys):
         path = tmp_path / "summary.json"

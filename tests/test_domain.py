@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+import sympy
 
 from hexameral.chain import ChainParams, chain_from_dict
 from hexameral.domain import (
@@ -23,13 +24,19 @@ from hexameral.domain import (
     star_profile,
     verify_checks,
 )
-from hexameral.domain import _hexagon_vertices
+from hexameral.domain import _hexagon_vertices, _star_margins
 from hexameral.errors import NotClosed
-from hexameral.hyperlink import link_area, transform_state
+from hexameral.hyperlink import SquareRep, link_area, t_end, transform_state
 from hexameral.multicurve import rank_classify
 from hexameral.sl2 import PlaneVector, wedge
 
-from conftest import flat_hyperbola_chain, polygon_area, random_frame
+from conftest import (
+    flat_hyperbola_chain,
+    polygon_area,
+    random_frame,
+    random_square_rep,
+    split_octagon_period,
+)
 
 SQRT12 = math.sqrt(12.0)
 
@@ -133,18 +140,26 @@ class TestStarProfile:
         assert float(star_profile(octagon)[:, 2].min()) > 0.1
 
 
+CHECK_NAMES = ["assembly", "star-conditions", "tangent-determinant", "convexity",
+               "rank-per-link", "closure", "angle-condition", "link-length"]
+
+
 class TestVerifyChecks:
-    def test_octagon_rows(self, octagon):
+    def test_octagon_rows(self, octagon, rng):
         checks = verify_checks(octagon.chain)
-        assert [name for name, _, _ in checks] == [
-            "assembly", "star-conditions", "tangent-determinant",
-            "convexity-sampling", "rank-per-link", "closure",
-            "angle-condition", "link-length",
-        ]
+        assert [name for name, _, _ in checks] == CHECK_NAMES
         assert all(ok is True for _, ok, _ in checks)
         assert checks[0][2] == "4 links"
         assert checks[4][2] == "ranks [1, 1, 1, 1]"
         assert checks[7][2] == "4, (n-1) = 0 mod 3"
+        # the chains a benchmark feeds to the verify command: an SL2-moved
+        # octagon and a split period, eight rows that all pass
+        moved = ChainParams(transform_state(random_frame(rng, 1.2), octagon.chain.initial),
+                            octagon.chain.links)
+        for chain in (moved, split_octagon_period(octagon, 0.3)):
+            checks = verify_checks(chain)
+            assert [name for name, _, _ in checks] == CHECK_NAMES
+            assert all(ok is True for _, ok, _ in checks), checks
 
     def test_star_margins_match_profile(self, octagon):
         profile = star_profile(octagon, per_link=33)
@@ -157,19 +172,36 @@ class TestVerifyChecks:
         rows = {name: (ok, detail) for name, ok, detail in verify_checks(chain)}
         assert rows["assembly"] == (True, "2 links")
         for name in ("star-conditions", "tangent-determinant",
-                     "convexity-sampling", "rank-per-link"):
-            assert rows[name] == (False, "nothing sampled: no link is non-degenerate")
+                     "convexity", "rank-per-link"):
+            assert rows[name] == (False, "no link is non-degenerate")
 
-    def test_unclassifiable_rank_is_a_failed_row(self):
+    def test_flat_hyperbola_rank_row_passes(self):
+        # a^2 = (sqrt(3)/2)(1 + 1e-11): samples of the hyperbola read as a
+        # line, but its wedge(v, acc) = 2 a^2 (1 - k)/|t|^3 stays positive
         rows = verify_checks(flat_hyperbola_chain())
-        assert [name for name, _, _ in rows] == [
-            "assembly", "star-conditions", "tangent-determinant",
-            "convexity-sampling", "rank-per-link", "closure",
-            "angle-condition", "link-length",
-        ]
-        name, ok, detail = rows[4]
-        assert not ok
-        assert detail == "link 0: curve j=0: samples mix linear and curved behaviour"
+        assert [name for name, _, _ in rows] == CHECK_NAMES
+        verdicts = {name: (ok, detail) for name, ok, detail in rows}
+        assert verdicts["rank-per-link"] == (True, "ranks [1, 1]")
+        ok, detail = verdicts["convexity"]
+        assert ok and 0.0 < float(detail.split()[-1]) < 1e-9
+
+    def test_convexity_row_reads_the_hyperbola(self, octagon):
+        # least 2 a^2 (1 - k)/|t|^3 of the octagon's links, at t = t0
+        rep = octagon.assembled.reps[0]
+        least = 2.0 * rep.a ** 2 * (1.0 - rep.k) / abs(rep.t0) ** 3
+        detail = dict((name, text) for name, _, text in verify_checks(octagon.chain))
+        assert detail["convexity"] == f"min wedge(v, acc) {least:.3e}"
+
+    def test_closure_row_ignores_the_angle_condition(self, octagon):
+        # a small tau change leaves the residuals within a loose tolerance
+        # but breaks the angle condition, which only its own row reports
+        links = ((octagon.chain.links[0].tau + 2e-5, 0),) + octagon.chain.links[1:]
+        rows = {name: (ok, detail)
+                for name, ok, detail in verify_checks(ChainParams(octagon.chain.initial, links),
+                                                      tol=1e-3)}
+        assert rows["closure"][0]
+        assert not rows["angle-condition"][0]
+        assert rows["link-length"][0]
 
     def test_assembly_failure_ends_the_list(self):
         from hexameral.hyperlink import LinkState
@@ -181,6 +213,94 @@ class TestVerifyChecks:
         [(name, ok, detail)] = verify_checks(bad)
         assert (name, ok) == ("assembly", False)
         assert detail.startswith("link 0: ")
+
+
+def _bernstein(poly, x, y) -> list:
+    """Bernstein coefficients of a polynomial in x and y on the unit square."""
+    p = sympy.Poly(poly, x, y)
+    m, n = p.degree(x), p.degree(y)
+
+    def ratio(i, r, d):
+        return sympy.binomial(i, r) / sympy.binomial(d, r)
+
+    return [sum(ratio(i, r, m) * ratio(j, q, n) * p.coeff_monomial(x ** r * y ** q)
+                for r in range(i + 1) for q in range(j + 1))
+            for i in range(m + 1) for j in range(n + 1)]
+
+
+class TestLinkEndArgument:
+    """The endpoint argument of the domain docstring, in exact arithmetic.
+
+    On the link domain 0 < k < 1, -1 < t < k - 1 the verify margins of the
+    circle tangent y = C^{-1} X C are positive constants times p/sqrt(Q), or
+    (p/sqrt(Q))^2, with Q = k^2 t^4 |X|^2, and Q/p^2 is strictly convex in t.
+    """
+
+    k, t, s = sympy.symbols("k t s")
+    Q = t ** 4 + (1 - k) ** 2 * (1 + t ** 2)
+    # (shape, p): each star form is sqrt(3) or 2 sqrt(3) times a shape, and
+    # a shape is (1 - k) or 1 times p / (k t^2)
+    SHAPES = (
+        ((1 - k) * (1 + t) / (k * t ** 2), 1 + t),
+        ((k - 1 - t) / (k * -t), t * (t + 1 - k)),
+        ((1 - k) / (k * -t), -t),
+    )
+
+    def _circle_tangent(self, j: int):
+        """Exact y = C^{-1} X C of the square representation at index j, and |X|^2.
+
+        The scale a multiplies positions and velocities alike, so it cancels
+        from X = V P^{-1} and from y; it is set to one.
+        """
+        k, t = self.k, self.t
+        s = (1 - k) / t
+        # columns: positions of the hyperbola and of the x = a line
+        p = sympy.Matrix([[-1 - s, 1], [-1 - t, t]])
+        x = sympy.cancel(p.diff(t) * p.inv())
+        u = sympy.Matrix([[sympy.cos(sympy.pi * m / 3) for m in (j, j + 2)],
+                          [sympy.sin(sympy.pi * m / 3) for m in (j, j + 2)]])
+        y = (u * p.inv() * x * p * u.inv()).applyfunc(sympy.cancel)
+        return (y[0, 0], y[0, 1], y[1, 0]), x[0, 0] ** 2 + x[0, 1] ** 2 + x[1, 0] ** 2
+
+    @pytest.mark.parametrize("j", [0, 2, 4])
+    def test_star_columns_are_one_signed_closed_forms(self, j):
+        k, t = self.k, self.t
+        (ya, yb, yc), norm2 = self._circle_tangent(j)
+        assert sympy.simplify(norm2 * k ** 2 * t ** 4 - self.Q) == 0
+        assert sympy.simplify(-ya ** 2 - yb * yc - (1 - k) / (k * t ** 2)) == 0
+        forms = [yc - sympy.sqrt(3) * ya, yc + sympy.sqrt(3) * ya, -(3 * yb + yc)]
+        # the three star forms are the three shapes, permuted with j
+        matches = [[i for i, (shape, _) in enumerate(self.SHAPES)
+                    if sympy.simplify(form / shape) in (sympy.sqrt(3), 2 * sympy.sqrt(3))]
+                   for form in forms]
+        assert sorted(m for [m] in matches) == [0, 1, 2]
+        for shape, p in self.SHAPES:
+            assert sympy.simplify(shape * k * t ** 2 / p) in (1, 1 - k)
+
+    @pytest.mark.parametrize("p", [1 + t, t * (t + 1 - k), -t], ids=["1+t", "t(t+1-k)", "-t"])
+    def test_norm_over_p_squared_is_convex(self, p):
+        k, t, s = self.k, self.t, self.s
+        # (Q/p^2)'' p^4, a polynomial, at t = -1 + k s over the unit square
+        d1, d2 = p.diff(t), p.diff(t, 2)
+        q = self.Q
+        numerator = (q.diff(t, 2) * p ** 2 - 4 * q.diff(t) * d1 * p
+                     - 2 * q * d2 * p + 6 * q * d1 ** 2)
+        coefficients = _bernstein(sympy.expand(numerator.subs(t, -1 + k * s)), k, s)
+        assert min(coefficients) >= 0 and max(coefficients) > 0
+
+    def test_library_margins_are_the_closed_forms(self, rng):
+        k, t = self.k, self.t
+        (ya, yb, yc), _ = self._circle_tangent(0)
+        scale = sympy.sqrt(self.Q) / (k * t ** 2)  # |X|
+        exact = sympy.lambdify((k, t), [(yc - sympy.sqrt(3) * sympy.Abs(ya)) / scale,
+                                        -(3 * yb + yc) / scale,
+                                        (-ya ** 2 - yb * yc) / scale ** 2])
+        for _ in range(50):
+            rep = random_square_rep(rng)
+            rep = SquareRep(rep.a, rep.t0, rep.tau, 0)
+            for tt in (rep.t0, t_end(rep)):
+                got = _star_margins(rep, tt)
+                assert np.allclose(got, exact(rep.k, tt), rtol=1e-12, atol=1e-14)
 
 
 class TestInitialMultipoint:

@@ -15,7 +15,6 @@ from hexameral.hyperlink import (
     SquareRep,
     circle_tangent,
     frame_at,
-    frame_grids,
     k_of,
     link_area,
     link_curves,
@@ -37,6 +36,7 @@ from hexameral.sl2 import (
 )
 
 from conftest import curve_samples, random_frame, random_square_rep, sector_quadrature
+from test_kernel_identity import curve_frames
 
 SQRT2 = math.sqrt(2.0)
 
@@ -205,7 +205,7 @@ class TestFrameAt:
     def test_frame_grid_consistency(self, rng):
         rep = random_square_rep(rng)
         ts = np.linspace(rep.t0, t_end(rep), 9)
-        grid = frame_grids((rep,), ts[None, :])[0]
+        grid = curve_frames(rep, ts)
         for mat, t in zip(grid, ts):
             state = frame_at(rep, float(t))
             assert np.max(np.abs(

@@ -1,5 +1,5 @@
-"""The scalar link kernel, the stacked relative-frame pass, the angle margin
-and the link sampler against object-path oracles.
+"""The scalar link kernel, the frame path, the angle margin, the verify link
+rows and the link sampler against object-path and sampled oracles.
 
 The oracles below are the frame-object implementations of ``propagate`` and
 of the per-link sweep-angle sampling: every intermediate frame is a
@@ -8,8 +8,11 @@ is sampled on its own.  The library must agree with them exactly, on
 success (states, square representations, sampled sweep angles) and on
 failure (error class, failing link, message).  The angle margin, read from
 link-end states, is held to the margins of the sampled oracle sweep at 64
-and 512 samples per link.  The curve sampler is held to the ``PlaneVector``
-sampler it replaced, one parameter at a time, bit for bit.
+and 512 samples per link.  ``chain_path``, which reads ``link_curves``, is
+held bit for bit to the stacked relative-frame pass it replaced, and the
+verify rows read at link ends to the same rows over 257 samples per link.
+The curve sampler is held to the ``PlaneVector`` sampler it replaced, one
+parameter at a time, bit for bit.
 """
 import math
 
@@ -23,9 +26,8 @@ from hexameral.chain import (
     LinkParam,
     angle_margin_of,
     assemble,
-    relative_frames,
 )
-from hexameral.domain import boundary_polyline, from_chain
+from hexameral.domain import _link_end_margins, _star_rows, boundary_polyline, from_chain
 from hexameral.errors import (
     DegenerateVelocity,
     GeometryError,
@@ -33,12 +35,14 @@ from hexameral.errors import (
     ParameterOutOfRange,
 )
 from hexameral.hyperlink import (
+    _STANDARD_INVERSE,
     MIN_SCALE_SQ,
     VELOCITY_TOL,
     LinkState,
     SquareRep,
+    _link_lead,
+    _square_points,
     frame_at,
-    frame_grids,
     link_curves,
     link_map,
     link_multicurve,
@@ -53,10 +57,14 @@ from hexameral.sl2 import (
     PlaneVector,
     ProjectiveTangent,
     TangentElement,
+    _compose,
+    _inverse,
+    _unit_det,
     adjoint,
     star_check,
     wedge,
 )
+from hexameral.variational import chain_path
 
 from conftest import random_frame, random_square_rep, random_star_tangent, split_octagon_period
 
@@ -232,9 +240,53 @@ def _moved_segments(rng, count: int):
     return chains
 
 
+# The stacked relative-frame pass that chain_path ran before it read
+# link_curves, kept as an oracle.
+
+def _sample_rows(t0s: np.ndarray, t1s: np.ndarray, n: int) -> np.ndarray:
+    """Row l is np.linspace(t0s[l], t1s[l], n), bit for bit."""
+    if n > 1 and not ((t1s - t0s) / (n - 1)).all():
+        # a zero step sends all of a stacked linspace down its denormal path
+        return np.array([np.linspace(lo, hi, n) for lo, hi in zip(t0s, t1s)])
+    return np.linspace(t0s, t1s, n, axis=1)
+
+
+def _frame_grids(reps, ts: np.ndarray) -> np.ndarray:
+    """Canonical frames (L, n, 2, 2) of each link at its own row of ts (L, n)."""
+    a = np.array([rep.a for rep in reps])[:, None]
+    k = np.array([rep.k for rep in reps])[:, None]
+    inv = np.array([_STANDARD_INVERSE[rep.j] for rep in reps]).reshape(-1, 1, 2, 2)
+    (p1x, p1y), (p2x, p2y), _ = _square_points(a, k, ts)
+    cols = np.empty(ts.shape + (2, 2))
+    cols[..., 0, 0] = p1x
+    cols[..., 1, 0] = p1y
+    cols[..., 0, 1] = p2x
+    cols[..., 1, 1] = p2y
+    return cols @ inv
+
+
+def stacked_relative_frames(chain: ChainParams, assembled, n: int):
+    """Reps, parameter rows (L, n) and frames frame(t0)^{-1} phi(t) (L, n, 2, 2)
+    of every non-degenerate link, from one stacked pass."""
+    links = [(state, rep) for state, rep in zip(assembled.states, assembled.reps)
+             if rep.tau != 0.0]
+    if not links:
+        return (), np.empty((0, n)), np.empty((0, n, 2, 2))
+    inv0 = _inverse(chain.initial.frame.entries())
+    leads = np.array([
+        _compose(inv0, _unit_det(*_link_lead(state.frame.entries(), rep.a, rep.k,
+                                             rep.t0, rep.j)))
+        for state, rep in links
+    ]).reshape(-1, 1, 2, 2)
+    reps = tuple(rep for _, rep in links)
+    ts = _sample_rows(np.array([rep.t0 for rep in reps]),
+                      np.array([t_end(rep) for rep in reps]), n)
+    return reps, ts, leads @ _frame_grids(reps, ts)
+
+
 def _library_sweep_angles(chain: ChainParams, assembled, samples: int) -> np.ndarray:
-    """The sampled sweep from the library's stacked relative-frame pass."""
-    reps, _, frames = relative_frames(chain, assembled, samples)
+    """The sampled sweep from the stacked relative-frame pass."""
+    reps, _, frames = stacked_relative_frames(chain, assembled, samples)
     if not reps:
         return np.zeros(1)
     u0 = np.array([STANDARD[0].x, STANDARD[0].y])
@@ -384,12 +436,87 @@ def test_angle_margin_without_links_is_zero(octagon):
         assert angle_margin_of(ChainParams(octagon.chain.initial, links)) == 0.0
 
 
+def curve_frames(rep: SquareRep, ts: np.ndarray) -> np.ndarray:
+    """Canonical frames [p_j p_{j+2}] (u*_j u*_{j+2})^{-1} from link_curves positions."""
+    p = link_curves(rep, ts)[:, 0]
+    return (np.stack((p[rep.j], p[(rep.j + 2) % 6]), axis=-1)
+            @ np.reshape(_STANDARD_INVERSE[rep.j], (2, 2)))
+
+
+# The verify rows' link-end margins against the sampled rows they replaced.
+
+def _sampled_link_margins(assembled, samples: int):
+    """Least star margin, determinant and hyperbola wedge(v, acc), and the
+    ranks, over ``samples`` parameters per link."""
+    rows = _star_rows(assembled, samples)
+    bends, ranks = [], []
+    for rep in assembled.reps:
+        if rep.tau == 0.0:
+            continue
+        # link_multicurve's samples as one array: curve, order, sample, (x, y)
+        curves = link_curves(rep, np.linspace(rep.t0, t_end(rep), samples))
+        v, acc = curves[[rep.j, (rep.j + 2) % 6, (rep.j + 4) % 6]][:, 1:].transpose(1, 0, 2, 3)
+        bend = v[..., 0] * acc[..., 1] - v[..., 1] * acc[..., 0]
+        bends.append(float(bend[0].min()))
+        ranks.append(int((bend > 0.0).all(axis=1).sum()))
+    return float(rows[:, :2].min()), float(rows[:, 2].min()), min(bends), ranks
+
+
+def test_link_end_margins_match_sampled_rows(octagon):
+    chains = (_five_link_points(np.random.default_rng(31), 400)
+              + _moved_segments(np.random.default_rng(32), 300)
+              + _octagon_variants(np.random.default_rng(33), octagon, 30)
+              + _reduce_segments(np.random.default_rng(34), octagon, 100))
+    links = 0
+    for chain in chains:
+        try:
+            assembled = assemble(chain)
+        except GeometryError:
+            continue
+        reps = [rep for rep in assembled.reps if rep.tau != 0.0]
+        if not reps:
+            continue
+        assert _link_end_margins(reps) == _sampled_link_margins(assembled, 257)
+        links += len(reps)
+    assert links > 1500
+
+
 @pytest.mark.parametrize("count", [1, 2, 9])
 def test_frame_grid_matches_oracle(octagon, count):
     for rep in octagon.assembled.reps:
         ts = np.linspace(rep.t0, t_end(rep), count)
-        assert np.array_equal(frame_grids((rep,), ts[None, :])[0],
-                              _oracle_frame_grid(rep, ts))
+        assert np.array_equal(curve_frames(rep, ts), _oracle_frame_grid(rep, ts))
+        assert np.array_equal(curve_frames(rep, ts), _frame_grids((rep,), ts[None, :])[0])
+
+
+def _stacked_chain_path(chain: ChainParams, per_link: int):
+    """chain_path's grid and frame entries, from the stacked pass."""
+    reps, ts, rel = stacked_relative_frames(chain, assemble(chain), per_link)
+    grid, frames = [], []
+    for pos, (rep, row, mats) in enumerate(zip(reps, ts.tolist(), rel.tolist())):
+        start = 1 if pos > 0 else 0
+        t0, t1 = rep.t0, t_end(rep)
+        grid.extend(pos + (t - t0) / (t1 - t0) for t in row[start:])
+        frames.extend(FrameMatrix(*m[0], *m[1]).entries() for m in mats[start:])
+    return grid, frames
+
+
+def _hex(values) -> list[str]:
+    return [float(v).hex() for v in values]
+
+
+def test_chain_path_matches_stacked_pass(octagon):
+    rng = np.random.default_rng(44)
+    for i in range(24):
+        base = (octagon.chain if i % 2 == 0
+                else split_octagon_period(octagon, float(rng.uniform(0.05, 0.5))))
+        chain = ChainParams(transform_state(random_frame(rng), base.initial), base.links)
+        for per_link in (8, 33, int(rng.integers(34, 301))):
+            path = chain_path(chain, per_link)
+            grid, frames = _stacked_chain_path(chain, per_link)
+            assert _hex(path.grid) == _hex(grid)
+            assert ([_hex(f.entries()) for f in path.frames]
+                    == [_hex(entries) for entries in frames])
 
 
 def test_frame_at_and_link_map_match_oracle(octagon):

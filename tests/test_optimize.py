@@ -20,7 +20,7 @@ from hexameral.optimize import (
     PenaltyWeights,
     SearchSpec,
     decode_five_link,
-    five_link_objective,
+    five_link_problem,
     five_link_search,
     link_reduction_experiment,
     octagon_embedding,
@@ -57,19 +57,20 @@ class TestDecodeFiveLink:
 
 class TestFiveLinkObjective:
     def test_embedding_is_feasible_octagon(self):
-        density, penalty = five_link_objective(octagon_embedding())
+        ev = five_link_problem().evaluate(octagon_embedding())
+        density, penalty = ev.value, ev.penalty
         assert abs(density - OCTAGON_DENSITY) < 1e-12
         assert penalty == 0.0
 
     def test_degenerate_taus_fail_closure(self):
-        density, penalty = five_link_objective([0.0, -0.5, 0.0, 0.0, 0.0,
-                                                0.0, 0.0])
+        ev = five_link_problem().evaluate([0.0, -0.5, 0.0, 0.0, 0.0, 0.0, 0.0])
+        density, penalty = ev.value, ev.penalty
         assert density == 0.0
         assert penalty > 1e5
 
     def test_bad_tangent_gets_flat_penalty(self):
-        density, penalty = five_link_objective([0.9, -0.9, 0.3, 0.3, 0.3,
-                                                0.3, 0.3])
+        ev = five_link_problem().evaluate([0.9, -0.9, 0.3, 0.3, 0.3, 0.3, 0.3])
+        density, penalty = ev.value, ev.penalty
         assert density == 1.0
         assert penalty == 70.0
 
@@ -89,16 +90,20 @@ class TestFiveLinkObjective:
 
         monkeypatch.setattr(chain_module, "propagate", fail_at)
         # one penalty step per link left unassembled, plus one
-        assert five_link_objective(params) == (1.0, penalty)
+        ev = five_link_problem().evaluate(params)
+        assert (ev.value, ev.penalty) == (1.0, penalty)
 
     def test_pure_function(self):
         p = [0.05, -0.6, 0.4, 0.5, 0.3, 0.2, 0.6]
-        assert five_link_objective(p) == five_link_objective(p)
+        first, second = (five_link_problem().evaluate(p) for _ in range(2))
+        assert (first.value, first.penalty) == (second.value, second.penalty)
 
     def test_weights_scale_penalty_only(self):
         p = [0.0, -0.5, 0.3, 0.3, 0.3, 0.3, 0.3]
-        d1, p1 = five_link_objective(p)
-        d2, p2 = five_link_objective(p, PenaltyWeights(2.0e6, 2.0e6, 10.0))
+        ev1 = five_link_problem().evaluate(p)
+        ev2 = five_link_problem(PenaltyWeights(2.0e6, 2.0e6, 10.0)).evaluate(p)
+        d1, p1 = ev1.value, ev1.penalty
+        d2, p2 = ev2.value, ev2.penalty
         assert d1 == d2
         assert abs(p2 - 2.0 * p1) < 1e-6 * max(1.0, p1)
 
