@@ -42,8 +42,10 @@ from .sl2 import (
     FrameMatrix,
     ProjectiveTangent,
     TangentElement,
+    _adjoint_matrix,
     _inverse,
     _product,
+    _sphere_basis,
     frame_distance,
 )
 
@@ -221,6 +223,81 @@ def angle_margin_of(chain: ChainParams, assembled: AssembledChain | None = None)
     return min(min(angles), SIXTH_TURN - max(angles), mono)
 
 
+# Endpoint residuals.  A state moves in five local coordinates, as in
+# hyperlink.propagate_jacobian: its frame F as F exp(xi), xi in sl2, and its
+# unit tangent along the two directions _sphere_basis gives at it.
+
+def _endpoint_residuals(final: LinkState, target: LinkState) -> np.ndarray:
+    """End state minus target: four frame entries, three tangent components."""
+    frame_diff = np.array(final.frame.entries()) - np.array(target.frame.entries())
+    tangent_diff = np.array(final.tangent.components()) - np.array(
+        target.tangent.components()
+    )
+    return np.concatenate([frame_diff, tangent_diff])
+
+
+def _endpoint_jacobian(state: LinkState) -> np.ndarray:
+    """Derivative of a state's seven residual entries in its local coordinates.
+
+    The frame F moves as F exp(xi), so its entries move as F xi; the tangent
+    moves along its sphere basis.
+    """
+    al, be, ga, de = state.frame.entries()
+    (p0, p1, p2), (q0, q1, q2) = _sphere_basis(*state.tangent.components())
+    return np.array(((al, 0.0, be, 0.0, 0.0), (-be, al, 0.0, 0.0, 0.0),
+                     (ga, 0.0, de, 0.0, 0.0), (-de, ga, 0.0, 0.0, 0.0),
+                     (0.0, 0.0, 0.0, p0, q0), (0.0, 0.0, 0.0, p1, q1),
+                     (0.0, 0.0, 0.0, p2, q2)))
+
+
+# The sl2 basis [[1, 0], [0, -1]], [[0, 1], [0, 0]], [[0, 0], [1, 0]].
+_SL2_BASIS = np.array((((1.0, 0.0), (0.0, -1.0)), ((0.0, 1.0), (0.0, 0.0)),
+                       ((0.0, 0.0), (1.0, 0.0))))
+
+
+def _sl2_coordinates(m: np.ndarray) -> np.ndarray:
+    """(a, b, c) of the traceless part [[a, b], [c, -a]] of 2 x 2 matrices (..., 2, 2)."""
+    return np.stack((0.5 * (m[..., 0, 0] - m[..., 1, 1]), m[..., 0, 1], m[..., 1, 0]),
+                    axis=-1)
+
+
+def _endpoint_equations(final: LinkState, target: LinkState):
+    """Five independent endpoint equations, and their derivatives (5, 5) in
+    the end state's and in the target's local coordinates.
+
+    The seven residual entries have rank 5.  Here the frame gives the sl2
+    coordinates of G - I, G = T^{-1} F: F exp(xi) moves G by G xi, and
+    T exp(eta) by -eta G.  The tangent w gives its projections on the
+    target u's sphere basis, (e_k - u_k u) / s and u x e_k / s with
+    s = sqrt(1 - u_k^2), k the axis least aligned with u; the basis turns
+    with u, which adds the terms in u_k / s^2.  The equations also vanish at
+    F = -T, which closure_of does not count as closed.
+    """
+    g = np.array(_product(_inverse(target.frame.entries()),
+                          final.frame.entries())).reshape(2, 2)
+    u = np.array(target.tangent.components())
+    w = np.array(final.tangent.components())
+    basis = np.array(_sphere_basis(*u))
+    k = int(np.argmin(np.abs(u)))  # _sphere_basis's choice, ties included
+    s = math.sqrt(1.0 - u[k] * u[k])
+    # G - I and G have the same sl2 coordinates
+    equations = np.concatenate((_sl2_coordinates(g), basis @ w))
+    axis = np.eye(3)[k]
+    by_u = (np.array((-(u @ w) * axis - u[k] * w, np.cross(axis, w))) / s
+            + np.outer(equations[3:], axis) * (u[k] / (s * s)))
+    d_end, d_target = np.zeros((5, 5)), np.zeros((5, 5))
+    d_end[:3, :3] = _sl2_coordinates(g @ _SL2_BASIS).T
+    d_end[3:, 3:] = basis @ np.array(_sphere_basis(*w)).T
+    d_target[:3, :3] = -_sl2_coordinates(_SL2_BASIS @ g).T
+    d_target[3:, 3:] = by_u @ basis.T
+    return equations, d_end, d_target
+
+
+# A start frame F0 moved to F0 exp(xi) turns its target F0 R into
+# F0 R exp(Ad(R^{-1}) xi), R the rotation by pi/3.
+_TARGET_TURN = np.array(_adjoint_matrix(_inverse(ROT60.entries())))
+
+
 def _merge(tau_a: float, tau_b: float) -> float:
     """Turning fraction of two consecutive links on the same hyperbola."""
     return tau_a + tau_b - tau_a * tau_b
@@ -264,12 +341,16 @@ def link_length(chain: ChainParams, closure_tol: float = FEASIBLE_TOL) -> int:
     The count is invariant under relabeling the starting multi-point, so no
     j0 = 0 normalization is applied before counting.
     """
-    report = closure_report(chain)
+    require_closed(closure_report(chain), closure_tol)
+    return normalized_length(chain)
+
+
+def require_closed(report: ClosureReport, closure_tol: float) -> None:
+    """Raise NotClosed where the report's residual exceeds ``closure_tol``."""
     if report.residual() > closure_tol:
         raise NotClosed(
             f"closure residual {report.residual():.3e} exceeds {closure_tol:.1e}"
         )
-    return normalized_length(chain)
 
 
 def normalized_length(chain: ChainParams) -> int:

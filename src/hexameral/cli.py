@@ -12,7 +12,7 @@ import json
 import sys
 from dataclasses import dataclass
 
-from .chain import FEASIBLE_TOL, ChainParams, chain_to_dict, link_length, load_chain
+from .chain import FEASIBLE_TOL, ChainParams, chain_to_dict, load_chain, normalized_length
 from .domain import export_json, export_svg, from_chain, smoothed_octagon, verify_checks
 from .errors import GeometryError, InfeasibleInput
 from .optimize import (
@@ -78,7 +78,8 @@ def _cmd_density(config: CommandConfig) -> int:
     dom = from_chain(chain, tol=config.closure_tol)
     print(f"area {dom.area!r}")
     print(f"density {dom.density!r}")
-    print(f"link_length {link_length(chain, closure_tol=config.closure_tol)}")
+    # from_chain checked closure at this tolerance
+    print(f"link_length {normalized_length(dom.chain)}")
     print(f"frame_residual {dom.closure.frame_residual!r}")
     print(f"tangent_residual {dom.closure.tangent_residual!r}")
     return 0

@@ -44,8 +44,8 @@ from .chain import (
     assemble,
     chain_to_dict,
     closure_of,
-    link_length,
     normalized_length,
+    require_closed,
 )
 from .errors import GeometryError, LinkLengthViolation, NotClosed
 from .hyperlink import SquareRep, _circle_tangent_at, frame_at, link_curves, link_map, t_end
@@ -274,7 +274,9 @@ def verify_checks(chain: ChainParams,
                    f"margin {report.angle_margin:.3e}"))
 
     try:
-        n = link_length(chain, closure_tol=tol)
+        # the closure row's report, so the chain is not assembled again
+        require_closed(report, tol)
+        n = normalized_length(chain)
         checks.append(("link-length", True, f"{n}, (n-1) = 0 mod 3"))
     except (NotClosed, LinkLengthViolation) as exc:
         checks.append(("link-length", False, str(exc)))

@@ -1,16 +1,16 @@
 """Searches over chain parameters.
 
-Both experiments are one endpoint problem: minimise an area functional over
-link parameters subject to the chain ending in a target state, with the
-endpoint residuals and their exact Jacobian.  The five-link density search
-targets the start state turned by pi/3 (a closed chain) and runs
-Nelder-Mead with quadratic exterior penalties, a least-squares feasibility
-polish and a projected descent, so reported incumbents sit on the
-constraint set rather than inside the penalty dead band.  Link reduction
-refits a six-link segment with five links ending in the segment's own end
-state: per index pattern that is five equations in five turning fractions,
-solved by bounded Newton steps (``least_squares`` on the exact Jacobian)
-from each start; the least area among the strictly closed roots wins.
+Both experiments are one endpoint problem: minimise a multiple of the chain
+area over link parameters in a box, subject to the chain ending in a target
+state.  The five-link density search targets the start state turned by pi/3
+(a closed chain): from each start it snaps onto closure by least squares,
+then runs SLSQP on density with five independent endpoint equations as
+equality constraints, reading value, gradient, equations and Jacobian from
+one chain assembly per point.  Link reduction refits a six-link segment with
+five links ending in the segment's own end state: per index pattern, five
+equations in five turning fractions, solved by bounded Newton steps
+(``least_squares`` on the exact Jacobian); the least area among the strictly
+closed roots wins.
 """
 from __future__ import annotations
 
@@ -22,11 +22,15 @@ import numpy as np
 
 from .chain import (
     ANGLE_TOL,
-    FEASIBLE_TOL,
     STRICT_TOL,
+    AssembledChain,
     ChainParams,
     ClosureReport,
     LinkParam,
+    _endpoint_equations,
+    _endpoint_jacobian,
+    _endpoint_residuals,
+    _TARGET_TURN,
     angle_margin_of,
     assemble,
     assemble_jacobian,
@@ -37,32 +41,18 @@ from .chain import (
 from .domain import SQRT12, smoothed_octagon
 from .errors import GeometryError, InfeasibleInput
 from .hyperlink import LinkState, circle_tangent
-from .sl2 import (
-    IDENTITY,
-    ROT60,
-    ProjectiveTangent,
-    TangentElement,
-    _adjoint_matrix,
-    _inverse,
-    _sphere_basis,
-)
+from .sl2 import IDENTITY, ProjectiveTangent, TangentElement, _sphere_basis
 
 FIVE_LINK_PATTERN = (0, 2, 4, 2, 0)
 TAU_HI = 1.0 - 1e-6
-FAIL_PENALTY_SCALE = 7.0
 FAIL_RESIDUAL = 1.0e3
 IMPROVEMENT_MARGIN = 1e-9
+# Least-squares iterations that snap a start onto the closure constraint.
+SNAP_NFEV = 200
 
-DEFAULT_BOUNDS = (
-    (-0.6, 0.6),
-    (-0.99, -0.01),
-    (0.0, TAU_HI),
-    (0.0, TAU_HI),
-    (0.0, TAU_HI),
-    (0.0, TAU_HI),
-    (0.0, TAU_HI),
-)
 SEGMENT_BOUNDS = ((0.0, TAU_HI),) * 5
+# the start tangent's (a, b), then the five taus
+DEFAULT_BOUNDS = ((-0.6, 0.6), (-0.99, -0.01)) + SEGMENT_BOUNDS
 
 _NO_CLOSURE = ClosureReport(math.inf, math.inf, False, -math.inf)
 
@@ -89,22 +79,8 @@ def __getattr__(name: str):
 
 
 @dataclass(frozen=True)
-class PenaltyWeights:
-    """Positive weights for closure, angle, and assembly-failure penalties."""
-
-    closure: float = 1.0e6
-    angle: float = 1.0e6
-    feasibility: float = 10.0
-
-    def __post_init__(self) -> None:
-        if min(self.closure, self.angle, self.feasibility) <= 0.0:
-            raise InfeasibleInput("penalty weights must be positive")
-
-
-@dataclass(frozen=True)
 class SearchSpec:
     bounds: tuple[tuple[float, float], ...] = DEFAULT_BOUNDS
-    penalty_weights: PenaltyWeights = PenaltyWeights()
     restarts: int = 3
     max_evals: int = 6000
     seed: int = 0
@@ -137,69 +113,35 @@ class SearchResult:
     trace: tuple[tuple[int, float], ...] | None
 
 
-def _hinge(value: float, slack: float) -> float:
-    return max(0.0, value - slack)
-
-
-def _closure_penalty(report: ClosureReport, w: PenaltyWeights) -> float:
-    pen = w.closure * (
-        _hinge(report.frame_residual, FEASIBLE_TOL) ** 2
-        + _hinge(report.tangent_residual, FEASIBLE_TOL) ** 2
-    )
-    pen += w.angle * _hinge(-report.angle_margin, ANGLE_TOL) ** 2
-    return pen
-
-
-def _endpoint_residuals(final: LinkState, target: LinkState) -> np.ndarray:
-    """End state minus target: four frame entries, three tangent components."""
-    frame_diff = np.array(final.frame.entries()) - np.array(target.frame.entries())
-    tangent_diff = np.array(final.tangent.components()) - np.array(
-        target.tangent.components()
-    )
-    return np.concatenate([frame_diff, tangent_diff])
-
-
-def _endpoint_jacobian(state: LinkState) -> np.ndarray:
-    """Derivative of a state's seven residual entries in its local coordinates.
-
-    The frame F moves as F exp(xi), so its entries move as F xi; the tangent
-    moves along its sphere basis.
-    """
-    al, be, ga, de = state.frame.entries()
-    (p0, p1, p2), (q0, q1, q2) = _sphere_basis(*state.tangent.components())
-    return np.array(((al, 0.0, be, 0.0, 0.0), (-be, al, 0.0, 0.0, 0.0),
-                     (ga, 0.0, de, 0.0, 0.0), (-de, ga, 0.0, 0.0, 0.0),
-                     (0.0, 0.0, 0.0, p0, q0), (0.0, 0.0, 0.0, p1, q1),
-                     (0.0, 0.0, 0.0, p2, q2)))
-
-
-# A start frame F0 moved to F0 exp(xi) turns its target F0 R into
-# F0 R exp(Ad(R^{-1}) xi), R the rotation by pi/3.
-_TARGET_TURN = np.array(_adjoint_matrix(_inverse(ROT60.entries())))
-
-
 def _fixed_start(x, chain: ChainParams) -> np.ndarray:
     """Start-state derivative of a decoder whose variables are all taus."""
     return np.zeros((5, len(x) - len(chain.links)))
 
 
 class Evaluation(NamedTuple):
-    """One point of an endpoint problem; ``report`` is None where assembly failed."""
+    """One point of an endpoint problem; ``report`` is None where assembly failed.
+
+    ``EndpointProblem.point`` adds the value's gradient and the five endpoint
+    equations with their Jacobian, zero-slope where assembly failed.
+    """
 
     value: float
-    penalty: float
     residuals: np.ndarray
     report: ClosureReport | None
     chain: ChainParams | None
+    gradient: np.ndarray | None = None
+    equations: np.ndarray | None = None
+    equation_jacobian: np.ndarray | None = None
 
     def feasible(self) -> bool:
-        """Strict closure, not merely a vanishing penalty.
-
-        The penalty's dead band (residuals up to the feasibility tolerance)
-        admits chains that miss their target by enough to shift the value
-        at the same order, and those must not be reported as optima.
-        """
+        """Strict closure with the angle condition met."""
         return self.report is not None and self.report.closed(STRICT_TOL)
+
+    def violation(self) -> float:
+        """The worse of the closure residual and the angle deficit."""
+        if self.report is None:
+            return math.inf
+        return max(self.report.residual(), -self.report.angle_margin)
 
 
 @dataclass(frozen=True)
@@ -209,7 +151,8 @@ class EndpointProblem:
     ``decode`` maps search variables to a chain whose link taus are the
     last variables; ``start_jacobian(x, chain)`` is the derivative (5, m) of
     the decoded start state in the m variables before them, in
-    ``propagate_jacobian``'s coordinates.  A ``target`` of None means the
+    ``propagate_jacobian``'s coordinates.  ``value`` is linear, so it also
+    maps the area gradient to the value's.  A ``target`` of None means the
     chain's own start state turned by pi/3.  ``fail_value`` stands in for
     the value where no chain can be assembled.
     """
@@ -217,7 +160,6 @@ class EndpointProblem:
     decode: Callable[[np.ndarray], ChainParams]
     value: Callable[[float], float]
     fail_value: float
-    weights: PenaltyWeights
     bounds: tuple[tuple[float, float], ...]
     target: LinkState | None = None
     start_jacobian: Callable[[np.ndarray, ChainParams], np.ndarray] = _fixed_start
@@ -227,7 +169,7 @@ class EndpointProblem:
                 np.array([b[1] for b in self.bounds]))
 
     def residuals(self, x) -> np.ndarray:
-        """Endpoint equations as a residual vector for the feasibility polish."""
+        """Endpoint equations as a residual vector of seven entries."""
         try:
             chain = self.decode(x)
             final = assemble(chain).final
@@ -235,164 +177,130 @@ class EndpointProblem:
             return np.full(7, FAIL_RESIDUAL)
         return _endpoint_residuals(final, end_target(chain, self.target))
 
+    def _derivatives(self, x, chain: ChainParams):
+        """The chain assembled, with the derivative (6, n) of its final state
+        and area, and the target's (5, n), None where the target is fixed."""
+        head = self.start_jacobian(x, chain)
+        assembled, d_state = assemble_jacobian(chain, head)
+        d_target = None
+        if self.target is None:
+            # the target, the start turned by pi/3, moves with the start
+            d_target = np.zeros((5, len(x)))
+            d_target[:, :head.shape[1]] = np.vstack((_TARGET_TURN @ head[:3], head[3:]))
+        return assembled, d_state, d_target
+
     def jacobian(self, x) -> np.ndarray:
         """The exact 7 x n Jacobian of ``residuals``; zero where no chain assembles."""
         try:
             chain = self.decode(x)
-            head = self.start_jacobian(x, chain)
-            assembled, d_state = assemble_jacobian(chain, head)
+            assembled, d_state, d_target = self._derivatives(x, chain)
         except GeometryError:
             return np.zeros((7, len(x)))
         jac = _endpoint_jacobian(assembled.final) @ d_state[:5]
-        if self.target is None:
-            # the target, the start turned by pi/3, moves with the start
-            d_target = head.copy()
-            d_target[:3] = _TARGET_TURN @ head[:3]
-            jac[:, :head.shape[1]] -= _endpoint_jacobian(end_target(chain)) @ d_target
+        if d_target is not None:
+            jac -= _endpoint_jacobian(end_target(chain)) @ d_target
         return jac
 
-    def evaluate(self, x) -> Evaluation:
-        """Value plus quadratic penalty; zero penalty exactly on feasible chains.
+    def _evaluation(self, chain: ChainParams, assembled: AssembledChain,
+                    *derivatives) -> Evaluation:
+        target = end_target(chain, self.target)
+        return Evaluation(self.value(assembled.area()),
+                          _endpoint_residuals(assembled.final, target),
+                          closure_of(chain, assembled, target=target), chain, *derivatives)
 
-        A chain that fails to assemble at link i is charged on a slope that
-        falls as i grows, so the search can climb out of the failure plateau.
-        """
-        w = self.weights
+    def evaluate(self, x) -> Evaluation:
+        """Value, residuals and closure report of the chain at x."""
+        chain = None
         try:
             chain = self.decode(x)
+            return self._evaluation(chain, assemble(chain))
         except GeometryError:
-            return Evaluation(self.fail_value, w.feasibility * FAIL_PENALTY_SCALE,
-                              np.full(7, FAIL_RESIDUAL), None, None)
+            return Evaluation(self.fail_value, np.full(7, FAIL_RESIDUAL), None, chain)
+
+    def point(self, x) -> Evaluation:
+        """``evaluate`` with the derivatives SLSQP needs, from one assembly."""
+        chain = None
         try:
-            assembled = assemble(chain)
-        except GeometryError as exc:
-            slope = 1.0 + len(chain.links) - exc.link_index
-            return Evaluation(self.fail_value, w.feasibility * slope,
-                              np.full(7, FAIL_RESIDUAL), None, chain)
+            chain = self.decode(x)
+            assembled, d_state, d_target = self._derivatives(x, chain)
+        except GeometryError:
+            n = len(x)
+            return Evaluation(self.fail_value, np.full(7, FAIL_RESIDUAL), None, chain,
+                              np.zeros(n), np.full(5, FAIL_RESIDUAL), np.zeros((5, n)))
         target = end_target(chain, self.target)
-        report = closure_of(chain, assembled, target=target)
-        return Evaluation(self.value(assembled.area()), _closure_penalty(report, w),
-                          _endpoint_residuals(assembled.final, target), report, chain)
+        equations, d_end, d_moved = _endpoint_equations(assembled.final, target)
+        jac = d_end @ d_state[:5]
+        if d_target is not None:
+            jac += d_moved @ d_target
+        return self._evaluation(chain, assembled, self.value(d_state[5]), equations, jac)
 
 
 def _rank(ev: Evaluation) -> tuple[int, float]:
-    """Incumbent order: feasible points by value, then the rest by value + penalty."""
-    return (0, ev.value) if ev.feasible() else (1, ev.value + ev.penalty)
+    """Incumbent order: feasible points by value, then the rest by violation."""
+    return (0, ev.value) if ev.feasible() else (1, ev.violation())
+
+
+class _Exhausted(Exception):
+    """The evaluation budget of the current start is spent."""
 
 
 class _Search:
-    """Evaluation count and incumbent shared by every stage of one search.
+    """Evaluation count, budget and incumbent shared by every stage of one search.
 
-    Every chain assembly counts as an evaluation: ``measure``, and the
-    residual and Jacobian callables handed to the solvers through ``counted``.
+    Every chain assembly counts as an evaluation: ``offer``, the residual
+    and Jacobian callables handed to the solvers through ``counted``, and
+    each new point of ``point``.  One past ``limit`` raises _Exhausted.
     """
 
     def __init__(self, trace_on: bool) -> None:
         self.evals = 0
+        self.limit = math.inf
         self.x: np.ndarray | None = None
         self.best: Evaluation | None = None
         self.trace: list[tuple[int, float]] | None = [] if trace_on else None
-
-    def measure(self, problem: EndpointProblem, x) -> Evaluation:
-        self.evals += 1
-        return problem.evaluate(x)
-
-    def objective(self, problem: EndpointProblem) -> Callable[[np.ndarray], float]:
-        def penalized(x) -> float:
-            ev = self.measure(problem, x)
-            return ev.value + ev.penalty
-        return penalized
+        self._last: tuple[np.ndarray, Evaluation] | None = None
 
     def counted(self, fn: Callable[[np.ndarray], np.ndarray]
                 ) -> Callable[[np.ndarray], np.ndarray]:
         """``fn`` with every call counted as an evaluation."""
         def call(x) -> np.ndarray:
+            if self.evals >= self.limit:
+                raise _Exhausted
             self.evals += 1
             return fn(x)
         return call
 
-    def offer(self, problem: EndpointProblem, x) -> None:
-        ev = self.measure(problem, x)
+    def _consider(self, x, ev: Evaluation) -> Evaluation:
         if self.best is None or _rank(ev) < _rank(self.best):
             self.x = np.array(x, dtype=float)
             self.best = ev
             if self.trace is not None and ev.feasible():
                 self.trace.append((self.evals, ev.value))
+        return ev
+
+    def offer(self, problem: EndpointProblem, x) -> None:
+        self._consider(x, self.counted(problem.evaluate)(x))
+
+    def point(self, problem: EndpointProblem, x) -> Evaluation:
+        """``problem.point`` at x clipped to the box, offered to the incumbent.
+
+        The latest point is kept, so SLSQP's value, gradient, equation and
+        Jacobian callbacks at one x cost one assembly.
+        """
+        x = np.clip(x, *problem.box())
+        if self._last is None or not np.array_equal(x, self._last[0]):
+            self._last = (x, self._consider(x, self.counted(problem.point)(x)))
+        return self._last[1]
 
 
-def _snap(run: _Search, problem: EndpointProblem, x, max_nfev: int,
-          jac="2-point") -> np.ndarray:
-    """Least-squares projection onto the endpoint constraint, inside the box."""
+def _snap(run: _Search, problem: EndpointProblem, x, max_nfev: int) -> np.ndarray:
+    """Least-squares projection onto the endpoint constraint, inside the box:
+    bounded Newton steps on the exact Jacobian."""
     _load_solvers()
     lo, hi = problem.box()
-    return least_squares(run.counted(problem.residuals), np.clip(x, lo, hi), jac=jac,
-                         bounds=(lo, hi), max_nfev=max_nfev).x
-
-
-def _refine(run: _Search, problem: EndpointProblem, x0, maxfev: int,
-            xatol: float, polish_nfev: int) -> np.ndarray:
-    """Nelder-Mead on the penalized value, then the polish; both are offered."""
-    _load_solvers()
-    res = minimize(
-        run.objective(problem), x0, method="Nelder-Mead", bounds=problem.bounds,
-        options={"maxfev": maxfev, "xatol": xatol, "fatol": 1e-12,
-                 "adaptive": True},
-    )
-    lo, hi = problem.box()
-    run.offer(problem, np.clip(res.x, lo, hi))
-    polished = _snap(run, problem, res.x, polish_nfev)
-    run.offer(problem, polished)
-    return polished
-
-
-def _manifold_descent(run: _Search, problem: EndpointProblem, x0,
-                      polish_nfev: int, iters=25, fd_step=1e-7) -> np.ndarray:
-    """Projected-gradient descent of the value along the endpoint manifold.
-
-    Nelder-Mead stalls once the simplex straddles the constraint set, so the
-    final approach re-snaps feasibility after every step and moves only in
-    the numerical null space of the endpoint Jacobian.  Steps are accepted
-    only when the snapped point stays feasible and lowers the value, which
-    also keeps reported values on the honest side of the dead band.
-    """
-    _, hi = problem.box()
-    x = _snap(run, problem, np.asarray(x0, dtype=float), polish_nfev)
-    residuals = run.counted(problem.residuals)
-    here = run.measure(problem, x)
-    if not here.feasible():
-        return x
-    value = here.value
-    n = len(x)
-    for _ in range(iters):
-        base = residuals(x)
-        jac = np.empty((len(base), n))
-        grad = np.empty(n)
-        for k in range(n):
-            sign = 1.0 if x[k] + fd_step <= hi[k] else -1.0
-            step = np.zeros(n)
-            step[k] = sign * fd_step
-            jac[:, k] = (residuals(x + step) - base) / (sign * fd_step)
-            grad[k] = (run.measure(problem, x + step).value - value) / (sign * fd_step)
-        _, sing, vt = np.linalg.svd(jac)
-        null = vt[sing < 1e-4 * sing[0]] if sing[0] > 0.0 else vt
-        if len(null) == 0:
-            null = vt[-2:]
-        direction = null.T @ (null @ grad)
-        norm = np.linalg.norm(direction)
-        if norm < 1e-14:
-            break
-        direction /= norm
-        scale = 1e-2
-        while scale > 1e-12:
-            cand = _snap(run, problem, x - scale * direction, polish_nfev)
-            ev = run.measure(problem, cand)
-            if ev.feasible() and ev.value < value:
-                x, value = cand, ev.value
-                break
-            scale /= 4.0
-        else:
-            break
-    return x
+    return least_squares(run.counted(problem.residuals), np.clip(x, lo, hi),
+                         jac=run.counted(problem.jacobian), bounds=(lo, hi),
+                         max_nfev=max_nfev).x
 
 
 def decode_five_link(params) -> ChainParams:
@@ -411,9 +319,7 @@ def decode_five_link(params) -> ChainParams:
         raise InfeasibleInput("tangent components leave the unit disk")
     x = TangentElement(a, b, math.sqrt(1.0 - r2))
     initial = LinkState(IDENTITY, ProjectiveTangent.from_tangent(x))
-    links = tuple(
-        LinkParam(float(t), j) for t, j in zip(p[2:], FIVE_LINK_PATTERN)
-    )
+    links = tuple(LinkParam(float(t), j) for t, j in zip(p[2:], FIVE_LINK_PATTERN))
     return ChainParams(initial, links)
 
 
@@ -427,15 +333,14 @@ def _five_link_start(params, chain: ChainParams) -> np.ndarray:
                      (p0 - p2 * a / c, p1 - p2 * b / c), (q0 - q2 * a / c, q1 - q2 * b / c)))
 
 
-def _density(chain_area: float) -> float:
+def _density(chain_area):
     """Packing density of the domain: twice the chain area over sqrt(12)."""
     return 2.0 * chain_area / SQRT12
 
 
-def five_link_problem(weights: PenaltyWeights = PenaltyWeights(),
-                      bounds=DEFAULT_BOUNDS) -> EndpointProblem:
+def five_link_problem(bounds=DEFAULT_BOUNDS) -> EndpointProblem:
     """Closed five-link chains with density as the value."""
-    return EndpointProblem(decode_five_link, _density, 1.0, weights, bounds,
+    return EndpointProblem(decode_five_link, _density, 1.0, bounds,
                            start_jacobian=_five_link_start)
 
 
@@ -449,43 +354,46 @@ def octagon_embedding() -> np.ndarray:
 
 
 def five_link_search(spec: SearchSpec) -> SearchResult:
-    """Multi-start penalized Nelder-Mead with a least-squares polish."""
+    """Multi-start constrained descent: per start, a least-squares snap onto
+    closure, then SLSQP on density with closure as equality constraints.
+    The start and every point SLSQP evaluates are offered to the incumbent.
+
+    Each start may assemble ``max_evals // restarts`` chains, the first at
+    least one, so ``eval_count`` never exceeds a positive ``max_evals``.
+    """
+    _load_solvers()
     rng = np.random.default_rng(spec.seed)
-    problem = five_link_problem(spec.penalty_weights, spec.bounds)
+    problem = five_link_problem(spec.bounds)
     lo, hi = problem.box()
     run = _Search(spec.trace)
 
-    starts = []
-    if spec.start is not None:
-        starts.append(np.asarray(spec.start, dtype=float))
+    starts = [] if spec.start is None else [np.asarray(spec.start, dtype=float)]
     while len(starts) < spec.restarts:
         starts.append(lo + (hi - lo) * rng.uniform(size=len(lo)))
 
-    if spec.max_evals == 0:
-        run.offer(problem, starts[0])
-    else:
-        budget = max(50, spec.max_evals // len(starts))
-        objective = run.objective(problem)
-        for p0 in starts:
+    def at(x) -> Evaluation:
+        return run.point(problem, x)
+
+    per_start = spec.max_evals // len(starts)
+    for i, p0 in enumerate(starts):
+        run.limit = run.evals + max(per_start, 1 if i == 0 else 0)
+        try:
             run.offer(problem, p0)
-            # pull the start onto the closure manifold first: cold starts
-            # otherwise leave Nelder-Mead on the assembly-failure plateau
-            snapped = _snap(run, problem, p0, 200)
-            run.offer(problem, snapped)
-            if objective(snapped) < objective(p0):
-                p0 = snapped
-            polished = _refine(run, problem, p0, budget, 1e-9, 200)
-            run.offer(problem, _manifold_descent(run, problem, polished, 200))
+            # SLSQP stops once density changes by under ftol; its iteration
+            # cap never binds, the start's evaluation budget does
+            minimize(lambda x: at(x).value, _snap(run, problem, p0, SNAP_NFEV),
+                     jac=lambda x: at(x).gradient, method="SLSQP", bounds=spec.bounds,
+                     constraints={"type": "eq", "fun": lambda x: at(x).equations,
+                                  "jac": lambda x: at(x).equation_jacobian},
+                     options={"maxiter": 10**6, "ftol": 1e-14})
+        except _Exhausted:
+            pass
 
     best = run.best
     return SearchResult(
-        tuple(float(v) for v in run.x),
-        best.value,
-        best.report if best.report is not None else _NO_CLOSURE,
-        best.feasible(),
-        run.evals,
-        tuple(run.trace) if run.trace is not None else None,
-    )
+        tuple(float(v) for v in run.x), best.value,
+        best.report if best.report is not None else _NO_CLOSURE, best.feasible(),
+        run.evals, tuple(run.trace) if run.trace is not None else None)
 
 
 def _consecutive_distinct_patterns() -> list[tuple[int, ...]]:
@@ -525,8 +433,7 @@ def link_reduction_experiment(six_link: ChainParams,
     margin = angle_margin_of(six_link, assembled)
     if margin < -ANGLE_TOL:
         raise InfeasibleInput(
-            f"six-link segment violates the angle condition by {-margin:.3e}"
-        )
+            f"six-link segment violates the angle condition by {-margin:.3e}")
 
     six_area = assembled.area()
     rng = np.random.default_rng(spec.seed)
@@ -535,8 +442,7 @@ def link_reduction_experiment(six_link: ChainParams,
     def segment_problem(pattern: tuple[int, ...]) -> EndpointProblem:
         def decode(taus) -> ChainParams:
             return ChainParams(six_link.initial, tuple(zip(taus, pattern)))
-        return EndpointProblem(decode, lambda area: area, 0.0,
-                               spec.penalty_weights, SEGMENT_BOUNDS,
+        return EndpointProblem(decode, lambda area: area, 0.0, SEGMENT_BOUNDS,
                                assembled.final)
 
     patterns = _consecutive_distinct_patterns()
@@ -561,8 +467,7 @@ def link_reduction_experiment(six_link: ChainParams,
         for t0 in starts:
             run.offer(problem, t0)
             # five equations in five taus: bounded Newton on the exact Jacobian
-            run.offer(problem, _snap(run, problem, t0, per_pattern,
-                                     jac=run.counted(problem.jacobian)))
+            run.offer(problem, _snap(run, problem, t0, per_pattern))
 
     best = run.best
     feasible = best.feasible()
@@ -577,7 +482,6 @@ def spec_to_dict(spec: SearchSpec) -> dict:
     return {
         "variable_count": len(spec.bounds),
         "bounds": [list(b) for b in spec.bounds],
-        "penalty_weights": asdict(spec.penalty_weights),
         "restarts": spec.restarts,
         "max_evals": spec.max_evals,
         "seed": spec.seed,

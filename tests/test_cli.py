@@ -58,6 +58,22 @@ class TestDensityCommand:
         assert float(values["frame_residual"]) < 1e-9
         assert float(values["tangent_residual"]) < 1e-9
 
+    def test_assembles_once(self, octagon_file, monkeypatch, capsys):
+        import hexameral.chain as chain_module
+        import hexameral.domain as domain_module
+        real = chain_module.assemble
+        calls = []
+
+        def counted(chain):
+            calls.append(chain)
+            return real(chain)
+
+        monkeypatch.setattr(chain_module, "assemble", counted)
+        monkeypatch.setattr(domain_module, "assemble", counted)
+        assert main(["density", octagon_file]) == 0
+        assert "link_length 4" in capsys.readouterr().out
+        assert len(calls) == 1
+
     def test_open_chain_fails(self, octagon_file, tmp_path, capsys):
         doc = json.loads(open(octagon_file).read())
         doc["links"] = doc["links"][:2]

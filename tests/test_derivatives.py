@@ -2,8 +2,9 @@
 
 Two oracles, neither of which shares code with the derivative path:
 
-* Richardson-extrapolated difference quotients of ``propagate`` and of
-  ``EndpointProblem.residuals`` on the seeded chains of
+* Richardson-extrapolated difference quotients of ``propagate``, of
+  ``EndpointProblem.residuals`` and of the five equations and the value
+  ``EndpointProblem.point`` reads, on the seeded chains of
   ``test_kernel_identity``, for both decoders;
 * an exact oracle from sympy: the derivatives in a and t of the canonical
   frame (``_square_frame``, built on ``_square_points``), of
@@ -37,7 +38,6 @@ from hexameral.optimize import (
     FAIL_RESIDUAL,
     TAU_HI,
     EndpointProblem,
-    PenaltyWeights,
     five_link_problem,
     octagon_embedding,
 )
@@ -188,7 +188,7 @@ def _segment_problem(chain: ChainParams, target: LinkState) -> EndpointProblem:
 
     def decode(taus) -> ChainParams:
         return ChainParams(chain.initial, tuple(zip(taus, pattern)))
-    return EndpointProblem(decode, lambda area: area, 0.0, PenaltyWeights(),
+    return EndpointProblem(decode, lambda area: area, 0.0,
                            ((0.0, TAU_HI),) * len(pattern), target)
 
 
@@ -214,7 +214,29 @@ def _problem_cases():
     yield "five", five, octagon_embedding()
 
 
-def _problem_oracle(problem: EndpointProblem, x: np.ndarray):
+def _residual_rows(problem: EndpointProblem):
+    def read(x):
+        r = problem.residuals(x)
+        if np.all(r == FAIL_RESIDUAL):
+            raise GeometryError("left the domain")
+        return r
+    return read
+
+
+def _equation_rows(problem: EndpointProblem):
+    """The five endpoint equations over the value, as ``point`` reads them."""
+    def read(x):
+        point = problem.point(x)
+        if point.report is None:
+            raise GeometryError("left the domain")
+        return np.append(point.equations, point.value)
+    return read
+
+
+def _problem_oracle(problem: EndpointProblem, x: np.ndarray, read=None):
+    """Richardson columns of ``read`` (the seven residuals by default), or
+    None where a step leaves the kernel's domain."""
+    read = read or _residual_rows(problem)
     lo, hi = problem.box()
     columns = []
     for c in range(len(x)):
@@ -223,10 +245,7 @@ def _problem_oracle(problem: EndpointProblem, x: np.ndarray):
             continue
 
         def f(h):
-            r = problem.residuals(x + h * step)
-            if np.all(r == FAIL_RESIDUAL):
-                raise GeometryError("left the domain")
-            return r
+            return read(x + h * step)
         try:
             columns.append((c, *_richardson(f, H, one_sided=x[c] - H < lo[c])))
         except GeometryError:
@@ -244,6 +263,21 @@ def test_endpoint_jacobian_matches_richardson():
                                    assemble(problem.decode(x)).reps)
         checked[kind] += 1
     assert checked["five"] >= 30 and checked["segment"] >= 30, checked
+
+
+def test_equation_jacobian_and_gradient_match_richardson():
+    checked = {"five": 0, "segment": 0}
+    for kind, problem, x in _problem_cases():
+        if checked[kind] >= 40:
+            continue
+        columns = _problem_oracle(problem, x, _equation_rows(problem))
+        if columns is None:
+            continue
+        point = problem.point(x)
+        _assert_matches_richardson(np.vstack((point.equation_jacobian, point.gradient)),
+                                   columns, assemble(problem.decode(x)).reps)
+        checked[kind] += 1
+    assert checked == {"five": 40, "segment": 40}, checked
 
 
 def test_jacobian_fails_like_propagate():

@@ -203,6 +203,23 @@ class TestVerifyChecks:
         assert not rows["angle-condition"][0]
         assert rows["link-length"][0]
 
+    def test_octagon_assembles_once(self, octagon, monkeypatch):
+        # the link-length row reads the closure report the closure row made
+        import hexameral.chain as chain_module
+        import hexameral.domain as domain_module
+        real = chain_module.assemble
+        calls = []
+
+        def counted(chain):
+            calls.append(chain)
+            return real(chain)
+
+        monkeypatch.setattr(chain_module, "assemble", counted)
+        monkeypatch.setattr(domain_module, "assemble", counted)
+        checks = verify_checks(octagon.chain)
+        assert all(ok for _, ok, _ in checks)
+        assert len(calls) == 1
+
     def test_assembly_failure_ends_the_list(self):
         from hexameral.hyperlink import LinkState
         from hexameral.sl2 import FrameMatrix, ProjectiveTangent, TangentElement

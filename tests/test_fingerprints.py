@@ -27,8 +27,8 @@ def test_probe_search_fingerprint():
     start = np.clip(octagon_embedding() + 1e-3 * step / np.linalg.norm(step), lo, hi)
     result = five_link_search(SearchSpec(start=tuple(float(v) for v in start),
                                          restarts=1, max_evals=2000, seed=0))
-    assert result.eval_count == 2700
-    assert repr(result.best_density) == "0.9024141829986706"
+    assert result.eval_count == 24
+    assert repr(result.best_density) == "0.9024141829971575"
     assert result.feasible
 
 

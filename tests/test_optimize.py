@@ -16,8 +16,8 @@ from hexameral.chain import (
 from hexameral.domain import OCTAGON_DENSITY
 from hexameral.errors import GeometryError, InfeasibleInput
 from hexameral.optimize import (
+    DEFAULT_BOUNDS,
     FIVE_LINK_PATTERN,
-    PenaltyWeights,
     SearchSpec,
     decode_five_link,
     five_link_problem,
@@ -58,54 +58,67 @@ class TestDecodeFiveLink:
 class TestFiveLinkObjective:
     def test_embedding_is_feasible_octagon(self):
         ev = five_link_problem().evaluate(octagon_embedding())
-        density, penalty = ev.value, ev.penalty
-        assert abs(density - OCTAGON_DENSITY) < 1e-12
-        assert penalty == 0.0
+        assert abs(ev.value - OCTAGON_DENSITY) < 1e-12
+        assert ev.feasible()
+        assert ev.violation() < 1e-12
 
     def test_degenerate_taus_fail_closure(self):
         ev = five_link_problem().evaluate([0.0, -0.5, 0.0, 0.0, 0.0, 0.0, 0.0])
-        density, penalty = ev.value, ev.penalty
-        assert density == 0.0
-        assert penalty > 1e5
+        assert ev.value == 0.0
+        assert not ev.feasible()
+        assert ev.violation() > 0.1
 
-    def test_bad_tangent_gets_flat_penalty(self):
+    def test_failed_assembly_is_infinitely_far(self):
         ev = five_link_problem().evaluate([0.9, -0.9, 0.3, 0.3, 0.3, 0.3, 0.3])
-        density, penalty = ev.value, ev.penalty
-        assert density == 1.0
-        assert penalty == 70.0
-
-    @pytest.mark.parametrize("link,penalty", [(0, 60.0), (3, 30.0)])
-    def test_assembly_failure_slope(self, monkeypatch, link, penalty):
-        import hexameral.chain as chain_module
-        from hexameral.errors import NotRankOneCompatible
-        real = chain_module.propagate
-        params = octagon_embedding()
-        calls = []
-
-        def fail_at(state, tau, j):
-            calls.append(j)
-            if len(calls) == link + 1:
-                raise NotRankOneCompatible("forced")
-            return real(state, tau, j)
-
-        monkeypatch.setattr(chain_module, "propagate", fail_at)
-        # one penalty step per link left unassembled, plus one
-        ev = five_link_problem().evaluate(params)
-        assert (ev.value, ev.penalty) == (1.0, penalty)
+        assert (ev.value, ev.report, ev.violation()) == (1.0, None, math.inf)
+        point = five_link_problem().point([0.9, -0.9, 0.3, 0.3, 0.3, 0.3, 0.3])
+        assert point.value == 1.0
+        assert np.all(point.gradient == 0.0)
+        assert np.all(point.equation_jacobian == 0.0)
 
     def test_pure_function(self):
         p = [0.05, -0.6, 0.4, 0.5, 0.3, 0.2, 0.6]
         first, second = (five_link_problem().evaluate(p) for _ in range(2))
-        assert (first.value, first.penalty) == (second.value, second.penalty)
+        assert (first.value, first.violation()) == (second.value, second.violation())
 
-    def test_weights_scale_penalty_only(self):
-        p = [0.0, -0.5, 0.3, 0.3, 0.3, 0.3, 0.3]
-        ev1 = five_link_problem().evaluate(p)
-        ev2 = five_link_problem(PenaltyWeights(2.0e6, 2.0e6, 10.0)).evaluate(p)
-        d1, p1 = ev1.value, ev1.penalty
-        d2, p2 = ev2.value, ev2.penalty
-        assert d1 == d2
-        assert abs(p2 - 2.0 * p1) < 1e-6 * max(1.0, p1)
+    def test_point_extends_evaluate(self):
+        p = [0.05, -0.6, 0.4, 0.5, 0.3, 0.2, 0.6]
+        problem = five_link_problem()
+        ev, point = problem.evaluate(p), problem.point(p)
+        assert point.value == ev.value
+        assert point.report == ev.report
+        assert np.array_equal(point.residuals, ev.residuals)
+        assert ev.gradient is None and point.gradient.shape == (7,)
+
+
+class TestEndpointEquations:
+    """The five equations SLSQP holds at zero, at the octagon embedding."""
+
+    def test_rank_five(self):
+        point = five_link_problem().point(octagon_embedding())
+        assert np.abs(point.equations).max() < 1e-14
+        sing = np.linalg.svd(point.equation_jacobian, compute_uv=False)
+        assert sing.shape == (5,)
+        assert sing[-1] > 0.5
+
+    def test_jacobian_matches_differences(self):
+        # central differences, one-sided in the fourth tau, which sits on its
+        # lower bound 0
+        problem = five_link_problem()
+        x = octagon_embedding()
+        point = problem.point(x)
+        h = 1e-5
+        for c in range(7):
+            e = np.eye(7)[c]
+            read = [np.append(p.equations, p.value)
+                    for p in (problem.point(x + k * h * e) for k in (-1, 1, 2))]
+            if x[c] == 0.0:
+                here = np.append(point.equations, point.value)
+                diff = (4.0 * read[1] - read[2] - 3.0 * here) / (2.0 * h)
+            else:
+                diff = (read[1] - read[0]) / (2.0 * h)
+            exact = np.append(point.equation_jacobian[:, c], point.gradient[c])
+            assert np.abs(diff - exact).max() < 1e-7, (c, diff - exact)
 
 
 class TestSpecValidation:
@@ -125,10 +138,6 @@ class TestSpecValidation:
     def test_start_dimension(self):
         with pytest.raises(InfeasibleInput):
             SearchSpec(start=(0.0, -0.5, 0.3))
-
-    def test_penalty_weights_positive(self):
-        with pytest.raises(InfeasibleInput):
-            PenaltyWeights(closure=0.0)
 
 
 class TestFiveLinkSearch:
@@ -172,6 +181,46 @@ class TestFiveLinkSearch:
         start = tuple(float(v) for v in octagon_embedding())
         result = five_link_search(SearchSpec(start=start, max_evals=0))
         assert result.trace is None
+
+    @pytest.mark.parametrize("max_evals", [1, 2, 5, 13, 40, 150])
+    def test_max_evals_caps_evaluations(self, max_evals):
+        for seed in (0, 1):
+            spec = SearchSpec(restarts=3, max_evals=max_evals, seed=seed)
+            assert 1 <= five_link_search(spec).eval_count <= max_evals
+        start = tuple(float(v) for v in octagon_embedding() + 1e-3)
+        result = five_link_search(SearchSpec(start=start, restarts=1, max_evals=max_evals))
+        assert 1 <= result.eval_count <= max_evals
+
+    def test_cold_seed_reaches_octagon(self):
+        result = five_link_search(SearchSpec(restarts=3, max_evals=6000, seed=1))
+        assert result.feasible
+        assert result.eval_count <= 6000
+        assert abs(result.best_density - OCTAGON_DENSITY) <= 1e-12
+
+    def test_criterion_13_starts_reach_octagon(self):
+        # the twenty starts of acceptance criterion 13, drawn the same way
+        emb = octagon_embedding()
+        lo = np.array([b[0] for b in DEFAULT_BOUNDS])
+        hi = np.array([b[1] for b in DEFAULT_BOUNDS])
+        rng = np.random.default_rng(0)
+        for i in range(20):
+            d = rng.standard_normal(7)
+            d *= 1e-3 / np.linalg.norm(d)
+            start = np.clip(emb + d, lo, hi)
+            result = five_link_search(SearchSpec(start=tuple(float(v) for v in start),
+                                                 restarts=1, max_evals=2000, seed=i))
+            assert result.feasible
+            assert abs(result.best_density - OCTAGON_DENSITY) <= 1e-13, i
+
+    def test_infeasible_points_rank_by_violation(self):
+        from hexameral.optimize import _rank
+        problem = five_link_problem()
+        near = problem.evaluate(octagon_embedding() + 1e-4)
+        far = problem.evaluate([0.0, -0.5, 0.3, 0.3, 0.3, 0.3, 0.3])
+        failed = problem.evaluate([0.9, -0.9, 0.3, 0.3, 0.3, 0.3, 0.3])
+        assert not (near.feasible() or far.feasible())
+        assert near.violation() < far.violation() < failed.violation()
+        assert _rank(near) < _rank(far) < _rank(failed)
 
     def test_feasible_means_closed(self):
         spec = SearchSpec(restarts=2, max_evals=1200, seed=1)
@@ -251,8 +300,8 @@ def test_feasible_refits_reassemble_to_the_target(octagon):
 class TestSerialization:
     def test_spec_dict_keys(self):
         doc = spec_to_dict(SearchSpec())
-        assert set(doc) == {"variable_count", "bounds", "penalty_weights",
-                            "restarts", "max_evals", "seed", "start"}
+        assert set(doc) == {"variable_count", "bounds", "restarts", "max_evals",
+                            "seed", "start"}
         assert doc["start"] is None
         assert len(doc["bounds"]) == 7
 
