@@ -48,7 +48,15 @@ from .chain import (
     require_closed,
 )
 from .errors import GeometryError, LinkLengthViolation, NotClosed
-from .hyperlink import SquareRep, _circle_tangent_at, frame_at, link_curves, link_map, t_end
+from .hyperlink import (
+    SquareRep,
+    _circle_tangent_at,
+    _sample_count,
+    frame_at,
+    link_curves,
+    link_map,
+    t_end,
+)
 from .multicurve import STANDARD, CurveSample, MultiPoint
 from .sl2 import SQRT3, PlaneVector, wedge
 
@@ -73,36 +81,36 @@ CIRCLE_DENSITY = math.pi / SQRT12
 LINK_CHECKS = ("star-conditions", "tangent-determinant", "convexity", "rank-per-link")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BoundaryPolyline:
-    """Sampled boundary: consecutive points distinct, positively oriented."""
+    """Sampled boundary: an (n, 2) array of finite points, consecutive points
+    distinct, positively oriented when closed.  The points are read-only."""
 
-    points: tuple[PlaneVector, ...]
+    points: np.ndarray
     closed: bool
 
     def __post_init__(self) -> None:
-        pts = self.points
-        if len(pts) < 3:
-            raise NotClosed("polyline needs at least three points")
-        pairs = zip(pts, pts[1:] + (pts[0],) if self.closed else pts[1:])
-        for p, q in pairs:
-            if (p - q).norm() == 0.0:
-                raise NotClosed("polyline has coincident consecutive points")
+        pts = np.array(self.points, dtype=float)
+        if pts.shape[1:] != (2,) or len(pts) < 3:
+            raise NotClosed("polyline needs at least three points in the plane")
+        if not np.all(np.isfinite(pts)):
+            raise NotClosed("polyline has a non-finite coordinate")
+        loop = np.vstack((pts, pts[:1])) if self.closed else pts
+        if np.any(np.all(np.diff(loop, axis=0) == 0.0, axis=1)):
+            raise NotClosed("polyline has coincident consecutive points")
+        pts.flags.writeable = False
+        object.__setattr__(self, "points", pts)
         if self.closed and self.area() <= 0.0:
             raise NotClosed("closed polyline is not positively oriented")
 
-    def coords(self) -> np.ndarray:
-        return np.array([(p.x, p.y) for p in self.points])
-
     def area(self) -> float:
         """Shoelace area; for open polylines the chord closes the loop."""
-        c = self.coords()
-        x, y = c[:, 0], c[:, 1]
+        x, y = self.points[:, 0], self.points[:, 1]
         return 0.5 * float(np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y))
 
     def centrally_symmetric(self, tol: float = 1e-9) -> bool:
         """Does -p appear among the points for every point p?"""
-        c = self.coords()
+        c = self.points
         n = len(c)
         if n % 2 != 0:
             return False
@@ -155,17 +163,17 @@ def smoothed_octagon() -> HexameralDomain:
 
 def boundary_polyline(dom: HexameralDomain, per_link: int = 64) -> BoundaryPolyline:
     """All six curve images over the fundamental interval, in boundary order."""
+    per_link = _sample_count("per_link", per_link, 1)
     links = []
     for state, rep in zip(dom.assembled.states, dom.assembled.reps):
         if rep.tau == 0.0:
             continue
-        g = link_map(state, rep)
-        g_mat = np.array([[g.alpha, g.beta], [g.gamma, g.delta]])
+        g_mat = np.reshape(link_map(state, rep).entries(), (2, 2))
         ts = np.linspace(rep.t0, t_end(rep), per_link, endpoint=False)
         links.append((link_curves(rep, ts)[:, 0], g_mat))
     pts = np.concatenate([positions[m] @ g_mat.T for m in range(6)
                           for positions, g_mat in links])
-    return BoundaryPolyline(tuple(PlaneVector(x, y) for x, y in pts), closed=True)
+    return BoundaryPolyline(pts, closed=True)
 
 
 @dataclass(frozen=True)
@@ -180,7 +188,7 @@ def circle_reference(samples: int = 256) -> CircleReference:
     """Polyline of the unit circle; an odd sample count is rounded up to even."""
     n = max(6, samples + samples % 2)
     angles = 2.0 * math.pi * np.arange(n) / n
-    pts = tuple(PlaneVector(math.cos(t), math.sin(t)) for t in angles)
+    pts = np.column_stack((np.cos(angles), np.sin(angles)))
     return CircleReference(BoundaryPolyline(pts, closed=True), CIRCLE_DENSITY)
 
 
@@ -213,7 +221,7 @@ def _star_rows(assembled: AssembledChain, per_link: int) -> np.ndarray:
 
 def star_profile(dom: HexameralDomain, per_link: int = 32) -> np.ndarray:
     """Star margins (c - sqrt(3)|a|, -(3b + c), det X) sampled along the boundary."""
-    return _star_rows(dom.assembled, per_link)
+    return _star_rows(dom.assembled, _sample_count("per_link", per_link, 1))
 
 
 def _link_end_margins(reps) -> tuple[float, float, float, list[int]]:
@@ -316,47 +324,38 @@ def export_svg(dom: HexameralDomain, per_link: int = 64) -> str:
     mp = initial_multipoint(dom)
     x = dom.chain.initial.tangent.rep
     dirs = [x.apply(mp[m]) for m in range(6)]
-    hexagon = _hexagon_vertices([mp[m] for m in range(6)], dirs)
+    corners = _hexagon_vertices(list(mp.points), dirs)
+    hexagon = np.array([(p.x, p.y) for p in corners])
+    markers = np.array([(p.x, p.y) for p in mp.points])
 
-    all_pts = list(poly.points) + hexagon
-    xs = [p.x for p in all_pts]
-    ys = [p.y for p in all_pts]
-    lo_x, hi_x, lo_y, hi_y = min(xs), max(xs), min(ys), max(ys)
+    all_pts = np.concatenate((poly.points, hexagon))
+    lo_x, lo_y = all_pts.min(axis=0).tolist()
+    hi_x, hi_y = all_pts.max(axis=0).tolist()
     span = max(hi_x - lo_x, hi_y - lo_y)
     margin = 0.05 * span
     scale = 1000.0 / (span + 2.0 * margin)
 
-    def place(p: PlaneVector) -> tuple[float, float]:
+    def place(points: np.ndarray) -> list[tuple[float, float]]:
         # y flipped so counterclockwise geometry renders counterclockwise
-        return (
-            (p.x - lo_x + margin) * scale,
-            1000.0 - (p.y - lo_y + margin) * scale,
-        )
+        px = (points[:, 0] - lo_x + margin) * scale
+        py = 1000.0 - (points[:, 1] - lo_y + margin) * scale
+        return list(zip(px.tolist(), py.tolist()))
 
-    def path_of(points, close: bool) -> str:
-        parts = []
-        for i, p in enumerate(points):
-            px, py = place(p)
-            parts.append(f"{'M' if i == 0 else 'L'} {px:.3f} {py:.3f}")
-        if close:
-            parts.append("Z")
-        return " ".join(parts)
+    def closed_path(points: np.ndarray) -> str:
+        moves = [f"{'L' if i else 'M'} {px:.3f} {py:.3f}"
+                 for i, (px, py) in enumerate(place(points))]
+        return " ".join(moves + ["Z"])
 
-    markers = []
-    for m in range(6):
-        px, py = place(mp[m])
-        markers.append(
-            f'  <circle cx="{px:.3f}" cy="{py:.3f}" r="6" fill="#c43b3b"/>'
-        )
     lines = [
         '<?xml version="1.0" encoding="UTF-8"?>',
         '<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
         'viewBox="0 0 1000 1000">',
-        f'  <path d="{path_of(hexagon, True)}" fill="none" '
+        f'  <path d="{closed_path(hexagon)}" fill="none" '
         'stroke="#999999" stroke-width="2"/>',
-        f'  <path d="{path_of(poly.points, True)}" fill="none" '
+        f'  <path d="{closed_path(poly.points)}" fill="none" '
         'stroke="#000000" stroke-width="3"/>',
-        *markers,
+        *(f'  <circle cx="{px:.3f}" cy="{py:.3f}" r="6" fill="#c43b3b"/>'
+          for px, py in place(markers)),
         "</svg>",
     ]
     return "\n".join(lines) + "\n"

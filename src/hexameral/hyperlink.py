@@ -16,6 +16,7 @@ marks a degenerate (single-point) link.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -443,6 +444,13 @@ def propagate_jacobian(state: LinkState, tau: float,
 def link_map(state: LinkState, rep: SquareRep) -> FrameMatrix:
     """The frame g with state = g applied to the canonical link start."""
     return FrameMatrix(*_link_lead(state.frame.entries(), rep.a, rep.k, rep.t0, rep.j))
+
+
+def _sample_count(name: str, value, least: int) -> int:
+    """A sample count: an integer of at least ``least``, else ParameterOutOfRange."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
+        raise ParameterOutOfRange(f"{name} = {value!r} must be an integer of at least {least}")
+    return int(value)
 
 
 def link_curves(rep: SquareRep, ts) -> np.ndarray:

@@ -49,6 +49,9 @@ FAIL_RESIDUAL = 1.0e3
 IMPROVEMENT_MARGIN = 1e-9
 # Least-squares iterations that snap a start onto the closure constraint.
 SNAP_NFEV = 200
+# Draws of a random five-link start, the first included, until one assembles:
+# about 42 % of uniform draws in DEFAULT_BOUNDS do.
+START_DRAWS = 100
 
 SEGMENT_BOUNDS = ((0.0, TAU_HI),) * 5
 # the start tangent's (a, b), then the five taus
@@ -278,8 +281,8 @@ class _Search:
                 self.trace.append((self.evals, ev.value))
         return ev
 
-    def offer(self, problem: EndpointProblem, x) -> None:
-        self._consider(x, self.counted(problem.evaluate)(x))
+    def offer(self, problem: EndpointProblem, x) -> Evaluation:
+        return self._consider(x, self.counted(problem.evaluate)(x))
 
     def point(self, problem: EndpointProblem, x) -> Evaluation:
         """``problem.point`` at x clipped to the box, offered to the incumbent.
@@ -357,6 +360,8 @@ def five_link_search(spec: SearchSpec) -> SearchResult:
     """Multi-start constrained descent: per start, a least-squares snap onto
     closure, then SLSQP on density with closure as equality constraints.
     The start and every point SLSQP evaluates are offered to the incumbent.
+    A random start whose chain does not assemble is redrawn, each draw
+    offered and counted, up to ``START_DRAWS`` draws; a given start is kept.
 
     Each start may assemble ``max_evals // restarts`` chains, the first at
     least one, so ``eval_count`` never exceeds a positive ``max_evals``.
@@ -367,9 +372,12 @@ def five_link_search(spec: SearchSpec) -> SearchResult:
     lo, hi = problem.box()
     run = _Search(spec.trace)
 
+    def draw() -> np.ndarray:
+        return lo + (hi - lo) * rng.uniform(size=len(lo))
+
     starts = [] if spec.start is None else [np.asarray(spec.start, dtype=float)]
     while len(starts) < spec.restarts:
-        starts.append(lo + (hi - lo) * rng.uniform(size=len(lo)))
+        starts.append(draw())
 
     def at(x) -> Evaluation:
         return run.point(problem, x)
@@ -378,7 +386,12 @@ def five_link_search(spec: SearchSpec) -> SearchResult:
     for i, p0 in enumerate(starts):
         run.limit = run.evals + max(per_start, 1 if i == 0 else 0)
         try:
-            run.offer(problem, p0)
+            ev = run.offer(problem, p0)
+            # a random start that does not assemble gives the solvers no slope
+            redraws = START_DRAWS - 1 if spec.start is None or i > 0 else 0
+            while ev.report is None and redraws > 0:
+                p0, redraws = draw(), redraws - 1
+                ev = run.offer(problem, p0)
             # SLSQP stops once density changes by under ftol; its iteration
             # cap never binds, the start's evaluation budget does
             minimize(lambda x: at(x).value, _snap(run, problem, p0, SNAP_NFEV),

@@ -15,63 +15,63 @@ import numpy as np
 
 from .chain import ChainParams, assemble
 from .errors import ParameterOutOfRange, SignCondition, StarViolation, WedgeMismatch
-from .hyperlink import _STANDARD_INVERSE, link_curves, link_map, t_end
+from .hyperlink import _STANDARD_INVERSE, _sample_count, link_curves, link_map, t_end
 from .multicurve import STANDARD
-from .sl2 import SQRT3, FrameMatrix, TangentElement, star_check, wedge
+from .sl2 import DET_TOL, SQRT3, TangentElement, _inverse, _unit_det, star_check, wedge
 
 MIN_GRID = 16
 IDENTITY_TOL = 1e-8
 LEMMA_TOL = 1e-10
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FramePath:
-    """Frames sampled along a parameter grid, relative to the starting frame."""
+    """Frames sampled along a parameter grid, relative to the starting frame.
 
-    grid: tuple[float, ...]
-    frames: tuple[FrameMatrix, ...]
+    ``grid`` has shape (n,) and ``frames`` shape (n, 2, 2); both are read-only.
+    Frames keep ``FrameMatrix``'s determinant rule: each frame whose
+    determinant is not within ``DET_TOL`` of one goes through ``_unit_det``.
+    """
+
+    grid: np.ndarray
+    frames: np.ndarray
 
     def __post_init__(self) -> None:
-        if len(self.grid) < MIN_GRID:
+        grid = np.array(self.grid, dtype=float)
+        frames = np.array(self.frames, dtype=float)
+        if grid.ndim != 1 or grid.size < MIN_GRID:
             raise ParameterOutOfRange(
-                f"frame path needs at least {MIN_GRID} grid points, got {len(self.grid)}"
+                f"frame path needs at least {MIN_GRID} grid points, got {grid.size}"
             )
-        if len(self.grid) != len(self.frames):
-            raise ParameterOutOfRange("grid and frame counts differ")
-        g = np.asarray(self.grid)
-        if not np.all(np.diff(g) > 0.0):
+        if frames.shape != (grid.size, 2, 2):
+            raise ParameterOutOfRange(
+                f"frames have shape {frames.shape}, not ({grid.size}, 2, 2)")
+        det = frames[:, 0, 0] * frames[:, 1, 1] - frames[:, 0, 1] * frames[:, 1, 0]
+        for i in np.flatnonzero(~(np.abs(det - 1.0) <= DET_TOL)):
+            frames[i] = np.reshape(_unit_det(*frames[i].ravel().tolist()), (2, 2))
+        if not np.all(np.diff(grid) > 0.0):
             raise ParameterOutOfRange("grid parameters must increase strictly")
-        first = self.frames[0]
-        off = max(
-            abs(first.alpha - 1.0), abs(first.beta),
-            abs(first.gamma), abs(first.delta - 1.0),
-        )
-        if off > IDENTITY_TOL:
+        if np.max(np.abs(frames[0] - np.eye(2))) > IDENTITY_TOL:
             raise ParameterOutOfRange(
                 "frame path must start at the identity; relativize with from_absolute"
             )
-
-    def entries(self) -> np.ndarray:
-        """Path entries as an array of shape (n, 4): alpha, beta, gamma, delta."""
-        return np.array([f.entries() for f in self.frames])
+        grid.flags.writeable = frames.flags.writeable = False
+        object.__setattr__(self, "grid", grid)
+        object.__setattr__(self, "frames", frames)
 
 
 def from_absolute(grid, frames) -> FramePath:
-    """Relativize absolute frames by the inverse of the first one."""
-    frames = tuple(frames)
-    inv0 = frames[0].inverse()
-    return FramePath(tuple(float(t) for t in grid),
-                     tuple(inv0.compose(f) for f in frames))
+    """Relativize absolute frames, shape (n, 2, 2), by the inverse of the first one."""
+    frames = np.asarray(frames, dtype=float)
+    inv0 = np.reshape(_inverse(frames[0].ravel().tolist()), (2, 2))
+    return FramePath(grid, inv0 @ frames)
 
 
 def rotation_path(span: float = math.pi / 3.0, samples: int = 64) -> FramePath:
     """Rotations through the given span, starting at the identity."""
     grid = np.linspace(0.0, span, samples)
-    frames = tuple(
-        FrameMatrix(math.cos(t), -math.sin(t), math.sin(t), math.cos(t))
-        for t in grid
-    )
-    return FramePath(tuple(float(t) for t in grid), frames)
+    c, s = np.cos(grid), np.sin(grid)
+    return FramePath(grid, np.stack((c, -s, s, c), axis=-1).reshape(-1, 2, 2))
 
 
 def chain_path(chain: ChainParams, per_link: int = 256) -> FramePath:
@@ -80,8 +80,7 @@ def chain_path(chain: ChainParams, per_link: int = 256) -> FramePath:
     Consecutive links share a grid point, so L non-degenerate links give
     L * (per_link - 1) + 1 points, of which a FramePath needs MIN_GRID.
     """
-    if per_link < 2:
-        raise ParameterOutOfRange(f"per_link = {per_link!r} must be at least 2")
+    per_link = _sample_count("per_link", per_link, 2)
     links = sum(tau != 0.0 for tau, _ in chain.links)
     points = links * (per_link - 1) + 1
     if points < MIN_GRID:
@@ -93,8 +92,7 @@ def chain_path(chain: ChainParams, per_link: int = 256) -> FramePath:
     inv0 = chain.initial.frame.inverse()
     real = [(state, rep) for state, rep in zip(assembled.states, assembled.reps)
             if rep.tau != 0.0]
-    grid: list[float] = []
-    frames: list[FrameMatrix] = []
+    grid, frames = [], []
     for pos, (state, rep) in enumerate(real):
         t0, t1 = rep.t0, t_end(rep)
         ts = np.linspace(t0, t1, per_link)
@@ -105,15 +103,14 @@ def chain_path(chain: ChainParams, per_link: int = 256) -> FramePath:
         lead = np.reshape(inv0.compose(link_map(state, rep)).entries(), (2, 2))
         # links after the first share their start sample with the previous end
         start = 1 if pos > 0 else 0
-        grid.extend(pos + (t - t0) / (t1 - t0) for t in ts.tolist()[start:])
-        frames.extend(FrameMatrix(*m[0], *m[1]) for m in (lead @ canonical).tolist()[start:])
-    return FramePath(tuple(grid), tuple(frames))
+        grid.append(pos + (ts[start:] - t0) / (t1 - t0))
+        frames.append((lead @ canonical)[start:])
+    return FramePath(np.concatenate(grid), np.concatenate(frames))
 
 
 def area_functional(path: FramePath) -> float:
     """Domain area of a frame path by trapezoidal line integration."""
-    e = path.entries()
-    a, b, c, d = e[:, 0], e[:, 1], e[:, 2], e[:, 3]
+    (a, b), (c, d) = np.moveaxis(path.frames, 0, -1)
     # trapezoid of alpha dgamma - gamma dalpha telescopes to a shoelace sum
     twist = (a[:-1] * c[1:] - a[1:] * c[:-1]) + (b[:-1] * d[1:] - b[1:] * d[:-1])
     return 1.5 * float(np.sum(twist))
@@ -121,8 +118,7 @@ def area_functional(path: FramePath) -> float:
 
 def euler_lagrange_residual(path: FramePath) -> float:
     """Worst violation of the three conserved quantities of extremal paths."""
-    e = path.entries()
-    a, b, c, d = e[:, 0], e[:, 1], e[:, 2], e[:, 3]
+    (a, b), (c, d) = np.moveaxis(path.frames, 0, -1)
     return float(max(
         np.max(np.abs(d * d + c * c - 1.0)),
         np.max(np.abs(a * a + b * b - 1.0)),

@@ -25,10 +25,10 @@ from hexameral.domain import (
     verify_checks,
 )
 from hexameral.domain import _hexagon_vertices, _star_margins
-from hexameral.errors import NotClosed
+from hexameral.errors import NotClosed, ParameterOutOfRange
 from hexameral.hyperlink import SquareRep, link_area, t_end, transform_state
 from hexameral.multicurve import rank_classify
-from hexameral.sl2 import PlaneVector, wedge
+from hexameral.sl2 import wedge
 
 from conftest import (
     flat_hyperbola_chain,
@@ -92,28 +92,31 @@ class TestBoundaryPolyline:
 
     def test_too_few_points(self):
         with pytest.raises(NotClosed):
-            BoundaryPolyline((PlaneVector(0, 0), PlaneVector(1, 0)), True)
+            BoundaryPolyline(np.array([(0, 0), (1, 0)]), True)
 
     def test_coincident_points(self):
         with pytest.raises(NotClosed):
-            BoundaryPolyline((PlaneVector(0, 0), PlaneVector(1, 0),
-                              PlaneVector(1, 0), PlaneVector(0, 1)), True)
+            BoundaryPolyline(np.array([(0, 0), (1, 0), (1, 0), (0, 1)]), True)
 
     def test_negative_orientation(self):
         with pytest.raises(NotClosed):
-            BoundaryPolyline((PlaneVector(0, 0), PlaneVector(0, 1),
-                              PlaneVector(1, 0)), True)
+            BoundaryPolyline(np.array([(0, 0), (0, 1), (1, 0)]), True)
 
     def test_open_polyline_allows_clockwise(self):
-        poly = BoundaryPolyline((PlaneVector(0, 0), PlaneVector(0, 1),
-                                 PlaneVector(1, 0)), False)
+        poly = BoundaryPolyline(np.array([(0, 0), (0, 1), (1, 0)]), False)
         assert not poly.closed
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_points(self, bad):
+        for closed in (True, False):
+            with pytest.raises(NotClosed, match="non-finite"):
+                BoundaryPolyline(np.array([(0, 0), (1, 0), (bad, 1)]), closed)
 
 
 class TestCircleReference:
     def test_hexagonal_degenerate_sampling(self):
         ref = circle_reference(samples=6)
-        pts = ref.polyline.coords()
+        pts = ref.polyline.points
         assert len(pts) == 6
         # six evenly spaced unit vectors: a regular hexagon of area 3*sqrt(3)/2
         assert np.allclose(np.hypot(pts[:, 0], pts[:, 1]), 1.0)
@@ -138,6 +141,13 @@ class TestStarProfile:
 
     def test_det_column_positive(self, octagon):
         assert float(star_profile(octagon)[:, 2].min()) > 0.1
+
+
+@pytest.mark.parametrize("per_link", [0, -1, 2.5, True])
+def test_bad_sample_counts_rejected(octagon, per_link):
+    for sample in (boundary_polyline, star_profile, export_svg):
+        with pytest.raises(ParameterOutOfRange, match=f"per_link = {per_link!r}"):
+            sample(octagon, per_link)
 
 
 CHECK_NAMES = ["assembly", "star-conditions", "tangent-determinant", "convexity",

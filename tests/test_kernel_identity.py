@@ -515,7 +515,7 @@ def test_chain_path_matches_stacked_pass(octagon):
             path = chain_path(chain, per_link)
             grid, frames = _stacked_chain_path(chain, per_link)
             assert _hex(path.grid) == _hex(grid)
-            assert ([_hex(f.entries()) for f in path.frames]
+            assert ([_hex(f.ravel()) for f in path.frames]
                     == [_hex(entries) for entries in frames])
 
 
@@ -664,7 +664,7 @@ def test_boundary_polyline_matches_oracle(octagon):
     for chain in (octagon.chain, moved, split_octagon_period(octagon)):
         dom = from_chain(chain)
         for per_link in (1, 5, 64):
-            pts = np.array([[p.x, p.y] for p in boundary_polyline(dom, per_link).points])
+            pts = boundary_polyline(dom, per_link).points
             assert pts.tobytes() == oracle_boundary_points(dom.assembled, per_link).tobytes()
 
 

@@ -197,6 +197,21 @@ class TestFiveLinkSearch:
         assert result.eval_count <= 6000
         assert abs(result.best_density - OCTAGON_DENSITY) <= 1e-12
 
+    @pytest.mark.parametrize("seed", [3, 4, 5])
+    def test_cold_starts_that_never_assemble_are_redrawn(self, seed):
+        # all three up-front starts of these seeds fail at link 0 or at
+        # decoding; closure slack may leave the density just below the octagon
+        result = five_link_search(SearchSpec(restarts=3, max_evals=6000, seed=seed))
+        assert result.feasible
+        assert abs(result.best_density - OCTAGON_DENSITY) <= 1e-9
+
+    def test_given_start_is_not_redrawn(self):
+        # tangent components outside the unit disk: the start cannot decode
+        start = (0.6, -0.99, 0.5, 0.5, 0.5, 0.5, 0.5)
+        result = five_link_search(SearchSpec(start=start, restarts=1, max_evals=50))
+        assert not result.feasible
+        assert result.best_params == start
+
     def test_criterion_13_starts_reach_octagon(self):
         # the twenty starts of acceptance criterion 13, drawn the same way
         emb = octagon_embedding()

@@ -5,8 +5,13 @@ import numpy as np
 import pytest
 
 from hexameral.chain import ChainParams, chain_area
-from hexameral.errors import ParameterOutOfRange, SignCondition, StarViolation
-from hexameral.sl2 import SQRT3, FrameMatrix, TangentElement
+from hexameral.errors import (
+    FrameDeterminantError,
+    ParameterOutOfRange,
+    SignCondition,
+    StarViolation,
+)
+from hexameral.sl2 import DET_REJECT_TOL, DET_TOL, SQRT3, FrameMatrix, TangentElement
 from hexameral.variational import (
     FramePath,
     Rank2Report,
@@ -21,43 +26,77 @@ from hexameral.variational import (
     second_variation_circle,
 )
 
-from conftest import random_star_tangent, uniform_grid
+from conftest import random_frame, random_star_tangent, uniform_grid
 
-IDENTITY = FrameMatrix(1.0, 0.0, 0.0, 1.0)
+
+def identities(n: int) -> np.ndarray:
+    return np.tile(np.eye(2), (n, 1, 1))
 
 
 def constant_path(n: int = 32) -> FramePath:
-    grid = tuple(float(t) for t in np.linspace(0.0, 1.0, n))
-    return FramePath(grid, (IDENTITY,) * n)
+    return FramePath(np.linspace(0.0, 1.0, n), identities(n))
 
 
 class TestFramePath:
     def test_too_few_points(self):
         with pytest.raises(ParameterOutOfRange):
-            FramePath((0.0, 1.0), (IDENTITY, IDENTITY))
+            FramePath(np.array([0.0, 1.0]), identities(2))
 
     def test_grid_must_increase(self):
-        grid = (0.0, 1.0, 0.5) + tuple(float(t) for t in range(2, 15))
+        grid = np.concatenate(([0.0, 1.0, 0.5], np.arange(2.0, 15.0)))
         with pytest.raises(ParameterOutOfRange):
-            FramePath(grid, (IDENTITY,) * 16)
+            FramePath(grid, identities(16))
 
     def test_must_start_at_identity(self):
-        grid = tuple(float(t) for t in range(16))
-        shifted = FrameMatrix(1.0, 0.5, 0.0, 1.0)
+        grid = np.arange(16.0)
+        frames = identities(16)
+        frames[0, 0, 1] = 0.5
         with pytest.raises(ParameterOutOfRange):
-            FramePath(grid, (shifted,) + (IDENTITY,) * 15)
+            FramePath(grid, frames)
 
     def test_length_mismatch(self):
-        grid = tuple(float(t) for t in range(16))
+        grid = np.arange(16.0)
         with pytest.raises(ParameterOutOfRange):
-            FramePath(grid, (IDENTITY,) * 15)
+            FramePath(grid, identities(15))
 
     def test_from_absolute_relativizes(self, octagon):
-        g0 = octagon.chain.initial.frame
-        grid = tuple(float(t) for t in range(16))
-        path = from_absolute(grid, (g0,) * 16)
-        assert path.frames[0].alpha == pytest.approx(1.0, abs=1e-12)
+        g0 = np.reshape(octagon.chain.initial.frame.entries(), (2, 2))
+        grid = np.arange(16.0)
+        path = from_absolute(grid, np.tile(g0, (16, 1, 1)))
+        assert path.frames[0, 0, 0] == pytest.approx(1.0, abs=1e-12)
         assert area_functional(path) == 0.0
+
+
+def _scaled_frames(rng, det_offsets) -> np.ndarray:
+    """The identity, then random SL2 frames scaled to det 1 + each offset."""
+    frames = identities(len(det_offsets) + 1)
+    for frame, offset in zip(frames[1:], det_offsets):
+        frame[:] = np.reshape(random_frame(rng).entries(), (2, 2)) * math.sqrt(1.0 + offset)
+    return frames
+
+
+class TestFramePathDeterminant:
+    """FramePath applies FrameMatrix's determinant rule, bit for bit."""
+
+    def test_rescale_band_matches_frame_matrix(self, rng):
+        # offsets on both sides of one, between DET_TOL and DET_REJECT_TOL
+        offsets = rng.uniform(2.0 * DET_TOL, 0.9 * DET_REJECT_TOL, 31)
+        offsets *= np.where(np.arange(31) % 2 == 0, 1.0, -1.0)
+        frames = _scaled_frames(rng, offsets)
+        path = FramePath(np.arange(32.0), frames)
+        assert not np.array_equal(path.frames[1:], frames[1:])
+        for row, frame in zip(path.frames, frames):
+            expected = FrameMatrix(*frame.ravel().tolist()).entries()
+            assert [v.hex() for v in row.ravel().tolist()] == [v.hex() for v in expected]
+
+    @pytest.mark.parametrize("offset", [2.0 * DET_REJECT_TOL, -1e-6, 3.0, math.nan])
+    def test_reject_band_and_nan_raise(self, rng, offset):
+        frames = _scaled_frames(rng, np.zeros(15))
+        frames[7] = np.reshape(random_frame(rng).entries(), (2, 2)) * math.sqrt(1.0 + offset)
+        with pytest.raises(FrameDeterminantError):
+            FrameMatrix(*frames[7].ravel().tolist())
+        with pytest.raises(FrameDeterminantError):
+            FramePath(np.arange(16.0), frames)
 
 
 class TestAreaFunctional:
@@ -97,8 +136,9 @@ class TestEulerLagrange:
         assert euler_lagrange_residual(chain_path(one, 64)) > 1e-2
 
     def test_chain_path_per_link_guard(self, octagon):
-        with pytest.raises(ParameterOutOfRange):
-            chain_path(octagon.chain, per_link=1)
+        for per_link in (1, 40.5, True):
+            with pytest.raises(ParameterOutOfRange, match=f"per_link = {per_link!r}"):
+                chain_path(octagon.chain, per_link=per_link)
 
     def test_chain_path_needs_a_full_grid(self, octagon):
         # four links share three points: 4 * (per_link - 1) + 1 >= 16
