@@ -114,21 +114,25 @@ def assemble(chain: ChainParams) -> AssembledChain:
     return AssembledChain(tuple(states), tuple(reps))
 
 
-def assemble_jacobian(chain: ChainParams,
-                      head: np.ndarray) -> tuple[AssembledChain, np.ndarray]:
+def assemble_jacobian(chain: ChainParams, head: np.ndarray,
+                      assembled: AssembledChain | None = None
+                      ) -> tuple[AssembledChain, np.ndarray]:
     """assemble, plus the derivatives of the final state and the area.
 
     The variables are m leading ones, whose derivative of the initial state
     is ``head`` (5, m) in propagate_jacobian's coordinates, then the link
     taus in order.  Returns the assembled chain and a (6, m + links) array:
-    the final state's derivative over the area gradient.
+    the final state's derivative over the area gradient.  A caller that
+    already holds ``assemble(chain)`` passes it as ``assembled``, and the
+    chain is not assembled again.
 
     This is propagate_jacobian composed link by link, except that between
     two links the out tangent's sphere coordinates and the next link's
     reading of them cancel: the chain carries (xi, da, dt0) of the next link
     and converts to sphere coordinates only at its two ends.
     """
-    assembled = assemble(chain)
+    if assembled is None:
+        assembled = assemble(chain)
     m = head.shape[1]
     links = chain.links
     d_state = np.zeros((6, m + len(links)))

@@ -130,6 +130,7 @@ def _cmd_reduce_link(config: CommandConfig) -> int:
         "feasible": report.feasible,
         "improved": report.improved,
         "eval_count": report.eval_count,
+        "root_count": report.root_count,
     }
     path = config.output_path or "reduce-link.json"
     _write_json(doc, path)

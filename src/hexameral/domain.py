@@ -185,7 +185,9 @@ class CircleReference:
 
 
 def circle_reference(samples: int = 256) -> CircleReference:
-    """Polyline of the unit circle; an odd sample count is rounded up to even."""
+    """Polyline of the unit circle at a positive integer sample count, rounded
+    up to an even count of at least six."""
+    samples = _sample_count("samples", samples, 1)
     n = max(6, samples + samples % 2)
     angles = 2.0 * math.pi * np.arange(n) / n
     pts = np.column_stack((np.cos(angles), np.sin(angles)))
@@ -193,8 +195,9 @@ def circle_reference(samples: int = 256) -> CircleReference:
 
 
 def circle_multicurve(samples: int = 16) -> list[list[CurveSample]]:
-    """The circle's six curves over one sixth of a turn, with derivatives."""
-    ts = np.linspace(0.0, math.pi / 3.0, samples)
+    """The circle's six curves over one sixth of a turn, with derivatives,
+    at an integer of at least 2 samples."""
+    ts = np.linspace(0.0, math.pi / 3.0, _sample_count("samples", samples, 2))
     curves = []
     for j in range(6):
         base = math.pi * j / 3.0

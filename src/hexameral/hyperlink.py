@@ -485,10 +485,15 @@ def link_curves(rep: SquareRep, ts) -> np.ndarray:
 
 def link_multicurve(rep: SquareRep, samples: int = 16,
                     g: FrameMatrix | None = None) -> list[list[CurveSample]]:
-    """Six sampled curves of one link, optionally moved by a frame g."""
+    """Six sampled curves of one link, optionally moved by a frame g.
+
+    ``samples`` is an integer of at least 2: the link's two ends and the
+    points between them.
+    """
+    samples = _sample_count("samples", samples, 2)
     if rep.tau == 0.0:
         raise ParameterOutOfRange("cannot sample a zero-length link")
-    ts = np.linspace(rep.t0, t_end(rep), max(samples, 2))
+    ts = np.linspace(rep.t0, t_end(rep), samples)
     curves = link_curves(rep, ts)
     if g is not None:
         x, y = curves[..., 0], curves[..., 1]

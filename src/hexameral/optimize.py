@@ -10,7 +10,13 @@ one chain assembly per point.  Link reduction refits a six-link segment with
 five links ending in the segment's own end state: per index pattern, five
 equations in five turning fractions, solved by bounded Newton steps
 (``least_squares`` on the exact Jacobian); the least area among the strictly
-closed roots wins.
+closed roots wins.  A reduction solve runs on to the root, not to scipy's
+gradient tolerance, and stops early where its residual plateaus, which is
+how a pattern without a root shows.
+
+Every chain assembly counts as an evaluation, and ``SearchSpec.max_evals``
+caps them in both searches.  The least-squares residuals and Jacobian at one
+point share one assembly, as SLSQP's four callbacks do.
 """
 from __future__ import annotations
 
@@ -49,6 +55,12 @@ FAIL_RESIDUAL = 1.0e3
 IMPROVEMENT_MARGIN = 1e-9
 # Least-squares iterations that snap a start onto the closure constraint.
 SNAP_NFEV = 200
+# Link reduction's stop rule per Newton solve.  scipy's default gtol ends a
+# quadratically converging solve at a residual of 1e-7 to 1e-8, above
+# STRICT_TOL, so it is off; ftol ends a solve whose cost falls by under 1 %
+# in a step, which is how a pattern without a root plateaus.
+ROOT_FTOL = 1e-2
+ROOT_GTOL = None
 # Draws of a random five-link start, the first included, until one assembles:
 # about 42 % of uniform draws in DEFAULT_BOUNDS do.
 START_DRAWS = 100
@@ -171,34 +183,46 @@ class EndpointProblem:
         return (np.array([b[0] for b in self.bounds]),
                 np.array([b[1] for b in self.bounds]))
 
-    def residuals(self, x) -> np.ndarray:
-        """Endpoint equations as a residual vector of seven entries."""
+    def assembly(self, x) -> tuple[ChainParams | None, AssembledChain | None]:
+        """The chain decoded from x and its assembly, None where either fails."""
+        chain = None
         try:
             chain = self.decode(x)
-            final = assemble(chain).final
+            return chain, assemble(chain)
         except GeometryError:
-            return np.full(7, FAIL_RESIDUAL)
-        return _endpoint_residuals(final, end_target(chain, self.target))
+            return chain, None
 
-    def _derivatives(self, x, chain: ChainParams):
-        """The chain assembled, with the derivative (6, n) of its final state
-        and area, and the target's (5, n), None where the target is fixed."""
+    def residuals(self, x, assembly=None) -> np.ndarray:
+        """Endpoint equations as a residual vector of seven entries.
+
+        ``assembly`` is ``self.assembly(x)`` where the caller holds it already.
+        """
+        chain, assembled = self.assembly(x) if assembly is None else assembly
+        if assembled is None:
+            return np.full(7, FAIL_RESIDUAL)
+        return _endpoint_residuals(assembled.final, end_target(chain, self.target))
+
+    def _derivatives(self, x, chain: ChainParams, assembled: AssembledChain):
+        """The derivative (6, n) of the chain's final state and area, and the
+        target's (5, n), None where the target is fixed."""
         head = self.start_jacobian(x, chain)
-        assembled, d_state = assemble_jacobian(chain, head)
+        _, d_state = assemble_jacobian(chain, head, assembled)
         d_target = None
         if self.target is None:
             # the target, the start turned by pi/3, moves with the start
             d_target = np.zeros((5, len(x)))
             d_target[:, :head.shape[1]] = np.vstack((_TARGET_TURN @ head[:3], head[3:]))
-        return assembled, d_state, d_target
+        return d_state, d_target
 
-    def jacobian(self, x) -> np.ndarray:
-        """The exact 7 x n Jacobian of ``residuals``; zero where no chain assembles."""
-        try:
-            chain = self.decode(x)
-            assembled, d_state, d_target = self._derivatives(x, chain)
-        except GeometryError:
+    def jacobian(self, x, assembly=None) -> np.ndarray:
+        """The exact 7 x n Jacobian of ``residuals``; zero where no chain assembles.
+
+        ``assembly`` is ``self.assembly(x)`` where the caller holds it already.
+        """
+        chain, assembled = self.assembly(x) if assembly is None else assembly
+        if assembled is None:
             return np.zeros((7, len(x)))
+        d_state, d_target = self._derivatives(x, chain, assembled)
         jac = _endpoint_jacobian(assembled.final) @ d_state[:5]
         if d_target is not None:
             jac -= _endpoint_jacobian(end_target(chain)) @ d_target
@@ -213,23 +237,19 @@ class EndpointProblem:
 
     def evaluate(self, x) -> Evaluation:
         """Value, residuals and closure report of the chain at x."""
-        chain = None
-        try:
-            chain = self.decode(x)
-            return self._evaluation(chain, assemble(chain))
-        except GeometryError:
+        chain, assembled = self.assembly(x)
+        if assembled is None:
             return Evaluation(self.fail_value, np.full(7, FAIL_RESIDUAL), None, chain)
+        return self._evaluation(chain, assembled)
 
     def point(self, x) -> Evaluation:
         """``evaluate`` with the derivatives SLSQP needs, from one assembly."""
-        chain = None
-        try:
-            chain = self.decode(x)
-            assembled, d_state, d_target = self._derivatives(x, chain)
-        except GeometryError:
+        chain, assembled = self.assembly(x)
+        if assembled is None:
             n = len(x)
             return Evaluation(self.fail_value, np.full(7, FAIL_RESIDUAL), None, chain,
                               np.zeros(n), np.full(5, FAIL_RESIDUAL), np.zeros((5, n)))
+        d_state, d_target = self._derivatives(x, chain, assembled)
         target = end_target(chain, self.target)
         equations, d_end, d_moved = _endpoint_equations(assembled.final, target)
         jac = d_end @ d_state[:5]
@@ -296,14 +316,25 @@ class _Search:
         return self._last[1]
 
 
-def _snap(run: _Search, problem: EndpointProblem, x, max_nfev: int) -> np.ndarray:
+def _snap(run: _Search, problem: EndpointProblem, x, max_nfev: int, **stop) -> np.ndarray:
     """Least-squares projection onto the endpoint constraint, inside the box:
-    bounded Newton steps on the exact Jacobian."""
+    bounded Newton steps on the exact Jacobian.
+
+    The residuals and the Jacobian at one x share one assembly, counted
+    once.  ``stop`` replaces scipy's stop rule (``ftol``, ``gtol``).
+    """
     _load_solvers()
     lo, hi = problem.box()
-    return least_squares(run.counted(problem.residuals), np.clip(x, lo, hi),
-                         jac=run.counted(problem.jacobian), bounds=(lo, hi),
-                         max_nfev=max_nfev).x
+    last: list = []
+
+    def at(x):
+        if not last or not np.array_equal(x, last[0]):
+            last[:] = (np.array(x, dtype=float), run.counted(problem.assembly)(x))
+        return last[1]
+
+    return least_squares(lambda x: problem.residuals(x, at(x)), np.clip(x, lo, hi),
+                         jac=lambda x: problem.jacobian(x, at(x)), bounds=(lo, hi),
+                         max_nfev=max_nfev, **stop).x
 
 
 def decode_five_link(params) -> ChainParams:
@@ -425,6 +456,8 @@ class LinkReductionReport:
     feasible: bool
     improved: bool
     eval_count: int
+    # patterns with a solve that ended strictly closed, angle condition met
+    root_count: int
 
 
 def link_reduction_experiment(six_link: ChainParams,
@@ -433,9 +466,13 @@ def link_reduction_experiment(six_link: ChainParams,
 
     Hyperbolic indices are enumerated over all consecutive-distinct patterns.
     Per pattern the five turning fractions solve the endpoint equations by
-    bounded Newton steps from each start; the start itself is offered too,
-    and the merged input links seed their own pattern, so degenerate
-    six-link chains are refit exactly.
+    bounded Newton steps from each start, stopped at a root or where the
+    residual plateaus (``ROOT_FTOL``, ``ROOT_GTOL``); the start itself is
+    offered too, and the merged input links seed their own pattern, so
+    degenerate six-link chains are refit exactly.
+
+    ``max_evals`` caps the assemblies of the whole search, the first
+    evaluation excepted; the patterns are tried in order until it is spent.
     """
     if len(six_link.links) != 6:
         raise InfeasibleInput(f"expected six links, got {len(six_link.links)}")
@@ -451,6 +488,7 @@ def link_reduction_experiment(six_link: ChainParams,
     six_area = assembled.area()
     rng = np.random.default_rng(spec.seed)
     run = _Search(False)
+    run.limit = max(spec.max_evals, 1)
 
     def segment_problem(pattern: tuple[int, ...]) -> EndpointProblem:
         def decode(taus) -> ChainParams:
@@ -470,24 +508,32 @@ def link_reduction_experiment(six_link: ChainParams,
         seed_pattern = tuple(js)
 
     per_pattern = max(60, spec.max_evals // (len(patterns) + 1))
-    for pattern in patterns:
-        problem = segment_problem(pattern)
-        starts = [np.full(5, 0.3)]
-        for _ in range(spec.restarts - 1):
-            starts.append(rng.uniform(0.05, 0.9, size=5))
-        if pattern == seed_pattern:
-            starts.insert(0, seed_taus)
-        for t0 in starts:
-            run.offer(problem, t0)
-            # five equations in five taus: bounded Newton on the exact Jacobian
-            run.offer(problem, _snap(run, problem, t0, per_pattern))
+    roots = 0
+    try:
+        for pattern in patterns:
+            problem = segment_problem(pattern)
+            starts = [np.full(5, 0.3)]
+            for _ in range(spec.restarts - 1):
+                starts.append(rng.uniform(0.05, 0.9, size=5))
+            if pattern == seed_pattern:
+                starts.insert(0, seed_taus)
+            rooted = False
+            for t0 in starts:
+                run.offer(problem, t0)
+                # five equations in five taus: bounded Newton on the exact Jacobian
+                end = run.offer(problem, _snap(run, problem, t0, per_pattern,
+                                               ftol=ROOT_FTOL, gtol=ROOT_GTOL))
+                rooted = rooted or end.feasible()
+            roots += rooted
+    except _Exhausted:
+        pass
 
     best = run.best
     feasible = best.feasible()
     return LinkReductionReport(
         six_area, best.value, best.chain.links,
         float(np.max(np.abs(best.residuals))), feasible,
-        feasible and best.value < six_area - IMPROVEMENT_MARGIN, run.evals,
+        feasible and best.value < six_area - IMPROVEMENT_MARGIN, run.evals, roots,
     )
 
 

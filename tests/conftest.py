@@ -83,6 +83,18 @@ def split_octagon_period(octagon, ta: float = 0.25):
     return ChainParams(octagon.chain.initial, links)
 
 
+def random_reduce_segment(octagon):
+    """The random six-link segment of perfbench's reduce workload, seed 3,
+    pass 2.  Its least-area five-link root, about 0.312523, lies below the
+    one a Nelder-Mead refit found (0.3125330071980235); a Newton solve that
+    stops at scipy's default gtol leaves both for 0.31264785499651665."""
+    from hexameral.chain import ChainParams, LinkParam
+    links = ((0.06590735944254397, 4), (0.2104164233654468, 0),
+             (0.16133617973101744, 4), (0.06051460383991822, 0),
+             (0.11413951025514114, 2), (0.05378491881273843, 4))
+    return ChainParams(octagon.chain.initial, tuple(LinkParam(*l) for l in links))
+
+
 def uniform_grid(n: int, hi: float = 2.0 * math.pi) -> np.ndarray:
     return np.linspace(0.0, hi, n)
 

@@ -208,7 +208,9 @@ class TestReduceLinkCommand:
         doc = json.loads(out_path.read_text())
         assert set(doc["report"]) == {"six_area", "five_area",
                                       "endpoint_residual", "feasible",
-                                      "improved", "eval_count"}
+                                      "improved", "eval_count", "root_count"}
+        assert 1 <= doc["report"]["root_count"] <= 48
+        assert doc["report"]["eval_count"] <= 1500
         assert abs(doc["report"]["five_area"] - doc["report"]["six_area"]) < 1e-8
         assert len(doc["links"]) == 5
 

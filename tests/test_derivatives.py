@@ -280,6 +280,33 @@ def test_equation_jacobian_and_gradient_match_richardson():
     assert checked == {"five": 40, "segment": 40}, checked
 
 
+def test_held_assembly_gives_identical_derivatives():
+    """Residuals and Jacobian from an assembly the caller holds, as the
+    least-squares snap shares one between them, match fresh ones bit for
+    bit; so does ``assemble_jacobian`` handed that assembly."""
+    checked = {"five": 0, "segment": 0}
+    for kind, problem, x in _problem_cases():
+        held = problem.assembly(x)
+        chain, assembled = held
+        assert problem.residuals(x, held).tobytes() == problem.residuals(x).tobytes()
+        assert problem.jacobian(x, held).tobytes() == problem.jacobian(x).tobytes()
+        head = problem.start_jacobian(x, chain)
+        reused, d_reused = assemble_jacobian(chain, head, assembled)
+        fresh, d_fresh = assemble_jacobian(chain, head)
+        assert reused is assembled
+        assert fresh.states == assembled.states and fresh.reps == assembled.reps
+        assert d_reused.tobytes() == d_fresh.tobytes()
+        checked[kind] += 1
+    assert checked["five"] >= 30 and checked["segment"] >= 30, checked
+    five = five_link_problem()
+    for chain in _five_link_points(np.random.default_rng(31), 60):
+        x = _five_link_x(chain)
+        held = five.assembly(x)
+        if held[1] is None:
+            assert np.all(five.residuals(x, held) == FAIL_RESIDUAL)
+            assert np.all(five.jacobian(x, held) == 0.0)
+
+
 def test_jacobian_fails_like_propagate():
     """Same error class, link index and message at link and chain level;
     a zero Jacobian where the residuals report an assembly failure."""

@@ -26,7 +26,7 @@ from hexameral.domain import (
 )
 from hexameral.domain import _hexagon_vertices, _star_margins
 from hexameral.errors import NotClosed, ParameterOutOfRange
-from hexameral.hyperlink import SquareRep, link_area, t_end, transform_state
+from hexameral.hyperlink import SquareRep, link_area, link_multicurve, t_end, transform_state
 from hexameral.multicurve import rank_classify
 from hexameral.sl2 import wedge
 
@@ -148,6 +148,21 @@ def test_bad_sample_counts_rejected(octagon, per_link):
     for sample in (boundary_polyline, star_profile, export_svg):
         with pytest.raises(ParameterOutOfRange, match=f"per_link = {per_link!r}"):
             sample(octagon, per_link)
+
+
+@pytest.mark.parametrize("samples", [0, -3, 2.5, True, 7.5])
+def test_bad_multicurve_sample_counts_rejected(octagon, samples):
+    rep = octagon.assembled.reps[0]
+    for sample in (lambda n: link_multicurve(rep, n), circle_multicurve, circle_reference):
+        with pytest.raises(ParameterOutOfRange, match=f"samples = {samples!r}"):
+            sample(samples)
+
+
+def test_least_multicurve_sample_counts(octagon):
+    assert [len(c) for c in link_multicurve(octagon.assembled.reps[0], 2)] == [2] * 6
+    assert [len(c) for c in circle_multicurve(2)] == [2] * 6
+    assert len(circle_reference(1).polyline.points) == 6
+    assert len(circle_reference(7).polyline.points) == 8
 
 
 CHECK_NAMES = ["assembly", "star-conditions", "tangent-determinant", "convexity",

@@ -16,7 +16,7 @@ from hexameral.optimize import (
     octagon_embedding,
 )
 
-from conftest import split_octagon_period
+from conftest import random_reduce_segment, split_octagon_period
 
 
 def test_probe_search_fingerprint():
@@ -27,7 +27,7 @@ def test_probe_search_fingerprint():
     start = np.clip(octagon_embedding() + 1e-3 * step / np.linalg.norm(step), lo, hi)
     result = five_link_search(SearchSpec(start=tuple(float(v) for v in start),
                                          restarts=1, max_evals=2000, seed=0))
-    assert result.eval_count == 24
+    assert result.eval_count == 21
     assert repr(result.best_density) == "0.9024141829971575"
     assert result.feasible
 
@@ -35,6 +35,17 @@ def test_probe_search_fingerprint():
 def test_split_period_reduction_fingerprint(octagon):
     report = link_reduction_experiment(split_octagon_period(octagon),
                                        SearchSpec(restarts=1, max_evals=3000))
-    assert report.eval_count == 1561
+    assert report.eval_count == 658
     assert repr(report.six_area) == "1.5630272144218342"
     assert repr(report.five_area) == "1.563027214421835"
+    assert report.root_count == 15
+
+
+def test_random_segment_reduction_fingerprint(octagon):
+    report = link_reduction_experiment(random_reduce_segment(octagon),
+                                       SearchSpec(restarts=1, max_evals=3000))
+    assert report.eval_count == 592
+    assert report.root_count == 10
+    assert repr(report.six_area) == "0.3126181255911544"
+    assert repr(report.five_area) == "0.31252342123386456"
+    assert [j for _, j in report.five_links] == [2, 4, 0, 4, 2]

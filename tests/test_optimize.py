@@ -1,4 +1,5 @@
 """Five-link density search and the six-to-five link refit experiment."""
+import itertools
 import math
 
 import numpy as np
@@ -18,6 +19,8 @@ from hexameral.errors import GeometryError, InfeasibleInput
 from hexameral.optimize import (
     DEFAULT_BOUNDS,
     FIVE_LINK_PATTERN,
+    SEGMENT_BOUNDS,
+    EndpointProblem,
     SearchSpec,
     decode_five_link,
     five_link_problem,
@@ -29,7 +32,7 @@ from hexameral.optimize import (
 )
 from hexameral.sl2 import frame_distance
 
-from conftest import split_octagon_period
+from conftest import random_reduce_segment, split_octagon_period
 
 
 class TestDecodeFiveLink:
@@ -274,6 +277,49 @@ class TestLinkReduction:
         assert report.endpoint_residual < STRICT_TOL
         assert report.five_area >= report.six_area - 1e-9
 
+    @pytest.mark.parametrize("max_evals", [1, 7, 60, 250, 600])
+    def test_max_evals_caps_evaluations(self, octagon, max_evals):
+        for six in (split_octagon_period(octagon), random_reduce_segment(octagon)):
+            report = link_reduction_experiment(
+                six, SearchSpec(restarts=1, max_evals=max_evals))
+            assert 1 <= report.eval_count <= max_evals
+
+    def test_zero_budget_evaluates_once(self, octagon):
+        report = link_reduction_experiment(split_octagon_period(octagon),
+                                           SearchSpec(restarts=1, max_evals=0))
+        assert report.eval_count == 1
+        assert report.root_count == 0
+
+    def test_default_budgets_do_not_bind(self, octagon):
+        six = random_reduce_segment(octagon)
+        reports = [link_reduction_experiment(six, SearchSpec(restarts=1, max_evals=m))
+                   for m in (3000, 6000)]
+        assert reports[0] == reports[1]
+        assert reports[0].eval_count < 1000
+
+    def test_every_assembly_is_counted_once(self, octagon, monkeypatch):
+        import hexameral.chain as chain_module
+        import hexameral.optimize as optimize_module
+        real = chain_module.assemble
+        calls = []
+
+        def counted(chain):
+            calls.append(chain)
+            return real(chain)
+        monkeypatch.setattr(chain_module, "assemble", counted)
+        monkeypatch.setattr(optimize_module, "assemble", counted)
+        report = link_reduction_experiment(split_octagon_period(octagon),
+                                           SearchSpec(restarts=1, max_evals=3000))
+        # the segment's own assembly, then one per evaluation
+        assert len(calls) == report.eval_count + 1
+
+    def test_reaches_the_lower_root(self, octagon):
+        report = link_reduction_experiment(random_reduce_segment(octagon),
+                                           SearchSpec(restarts=1, max_evals=3000))
+        assert report.feasible and report.improved
+        assert report.five_area <= 0.3125330071980235
+        assert report.root_count >= 1
+
 
 def _random_segments(octagon, rng, count: int):
     """Six consecutive-distinct links from the octagon's start that assemble
@@ -310,6 +356,42 @@ def test_feasible_refits_reassemble_to_the_target(octagon):
         assert angle_margin_of(refit, assembled) >= -ANGLE_TOL
         assert abs(assembled.area() - report.five_area) <= 1e-12
     assert feasible >= 2
+
+
+def _least_reference_root(segment: ChainParams) -> float | None:
+    """The least area among strictly closed roots of a per-pattern Newton
+    solve from tau = 0.3, run with scipy's gtol and ftol off and a generous
+    iteration bound; None where no pattern has one."""
+    from scipy.optimize import least_squares
+    target = assemble(segment).final
+    lo, hi = np.array(SEGMENT_BOUNDS).T
+    least = None
+    for pattern in itertools.product((0, 2, 4), repeat=5):
+        if any(a == b for a, b in zip(pattern, pattern[1:])):
+            continue
+        problem = EndpointProblem(
+            lambda taus, p=pattern: ChainParams(segment.initial, tuple(zip(taus, p))),
+            lambda area: area, 0.0, SEGMENT_BOUNDS, target)
+        x = least_squares(problem.residuals, np.full(5, 0.3), jac=problem.jacobian,
+                          bounds=(lo, hi), ftol=None, gtol=None, max_nfev=100).x
+        ev = problem.evaluate(x)
+        if ev.feasible() and (least is None or ev.value < least):
+            least = ev.value
+    return least
+
+
+def test_reduction_reaches_the_least_reference_root(octagon):
+    """The stop rule ends no solve short of a root the reference reaches."""
+    rooted = 0
+    for segment in _random_segments(octagon, np.random.default_rng(11), 8):
+        least = _least_reference_root(segment)
+        report = link_reduction_experiment(segment, SearchSpec(restarts=1, max_evals=3000))
+        if least is None:
+            continue
+        rooted += 1
+        assert report.feasible
+        assert report.five_area <= least + 1e-12
+    assert rooted >= 6
 
 
 class TestSerialization:
