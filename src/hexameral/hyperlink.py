@@ -270,10 +270,12 @@ def propagate(state: LinkState, tau: float, j: int) -> tuple[LinkState, SquareRe
             f"recovered start t0 = {t0!r}, s0 = {s0!r} outside (-1, {k - 1.0!r})"
         )
     rep = SquareRep(a, t0, tau, j)
+    # C(t0) meets the determinant rule even for an empty link, as in its
+    # derivative (_transfer), so a chain that assembles has a Jacobian
+    g = _unit_det(*_link_lead(frame, a, k, t0, j))
     if tau == 0.0:
         return state, rep
     t1 = t0 + tau * (k - 1.0 - t0)
-    g = _unit_det(*_link_lead(frame, a, k, t0, j))
     frame_out = FrameMatrix(*_product(g, _unit_det(*_square_frame(a, k, t1, j))))
     tangent_out = _unit_tangent(*_adjoint(g, *_square_tangent(a, k, t1)))
     return LinkState(frame_out, ProjectiveTangent(TangentElement(*tangent_out))), rep

@@ -8,15 +8,16 @@ then runs SLSQP on density with five independent endpoint equations as
 equality constraints, reading value, gradient, equations and Jacobian from
 one chain assembly per point.  Link reduction refits a six-link segment with
 five links ending in the segment's own end state: per index pattern, five
-equations in five turning fractions, solved by bounded Newton steps
-(``least_squares`` on the exact Jacobian); the least area among the strictly
-closed roots wins.  A reduction solve runs on to the root, not to scipy's
-gradient tolerance, and stops early where its residual plateaus, which is
-how a pattern without a root shows.
+equations in five turning fractions, solved by the module's own bounded
+Levenberg-Marquardt iteration on the exact Jacobian (``_root``); the least
+area among the strictly closed roots wins.  A reduction solve runs on to the
+root and stops early where its residual plateaus, which is how a pattern
+without a root shows.  Only the five-link search runs scipy's solvers.
 
 Every chain assembly counts as an evaluation, and ``SearchSpec.max_evals``
-caps them in both searches.  The least-squares residuals and Jacobian at one
-point share one assembly, as SLSQP's four callbacks do.
+caps them in both searches.  The residuals and Jacobian at one point share
+one assembly, as SLSQP's four callbacks do; a reduction solve assembles no
+point twice and offers its start and end from the assemblies it holds.
 """
 from __future__ import annotations
 
@@ -55,12 +56,15 @@ FAIL_RESIDUAL = 1.0e3
 IMPROVEMENT_MARGIN = 1e-9
 # Least-squares iterations that snap a start onto the closure constraint.
 SNAP_NFEV = 200
-# Link reduction's stop rule per Newton solve.  scipy's default gtol ends a
-# quadratically converging solve at a residual of 1e-7 to 1e-8, above
-# STRICT_TOL, so it is off; ftol ends a solve whose cost falls by under 1 %
-# in a step, which is how a pattern without a root plateaus.
+# Link reduction's stop rule per Newton solve (_root): a root is a residual
+# of at most ROOT_TOL; an accepted step that cuts the cost by under ROOT_FTOL
+# of it is a stall, which is how a pattern without a root plateaus; a step
+# under STEP_TOL relative to x ends it too.  LM_DAMPING is the first
+# Levenberg-Marquardt parameter.
+ROOT_TOL = 1e-14
 ROOT_FTOL = 1e-2
-ROOT_GTOL = None
+STEP_TOL = 1e-12
+LM_DAMPING = 1e-3
 # Draws of a random five-link start, the first included, until one assembles:
 # about 42 % of uniform draws in DEFAULT_BOUNDS do.
 START_DRAWS = 100
@@ -74,7 +78,7 @@ _NO_CLOSURE = ClosureReport(math.inf, math.inf, False, -math.inf)
 # scipy's solvers become the module globals ``least_squares`` and
 # ``minimize`` on first use, through _load_solvers or a module attribute
 # lookup: importing scipy.optimize costs about half a second that callers
-# who never search should not pay.
+# who never run the five-link search should not pay.
 _SOLVERS = ("least_squares", "minimize")
 
 
@@ -235,9 +239,12 @@ class EndpointProblem:
                           _endpoint_residuals(assembled.final, target),
                           closure_of(chain, assembled, target=target), chain, *derivatives)
 
-    def evaluate(self, x) -> Evaluation:
-        """Value, residuals and closure report of the chain at x."""
-        chain, assembled = self.assembly(x)
+    def evaluate(self, x, assembly=None) -> Evaluation:
+        """Value, residuals and closure report of the chain at x.
+
+        ``assembly`` is ``self.assembly(x)`` where the caller holds it already.
+        """
+        chain, assembled = self.assembly(x) if assembly is None else assembly
         if assembled is None:
             return Evaluation(self.fail_value, np.full(7, FAIL_RESIDUAL), None, chain)
         return self._evaluation(chain, assembled)
@@ -301,8 +308,12 @@ class _Search:
                 self.trace.append((self.evals, ev.value))
         return ev
 
-    def offer(self, problem: EndpointProblem, x) -> Evaluation:
-        return self._consider(x, self.counted(problem.evaluate)(x))
+    def offer(self, problem: EndpointProblem, x, assembly=None) -> Evaluation:
+        """``problem.evaluate`` at x, offered to the incumbent; an ``assembly``
+        the caller holds, already counted, is not assembled again."""
+        if assembly is None:
+            return self._consider(x, self.counted(problem.evaluate)(x))
+        return self._consider(x, problem.evaluate(x, assembly))
 
     def point(self, problem: EndpointProblem, x) -> Evaluation:
         """``problem.point`` at x clipped to the box, offered to the incumbent.
@@ -316,12 +327,11 @@ class _Search:
         return self._last[1]
 
 
-def _snap(run: _Search, problem: EndpointProblem, x, max_nfev: int, **stop) -> np.ndarray:
+def _snap(run: _Search, problem: EndpointProblem, x, max_nfev: int) -> np.ndarray:
     """Least-squares projection onto the endpoint constraint, inside the box:
-    bounded Newton steps on the exact Jacobian.
+    scipy's bounded Newton steps on the exact Jacobian.
 
-    The residuals and the Jacobian at one x share one assembly, counted
-    once.  ``stop`` replaces scipy's stop rule (``ftol``, ``gtol``).
+    The residuals and the Jacobian at one x share one assembly, counted once.
     """
     _load_solvers()
     lo, hi = problem.box()
@@ -334,7 +344,59 @@ def _snap(run: _Search, problem: EndpointProblem, x, max_nfev: int, **stop) -> n
 
     return least_squares(lambda x: problem.residuals(x, at(x)), np.clip(x, lo, hi),
                          jac=lambda x: problem.jacobian(x, at(x)), bounds=(lo, hi),
-                         max_nfev=max_nfev, **stop).x
+                         max_nfev=max_nfev).x
+
+
+def _root(run: _Search, problem: EndpointProblem, x, budget: int) -> Evaluation:
+    """Levenberg-Marquardt on the endpoint residuals from x, inside the box.
+
+    Marquardt's step solves (J'J + lam diag(J'J)) dx = -J'r over the
+    variables not held at a bound that the gradient pushes against, and is
+    clipped to the box.  A step is taken if the chain assembles there and
+    the cost |r|^2 / 2 falls, and lam falls tenfold; otherwise lam rises
+    tenfold.  The solve stops at a root (max |r| <= ROOT_TOL), on a stall
+    (a step taken cuts the cost by under ROOT_FTOL of it), on a step under
+    STEP_TOL, or after ``budget`` assemblies, the start's included.  Every
+    point is assembled once: a clipped step that lands on the point just
+    rejected is rejected again unassembled, and the start and the end are
+    offered to the incumbent from the assemblies held.  Returns the end.
+    """
+    lo, hi = problem.box()
+    assembly = run.counted(problem.assembly)
+    x = np.clip(x, lo, hi)
+    held = assembly(x)
+    start = run.offer(problem, x, held)
+    if held[1] is None:
+        return start
+    r = start.residuals
+    cost = 0.5 * (r @ r)
+    lam, spent, moved, jac, rejected = LM_DAMPING, 1, False, None, None
+    while spent < budget and np.max(np.abs(r)) > ROOT_TOL:
+        if jac is None:
+            jac = problem.jacobian(x, held)
+        grad = jac.T @ r
+        free = ~(((x <= lo) & (grad > 0.0)) | ((x >= hi) & (grad < 0.0)))
+        normal = jac[:, free].T @ jac[:, free]
+        step = np.zeros_like(x)
+        step[free] = np.linalg.solve(normal + lam * np.diag(np.diag(normal)), -grad[free])
+        trial = np.clip(x + step, lo, hi)
+        if np.linalg.norm(trial - x) <= STEP_TOL * (STEP_TOL + np.linalg.norm(x)):
+            break
+        if rejected is None or not np.array_equal(trial, rejected):
+            trial_held = assembly(trial)
+            spent += 1
+            if trial_held[1] is not None:
+                trial_r = problem.residuals(trial, trial_held)
+                trial_cost = 0.5 * (trial_r @ trial_r)
+                if trial_cost < cost:
+                    stalled = cost - trial_cost < ROOT_FTOL * cost
+                    x, held, r, cost = trial, trial_held, trial_r, trial_cost
+                    lam, moved, jac, rejected = lam / 10.0, True, None, None
+                    if stalled:
+                        break
+                    continue
+        lam, rejected = lam * 10.0, trial
+    return run.offer(problem, x, held) if moved else start
 
 
 def decode_five_link(params) -> ChainParams:
@@ -466,9 +528,9 @@ def link_reduction_experiment(six_link: ChainParams,
 
     Hyperbolic indices are enumerated over all consecutive-distinct patterns.
     Per pattern the five turning fractions solve the endpoint equations by
-    bounded Newton steps from each start, stopped at a root or where the
-    residual plateaus (``ROOT_FTOL``, ``ROOT_GTOL``); the start itself is
-    offered too, and the merged input links seed their own pattern, so
+    bounded Levenberg-Marquardt steps from each start (``_root``), stopped
+    at a root or where the residual plateaus; the start and the end of each
+    solve are offered, and the merged input links seed their own pattern, so
     degenerate six-link chains are refit exactly.
 
     ``max_evals`` caps the assemblies of the whole search, the first
@@ -519,11 +581,8 @@ def link_reduction_experiment(six_link: ChainParams,
                 starts.insert(0, seed_taus)
             rooted = False
             for t0 in starts:
-                run.offer(problem, t0)
-                # five equations in five taus: bounded Newton on the exact Jacobian
-                end = run.offer(problem, _snap(run, problem, t0, per_pattern,
-                                               ftol=ROOT_FTOL, gtol=ROOT_GTOL))
-                rooted = rooted or end.feasible()
+                # five equations in five taus: bounded Levenberg-Marquardt
+                rooted = _root(run, problem, t0, per_pattern).feasible() or rooted
             roots += rooted
     except _Exhausted:
         pass

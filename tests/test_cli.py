@@ -298,7 +298,8 @@ class TestCommandConfig:
 
 
 # Runs in a fresh interpreter: prints which of scipy.optimize and sympy are
-# loaded after the import and after each command that never searches.
+# loaded after the import and after each command but five-link, the one
+# that runs scipy's solvers; six.json is a split octagon period.
 _SCIPY_PROBE = """
 import json, sys
 import hexameral
@@ -309,14 +310,17 @@ loaded = {"import hexameral": heavy()}
 for argv in (["octagon", "-o", "oct.json"], ["density", "oct.json"],
              ["verify", "oct.json"],
              ["export", "oct.json", "--format", "svg", "-o", "oct.svg"],
-             ["export", "oct.json", "--format", "json", "-o", "oct.geo.json"]):
+             ["export", "oct.json", "--format", "json", "-o", "oct.geo.json"],
+             ["reduce-link", "six.json", "--restarts", "1", "--max-evals", "3000",
+              "-o", "six.reduced.json"]):
     assert main(argv) == 0, argv
     loaded[" ".join(argv)] = heavy()
 print(json.dumps(loaded))
 """
 
 
-def test_commands_without_search_leave_scipy_unloaded(tmp_path):
+def test_commands_without_search_leave_scipy_unloaded(octagon, tmp_path):
+    save_chain(split_octagon_period(octagon), str(tmp_path / "six.json"))
     src = str(Path(hexameral.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
@@ -324,6 +328,6 @@ def test_commands_without_search_leave_scipy_unloaded(tmp_path):
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     loaded = json.loads(done.stdout.strip().splitlines()[-1])
-    assert len(loaded) == 6
+    assert len(loaded) == 7
     # sympy is a test-only oracle; the library never imports it
     assert all(names == [] for names in loaded.values()), loaded

@@ -23,7 +23,7 @@ import pytest
 import sympy
 
 from hexameral.chain import ChainParams, assemble, assemble_jacobian
-from hexameral.errors import GeometryError
+from hexameral.errors import FrameDeterminantError, GeometryError
 from hexameral.hyperlink import (
     LinkState,
     SquareRep,
@@ -36,6 +36,7 @@ from hexameral.hyperlink import (
 )
 from hexameral.optimize import (
     FAIL_RESIDUAL,
+    SEGMENT_BOUNDS,
     TAU_HI,
     EndpointProblem,
     five_link_problem,
@@ -43,6 +44,7 @@ from hexameral.optimize import (
 )
 from hexameral.sl2 import ProjectiveTangent, TangentElement, _sphere_basis, exp_tangent
 
+from conftest import split_octagon_period
 from test_kernel_identity import _five_link_points, _moved_segments
 
 # Richardson extrapolation starts from difference quotients at this step.
@@ -338,6 +340,27 @@ def test_jacobian_fails_like_propagate():
         x = _five_link_x(chain)
         if np.all(five.residuals(x) == FAIL_RESIDUAL):
             assert np.all(five.jacobian(x) == 0.0)
+
+
+def test_empty_link_meets_the_determinant_rule(octagon):
+    """An empty link whose start frame C(t0) fails the determinant rule
+    fails to assemble, as its derivative does: here the last link recovers
+    a = 51771.5, t0 = -1 + 2.5e-10, where det C(t0) reads 0.99999985."""
+    six = split_octagon_period(octagon, 0.10562745551078648)
+    pattern = (4, 2, 0, 4, 0)
+    problem = EndpointProblem(
+        lambda taus: ChainParams(six.initial, tuple(zip(taus, pattern))),
+        lambda area: area, 0.0, SEGMENT_BOUNDS, assemble(six).final)
+    x = np.array((0.41707547460919453, 0.9245758772946722, 0.999999, 0.999999, 0.0))
+    chain = problem.decode(x)
+    with pytest.raises(FrameDeterminantError) as plain:
+        assemble(chain)
+    with pytest.raises(FrameDeterminantError) as derived:
+        assemble_jacobian(chain, np.zeros((5, 0)))
+    assert plain.value.link_index == derived.value.link_index == 4
+    assert np.all(problem.residuals(x) == FAIL_RESIDUAL)
+    assert np.all(problem.jacobian(x) == 0.0)
+    assert problem.point(x).report is None
 
 
 # The exact oracle.

@@ -3,8 +3,10 @@
 A change meant only to make the library faster must leave these exactly as
 they are: the evaluation counts show that the searches took the same path,
 and the densities and areas, compared by ``repr``, that they ended at the
-same floats.  The values were captured with numpy 2.4.6 and scipy 1.17.1;
-other versions of either may round differently and move them.
+same floats.  The values were captured with numpy 2.4.6 and scipy 1.17.1.
+The five-link search runs scipy's solvers, so other versions of either may
+round differently and move its fingerprint; link reduction runs its own
+solver on numpy alone, so its fingerprints do not move with scipy.
 """
 import numpy as np
 
@@ -35,17 +37,17 @@ def test_probe_search_fingerprint():
 def test_split_period_reduction_fingerprint(octagon):
     report = link_reduction_experiment(split_octagon_period(octagon),
                                        SearchSpec(restarts=1, max_evals=3000))
-    assert report.eval_count == 658
+    assert report.eval_count == 603
     assert repr(report.six_area) == "1.5630272144218342"
-    assert repr(report.five_area) == "1.563027214421835"
+    assert repr(report.five_area) == "1.5630272144218325"
     assert report.root_count == 15
 
 
 def test_random_segment_reduction_fingerprint(octagon):
     report = link_reduction_experiment(random_reduce_segment(octagon),
                                        SearchSpec(restarts=1, max_evals=3000))
-    assert report.eval_count == 592
+    assert report.eval_count == 439
     assert report.root_count == 10
     assert repr(report.six_area) == "0.3126181255911544"
-    assert repr(report.five_area) == "0.31252342123386456"
+    assert repr(report.five_area) == "0.31252342123387417"
     assert [j for _, j in report.five_links] == [2, 4, 0, 4, 2]

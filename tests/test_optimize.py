@@ -20,8 +20,11 @@ from hexameral.optimize import (
     DEFAULT_BOUNDS,
     FIVE_LINK_PATTERN,
     SEGMENT_BOUNDS,
+    TAU_HI,
     EndpointProblem,
     SearchSpec,
+    _root,
+    _Search,
     decode_five_link,
     five_link_problem,
     five_link_search,
@@ -313,6 +316,34 @@ class TestLinkReduction:
         # the segment's own assembly, then one per evaluation
         assert len(calls) == report.eval_count + 1
 
+    def test_iterates_stay_in_the_box_and_assemble_once(self, octagon, monkeypatch):
+        import hexameral.optimize as optimize_module
+        real = optimize_module.assemble
+        for six in (split_octagon_period(octagon), random_reduce_segment(octagon)):
+            calls = []
+
+            def recorded(chain):
+                calls.append(chain.links)
+                return real(chain)
+            monkeypatch.setattr(optimize_module, "assemble", recorded)
+            link_reduction_experiment(six, SearchSpec(restarts=1, max_evals=3000))
+            refits = calls[1:]
+            assert all(0.0 <= tau <= TAU_HI for links in refits for tau, _ in links)
+            assert len(set(refits)) == len(refits)
+
+    def test_rootless_pattern_stops_within_its_budget(self, octagon):
+        six = split_octagon_period(octagon)
+        problem = EndpointProblem(
+            lambda taus: ChainParams(six.initial, tuple(zip(taus, (0, 2, 0, 2, 0)))),
+            lambda area: area, 0.0, SEGMENT_BOUNDS, assemble(six).final)
+        for budget in (1, 3, 61):
+            run = _Search(False)
+            end = _root(run, problem, np.full(5, 0.3), budget)
+            assert not end.feasible()
+            assert 1 <= run.evals <= budget
+        # the stall, not the budget, ends the full solve
+        assert run.evals < 30
+
     def test_reaches_the_lower_root(self, octagon):
         report = link_reduction_experiment(random_reduce_segment(octagon),
                                            SearchSpec(restarts=1, max_evals=3000))
@@ -358,10 +389,26 @@ def test_feasible_refits_reassemble_to_the_target(octagon):
     assert feasible >= 2
 
 
+def _polished_root(problem: EndpointProblem, x) -> np.ndarray | None:
+    """x with every tau within 1e-6 of a bound held on it and the others
+    moved by Gauss-Newton steps to a residual of at most 1e-13; None where
+    that fails or leaves the box."""
+    lo, hi = problem.box()
+    x = np.where(x - lo <= 1e-6, lo, np.where(hi - x <= 1e-6, hi, x))
+    free = (lo < x) & (x < hi)
+    for _ in range(10):
+        r = problem.residuals(x)
+        if np.max(np.abs(r)) <= 1e-13:
+            return x if np.all((lo <= x) & (x <= hi)) else None
+        x[free] -= np.linalg.lstsq(problem.jacobian(x)[:, free], r, rcond=None)[0]
+    return None
+
+
 def _least_reference_root(segment: ChainParams) -> float | None:
-    """The least area among strictly closed roots of a per-pattern Newton
-    solve from tau = 0.3, run with scipy's gtol and ftol off and a generous
-    iteration bound; None where no pattern has one."""
+    """The least area among strictly closed exact roots from a per-pattern
+    Newton solve from tau = 0.3, run with scipy's gtol and ftol off and a
+    generous iteration bound, its end point polished to a residual of at
+    most 1e-13; None where no pattern has one."""
     from scipy.optimize import least_squares
     target = assemble(segment).final
     lo, hi = np.array(SEGMENT_BOUNDS).T
@@ -374,6 +421,9 @@ def _least_reference_root(segment: ChainParams) -> float | None:
             lambda area: area, 0.0, SEGMENT_BOUNDS, target)
         x = least_squares(problem.residuals, np.full(5, 0.3), jac=problem.jacobian,
                           bounds=(lo, hi), ftol=None, gtol=None, max_nfev=100).x
+        x = _polished_root(problem, x)
+        if x is None:
+            continue
         ev = problem.evaluate(x)
         if ev.feasible() and (least is None or ev.value < least):
             least = ev.value
@@ -381,7 +431,8 @@ def _least_reference_root(segment: ChainParams) -> float | None:
 
 
 def test_reduction_reaches_the_least_reference_root(octagon):
-    """The stop rule ends no solve short of a root the reference reaches."""
+    """The stop rule ends no solve short of an exact root the reference
+    reaches, and the reported refit is itself an exact root."""
     rooted = 0
     for segment in _random_segments(octagon, np.random.default_rng(11), 8):
         least = _least_reference_root(segment)
@@ -391,6 +442,7 @@ def test_reduction_reaches_the_least_reference_root(octagon):
         rooted += 1
         assert report.feasible
         assert report.five_area <= least + 1e-12
+        assert report.endpoint_residual <= 1e-12
     assert rooted >= 6
 
 
