@@ -35,7 +35,6 @@ from .sl2 import (
     wedge,
 )
 from .multicurve import (
-    CurveSample,
     MultiPoint,
     RankLabel,
     convexity_value,

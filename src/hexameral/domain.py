@@ -57,7 +57,7 @@ from .hyperlink import (
     link_map,
     t_end,
 )
-from .multicurve import STANDARD, CurveSample, MultiPoint
+from .multicurve import STANDARD, MultiPoint, convexity_value
 from .sl2 import SQRT3, PlaneVector, wedge
 
 SQRT12 = math.sqrt(12.0)
@@ -194,19 +194,13 @@ def circle_reference(samples: int = 256) -> CircleReference:
     return CircleReference(BoundaryPolyline(pts, closed=True), CIRCLE_DENSITY)
 
 
-def circle_multicurve(samples: int = 16) -> list[list[CurveSample]]:
-    """The circle's six curves over one sixth of a turn, with derivatives,
-    at an integer of at least 2 samples."""
+def circle_multicurve(samples: int = 16) -> np.ndarray:
+    """The circle's six curves over one sixth of a turn, with derivatives, at
+    an integer of at least 2 samples, in link_curves' layout (6, 3, n, 2)."""
     ts = np.linspace(0.0, math.pi / 3.0, _sample_count("samples", samples, 2))
-    curves = []
-    for j in range(6):
-        base = math.pi * j / 3.0
-        curve = []
-        for t in ts:
-            p = PlaneVector(math.cos(base + t), math.sin(base + t))
-            curve.append(CurveSample(float(t), p, PlaneVector(-p.y, p.x), -p))
-        curves.append(curve)
-    return curves
+    angles = math.pi * np.arange(6)[:, None] / 3.0 + ts
+    p = np.stack((np.cos(angles), np.sin(angles)), axis=-1)
+    return np.stack((p, np.stack((-p[..., 1], p[..., 0]), axis=-1), -p), axis=1)
 
 
 def _star_margins(rep: SquareRep, t: float) -> tuple[float, float, float]:
@@ -234,12 +228,10 @@ def _link_end_margins(reps) -> tuple[float, float, float, list[int]]:
     for rep in reps:
         ends = (rep.t0, t_end(rep))
         star.extend(_star_margins(rep, t) for t in ends)
-        curves = link_curves(rep, ends).tolist()
-        # wedge(v, acc) at both ends of the even curves j (the hyperbola), j + 2, j + 4
-        bend = [[v[0] * acc[1] - v[1] * acc[0] for v, acc in zip(*curves[m % 6][1:])]
-                for m in (rep.j, rep.j + 2, rep.j + 4)]
-        bends.append(min(bend[0]))
-        ranks.append(sum(min(w) > 0.0 for w in bend))
+        # wedge(v, acc) at both ends of the even curves 0, 2, 4; curve j is the hyperbola
+        bend = convexity_value(link_curves(rep, ends)[0::2])
+        bends.append(float(bend[rep.j // 2].min()))
+        ranks.append(int((bend.min(axis=1) > 0.0).sum()))
     return (min(min(m[:2]) for m in star), min(m[2] for m in star), min(bends), ranks)
 
 

@@ -27,7 +27,7 @@ from .errors import (
     ParameterOutOfRange,
     ScaleTooSmall,
 )
-from .multicurve import STANDARD, CurveSample
+from .multicurve import STANDARD
 from .sl2 import (
     SQRT3,
     Frame,
@@ -486,23 +486,17 @@ def link_curves(rep: SquareRep, ts) -> np.ndarray:
 
 
 def link_multicurve(rep: SquareRep, samples: int = 16,
-                    g: FrameMatrix | None = None) -> list[list[CurveSample]]:
-    """Six sampled curves of one link, optionally moved by a frame g.
+                    g: FrameMatrix | None = None) -> np.ndarray:
+    """link_curves at evenly spaced parameters, optionally moved by a frame g.
 
     ``samples`` is an integer of at least 2: the link's two ends and the
-    points between them.
+    points between them.  The result has link_curves' shape (6, 3, samples, 2).
     """
     samples = _sample_count("samples", samples, 2)
     if rep.tau == 0.0:
         raise ParameterOutOfRange("cannot sample a zero-length link")
-    ts = np.linspace(rep.t0, t_end(rep), samples)
-    curves = link_curves(rep, ts)
-    if g is not None:
-        x, y = curves[..., 0], curves[..., 1]
-        curves = np.stack((g.alpha * x + g.beta * y, g.gamma * x + g.delta * y), axis=-1)
-    return [
-        [CurveSample(t, PlaneVector(*p), PlaneVector(*v), PlaneVector(*acc))
-         for t, p, v, acc in zip(ts.tolist(), *curve.tolist())]
-        for curve in curves
-    ]
-
+    curves = link_curves(rep, np.linspace(rep.t0, t_end(rep), samples))
+    if g is None:
+        return curves
+    x, y = curves[..., 0], curves[..., 1]
+    return np.stack((g.alpha * x + g.beta * y, g.gamma * x + g.delta * y), axis=-1)

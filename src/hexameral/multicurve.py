@@ -8,7 +8,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+
+import numpy as np
 
 from .errors import MissingAcceleration, RankUndefined, RankZero, WedgeMismatch
 from .sl2 import FrameMatrix, PlaneVector, wedge
@@ -69,25 +70,14 @@ def multipoint_from_pair(u0: PlaneVector, u2: PlaneVector) -> MultiPoint:
     return MultiPoint((u0, u0 + u2, u2, -u0, u4, -u2))
 
 
-@dataclass(frozen=True)
-class CurveSample:
-    """One sampled point of one boundary curve."""
-
-    t: float
-    position: PlaneVector
-    velocity: PlaneVector
-    acceleration: PlaneVector | None = None
-
-    def __post_init__(self) -> None:
-        if self.velocity.norm() == 0.0:
-            raise WedgeMismatch("curve sample has zero velocity")
-
-
-def convexity_value(sample: CurveSample) -> float:
-    """wedge(velocity, acceleration); nonnegative along convex boundaries."""
-    if sample.acceleration is None:
-        raise MissingAcceleration(f"sample at t={sample.t} carries no acceleration")
-    return wedge(sample.velocity, sample.acceleration)
+def convexity_value(curves) -> np.ndarray:
+    """wedge(velocity, acceleration) per sample of an array (..., 3, n, 2) of
+    positions, velocities and accelerations; nonnegative along convex boundaries."""
+    curves = np.asarray(curves, dtype=float)
+    if curves.ndim < 3 or curves.shape[-3] < 3:
+        raise MissingAcceleration(f"curves of shape {curves.shape} carry no acceleration")
+    v, acc = curves[..., 1, :, :], curves[..., 2, :, :]
+    return v[..., 0] * acc[..., 1] - v[..., 1] * acc[..., 0]
 
 
 @dataclass(frozen=True)
@@ -101,29 +91,29 @@ class RankLabel:
             raise RankZero(f"rank {self.value} is not admissible")
 
 
-def _is_curved(samples: Sequence[CurveSample], label: str) -> bool:
-    """Classify one sampled curve as linear (False) or strictly curved (True)."""
-    if len(samples) < 8:
-        raise RankUndefined(f"curve {label}: need at least 8 samples, got {len(samples)}")
-    values = []
-    scales = []
-    for s in samples:
-        values.append(convexity_value(s))
-        v = s.velocity.norm()
-        scales.append(RANK_TOL * v * v)
-    if all(abs(w) < tol for w, tol in zip(values, scales)):
-        return False
-    interior = list(zip(values, scales))[1:-1]
-    if all(w > tol for w, tol in interior):
-        return True
-    raise RankUndefined(f"curve {label}: samples mix linear and curved behaviour")
+def rank_classify(curves) -> RankLabel:
+    """Rank of a sampled multi-curve: curved count over even indices 0, 2, 4.
 
-
-def rank_classify(curves: Sequence[Sequence[CurveSample]]) -> RankLabel:
-    """Rank of a sampled multi-curve: curved count over even indices 0, 2, 4."""
-    if len(curves) != 6:
-        raise RankUndefined(f"expected six sampled curves, got {len(curves)}")
-    curved = sum(1 for j in (0, 2, 4) if _is_curved(curves[j], f"j={j}"))
-    if curved == 0:
+    ``curves`` is link_curves' array (6, 3, n, 2): curve, derivative order,
+    sample, (x, y), with at least 8 samples.  A curve is linear when every
+    sample has |wedge(v, acc)| < RANK_TOL |v|^2 and curved when every interior
+    sample has wedge(v, acc) > RANK_TOL |v|^2; anything else is RankUndefined.
+    """
+    curves = np.asarray(curves, dtype=float)
+    if curves.ndim != 4 or curves.shape[0] != 6 or curves.shape[1] > 3 or curves.shape[3] != 2:
+        raise RankUndefined(f"expected a (6, 3, n, 2) multi-curve, got shape {curves.shape}")
+    bend = convexity_value(curves[0::2])
+    speed = np.hypot(curves[:, 1, :, 0], curves[:, 1, :, 1])
+    if np.any(speed == 0.0):
+        raise WedgeMismatch("a curve sample has zero velocity")
+    if curves.shape[2] < 8:
+        raise RankUndefined(f"need at least 8 samples per curve, got {curves.shape[2]}")
+    scale = RANK_TOL * speed[0::2] * speed[0::2]
+    linear = np.all(np.abs(bend) < scale, axis=1)
+    curved = np.all((bend > scale)[:, 1:-1], axis=1)
+    mixed = np.flatnonzero(~(linear | curved))
+    if mixed.size:
+        raise RankUndefined(f"curve j={2 * mixed[0]}: samples mix linear and curved behaviour")
+    if linear.all():
         raise RankZero("no even-index curve is strictly curved")
-    return RankLabel(curved)
+    return RankLabel(int(np.sum(curved)))

@@ -63,6 +63,8 @@ class FramePath:
 def from_absolute(grid, frames) -> FramePath:
     """Relativize absolute frames, shape (n, 2, 2), by the inverse of the first one."""
     frames = np.asarray(frames, dtype=float)
+    if frames.ndim != 3 or frames.shape[1:] != (2, 2) or len(frames) == 0:
+        raise ParameterOutOfRange(f"frames have shape {frames.shape}, not (n, 2, 2) with n > 0")
     inv0 = np.reshape(_inverse(frames[0].ravel().tolist()), (2, 2))
     return FramePath(grid, inv0 @ frames)
 
@@ -134,15 +136,23 @@ class Sampled:
     deriv: np.ndarray | None = None
 
 
+def _on_grid(grid: np.ndarray, *samples) -> list[np.ndarray]:
+    """The samples as float arrays, each of the grid's shape, else ParameterOutOfRange."""
+    arrays = [np.asarray(v, dtype=float) for v in samples]
+    if any(v.shape != grid.shape for v in arrays):
+        raise ParameterOutOfRange("grid and sample lengths differ")
+    return arrays
+
+
 def second_variation_circle(u, w: Sampled, grid) -> float:
     """Quadrature of 4 u w' along the grid; indefinite in sign."""
     grid = np.asarray(grid, dtype=float)
     if len(grid) < MIN_GRID:
         raise ParameterOutOfRange("second variation grid needs at least 16 points")
-    u_vals = np.asarray(u.values if isinstance(u, Sampled) else u, dtype=float)
     if w.deriv is None:
         raise ParameterOutOfRange("w must carry derivative samples")
-    return float(np.trapezoid(4.0 * u_vals * np.asarray(w.deriv), grid))
+    u_vals, w_deriv = _on_grid(grid, u.values if isinstance(u, Sampled) else u, w.deriv)
+    return float(np.trapezoid(4.0 * u_vals * w_deriv, grid))
 
 
 def _wedge_coefficients(x: TangentElement, m: int) -> tuple[float, float, float]:
@@ -200,22 +210,19 @@ def rank2_first_variation(s: Sampled, x: Sampled, grid, z=None) -> Rank2Report:
     The x-variation sign is the uniform sign of s s' / 2, or 0 if mixed.
     """
     grid = np.asarray(grid, dtype=float)
-    sv = np.asarray(s.values, dtype=float)
-    xv = np.asarray(x.values, dtype=float)
     if s.deriv is None or x.deriv is None:
         raise ParameterOutOfRange("s and x must carry derivative samples")
-    sd = np.asarray(s.deriv, dtype=float)
-    xd = np.asarray(x.deriv, dtype=float)
-    if not (len(grid) == len(sv) == len(xv) == len(sd) == len(xd)):
-        raise ParameterOutOfRange("grid and sample lengths differ")
+    sv, _, sd, xd = _on_grid(grid, s.values, x.values, s.deriv, x.deriv)
     if np.min(sd) <= 0.0:
         raise SignCondition("s must increase strictly along the grid")
 
     lhs = xd * (sv * sv - 1.0)
     if z is None:
         z_vals = lhs / sd
+    elif np.ndim(z) == 0:
+        z_vals = float(z)
     else:
-        z_vals = np.broadcast_to(np.asarray(z, dtype=float), sv.shape)
+        (z_vals,) = _on_grid(grid, z)
     residual = float(np.max(np.abs(lhs - sd * z_vals)))
 
     integrand = 0.25 * (SQRT3 * sd - (1.0 + sv * sv) * xd)

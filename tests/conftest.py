@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from hexameral.hyperlink import SquareRep, link_curves, t_end
-from hexameral.multicurve import CurveSample
 from hexameral.sl2 import SQRT3, FrameMatrix, PlaneVector, TangentElement, exp_tangent
 
 
@@ -45,10 +44,9 @@ def random_frame(rng, scale: float = 0.8) -> FrameMatrix:
     return exp_tangent(x, scale / max(x.norm(), 1e-9))
 
 
-def curve_samples(rep: SquareRep, t: float) -> list[CurveSample]:
-    """The six curves of a link sampled at one parameter t, indexed by curve."""
-    return [CurveSample(t, PlaneVector(*p), PlaneVector(*v), PlaneVector(*acc))
-            for p, v, acc in link_curves(rep, [t])[:, :, 0].tolist()]
+def curve_positions(rep: SquareRep, t: float) -> list[PlaneVector]:
+    """The positions of a link's six curves at one parameter t, indexed by curve."""
+    return [PlaneVector(*p) for p in link_curves(rep, [t])[:, 0, 0].tolist()]
 
 
 def sector_quadrature(rep: SquareRep, samples: int) -> float:

@@ -33,7 +33,7 @@ from hexameral.domain import (
 )
 from hexameral.errors import RankZero
 from hexameral.hyperlink import link_area, link_multicurve, transform_state
-from hexameral.multicurve import STANDARD, CurveSample, rank_classify
+from hexameral.multicurve import STANDARD, rank_classify
 from hexameral.optimize import (
     DEFAULT_BOUNDS,
     SearchSpec,
@@ -43,7 +43,7 @@ from hexameral.optimize import (
     link_reduction_experiment,
     octagon_embedding,
 )
-from hexameral.sl2 import PlaneVector, wedge
+from hexameral.sl2 import wedge
 from hexameral.variational import (
     Sampled,
     _wedge_coefficients,
@@ -157,9 +157,11 @@ def test_criterion_06_rank_classification():
              for rep in dom.assembled.reps]
     circle_rank = rank_classify(circle_multicurve(32)).value
     ts = np.linspace(0.0, 1.0, 16)
-    flat = [[CurveSample(float(t), STANDARD[m] + PlaneVector(t, 0.0),
-                         PlaneVector(1.0, 0.0), PlaneVector(0.0, 0.0))
-             for t in ts] for m in range(6)]
+    # curve m is the line STANDARD[m] + (t, 0): velocity (1, 0), no acceleration
+    flat = np.zeros((6, 3, ts.size, 2))
+    flat[:, 0] = np.array([[STANDARD[m].x, STANDARD[m].y] for m in range(6)])[:, None]
+    flat[:, 0, :, 0] += ts
+    flat[:, 1, :, 0] = 1.0
     try:
         rank_classify(flat)
         rejected = False

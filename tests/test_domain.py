@@ -159,8 +159,8 @@ def test_bad_multicurve_sample_counts_rejected(octagon, samples):
 
 
 def test_least_multicurve_sample_counts(octagon):
-    assert [len(c) for c in link_multicurve(octagon.assembled.reps[0], 2)] == [2] * 6
-    assert [len(c) for c in circle_multicurve(2)] == [2] * 6
+    assert link_multicurve(octagon.assembled.reps[0], 2).shape == (6, 3, 2, 2)
+    assert circle_multicurve(2).shape == (6, 3, 2, 2)
     assert len(circle_reference(1).polyline.points) == 6
     assert len(circle_reference(7).polyline.points) == 8
 

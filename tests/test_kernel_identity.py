@@ -15,6 +15,7 @@ The curve sampler is held to the ``PlaneVector`` sampler it replaced, one
 parameter at a time, bit for bit.
 """
 import math
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -49,7 +50,7 @@ from hexameral.hyperlink import (
     t_end,
     transform_state,
 )
-from hexameral.multicurve import STANDARD, CurveSample
+from hexameral.multicurve import STANDARD
 from hexameral.optimize import DEFAULT_BOUNDS, decode_five_link, octagon_embedding
 from hexameral.sl2 import (
     SQRT3,
@@ -555,7 +556,15 @@ def _oracle_base_samples(rep: SquareRep, t: float):
     return hyp, line_x, line_y
 
 
-def oracle_curve_samples(rep: SquareRep, t: float) -> list[CurveSample]:
+class OracleSample(NamedTuple):
+    """One sample of one curve: position, velocity, acceleration."""
+
+    position: PlaneVector
+    velocity: PlaneVector
+    acceleration: PlaneVector
+
+
+def oracle_curve_samples(rep: SquareRep, t: float) -> list[OracleSample]:
     hyp, line_x, line_y = _oracle_base_samples(rep, t)
     by_residue = {0: hyp, 2: line_x, 4: line_y}
     samples = []
@@ -566,7 +575,7 @@ def oracle_curve_samples(rep: SquareRep, t: float) -> list[CurveSample]:
         else:
             pos, vel, acc = by_residue[(r + 3) % 6]
             pos, vel, acc = -pos, -vel, -acc
-        samples.append(CurveSample(t, pos, vel, acc))
+        samples.append(OracleSample(pos, vel, acc))
     return samples
 
 
@@ -575,8 +584,7 @@ def oracle_link_multicurve(rep: SquareRep, samples: int, g: FrameMatrix | None):
     for t in np.linspace(rep.t0, t_end(rep), max(samples, 2)):
         for m, s in enumerate(oracle_curve_samples(rep, float(t))):
             if g is not None:
-                s = CurveSample(s.t, g.apply(s.position), g.apply(s.velocity),
-                                g.apply(s.acceleration))
+                s = OracleSample(*(g.apply(v) for v in s))
             curves[m].append(s)
     return curves
 
@@ -617,11 +625,10 @@ def oracle_boundary_points(assembled, per_link: int) -> np.ndarray:
     return np.concatenate(coords)
 
 
-def _bits(curves) -> list:
-    """Every float of sampled curves as its hex form, so -0.0 differs from 0.0."""
-    return [[tuple(v.hex() for v in (s.t, s.position.x, s.position.y, s.velocity.x,
-                                      s.velocity.y, s.acceleration.x, s.acceleration.y))
-             for s in curve] for curve in curves]
+def _oracle_array(curves) -> np.ndarray:
+    """Oracle samples as link_curves' layout (6, 3, n, 2)."""
+    return np.array([[[[v.x, v.y] for v in s] for s in curve]
+                     for curve in curves]).transpose(0, 2, 1, 3)
 
 
 def _sampler_reps(rng, count: int):
@@ -653,8 +660,9 @@ def test_link_multicurve_matches_oracle():
         samples = int(rng.choice((2, 4, 16)))
         moved = transform_state(random_frame(rng), frame_at(rep, rep.t0))
         for g in (None, link_map(moved, rep)):
-            assert (_bits(link_multicurve(rep, samples, g))
-                    == _bits(oracle_link_multicurve(rep, samples, g)))
+            # bytes, so -0.0 differs from 0.0
+            assert (link_multicurve(rep, samples, g).tobytes()
+                    == _oracle_array(oracle_link_multicurve(rep, samples, g)).tobytes())
 
 
 def test_boundary_polyline_matches_oracle(octagon):

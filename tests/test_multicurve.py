@@ -1,6 +1,7 @@
 """Multi-point relations, convexity sampling, rank classification."""
 import math
 
+import numpy as np
 import pytest
 
 from hexameral.domain import circle_multicurve
@@ -10,10 +11,10 @@ from hexameral.errors import (
     RankZero,
     WedgeMismatch,
 )
+from hexameral.hyperlink import link_curves
 from hexameral.multicurve import (
     HALF_SQRT3,
     STANDARD,
-    CurveSample,
     MultiPoint,
     RankLabel,
     convexity_value,
@@ -23,7 +24,7 @@ from hexameral.multicurve import (
 )
 from hexameral.sl2 import PlaneVector, wedge
 
-from conftest import curve_samples, random_frame
+from conftest import curve_positions, random_frame
 
 
 def check_multipoint_relations(mp: MultiPoint, tol: float = 1e-9):
@@ -80,9 +81,9 @@ class TestMultipointFromPair:
             PlaneVector(rep.a * s0, rep.a),
         )
         check_multipoint_relations(mp)
-        canon = curve_samples(rep, rep.t0)
+        canon = curve_positions(rep, rep.t0)
         err = max(
-            (mp[m] - canon[(m + 2) % 6].position).norm()
+            (mp[m] - canon[(m + 2) % 6]).norm()
             for m in range(6)
         )
         assert err < 1e-12
@@ -98,37 +99,38 @@ class TestMultipointFromPair:
             check_multipoint_relations(mp)
 
 
-def circle_sample(t: float) -> CurveSample:
-    p = PlaneVector(math.cos(t), math.sin(t))
-    return CurveSample(t, p, PlaneVector(-p.y, p.x), -p)
+def circle_curve(ts) -> np.ndarray:
+    """Unit circle samples at angles ts: (3, n, 2) positions, velocities, accelerations."""
+    p = np.stack((np.cos(ts), np.sin(ts)), axis=-1)
+    return np.stack((p, np.stack((-p[:, 1], p[:, 0]), axis=-1), -p))
 
 
-def line_sample(t: float) -> CurveSample:
-    return CurveSample(t, PlaneVector(t, 1.0), PlaneVector(1.0, 0.0),
-                       PlaneVector(0.0, 0.0))
+def line_curve(ts) -> np.ndarray:
+    """The line (t, 1) at parameters ts, in the same layout."""
+    ts = np.asarray(ts, dtype=float)
+    curve = np.zeros((3, ts.size, 2))
+    curve[0, :, 0], curve[0, :, 1] = ts, 1.0
+    curve[1, :, 0] = 1.0
+    return curve
 
 
 class TestConvexityValue:
     def test_circle_curvature_one(self):
-        assert abs(convexity_value(circle_sample(0.3)) - 1.0) < 1e-15
+        assert abs(convexity_value(circle_curve([0.3]))[0] - 1.0) < 1e-15
 
     def test_line_vanishes(self):
-        assert convexity_value(line_sample(0.5)) == 0.0
+        assert convexity_value(line_curve([0.5]))[0] == 0.0
 
     def test_octagon_hyperbola_positive(self):
         from hexameral.domain import octagon_square_rep
         rep = octagon_square_rep()
-        sample = curve_samples(rep, -0.6)[rep.j]
-        assert convexity_value(sample) > 0.0
+        sample = link_curves(rep, [-0.6])[rep.j]
+        assert convexity_value(sample)[0] > 0.0
 
     def test_missing_acceleration(self):
-        s = CurveSample(0.0, PlaneVector(1, 0), PlaneVector(0, 1))
+        s = np.array([[[1.0, 0.0]], [[0.0, 1.0]]])
         with pytest.raises(MissingAcceleration):
             convexity_value(s)
-
-    def test_zero_velocity_rejected(self):
-        with pytest.raises(WedgeMismatch):
-            CurveSample(0.0, PlaneVector(1, 0), PlaneVector(0, 0))
 
 
 class TestRankClassify:
@@ -141,7 +143,7 @@ class TestRankClassify:
 
     def test_all_linear_is_rank_zero(self):
         ts = [i / 9 for i in range(10)]
-        curves = [[line_sample(t) for t in ts] for _ in range(6)]
+        curves = np.stack([line_curve(ts)] * 6)
         with pytest.raises(RankZero):
             rank_classify(curves)
 
@@ -149,15 +151,30 @@ class TestRankClassify:
         with pytest.raises(RankUndefined):
             rank_classify(circle_multicurve()[:4])
 
+    @pytest.mark.parametrize("shape", [(6, 3, 16), (6, 3, 16, 3), (6, 4, 16, 2), (1, 6, 3, 16, 2)])
+    def test_wrong_shape_rejected(self, shape):
+        with pytest.raises(RankUndefined):
+            rank_classify(np.ones(shape))
+
+    def test_missing_acceleration(self):
+        with pytest.raises(MissingAcceleration):
+            rank_classify(circle_multicurve()[:, :2])
+
+    def test_zero_velocity_rejected(self):
+        curves = circle_multicurve()
+        curves[3, 1, 5] = 0.0
+        with pytest.raises(WedgeMismatch):
+            rank_classify(curves)
+
     def test_too_few_samples(self):
-        curves = [[circle_sample(t) for t in (0.0, 0.1, 0.2)] for _ in range(6)]
+        curves = np.stack([circle_curve([0.0, 0.1, 0.2])] * 6)
         with pytest.raises(RankUndefined):
             rank_classify(curves)
 
     def test_mixed_behaviour_rejected(self):
         ts = [i / 9 for i in range(10)]
-        mixed = [circle_sample(t) for t in ts[:5]] + [line_sample(t) for t in ts[5:]]
-        curves = [mixed] + [[circle_sample(t) for t in ts] for _ in range(5)]
+        mixed = np.concatenate((circle_curve(ts[:5]), line_curve(ts[5:])), axis=1)
+        curves = np.stack([mixed] + [circle_curve(ts)] * 5)
         with pytest.raises(RankUndefined):
             rank_classify(curves)
 
@@ -172,14 +189,9 @@ class TestRankClassify:
 
     def test_reparametrization_invariance(self):
         lam = 2.5
-        curves = []
-        for curve in circle_multicurve():
-            curves.append([
-                CurveSample(lam * s.t, s.position,
-                            s.velocity.scaled(1.0 / lam),
-                            s.acceleration.scaled(1.0 / (lam * lam)))
-                for s in curve
-            ])
+        curves = circle_multicurve()
+        curves[:, 1] *= 1.0 / lam
+        curves[:, 2] *= 1.0 / (lam * lam)
         assert rank_classify(curves).value == 3
 
     def test_rank_label_bounds(self):

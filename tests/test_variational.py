@@ -66,6 +66,11 @@ class TestFramePath:
         assert path.frames[0, 0, 0] == pytest.approx(1.0, abs=1e-12)
         assert area_functional(path) == 0.0
 
+    @pytest.mark.parametrize("frames", [np.empty((0, 2, 2)), np.tile([1.0, 0.0, 0.0, 1.0], (16, 1))])
+    def test_from_absolute_rejects_bad_shapes(self, frames):
+        with pytest.raises(ParameterOutOfRange, match="frames have shape"):
+            from_absolute(np.arange(float(len(frames))), frames)
+
 
 def _scaled_frames(rng, det_offsets) -> np.ndarray:
     """The identity, then random SL2 frames scaled to det 1 + each offset."""
@@ -190,6 +195,13 @@ class TestSecondVariation:
         with pytest.raises(ParameterOutOfRange):
             second_variation_circle(np.cos(g), Sampled(np.sin(g), np.cos(g)), g)
 
+    @pytest.mark.parametrize("u_size, deriv_size", [(1, 20), (20, 1), (19, 20), (20, 21)])
+    def test_sample_lengths_must_match_grid(self, u_size, deriv_size):
+        g = uniform_grid(20)
+        w = Sampled(np.ones(deriv_size), np.ones(deriv_size))
+        with pytest.raises(ParameterOutOfRange, match="lengths differ"):
+            second_variation_circle(np.ones(u_size), w, g)
+
 
 class TestCurvatureLemma:
     def test_reference_tangent(self):
@@ -250,6 +262,14 @@ class TestRank2FirstVariation:
         x = Sampled(np.zeros(50), np.zeros(50))
         with pytest.raises(ParameterOutOfRange):
             rank2_first_variation(s, x, g)
+
+    @pytest.mark.parametrize("size", [1, 100])
+    def test_z_length_must_match_grid(self, size):
+        g = np.linspace(0.0, 1.0, 101)
+        s = Sampled(-0.8 + 0.4 * g, np.full_like(g, 0.4))
+        x = Sampled(np.zeros_like(g), np.zeros_like(g))
+        with pytest.raises(ParameterOutOfRange, match="lengths differ"):
+            rank2_first_variation(s, x, g, z=np.full(size, 0.1))
 
     def test_missing_derivatives(self):
         g = np.linspace(0.0, 1.0, 101)
