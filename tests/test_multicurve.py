@@ -1,6 +1,4 @@
 """Multi-point relations, convexity sampling, rank classification."""
-import math
-
 import numpy as np
 import pytest
 

@@ -66,7 +66,7 @@ class TestFramePath:
         assert path.frames[0, 0, 0] == pytest.approx(1.0, abs=1e-12)
         assert area_functional(path) == 0.0
 
-    @pytest.mark.parametrize("frames", [np.empty((0, 2, 2)), np.tile([1.0, 0.0, 0.0, 1.0], (16, 1))])
+    @pytest.mark.parametrize("frames", [np.empty((0, 2, 2)), np.tile(np.eye(2).ravel(), (16, 1))])
     def test_from_absolute_rejects_bad_shapes(self, frames):
         with pytest.raises(ParameterOutOfRange, match="frames have shape"):
             from_absolute(np.arange(float(len(frames))), frames)
