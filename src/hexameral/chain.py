@@ -209,20 +209,24 @@ def angle_margin_of(chain: ChainParams, assembled: AssembledChain | None = None)
     is monotone (see the module docstring), so denser samples inside a link
     add no extreme and no smaller increment; the increments across a link
     join compare two readings of the same state and sit at rounding level.
-    A sweep past pi, far outside the condition, wraps inside some link; the
-    wrap is charged as that link's backward end-minus-start step.
+    Each ``atan2`` reading gains the whole turns that bring it within pi of
+    the last, so a sweep past pi is charged in full on either side of the
+    branch cut; without a wrap the angles are ``atan2``'s own floats.
     """
     if assembled is None:
         assembled = assemble(chain)
     inv0 = _inverse(chain.initial.frame.entries())
     angles = [0.0]
+    turns = 0.0
     for start, end, rep in zip(assembled.states, assembled.states[1:], assembled.reps):
         if rep.tau == 0.0:
             continue
         for state in (start, end):
             # u*_0 = (1, 0): the relative position is the first column
             al, _, ga, _ = _product(inv0, state.frame.entries())
-            angles.append(math.atan2(ga, al))
+            angle = math.atan2(ga, al)
+            turns += 2.0 * math.pi * round((angles[-1] - angle - turns) / (2.0 * math.pi))
+            angles.append(angle + turns if turns else angle)
     mono = min((b - a for a, b in zip(angles, angles[1:])), default=0.0)
     return min(min(angles), SIXTH_TURN - max(angles), mono)
 

@@ -1,23 +1,15 @@
-"""Searches over chain parameters.
+"""Searches over chain parameters, on the module's own solvers.
 
 Both experiments are one endpoint problem: minimise a multiple of the chain
 area over link parameters in a box, subject to the chain ending in a target
-state.  The five-link density search targets the start state turned by pi/3
-(a closed chain): from each start it snaps onto closure by least squares,
-then runs SLSQP on density with five independent endpoint equations as
-equality constraints, reading value, gradient, equations and Jacobian from
-one chain assembly per point.  Link reduction refits a six-link segment with
-five links ending in the segment's own end state: per index pattern, five
-equations in five turning fractions, solved by the module's own bounded
-Levenberg-Marquardt iteration on the exact Jacobian (``_root``); the least
-area among the strictly closed roots wins.  A reduction solve runs on to the
-root and stops early where its residual plateaus, which is how a pattern
-without a root shows.  Only the five-link search runs scipy's solvers.
-
-Every chain assembly counts as an evaluation, and ``SearchSpec.max_evals``
-caps them in both searches.  The residuals and Jacobian at one point share
-one assembly, as SLSQP's four callbacks do; a reduction solve assembles no
-point twice and offers its start and end from the assemblies it holds.
+state.  One Newton solve, ``_root`` (bounded Levenberg-Marquardt on the exact
+Jacobian), serves both.  The five-link density search targets the start
+state turned by pi/3: per start, ``_root`` snaps onto closure, then an
+active-set SQP (``_descend``) lowers density with five endpoint equations as
+equality constraints.  Link reduction refits a six-link segment with five
+links ending in its end state: per index pattern, ``_root`` solves five
+equations in five turning fractions, and the least closed root wins.  Every
+chain assembly counts as an evaluation; ``SearchSpec.max_evals`` caps them.
 """
 from __future__ import annotations
 
@@ -54,17 +46,27 @@ FIVE_LINK_PATTERN = (0, 2, 4, 2, 0)
 TAU_HI = 1.0 - 1e-6
 FAIL_RESIDUAL = 1.0e3
 IMPROVEMENT_MARGIN = 1e-9
-# Least-squares iterations that snap a start onto the closure constraint.
-SNAP_NFEV = 200
-# Link reduction's stop rule per Newton solve (_root): a root is a residual
-# of at most ROOT_TOL; an accepted step that cuts the cost by under ROOT_FTOL
-# of it is a stall, which is how a pattern without a root plateaus; a step
-# under STEP_TOL relative to x ends it too.  LM_DAMPING is the first
+# The stop rule of a Newton solve (_root): a root is a residual of at most
+# ROOT_TOL; an accepted step that cuts the cost by under ROOT_FTOL of it is a
+# stall, which is how a pattern without a root plateaus; a step under
+# STEP_TOL relative to x ends it too.  LM_DAMPING is the first
 # Levenberg-Marquardt parameter.
 ROOT_TOL = 1e-14
 ROOT_FTOL = 1e-2
 STEP_TOL = 1e-12
 LM_DAMPING = 1e-3
+# Assemblies of the solve that snaps a five-link start onto closure, and of
+# each that restores an SQP trial, which sits so near closure that its solve
+# starts almost undamped and stops short of a root only on a tiny step.
+SNAP_EVALS = 200
+RESTORE_EVALS = 20
+RESTORE_DAMPING = 1e-9
+RESTORE_XTOL = 1e-15
+# The SQP stops where its model promises a fall under SQP_FTOL; a trial step
+# halves at most SQP_HALVINGS times, an active set changes QP_CHANGES times.
+SQP_FTOL = 1e-15
+SQP_HALVINGS = 6
+QP_CHANGES = 20
 # Draws of a random five-link start, the first included, until one assembles:
 # about 42 % of uniform draws in DEFAULT_BOUNDS do.
 START_DRAWS = 100
@@ -75,25 +77,14 @@ DEFAULT_BOUNDS = ((-0.6, 0.6), (-0.99, -0.01)) + SEGMENT_BOUNDS
 
 _NO_CLOSURE = ClosureReport(math.inf, math.inf, False, -math.inf)
 
-# scipy's solvers become the module globals ``least_squares`` and
-# ``minimize`` on first use, through _load_solvers or a module attribute
-# lookup: importing scipy.optimize costs about half a second that callers
-# who never run the five-link search should not pay.
-_SOLVERS = ("least_squares", "minimize")
-
-
-def _load_solvers() -> None:
-    if "minimize" not in globals():
-        from scipy import optimize as solvers
-
-        for name in _SOLVERS:
-            globals()[name] = getattr(solvers, name)
-
 
 def __getattr__(name: str):
-    if name in _SOLVERS:
-        _load_solvers()
-        return globals()[name]
+    """scipy's ``least_squares`` and ``minimize``, imported on lookup: no
+    search calls them, but the benchmark's tracer binds them by name."""
+    if name in ("least_squares", "minimize"):
+        from scipy import optimize as solvers
+
+        return getattr(solvers, name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
@@ -173,7 +164,8 @@ class EndpointProblem:
     ``propagate_jacobian``'s coordinates.  ``value`` is linear, so it also
     maps the area gradient to the value's.  A ``target`` of None means the
     chain's own start state turned by pi/3.  ``fail_value`` stands in for
-    the value where no chain can be assembled.
+    the value where no chain can be assembled.  Methods that take an
+    ``assembly`` accept ``self.assembly(x)`` from a caller who holds it.
     """
 
     decode: Callable[[np.ndarray], ChainParams]
@@ -197,10 +189,7 @@ class EndpointProblem:
             return chain, None
 
     def residuals(self, x, assembly=None) -> np.ndarray:
-        """Endpoint equations as a residual vector of seven entries.
-
-        ``assembly`` is ``self.assembly(x)`` where the caller holds it already.
-        """
+        """Endpoint equations as a residual vector of seven entries."""
         chain, assembled = self.assembly(x) if assembly is None else assembly
         if assembled is None:
             return np.full(7, FAIL_RESIDUAL)
@@ -219,10 +208,7 @@ class EndpointProblem:
         return d_state, d_target
 
     def jacobian(self, x, assembly=None) -> np.ndarray:
-        """The exact 7 x n Jacobian of ``residuals``; zero where no chain assembles.
-
-        ``assembly`` is ``self.assembly(x)`` where the caller holds it already.
-        """
+        """The exact 7 x n Jacobian of ``residuals``; zero where no chain assembles."""
         chain, assembled = self.assembly(x) if assembly is None else assembly
         if assembled is None:
             return np.zeros((7, len(x)))
@@ -240,18 +226,15 @@ class EndpointProblem:
                           closure_of(chain, assembled, target=target), chain, *derivatives)
 
     def evaluate(self, x, assembly=None) -> Evaluation:
-        """Value, residuals and closure report of the chain at x.
-
-        ``assembly`` is ``self.assembly(x)`` where the caller holds it already.
-        """
+        """Value, residuals and closure report of the chain at x."""
         chain, assembled = self.assembly(x) if assembly is None else assembly
         if assembled is None:
             return Evaluation(self.fail_value, np.full(7, FAIL_RESIDUAL), None, chain)
         return self._evaluation(chain, assembled)
 
-    def point(self, x) -> Evaluation:
-        """``evaluate`` with the derivatives SLSQP needs, from one assembly."""
-        chain, assembled = self.assembly(x)
+    def point(self, x, assembly=None) -> Evaluation:
+        """``evaluate`` with the derivatives an SQP step needs, from one assembly."""
+        chain, assembled = self.assembly(x) if assembly is None else assembly
         if assembled is None:
             n = len(x)
             return Evaluation(self.fail_value, np.full(7, FAIL_RESIDUAL), None, chain,
@@ -265,9 +248,13 @@ class EndpointProblem:
         return self._evaluation(chain, assembled, self.value(d_state[5]), equations, jac)
 
 
-def _rank(ev: Evaluation) -> tuple[int, float]:
-    """Incumbent order: feasible points by value, then the rest by violation."""
-    return (0, ev.value) if ev.feasible() else (1, ev.violation())
+def _rank(ev: Evaluation, closure_tol: float = math.inf) -> tuple[int, float]:
+    """Incumbent order: feasible points by value, then the rest by violation;
+    with a ``closure_tol``, only those whose residual entries are within it
+    rank by value, so closure slack never passes for a lower value."""
+    if ev.feasible() and np.max(np.abs(ev.residuals)) <= closure_tol:
+        return (0, ev.value)
+    return (1, ev.violation())
 
 
 class _Exhausted(Exception):
@@ -277,100 +264,74 @@ class _Exhausted(Exception):
 class _Search:
     """Evaluation count, budget and incumbent shared by every stage of one search.
 
-    Every chain assembly counts as an evaluation: ``offer``, the residual
-    and Jacobian callables handed to the solvers through ``counted``, and
-    each new point of ``point``.  One past ``limit`` raises _Exhausted.
+    Every chain assembly goes through ``assembly`` and counts as an
+    evaluation, except the point assembled last, which is kept.  One past
+    ``limit`` raises _Exhausted.  The trace records each new incumbent of
+    rank 0.
     """
 
-    def __init__(self, trace_on: bool) -> None:
+    def __init__(self, trace_on: bool, closure_tol: float = math.inf) -> None:
         self.evals = 0
         self.limit = math.inf
+        self.closure_tol = closure_tol
         self.x: np.ndarray | None = None
         self.best: Evaluation | None = None
         self.trace: list[tuple[int, float]] | None = [] if trace_on else None
-        self._last: tuple[np.ndarray, Evaluation] | None = None
+        self._held: tuple | None = None
 
-    def counted(self, fn: Callable[[np.ndarray], np.ndarray]
-                ) -> Callable[[np.ndarray], np.ndarray]:
-        """``fn`` with every call counted as an evaluation."""
-        def call(x) -> np.ndarray:
+    def assembly(self, problem: EndpointProblem, x):
+        """``problem.assembly(x)``, counted unless x is the point assembled last."""
+        held, key = self._held, np.asarray(x, dtype=float).tobytes()
+        if held is None or held[0] is not problem or held[1] != key:
             if self.evals >= self.limit:
                 raise _Exhausted
             self.evals += 1
-            return fn(x)
-        return call
+            held = self._held = (problem, key, problem.assembly(x))
+        return held[2]
 
-    def _consider(self, x, ev: Evaluation) -> Evaluation:
-        if self.best is None or _rank(ev) < _rank(self.best):
+    def consider(self, x, ev: Evaluation) -> Evaluation:
+        rank = _rank(ev, self.closure_tol)
+        if self.best is None or rank < _rank(self.best, self.closure_tol):
             self.x = np.array(x, dtype=float)
             self.best = ev
-            if self.trace is not None and ev.feasible():
+            if self.trace is not None and rank[0] == 0:
                 self.trace.append((self.evals, ev.value))
         return ev
 
-    def offer(self, problem: EndpointProblem, x, assembly=None) -> Evaluation:
-        """``problem.evaluate`` at x, offered to the incumbent; an ``assembly``
-        the caller holds, already counted, is not assembled again."""
-        if assembly is None:
-            return self._consider(x, self.counted(problem.evaluate)(x))
-        return self._consider(x, problem.evaluate(x, assembly))
+    def offer(self, problem: EndpointProblem, x) -> Evaluation:
+        """``problem.evaluate`` at x, offered to the incumbent."""
+        return self.consider(x, problem.evaluate(x, self.assembly(problem, x)))
 
     def point(self, problem: EndpointProblem, x) -> Evaluation:
-        """``problem.point`` at x clipped to the box, offered to the incumbent.
-
-        The latest point is kept, so SLSQP's value, gradient, equation and
-        Jacobian callbacks at one x cost one assembly.
-        """
-        x = np.clip(x, *problem.box())
-        if self._last is None or not np.array_equal(x, self._last[0]):
-            self._last = (x, self._consider(x, self.counted(problem.point)(x)))
-        return self._last[1]
+        """``problem.point`` at x, offered to the incumbent."""
+        return self.consider(x, problem.point(x, self.assembly(problem, x)))
 
 
-def _snap(run: _Search, problem: EndpointProblem, x, max_nfev: int) -> np.ndarray:
-    """Least-squares projection onto the endpoint constraint, inside the box:
-    scipy's bounded Newton steps on the exact Jacobian.
-
-    The residuals and the Jacobian at one x share one assembly, counted once.
-    """
-    _load_solvers()
-    lo, hi = problem.box()
-    last: list = []
-
-    def at(x):
-        if not last or not np.array_equal(x, last[0]):
-            last[:] = (np.array(x, dtype=float), run.counted(problem.assembly)(x))
-        return last[1]
-
-    return least_squares(lambda x: problem.residuals(x, at(x)), np.clip(x, lo, hi),
-                         jac=lambda x: problem.jacobian(x, at(x)), bounds=(lo, hi),
-                         max_nfev=max_nfev).x
-
-
-def _root(run: _Search, problem: EndpointProblem, x, budget: int) -> Evaluation:
+def _root(run: _Search, problem: EndpointProblem, x, budget: int,
+          damping: float = LM_DAMPING, xtol: float = STEP_TOL
+          ) -> tuple[np.ndarray, Evaluation]:
     """Levenberg-Marquardt on the endpoint residuals from x, inside the box.
 
     Marquardt's step solves (J'J + lam diag(J'J)) dx = -J'r over the
     variables not held at a bound that the gradient pushes against, and is
     clipped to the box.  A step is taken if the chain assembles there and
     the cost |r|^2 / 2 falls, and lam falls tenfold; otherwise lam rises
-    tenfold.  The solve stops at a root (max |r| <= ROOT_TOL), on a stall
-    (a step taken cuts the cost by under ROOT_FTOL of it), on a step under
-    STEP_TOL, or after ``budget`` assemblies, the start's included.  Every
-    point is assembled once: a clipped step that lands on the point just
-    rejected is rejected again unassembled, and the start and the end are
-    offered to the incumbent from the assemblies held.  Returns the end.
+    tenfold from ``damping``.  The solve stops at a root (max |r| <= ROOT_TOL),
+    on a stall (a step taken cuts the cost by under ROOT_FTOL of it), on a
+    step under ``xtol`` relative to x or a singular step system, or after
+    ``budget`` assemblies, the start's included.  No point is assembled
+    twice, and the start and the end are offered to the incumbent.  Returns
+    the end and its evaluation.
     """
     lo, hi = problem.box()
-    assembly = run.counted(problem.assembly)
     x = np.clip(x, lo, hi)
-    held = assembly(x)
-    start = run.offer(problem, x, held)
+    held = run.assembly(problem, x)
+    start = run.consider(x, problem.evaluate(x, held))
     if held[1] is None:
-        return start
-    r = start.residuals
+        return x, start
+    x0, r = x, start.residuals
     cost = 0.5 * (r @ r)
-    lam, spent, moved, jac, rejected = LM_DAMPING, 1, False, None, None
+    lam, spent, jac, rejected = damping, 1, None, None
     while spent < budget and np.max(np.abs(r)) > ROOT_TOL:
         if jac is None:
             jac = problem.jacobian(x, held)
@@ -378,12 +339,15 @@ def _root(run: _Search, problem: EndpointProblem, x, budget: int) -> Evaluation:
         free = ~(((x <= lo) & (grad > 0.0)) | ((x >= hi) & (grad < 0.0)))
         normal = jac[:, free].T @ jac[:, free]
         step = np.zeros_like(x)
-        step[free] = np.linalg.solve(normal + lam * np.diag(np.diag(normal)), -grad[free])
+        try:
+            step[free] = np.linalg.solve(normal + lam * np.diag(np.diag(normal)), -grad[free])
+        except np.linalg.LinAlgError:
+            break
         trial = np.clip(x + step, lo, hi)
-        if np.linalg.norm(trial - x) <= STEP_TOL * (STEP_TOL + np.linalg.norm(x)):
+        if np.linalg.norm(trial - x) <= xtol * (xtol + np.linalg.norm(x)):
             break
         if rejected is None or not np.array_equal(trial, rejected):
-            trial_held = assembly(trial)
+            trial_held = run.assembly(problem, trial)
             spent += 1
             if trial_held[1] is not None:
                 trial_r = problem.residuals(trial, trial_held)
@@ -391,12 +355,91 @@ def _root(run: _Search, problem: EndpointProblem, x, budget: int) -> Evaluation:
                 if trial_cost < cost:
                     stalled = cost - trial_cost < ROOT_FTOL * cost
                     x, held, r, cost = trial, trial_held, trial_r, trial_cost
-                    lam, moved, jac, rejected = lam / 10.0, True, None, None
+                    lam, jac, rejected = lam / 10.0, None, None
                     if stalled:
                         break
                     continue
         lam, rejected = lam * 10.0, trial
-    return run.offer(problem, x, held) if moved else start
+    return x, start if x is x0 else run.consider(x, problem.evaluate(x, held))
+
+
+def _qp(hess: np.ndarray, at: Evaluation, x, lo, hi):
+    """The SQP subproblem at x by a primal active set over the bounds:
+    min g'd + d'Hd/2 subject to c + A d = 0 and lo <= x + d <= hi, with g, c
+    and A read from the point ``at``.  A move that would cross a bound stops
+    there and pins it; a pinned bound whose multiplier pulls the wrong way is
+    freed.  Returns d and the multipliers lam of the equations and nu of the
+    bounds, g + H d + A'lam = nu: nu >= 0 holds a lower bound, nu <= 0 an
+    upper one, and nu is zero off the working set.
+    """
+    g, c, a = at.gradient, at.equations, at.equation_jacobian
+    n, m = len(x), len(c)
+    d = np.zeros(n)
+    # -1 where a lower bound is in the working set, +1 an upper one
+    side = np.where(x <= lo, -1.0, np.where(x >= hi, 1.0, 0.0))
+    for _ in range(QP_CHANGES):
+        pinned = side != 0.0
+        rows = np.vstack((a, -np.eye(n)[pinned]))
+        kkt = np.block([[hess, rows.T], [rows, np.zeros((len(rows),) * 2)]])
+        solved = np.linalg.lstsq(kkt, np.concatenate((-g, -c, -d[pinned])), rcond=None)[0]
+        lam, nu = solved[n:n + m], np.zeros(n)
+        nu[pinned] = solved[n + m:]
+        move = np.where(pinned, 0.0, solved[:n] - d)
+        # the fraction of the move that takes each free variable to its bound
+        room = np.full(n, np.inf)
+        going = move != 0.0
+        room[going] = (np.where(move < 0.0, lo, hi) - x - d)[going] / move[going]
+        block = int(np.argmin(room))
+        if room[block] < 1.0:
+            d += max(room[block], 0.0) * move
+            side[block] = math.copysign(1.0, move[block])
+            d[block] = (lo if side[block] < 0.0 else hi)[block] - x[block]
+            continue
+        d += move
+        wrong = side * nu > 0.0
+        if not wrong.any():
+            break
+        side[np.argmax(np.where(wrong, np.abs(nu), -1.0))] = 0.0
+    return d, lam, nu
+
+
+def _descend(run: _Search, problem: EndpointProblem, x) -> None:
+    """Active-set SQP from x: ``_qp`` steps on a damped-BFGS Hessian of the
+    Lagrangian.  Each trial x + d / 2^h is restored onto closure by ``_root``
+    before it is judged, so the closure surface's curvature cannot reject
+    full steps as under a penalty merit (the Maratos effect).  The first
+    trial that ranks above x in the incumbent's order is taken, h <=
+    SQP_HALVINGS.  Where none is, the Hessian restarts from the identity
+    once; the descent stops there, or on closure where the model promises a
+    fall under SQP_FTOL."""
+    lo, hi = problem.box()
+    here = run.point(problem, x)
+    hess, fresh = np.eye(len(x)), True
+    while here.report is not None:
+        step, lam, _ = _qp(hess, here, x, lo, hi)
+        if (_rank(here, run.closure_tol)[0] == 0
+                and -(here.gradient @ step + 0.5 * step @ hess @ step) <= SQP_FTOL):
+            return
+        for halving in range(SQP_HALVINGS + 1):
+            new_x, new = _root(run, problem, np.clip(x + step / 2 ** halving, lo, hi),
+                               RESTORE_EVALS, RESTORE_DAMPING, RESTORE_XTOL)
+            if _rank(new, run.closure_tol) < _rank(here, run.closure_tol):
+                break
+        else:
+            if fresh:
+                return
+            hess, fresh = np.eye(len(x)), True
+            continue
+        fresh = False
+        new = run.point(problem, new_x)
+        # Powell's damping keeps the update positive definite
+        s, jump = new_x - x, new.equation_jacobian - here.equation_jacobian
+        y, hs = new.gradient - here.gradient + jump.T @ lam, hess @ s
+        shs, sy = s @ hs, s @ y
+        theta = 1.0 if sy >= 0.2 * shs else 0.8 * shs / (shs - sy)
+        y = theta * y + (1.0 - theta) * hs
+        hess = hess + np.outer(y, y) / (s @ y) - np.outer(hs, hs) / shs
+        x, here = new_x, new
 
 
 def decode_five_link(params) -> ChainParams:
@@ -450,20 +493,18 @@ def octagon_embedding() -> np.ndarray:
 
 
 def five_link_search(spec: SearchSpec) -> SearchResult:
-    """Multi-start constrained descent: per start, a least-squares snap onto
-    closure, then SLSQP on density with closure as equality constraints.
-    The start and every point SLSQP evaluates are offered to the incumbent.
-    A random start whose chain does not assemble is redrawn, each draw
-    offered and counted, up to ``START_DRAWS`` draws; a given start is kept.
-
-    Each start may assemble ``max_evals // restarts`` chains, the first at
-    least one, so ``eval_count`` never exceeds a positive ``max_evals``.
-    """
-    _load_solvers()
+    """Multi-start constrained descent: per start, a ``_root`` snap onto
+    closure, then the SQP ``_descend`` on density.  Every point assembled is
+    offered to the incumbent, and only points on closure (roots in
+    ``_root``'s sense) compete on density.  A random start that does not
+    assemble is redrawn, each draw counted, up to ``START_DRAWS`` draws; a
+    given start is kept.  Each start may assemble ``max_evals // restarts``
+    chains, the first at least one, so ``eval_count`` never exceeds a
+    positive ``max_evals``."""
     rng = np.random.default_rng(spec.seed)
     problem = five_link_problem(spec.bounds)
     lo, hi = problem.box()
-    run = _Search(spec.trace)
+    run = _Search(spec.trace, ROOT_TOL)
 
     def draw() -> np.ndarray:
         return lo + (hi - lo) * rng.uniform(size=len(lo))
@@ -471,9 +512,6 @@ def five_link_search(spec: SearchSpec) -> SearchResult:
     starts = [] if spec.start is None else [np.asarray(spec.start, dtype=float)]
     while len(starts) < spec.restarts:
         starts.append(draw())
-
-    def at(x) -> Evaluation:
-        return run.point(problem, x)
 
     per_start = spec.max_evals // len(starts)
     for i, p0 in enumerate(starts):
@@ -485,13 +523,7 @@ def five_link_search(spec: SearchSpec) -> SearchResult:
             while ev.report is None and redraws > 0:
                 p0, redraws = draw(), redraws - 1
                 ev = run.offer(problem, p0)
-            # SLSQP stops once density changes by under ftol; its iteration
-            # cap never binds, the start's evaluation budget does
-            minimize(lambda x: at(x).value, _snap(run, problem, p0, SNAP_NFEV),
-                     jac=lambda x: at(x).gradient, method="SLSQP", bounds=spec.bounds,
-                     constraints={"type": "eq", "fun": lambda x: at(x).equations,
-                                  "jac": lambda x: at(x).equation_jacobian},
-                     options={"maxiter": 10**6, "ftol": 1e-14})
+            _descend(run, problem, _root(run, problem, p0, SNAP_EVALS)[0])
         except _Exhausted:
             pass
 
@@ -526,15 +558,12 @@ def link_reduction_experiment(six_link: ChainParams,
                               spec: SearchSpec) -> LinkReductionReport:
     """Search five-link chains joining the endpoint states of a six-link one.
 
-    Hyperbolic indices are enumerated over all consecutive-distinct patterns.
-    Per pattern the five turning fractions solve the endpoint equations by
-    bounded Levenberg-Marquardt steps from each start (``_root``), stopped
-    at a root or where the residual plateaus; the start and the end of each
-    solve are offered, and the merged input links seed their own pattern, so
-    degenerate six-link chains are refit exactly.
-
-    ``max_evals`` caps the assemblies of the whole search, the first
-    evaluation excepted; the patterns are tried in order until it is spent.
+    Hyperbolic indices run over all consecutive-distinct patterns; per
+    pattern, ``_root`` solves the endpoint equations in the five turning
+    fractions from each start.  The merged input links seed their own
+    pattern, so degenerate six-link chains are refit exactly.  ``max_evals``
+    caps the assemblies of the whole search, the first evaluation excepted;
+    the patterns are tried in order until it is spent.
     """
     if len(six_link.links) != 6:
         raise InfeasibleInput(f"expected six links, got {len(six_link.links)}")
@@ -582,7 +611,7 @@ def link_reduction_experiment(six_link: ChainParams,
             rooted = False
             for t0 in starts:
                 # five equations in five taus: bounded Levenberg-Marquardt
-                rooted = _root(run, problem, t0, per_pattern).feasible() or rooted
+                rooted = _root(run, problem, t0, per_pattern)[1].feasible() or rooted
             roots += rooted
     except _Exhausted:
         pass

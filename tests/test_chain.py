@@ -160,6 +160,18 @@ class TestClosureReport:
                                              octagon.chain.links[:2]))
         assert margin >= -ANGLE_TOL
 
+    def test_sweep_of_pi_reads_the_same_on_moved_copies(self, octagon, rng):
+        # three periods sweep exactly pi, the branch cut of atan2: the last
+        # reading rounds to pi or to -pi, and both must give pi/3 - pi
+        from hexameral.hyperlink import transform_state
+        links = tuple(LinkParam(t, (j + 2 * p) % 6)
+                      for p in range(3) for t, j in octagon.chain.links)
+        starts = [octagon.chain.initial] + [
+            transform_state(random_frame(rng), octagon.chain.initial) for _ in range(20)]
+        for start in starts:
+            margin = angle_margin_of(ChainParams(start, links))
+            assert abs(margin + 2.0 * math.pi / 3.0) < 1e-12, margin
+
 
 class TestPeriodStructure:
     def test_shifted_period_rotates_by_rho(self, octagon):

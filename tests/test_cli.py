@@ -297,29 +297,31 @@ class TestCommandConfig:
         assert cfg.restarts == 3 and cfg.seed == 0
 
 
-# Runs in a fresh interpreter: prints which of scipy.optimize and sympy are
-# loaded after the import and after each command but five-link, the one
-# that runs scipy's solvers; six.json is a split octagon period.
+# Runs in a fresh interpreter: prints which of scipy and sympy are loaded
+# after the import and after each command, the two searches included;
+# six.json is a split octagon period.
 _SCIPY_PROBE = """
 import json, sys
 import hexameral
 from hexameral.cli import main
 def heavy():
-    return [name for name in ("scipy.optimize", "sympy") if name in sys.modules]
+    return [name for name in ("scipy", "sympy") if name in sys.modules]
 loaded = {"import hexameral": heavy()}
 for argv in (["octagon", "-o", "oct.json"], ["density", "oct.json"],
              ["verify", "oct.json"],
              ["export", "oct.json", "--format", "svg", "-o", "oct.svg"],
              ["export", "oct.json", "--format", "json", "-o", "oct.geo.json"],
              ["reduce-link", "six.json", "--restarts", "1", "--max-evals", "3000",
-              "-o", "six.reduced.json"]):
+              "-o", "six.reduced.json"],
+             ["five-link", "--seed", "1", "--restarts", "1", "--max-evals", "300",
+              "-o", "five.json"]):
     assert main(argv) == 0, argv
     loaded[" ".join(argv)] = heavy()
 print(json.dumps(loaded))
 """
 
 
-def test_commands_without_search_leave_scipy_unloaded(octagon, tmp_path):
+def test_no_command_loads_scipy(octagon, tmp_path):
     save_chain(split_octagon_period(octagon), str(tmp_path / "six.json"))
     src = str(Path(hexameral.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
@@ -328,6 +330,6 @@ def test_commands_without_search_leave_scipy_unloaded(octagon, tmp_path):
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     loaded = json.loads(done.stdout.strip().splitlines()[-1])
-    assert len(loaded) == 7
-    # sympy is a test-only oracle; the library never imports it
+    assert len(loaded) == 8
+    # scipy and sympy are test-only oracles; the library never imports them
     assert all(names == [] for names in loaded.values()), loaded

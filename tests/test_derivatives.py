@@ -283,15 +283,19 @@ def test_equation_jacobian_and_gradient_match_richardson():
 
 
 def test_held_assembly_gives_identical_derivatives():
-    """Residuals and Jacobian from an assembly the caller holds, as the
-    least-squares snap shares one between them, match fresh ones bit for
-    bit; so does ``assemble_jacobian`` handed that assembly."""
+    """Residuals, Jacobian and ``point`` from an assembly the caller holds, as
+    the searches share one between them, match fresh ones bit for bit; so
+    does ``assemble_jacobian`` handed that assembly."""
     checked = {"five": 0, "segment": 0}
     for kind, problem, x in _problem_cases():
         held = problem.assembly(x)
         chain, assembled = held
         assert problem.residuals(x, held).tobytes() == problem.residuals(x).tobytes()
         assert problem.jacobian(x, held).tobytes() == problem.jacobian(x).tobytes()
+        point, fresh_point = problem.point(x, held), problem.point(x)
+        assert (point.value, point.report) == (fresh_point.value, fresh_point.report)
+        for name in ("residuals", "gradient", "equations", "equation_jacobian"):
+            assert getattr(point, name).tobytes() == getattr(fresh_point, name).tobytes()
         head = problem.start_jacobian(x, chain)
         reused, d_reused = assemble_jacobian(chain, head, assembled)
         fresh, d_fresh = assemble_jacobian(chain, head)

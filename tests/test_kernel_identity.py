@@ -423,10 +423,11 @@ def test_angle_margin_matches_sampled_oracle(octagon):
 
 
 def test_angle_margin_charges_a_wrapped_sweep(octagon):
-    # four periods sweep 4 pi/3: the angle passes pi inside a link and wraps
-    # back, a step of more than pi the wrong way
+    # four periods sweep 4 pi/3: the angle passes pi inside a link, where
+    # atan2 wraps back by a step of more than pi the wrong way; the sampled
+    # oracle charges that step, the unwrapped sweep charges the full 4 pi/3
     chain = _octagon_periods(octagon, 4)
-    assert angle_margin_of(chain) < -math.pi
+    assert abs(angle_margin_of(chain) - (SIXTH_TURN - 4.0 * math.pi / 3.0)) < 1e-12
     sampled = _sampled_margin(oracle_sweep_angles(chain, *oracle_assemble(chain),
                                                   ANGLE_SAMPLES))
     assert sampled < -math.pi

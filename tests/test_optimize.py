@@ -23,6 +23,7 @@ from hexameral.optimize import (
     TAU_HI,
     EndpointProblem,
     SearchSpec,
+    _qp,
     _root,
     _Search,
     decode_five_link,
@@ -98,7 +99,7 @@ class TestFiveLinkObjective:
 
 
 class TestEndpointEquations:
-    """The five equations SLSQP holds at zero, at the octagon embedding."""
+    """The five equations the SQP holds at zero, at the octagon embedding."""
 
     def test_rank_five(self):
         point = five_link_problem().point(octagon_embedding())
@@ -125,6 +126,22 @@ class TestEndpointEquations:
                 diff = (read[1] - read[0]) / (2.0 * h)
             exact = np.append(point.equation_jacobian[:, c], point.gradient[c])
             assert np.abs(diff - exact).max() < 1e-7, (c, diff - exact)
+
+
+def test_kkt_multipliers_at_the_octagon():
+    # the SQP subproblem's multipliers at the embedding: the gradient is a
+    # combination of the five equation rows and the active bound tau4 = 0
+    problem = five_link_problem()
+    x = octagon_embedding()
+    point = problem.point(x)
+    step, lam, nu = _qp(np.eye(7), point, x, *problem.box())
+    assert np.abs(step).max() <= 1e-14
+    assert np.flatnonzero(nu).tolist() == [5]
+    assert nu[5] > 0.0 and abs(nu[5] - 4.563e-3) <= 1e-6
+    stationarity = point.gradient + point.equation_jacobian.T @ lam - nu
+    assert np.abs(stationarity).max() <= 1e-12
+    stacked = np.vstack((point.equation_jacobian, np.eye(7)[5]))
+    assert np.linalg.matrix_rank(stacked) == 6
 
 
 class TestSpecValidation:
@@ -173,6 +190,8 @@ class TestFiveLinkSearch:
         assert result.closure.residual() < STRICT_TOL
 
     def test_trace_monotone(self):
+        # the trace records incumbents on closure only (residual at root
+        # level), so no entry gains density through closure slack
         start = tuple(float(v) for v in octagon_embedding())
         spec = SearchSpec(start=start, restarts=1, max_evals=800, seed=0,
                           trace=True)
@@ -180,6 +199,7 @@ class TestFiveLinkSearch:
         assert result.trace
         densities = [d for _, d in result.trace]
         assert all(b <= a + 1e-15 for a, b in zip(densities, densities[1:]))
+        assert min(densities) >= OCTAGON_DENSITY - 1e-13
         counts = [n for n, _ in result.trace]
         assert counts == sorted(counts)
 
@@ -206,7 +226,7 @@ class TestFiveLinkSearch:
     @pytest.mark.parametrize("seed", [3, 4, 5])
     def test_cold_starts_that_never_assemble_are_redrawn(self, seed):
         # all three up-front starts of these seeds fail at link 0 or at
-        # decoding; closure slack may leave the density just below the octagon
+        # decoding
         result = five_link_search(SearchSpec(restarts=3, max_evals=6000, seed=seed))
         assert result.feasible
         assert abs(result.best_density - OCTAGON_DENSITY) <= 1e-9
@@ -232,6 +252,24 @@ class TestFiveLinkSearch:
                                                  restarts=1, max_evals=2000, seed=i))
             assert result.feasible
             assert abs(result.best_density - OCTAGON_DENSITY) <= 1e-13, i
+
+    def test_cold_seeds_report_no_closure_slack(self):
+        # only points on closure compete on density: no seed reports a
+        # density below the octagon's bought with a closure residual
+        for seed in range(12):
+            result = five_link_search(SearchSpec(restarts=3, max_evals=6000, seed=seed))
+            assert result.feasible, seed
+            assert result.closure.residual() <= 1e-13, seed
+            assert OCTAGON_DENSITY - 1e-13 <= result.best_density <= OCTAGON_DENSITY + 1e-9
+
+    def test_runs_without_scipy(self, monkeypatch):
+        # every scipy module made unimportable: neither search may need one
+        import sys
+        for name in ["scipy"] + [m for m in sys.modules if m.startswith("scipy.")]:
+            monkeypatch.setitem(sys.modules, name, None)
+        start = tuple(float(v) for v in octagon_embedding() + 1e-3)
+        assert five_link_search(SearchSpec(start=start, restarts=1, max_evals=200)).feasible
+        assert five_link_search(SearchSpec(restarts=2, max_evals=600, seed=1)).feasible
 
     def test_infeasible_points_rank_by_violation(self):
         from hexameral.optimize import _rank
@@ -338,7 +376,7 @@ class TestLinkReduction:
             lambda area: area, 0.0, SEGMENT_BOUNDS, assemble(six).final)
         for budget in (1, 3, 61):
             run = _Search(False)
-            end = _root(run, problem, np.full(5, 0.3), budget)
+            _, end = _root(run, problem, np.full(5, 0.3), budget)
             assert not end.feasible()
             assert 1 <= run.evals <= budget
         # the stall, not the budget, ends the full solve
@@ -484,7 +522,8 @@ def test_embedding_matches_octagon_tangent(octagon):
 
 
 def test_solvers_are_module_attributes():
-    # the solvers load on first use but stay reachable under their scipy names
+    # no search calls scipy's solvers, but the benchmark's tracer still binds
+    # them under these names, which import scipy.optimize on lookup
     import scipy.optimize
 
     from hexameral import optimize
