@@ -14,7 +14,7 @@ chain assembly counts as an evaluation; ``SearchSpec.max_evals`` caps them.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -95,7 +95,6 @@ class SearchSpec:
     max_evals: int = 6000
     seed: int = 0
     start: tuple[float, ...] | None = None
-    trace: bool = False
 
     def __post_init__(self) -> None:
         if not self.bounds:
@@ -107,20 +106,24 @@ class SearchSpec:
             raise InfeasibleInput("restarts must be at least 1")
         if self.max_evals < 0:
             raise InfeasibleInput("max_evals must be nonnegative")
+        if self.seed < 0:
+            raise InfeasibleInput("seed must be nonnegative")
         if self.start is not None:
             object.__setattr__(self, "start", tuple(float(v) for v in self.start))
             if len(self.start) != len(self.bounds):
                 raise InfeasibleInput("start point has the wrong dimension")
+            # NaN lies in no interval
+            if not all(lo <= v <= hi for v, (lo, hi) in zip(self.start, self.bounds)):
+                raise InfeasibleInput("start point lies outside the bounds")
 
 
 @dataclass(frozen=True)
 class SearchResult:
     best_params: tuple[float, ...]
     best_density: float
-    closure: ClosureReport
     feasible: bool
     eval_count: int
-    trace: tuple[tuple[int, float], ...] | None
+    closure: ClosureReport
 
 
 def _fixed_start(x, chain: ChainParams) -> np.ndarray:
@@ -266,17 +269,15 @@ class _Search:
 
     Every chain assembly goes through ``assembly`` and counts as an
     evaluation, except the point assembled last, which is kept.  One past
-    ``limit`` raises _Exhausted.  The trace records each new incumbent of
-    rank 0.
+    ``limit`` raises _Exhausted.
     """
 
-    def __init__(self, trace_on: bool, closure_tol: float = math.inf) -> None:
+    def __init__(self, closure_tol: float = math.inf) -> None:
         self.evals = 0
         self.limit = math.inf
         self.closure_tol = closure_tol
         self.x: np.ndarray | None = None
         self.best: Evaluation | None = None
-        self.trace: list[tuple[int, float]] | None = [] if trace_on else None
         self._held: tuple | None = None
 
     def assembly(self, problem: EndpointProblem, x):
@@ -294,8 +295,6 @@ class _Search:
         if self.best is None or rank < _rank(self.best, self.closure_tol):
             self.x = np.array(x, dtype=float)
             self.best = ev
-            if self.trace is not None and rank[0] == 0:
-                self.trace.append((self.evals, ev.value))
         return ev
 
     def offer(self, problem: EndpointProblem, x) -> Evaluation:
@@ -504,7 +503,7 @@ def five_link_search(spec: SearchSpec) -> SearchResult:
     rng = np.random.default_rng(spec.seed)
     problem = five_link_problem(spec.bounds)
     lo, hi = problem.box()
-    run = _Search(spec.trace, ROOT_TOL)
+    run = _Search(ROOT_TOL)
 
     def draw() -> np.ndarray:
         return lo + (hi - lo) * rng.uniform(size=len(lo))
@@ -529,9 +528,8 @@ def five_link_search(spec: SearchSpec) -> SearchResult:
 
     best = run.best
     return SearchResult(
-        tuple(float(v) for v in run.x), best.value,
-        best.report if best.report is not None else _NO_CLOSURE, best.feasible(),
-        run.evals, tuple(run.trace) if run.trace is not None else None)
+        tuple(float(v) for v in run.x), best.value, best.feasible(), run.evals,
+        best.report if best.report is not None else _NO_CLOSURE)
 
 
 def _consecutive_distinct_patterns() -> list[tuple[int, ...]]:
@@ -578,7 +576,7 @@ def link_reduction_experiment(six_link: ChainParams,
 
     six_area = assembled.area()
     rng = np.random.default_rng(spec.seed)
-    run = _Search(False)
+    run = _Search()
     run.limit = max(spec.max_evals, 1)
 
     def segment_problem(pattern: tuple[int, ...]) -> EndpointProblem:
@@ -624,24 +622,3 @@ def link_reduction_experiment(six_link: ChainParams,
         feasible and best.value < six_area - IMPROVEMENT_MARGIN, run.evals, roots,
     )
 
-
-def spec_to_dict(spec: SearchSpec) -> dict:
-    return {
-        "variable_count": len(spec.bounds),
-        "bounds": [list(b) for b in spec.bounds],
-        "restarts": spec.restarts,
-        "max_evals": spec.max_evals,
-        "seed": spec.seed,
-        "start": None if spec.start is None else list(spec.start),
-    }
-
-
-def result_to_dict(result: SearchResult) -> dict:
-    return {
-        "best_params": list(result.best_params),
-        "best_density": result.best_density,
-        "feasible": result.feasible,
-        "eval_count": result.eval_count,
-        "closure": asdict(result.closure),
-        "trace": None if result.trace is None else [list(t) for t in result.trace],
-    }

@@ -9,8 +9,9 @@ import pytest
 
 import hexameral
 from hexameral.chain import save_chain
-from hexameral.cli import CommandConfig, UsageError, main
+from hexameral.cli import UsageError, main, parse_args
 from hexameral.domain import OCTAGON_DENSITY
+from hexameral.optimize import SearchSpec
 
 from conftest import flat_hyperbola_chain, split_octagon_period
 
@@ -182,9 +183,25 @@ class TestFiveLinkCommand:
         out = capsys.readouterr().out
         assert "best_density" in out and "feasible" in out
         doc = json.loads(path.read_text())
-        assert "spec" in doc and "result" in doc
-        assert doc["spec"]["max_evals"] == 60
+        assert list(doc["spec"]) == ["variable_count", "bounds", "restarts",
+                                     "max_evals", "seed", "start"]
+        assert list(doc["result"]) == ["best_params", "best_density", "feasible",
+                                       "eval_count", "closure"]
+        assert list(doc["result"]["closure"]) == ["frame_residual", "tangent_residual",
+                                                  "angle_ok", "angle_margin"]
+        assert doc["spec"]["variable_count"] == len(doc["spec"]["bounds"]) == 7
+        assert doc["spec"]["max_evals"] == 60 and doc["spec"]["start"] is None
         assert doc["result"]["eval_count"] > 0
+
+    @pytest.mark.parametrize("command", [["five-link"], ["reduce-link", "six.json"]])
+    def test_negative_seed_exits_two(self, octagon, tmp_path, monkeypatch, capsys,
+                                     command):
+        monkeypatch.chdir(tmp_path)
+        save_chain(split_octagon_period(octagon), "six.json")
+        assert main(command + ["--seed", "-1", "-o", "out.json"]) == 2
+        assert stderr_diagnostic(capsys) == {"error": "InfeasibleInput",
+                                             "detail": "seed must be nonnegative"}
+        assert not (tmp_path / "out.json").exists()
 
     def test_byte_deterministic(self, tmp_path, capsys):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
@@ -270,31 +287,37 @@ class TestDiagnostics:
 
 
 class TestCommandConfig:
+    """The checks of ``parse_args``, the CLI's one declaration of its commands."""
+
     def test_unknown_subcommand(self):
         with pytest.raises(UsageError):
-            CommandConfig("frobnicate")
+            parse_args(["frobnicate"])
 
     def test_input_required(self):
         with pytest.raises(UsageError):
-            CommandConfig("verify")
+            parse_args(["verify"])
 
     def test_bad_format(self):
         with pytest.raises(UsageError):
-            CommandConfig("export", input_path="x.json", format="pdf")
+            parse_args(["export", "x.json", "--format", "pdf"])
 
     def test_nonpositive_tolerance(self):
         with pytest.raises(UsageError):
-            CommandConfig("octagon", closure_tol=0.0)
+            parse_args(["octagon", "--closure-tol", "0"])
 
     def test_nan_tolerance(self, octagon_file, capsys):
         with pytest.raises(UsageError):
-            CommandConfig("density", input_path=octagon_file, closure_tol=float("nan"))
+            parse_args(["density", octagon_file, "--closure-tol", "nan"])
         assert main(["density", octagon_file, "--closure-tol", "nan"]) == 1
         assert stderr_diagnostic(capsys)["error"] == "UsageError"
 
     def test_defaults_are_valid(self):
-        cfg = CommandConfig("five-link")
-        assert cfg.restarts == 3 and cfg.seed == 0
+        # the search options' defaults are SearchSpec's own
+        for command in (["five-link"], ["reduce-link", "x.json"]):
+            args = parse_args(command)
+            assert (args.seed, args.restarts, args.max_evals) == (0, 3, 6000)
+            assert SearchSpec(seed=args.seed, restarts=args.restarts,
+                              max_evals=args.max_evals) == SearchSpec()
 
 
 # Runs in a fresh interpreter: prints which of scipy and sympy are loaded

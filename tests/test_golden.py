@@ -1,0 +1,120 @@
+"""Golden bytes of every command.
+
+Each command runs once in a fresh directory.  Its exit code, stderr, and the
+sha256 of its stdout and of the file it writes are compared with constants
+recorded from the program.  The run directory's path in stdout is replaced
+by ``{d}`` first.  Each usage error is pinned by its exit code and its whole
+diagnostic line; argparse's wording is that of Python 3.11.
+"""
+import contextlib
+import hashlib
+import io
+
+import pytest
+
+from hexameral.chain import save_chain
+from hexameral.cli import main
+from hexameral.domain import smoothed_octagon
+
+from conftest import split_octagon_period
+
+# name: (argv, file written, sha256 of stdout, sha256 of the file); the runs
+# go in this order, so later ones read oct.json; six.json is a split period
+RUNS = {
+    "octagon": (
+        ["octagon", "-o", "{d}/oct.json"], "oct.json",
+        "2a336d3c009085f266f2b1689d11f56c6eac5715b5c056724e4ed6132b609532",
+        "21d0d8d2413e83bab1a0c3beea97e6373f8346a4ecea7a91536c160a36d27021"),
+    "density": (
+        ["density", "{d}/oct.json"], None,
+        "decca2d34817020fb1df52d09e7e5acdb15cfe1891e67404263716d04b4e20ef",
+        None),
+    "verify": (
+        ["verify", "{d}/oct.json"], None,
+        "16a6c82838cec13f7e4a508e8d923c2945d3a92796a5f6b71e4da80eb82a541b",
+        None),
+    "export-svg": (
+        ["export", "{d}/oct.json", "--format", "svg", "-o", "{d}/oct.svg"], "oct.svg",
+        "c7de893df027ab132a06d772ba0da0c094be573879c4984f1fe44a745bd19844",
+        "8adc1c97896b1e5da4a619509460891b9ee5f16ff6580190d6dfd46a21ed57c4"),
+    "export-json": (
+        ["export", "{d}/oct.json", "--format", "json", "-o", "{d}/oct.geo.json"],
+        "oct.geo.json",
+        "fdf76baa0eaacc9fde4ae361f487e7d5d991d12c1cd153bdf9493384f1f7ee0d",
+        "0a21c5b40151053dce269c4ab6d24f4808fecf7c546a297732fe12d865d351ec"),
+    "five-link": (
+        ["five-link", "--seed", "1", "--restarts", "1", "--max-evals", "300",
+         "-o", "{d}/five.json"], "five.json",
+        "bde4f3f57178d79048a4521784bf2cb0bb87f7ff05a2ef39ffb10bcfc78f31ef",
+        "70c22d5c81531bf79e6b7b2558c17be2951ad1034ff37ed5cda5c580a4d56c3b"),
+    "reduce-link": (
+        ["reduce-link", "{d}/six.json", "--restarts", "1", "--max-evals", "1500",
+         "--seed", "5", "-o", "{d}/six.reduced.json"], "six.reduced.json",
+        "2d17bae0b853c5760d2696a0b1668d503277517e6a33f221887a10182ecdda3f",
+        "435563475c4cc41031822248d84afa983fdf8463c84d35b76dadade2490dc42c"),
+}
+
+CHOICES = "'octagon', 'density', 'verify', 'five-link', 'reduce-link', 'export'"
+USAGE_ERRORS = {
+    "unknown subcommand": (
+        ["bogus"],
+        f"argument subcommand: invalid choice: 'bogus' (choose from {CHOICES})"),
+    "no arguments": (
+        [], "the following arguments are required: subcommand"),
+    "missing input": (
+        ["verify"], "the following arguments are required: input_path"),
+    "format pdf": (
+        ["export", "{d}/oct.json", "--format", "pdf"],
+        "argument --format: invalid choice: 'pdf' (choose from 'json', 'svg')"),
+    "closure-tol 0": (
+        ["density", "{d}/oct.json", "--closure-tol", "0"],
+        "closure tolerance must be positive"),
+    "closure-tol nan": (
+        ["density", "{d}/oct.json", "--closure-tol", "nan"],
+        "closure tolerance must be positive"),
+}
+
+
+def sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def run_cli(argv: list[str], directory: str) -> tuple[int, str, str]:
+    """main(argv) with ``{d}`` standing for directory, in argv and in stdout."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main([arg.replace("{d}", directory) for arg in argv])
+    return code, out.getvalue().replace(directory, "{d}"), err.getvalue()
+
+
+def run_all(directory: str) -> dict:
+    """name: (exit code, stderr, sha256 of stdout, sha256 of the file written)."""
+    save_chain(split_octagon_period(smoothed_octagon()), f"{directory}/six.json")
+    outcomes = {}
+    for name, (argv, written, _, _) in RUNS.items():
+        code, out, err = run_cli(argv, directory)
+        digest = None
+        if written is not None:
+            with open(f"{directory}/{written}", "rb") as fh:
+                digest = sha256(fh.read())
+        outcomes[name] = (code, err, sha256(out.encode()), digest)
+    return outcomes
+
+
+@pytest.fixture(scope="module")
+def outcomes(tmp_path_factory):
+    return run_all(str(tmp_path_factory.mktemp("golden")))
+
+
+@pytest.mark.parametrize("name", RUNS)
+def test_command_bytes(outcomes, name):
+    _, _, stdout_sha, file_sha = RUNS[name]
+    assert outcomes[name] == (0, "", stdout_sha, file_sha)
+
+
+@pytest.mark.parametrize("name", USAGE_ERRORS)
+def test_usage_error_diagnostic(tmp_path, name):
+    argv, detail = USAGE_ERRORS[name]
+    code, out, err = run_cli(argv, str(tmp_path))
+    assert (code, out) == (1, "")
+    assert err == '{"error": "UsageError", "detail": "%s"}\n' % detail

@@ -31,8 +31,6 @@ from hexameral.optimize import (
     five_link_search,
     link_reduction_experiment,
     octagon_embedding,
-    result_to_dict,
-    spec_to_dict,
 )
 from hexameral.sl2 import frame_distance
 
@@ -162,6 +160,19 @@ class TestSpecValidation:
         with pytest.raises(InfeasibleInput):
             SearchSpec(start=(0.0, -0.5, 0.3))
 
+    def test_seed_nonnegative(self):
+        with pytest.raises(InfeasibleInput):
+            SearchSpec(seed=-1)
+
+    @pytest.mark.parametrize("index,value", [(0, 0.7), (1, -1.0), (2, 1.2), (6, -0.1),
+                                             (3, float("nan"))])
+    def test_start_inside_bounds(self, index, value):
+        start = list(octagon_embedding())
+        SearchSpec(start=start)
+        start[index] = value
+        with pytest.raises(InfeasibleInput):
+            SearchSpec(start=start, max_evals=0)
+
 
 class TestFiveLinkSearch:
     def test_zero_budget_reports_start(self):
@@ -188,25 +199,6 @@ class TestFiveLinkSearch:
         assert result.best_density <= OCTAGON_DENSITY + 1e-12
         assert result.best_density >= OCTAGON_DENSITY - 1e-9
         assert result.closure.residual() < STRICT_TOL
-
-    def test_trace_monotone(self):
-        # the trace records incumbents on closure only (residual at root
-        # level), so no entry gains density through closure slack
-        start = tuple(float(v) for v in octagon_embedding())
-        spec = SearchSpec(start=start, restarts=1, max_evals=800, seed=0,
-                          trace=True)
-        result = five_link_search(spec)
-        assert result.trace
-        densities = [d for _, d in result.trace]
-        assert all(b <= a + 1e-15 for a, b in zip(densities, densities[1:]))
-        assert min(densities) >= OCTAGON_DENSITY - 1e-13
-        counts = [n for n, _ in result.trace]
-        assert counts == sorted(counts)
-
-    def test_trace_off_by_default(self):
-        start = tuple(float(v) for v in octagon_embedding())
-        result = five_link_search(SearchSpec(start=start, max_evals=0))
-        assert result.trace is None
 
     @pytest.mark.parametrize("max_evals", [1, 2, 5, 13, 40, 150])
     def test_max_evals_caps_evaluations(self, max_evals):
@@ -482,24 +474,6 @@ def test_reduction_reaches_the_least_reference_root(octagon):
         assert report.five_area <= least + 1e-12
         assert report.endpoint_residual <= 1e-12
     assert rooted >= 6
-
-
-class TestSerialization:
-    def test_spec_dict_keys(self):
-        doc = spec_to_dict(SearchSpec())
-        assert set(doc) == {"variable_count", "bounds", "restarts", "max_evals",
-                            "seed", "start"}
-        assert doc["start"] is None
-        assert len(doc["bounds"]) == 7
-
-    def test_result_dict_keys(self):
-        start = tuple(float(v) for v in octagon_embedding())
-        result = five_link_search(SearchSpec(start=start, max_evals=0))
-        doc = result_to_dict(result)
-        assert set(doc) == {"best_params", "best_density", "feasible",
-                            "eval_count", "closure", "trace"}
-        assert set(doc["closure"]) == {"frame_residual", "tangent_residual",
-                                       "angle_ok", "angle_margin"}
 
 
 def test_embedding_closure_is_tight():
