@@ -25,7 +25,6 @@ from .errors import (
 )
 from .sl2 import (
     FrameMatrix,
-    PlaneVector,
     ProjectiveTangent,
     TangentElement,
     adjoint,

@@ -132,29 +132,28 @@ def _build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="subcommand", required=True)
     search_defaults = {f.name: f.default for f in fields(SearchSpec)}
 
-    def add(name: str, run, needs_input: bool, help_text: str):
-        p = sub.add_parser(name, help=help_text)
+    # option groups; each command takes only the ones it reads
+    chain_in, output, tol, search = (argparse.ArgumentParser(add_help=False) for _ in range(4))
+    chain_in.add_argument("input_path", help="chain file to read")
+    output.add_argument("-o", "--output", dest="output_path", default=None)
+    tol.add_argument("--closure-tol", dest="closure_tol", type=float, default=FEASIBLE_TOL)
+    for name in _SEARCH_OPTIONS:
+        search.add_argument("--" + name.replace("_", "-"), dest=name, type=int,
+                            default=search_defaults[name])
+
+    def add(name: str, run, help_text: str, *groups) -> _Parser:
+        p = sub.add_parser(name, help=help_text, parents=groups)
         p.set_defaults(run=run)
-        if needs_input:
-            p.add_argument("input_path", help="chain file to read")
-        p.add_argument("-o", "--output", dest="output_path", default=None)
-        p.add_argument("--closure-tol", dest="closure_tol", type=float,
-                       default=FEASIBLE_TOL)
         return p
 
-    def add_search_options(p) -> None:
-        for name in _SEARCH_OPTIONS:
-            p.add_argument("--" + name.replace("_", "-"), dest=name, type=int,
-                           default=search_defaults[name])
-
-    add("octagon", _cmd_octagon, False, "write the smoothed-octagon chain file")
-    add("density", _cmd_density, True, "print area, density, link length, residuals")
-    add("verify", _cmd_verify, True, "run the invariant suite on a chain file")
-    add_search_options(add("five-link", _cmd_five_link, False,
-                           "search five-link chains for low density"))
-    add_search_options(add("reduce-link", _cmd_reduce_link, True,
-                           "refit a six-link segment with five links"))
-    p = add("export", _cmd_export, True, "write a boundary drawing or geometry summary")
+    add("octagon", _cmd_octagon, "write the smoothed-octagon chain file", output)
+    add("density", _cmd_density, "print area, density, link length, residuals", chain_in, tol)
+    add("verify", _cmd_verify, "run the invariant suite on a chain file", chain_in, tol)
+    add("five-link", _cmd_five_link, "search five-link chains for low density", output, search)
+    add("reduce-link", _cmd_reduce_link, "refit a six-link segment with five links",
+        chain_in, output, search)
+    p = add("export", _cmd_export, "write a boundary drawing or geometry summary",
+            chain_in, output, tol)
     p.add_argument("--format", choices=("json", "svg"), default="svg")
     return parser
 
@@ -163,7 +162,7 @@ def parse_args(argv) -> argparse.Namespace:
     """The parsed command line, whose ``run`` is the command's function;
     UsageError where argparse would exit or the closure tolerance is not positive."""
     args = _build_parser().parse_args(argv)
-    if not args.closure_tol > 0.0:  # NaN included
+    if "closure_tol" in args and not args.closure_tol > 0.0:  # NaN included
         raise UsageError("closure tolerance must be positive")
     return args
 

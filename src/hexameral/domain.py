@@ -58,7 +58,7 @@ from .hyperlink import (
     t_end,
 )
 from .multicurve import STANDARD, MultiPoint, convexity_value
-from .sl2 import SQRT3, PlaneVector, wedge
+from .sl2 import SQRT3, wedge
 
 SQRT12 = math.sqrt(12.0)
 
@@ -290,16 +290,11 @@ def initial_multipoint(dom: HexameralDomain) -> MultiPoint:
     return STANDARD.transformed(dom.chain.initial.frame)
 
 
-def _hexagon_vertices(points: list[PlaneVector], dirs: list[PlaneVector]) -> list[PlaneVector]:
-    """Intersections of consecutive tangent lines: the balanced hexagon."""
-    out = []
-    for m in range(6):
-        p, v = points[m], dirs[m]
-        q, u = points[(m + 1) % 6], dirs[(m + 1) % 6]
-        denom = wedge(v, u)
-        t = wedge(q - p, u) / denom
-        out.append(p + v.scaled(t))
-    return out
+def _hexagon_vertices(points: np.ndarray, dirs: np.ndarray) -> np.ndarray:
+    """Intersections of tangent lines m and m + 1, rows of (6, 2) arrays: the balanced hexagon."""
+    q, u = np.roll(points, -1, axis=0), np.roll(dirs, -1, axis=0)
+    t = wedge(q - points, u) / wedge(dirs, u)
+    return points + dirs * t[:, None]
 
 
 def export_json(dom: HexameralDomain) -> dict:
@@ -316,12 +311,8 @@ def export_json(dom: HexameralDomain) -> dict:
 def export_svg(dom: HexameralDomain, per_link: int = 64) -> str:
     """SVG 1.1 document: boundary, initial multi-point, balanced hexagon."""
     poly = boundary_polyline(dom, per_link)
-    mp = initial_multipoint(dom)
-    x = dom.chain.initial.tangent.rep
-    dirs = [x.apply(mp[m]) for m in range(6)]
-    corners = _hexagon_vertices(list(mp.points), dirs)
-    hexagon = np.array([(p.x, p.y) for p in corners])
-    markers = np.array([(p.x, p.y) for p in mp.points])
+    markers = initial_multipoint(dom).points
+    hexagon = _hexagon_vertices(markers, dom.chain.initial.tangent.rep.apply(markers))
 
     all_pts = np.concatenate((poly.points, hexagon))
     lo_x, lo_y = all_pts.min(axis=0).tolist()

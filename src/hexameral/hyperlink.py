@@ -32,7 +32,6 @@ from .sl2 import (
     SQRT3,
     Frame,
     FrameMatrix,
-    PlaneVector,
     ProjectiveTangent,
     TangentElement,
     _adjoint,
@@ -45,7 +44,6 @@ from .sl2 import (
     _unit_tangent,
     adjoint,
     star_check,
-    wedge,
 )
 
 # Scales below sqrt(sqrt(3)/2) give k >= 1 and no hyperbola.
@@ -160,19 +158,17 @@ def transform_state(g: FrameMatrix, state: LinkState) -> LinkState:
     )
 
 
-def _columns_inverse(p1: PlaneVector, p2: PlaneVector) -> tuple[float, float, float, float]:
-    """Entries of the inverse of the matrix with columns p1, p2 (not in SL2)."""
-    w = wedge(p1, p2)
-    return (p2.y / w, -p2.x / w, -p1.y / w, p1.x / w)
+def _columns_inverse(j: int) -> tuple[float, float, float, float]:
+    """Entries of the inverse of the matrix with columns u*_j, u*_{j+2} (not in SL2)."""
+    (p1x, p1y), (p2x, p2y) = STANDARD[j].tolist(), STANDARD[j + 2].tolist()
+    w = p1x * p2y - p1y * p2x
+    return (p2y / w, -p2x / w, -p1y / w, p1x / w)
 
 
 # Per index j: the inverse of the columns (u*_j, u*_{j+2}) and the edge
 # points u*_{j+2}, u*_{j+4} (j = 4 wraps to u*_0, u*_2).
-_STANDARD_INVERSE = {j: _columns_inverse(STANDARD[j], STANDARD[j + 2]) for j in (0, 2, 4)}
-_EDGE_POINTS = {
-    j: (STANDARD[j + 2].x, STANDARD[j + 2].y, STANDARD[j + 4].x, STANDARD[j + 4].y)
-    for j in (0, 2, 4)
-}
+_STANDARD_INVERSE = {j: _columns_inverse(j) for j in (0, 2, 4)}
+_EDGE_POINTS = {j: (*STANDARD[j + 2].tolist(), *STANDARD[j + 4].tolist()) for j in (0, 2, 4)}
 
 
 # The scalar kernel: one link's frames and tangents over plain floats.
@@ -496,7 +492,4 @@ def link_multicurve(rep: SquareRep, samples: int = 16,
     if rep.tau == 0.0:
         raise ParameterOutOfRange("cannot sample a zero-length link")
     curves = link_curves(rep, np.linspace(rep.t0, t_end(rep), samples))
-    if g is None:
-        return curves
-    x, y = curves[..., 0], curves[..., 1]
-    return np.stack((g.alpha * x + g.beta * y, g.gamma * x + g.delta * y), axis=-1)
+    return curves if g is None else g.apply(curves)

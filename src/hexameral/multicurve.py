@@ -1,8 +1,9 @@
 """Multi-points and sampled multi-curves: the six-fold boundary bookkeeping.
 
-A multi-point is six plane vectors u_0..u_5 with u_j + u_{j+2} + u_{j+4} = 0,
-u_{j+3} = -u_j and wedge(u_j, u_{j+2}) = sqrt(3)/2; indices are cyclic mod 6.
-The hexagon they span is balanced, with area normalized to sqrt(12).
+A multi-point is six plane points u_0..u_5, the rows of a (6, 2) array, with
+u_j + u_{j+2} + u_{j+4} = 0, u_{j+3} = -u_j and wedge(u_j, u_{j+2}) = sqrt(3)/2;
+indices are cyclic mod 6.  The hexagon they span is balanced, with area
+normalized to sqrt(12).
 """
 from __future__ import annotations
 
@@ -12,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import MissingAcceleration, RankUndefined, RankZero, WedgeMismatch
-from .sl2 import FrameMatrix, PlaneVector, wedge
+from .sl2 import FrameMatrix, wedge
 
 MULTIPOINT_TOL = 1e-9
 # A sampled curve counts as linear when |wedge(v, acc)| < RANK_TOL * |v|^2.
@@ -21,53 +22,52 @@ RANK_TOL = 1e-9
 HALF_SQRT3 = math.sqrt(3.0) / 2.0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MultiPoint:
-    """Six boundary positions satisfying the multi-point relations."""
+    """Six boundary positions, a read-only (6, 2) array, satisfying the relations."""
 
-    points: tuple[PlaneVector, ...]
+    points: np.ndarray
 
     def __post_init__(self) -> None:
-        if len(self.points) != 6:
+        pts = np.array(self.points, dtype=float)
+        if pts.shape != (6, 2):
             raise WedgeMismatch("a multi-point needs exactly six positions")
-        pts = self.points
-        for j in range(6):
-            chain = pts[j] + pts[(j + 2) % 6] + pts[(j + 4) % 6]
-            if chain.norm() > MULTIPOINT_TOL:
-                raise WedgeMismatch(f"u_{j} + u_{j+2} + u_{j+4} is {chain.norm():.3e} from zero")
-            mirror = pts[j] + pts[(j + 3) % 6]
-            if mirror.norm() > MULTIPOINT_TOL:
+        pts.flags.writeable = False
+        object.__setattr__(self, "points", pts)
+        u2, u3, u4 = (np.roll(pts, -s, axis=0) for s in (2, 3, 4))
+        chain = np.hypot(*(pts + u2 + u4).T).tolist()
+        mirror = np.hypot(*(pts + u3).T).tolist()
+        for j, w in enumerate(wedge(pts, u2).tolist()):
+            if chain[j] > MULTIPOINT_TOL:
+                raise WedgeMismatch(f"u_{j} + u_{j+2} + u_{j+4} is {chain[j]:.3e} from zero")
+            if mirror[j] > MULTIPOINT_TOL:
                 raise WedgeMismatch(f"u_{j+3} is not -u_{j}")
-            w = wedge(pts[j], pts[(j + 2) % 6])
             if abs(w - HALF_SQRT3) > MULTIPOINT_TOL:
                 raise WedgeMismatch(f"wedge(u_{j}, u_{j+2}) = {w!r}, expected sqrt(3)/2")
 
-    def __getitem__(self, j: int) -> PlaneVector:
+    def __getitem__(self, j: int) -> np.ndarray:
         return self.points[j % 6]
 
     def transformed(self, g: FrameMatrix) -> "MultiPoint":
-        return MultiPoint(tuple(g.apply(p) for p in self.points))
+        return MultiPoint(g.apply(self.points))
 
 
 def standard_multipoint() -> MultiPoint:
     """The sixth roots of unity u*_j = (cos(pi j / 3), sin(pi j / 3))."""
-    pts = []
-    for j in range(6):
-        ang = math.pi * j / 3.0
-        pts.append(PlaneVector(math.cos(ang), math.sin(ang)))
-    return MultiPoint(tuple(pts))
+    angles = [math.pi * j / 3.0 for j in range(6)]
+    return MultiPoint([(math.cos(ang), math.sin(ang)) for ang in angles])
 
 
 STANDARD = standard_multipoint()
 
 
-def multipoint_from_pair(u0: PlaneVector, u2: PlaneVector) -> MultiPoint:
-    """Complete a multi-point from u_0 and u_2; they must wedge to sqrt(3)/2."""
-    w = wedge(u0, u2)
+def multipoint_from_pair(u0, u2) -> MultiPoint:
+    """Complete a multi-point from 2-vectors u_0 and u_2 that wedge to sqrt(3)/2."""
+    u0, u2 = np.asarray(u0, dtype=float), np.asarray(u2, dtype=float)
+    w = float(wedge(u0, u2))
     if abs(w - HALF_SQRT3) > MULTIPOINT_TOL:
         raise WedgeMismatch(f"wedge(u0, u2) = {w!r}, expected sqrt(3)/2")
-    u4 = -(u0 + u2)
-    return MultiPoint((u0, u0 + u2, u2, -u0, u4, -u2))
+    return MultiPoint([u0, u0 + u2, u2, -u0, -(u0 + u2), -u2])
 
 
 def convexity_value(curves) -> np.ndarray:
@@ -76,8 +76,7 @@ def convexity_value(curves) -> np.ndarray:
     curves = np.asarray(curves, dtype=float)
     if curves.ndim < 3 or curves.shape[-3] < 3:
         raise MissingAcceleration(f"curves of shape {curves.shape} carry no acceleration")
-    v, acc = curves[..., 1, :, :], curves[..., 2, :, :]
-    return v[..., 0] * acc[..., 1] - v[..., 1] * acc[..., 0]
+    return wedge(curves[..., 1, :, :], curves[..., 2, :, :])
 
 
 @dataclass(frozen=True)

@@ -14,6 +14,7 @@ chain assembly counts as an evaluation; ``SearchSpec.max_evals`` caps them.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
@@ -102,12 +103,13 @@ class SearchSpec:
         for lo, hi in self.bounds:
             if not lo < hi:
                 raise InfeasibleInput(f"empty bound interval ({lo!r}, {hi!r})")
-        if self.restarts < 1:
-            raise InfeasibleInput("restarts must be at least 1")
-        if self.max_evals < 0:
-            raise InfeasibleInput("max_evals must be nonnegative")
-        if self.seed < 0:
-            raise InfeasibleInput("seed must be nonnegative")
+        for name, least in (("restarts", 1), ("max_evals", 0), ("seed", 0)):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise InfeasibleInput(f"{name} = {value!r} must be an integer")
+            if value < least:
+                raise InfeasibleInput(f"{name} must be {'at least 1' if least else 'nonnegative'}")
+            object.__setattr__(self, name, int(value))
         if self.start is not None:
             object.__setattr__(self, "start", tuple(float(v) for v in self.start))
             if len(self.start) != len(self.bounds):

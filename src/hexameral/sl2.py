@@ -1,12 +1,15 @@
-"""Plane vectors, unit-determinant frames, and traceless tangents.
+"""Unit-determinant frames, traceless tangents, and their action on the plane.
 
-Frames act on column vectors: (x, y) -> (alpha*x + beta*y, gamma*x + delta*y).
+Plane points are float arrays whose last axis is (x, y).  Frames act on
+them as on column vectors: (x, y) -> (alpha*x + beta*y, gamma*x + delta*y).
 Tangents (a, b, c) stand for the traceless matrix [[a, b], [c, -a]].
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import DegenerateVelocity, FrameDeterminantError
 
@@ -18,32 +21,17 @@ DET_TOL = 1e-12
 SQRT3 = math.sqrt(3.0)
 
 
-@dataclass(frozen=True, slots=True)
-class PlaneVector:
-    """Point or direction in the plane."""
-
-    x: float
-    y: float
-
-    def __add__(self, other: "PlaneVector") -> "PlaneVector":
-        return PlaneVector(self.x + other.x, self.y + other.y)
-
-    def __sub__(self, other: "PlaneVector") -> "PlaneVector":
-        return PlaneVector(self.x - other.x, self.y - other.y)
-
-    def __neg__(self) -> "PlaneVector":
-        return PlaneVector(-self.x, -self.y)
-
-    def scaled(self, factor: float) -> "PlaneVector":
-        return PlaneVector(factor * self.x, factor * self.y)
-
-    def norm(self) -> float:
-        return math.hypot(self.x, self.y)
+def wedge(u, v) -> np.ndarray:
+    """Signed parallelogram area u ^ v = u.x*v.y - u.y*v.x over (..., 2) arrays."""
+    u, v = np.asarray(u, dtype=float), np.asarray(v, dtype=float)
+    return u[..., 0] * v[..., 1] - u[..., 1] * v[..., 0]
 
 
-def wedge(u: PlaneVector, v: PlaneVector) -> float:
-    """Signed parallelogram area u ^ v = u.x*v.y - u.y*v.x."""
-    return u.x * v.y - u.y * v.x
+def _act(m00: float, m01: float, m10: float, m11: float, points) -> np.ndarray:
+    """The matrix [[m00, m01], [m10, m11]] applied entrywise to (..., 2) points."""
+    p = np.asarray(points, dtype=float)
+    x, y = p[..., 0], p[..., 1]
+    return np.stack((m00 * x + m01 * y, m10 * x + m11 * y), axis=-1)
 
 
 # Frames inside hot loops are plain entry tuples (alpha, beta, gamma, delta).
@@ -67,10 +55,6 @@ def _product(g: Frame, h: Frame) -> Frame:
     al, be, ga, de = g
     ph, qh, rh, sh = h
     return (al * ph + be * rh, al * qh + be * sh, ga * ph + de * rh, ga * qh + de * sh)
-
-
-def _compose(g: Frame, h: Frame) -> Frame:
-    return _unit_det(*_product(g, h))
 
 
 def _inverse(g: Frame) -> Frame:
@@ -97,11 +81,9 @@ class FrameMatrix:
     def det(self) -> float:
         return self.alpha * self.delta - self.beta * self.gamma
 
-    def apply(self, v: PlaneVector) -> PlaneVector:
-        return PlaneVector(
-            self.alpha * v.x + self.beta * v.y,
-            self.gamma * v.x + self.delta * v.y,
-        )
+    def apply(self, points) -> np.ndarray:
+        """The frame applied to an array (..., 2) of plane points."""
+        return _act(self.alpha, self.beta, self.gamma, self.delta, points)
 
     def compose(self, other: "FrameMatrix") -> "FrameMatrix":
         """Matrix product self * other (other acts first)."""
@@ -143,8 +125,9 @@ class TangentElement:
     b: float
     c: float
 
-    def apply(self, v: PlaneVector) -> PlaneVector:
-        return PlaneVector(self.a * v.x + self.b * v.y, self.c * v.x - self.a * v.y)
+    def apply(self, points) -> np.ndarray:
+        """The matrix [[a, b], [c, -a]] applied to an array (..., 2) of plane points."""
+        return _act(self.a, self.b, self.c, -self.a, points)
 
     def det(self) -> float:
         return -self.a * self.a - self.b * self.c

@@ -157,8 +157,7 @@ def second_variation_circle(u, w: Sampled, grid) -> float:
 
 def _wedge_coefficients(x: TangentElement, m: int) -> tuple[float, float, float]:
     """Coefficients of wedge(X u, V u) as a linear functional of V = (a', b', c')."""
-    u = STANDARD[m]
-    p, q = u.x, u.y
+    p, q = STANDARD[m].tolist()
     return (-x.b * q * q - x.c * p * p, x.a * q * q - x.c * p * q,
             x.a * p * p + x.b * p * q)
 

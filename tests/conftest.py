@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from hexameral.hyperlink import SquareRep, link_curves, t_end
-from hexameral.sl2 import SQRT3, FrameMatrix, PlaneVector, TangentElement, exp_tangent
+from hexameral.sl2 import SQRT3, FrameMatrix, TangentElement, exp_tangent
 
 
 @pytest.fixture(scope="session")
@@ -44,9 +44,9 @@ def random_frame(rng, scale: float = 0.8) -> FrameMatrix:
     return exp_tangent(x, scale / max(x.norm(), 1e-9))
 
 
-def curve_positions(rep: SquareRep, t: float) -> list[PlaneVector]:
-    """The positions of a link's six curves at one parameter t, indexed by curve."""
-    return [PlaneVector(*p) for p in link_curves(rep, [t])[:, 0, 0].tolist()]
+def curve_positions(rep: SquareRep, t: float) -> np.ndarray:
+    """The positions of a link's six curves at one parameter t: a (6, 2) array."""
+    return link_curves(rep, [t])[:, 0, 0]
 
 
 def sector_quadrature(rep: SquareRep, samples: int) -> float:

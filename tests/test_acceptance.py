@@ -159,7 +159,7 @@ def test_criterion_06_rank_classification():
     ts = np.linspace(0.0, 1.0, 16)
     # curve m is the line STANDARD[m] + (t, 0): velocity (1, 0), no acceleration
     flat = np.zeros((6, 3, ts.size, 2))
-    flat[:, 0] = np.array([[STANDARD[m].x, STANDARD[m].y] for m in range(6)])[:, None]
+    flat[:, 0] = STANDARD.points[:, None]
     flat[:, 0, :, 0] += ts
     flat[:, 1, :, 0] = 1.0
     try:

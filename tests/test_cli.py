@@ -303,7 +303,7 @@ class TestCommandConfig:
 
     def test_nonpositive_tolerance(self):
         with pytest.raises(UsageError):
-            parse_args(["octagon", "--closure-tol", "0"])
+            parse_args(["density", "x.json", "--closure-tol", "0"])
 
     def test_nan_tolerance(self, octagon_file, capsys):
         with pytest.raises(UsageError):

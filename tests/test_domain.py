@@ -354,10 +354,8 @@ class TestInitialMultipoint:
     def test_balanced_hexagon_area(self, octagon):
         mp = initial_multipoint(octagon)
         x = octagon.chain.initial.tangent.rep
-        dirs = [x.apply(mp[m]) for m in range(6)]
-        hexagon = _hexagon_vertices([mp[m] for m in range(6)], dirs)
-        coords = np.array([(p.x, p.y) for p in hexagon])
-        assert abs(polygon_area(coords) - SQRT12) < 1e-12
+        hexagon = _hexagon_vertices(mp.points, x.apply(mp.points))
+        assert abs(polygon_area(hexagon) - SQRT12) < 1e-12
 
 
 class TestExports:

@@ -72,6 +72,12 @@ USAGE_ERRORS = {
     "closure-tol nan": (
         ["density", "{d}/oct.json", "--closure-tol", "nan"],
         "closure tolerance must be positive"),
+    "octagon closure-tol": (
+        ["octagon", "--closure-tol", "1e5"],
+        "unrecognized arguments: --closure-tol 1e5"),
+    "density output": (
+        ["density", "{d}/oct.json", "-o", "x"],
+        "unrecognized arguments: -o x"),
 }
 
 

@@ -11,10 +11,12 @@ link-end states, is held to the margins of the sampled oracle sweep at 64
 and 512 samples per link.  ``chain_path``, which reads ``link_curves``, is
 held bit for bit to the stacked relative-frame pass it replaced, and the
 verify rows read at link ends to the same rows over 257 samples per link.
-The curve sampler is held to the ``PlaneVector`` sampler it replaced, one
-parameter at a time, bit for bit.
+The curve sampler is held to the scalar 2-vector sampler it replaced, one
+parameter at a time, bit for bit, and the array ``apply`` and ``wedge`` to
+the scalar formulas of that 2-vector.
 """
 import math
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -55,11 +57,10 @@ from hexameral.optimize import DEFAULT_BOUNDS, decode_five_link, octagon_embeddi
 from hexameral.sl2 import (
     SQRT3,
     FrameMatrix,
-    PlaneVector,
     ProjectiveTangent,
     TangentElement,
-    _compose,
     _inverse,
+    _product,
     _unit_det,
     adjoint,
     star_check,
@@ -73,6 +74,52 @@ from conftest import random_frame, random_square_rep, random_star_tangent, split
 ANGLE_SAMPLES = 64
 
 
+# The oracles' plane vectors: scalar pairs with the formulas the library
+# used before plane points became arrays.
+
+@dataclass(frozen=True, slots=True)
+class Vec:
+    x: float
+    y: float
+
+    def __neg__(self) -> "Vec":
+        return Vec(-self.x, -self.y)
+
+    def norm(self) -> float:
+        return math.hypot(self.x, self.y)
+
+
+def vec_wedge(u: Vec, v: Vec) -> float:
+    return u.x * v.y - u.y * v.x
+
+
+def frame_apply(g: FrameMatrix, v: Vec) -> Vec:
+    return Vec(g.alpha * v.x + g.beta * v.y, g.gamma * v.x + g.delta * v.y)
+
+
+def tangent_apply(x: TangentElement, v: Vec) -> Vec:
+    return Vec(x.a * v.x + x.b * v.y, x.c * v.x - x.a * v.y)
+
+
+def standard_vec(j: int) -> Vec:
+    return Vec(*STANDARD[j].tolist())
+
+
+def test_array_apply_and_wedge_match_scalar_formulas(rng):
+    for _ in range(200):
+        g, x = random_frame(rng), TangentElement(*rng.uniform(-2.0, 2.0, 3).tolist())
+        pts = rng.uniform(-5.0, 5.0, (7, 2))
+        vecs = [Vec(*p) for p in pts.tolist()]
+        # bytes, so -0.0 differs from 0.0
+        for act, oracle in ((g.apply, lambda v: frame_apply(g, v)),
+                            (x.apply, lambda v: tangent_apply(x, v))):
+            expected = np.array([[w.x, w.y] for w in map(oracle, vecs)])
+            assert act(pts).tobytes() == expected.tobytes()
+            assert act(pts[0]).tobytes() == expected[0].tobytes()
+        wedges = np.array([vec_wedge(u, v) for u, v in zip(vecs, vecs[1:] + vecs[:1])])
+        assert wedge(pts, np.roll(pts, -1, axis=0)).tobytes() == wedges.tobytes()
+
+
 # Object-path oracle of one link.
 
 def _oracle_points(rep: SquareRep, t: float):
@@ -80,14 +127,14 @@ def _oracle_points(rep: SquareRep, t: float):
     a, k = rep.a, rep.k
     s = (1.0 - k) / t
     ds = -(1.0 - k) / (t * t)
-    hyp = (PlaneVector(a * (-1.0 - s), a * (-1.0 - t)), PlaneVector(-a * ds, -a))
-    line_x = (PlaneVector(a, a * t), PlaneVector(0.0, a))
+    hyp = (Vec(a * (-1.0 - s), a * (-1.0 - t)), Vec(-a * ds, -a))
+    line_x = (Vec(a, a * t), Vec(0.0, a))
     return hyp, line_x
 
 
 def _oracle_standard_inverse(j: int):
-    p1, p2 = STANDARD[j], STANDARD[j + 2]
-    w = wedge(p1, p2)
+    p1, p2 = standard_vec(j), standard_vec(j + 2)
+    w = vec_wedge(p1, p2)
     return (p2.y / w, -p2.x / w, -p1.y / w, p1.x / w)
 
 
@@ -104,7 +151,7 @@ def _oracle_frame(rep: SquareRep, t: float) -> FrameMatrix:
 
 def _oracle_tangent(rep: SquareRep, t: float) -> TangentElement:
     (p1, v1), (p2, v2) = _oracle_points(rep, t)
-    w = wedge(p1, p2)
+    w = vec_wedge(p1, p2)
     m00 = (v1.x * p2.y - v2.x * p1.y) / w
     m01 = (-v1.x * p2.x + v2.x * p1.x) / w
     m10 = (v1.y * p2.y - v2.y * p1.y) / w
@@ -118,11 +165,11 @@ def oracle_propagate(state: LinkState, tau: float, j: int):
     if j not in (0, 2, 4):
         raise ParameterOutOfRange(f"hyperbolic index j = {j!r} not in (0, 2, 4)")
     x = state.tangent.rep
-    p2 = state.frame.apply(STANDARD[j + 2])
-    p4 = state.frame.apply(STANDARD[j + 4])
-    d2 = x.apply(p2)
-    d4 = x.apply(p4)
-    w = wedge(d2, d4)
+    p2 = frame_apply(state.frame, standard_vec(j + 2))
+    p4 = frame_apply(state.frame, standard_vec(j + 4))
+    d2 = tangent_apply(x, p2)
+    d4 = tangent_apply(x, p4)
+    w = vec_wedge(d2, d4)
     scale = d2.norm() * d4.norm()
     if scale == 0.0 or abs(w) < VELOCITY_TOL * scale:
         raise DegenerateVelocity("edge velocities are linearly dependent")
@@ -131,8 +178,8 @@ def oracle_propagate(state: LinkState, tau: float, j: int):
     if not star_check(adjoint(state.frame.inverse(), x)):
         raise NotRankOneCompatible("state tangent violates the star inequalities")
     h0 = FrameMatrix(d2.y / w, -d2.x / w, d4.y, -d4.x)
-    q2 = h0.apply(p2)
-    q4 = h0.apply(p4)
+    q2 = frame_apply(h0, p2)
+    q4 = frame_apply(h0, p4)
     if q2.x <= 0.0 or q4.y <= 0.0:
         raise NotRankOneCompatible("edge points map off the positive axes")
     a = math.sqrt(q2.x * q4.y)
@@ -185,7 +232,7 @@ def _oracle_frame_grid(rep: SquareRep, ts: np.ndarray) -> np.ndarray:
 
 def oracle_sweep_angles(chain: ChainParams, states, reps, samples_per_link: int):
     inv0 = chain.initial.frame.inverse()
-    u0 = np.array([STANDARD[0].x, STANDARD[0].y])
+    u0 = STANDARD[0]
     chunks = [np.zeros(1)]
     for state, rep in zip(states, reps):
         if rep.tau == 0.0:
@@ -275,8 +322,8 @@ def stacked_relative_frames(chain: ChainParams, assembled, n: int):
         return (), np.empty((0, n)), np.empty((0, n, 2, 2))
     inv0 = _inverse(chain.initial.frame.entries())
     leads = np.array([
-        _compose(inv0, _unit_det(*_link_lead(state.frame.entries(), rep.a, rep.k,
-                                             rep.t0, rep.j)))
+        _unit_det(*_product(inv0, _unit_det(*_link_lead(state.frame.entries(), rep.a, rep.k,
+                                             rep.t0, rep.j))))
         for state, rep in links
     ]).reshape(-1, 1, 2, 2)
     reps = tuple(rep for _, rep in links)
@@ -290,7 +337,7 @@ def _library_sweep_angles(chain: ChainParams, assembled, samples: int) -> np.nda
     reps, _, frames = stacked_relative_frames(chain, assembled, samples)
     if not reps:
         return np.zeros(1)
-    u0 = np.array([STANDARD[0].x, STANDARD[0].y])
+    u0 = STANDARD[0]
     pts = frames @ u0
     return np.concatenate((np.zeros(1), np.arctan2(pts[..., 1], pts[..., 0]).ravel()))
 
@@ -540,19 +587,19 @@ def _oracle_base_samples(rep: SquareRep, t: float):
     ds = -(1.0 - k) / (t * t)
     dds = 2.0 * (1.0 - k) / (t * t * t)
     hyp = (
-        PlaneVector(a * (-1.0 - s), a * (-1.0 - t)),
-        PlaneVector(-a * ds, -a),
-        PlaneVector(-a * dds, 0.0),
+        Vec(a * (-1.0 - s), a * (-1.0 - t)),
+        Vec(-a * ds, -a),
+        Vec(-a * dds, 0.0),
     )
     line_x = (
-        PlaneVector(a, a * t),
-        PlaneVector(0.0, a),
-        PlaneVector(0.0, 0.0),
+        Vec(a, a * t),
+        Vec(0.0, a),
+        Vec(0.0, 0.0),
     )
     line_y = (
-        PlaneVector(a * s, a),
-        PlaneVector(a * ds, 0.0),
-        PlaneVector(a * dds, 0.0),
+        Vec(a * s, a),
+        Vec(a * ds, 0.0),
+        Vec(a * dds, 0.0),
     )
     return hyp, line_x, line_y
 
@@ -560,9 +607,9 @@ def _oracle_base_samples(rep: SquareRep, t: float):
 class OracleSample(NamedTuple):
     """One sample of one curve: position, velocity, acceleration."""
 
-    position: PlaneVector
-    velocity: PlaneVector
-    acceleration: PlaneVector
+    position: Vec
+    velocity: Vec
+    acceleration: Vec
 
 
 def oracle_curve_samples(rep: SquareRep, t: float) -> list[OracleSample]:
@@ -585,7 +632,7 @@ def oracle_link_multicurve(rep: SquareRep, samples: int, g: FrameMatrix | None):
     for t in np.linspace(rep.t0, t_end(rep), max(samples, 2)):
         for m, s in enumerate(oracle_curve_samples(rep, float(t))):
             if g is not None:
-                s = OracleSample(*(g.apply(v) for v in s))
+                s = OracleSample(*(frame_apply(g, v) for v in s))
             curves[m].append(s)
     return curves
 

@@ -164,6 +164,18 @@ class TestSpecValidation:
         with pytest.raises(InfeasibleInput):
             SearchSpec(seed=-1)
 
+    @pytest.mark.parametrize("field,value", [("restarts", 1.5), ("max_evals", 10.7),
+                                             ("seed", 0.5), ("seed", 2.0), ("restarts", True),
+                                             ("max_evals", False), ("seed", "1")])
+    def test_counts_are_integers(self, field, value):
+        with pytest.raises(InfeasibleInput, match="must be an integer"):
+            SearchSpec(**{field: value})
+
+    def test_numpy_integers_accepted(self):
+        spec = SearchSpec(restarts=np.int64(2), max_evals=np.int32(0), seed=np.uint8(3))
+        assert (spec.restarts, spec.max_evals, spec.seed) == (2, 0, 3)
+        assert all(type(v) is int for v in (spec.restarts, spec.max_evals, spec.seed))
+
     @pytest.mark.parametrize("index,value", [(0, 0.7), (1, -1.0), (2, 1.2), (6, -0.1),
                                              (3, float("nan"))])
     def test_start_inside_bounds(self, index, value):
