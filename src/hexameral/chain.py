@@ -45,6 +45,7 @@ from .sl2 import (
     _adjoint_matrix,
     _inverse,
     _product,
+    _ruled,
     _sphere_basis,
     frame_distance,
 )
@@ -95,12 +96,17 @@ class AssembledChain:
         return sum(link_area(r) for r in self.reps)
 
 
-def assemble(chain: ChainParams) -> AssembledChain:
+def assemble(chain: ChainParams | list[ChainParams]) -> AssembledChain | ChainBatch:
     """Propagate through every link; failures carry the index of their link.
 
     A failing link re-raises its own error with ``link_index`` set and the
-    message prefixed by ``link <i>: ``.
+    message prefixed by ``link <i>: ``.  A list of chains of one length,
+    whose index patterns may differ, is assembled at once in array
+    arithmetic with the bits of each chain's own assembly, into a ChainBatch
+    where a chain that fails reads its error's class and link instead.
     """
+    if isinstance(chain, (list, tuple)):
+        return _assemble_batch(chain)
     states = [chain.initial]
     reps = []
     for i, (tau, j) in enumerate(chain.links):
@@ -114,40 +120,107 @@ def assemble(chain: ChainParams) -> AssembledChain:
     return AssembledChain(tuple(states), tuple(reps))
 
 
-def assemble_jacobian(chain: ChainParams, head: np.ndarray,
-                      assembled: AssembledChain | None = None
-                      ) -> tuple[AssembledChain, np.ndarray]:
+class ChainBatch(NamedTuple):
+    """Chains assembled at once by ``assemble``: chain b is column b of the
+    link-end states' entries, ``frames`` (links + 1, 4, B) and ``tangents``
+    (links + 1, 3, B), and of each link's (a, t0, tau, j) in ``reps``.
+    ``errors`` and ``link`` hold the class and link of the error ``assemble``
+    raises on it alone, or None and -1."""
+
+    frames: np.ndarray
+    tangents: np.ndarray
+    reps: list
+    errors: np.ndarray
+    link: np.ndarray
+
+    def assembled(self, chain: ChainParams, b: int) -> AssembledChain:
+        """``assemble(chain)`` bit for bit, where ``chain`` is chain b, which assembles."""
+        states = [chain.initial]
+        for (tau, _), frame, tangent in zip(chain.links, self.frames[1:, :, b].tolist(),
+                                            self.tangents[1:, :, b].tolist()):
+            states.append(states[-1] if tau == 0.0 else LinkState(
+                _ruled(tuple(frame)), ProjectiveTangent(TangentElement(*tangent))))
+        return AssembledChain(tuple(states), tuple(
+            SquareRep(a[b].item(), t0[b].item(), tau, j)
+            for (a, t0, _, _), (tau, j) in zip(self.reps, chain.links)))
+
+
+def _assemble_batch(chains) -> ChainBatch:
+    links = np.array([c.links for c in chains], dtype=float).reshape(len(chains), -1, 2).T
+    frames = [np.array([c.initial.frame.entries() for c in chains]).T]
+    tangents = [np.array([c.initial.tangent.components() for c in chains]).T]
+    reps, checks, ends = [], [], []
+    with np.errstate(all="ignore"):
+        for tau, j in zip(links[0], links[1].astype(int)):
+            (frame, x), a, t0 = propagate((tuple(frames[-1]), tuple(tangents[-1])), tau, j,
+                                          checks)
+            frames.append(np.array(frame))
+            tangents.append(np.array(x))
+            reps.append((a, t0, tau, j))
+            ends.append(len(checks))
+    # each chain fails at the first check it is bad in; a last row, bad
+    # everywhere with no error, stands for none
+    first = np.array([b for b, _ in checks] + [np.ones(len(chains), dtype=bool)]).argmax(axis=0)
+    return ChainBatch(np.array(frames), np.array(tangents), reps,
+                      np.array([e for _, e in checks] + [None], dtype=object)[first],
+                      np.where(first < len(checks), np.searchsorted(ends, first, "right"), -1))
+
+
+def _stacked(rows) -> np.ndarray:
+    """The matrix of these rows, (r, c); (B, r, c), contiguous, if they hold (B,) arrays."""
+    m = np.array(rows)
+    return m if m.ndim == 2 else np.ascontiguousarray(np.moveaxis(m, -1, 0))
+
+
+def assemble_jacobian(chain: ChainParams | None, head: np.ndarray,
+                      assembled: AssembledChain | ChainBatch | None = None):
     """assemble, plus the derivatives of the final state and the area.
 
     The variables are m leading ones, whose derivative of the initial state
-    is ``head`` (5, m) in propagate_jacobian's coordinates, then the link
+    is ``head`` (5, m) in a state's five local coordinates, then the link
     taus in order.  Returns the assembled chain and a (6, m + links) array:
     the final state's derivative over the area gradient.  A caller that
     already holds ``assemble(chain)`` passes it as ``assembled``, and the
-    chain is not assembled again.
+    chain is not assembled again; a ChainBatch and heads (B, 5, m) give
+    each chain's derivative, (B, 6, m + links), with the bits of one call.
 
-    This is propagate_jacobian composed link by link, except that between
-    two links the out tangent's sphere coordinates and the next link's
-    reading of them cancel: the chain carries (xi, da, dt0) of the next link
-    and converts to sphere coordinates only at its two ends.
+    This is ``hyperlink._transfer`` composed link by link, except that
+    between two links the out tangent's sphere coordinates and the next
+    link's reading of them cancel: the chain carries (xi, da, dt0) of the
+    next link and converts to sphere coordinates only at its two ends.
     """
     if assembled is None:
         assembled = assemble(chain)
-    m = head.shape[1]
-    links = chain.links
-    d_state = np.zeros((6, m + len(links)))
-    if not links:
-        d_state[:5, :m] = head
+    if isinstance(assembled, ChainBatch):
+        frames, tangents, reps = list(assembled.frames), list(assembled.tangents), assembled.reps
+    else:
+        frames, tangents = zip(*(s.entries() for s in assembled.states))
+        reps = [(r.a, r.t0, r.tau, r.j) for r in assembled.reps]
+    m = head.shape[-1]
+    d_state = np.zeros(head.shape[:-2] + (6, m + len(reps)))
+    if not reps:
+        d_state[..., :5, :] = head
         return assembled, d_state
-    d_state[:3, :m] = head[:3]
-    d_state[3:5, :m] = np.array(_entry(chain.initial, links[0].j)) @ head
-    steps = zip(assembled.states, assembled.states[1:], assembled.reps)
-    for i, (state, out, rep) in enumerate(steps):
-        next_j = links[i + 1].j if i + 1 < len(links) else None
-        transfer = np.array(_transfer(state.frame.entries(), out, rep, next_j))
-        d_state = transfer[:, :6] @ d_state
+    d_state[..., :3, :m] = head[..., :3, :]
+    d_state[..., 3:5, :m] = _stacked(_entry(frames[0], tangents[0], reps[0][3])) @ head
+    transfers, inner = [], len(reps) - 1
+    if isinstance(assembled, ChainBatch) and inner:
+        # a link's derivative reads no other link's: all links but the last,
+        # whose rows end in sphere coordinates, in one call side by side
+        def flat(parts):
+            return np.concatenate(list(parts), axis=-1)
+        transfers = list(_stacked(_transfer(
+            flat(frames[:inner]), flat(frames[1:-1]), flat(tangents[1:-1]),
+            *(flat(rep[k] for rep in reps[:inner]) for k in range(4)),
+            flat(rep[3] for rep in reps[1:]))).reshape(inner, -1, 6, 7))
+    for i in range(len(transfers), len(reps)):
+        next_j = reps[i + 1][3] if i < inner else None
+        transfers.append(_stacked(_transfer(frames[i], frames[i + 1], tangents[i + 1], *reps[i],
+                                            next_j)))
+    for i, transfer in enumerate(transfers):
+        d_state = transfer[..., :6] @ d_state
         # no earlier link reads this tau
-        d_state[:, m + i] = transfer[:, 6]
+        d_state[..., m + i] = transfer[..., 6]
     return assembled, d_state
 
 
@@ -232,30 +305,27 @@ def angle_margin_of(chain: ChainParams, assembled: AssembledChain | None = None)
 
 
 # Endpoint residuals.  A state moves in five local coordinates, as in
-# hyperlink.propagate_jacobian: its frame F as F exp(xi), xi in sl2, and its
+# hyperlink's derivative path: its frame F as F exp(xi), xi in sl2, and its
 # unit tangent along the two directions _sphere_basis gives at it.
 
 def _endpoint_residuals(final: LinkState, target: LinkState) -> np.ndarray:
     """End state minus target: four frame entries, three tangent components."""
-    frame_diff = np.array(final.frame.entries()) - np.array(target.frame.entries())
-    tangent_diff = np.array(final.tangent.components()) - np.array(
-        target.tangent.components()
-    )
-    return np.concatenate([frame_diff, tangent_diff])
+    return np.array(sum(final.entries(), ())) - np.array(sum(target.entries(), ()))
 
 
-def _endpoint_jacobian(state: LinkState) -> np.ndarray:
+def _endpoint_jacobian(frame, tangent) -> np.ndarray:
     """Derivative of a state's seven residual entries in its local coordinates.
 
-    The frame F moves as F exp(xi), so its entries move as F xi; the tangent
-    moves along its sphere basis.
+    The state is a frame F and a unit tangent, as entries: floats give a
+    (7, 5) array, (B,) arrays a (B, 7, 5) one.  F moves as F exp(xi), so its
+    entries move as F xi; the tangent moves along its sphere basis.
     """
-    al, be, ga, de = state.frame.entries()
-    (p0, p1, p2), (q0, q1, q2) = _sphere_basis(*state.tangent.components())
-    return np.array(((al, 0.0, be, 0.0, 0.0), (-be, al, 0.0, 0.0, 0.0),
-                     (ga, 0.0, de, 0.0, 0.0), (-de, ga, 0.0, 0.0, 0.0),
-                     (0.0, 0.0, 0.0, p0, q0), (0.0, 0.0, 0.0, p1, q1),
-                     (0.0, 0.0, 0.0, p2, q2)))
+    al, be, ga, de = frame
+    (p0, p1, p2), (q0, q1, q2) = _sphere_basis(*tangent)
+    z = abs(al) * 0.0  # zeros shaped as the entries, so that the rows stack
+    return _stacked(((al, z, be, z, z), (-be, al, z, z, z), (ga, z, de, z, z),
+                     (-de, ga, z, z, z), (z, z, z, p0, q0), (z, z, z, p1, q1),
+                     (z, z, z, p2, q2)))
 
 
 # The sl2 basis [[1, 0], [0, -1]], [[0, 1], [0, 0]], [[0, 0], [1, 0]].

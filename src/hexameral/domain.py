@@ -204,16 +204,17 @@ def circle_multicurve(samples: int = 16) -> np.ndarray:
 
 
 def _star_margins(rep: SquareRep, t: float) -> tuple[float, float, float]:
-    """(c - sqrt(3)|a|, -(3b + c), det X) of the circle tangent at parameter t."""
+    """(c - sqrt(3)|a|, -(3b + c), det X) of the circle tangent at parameter t,
+    or at each of an array of parameters, with the same bits."""
     a, b, c = _circle_tangent_at(rep, t)
     return (c - SQRT3 * abs(a), -(3.0 * b + c), -a * a - b * c)
 
 
 def _star_rows(assembled: AssembledChain, per_link: int) -> np.ndarray:
     """Rows (c - sqrt(3)|a|, -(3b + c), det X) of the circle tangent per sample."""
-    rows = [_star_margins(rep, t) for rep in assembled.reps if rep.tau != 0.0
-            for t in np.linspace(rep.t0, t_end(rep), per_link).tolist()]
-    return np.array(rows).reshape(-1, 3)
+    rows = [np.stack(_star_margins(rep, np.linspace(rep.t0, t_end(rep), per_link)), axis=-1)
+            for rep in assembled.reps if rep.tau != 0.0]
+    return np.concatenate(rows + [np.empty((0, 3))])
 
 
 def star_profile(dom: HexameralDomain, per_link: int = 32) -> np.ndarray:

@@ -15,6 +15,7 @@ marks a degenerate (single-point) link.
 """
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 from dataclasses import dataclass
@@ -36,9 +37,12 @@ from .sl2 import (
     TangentElement,
     _adjoint,
     _adjoint_matrix,
+    _fail,
     _inverse,
     _product,
+    _ruled,
     _sphere_basis,
+    _sqrt,
     _star,
     _unit_det,
     _unit_tangent,
@@ -94,6 +98,19 @@ def t_end(rep: SquareRep) -> float:
     return rep.t0 + rep.tau * (rep.k - 1.0 - rep.t0)
 
 
+def _math(fn, *args):
+    """``fn`` of floats, or of arrays element by element: numpy's log and
+    hypot differ from math's in the last bit on a few inputs in 1,000."""
+    if isinstance(args[0], np.ndarray):
+        return np.array(list(map(fn, *(v.tolist() for v in args))))
+    return fn(*args)
+
+
+def _log(v: float) -> float:
+    """math.log; NaN where v is not positive, as in a batched chain that failed."""
+    return math.log(v) if v > 0.0 else math.nan
+
+
 def link_area(rep: SquareRep) -> float:
     """Sum of the three even sector areas swept by the link.
 
@@ -140,6 +157,9 @@ class LinkState:
     frame: FrameMatrix
     tangent: ProjectiveTangent
 
+    def entries(self) -> tuple[Frame, tuple[float, float, float]]:
+        return self.frame.entries(), self.tangent.components()
+
 
 def circle_tangent(state: LinkState) -> TangentElement:
     """The state's tangent conjugated back to the circle representation."""
@@ -165,10 +185,19 @@ def _columns_inverse(j: int) -> tuple[float, float, float, float]:
     return (p2y / w, -p2x / w, -p1y / w, p1x / w)
 
 
-# Per index j: the inverse of the columns (u*_j, u*_{j+2}) and the edge
-# points u*_{j+2}, u*_{j+4} (j = 4 wraps to u*_0, u*_2).
-_STANDARD_INVERSE = {j: _columns_inverse(j) for j in (0, 2, 4)}
-_EDGE_POINTS = {j: (*STANDARD[j + 2].tolist(), *STANDARD[j + 4].tolist()) for j in (0, 2, 4)}
+# Per index j = 0..5 (arrays of j pick too): the inverse of the columns
+# (u*_j, u*_{j+2}) and the edge points u*_{j+2}, u*_{j+4}, cyclic in j.
+_STANDARD_INVERSE = tuple(_columns_inverse(j) for j in range(6))
+_EDGE_POINTS = tuple((*STANDARD[j + 2].tolist(), *STANDARD[j + 4].tolist()) for j in range(6))
+_as_array = functools.cache(np.array)
+
+
+def _pick(table, j):
+    """Row j of a table of float tuples; for an array of indices, its columns."""
+    try:
+        return table[j]
+    except TypeError:  # an array of indices, which a tuple does not take
+        return _as_array(table)[j].T
 
 
 # The scalar kernel: one link's frames and tangents over plain floats.
@@ -176,7 +205,7 @@ _EDGE_POINTS = {j: (*STANDARD[j + 2].tolist(), *STANDARD[j + 4].tolist()) for j 
 def _square_frame(a: float, k: float, t: float, j: int) -> Frame:
     """Entries of the frame sending u*_m to sigma_m(t), before the determinant rule."""
     (p1x, p1y), (p2x, p2y), _ = _square_points(a, k, t)
-    ia, ib, ic, id_ = _STANDARD_INVERSE[j]
+    ia, ib, ic, id_ = _pick(_STANDARD_INVERSE, j)
     return (p1x * ia + p2x * ic, p1x * ib + p2x * id_,
             p1y * ia + p2y * ic, p1y * ib + p2y * id_)
 
@@ -195,9 +224,9 @@ def _square_tangent(a: float, k: float, t: float) -> tuple[float, float, float]:
     return (0.5 * (m00 - m11), m01, m10)
 
 
-def _link_lead(frame: Frame, a: float, k: float, t0: float, j: int) -> Frame:
+def _link_lead(frame: Frame, a, k, t0, j, checks=None) -> Frame:
     """Entries of frame C(t0)^{-1}, before the determinant rule: the link map."""
-    return _product(frame, _inverse(_unit_det(*_square_frame(a, k, t0, j))))
+    return _product(frame, _inverse(_unit_det(*_square_frame(a, k, t0, j), checks), checks))
 
 
 def frame_at(rep: SquareRep, t: float) -> LinkState:
@@ -217,64 +246,76 @@ def _circle_tangent_at(rep: SquareRep, t: float) -> tuple[float, float, float]:
     return _adjoint(_inverse(frame), *_unit_tangent(*_square_tangent(rep.a, k, t)))
 
 
-def propagate(state: LinkState, tau: float, j: int) -> tuple[LinkState, SquareRep]:
+def propagate(state, tau, j, checks=None):
     """Advance a state through one link of turning fraction tau at index j.
 
     Recovers the unique square representation compatible with the state:
     the edge velocities d2 = X p_{j+2} and d4 = X p_{j+4} are aligned with
     the +y and -x axes by a unit-determinant map, whose residual diagonal
     freedom is fixed by requiring both mapped edge points to share the
-    coordinate value a.  The recovered t0 must land in (-1, k-1).
+    coordinate value a.  The recovered t0 must land in (-1, k-1).  Returns
+    the out state, the in state for an empty link, and the rep.
 
-    Frames are entry tuples under the one determinant rule throughout;
-    only the returned state and representation are built as objects.
+    The same body advances B states at once: ``state`` is then its frame
+    and tangent entries as (B,) arrays, and ``checks`` a list that collects
+    the checks (``sl2._fail``); it returns the out state's entries, a and t0.
     """
-    if not 0.0 <= tau < 1.0:
-        raise ParameterOutOfRange(f"tau = {tau!r} outside [0, 1)")
-    if j not in (0, 2, 4):
-        raise ParameterOutOfRange(f"hyperbolic index j = {j!r} not in (0, 2, 4)")
-    xa, xb, xc = state.tangent.components()
-    frame = state.frame.entries()
+    frame, x = (state.frame.entries(), state.tangent.components()) if checks is None else state
+    # a check on floats that passes (False) skips the call to _fail
+    if (bad := ((0.0 <= tau) & (tau < 1.0)) ^ True) is not False:
+        _fail(bad, ParameterOutOfRange, checks, "tau = {!r} outside [0, 1)", tau)
+    if (bad := (j != 0) & (j != 2) & (j != 4)) is not False:
+        _fail(bad, ParameterOutOfRange, checks, "hyperbolic index j = {!r} not in (0, 2, 4)", j)
+    xa, xb, xc = x
     al, be, ga, de = frame
-    u2x, u2y, u4x, u4y = _EDGE_POINTS[j]
+    u2x, u2y, u4x, u4y = _pick(_EDGE_POINTS, j)
     p2x, p2y = al * u2x + be * u2y, ga * u2x + de * u2y
     p4x, p4y = al * u4x + be * u4y, ga * u4x + de * u4y
     d2x, d2y = xa * p2x + xb * p2y, xc * p2x - xa * p2y
     d4x, d4y = xa * p4x + xb * p4y, xc * p4x - xa * p4y
     w = d2x * d4y - d2y * d4x
-    scale = math.hypot(d2x, d2y) * math.hypot(d4x, d4y)
-    if scale == 0.0 or abs(w) < VELOCITY_TOL * scale:
-        raise DegenerateVelocity("edge velocities are linearly dependent")
-    if w < 0.0:
-        raise NotRankOneCompatible("edge velocities wind clockwise; star conditions fail")
-    if not _star(*_adjoint(_inverse(frame), xa, xb, xc)):
-        raise NotRankOneCompatible("state tangent violates the star inequalities")
+    hypot = math.hypot if checks is None else functools.partial(_math, math.hypot)
+    scale = hypot(d2x, d2y) * hypot(d4x, d4y)
+    if (bad := (scale == 0.0) | (abs(w) < VELOCITY_TOL * scale)) is not False:
+        _fail(bad, DegenerateVelocity, checks, "edge velocities are linearly dependent")
+    if (bad := w < 0.0) is not False:
+        _fail(bad, NotRankOneCompatible, checks,
+              "edge velocities wind clockwise; star conditions fail")
+    if (bad := _star(*_adjoint(_inverse(frame, checks), xa, xb, xc)) ^ True) is not False:
+        _fail(bad, NotRankOneCompatible, checks, "state tangent violates the star inequalities")
     # h0 sends d2 to (0, w) and d4 to (-1, 0) with determinant one.
-    hal, hbe, hga, hde = _unit_det(d2y / w, -d2x / w, d4y, -d4x)
+    hal, hbe, hga, hde = _unit_det(d2y / w, -d2x / w, d4y, -d4x, checks)
     q2x, q2y = hal * p2x + hbe * p2y, hga * p2x + hde * p2y
     q4x, q4y = hal * p4x + hbe * p4y, hga * p4x + hde * p4y
-    if q2x <= 0.0 or q4y <= 0.0:
-        raise NotRankOneCompatible("edge points map off the positive axes")
-    a = math.sqrt(q2x * q4y)
-    if a * a <= MIN_SCALE_SQ:
-        raise NotRankOneCompatible(f"recovered scale a = {a!r} gives no hyperbola")
+    if (bad := (q2x <= 0.0) | (q4y <= 0.0)) is not False:
+        _fail(bad, NotRankOneCompatible, checks, "edge points map off the positive axes")
+    a = _sqrt(q2x * q4y)
+    if (bad := a * a <= MIN_SCALE_SQ) is not False:
+        _fail(bad, NotRankOneCompatible, checks,
+              "recovered scale a = {!r} gives no hyperbola", a)
     t0 = q2y / q4y
     s0 = q4x / q2x
     k = SQRT3 / (2.0 * a * a)
-    if not (-1.0 < t0 < k - 1.0 and -1.0 < s0 < k - 1.0):
-        raise NotRankOneCompatible(
-            f"recovered start t0 = {t0!r}, s0 = {s0!r} outside (-1, {k - 1.0!r})"
-        )
-    rep = SquareRep(a, t0, tau, j)
+    if (bad := ((-1.0 < t0) & (t0 < k - 1.0) & (-1.0 < s0) & (s0 < k - 1.0)) ^ True) is not False:
+        _fail(bad, NotRankOneCompatible, checks,
+              "recovered start t0 = {!r}, s0 = {!r} outside (-1, {!r})", t0, s0, k - 1.0)
+    rep = SquareRep(a, t0, tau, j) if checks is None else None
     # C(t0) meets the determinant rule even for an empty link, as in its
     # derivative (_transfer), so a chain that assembles has a Jacobian
-    g = _unit_det(*_link_lead(frame, a, k, t0, j))
-    if tau == 0.0:
+    g = _unit_det(*_link_lead(frame, a, k, t0, j, checks), checks)
+    if checks is None and tau == 0.0:
         return state, rep
+    late = None if checks is None else []
     t1 = t0 + tau * (k - 1.0 - t0)
-    frame_out = FrameMatrix(*_product(g, _unit_det(*_square_frame(a, k, t1, j))))
-    tangent_out = _unit_tangent(*_adjoint(g, *_square_tangent(a, k, t1)))
-    return LinkState(frame_out, ProjectiveTangent(TangentElement(*tangent_out))), rep
+    frame_out = _unit_det(*_product(g, _unit_det(*_square_frame(a, k, t1, j), late)), late)
+    tangent_out = _unit_tangent(*_adjoint(g, *_square_tangent(a, k, t1)), late)
+    if checks is None:
+        return LinkState(_ruled(frame_out), ProjectiveTangent(TangentElement(*tangent_out))), rep
+    # an empty link keeps its in state, unchecked past g
+    moving = tau != 0.0
+    checks.extend((bad & moving, error) for bad, error in late)
+    return ((tuple(np.where(moving, out, now) for out, now in zip(frame_out, frame)),
+             tuple(np.where(moving, out, now) for out, now in zip(tangent_out, x))), a, t0)
 
 
 # The derivative path.  A state moves in five local coordinates: its frame F
@@ -299,14 +340,14 @@ def _edge_forms(j: int):
         # u ^ y v = ux (yc vx - ya vy) - uy (ya vx + yb vy), linear in y
         return (-(ux * vy + uy * vx), -uy * vy, ux * vx)
 
-    return (form(u2x, u2y, u2x, u2y), form(u4x, u4y, u4x, u4y),
-            form(u2x, u2y, u4x, u4y), u2x * u4y - u2y * u4x)
+    return (*form(u2x, u2y, u2x, u2y), *form(u4x, u4y, u4x, u4y),
+            *form(u2x, u2y, u4x, u4y), u2x * u4y - u2y * u4x)
 
 
-_EDGE_FORMS = {j: _edge_forms(j) for j in (0, 2, 4)}
+_EDGE_FORMS = tuple(_edge_forms(j) for j in range(6))
 
 
-def _rep_gradient(y: tuple[float, float, float], j: int) -> tuple[tuple[float, ...], ...]:
+def _rep_gradient(y, j) -> tuple[tuple[float, ...], ...]:
     """Gradients of the recovered a and t0 in the pulled-back tangent y.
 
     From the state (identity, y) propagate's recovery reads a^2 = A B / w and
@@ -317,28 +358,27 @@ def _rep_gradient(y: tuple[float, float, float], j: int) -> tuple[tuple[float, .
     straight hyperbolas.
     """
     ya, yb, yc = y
-    (a0, a1, a2), (b0, b1, b2), (c0, c1, c2), w0 = _EDGE_FORMS[j]
+    a0, a1, a2, b0, b1, b2, c0, c1, c2, w0 = _pick(_EDGE_FORMS, j)
     big_a = a0 * ya + a1 * yb + a2 * yc
     big_b = b0 * ya + b1 * yb + b2 * yc
     big_c = c0 * ya + c1 * yb + c2 * yc
     gap = big_a * big_b - big_c * big_c
     t0 = big_c / big_b
     # da = (a / 2) C (2 dC - C (dA / A + dB / B)) / (A B - C^2)
-    f = 0.5 * math.sqrt(w0 * big_a * big_b / gap) * big_c / gap
+    f = 0.5 * _sqrt(w0 * big_a * big_b / gap) * big_c / gap
     fa, fb = f * big_c / big_a, f * big_c / big_b
     return ((2.0 * f * c0 - fa * a0 - fb * b0, 2.0 * f * c1 - fa * a1 - fb * b1,
              2.0 * f * c2 - fa * a2 - fb * b2),
             ((c0 - t0 * b0) / big_b, (c1 - t0 * b1) / big_b, (c2 - t0 * b2) / big_b))
 
 
-def _entry(state: LinkState, j: int) -> list[tuple[float, ...]]:
-    """Rows da and dt0 of the link at index j over the state's five coordinates.
-
-    The link reads the pulled-back tangent y = F^{-1} X F: moving F to
-    F exp(xi) moves y by [y, xi], and a tangent step e moves it by F^{-1} e F.
+def _entry(frame: Frame, x, j) -> list[tuple[float, ...]]:
+    """Rows da and dt0 of the link at index j over the five coordinates of
+    its in state F, X.  The link reads the pulled-back tangent y = F^{-1} X F:
+    moving F to F exp(xi) moves y by [y, xi], and a tangent step e moves it
+    by F^{-1} e F.
     """
-    inv = _inverse(state.frame.entries())
-    x = state.tangent.components()
+    inv = _inverse(frame)
     ya, yb, yc = y = _adjoint(inv, *x)
     e1, e2 = (_adjoint(inv, *e) for e in _sphere_basis(*x))
     return [(2.0 * (gc * yc - gb * yb), 2.0 * gb * ya - ga * yc, ga * yb - 2.0 * gc * ya,
@@ -346,9 +386,11 @@ def _entry(state: LinkState, j: int) -> list[tuple[float, ...]]:
             for ga, gb, gc in _rep_gradient(y, j)]
 
 
-def _transfer(frame: Frame, out: LinkState, rep: SquareRep,
-              next_j: int | None) -> list[tuple[float, ...]]:
+def _transfer(frame: Frame, out_frame: Frame, out_x, a, t0, tau, j,
+              next_j) -> list[tuple[float, ...]]:
     """One link's first derivatives as a 6x7 matrix on reduced coordinates.
+
+    The link (a, t0, tau, j) runs from ``frame`` to (``out_frame``, ``out_x``).
 
     Columns: the in state's xi, da and dt0 of this link, the chain area so
     far (carried through), then dtau.  Rows: the out frame's xi; then da and
@@ -367,42 +409,42 @@ def _transfer(frame: Frame, out: LinkState, rep: SquareRep,
     following link reads, while the out tangent itself moves by
     F_out ([xi_out, L] + dL) F_out^{-1} before normalisation.
     """
-    a, t0, tau = rep.a, rep.t0, rep.tau
     k = SQRT3 / (2.0 * a * a)
     t1 = t0 + tau * (k - 1.0 - t0)
     stretch = 2.0 * tau * k / a
     span = k - 1.0 - t0
+    zero = abs(a) * 0.0  # zeros shaped as the entries, so that the rows stack
 
-    def row(on_xi, by_a, by_t0, by_t1, carry=0.0):
+    def row(on_xi, by_a, by_t0, by_t1, carry=zero):
         return (on_xi[0], on_xi[1], on_xi[2], by_a - stretch * by_t1,
                 by_t0 + (1.0 - tau) * by_t1, carry, by_t1 * span)
 
     # X(t) = (q/t, -q/t^2, 1/k) with q = (1 - k)/k
     q = (1.0 - k) / k
-    back = _inverse(_unit_det(*_square_frame(a, k, t1, rep.j)))
+    back = _inverse(_unit_det(*_square_frame(a, k, t1, j)))
     ba, _, bc, _ = back
     lift = (-ba * bc, ba * ba, -bc * bc)  # B (0, 1, 0)
     step_nu = 2.0 / (a * t1) - 2.0 / (a * t0)
     lift0 = _adjoint(back, q / t0, -q / (t0 * t0), 1.0 / k)
     lift1 = _adjoint(back, q / t1, -q / (t1 * t1), 1.0 / k)
-    to_in = _adjoint_matrix(_product(_inverse(out.frame.entries()), frame))
+    to_in = _adjoint_matrix(_product(_inverse(out_frame), frame))
     rows = [row(to_in[r], step_nu * lift[r], -lift0[r], lift1[r]) for r in range(3)]
 
     lift_a = -2.0 / (a * t1 * t1)
     lift_t = _adjoint(back, -q / (t1 * t1), 2.0 * q / (t1 * t1 * t1), 0.0)
     if next_j is not None:
         for g in _rep_gradient(lift1, next_j):
-            rows.append(row((0.0, 0.0, 0.0),
+            rows.append(row((zero, zero, zero),
                             lift_a * (g[0] * lift[0] + g[1] * lift[1] + g[2] * lift[2]), 0.0,
                             g[0] * lift_t[0] + g[1] * lift_t[1] + g[2] * lift_t[2]))
     else:
         # sphere basis rows r pulled back through F_out, over the norm of
         # F_out L F_out^{-1}; r . [z, L] = rk . z, and [L, L] = 0
-        w = _adjoint(out.frame.entries(), *lift1)
-        scale = 1.0 / math.sqrt(w[0] * w[0] + w[1] * w[1] + w[2] * w[2])
-        ad_out = _adjoint_matrix(out.frame.entries())
+        w = _adjoint(out_frame, *lift1)
+        scale = 1.0 / _sqrt(w[0] * w[0] + w[1] * w[1] + w[2] * w[2])
+        ad_out = _adjoint_matrix(out_frame)
         l0, l1, l2 = lift1
-        for e in _sphere_basis(*out.tangent.components()):
+        for e in _sphere_basis(*out_x):
             r0, r1, r2 = _row_times(e, ad_out)
             r0, r1, r2 = r0 * scale, r1 * scale, r2 * scale
             rk = (2.0 * (l1 * r1 - l2 * r2), l2 * r0 - 2.0 * l0 * r1,
@@ -415,28 +457,11 @@ def _transfer(frame: Frame, out: LinkState, rep: SquareRep,
 
     # link_area = a^2 [(1-k)(1/t0 - 1/t1 - ln(t0/t1)) + t1 - t0]
     s = a * a * (1.0 - k)
-    rows.append(row((0.0, 0.0, 0.0),
-                    2.0 * a * (1.0 / t0 - 1.0 / t1 - math.log(t0 / t1) + t1 - t0),
+    rows.append(row((zero, zero, zero),
+                    2.0 * a * (1.0 / t0 - 1.0 / t1 - _math(_log, t0 / t1) + t1 - t0),
                     -s * (1.0 + t0) / (t0 * t0) - a * a, s * (1.0 + t1) / (t1 * t1) + a * a,
-                    1.0))
+                    zero + 1.0))
     return rows
-
-
-def propagate_jacobian(state: LinkState, tau: float,
-                       j: int) -> tuple[LinkState, SquareRep, np.ndarray]:
-    """propagate, plus the first derivatives of its out state and of link_area.
-
-    Returns (out state, rep, jac) with ``jac`` 6x6.  Its columns are the in
-    state's five coordinates, then tau; its rows the out state's five, then
-    link_area.  At tau = 0 the tau column is the one-sided derivative.
-    """
-    out, rep = propagate(state, tau, j)
-    transfer = np.array(_transfer(state.frame.entries(), out, rep, None))
-    jac = np.empty((6, 6))
-    jac[:, :5] = transfer[:, 3:5] @ _entry(state, j)
-    jac[:, :3] += transfer[:, :3]
-    jac[:, 5] = transfer[:, 6]
-    return out, rep, jac
 
 
 def link_map(state: LinkState, rep: SquareRep) -> FrameMatrix:

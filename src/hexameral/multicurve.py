@@ -38,11 +38,11 @@ class MultiPoint:
         chain = np.hypot(*(pts + u2 + u4).T).tolist()
         mirror = np.hypot(*(pts + u3).T).tolist()
         for j, w in enumerate(wedge(pts, u2).tolist()):
-            if chain[j] > MULTIPOINT_TOL:
+            if not chain[j] <= MULTIPOINT_TOL:
                 raise WedgeMismatch(f"u_{j} + u_{j+2} + u_{j+4} is {chain[j]:.3e} from zero")
-            if mirror[j] > MULTIPOINT_TOL:
+            if not mirror[j] <= MULTIPOINT_TOL:
                 raise WedgeMismatch(f"u_{j+3} is not -u_{j}")
-            if abs(w - HALF_SQRT3) > MULTIPOINT_TOL:
+            if not abs(w - HALF_SQRT3) <= MULTIPOINT_TOL:
                 raise WedgeMismatch(f"wedge(u_{j}, u_{j+2}) = {w!r}, expected sqrt(3)/2")
 
     def __getitem__(self, j: int) -> np.ndarray:
@@ -65,7 +65,7 @@ def multipoint_from_pair(u0, u2) -> MultiPoint:
     """Complete a multi-point from 2-vectors u_0 and u_2 that wedge to sqrt(3)/2."""
     u0, u2 = np.asarray(u0, dtype=float), np.asarray(u2, dtype=float)
     w = float(wedge(u0, u2))
-    if abs(w - HALF_SQRT3) > MULTIPOINT_TOL:
+    if not abs(w - HALF_SQRT3) <= MULTIPOINT_TOL:
         raise WedgeMismatch(f"wedge(u0, u2) = {w!r}, expected sqrt(3)/2")
     return MultiPoint([u0, u0 + u2, u2, -u0, -(u0 + u2), -u2])
 

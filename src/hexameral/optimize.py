@@ -2,17 +2,18 @@
 
 Both experiments are one endpoint problem: minimise a multiple of the chain
 area over link parameters in a box, subject to the chain ending in a target
-state.  One Newton solve, ``_root`` (bounded Levenberg-Marquardt on the exact
-Jacobian), serves both.  The five-link density search targets the start
-state turned by pi/3: per start, ``_root`` snaps onto closure, then an
-active-set SQP (``_descend``) lowers density with five endpoint equations as
-equality constraints.  Link reduction refits a six-link segment with five
-links ending in its end state: per index pattern, ``_root`` solves five
-equations in five turning fractions, and the least closed root wins.  Every
+state.  One Newton solve, ``_roots`` (bounded Levenberg-Marquardt on the
+exact Jacobian, many solves in lockstep), serves both.  The five-link density
+search targets the start state turned by pi/3: per start, one solve snaps
+onto closure, then an active-set SQP (``_descend``) lowers density with five
+endpoint equations as equality constraints.  Link reduction refits a six-link
+segment with five links ending in its end state, solving five equations in
+five turning fractions per index pattern; the least closed root wins.  Every
 chain assembly counts as an evaluation; ``SearchSpec.max_evals`` caps them.
 """
 from __future__ import annotations
 
+import contextlib
 import math
 import numbers
 from dataclasses import dataclass
@@ -24,6 +25,7 @@ from .chain import (
     ANGLE_TOL,
     STRICT_TOL,
     AssembledChain,
+    ChainBatch,
     ChainParams,
     ClosureReport,
     LinkParam,
@@ -47,7 +49,7 @@ FIVE_LINK_PATTERN = (0, 2, 4, 2, 0)
 TAU_HI = 1.0 - 1e-6
 FAIL_RESIDUAL = 1.0e3
 IMPROVEMENT_MARGIN = 1e-9
-# The stop rule of a Newton solve (_root): a root is a residual of at most
+# The stop rule of a Newton solve (_roots): a root is a residual of at most
 # ROOT_TOL; an accepted step that cuts the cost by under ROOT_FTOL of it is a
 # stall, which is how a pattern without a root plateaus; a step under
 # STEP_TOL relative to x ends it too.  LM_DAMPING is the first
@@ -165,9 +167,9 @@ class EndpointProblem:
 
     ``decode`` maps search variables to a chain whose link taus are the
     last variables; ``start_jacobian(x, chain)`` is the derivative (5, m) of
-    the decoded start state in the m variables before them, in
-    ``propagate_jacobian``'s coordinates.  ``value`` is linear, so it also
-    maps the area gradient to the value's.  A ``target`` of None means the
+    the decoded start state in the m variables before them, in a state's
+    five local coordinates.  ``value`` is linear, so it also maps the area
+    gradient to the value's.  A ``target`` of None means the
     chain's own start state turned by pi/3.  ``fail_value`` stands in for
     the value where no chain can be assembled.  Methods that take an
     ``assembly`` accept ``self.assembly(x)`` from a caller who holds it.
@@ -218,9 +220,9 @@ class EndpointProblem:
         if assembled is None:
             return np.zeros((7, len(x)))
         d_state, d_target = self._derivatives(x, chain, assembled)
-        jac = _endpoint_jacobian(assembled.final) @ d_state[:5]
+        jac = _endpoint_jacobian(*assembled.final.entries()) @ d_state[:5]
         if d_target is not None:
-            jac -= _endpoint_jacobian(end_target(chain)) @ d_target
+            jac -= _endpoint_jacobian(*end_target(chain).entries()) @ d_target
         return jac
 
     def _evaluation(self, chain: ChainParams, assembled: AssembledChain,
@@ -269,9 +271,9 @@ class _Exhausted(Exception):
 class _Search:
     """Evaluation count, budget and incumbent shared by every stage of one search.
 
-    Every chain assembly goes through ``assembly`` and counts as an
-    evaluation, except the point assembled last, which is kept.  One past
-    ``limit`` raises _Exhausted.
+    Every chain assembly goes through ``assembly``, or ``_assemblies`` for a
+    batch, and counts as an evaluation, except the point last assembled on
+    floats, which is kept.  One past ``limit`` raises _Exhausted.
     """
 
     def __init__(self, closure_tol: float = math.inf) -> None:
@@ -308,60 +310,200 @@ class _Search:
         return self.consider(x, problem.point(x, self.assembly(problem, x)))
 
 
+# A round of fewer live solves steps them one by one and assembles on
+# floats: a batched round of five links costs about as much as 16 to 24
+# chains on floats at any size (link reduction tasks ran 4 % slower at 8).
+BATCH_MIN = 16
+_REFUSED = object()  # an assembly past the evaluation budget
+# chain b of an assembled batch, with its residuals and their Jacobian
+_Member = NamedTuple("_Member", [("batch", ChainBatch), ("b", int),
+                                 ("residuals", np.ndarray), ("jac", np.ndarray)])
+
+
+def _whole(held):
+    """A held assembly, a batch member built into its AssembledChain."""
+    chain, got = held
+    return (chain, got.batch.assembled(chain, got.b)) if isinstance(got, _Member) else held
+
+
+def _assemblies(run: _Search, asks: list) -> list:
+    """``run.assembly`` at each (problem, x) in order, _REFUSED past the
+    budget.  BATCH_MIN or more points that the budget admits, with fixed
+    targets and chains of one length, are assembled in one batch, which
+    counts each and keeps none for ``run.assembly``'s next call."""
+    room, chains = min(len(asks), max(run.limit - run.evals, 0)), []
+    if room >= BATCH_MIN and all(problem.target is not None for problem, _ in asks):
+        with contextlib.suppress(GeometryError):
+            chains = [problem.decode(x) for problem, x in asks[:room]]
+    if len({len(c.links) for c in chains}) != 1:
+        held = []
+        for problem, x in asks:
+            try:
+                held.append(run.assembly(problem, x))
+            except _Exhausted:
+                held.append(_REFUSED)
+        return held
+    run.evals += room
+    with np.errstate(all="ignore"):
+        batch = assemble(chains)
+        heads = np.array([p.start_jacobian(x, c) for (p, x), c in zip(asks, chains)])
+        final = (tuple(batch.frames[-1]), tuple(batch.tangents[-1]))
+        jac = _endpoint_jacobian(*final) @ assemble_jacobian(None, heads, batch)[1][:, :5]
+    # rows as the 7-vectors _endpoint_residuals gives
+    r = np.concatenate(final).T - [sum(p.target.entries(), ()) for p, _ in asks[:room]]
+    held = [(c, None if batch.errors[n] else _Member(batch, n, r[n].copy(), jac[n].copy()))
+            for n, c in enumerate(chains)]
+    run._held = None
+    return held + [_REFUSED] * (len(asks) - room)
+
+
+def _dots(u: np.ndarray) -> np.ndarray:
+    """u @ u row by row, with the bits of each 1-D dot."""
+    return (u[:, None, :] @ u[:, :, None])[:, 0, 0]
+
+
+def _stacked_steps(xs, js, rs, lo, hi, lam, xtol, rejected):
+    """The Marquardt trials of a large round's solves, stacked: the stacked
+    products and solves give the bits of each solve's own 2-D calls.
+    Returns the trials, where each solve stops, and where its trial is the
+    one it had rejected."""
+    grad = (js.transpose(0, 2, 1) @ rs[:, :, None])[:, :, 0]
+    free = ~(((xs <= lo) & (grad > 0.0)) | ((xs >= hi) & (grad < 0.0)))
+    steps, solved = np.zeros(xs.shape), np.ones(len(xs), dtype=bool)
+    for mask in {row.tobytes(): row for row in free}.values():
+        rows, cols = np.flatnonzero((free == mask).all(axis=1)), np.flatnonzero(mask)
+        # two copies, as jac[:, free].T @ jac[:, free] multiplies two
+        normal = js[rows][:, :, cols].transpose(0, 2, 1) @ js[rows][:, :, cols]
+        damping, d = np.zeros_like(normal), np.arange(cols.size)
+        damping[:, d, d] = lam[rows, None] * normal[:, d, d]
+        systems, rhs = normal + damping, -grad[rows][:, cols, None]
+        try:
+            steps[rows[:, None], cols] = np.linalg.solve(systems, rhs)[:, :, 0]
+        except np.linalg.LinAlgError:  # one at a time, to find the singular ones
+            for k, system, b in zip(rows, systems, rhs):
+                try:
+                    steps[k, cols] = np.linalg.solve(system, b)[:, 0]
+                except np.linalg.LinAlgError:
+                    solved[k] = False
+    trials = np.clip(xs + steps, lo, hi)
+    solved &= ~(np.sqrt(_dots(trials - xs)) <= xtol * (xtol + np.sqrt(_dots(xs))))
+    return trials, ~solved, solved & np.all(trials == rejected, axis=1)
+
+
+def _roots(run: _Search, solves: list) -> list:
+    """Levenberg-Marquardt solves (problem, x, budget, damping, xtol) of the
+    endpoint residuals, over one number of variables, in lockstep.
+
+    From x, clipped to the box, Marquardt's step solves (J'J + lam diag(J'J))
+    dx = -J'r over the variables not held at a bound that the gradient
+    pushes against, clipped to the box.  It is taken if its chain assembles
+    and the cost |r|^2 / 2 falls, and lam falls tenfold; else lam rises
+    tenfold from ``damping``.  A solve stops by the rule above (with
+    ``xtol``), on a singular system, or after ``budget`` assemblies, its
+    start's included.  Each round steps the live solves, one by one or
+    stacked (``_stacked_steps``) from BATCH_MIN, and assembles their trials
+    in order, each with the bits it has alone; one refused an assembly
+    stops.  Starts and ends, but a refused solve's end, go to the incumbent
+    solve by solve.  Returns the ends and evaluations.
+    """
+    problems, count = [solve[0] for solve in solves], len(solves)
+    boxes = [problem.box() for problem in problems]
+    x = [np.clip(solve[1], lo, hi) for solve, (lo, hi) in zip(solves, boxes)]
+    lam, held = [solve[3] for solve in solves], _assemblies(run, list(zip(problems, x)))
+    ends, offers, r, jac, rejected = ([None] * count, [[] for _ in solves], [None] * count,
+                                      [None] * count, [None] * count)
+    cost, spent, moved, live = [0.0] * count, [1] * count, [False] * count, []
+    for i in range(count):
+        if held[i] is not _REFUSED:
+            ends[i] = (x[i], problems[i].evaluate(x[i], _whole(held[i])))
+            offers[i].append(ends[i])
+            if held[i][1] is not None:
+                r[i] = ends[i][1].residuals
+                cost[i] = 0.5 * (r[i] @ r[i])
+                live.append(i)
+    while True:
+        live = [i for i in live if spent[i] < solves[i][2] and np.max(np.abs(r[i])) > ROOT_TOL]
+        if not live:
+            break
+        for i in live:
+            if jac[i] is None:
+                got = held[i][1]
+                jac[i] = (got.jac if isinstance(got, _Member)
+                          else problems[i].jacobian(x[i], held[i]))
+        go, trials, stop = [], [], set()
+        if len(live) < BATCH_MIN:  # a few solves step one by one, as each alone
+            for i in live:
+                lo, hi = boxes[i]
+                grad = jac[i].T @ r[i]
+                free = ~(((x[i] <= lo) & (grad > 0.0)) | ((x[i] >= hi) & (grad < 0.0)))
+                normal = jac[i][:, free].T @ jac[i][:, free]
+                step = np.zeros_like(x[i])
+                try:
+                    step[free] = np.linalg.solve(normal + lam[i] * np.diag(np.diag(normal)),
+                                                 -grad[free])
+                except np.linalg.LinAlgError:
+                    stop.add(i)
+                    continue
+                trial, xtol = np.clip(x[i] + step, lo, hi), solves[i][4]
+                if np.linalg.norm(trial - x[i]) <= xtol * (xtol + np.linalg.norm(x[i])):
+                    stop.add(i)
+                elif rejected[i] is not None and np.array_equal(trial, rejected[i]):
+                    lam[i] *= 10.0
+                else:
+                    go.append(i)
+                    trials.append(trial)
+        else:
+            stacked, stops, again = _stacked_steps(
+                np.array([x[i] for i in live]), np.array([jac[i] for i in live]),
+                np.array([r[i] for i in live]),
+                *np.array([boxes[i] for i in live]).transpose(1, 0, 2),
+                np.array([lam[i] for i in live]), np.array([solves[i][4] for i in live]),
+                # NaN equals nothing, as no trial was rejected
+                np.array([np.full(len(x[i]), np.nan) if rejected[i] is None else rejected[i]
+                          for i in live]))
+            for i, trial, stopped, repeat in zip(live, stacked, stops, again):
+                if stopped:
+                    stop.add(i)
+                elif repeat:
+                    lam[i] *= 10.0
+                else:
+                    go.append(i)
+                    trials.append(trial.copy())
+        for i, x_trial, trial in zip(go, trials, _assemblies(
+                run, [(problems[i], x_trial) for i, x_trial in zip(go, trials)])):
+            if trial is _REFUSED:
+                stop.add(i)
+                ends[i] = None
+                continue
+            spent[i] += 1
+            trial_r = (None if trial[1] is None else trial[1].residuals
+                       if isinstance(trial[1], _Member) else problems[i].residuals(x_trial, trial))
+            trial_cost = math.inf if trial_r is None else 0.5 * (trial_r @ trial_r)
+            if not trial_cost < cost[i]:
+                lam[i], rejected[i] = lam[i] * 10.0, x_trial
+                continue
+            if cost[i] - trial_cost < ROOT_FTOL * cost[i]:
+                stop.add(i)  # a stall
+            x[i], held[i], r[i], cost[i], moved[i] = x_trial, trial, trial_r, trial_cost, True
+            lam[i], jac[i], rejected[i] = lam[i] / 10.0, None, None
+        live = [i for i in live if i not in stop]
+    for i in range(count):
+        if moved[i] and ends[i] is not None:
+            ends[i] = (x[i], problems[i].evaluate(x[i], _whole(held[i])))
+            offers[i].append(ends[i])
+    for x_offered, ev in (offer for offered in offers for offer in offered):
+        run.consider(x_offered, ev)
+    return ends
+
+
 def _root(run: _Search, problem: EndpointProblem, x, budget: int,
           damping: float = LM_DAMPING, xtol: float = STEP_TOL
           ) -> tuple[np.ndarray, Evaluation]:
-    """Levenberg-Marquardt on the endpoint residuals from x, inside the box.
-
-    Marquardt's step solves (J'J + lam diag(J'J)) dx = -J'r over the
-    variables not held at a bound that the gradient pushes against, and is
-    clipped to the box.  A step is taken if the chain assembles there and
-    the cost |r|^2 / 2 falls, and lam falls tenfold; otherwise lam rises
-    tenfold from ``damping``.  The solve stops at a root (max |r| <= ROOT_TOL),
-    on a stall (a step taken cuts the cost by under ROOT_FTOL of it), on a
-    step under ``xtol`` relative to x or a singular step system, or after
-    ``budget`` assemblies, the start's included.  No point is assembled
-    twice, and the start and the end are offered to the incumbent.  Returns
-    the end and its evaluation.
-    """
-    lo, hi = problem.box()
-    x = np.clip(x, lo, hi)
-    held = run.assembly(problem, x)
-    start = run.consider(x, problem.evaluate(x, held))
-    if held[1] is None:
-        return x, start
-    x0, r = x, start.residuals
-    cost = 0.5 * (r @ r)
-    lam, spent, jac, rejected = damping, 1, None, None
-    while spent < budget and np.max(np.abs(r)) > ROOT_TOL:
-        if jac is None:
-            jac = problem.jacobian(x, held)
-        grad = jac.T @ r
-        free = ~(((x <= lo) & (grad > 0.0)) | ((x >= hi) & (grad < 0.0)))
-        normal = jac[:, free].T @ jac[:, free]
-        step = np.zeros_like(x)
-        try:
-            step[free] = np.linalg.solve(normal + lam * np.diag(np.diag(normal)), -grad[free])
-        except np.linalg.LinAlgError:
-            break
-        trial = np.clip(x + step, lo, hi)
-        if np.linalg.norm(trial - x) <= xtol * (xtol + np.linalg.norm(x)):
-            break
-        if rejected is None or not np.array_equal(trial, rejected):
-            trial_held = run.assembly(problem, trial)
-            spent += 1
-            if trial_held[1] is not None:
-                trial_r = problem.residuals(trial, trial_held)
-                trial_cost = 0.5 * (trial_r @ trial_r)
-                if trial_cost < cost:
-                    stalled = cost - trial_cost < ROOT_FTOL * cost
-                    x, held, r, cost = trial, trial_held, trial_r, trial_cost
-                    lam, jac, rejected = lam / 10.0, None, None
-                    if stalled:
-                        break
-                    continue
-        lam, rejected = lam * 10.0, trial
-    return x, start if x is x0 else run.consider(x, problem.evaluate(x, held))
+    """One solve of ``_roots``, on floats; _Exhausted where the budget binds."""
+    (end,) = _roots(run, [(problem, x, budget, damping, xtol)])
+    if end is None:
+        raise _Exhausted
+    return end
 
 
 def _qp(hess: np.ndarray, at: Evaluation, x, lo, hi):
@@ -558,12 +700,12 @@ def link_reduction_experiment(six_link: ChainParams,
                               spec: SearchSpec) -> LinkReductionReport:
     """Search five-link chains joining the endpoint states of a six-link one.
 
-    Hyperbolic indices run over all consecutive-distinct patterns; per
-    pattern, ``_root`` solves the endpoint equations in the five turning
-    fractions from each start.  The merged input links seed their own
-    pattern, so degenerate six-link chains are refit exactly.  ``max_evals``
-    caps the assemblies of the whole search, the first evaluation excepted;
-    the patterns are tried in order until it is spent.
+    Hyperbolic indices run over all consecutive-distinct patterns, and one
+    ``_roots`` call solves the endpoint equations in the five turning
+    fractions from each start of each pattern.  The merged input links seed
+    their own pattern, so degenerate six-link chains are refit exactly.
+    ``max_evals`` caps the assemblies, the first evaluation excepted; where
+    it binds, they go to the solves pattern by pattern.
     """
     if len(six_link.links) != 6:
         raise InfeasibleInput(f"expected six links, got {len(six_link.links)}")
@@ -591,30 +733,25 @@ def link_reduction_experiment(six_link: ChainParams,
     seed_links = merged_links(six_link.links)
     seed_pattern = None
     if 1 <= len(seed_links) <= 5:
-        seed_taus = np.array([l.tau for l in seed_links]
-                             + [0.0] * (5 - len(seed_links)))
-        js = [l.j for l in seed_links]
-        while len(js) < 5:
-            js.append((js[-1] + 2) % 6)
-        seed_pattern = tuple(js)
+        # zero-length links pad the merged links to five, the index advancing
+        seed_taus = np.array([l.tau for l in seed_links] + [0.0] * (5 - len(seed_links)))
+        seed_pattern = tuple([l.j for l in seed_links] + [
+            (seed_links[-1].j + 2 * n) % 6 for n in range(1, 6 - len(seed_links))])
 
     per_pattern = max(60, spec.max_evals // (len(patterns) + 1))
-    roots = 0
-    try:
-        for pattern in patterns:
-            problem = segment_problem(pattern)
-            starts = [np.full(5, 0.3)]
-            for _ in range(spec.restarts - 1):
-                starts.append(rng.uniform(0.05, 0.9, size=5))
-            if pattern == seed_pattern:
-                starts.insert(0, seed_taus)
-            rooted = False
-            for t0 in starts:
-                # five equations in five taus: bounded Levenberg-Marquardt
-                rooted = _root(run, problem, t0, per_pattern)[1].feasible() or rooted
-            roots += rooted
-    except _Exhausted:
-        pass
+    solves, owners = [], []
+    for n, pattern in enumerate(patterns):
+        problem = segment_problem(pattern)
+        starts = [np.full(5, 0.3)]
+        for _ in range(spec.restarts - 1):
+            starts.append(rng.uniform(0.05, 0.9, size=5))
+        if pattern == seed_pattern:
+            starts.insert(0, seed_taus)
+        # five equations in five taus: bounded Levenberg-Marquardt
+        solves += [(problem, t0, per_pattern, LM_DAMPING, STEP_TOL) for t0 in starts]
+        owners += [n] * len(starts)
+    ends = _roots(run, solves)
+    roots = len({n for n, end in zip(owners, ends) if end is not None and end[1].feasible()})
 
     best = run.best
     feasible = best.feasible()

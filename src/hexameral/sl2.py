@@ -3,6 +3,8 @@
 Plane points are float arrays whose last axis is (x, y).  Frames act on
 them as on column vectors: (x, y) -> (alpha*x + beta*y, gamma*x + delta*y).
 Tangents (a, b, c) stand for the traceless matrix [[a, b], [c, -a]].
+The private entry-tuple helpers take floats, or arrays of B entries with
+the same bits per element (see ``_fail`` for their checks).
 """
 from __future__ import annotations
 
@@ -38,16 +40,38 @@ def _act(m00: float, m01: float, m10: float, m11: float, points) -> np.ndarray:
 Frame = tuple[float, float, float, float]
 
 
-def _unit_det(al: float, be: float, ga: float, de: float) -> Frame:
+def _where(cond, yes, no):
+    """``yes`` where ``cond`` holds, else ``no``, on floats or arrays."""
+    return np.where(cond, yes, no) if isinstance(cond, np.ndarray) else yes if cond else no
+
+
+def _sqrt(x):
+    return np.sqrt(x) if isinstance(x, np.ndarray) else math.sqrt(x)
+
+
+def _fail(bad, error: type, checks, message: str, *args) -> None:
+    """Raise error(message) where a float check is ``bad``; note (bad, error)
+    in a list ``checks`` on arrays.  ``ok ^ True`` is a check NaN fails."""
+    if not isinstance(bad, np.ndarray):
+        if bad:
+            raise error(message.format(*args))
+    elif checks is not None:
+        checks.append((bad, error))
+
+
+def _unit_det(al, be, ga, de, checks=None) -> Frame:
     """The determinant rule of every frame: reject far from one, rescale near it."""
     det = al * de - be * ga
-    if not abs(det - 1.0) <= DET_REJECT_TOL:  # a NaN determinant fails too
-        raise FrameDeterminantError(f"frame determinant {det!r} too far from 1")
-    if abs(det - 1.0) > DET_TOL:
-        # det is within 1e-9 of 1, hence positive; rescale to kill drift.
-        fix = 1.0 / math.sqrt(det)
-        return (al * fix, be * fix, ga * fix, de * fix)
-    return (al, be, ga, de)
+    off = abs(det - 1.0)
+    # a NaN determinant fails too; a check on floats that passes skips the call
+    if (bad := (off <= DET_REJECT_TOL) ^ True) is not False:
+        _fail(bad, FrameDeterminantError, checks, "frame determinant {!r} too far from 1", det)
+    drift = off > DET_TOL
+    if drift is False or not np.count_nonzero(drift):
+        return (al, be, ga, de)
+    # det is within 1e-9 of 1, hence positive; rescale to kill drift (x * 1.0 is x)
+    fix = _where(drift, 1.0 / _sqrt(det), 1.0)
+    return (al * fix, be * fix, ga * fix, de * fix)
 
 
 def _product(g: Frame, h: Frame) -> Frame:
@@ -57,9 +81,9 @@ def _product(g: Frame, h: Frame) -> Frame:
     return (al * ph + be * rh, al * qh + be * sh, ga * ph + de * rh, ga * qh + de * sh)
 
 
-def _inverse(g: Frame) -> Frame:
+def _inverse(g: Frame, checks=None) -> Frame:
     al, be, ga, de = g
-    return _unit_det(de, -be, -ga, al)
+    return _unit_det(de, -be, -ga, al, checks)
 
 
 @dataclass(frozen=True, slots=True)
@@ -97,6 +121,18 @@ class FrameMatrix:
 
     def entries(self) -> tuple[float, float, float, float]:
         return (self.alpha, self.beta, self.gamma, self.delta)
+
+
+# FrameMatrix's slot setters, past its frozen __setattr__ and __post_init__
+_SETTERS = tuple(getattr(FrameMatrix, name).__set__ for name in FrameMatrix.__slots__)
+
+
+def _ruled(entries: Frame) -> FrameMatrix:
+    """The FrameMatrix of entries that passed _unit_det, not rescaled twice."""
+    frame = object.__new__(FrameMatrix)
+    for setter, value in zip(_SETTERS, entries):
+        setter(frame, value)
+    return frame
 
 
 IDENTITY = FrameMatrix(1.0, 0.0, 0.0, 1.0)
@@ -164,15 +200,15 @@ def _sphere_basis(a: float, b: float, c: float) -> tuple[tuple[float, float, flo
     The first is the coordinate axis least aligned with the point, less its
     component along the point; the second is the point crossed with the first.
     """
-    if abs(a) <= abs(b) and abs(a) <= abs(c):
-        f = 1.0 / math.sqrt(1.0 - a * a)
-        e0, e1, e2 = (1.0 - a * a) * f, -a * b * f, -a * c * f
-    elif abs(b) <= abs(c):
-        f = 1.0 / math.sqrt(1.0 - b * b)
-        e0, e1, e2 = -b * a * f, (1.0 - b * b) * f, -b * c * f
-    else:
-        f = 1.0 / math.sqrt(1.0 - c * c)
-        e0, e1, e2 = -c * a * f, -c * b * f, (1.0 - c * c) * f
+    on_a = (abs(a) <= abs(b)) & (abs(a) <= abs(c))
+    on_b = (on_a ^ True) & (abs(b) <= abs(c))
+    on_c = (on_a | on_b) ^ True
+    p = _where(on_a, a, _where(on_b, b, c))
+    f = 1.0 / _sqrt(1.0 - p * p)
+    # entry k is (1 - p^2) f, the others -p u_i f (products commute bitwise)
+    e0 = _where(on_a, (1.0 - p * p) * f, -p * a * f)
+    e1 = _where(on_b, (1.0 - p * p) * f, -p * b * f)
+    e2 = _where(on_c, (1.0 - p * p) * f, -p * c * f)
     return ((e0, e1, e2), (b * e2 - c * e1, c * e0 - a * e2, a * e1 - b * e0))
 
 
@@ -181,8 +217,8 @@ def adjoint(g: FrameMatrix, x: TangentElement) -> TangentElement:
     return TangentElement(*_adjoint(g.entries(), x.a, x.b, x.c))
 
 
-def _star(a: float, b: float, c: float) -> bool:
-    return SQRT3 * abs(a) < c and 3.0 * b + c < 0.0
+def _star(a, b, c):
+    return (SQRT3 * abs(a) < c) & (3.0 * b + c < 0.0)
 
 
 def star_check(x: TangentElement) -> bool:
@@ -213,11 +249,11 @@ def exp_tangent(x: TangentElement, t: float) -> FrameMatrix:
     )
 
 
-def _unit_tangent(a: float, b: float, c: float) -> tuple[float, float, float]:
+def _unit_tangent(a, b, c, checks=None) -> tuple[float, float, float]:
     """The unit-norm representative of a tangent's positive-scalar class."""
-    n = math.sqrt(a * a + b * b + c * c)
-    if n < 1e-300:
-        raise DegenerateVelocity("cannot project a zero tangent")
+    n = _sqrt(a * a + b * b + c * c)
+    if (bad := n < 1e-300) is not False:
+        _fail(bad, DegenerateVelocity, checks, "cannot project a zero tangent")
     f = 1.0 / n
     return (f * a, f * b, f * c)
 

@@ -32,7 +32,6 @@ from hexameral.hyperlink import (
     link_area,
     link_map,
     propagate,
-    propagate_jacobian,
 )
 from hexameral.optimize import (
     FAIL_RESIDUAL,
@@ -46,6 +45,17 @@ from hexameral.sl2 import ProjectiveTangent, TangentElement, _sphere_basis, exp_
 
 from conftest import split_octagon_period
 from test_kernel_identity import _five_link_points, _moved_segments
+
+
+def propagate_jacobian(state: LinkState, tau: float, j: int):
+    """propagate, plus the first derivatives (6 x 6) of its out state and of
+    link_area: columns the in state's five coordinates, then tau; rows the
+    out state's five, then link_area.  This is assemble_jacobian on the
+    one-link chain, whose start moves by the identity."""
+    out, rep = propagate(state, tau, j)
+    _, jac = assemble_jacobian(ChainParams(state, ((tau, j),)), np.eye(5))
+    return out, rep, jac
+
 
 # Richardson extrapolation starts from difference quotients at this step.
 H = 1e-2

@@ -1,4 +1,6 @@
 """Multi-point relations, convexity sampling, rank classification."""
+import math
+
 import numpy as np
 import pytest
 
@@ -53,9 +55,10 @@ class TestMultiPointValidation:
             MultiPoint(STANDARD.points[:5])
 
     def test_broken_wedge(self):
-        pts = 2.0 * STANDARD.points
-        with pytest.raises(WedgeMismatch):
-            MultiPoint(pts)
+        # NaN fails every relation, as a far-off value does
+        for pts in (2.0 * STANDARD.points, np.full((6, 2), np.nan)):
+            with pytest.raises(WedgeMismatch):
+                MultiPoint(pts)
 
     def test_sl2_equivariance(self, rng):
         for _ in range(100):
@@ -87,8 +90,9 @@ class TestMultipointFromPair:
         assert err < 1e-12
 
     def test_bad_wedge_rejected(self):
-        with pytest.raises(WedgeMismatch):
-            multipoint_from_pair((1.0, 0.0), (0.0, 1.0))
+        for u0, u2 in (((1.0, 0.0), (0.0, 1.0)), ((math.nan, 0.0), (0.0, math.nan))):
+            with pytest.raises(WedgeMismatch):
+                multipoint_from_pair(u0, u2)
 
     def test_random_valid_pairs(self, rng):
         for _ in range(1000):

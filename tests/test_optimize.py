@@ -142,6 +142,31 @@ def test_kkt_multipliers_at_the_octagon():
     assert np.linalg.matrix_rank(stacked) == 6
 
 
+def test_second_order_conditions_at_the_octagon():
+    # the active face, where the five equations and tau4 = 0 hold to first
+    # order, is one line; the Lagrangian g + A'lam curves upward along it.
+    # A face direction with a rounding-level tau4 < 0 fails to assemble on
+    # one side, and that side's zero stand-in gradient halves the reading.
+    problem = five_link_problem()
+    x = octagon_embedding()
+    point = problem.point(x)
+    _, lam, _ = _qp(np.eye(7), point, x, *problem.box())
+    stacked = np.vstack((point.equation_jacobian, np.eye(7)[5]))
+    assert abs(np.linalg.cond(stacked) - 3.169) <= 1e-3
+    face = np.linalg.svd(stacked)[2][-1]
+    face[5] = 0.0  # exactly on the bound, so both sides of x stay in the box
+    face /= np.linalg.norm(face)
+
+    def lagrangian_gradient(y):
+        at = problem.point(y)
+        return at.gradient + at.equation_jacobian.T @ lam
+
+    h = 1e-5
+    curvature = face @ (lagrangian_gradient(x + h * face)
+                        - lagrangian_gradient(x - h * face)) / (2.0 * h)
+    assert abs(curvature - 0.10777) <= 1e-5
+
+
 class TestSpecValidation:
     def test_empty_bound_interval(self):
         bounds = (((0.5, 0.5),) + SearchSpec().bounds[1:])
@@ -349,7 +374,8 @@ class TestLinkReduction:
         calls = []
 
         def counted(chain):
-            calls.append(chain)
+            # a list of chains is one batched assembly
+            calls.extend(chain if isinstance(chain, list) else [chain])
             return real(chain)
         monkeypatch.setattr(chain_module, "assemble", counted)
         monkeypatch.setattr(optimize_module, "assemble", counted)
@@ -365,7 +391,8 @@ class TestLinkReduction:
             calls = []
 
             def recorded(chain):
-                calls.append(chain.links)
+                # a list of chains is one batched assembly
+                calls.extend(c.links for c in (chain if isinstance(chain, list) else [chain]))
                 return real(chain)
             monkeypatch.setattr(optimize_module, "assemble", recorded)
             link_reduction_experiment(six, SearchSpec(restarts=1, max_evals=3000))
