@@ -182,7 +182,8 @@ def assemble_jacobian(chain: ChainParams | None, head: np.ndarray,
     the final state's derivative over the area gradient.  A caller that
     already holds ``assemble(chain)`` passes it as ``assembled``, and the
     chain is not assembled again; a ChainBatch and heads (B, 5, m) give
-    each chain's derivative, (B, 6, m + links), with the bits of one call.
+    each chain's derivative, (B, 6, m + links), with the bits of one call
+    (and nothing meaningful for a chain that fails).
 
     This is ``hyperlink._transfer`` composed link by link, except that
     between two links the out tangent's sphere coordinates and the next
