@@ -22,32 +22,13 @@ from typing import Iterable, NamedTuple
 import numpy as np
 
 from .errors import (
-    ChainFormatError,
-    FrameDeterminantError,
-    GeometryError,
-    LinkLengthViolation,
-    NotClosed,
+    ChainFormatError, FrameDeterminantError, GeometryError, LinkLengthViolation, NotClosed,
     ParameterOutOfRange,
 )
-from .hyperlink import (
-    LinkState,
-    SquareRep,
-    _entry,
-    _transfer,
-    link_area,
-    propagate,
-)
+from .hyperlink import LinkState, SquareRep, _entry, _transfer, link_area, propagate
 from .sl2 import (
-    ROT60,
-    FrameMatrix,
-    ProjectiveTangent,
-    TangentElement,
-    _adjoint_matrix,
-    _inverse,
-    _product,
-    _ruled,
-    _sphere_basis,
-    frame_distance,
+    ROT60, FrameMatrix, ProjectiveTangent, TangentElement, _adjoint_matrix, _inverse, _product,
+    _sphere_basis, frame_distance,
 )
 
 # Residual bound under which closure_report classifies a chain as closed.
@@ -139,7 +120,7 @@ class ChainBatch(NamedTuple):
         for (tau, _), frame, tangent in zip(chain.links, self.frames[1:, :, b].tolist(),
                                             self.tangents[1:, :, b].tolist()):
             states.append(states[-1] if tau == 0.0 else LinkState(
-                _ruled(tuple(frame)), ProjectiveTangent(TangentElement(*tangent))))
+                FrameMatrix(*frame), ProjectiveTangent(TangentElement(*tangent))))
         return AssembledChain(tuple(states), tuple(
             SquareRep(a[b].item(), t0[b].item(), tau, j)
             for (a, t0, _, _), (tau, j) in zip(self.reps, chain.links)))

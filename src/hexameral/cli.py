@@ -68,8 +68,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     failed = [name for name, ok, _ in checks if not ok]
     if failed:
         _diagnostic("VerifyFailed", ",".join(failed))
-        return 1
-    return 0
+    return 1 if failed else 0
 
 
 def _search_spec(args: argparse.Namespace) -> SearchSpec:

@@ -34,28 +34,12 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .chain import (
-    ANGLE_TOL,
-    FEASIBLE_TOL,
-    STRICT_TOL,
-    AssembledChain,
-    ChainParams,
-    ClosureReport,
-    LinkParam,
-    assemble,
-    chain_to_dict,
-    closure_of,
-    normalized_length,
-    require_closed,
+    ANGLE_TOL, FEASIBLE_TOL, STRICT_TOL, AssembledChain, ChainParams, ClosureReport, LinkParam,
+    assemble, chain_to_dict, closure_of, normalized_length, require_closed,
 )
 from .errors import GeometryError, LinkLengthViolation, NotClosed
 from .hyperlink import (
-    SquareRep,
-    _circle_tangent_at,
-    _sample_count,
-    frame_at,
-    link_curves,
-    link_map,
-    t_end,
+    SquareRep, _circle_tangent_at, _sample_count, frame_at, link_curves, link_map, t_end,
 )
 from .multicurve import STANDARD, MultiPoint, convexity_value
 from .sl2 import SQRT3, wedge
@@ -265,9 +249,8 @@ def verify_checks(chain: ChainParams,
         assembled = assemble(chain)
     except GeometryError as exc:
         return [("assembly", False, str(exc))]
-    checks = [("assembly", True, f"{len(assembled.states) - 1} links")]
-
-    checks.extend(_link_end_checks(assembled))
+    checks = [("assembly", True, f"{len(assembled.states) - 1} links"),
+              *_link_end_checks(assembled)]
 
     report = closure_of(chain, assembled)
     # the angle condition has its own row

@@ -22,32 +22,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DegenerateVelocity,
-    NotRankOneCompatible,
-    ParameterOutOfRange,
-    ScaleTooSmall,
-)
+from .errors import DegenerateVelocity, NotRankOneCompatible, ParameterOutOfRange, ScaleTooSmall
 from .multicurve import STANDARD
 from .sl2 import (
-    SQRT3,
-    Frame,
-    FrameMatrix,
-    ProjectiveTangent,
-    TangentElement,
-    _adjoint,
-    _adjoint_matrix,
-    _fail,
-    _inverse,
-    _product,
-    _ruled,
-    _sphere_basis,
-    _sqrt,
-    _star,
-    _unit_det,
-    _unit_tangent,
-    adjoint,
-    star_check,
+    SQRT3, Frame, FrameMatrix, ProjectiveTangent, TangentElement, _adjoint, _adjoint_matrix, _fail,
+    _inverse, _product, _sphere_basis, _sqrt, _star, _unit_det, _unit_tangent, adjoint, star_check,
 )
 
 # Scales below sqrt(sqrt(3)/2) give k >= 1 and no hyperbola.
@@ -307,10 +286,12 @@ def propagate(state, tau, j, checks=None):
         return state, rep
     late = None if checks is None else []
     t1 = t0 + tau * (k - 1.0 - t0)
-    frame_out = _unit_det(*_product(g, _unit_det(*_square_frame(a, k, t1, j), late)), late)
+    frame_out = _product(g, _unit_det(*_square_frame(a, k, t1, j), late))
+    # on floats FrameMatrix applies the determinant rule
+    frame_out = FrameMatrix(*frame_out) if checks is None else _unit_det(*frame_out, late)
     tangent_out = _unit_tangent(*_adjoint(g, *_square_tangent(a, k, t1)), late)
     if checks is None:
-        return LinkState(_ruled(frame_out), ProjectiveTangent(TangentElement(*tangent_out))), rep
+        return LinkState(frame_out, ProjectiveTangent(TangentElement(*tangent_out))), rep
     # an empty link keeps its in state, unchecked past g
     moving = tau != 0.0
     checks.extend((bad & moving, error) for bad, error in late)

@@ -22,23 +22,9 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .chain import (
-    ANGLE_TOL,
-    STRICT_TOL,
-    AssembledChain,
-    ChainBatch,
-    ChainParams,
-    ClosureReport,
-    LinkParam,
-    _endpoint_equations,
-    _endpoint_jacobian,
-    _endpoint_residuals,
-    _TARGET_TURN,
-    angle_margin_of,
-    assemble,
-    assemble_jacobian,
-    closure_of,
-    end_target,
-    merged_links,
+    ANGLE_TOL, STRICT_TOL, AssembledChain, ChainBatch, ChainParams, ClosureReport, LinkParam,
+    _endpoint_equations, _endpoint_jacobian, _endpoint_residuals, _TARGET_TURN, angle_margin_of,
+    assemble, assemble_jacobian, closure_of, end_target, merged_links,
 )
 from .domain import SQRT12, smoothed_octagon
 from .errors import GeometryError, InfeasibleInput
@@ -310,9 +296,9 @@ class _Search:
         return self.consider(x, problem.point(x, self.assembly(problem, x)))
 
 
-# A round of fewer live solves steps them one by one and assembles on
-# floats: a batched round of five links costs about as much as 16 to 24
-# chains on floats at any size (link reduction tasks ran 4 % slower at 8).
+# A round of fewer trials assembles them chain by chain on floats: a batched
+# round of five links costs about as much as 16 to 24 chains on floats at any
+# size (link reduction tasks ran 4 % slower at 8).
 BATCH_MIN = 16
 _REFUSED = object()  # an assembly past the evaluation budget
 # chain b of an assembled batch, with its residuals and their Jacobian
@@ -362,23 +348,42 @@ def _dots(u: np.ndarray) -> np.ndarray:
     return (u[:, None, :] @ u[:, :, None])[:, 0, 0]
 
 
+def _step(x, jac, r, lo, hi, lam, xtol, rejected):
+    """``_stacked_steps`` for one solve, in 2-D calls with the stacked bits:
+    at one solve they cost about half the stacked step, which is cheaper
+    from two solves on, so only a lone live solve steps here."""
+    grad = jac.T @ r
+    free = ~(((x <= lo) & (grad > 0.0)) | ((x >= hi) & (grad < 0.0)))
+    normal = jac[:, free].T @ jac[:, free]
+    step = np.zeros_like(x)
+    try:
+        step[free] = np.linalg.solve(normal + lam * np.diag(np.diag(normal)), -grad[free])
+    except np.linalg.LinAlgError:
+        return x, True, False
+    trial = np.clip(x + step, lo, hi)
+    stop = bool(np.linalg.norm(trial - x) <= xtol * (xtol + np.linalg.norm(x)))
+    return trial, stop, not stop and np.array_equal(trial, rejected)
+
+
 def _stacked_steps(xs, js, rs, lo, hi, lam, xtol, rejected):
-    """The Marquardt trials of a large round's solves, stacked: the stacked
+    """The Marquardt trials of a round's solves, stacked: the stacked
     products and solves give the bits of each solve's own 2-D calls.
     Returns the trials, where each solve stops, and where its trial is the
     one it had rejected."""
     grad = (js.transpose(0, 2, 1) @ rs[:, :, None])[:, :, 0]
     free = ~(((xs <= lo) & (grad > 0.0)) | ((xs >= hi) & (grad < 0.0)))
-    steps, solved = np.zeros(xs.shape), np.ones(len(xs), dtype=bool)
-    for mask in {row.tobytes(): row for row in free}.values():
-        rows, cols = np.flatnonzero((free == mask).all(axis=1)), np.flatnonzero(mask)
+    steps, solved, groups = np.zeros(xs.shape), np.ones(len(xs), dtype=bool), {}
+    for k, mask in enumerate(free):  # the solves of each free set
+        groups.setdefault(mask.tobytes(), []).append(k)
+    for rows in groups.values():
+        cols = np.flatnonzero(free[rows[0]])
+        part = js[rows][:, :, cols]
         # two copies, as jac[:, free].T @ jac[:, free] multiplies two
-        normal = js[rows][:, :, cols].transpose(0, 2, 1) @ js[rows][:, :, cols]
-        damping, d = np.zeros_like(normal), np.arange(cols.size)
-        damping[:, d, d] = lam[rows, None] * normal[:, d, d]
-        systems, rhs = normal + damping, -grad[rows][:, cols, None]
+        normal = part.transpose(0, 2, 1) @ part.copy()
+        systems = normal + lam[rows, None, None] * (normal * np.eye(cols.size))
+        rhs = -grad[rows][:, cols, None]
         try:
-            steps[rows[:, None], cols] = np.linalg.solve(systems, rhs)[:, :, 0]
+            steps[np.ix_(rows, cols)] = np.linalg.solve(systems, rhs)[:, :, 0]
         except np.linalg.LinAlgError:  # one at a time, to find the singular ones
             for k, system, b in zip(rows, systems, rhs):
                 try:
@@ -400,99 +405,63 @@ def _roots(run: _Search, solves: list) -> list:
     and the cost |r|^2 / 2 falls, and lam falls tenfold; else lam rises
     tenfold from ``damping``.  A solve stops by the rule above (with
     ``xtol``), on a singular system, or after ``budget`` assemblies, its
-    start's included.  Each round steps the live solves, one by one or
-    stacked (``_stacked_steps``) from BATCH_MIN, and assembles their trials
-    in order, each with the bits it has alone; one refused an assembly
-    stops.  Starts and ends, but a refused solve's end, go to the incumbent
-    solve by solve.  Returns the ends and evaluations.
+    start's included.  Each round steps the live solves together
+    (``_stacked_steps``; ``_step`` for one) and assembles their trials in
+    order, each with the bits it has alone; one refused an assembly stops.
+    Starts and ends, but a refused solve's end, go to the incumbent solve by
+    solve.  Returns the ends and evaluations.
     """
     problems, count = [solve[0] for solve in solves], len(solves)
     boxes = [problem.box() for problem in problems]
     x = [np.clip(solve[1], lo, hi) for solve, (lo, hi) in zip(solves, boxes)]
     lam, held = [solve[3] for solve in solves], _assemblies(run, list(zip(problems, x)))
-    ends, offers, r, jac, rejected = ([None] * count, [[] for _ in solves], [None] * count,
-                                      [None] * count, [None] * count)
-    cost, spent, moved, live = [0.0] * count, [1] * count, [False] * count, []
-    for i in range(count):
-        if held[i] is not _REFUSED:
-            ends[i] = (x[i], problems[i].evaluate(x[i], _whole(held[i])))
-            offers[i].append(ends[i])
-            if held[i][1] is not None:
-                r[i] = ends[i][1].residuals
-                cost[i] = 0.5 * (r[i] @ r[i])
-                live.append(i)
-    while True:
-        live = [i for i in live if spent[i] < solves[i][2] and np.max(np.abs(r[i])) > ROOT_TOL]
-        if not live:
-            break
+    starts = [None if got is _REFUSED else (x[i], problems[i].evaluate(x[i], _whole(got)))
+              for i, got in enumerate(held)]
+    live = [i for i, start in enumerate(starts) if start is not None and held[i][1] is not None]
+    r = [None if start is None else start[1].residuals for start in starts]
+    cost = [None if v is None else 0.5 * (v @ v) for v in r]
+    ends, jac, spent, moved = list(starts), [None] * count, [1] * count, [False] * count
+    rejected = [np.full(len(v), np.nan) for v in x]  # NaN equals nothing: none rejected
+    while live := [i for i in live if spent[i] < solves[i][2] and np.max(np.abs(r[i])) > ROOT_TOL]:
         for i in live:
             if jac[i] is None:
                 got = held[i][1]
                 jac[i] = (got.jac if isinstance(got, _Member)
                           else problems[i].jacobian(x[i], held[i]))
-        go, trials, stop = [], [], set()
-        if len(live) < BATCH_MIN:  # a few solves step one by one, as each alone
-            for i in live:
-                lo, hi = boxes[i]
-                grad = jac[i].T @ r[i]
-                free = ~(((x[i] <= lo) & (grad > 0.0)) | ((x[i] >= hi) & (grad < 0.0)))
-                normal = jac[i][:, free].T @ jac[i][:, free]
-                step = np.zeros_like(x[i])
-                try:
-                    step[free] = np.linalg.solve(normal + lam[i] * np.diag(np.diag(normal)),
-                                                 -grad[free])
-                except np.linalg.LinAlgError:
-                    stop.add(i)
-                    continue
-                trial, xtol = np.clip(x[i] + step, lo, hi), solves[i][4]
-                if np.linalg.norm(trial - x[i]) <= xtol * (xtol + np.linalg.norm(x[i])):
-                    stop.add(i)
-                elif rejected[i] is not None and np.array_equal(trial, rejected[i]):
-                    lam[i] *= 10.0
-                else:
-                    go.append(i)
-                    trials.append(trial)
-        else:
-            stacked, stops, again = _stacked_steps(
-                np.array([x[i] for i in live]), np.array([jac[i] for i in live]),
-                np.array([r[i] for i in live]),
-                *np.array([boxes[i] for i in live]).transpose(1, 0, 2),
-                np.array([lam[i] for i in live]), np.array([solves[i][4] for i in live]),
-                # NaN equals nothing, as no trial was rejected
-                np.array([np.full(len(x[i]), np.nan) if rejected[i] is None else rejected[i]
-                          for i in live]))
-            for i, trial, stopped, repeat in zip(live, stacked, stops, again):
-                if stopped:
-                    stop.add(i)
-                elif repeat:
-                    lam[i] *= 10.0
-                else:
-                    go.append(i)
-                    trials.append(trial.copy())
-        for i, x_trial, trial in zip(go, trials, _assemblies(
-                run, [(problems[i], x_trial) for i, x_trial in zip(go, trials)])):
-            if trial is _REFUSED:
+        rows = [(x[i], jac[i], r[i], *boxes[i], lam[i], solves[i][4], rejected[i]) for i in live]
+        steps = [_step(*rows[0])] if len(rows) == 1 else zip(*_stacked_steps(
+            *(np.array(column) for column in zip(*rows))))
+        go, stop = [], set()
+        for i, (trial, stopped, repeat) in zip(live, steps):
+            if stopped:
+                stop.add(i)
+            elif repeat:
+                lam[i] *= 10.0
+            else:
+                go.append((i, trial))
+        for (i, trial), got in zip(go, _assemblies(run, [(problems[i], t) for i, t in go])):
+            if got is _REFUSED:
                 stop.add(i)
                 ends[i] = None
                 continue
             spent[i] += 1
-            trial_r = (None if trial[1] is None else trial[1].residuals
-                       if isinstance(trial[1], _Member) else problems[i].residuals(x_trial, trial))
+            trial_r = (None if got[1] is None else got[1].residuals
+                       if isinstance(got[1], _Member) else problems[i].residuals(trial, got))
             trial_cost = math.inf if trial_r is None else 0.5 * (trial_r @ trial_r)
             if not trial_cost < cost[i]:
-                lam[i], rejected[i] = lam[i] * 10.0, x_trial
+                lam[i], rejected[i] = lam[i] * 10.0, trial
                 continue
             if cost[i] - trial_cost < ROOT_FTOL * cost[i]:
                 stop.add(i)  # a stall
-            x[i], held[i], r[i], cost[i], moved[i] = x_trial, trial, trial_r, trial_cost, True
-            lam[i], jac[i], rejected[i] = lam[i] / 10.0, None, None
+            x[i], held[i], r[i], cost[i], moved[i] = trial, got, trial_r, trial_cost, True
+            lam[i], jac[i], rejected[i] = lam[i] / 10.0, None, np.full(len(trial), np.nan)
         live = [i for i in live if i not in stop]
-    for i in range(count):
+    for i, start in enumerate(starts):
+        if start is not None:
+            run.consider(*start)
         if moved[i] and ends[i] is not None:
             ends[i] = (x[i], problems[i].evaluate(x[i], _whole(held[i])))
-            offers[i].append(ends[i])
-    for x_offered, ev in (offer for offered in offers for offer in offered):
-        run.consider(x_offered, ev)
+            run.consider(*ends[i])
     return ends
 
 
@@ -742,9 +711,8 @@ def link_reduction_experiment(six_link: ChainParams,
     solves, owners = [], []
     for n, pattern in enumerate(patterns):
         problem = segment_problem(pattern)
-        starts = [np.full(5, 0.3)]
-        for _ in range(spec.restarts - 1):
-            starts.append(rng.uniform(0.05, 0.9, size=5))
+        starts = [np.full(5, 0.3)] + [rng.uniform(0.05, 0.9, size=5)
+                                      for _ in range(spec.restarts - 1)]
         if pattern == seed_pattern:
             starts.insert(0, seed_taus)
         # five equations in five taus: bounded Levenberg-Marquardt

@@ -123,18 +123,6 @@ class FrameMatrix:
         return (self.alpha, self.beta, self.gamma, self.delta)
 
 
-# FrameMatrix's slot setters, past its frozen __setattr__ and __post_init__
-_SETTERS = tuple(getattr(FrameMatrix, name).__set__ for name in FrameMatrix.__slots__)
-
-
-def _ruled(entries: Frame) -> FrameMatrix:
-    """The FrameMatrix of entries that passed _unit_det, not rescaled twice."""
-    frame = object.__new__(FrameMatrix)
-    for setter, value in zip(_SETTERS, entries):
-        setter(frame, value)
-    return frame
-
-
 IDENTITY = FrameMatrix(1.0, 0.0, 0.0, 1.0)
 
 

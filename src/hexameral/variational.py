@@ -228,10 +228,5 @@ def rank2_first_variation(s: Sampled, x: Sampled, grid, z=None) -> Rank2Report:
     integral = float(np.trapezoid(integrand, grid))
 
     el = 0.5 * sv * sd
-    if np.all(el > 0.0):
-        sign = 1
-    elif np.all(el < 0.0):
-        sign = -1
-    else:
-        sign = 0
+    sign = 1 if np.all(el > 0.0) else -1 if np.all(el < 0.0) else 0
     return Rank2Report(integral, residual, sign)

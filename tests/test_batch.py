@@ -31,7 +31,7 @@ from hexameral.optimize import (
     _roots,
     _Search,
 )
-from hexameral.sl2 import FrameMatrix, ProjectiveTangent, TangentElement, _ruled
+from hexameral.sl2 import FrameMatrix, ProjectiveTangent, TangentElement
 
 from conftest import random_frame, random_reduce_segment, split_octagon_period
 
@@ -66,6 +66,14 @@ _LATE_FAILURES = {
 }
 
 
+def _unruled(entries) -> FrameMatrix:
+    """A FrameMatrix built past its determinant rule, which would reject it."""
+    frame = object.__new__(FrameMatrix)
+    for name, value in zip(FrameMatrix.__slots__, entries):
+        object.__setattr__(frame, name, value)
+    return frame
+
+
 def _state(frame, tangent) -> LinkState:
     return LinkState(FrameMatrix(*frame), ProjectiveTangent(TangentElement(*tangent)))
 
@@ -86,7 +94,7 @@ def _mixed_chains(octagon, count: int, seed: int) -> list[ChainParams]:
     tangent = octagon.chain.initial.tangent
     chains += [
         # a frame whose determinant is 4, and a nilpotent tangent
-        ChainParams(LinkState(_ruled((2.0, 0.0, 0.0, 2.0)), tangent), links),
+        ChainParams(LinkState(_unruled((2.0, 0.0, 0.0, 2.0)), tangent), links),
         ChainParams(_state(octagon.chain.initial.frame.entries(), (0.0, 1.0, 0.0)), links),
         # a tangent that violates the star inequalities
         ChainParams(_state(octagon.chain.initial.frame.entries(), (0.0, 0.6, 0.8)), links),
