@@ -125,6 +125,12 @@ class ChainBatch(NamedTuple):
             SquareRep(a[b].item(), t0[b].item(), tau, j)
             for (a, t0, _, _), (tau, j) in zip(self.reps, chain.links)))
 
+    def columns(self, keep) -> ChainBatch:
+        """The chains at the indices ``keep``, copied out of this batch."""
+        return ChainBatch(self.frames[:, :, keep], self.tangents[:, :, keep],
+                          [tuple(v[keep] for v in rep) for rep in self.reps],
+                          self.errors[keep], self.link[keep])
+
 
 def _assemble_batch(chains) -> ChainBatch:
     links = np.array([c.links for c in chains], dtype=float).reshape(len(chains), -1, 2).T
@@ -310,17 +316,6 @@ def _endpoint_jacobian(frame, tangent) -> np.ndarray:
                      (z, z, z, p2, q2)))
 
 
-# The sl2 basis [[1, 0], [0, -1]], [[0, 1], [0, 0]], [[0, 0], [1, 0]].
-_SL2_BASIS = np.array((((1.0, 0.0), (0.0, -1.0)), ((0.0, 1.0), (0.0, 0.0)),
-                       ((0.0, 0.0), (1.0, 0.0))))
-
-
-def _sl2_coordinates(m: np.ndarray) -> np.ndarray:
-    """(a, b, c) of the traceless part [[a, b], [c, -a]] of 2 x 2 matrices (..., 2, 2)."""
-    return np.stack((0.5 * (m[..., 0, 0] - m[..., 1, 1]), m[..., 0, 1], m[..., 1, 0]),
-                    axis=-1)
-
-
 def _endpoint_equations(final: LinkState, target: LinkState):
     """Five independent endpoint equations, and their derivatives (5, 5) in
     the end state's and in the target's local coordinates.
@@ -333,22 +328,26 @@ def _endpoint_equations(final: LinkState, target: LinkState):
     with u, which adds the terms in u_k / s^2.  The equations also vanish at
     F = -T, which closure_of does not count as closed.
     """
-    g = np.array(_product(_inverse(target.frame.entries()),
-                          final.frame.entries())).reshape(2, 2)
-    u = np.array(target.tangent.components())
-    w = np.array(final.tangent.components())
+    p, q, r, t = _product(_inverse(target.frame.entries()), final.frame.entries())
+    u, w = target.tangent.components(), final.tangent.components()
     basis = np.array(_sphere_basis(*u))
-    k = int(np.argmin(np.abs(u)))  # _sphere_basis's choice, ties included
-    s = math.sqrt(1.0 - u[k] * u[k])
-    # G - I and G have the same sl2 coordinates
-    equations = np.concatenate((_sl2_coordinates(g), basis @ w))
-    axis = np.eye(3)[k]
-    by_u = (np.array((-(u @ w) * axis - u[k] * w, np.cross(axis, w))) / s
-            + np.outer(equations[3:], axis) * (u[k] / (s * s)))
+    k = min(range(3), key=lambda i: abs(u[i]))  # _sphere_basis's choice, ties included
+    axis, uk = tuple(float(i == k) for i in range(3)), u[k]
+    s = math.sqrt(1.0 - uk * uk)
+    (a0, a1, a2), (w0, w1, w2) = axis, w  # u x e_k, exact, as numpy's np.cross
     d_end, d_target = np.zeros((5, 5)), np.zeros((5, 5))
-    d_end[:3, :3] = _sl2_coordinates(g @ _SL2_BASIS).T
     d_end[3:, 3:] = basis @ np.array(_sphere_basis(*w)).T
-    d_target[:3, :3] = -_sl2_coordinates(_SL2_BASIS @ g).T
+    u, w, axis = np.array(u), np.array(w), np.array(axis)
+    # the sl2 coordinates of G - I, which are G's
+    equations = np.concatenate(((0.5 * (p - t), q, r), basis @ w))
+    by_u = (np.array((-(u @ w) * axis - uk * w,
+                      (a1 * w2 - a2 * w1, a2 * w0 - a0 * w2, a0 * w1 - a1 * w0))) / s
+            + equations[3:, None] * axis * (uk / (s * s)))
+    # G times, and times G, each sl2 basis element, in exact products; + 0.0
+    # gives zeros the sign of numpy's matrix products, which sum from +0.0
+    d_end[:3, :3] = np.array(((0.5 * (p + t), -0.5 * r, 0.5 * q), (-q, p, 0.0), (r, 0.0, t))) + 0.0
+    d_target[:3, :3] = -(np.array(((0.5 * (p + t), 0.5 * r, -0.5 * q), (q, t, 0.0),
+                                   (-r, 0.0, p))) + 0.0)
     d_target[3:, 3:] = by_u @ basis.T
     return equations, d_end, d_target
 

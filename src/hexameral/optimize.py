@@ -197,7 +197,8 @@ class EndpointProblem:
         if self.target is None:
             # the target, the start turned by pi/3, moves with the start
             d_target = np.zeros((5, len(x)))
-            d_target[:, :head.shape[1]] = np.vstack((_TARGET_TURN @ head[:3], head[3:]))
+            d_target[:3, :head.shape[1]] = _TARGET_TURN @ head[:3]
+            d_target[3:, :head.shape[1]] = head[3:]
         return d_state, d_target
 
     def jacobian(self, x, assembly=None) -> np.ndarray:
@@ -211,22 +212,19 @@ class EndpointProblem:
             jac -= _endpoint_jacobian(*end_target(chain).entries()) @ d_target
         return jac
 
-    def _evaluation(self, chain: ChainParams, assembled: AssembledChain,
-                    *derivatives) -> Evaluation:
-        target = end_target(chain, self.target)
-        return Evaluation(self.value(assembled.area()),
-                          _endpoint_residuals(assembled.final, target),
-                          closure_of(chain, assembled, target=target), chain, *derivatives)
-
     def evaluate(self, x, assembly=None) -> Evaluation:
         """Value, residuals and closure report of the chain at x."""
         chain, assembled = self.assembly(x) if assembly is None else assembly
         if assembled is None:
             return Evaluation(self.fail_value, np.full(7, FAIL_RESIDUAL), None, chain)
-        return self._evaluation(chain, assembled)
+        target = end_target(chain, self.target)
+        return Evaluation(self.value(assembled.area()),
+                          _endpoint_residuals(assembled.final, target),
+                          closure_of(chain, assembled, target=target), chain)
 
-    def point(self, x, assembly=None) -> Evaluation:
-        """``evaluate`` with the derivatives an SQP step needs, from one assembly."""
+    def point(self, x, assembly=None, evaluation: Evaluation | None = None) -> Evaluation:
+        """``evaluate``, or a given ``evaluation`` of x, with the derivatives an
+        SQP step needs, from one assembly."""
         chain, assembled = self.assembly(x) if assembly is None else assembly
         if assembled is None:
             n = len(x)
@@ -238,14 +236,15 @@ class EndpointProblem:
         jac = d_end @ d_state[:5]
         if d_target is not None:
             jac += d_moved @ d_target
-        return self._evaluation(chain, assembled, self.value(d_state[5]), equations, jac)
+        return (evaluation or self.evaluate(x, (chain, assembled)))._replace(
+            gradient=self.value(d_state[5]), equations=equations, equation_jacobian=jac)
 
 
 def _rank(ev: Evaluation, closure_tol: float = math.inf) -> tuple[int, float]:
     """Incumbent order: feasible points by value, then the rest by violation;
     with a ``closure_tol``, only those whose residual entries are within it
     rank by value, so closure slack never passes for a lower value."""
-    if ev.feasible() and np.max(np.abs(ev.residuals)) <= closure_tol:
+    if ev.feasible() and np.abs(ev.residuals).max() <= closure_tol:
         return (0, ev.value)
     return (1, ev.violation())
 
@@ -290,10 +289,6 @@ class _Search:
     def offer(self, problem: EndpointProblem, x) -> Evaluation:
         """``problem.evaluate`` at x, offered to the incumbent."""
         return self.consider(x, problem.evaluate(x, self.assembly(problem, x)))
-
-    def point(self, problem: EndpointProblem, x) -> Evaluation:
-        """``problem.point`` at x, offered to the incumbent."""
-        return self.consider(x, problem.point(x, self.assembly(problem, x)))
 
 
 # A round of fewer trials assembles them chain by chain on floats: a batched
@@ -360,9 +355,9 @@ def _step(x, jac, r, lo, hi, lam, xtol, rejected):
         step[free] = np.linalg.solve(normal + lam * np.diag(np.diag(normal)), -grad[free])
     except np.linalg.LinAlgError:
         return x, True, False
-    trial = np.clip(x + step, lo, hi)
-    stop = bool(np.linalg.norm(trial - x) <= xtol * (xtol + np.linalg.norm(x)))
-    return trial, stop, not stop and np.array_equal(trial, rejected)
+    trial = np.minimum(np.maximum(x + step, lo), hi)
+    stop = math.sqrt((trial - x) @ (trial - x)) <= xtol * (xtol + math.sqrt(x @ x))
+    return trial, stop, not stop and (trial == rejected).all()
 
 
 def _stacked_steps(xs, js, rs, lo, hi, lam, xtol, rejected):
@@ -390,7 +385,7 @@ def _stacked_steps(xs, js, rs, lo, hi, lam, xtol, rejected):
                     steps[k, cols] = np.linalg.solve(system, b)[:, 0]
                 except np.linalg.LinAlgError:
                     solved[k] = False
-    trials = np.clip(xs + steps, lo, hi)
+    trials = np.minimum(np.maximum(xs + steps, lo), hi)
     solved &= ~(np.sqrt(_dots(trials - xs)) <= xtol * (xtol + np.sqrt(_dots(xs))))
     return trials, ~solved, solved & np.all(trials == rejected, axis=1)
 
@@ -413,7 +408,7 @@ def _roots(run: _Search, solves: list) -> list:
     """
     problems, count = [solve[0] for solve in solves], len(solves)
     boxes = [problem.box() for problem in problems]
-    x = [np.clip(solve[1], lo, hi) for solve, (lo, hi) in zip(solves, boxes)]
+    x = [np.minimum(np.maximum(solve[1], lo), hi) for solve, (lo, hi) in zip(solves, boxes)]
     lam, held = [solve[3] for solve in solves], _assemblies(run, list(zip(problems, x)))
     starts = [None if got is _REFUSED else (x[i], problems[i].evaluate(x[i], _whole(got)))
               for i, got in enumerate(held)]
@@ -422,7 +417,7 @@ def _roots(run: _Search, solves: list) -> list:
     cost = [None if v is None else 0.5 * (v @ v) for v in r]
     ends, jac, spent, moved = list(starts), [None] * count, [1] * count, [False] * count
     rejected = [np.full(len(v), np.nan) for v in x]  # NaN equals nothing: none rejected
-    while live := [i for i in live if spent[i] < solves[i][2] and np.max(np.abs(r[i])) > ROOT_TOL]:
+    while live := [i for i in live if spent[i] < solves[i][2] and np.abs(r[i]).max() > ROOT_TOL]:
         for i in live:
             if jac[i] is None:
                 got = held[i][1]
@@ -431,7 +426,7 @@ def _roots(run: _Search, solves: list) -> list:
         rows = [(x[i], jac[i], r[i], *boxes[i], lam[i], solves[i][4], rejected[i]) for i in live]
         steps = [_step(*rows[0])] if len(rows) == 1 else zip(*_stacked_steps(
             *(np.array(column) for column in zip(*rows))))
-        go, stop = [], set()
+        go, stop, taken = [], set(), []
         for i, (trial, stopped, repeat) in zip(live, steps):
             if stopped:
                 stop.add(i)
@@ -455,6 +450,11 @@ def _roots(run: _Search, solves: list) -> list:
                 stop.add(i)  # a stall
             x[i], held[i], r[i], cost[i], moved[i] = trial, got, trial_r, trial_cost, True
             lam[i], jac[i], rejected[i] = lam[i] / 10.0, None, np.full(len(trial), np.nan)
+            taken += [i] if isinstance(got[1], _Member) else []
+        if taken:  # the accepted chains, copied out of the round's batch
+            kept = held[taken[0]][1].batch.columns([held[i][1].b for i in taken])
+            for b, i in enumerate(taken):
+                held[i] = (held[i][0], held[i][1]._replace(batch=kept, b=b))
         live = [i for i in live if i not in stop]
     for i, start in enumerate(starts):
         if start is not None:
@@ -492,7 +492,8 @@ def _qp(hess: np.ndarray, at: Evaluation, x, lo, hi):
     for _ in range(QP_CHANGES):
         pinned = side != 0.0
         rows = np.vstack((a, -np.eye(n)[pinned]))
-        kkt = np.block([[hess, rows.T], [rows, np.zeros((len(rows),) * 2)]])
+        kkt = np.zeros((n + len(rows),) * 2)
+        kkt[:n, :n], kkt[:n, n:], kkt[n:, :n] = hess, rows.T, rows
         solved = np.linalg.lstsq(kkt, np.concatenate((-g, -c, -d[pinned])), rcond=None)[0]
         lam, nu = solved[n:n + m], np.zeros(n)
         nu[pinned] = solved[n + m:]
@@ -515,7 +516,7 @@ def _qp(hess: np.ndarray, at: Evaluation, x, lo, hi):
     return d, lam, nu
 
 
-def _descend(run: _Search, problem: EndpointProblem, x) -> None:
+def _descend(run: _Search, problem: EndpointProblem, x, here: Evaluation) -> None:
     """Active-set SQP from x: ``_qp`` steps on a damped-BFGS Hessian of the
     Lagrangian.  Each trial x + d / 2^h is restored onto closure by ``_root``
     before it is judged, so the closure surface's curvature cannot reject
@@ -523,9 +524,9 @@ def _descend(run: _Search, problem: EndpointProblem, x) -> None:
     trial that ranks above x in the incumbent's order is taken, h <=
     SQP_HALVINGS.  Where none is, the Hessian restarts from the identity
     once; the descent stops there, or on closure where the model promises a
-    fall under SQP_FTOL."""
+    fall under SQP_FTOL.  ``here`` is ``problem.evaluate(x)``, already offered to the incumbent."""
     lo, hi = problem.box()
-    here = run.point(problem, x)
+    here = problem.point(x, run.assembly(problem, x), here)
     hess, fresh = np.eye(len(x)), True
     while here.report is not None:
         step, lam, _ = _qp(hess, here, x, lo, hi)
@@ -533,8 +534,8 @@ def _descend(run: _Search, problem: EndpointProblem, x) -> None:
                 and -(here.gradient @ step + 0.5 * step @ hess @ step) <= SQP_FTOL):
             return
         for halving in range(SQP_HALVINGS + 1):
-            new_x, new = _root(run, problem, np.clip(x + step / 2 ** halving, lo, hi),
-                               RESTORE_EVALS, RESTORE_DAMPING, RESTORE_XTOL)
+            trial = np.minimum(np.maximum(x + step / 2 ** halving, lo), hi)
+            new_x, new = _root(run, problem, trial, RESTORE_EVALS, RESTORE_DAMPING, RESTORE_XTOL)
             if _rank(new, run.closure_tol) < _rank(here, run.closure_tol):
                 break
         else:
@@ -543,7 +544,7 @@ def _descend(run: _Search, problem: EndpointProblem, x) -> None:
             hess, fresh = np.eye(len(x)), True
             continue
         fresh = False
-        new = run.point(problem, new_x)
+        new = problem.point(new_x, run.assembly(problem, new_x), new)
         # Powell's damping keeps the update positive definite
         s, jump = new_x - x, new.equation_jacobian - here.equation_jacobian
         y, hs = new.gradient - here.gradient + jump.T @ lam, hess @ s
@@ -635,7 +636,7 @@ def five_link_search(spec: SearchSpec) -> SearchResult:
             while ev.report is None and redraws > 0:
                 p0, redraws = draw(), redraws - 1
                 ev = run.offer(problem, p0)
-            _descend(run, problem, _root(run, problem, p0, SNAP_EVALS)[0])
+            _descend(run, problem, *_root(run, problem, p0, SNAP_EVALS))
         except _Exhausted:
             pass
 
