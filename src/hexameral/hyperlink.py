@@ -179,7 +179,7 @@ def _pick(table, j):
         return _as_array(table)[j].T
 
 
-# The scalar kernel: one link's frames and tangents over plain floats.
+# The kernel: one link's frames and tangents, over floats or over (B,) arrays.
 
 def _square_frame(a: float, k: float, t: float, j: int) -> Frame:
     """Entries of the frame sending u*_m to sigma_m(t), before the determinant rule."""

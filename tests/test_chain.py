@@ -2,6 +2,7 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
 from hexameral.chain import (
@@ -92,6 +93,20 @@ class TestAssemble:
             assemble(octagon.chain)
         assert info.value.link_index == 2
         assert info.value.__cause__ is None  # re-raised, not wrapped
+
+    def test_batch_columns_are_copies_that_assemble_alike(self, octagon, rng):
+        js = [j for _, j in octagon.chain.links]
+        chains = [ChainParams(octagon.chain.initial, tuple(zip(rng.uniform(0.05, 0.9, 4), js)))
+                  for _ in range(24)]
+        batch = assemble(chains)
+        keep = [b for b in range(len(chains)) if batch.errors[b] is None][::2]
+        assert len(keep) >= 3
+        kept = batch.columns(keep)
+        for n, b in enumerate(keep):
+            assert kept.assembled(chains[b], n) == batch.assembled(chains[b], b)
+        ours = [kept.frames, kept.tangents, kept.errors, kept.link, *sum(kept.reps, ())]
+        theirs = [batch.frames, batch.tangents, batch.errors, batch.link, *sum(batch.reps, ())]
+        assert not any(np.shares_memory(a, b) for a in ours for b in theirs)
 
     def test_parameter_errors_name_link(self, octagon):
         with pytest.raises(ParameterOutOfRange, match="link 1") as exc:

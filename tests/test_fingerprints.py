@@ -8,6 +8,7 @@ run the library's own solvers on numpy alone, so their fingerprints do not
 move with scipy; another numpy may round differently and move them.
 """
 import numpy as np
+import pytest
 
 from hexameral.optimize import (
     DEFAULT_BOUNDS,
@@ -29,6 +30,16 @@ def test_probe_search_fingerprint():
     result = five_link_search(SearchSpec(start=tuple(float(v) for v in start),
                                          restarts=1, max_evals=2000, seed=0))
     assert result.eval_count == 10
+    assert repr(result.best_density) == "0.902414182997157"
+    assert result.feasible
+
+
+@pytest.mark.parametrize("seed, evals", [(1, 273), (2, 259)])
+def test_cold_five_link_fingerprint(seed, evals):
+    # cold starts restore trials far from closure, and seed 1 halves steps;
+    # the probe near the octagon does neither
+    result = five_link_search(SearchSpec(seed=seed))
+    assert result.eval_count == evals
     assert repr(result.best_density) == "0.902414182997157"
     assert result.feasible
 

@@ -1,5 +1,6 @@
 """The scalar link kernel, the frame path, the angle margin, the verify link
-rows and the link sampler against object-path and sampled oracles.
+rows, the link sampler and the five-link point against object-path, sampled
+and numpy-form oracles.
 
 The oracles below are the frame-object implementations of ``propagate`` and
 of the per-link sweep-angle sampling: every intermediate frame is a
@@ -13,7 +14,10 @@ held bit for bit to the stacked relative-frame pass it replaced, and the
 verify rows read at link ends to the same rows over 257 samples per link.
 The curve sampler is held to the scalar 2-vector sampler it replaced, one
 parameter at a time, bit for bit, and the array ``apply`` and ``wedge`` to
-the scalar formulas of that 2-vector.
+the scalar formulas of that 2-vector.  A five-link point (the endpoint
+equations, ``point``, ``jacobian``) and the solver steps on it (``_qp``,
+``_step``) are held byte for byte to the numpy forms they were first
+written in.
 """
 import math
 from dataclasses import dataclass
@@ -53,7 +57,12 @@ from hexameral.hyperlink import (
     transform_state,
 )
 from hexameral.multicurve import STANDARD
-from hexameral.optimize import DEFAULT_BOUNDS, decode_five_link, octagon_embedding
+from hexameral.chain import (
+    _TARGET_TURN, _endpoint_equations, _endpoint_jacobian, assemble_jacobian, end_target,
+)
+from hexameral.optimize import (
+    DEFAULT_BOUNDS, _qp, _step, decode_five_link, five_link_problem, octagon_embedding,
+)
 from hexameral.sl2 import (
     SQRT3,
     FrameMatrix,
@@ -61,6 +70,7 @@ from hexameral.sl2 import (
     TangentElement,
     _inverse,
     _product,
+    _sphere_basis,
     _unit_det,
     adjoint,
     star_check,
@@ -733,3 +743,191 @@ def test_sampler_rejects_parameters_outside_link(octagon, bad):
             link_curves(rep, ts)
     with pytest.raises(ParameterOutOfRange, match="outside link range"):
         frame_at(rep, bad)
+
+
+# The five-link point in the numpy forms it was first written in: the
+# endpoint equations with np.argmin, np.eye, np.cross, np.outer and matrix
+# products by the sl2 basis; the KKT matrix of the QP by np.block; the
+# Marquardt step with np.clip, np.linalg.norm and np.array_equal.
+
+_SL2_BASIS = np.array((((1.0, 0.0), (0.0, -1.0)), ((0.0, 1.0), (0.0, 0.0)),
+                       ((0.0, 0.0), (1.0, 0.0))))
+
+
+def _sl2_coordinates(m: np.ndarray) -> np.ndarray:
+    return np.stack((0.5 * (m[..., 0, 0] - m[..., 1, 1]), m[..., 0, 1], m[..., 1, 0]),
+                    axis=-1)
+
+
+def oracle_endpoint_equations(final: LinkState, target: LinkState):
+    g = np.array(_product(_inverse(target.frame.entries()),
+                          final.frame.entries())).reshape(2, 2)
+    u = np.array(target.tangent.components())
+    w = np.array(final.tangent.components())
+    basis = np.array(_sphere_basis(*u))
+    k = int(np.argmin(np.abs(u)))
+    s = math.sqrt(1.0 - u[k] * u[k])
+    equations = np.concatenate((_sl2_coordinates(g), basis @ w))
+    axis = np.eye(3)[k]
+    by_u = (np.array((-(u @ w) * axis - u[k] * w, np.cross(axis, w))) / s
+            + np.outer(equations[3:], axis) * (u[k] / (s * s)))
+    d_end, d_target = np.zeros((5, 5)), np.zeros((5, 5))
+    d_end[:3, :3] = _sl2_coordinates(g @ _SL2_BASIS).T
+    d_end[3:, 3:] = basis @ np.array(_sphere_basis(*w)).T
+    d_target[:3, :3] = -_sl2_coordinates(_SL2_BASIS @ g).T
+    d_target[3:, 3:] = by_u @ basis.T
+    return equations, d_end, d_target
+
+
+def _oracle_derivatives(problem, x, chain, assembled):
+    head = problem.start_jacobian(x, chain)
+    _, d_state = assemble_jacobian(chain, head, assembled)
+    d_target = np.zeros((5, len(x)))
+    d_target[:, :head.shape[1]] = np.vstack((_TARGET_TURN @ head[:3], head[3:]))
+    return d_state, d_target
+
+
+def oracle_point(problem, x, chain, assembled):
+    """``point`` of a five-link problem at x, whose chain assembles."""
+    d_state, d_target = _oracle_derivatives(problem, x, chain, assembled)
+    equations, d_end, d_moved = oracle_endpoint_equations(assembled.final, end_target(chain))
+    jac = d_end @ d_state[:5]
+    jac += d_moved @ d_target
+    return (problem.value(d_state[5]), equations, jac)
+
+
+def oracle_jacobian(problem, x, chain, assembled):
+    d_state, d_target = _oracle_derivatives(problem, x, chain, assembled)
+    jac = _endpoint_jacobian(*assembled.final.entries()) @ d_state[:5]
+    jac -= _endpoint_jacobian(*end_target(chain).entries()) @ d_target
+    return jac
+
+
+def oracle_qp(hess, at, x, lo, hi):
+    g, c, a = at.gradient, at.equations, at.equation_jacobian
+    n, m = len(x), len(c)
+    d = np.zeros(n)
+    side = np.where(x <= lo, -1.0, np.where(x >= hi, 1.0, 0.0))
+    for _ in range(20):
+        pinned = side != 0.0
+        rows = np.vstack((a, -np.eye(n)[pinned]))
+        kkt = np.block([[hess, rows.T], [rows, np.zeros((len(rows),) * 2)]])
+        solved = np.linalg.lstsq(kkt, np.concatenate((-g, -c, -d[pinned])), rcond=None)[0]
+        lam, nu = solved[n:n + m], np.zeros(n)
+        nu[pinned] = solved[n + m:]
+        move = np.where(pinned, 0.0, solved[:n] - d)
+        room = np.full(n, np.inf)
+        going = move != 0.0
+        room[going] = (np.where(move < 0.0, lo, hi) - x - d)[going] / move[going]
+        block = int(np.argmin(room))
+        if room[block] < 1.0:
+            d += max(room[block], 0.0) * move
+            side[block] = math.copysign(1.0, move[block])
+            d[block] = (lo if side[block] < 0.0 else hi)[block] - x[block]
+            continue
+        d += move
+        wrong = side * nu > 0.0
+        if not wrong.any():
+            break
+        side[np.argmax(np.where(wrong, np.abs(nu), -1.0))] = 0.0
+    return d, lam, nu
+
+
+def oracle_step(x, jac, r, lo, hi, lam, xtol, rejected):
+    grad = jac.T @ r
+    free = ~(((x <= lo) & (grad > 0.0)) | ((x >= hi) & (grad < 0.0)))
+    normal = jac[:, free].T @ jac[:, free]
+    step = np.zeros_like(x)
+    try:
+        step[free] = np.linalg.solve(normal + lam * np.diag(np.diag(normal)), -grad[free])
+    except np.linalg.LinAlgError:
+        return x, True, False
+    trial = np.clip(x + step, lo, hi)
+    stop = bool(np.linalg.norm(trial - x) <= xtol * (xtol + np.linalg.norm(x)))
+    return trial, stop, not stop and np.array_equal(trial, rejected)
+
+
+def _five_link_xs(rng, count: int):
+    """Search points that assemble: near the octagon embedding and uniform in
+    the box, some with a coordinate on a bound, some whose start tangent (the
+    target's) has two tied smallest components, |a| = |b|."""
+    problem = five_link_problem()
+    lo, hi = problem.box()
+    center = octagon_embedding()
+    xs = []
+    while len(xs) < count:
+        kind = len(xs) % 4
+        if kind == 0:
+            step = rng.normal(size=7)
+            x = np.clip(center + 10.0 ** rng.uniform(-4.0, -1.0) * step / np.linalg.norm(step),
+                        lo, hi)
+        else:
+            x = lo + (hi - lo) * rng.uniform(size=7)
+        if kind == 2:
+            pinned = rng.integers(7)
+            x[pinned] = (lo if rng.uniform() < 0.5 else hi)[pinned]
+        if kind == 3:
+            x[1] = -abs(x[0]) if abs(x[0]) >= 0.01 else x[1]
+            x[0] = x[0] if rng.uniform() < 0.5 else -x[0]
+        chain, assembled = problem.assembly(x)
+        if assembled is not None:
+            xs.append((x, chain, assembled))
+    return problem, xs
+
+
+def test_five_link_points_match_numpy_forms():
+    rng = np.random.default_rng(61)
+    problem, xs = _five_link_xs(rng, 240)
+    lo, hi = problem.box()
+    pinned = tied = 0
+    for n, (x, chain, assembled) in enumerate(xs):
+        pinned += bool(np.any((x <= lo) | (x >= hi)))
+        u = chain.initial.tangent.components()
+        tied += sorted(map(abs, u))[0] == sorted(map(abs, u))[1]
+        point = problem.point(x, (chain, assembled))
+        for got, want in zip((point.gradient, point.equations, point.equation_jacobian),
+                             oracle_point(problem, x, chain, assembled)):
+            assert got.tobytes() == want.tobytes()
+        # completing an evaluation a caller holds gives the same point
+        completed = problem.point(x, (chain, assembled), problem.evaluate(x, (chain, assembled)))
+        for got, want in zip(completed, point):
+            assert (got.tobytes() == want.tobytes() if isinstance(got, np.ndarray)
+                    else got == want)
+        jac = problem.jacobian(x, (chain, assembled))
+        assert jac.tobytes() == oracle_jacobian(problem, x, chain, assembled).tobytes()
+        hess = np.eye(7)
+        if n % 2:
+            m = rng.normal(size=(7, 7))
+            hess = m @ m.T + 0.1 * np.eye(7)
+        for got, want in zip(_qp(hess, point, x, lo, hi), oracle_qp(hess, point, x, lo, hi)):
+            assert got.tobytes() == want.tobytes()
+        r = problem.residuals(x, (chain, assembled))
+        for lam, xtol in ((1e-3, 1e-12), (1e-9, 1e-15), (1e3, 1e-2)):
+            rejected = np.full(7, np.nan)
+            for _ in range(2):  # the second time, the trial is the one rejected
+                got = _step(x, jac, r, lo, hi, lam, xtol, rejected)
+                want = oracle_step(x, jac, r, lo, hi, lam, xtol, rejected)
+                assert got[0].tobytes() == want[0].tobytes() and got[1:] == want[1:]
+                rejected = got[0]
+    assert pinned > 40 and tied > 40
+
+
+def test_endpoint_equations_match_numpy_forms():
+    rng = np.random.default_rng(62)
+    frames = [FrameMatrix(1.0, 0.0, 0.0, 1.0), FrameMatrix(0.0, 1.0, -1.0, 0.0),
+              FrameMatrix(-1.0, 0.0, 0.0, -1.0), FrameMatrix(-0.0, 2.0, -0.5, 0.0)]
+    for _ in range(300):
+        frames[4:] = [random_frame(rng), random_frame(rng)]
+        tangents = []
+        for _ in range(2):
+            t = rng.uniform(-1.0, 1.0, 3)
+            tie = rng.integers(4)  # ties among the smallest components, and none
+            if tie < 3:
+                t[(tie + 1) % 3] = t[tie] * rng.choice((1.0, -1.0))
+            tangents.append(ProjectiveTangent.from_tangent(TangentElement(*t)))
+        for end, aim in ((frames[4], frames[5]), (frames[4], frames[4]),
+                         *((f, frames[5]) for f in frames[:4]), (frames[5], frames[0])):
+            final, target = LinkState(end, tangents[0]), LinkState(aim, tangents[1])
+            for got, want in zip(_endpoint_equations(final, target),
+                                 oracle_endpoint_equations(final, target)):
+                assert got.tobytes() == want.tobytes()
