@@ -332,14 +332,14 @@ def _endpoint_equations(final: LinkState, target: LinkState):
     u, w = target.tangent.components(), final.tangent.components()
     basis = np.array(_sphere_basis(*u))
     k = min(range(3), key=lambda i: abs(u[i]))  # _sphere_basis's choice, ties included
-    axis, uk = tuple(float(i == k) for i in range(3)), u[k]
-    s = math.sqrt(1.0 - uk * uk)
-    (a0, a1, a2), (w0, w1, w2) = axis, w  # u x e_k, exact, as numpy's np.cross
+    axis, uk, s = tuple(float(i == k) for i in range(3)), u[k], math.sqrt(1.0 - u[k] * u[k])
+    (a0, a1, a2), (w0, w1, w2) = axis, w
     d_end, d_target = np.zeros((5, 5)), np.zeros((5, 5))
     d_end[3:, 3:] = basis @ np.array(_sphere_basis(*w)).T
     u, w, axis = np.array(u), np.array(w), np.array(axis)
     # the sl2 coordinates of G - I, which are G's
     equations = np.concatenate(((0.5 * (p - t), q, r), basis @ w))
+    # e_k x w by np.cross's formula, whose products with a unit axis are exact
     by_u = (np.array((-(u @ w) * axis - uk * w,
                       (a1 * w2 - a2 * w1, a2 * w0 - a0 * w2, a0 * w1 - a1 * w0))) / s
             + equations[3:, None] * axis * (uk / (s * s)))

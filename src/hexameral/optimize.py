@@ -451,7 +451,7 @@ def _roots(run: _Search, solves: list) -> list:
             x[i], held[i], r[i], cost[i], moved[i] = trial, got, trial_r, trial_cost, True
             lam[i], jac[i], rejected[i] = lam[i] / 10.0, None, np.full(len(trial), np.nan)
             taken += [i] if isinstance(got[1], _Member) else []
-        if taken:  # the accepted chains, copied out of the round's batch
+        if taken:  # hold copies of the taken chains, not the round's whole batch
             kept = held[taken[0]][1].batch.columns([held[i][1].b for i in taken])
             for b, i in enumerate(taken):
                 held[i] = (held[i][0], held[i][1]._replace(batch=kept, b=b))

@@ -27,12 +27,17 @@ import numpy as np
 import pytest
 
 from hexameral.chain import (
+    _TARGET_TURN,
     ANGLE_TOL,
     SIXTH_TURN,
     ChainParams,
     LinkParam,
+    _endpoint_equations,
+    _endpoint_jacobian,
     angle_margin_of,
     assemble,
+    assemble_jacobian,
+    end_target,
 )
 from hexameral.domain import _link_end_margins, _star_rows, boundary_polyline, from_chain
 from hexameral.errors import (
@@ -57,11 +62,14 @@ from hexameral.hyperlink import (
     transform_state,
 )
 from hexameral.multicurve import STANDARD
-from hexameral.chain import (
-    _TARGET_TURN, _endpoint_equations, _endpoint_jacobian, assemble_jacobian, end_target,
-)
 from hexameral.optimize import (
-    DEFAULT_BOUNDS, _qp, _step, decode_five_link, five_link_problem, octagon_embedding,
+    DEFAULT_BOUNDS,
+    QP_CHANGES,
+    _qp,
+    _step,
+    decode_five_link,
+    five_link_problem,
+    octagon_embedding,
 )
 from hexameral.sl2 import (
     SQRT3,
@@ -808,7 +816,7 @@ def oracle_qp(hess, at, x, lo, hi):
     n, m = len(x), len(c)
     d = np.zeros(n)
     side = np.where(x <= lo, -1.0, np.where(x >= hi, 1.0, 0.0))
-    for _ in range(20):
+    for _ in range(QP_CHANGES):
         pinned = side != 0.0
         rows = np.vstack((a, -np.eye(n)[pinned]))
         kkt = np.block([[hess, rows.T], [rows, np.zeros((len(rows),) * 2)]])
