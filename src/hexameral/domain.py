@@ -39,7 +39,8 @@ from .chain import (
 )
 from .errors import GeometryError, LinkLengthViolation, NotClosed
 from .hyperlink import (
-    SquareRep, _circle_tangent_at, _sample_count, frame_at, link_curves, link_map, t_end,
+    _CURVE_ROWS, SquareRep, _circle_tangent_at, _even_points, _link_grid, _sample_count, frame_at,
+    link_curves, link_map, t_end,
 )
 from .multicurve import STANDARD, MultiPoint, convexity_value
 from .sl2 import SQRT3, wedge
@@ -148,16 +149,15 @@ def smoothed_octagon() -> HexameralDomain:
 def boundary_polyline(dom: HexameralDomain, per_link: int = 64) -> BoundaryPolyline:
     """All six curve images over the fundamental interval, in boundary order."""
     per_link = _sample_count("per_link", per_link, 1)
-    links = []
-    for state, rep in zip(dom.assembled.states, dom.assembled.reps):
-        if rep.tau == 0.0:
-            continue
-        g_mat = np.reshape(link_map(state, rep).entries(), (2, 2))
-        ts = np.linspace(rep.t0, t_end(rep), per_link, endpoint=False)
-        links.append((link_curves(rep, ts)[:, 0], g_mat))
-    pts = np.concatenate([positions[m] @ g_mat.T for m in range(6)
-                          for positions, g_mat in links])
-    return BoundaryPolyline(pts, closed=True)
+    links = [(state, rep) for state, rep in zip(dom.assembled.states, dom.assembled.reps)
+             if rep.tau != 0.0]
+    # each link's grid to its end, the end left out
+    a, k, j, ts = _link_grid([rep for _, rep in links], per_link + 1)
+    even = _even_points(a[:, None], k[:, None], ts[:, :-1])
+    curves = np.concatenate((even, -even))[_CURVE_ROWS[j].T, np.arange(len(j))]
+    maps = np.array([link_map(state, rep).entries() for state, rep in links]).reshape(-1, 2, 2)
+    # curve by curve, link by link: one stacked product by each link's map
+    return BoundaryPolyline((curves @ maps.transpose(0, 2, 1)).reshape(-1, 2), closed=True)
 
 
 @dataclass(frozen=True)
@@ -187,37 +187,34 @@ def circle_multicurve(samples: int = 16) -> np.ndarray:
     return np.stack((p, np.stack((-p[..., 1], p[..., 0]), axis=-1), -p), axis=1)
 
 
-def _star_margins(rep: SquareRep, t: float) -> tuple[float, float, float]:
-    """(c - sqrt(3)|a|, -(3b + c), det X) of the circle tangent at parameter t,
-    or at each of an array of parameters, with the same bits."""
-    a, b, c = _circle_tangent_at(rep, t)
-    return (c - SQRT3 * abs(a), -(3.0 * b + c), -a * a - b * c)
-
-
-def _star_rows(assembled: AssembledChain, per_link: int) -> np.ndarray:
-    """Rows (c - sqrt(3)|a|, -(3b + c), det X) of the circle tangent per sample."""
-    rows = [np.stack(_star_margins(rep, np.linspace(rep.t0, t_end(rep), per_link)), axis=-1)
-            for rep in assembled.reps if rep.tau != 0.0]
-    return np.concatenate(rows + [np.empty((0, 3))])
+def _star_rows(reps, per_link: int) -> np.ndarray:
+    """Rows (c - sqrt(3)|a|, -(3b + c), det X) of the circle tangent at per_link
+    parameters of each non-degenerate link, link by link; the first check that fails raises."""
+    a, k, j, ts = _link_grid([rep for rep in reps if rep.tau != 0.0], per_link)
+    checks = []
+    # samples down, links across, so that a, k and j are columns of the grid
+    x, y, z = _circle_tangent_at(a, k, ts.T, j, checks)
+    for bad, error in checks:
+        if bad.any():
+            raise error(f"circle tangent fails at {np.count_nonzero(bad)} sampled parameters")
+    rows = np.stack((z - SQRT3 * abs(x), -(3.0 * y + z), -x * x - y * z), axis=-1)
+    return rows.transpose(1, 0, 2).reshape(-1, 3)
 
 
 def star_profile(dom: HexameralDomain, per_link: int = 32) -> np.ndarray:
     """Star margins (c - sqrt(3)|a|, -(3b + c), det X) sampled along the boundary."""
-    return _star_rows(dom.assembled, _sample_count("per_link", per_link, 1))
+    return _star_rows(dom.assembled.reps, _sample_count("per_link", per_link, 1))
 
 
 def _link_end_margins(reps) -> tuple[float, float, float, list[int]]:
     """Least star margin, determinant and hyperbola wedge(v, acc) over the ends
     of the given links, and each link's rank."""
-    star, bends, ranks = [], [], []
-    for rep in reps:
-        ends = (rep.t0, t_end(rep))
-        star.extend(_star_margins(rep, t) for t in ends)
-        # wedge(v, acc) at both ends of the even curves 0, 2, 4; curve j is the hyperbola
-        bend = convexity_value(link_curves(rep, ends)[0::2])
-        bends.append(float(bend[rep.j // 2].min()))
-        ranks.append(int((bend.min(axis=1) > 0.0).sum()))
-    return (min(min(m[:2]) for m in star), min(m[2] for m in star), min(bends), ranks)
+    star = _star_rows(reps, 2)
+    # wedge(v, acc) at both ends of the even curves 0, 2, 4; curve j is the hyperbola
+    bends = [convexity_value(link_curves(rep, (rep.t0, t_end(rep)))[0::2]) for rep in reps]
+    hyperbola = min(float(bend[rep.j // 2].min()) for bend, rep in zip(bends, reps))
+    ranks = [int((bend.min(axis=1) > 0.0).sum()) for bend in bends]
+    return float(star[:, :2].min()), float(star[:, 2].min()), hyperbola, ranks
 
 
 def _link_end_checks(assembled: AssembledChain) -> list[tuple[str, bool, str]]:
@@ -299,22 +296,19 @@ def export_svg(dom: HexameralDomain, per_link: int = 64) -> str:
     hexagon = _hexagon_vertices(markers, dom.chain.initial.tangent.rep.apply(markers))
 
     all_pts = np.concatenate((poly.points, hexagon))
-    lo_x, lo_y = all_pts.min(axis=0).tolist()
-    hi_x, hi_y = all_pts.max(axis=0).tolist()
-    span = max(hi_x - lo_x, hi_y - lo_y)
+    lo = all_pts.min(axis=0)
+    span = float((all_pts.max(axis=0) - lo).max())
     margin = 0.05 * span
     scale = 1000.0 / (span + 2.0 * margin)
 
-    def place(points: np.ndarray) -> list[tuple[float, float]]:
-        # y flipped so counterclockwise geometry renders counterclockwise
-        px = (points[:, 0] - lo_x + margin) * scale
-        py = 1000.0 - (points[:, 1] - lo_y + margin) * scale
-        return list(zip(px.tolist(), py.tolist()))
+    def place(points: np.ndarray) -> np.ndarray:
+        # at (v_x, 1000 - v_y), v = (p - lo + margin) scale: y flipped to keep orientation
+        return (points - lo + margin) * scale * (1.0, -1.0) + (0.0, 1000.0)
 
     def closed_path(points: np.ndarray) -> str:
-        moves = [f"{'L' if i else 'M'} {px:.3f} {py:.3f}"
-                 for i, (px, py) in enumerate(place(points))]
-        return " ".join(moves + ["Z"])
+        # one %-format of the whole path: the same %.3f conversion as an f-string
+        return ("M %.3f %.3f" + " L %.3f %.3f" * (len(points) - 1) + " Z") % tuple(
+            place(points).ravel().tolist())
 
     lines = [
         '<?xml version="1.0" encoding="UTF-8"?>',
@@ -325,7 +319,7 @@ def export_svg(dom: HexameralDomain, per_link: int = 64) -> str:
         f'  <path d="{closed_path(poly.points)}" fill="none" '
         'stroke="#000000" stroke-width="3"/>',
         *(f'  <circle cx="{px:.3f}" cy="{py:.3f}" r="6" fill="#c43b3b"/>'
-          for px, py in place(markers)),
+          for px, py in place(markers).tolist()),
         "</svg>",
     ]
     return "\n".join(lines) + "\n"

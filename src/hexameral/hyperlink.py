@@ -107,8 +107,7 @@ def link_area(rep: SquareRep) -> float:
 
 def _check_range(rep: SquareRep, t) -> None:
     """Reject parameters outside the link's range, NaN included; t may be an array."""
-    t1 = t_end(rep)
-    lo, hi = min(rep.t0, t1), max(rep.t0, t1)
+    lo, hi = rep.t0, t_end(rep)  # tau >= 0 and k - 1 > t0, so t1 >= t0
     inside = (lo - RANGE_TOL <= t) & (t <= hi + RANGE_TOL)
     if not np.all(inside):
         bad = float(np.extract(np.logical_not(inside), t)[0])
@@ -171,6 +170,10 @@ _EDGE_POINTS = tuple((*STANDARD[j + 2].tolist(), *STANDARD[j + 4].tolist()) for 
 _as_array = functools.cache(np.array)
 
 
+# _CURVE_ROWS[j, m] is the row of curve m in (even, -even) of a link at index j.
+_CURVE_ROWS = np.array([[(0, 5, 1, 3, 2, 4)[(m - j) % 6] for m in range(6)] for j in range(6)])
+
+
 def _pick(table, j):
     """Row j of a table of float tuples; for an array of indices, its columns."""
     try:
@@ -218,11 +221,11 @@ def frame_at(rep: SquareRep, t: float) -> LinkState:
     )
 
 
-def _circle_tangent_at(rep: SquareRep, t: float) -> tuple[float, float, float]:
-    """circle_tangent(frame_at(rep, t)) as a float triple, without the range check."""
-    k = rep.k
-    frame = _unit_det(*_square_frame(rep.a, k, t, rep.j))
-    return _adjoint(_inverse(frame), *_unit_tangent(*_square_tangent(rep.a, k, t)))
+def _circle_tangent_at(a, k, t, j, checks=None) -> tuple[float, float, float]:
+    """circle_tangent(frame_at(rep, t)) as a triple, without the range check: of
+    floats, or of arrays that broadcast with a list ``checks`` (``sl2._fail``)."""
+    frame = _unit_det(*_square_frame(a, k, t, j), checks)
+    return _adjoint(_inverse(frame, checks), *_unit_tangent(*_square_tangent(a, k, t), checks))
 
 
 def propagate(state, tau, j, checks=None):
@@ -467,24 +470,35 @@ def link_curves(rep: SquareRep, ts) -> np.ndarray:
     a, k = rep.a, rep.k
     ds = -(1.0 - k) / (t * t)
     dds = 2.0 * (1.0 - k) / (t * t * t)
-    hyp, line_x, line_y = _square_points(a, k, t)
     # even curves j, j+2, j+4: hyperbola, x = a, y = a; zero entries stay +0.0
     even = np.zeros((3, 3, t.size, 2))
-    even[0, 0, :, 0], even[0, 0, :, 1] = hyp
+    even[:, 0] = _even_points(a, k, t)
     even[0, 1, :, 0], even[0, 1, :, 1] = -a * ds, -a
     even[0, 2, :, 0] = -a * dds
-    even[1, 0, :, 0], even[1, 0, :, 1] = line_x
     even[1, 1, :, 1] = a
-    even[2, 0, :, 0], even[2, 0, :, 1] = line_y
     even[2, 1, :, 0] = a * ds
     even[2, 2, :, 0] = a * dds
-    curves = np.empty((6,) + even.shape[1:])
-    for i in range(3):
-        m = rep.j + 2 * i
-        curves[m % 6] = even[i]
-        # odd curves are central reflections of the even ones
-        curves[(m + 3) % 6] = -even[i]
-    return curves
+    return np.concatenate((even, -even))[_CURVE_ROWS[rep.j]]
+
+
+def _even_points(a, k, t) -> np.ndarray:
+    """Positions (3, ..., 2) at t of the hyperbola and the lines x = a and y = a,
+    a link's curves j, j + 2 and j + 4; a and k broadcast against t."""
+    even = np.empty((3, *np.shape(t), 2))
+    for curve, xy in zip(even, _square_points(a, k, t)):
+        curve[..., 0], curve[..., 1] = xy
+    return even
+
+
+def _link_grid(reps, n: int):
+    """Columns a, k and j of the links, (L,) each, and their parameters (L, n):
+    row l is np.linspace(t0, t1, n) of link l, bit for bit.  (A stacked linspace
+    steps every row by its zero-step rule once one row has step zero.)"""
+    a, k, t0, t1 = np.array([(r.a, r.k, r.t0, t_end(r)) for r in reps]).reshape(-1, 4).T
+    ts = np.arange(n) * ((t1 - t0) / max(n - 1, 1))[:, None] + t0[:, None]
+    if n > 1:
+        ts[:, -1] = t1
+    return a, k, np.array([r.j for r in reps], dtype=int), ts
 
 
 def link_multicurve(rep: SquareRep, samples: int = 16,

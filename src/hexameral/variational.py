@@ -15,7 +15,7 @@ import numpy as np
 
 from .chain import ChainParams, assemble
 from .errors import ParameterOutOfRange, SignCondition, StarViolation, WedgeMismatch
-from .hyperlink import _STANDARD_INVERSE, _sample_count, link_curves, link_map, t_end
+from .hyperlink import _STANDARD_INVERSE, _even_points, _link_grid, _sample_count, link_map
 from .multicurve import STANDARD
 from .sl2 import DET_TOL, SQRT3, TangentElement, _inverse, _unit_det, star_check, wedge
 
@@ -86,28 +86,23 @@ def chain_path(chain: ChainParams, per_link: int = 256) -> FramePath:
     links = sum(tau != 0.0 for tau, _ in chain.links)
     points = links * (per_link - 1) + 1
     if points < MIN_GRID:
-        raise ParameterOutOfRange(
-            f"per_link = {per_link!r} gives {points} grid points over {links} "
-            f"links; a frame path needs at least {MIN_GRID}"
-        )
+        raise ParameterOutOfRange(f"per_link = {per_link!r} gives {points} grid points over "
+                                  f"{links} links; a frame path needs at least {MIN_GRID}")
     assembled = assemble(chain)
     inv0 = chain.initial.frame.inverse()
     real = [(state, rep) for state, rep in zip(assembled.states, assembled.reps)
             if rep.tau != 0.0]
-    grid, frames = [], []
-    for pos, (state, rep) in enumerate(real):
-        t0, t1 = rep.t0, t_end(rep)
-        ts = np.linspace(t0, t1, per_link)
-        # the canonical frame sends u*_j, u*_{j+2} to curves j and j+2
-        p = link_curves(rep, ts)[:, 0]
-        canonical = (np.stack((p[rep.j], p[(rep.j + 2) % 6]), axis=-1)
-                     @ np.reshape(_STANDARD_INVERSE[rep.j], (2, 2)))
-        lead = np.reshape(inv0.compose(link_map(state, rep)).entries(), (2, 2))
-        # links after the first share their start sample with the previous end
-        start = 1 if pos > 0 else 0
-        grid.append(pos + (ts[start:] - t0) / (t1 - t0))
-        frames.append((lead @ canonical)[start:])
-    return FramePath(np.concatenate(grid), np.concatenate(frames))
+    a, k, j, ts = _link_grid([rep for _, rep in real], per_link)
+    # the canonical frame sends u*_j, u*_{j+2} to curves j and j + 2: the hyperbola, x = a
+    cols = np.stack(_even_points(a[:, None], k[:, None], ts)[:2], axis=-1)
+    leads = [inv0.compose(link_map(state, rep)).entries() for state, rep in real]
+    # stacked @, not written-out products, which round differently
+    frames = (np.reshape(leads, (-1, 1, 2, 2))
+              @ (cols @ np.asarray(_STANDARD_INVERSE)[j].reshape(-1, 1, 2, 2)))
+    grid = np.arange(len(real))[:, None] + (ts - ts[:, :1]) / (ts[:, -1:] - ts[:, :1])
+    # links after the first share their start sample with the previous end
+    keep = (np.arange(per_link) > 0) | (np.arange(len(real)) == 0)[:, None]
+    return FramePath(grid[keep], frames[keep])
 
 
 def area_functional(path: FramePath) -> float:
@@ -175,11 +170,8 @@ def curvature_lemma_value(x: TangentElement) -> float:
     disc = x.a * x.a + x.b * x.c
     closed = 3.0 * SQRT3 * disc * disc / (3.0 * x.a + SQRT3 * x.c)
 
-    rows, rhs = [], []
-    for m in (0, 2):
-        rows.append(_wedge_coefficients(x, m))
-        u = STANDARD[m]
-        rhs.append(disc * wedge(u, x.apply(u)))
+    rows = [_wedge_coefficients(x, m) for m in (0, 2)]
+    rhs = [disc * wedge(STANDARD[m], x.apply(STANDARD[m])) for m in (0, 2)]
     sol, *_ = np.linalg.lstsq(np.array(rows), np.array(rhs), rcond=None)
     u4 = STANDARD[4]
     ca, cb, cc = _wedge_coefficients(x, 4)

@@ -24,8 +24,9 @@ from hexameral.domain import (
     star_profile,
     verify_checks,
 )
-from hexameral.domain import _hexagon_vertices, _star_margins
-from hexameral.errors import NotClosed, ParameterOutOfRange
+from hexameral import hyperlink
+from hexameral.domain import _hexagon_vertices, _link_end_margins, _star_rows
+from hexameral.errors import FrameDeterminantError, NotClosed, ParameterOutOfRange
 from hexameral.hyperlink import SquareRep, link_area, link_multicurve, t_end, transform_state
 from hexameral.multicurve import rank_classify
 from hexameral.sl2 import wedge
@@ -141,6 +142,21 @@ class TestStarProfile:
 
     def test_det_column_positive(self, octagon):
         assert float(star_profile(octagon)[:, 2].min()) > 0.1
+
+    def test_rows_keep_the_determinant_rule(self, octagon, monkeypatch):
+        # canonical frames of determinant 4: the scalar kernel raises, and so
+        # must the sampled rows, which run the same kernel on arrays
+        square_frame = hyperlink._square_frame
+        monkeypatch.setattr(hyperlink, "_square_frame",
+                            lambda *args: tuple(2.0 * v for v in square_frame(*args)))
+        rep = octagon.assembled.reps[0]
+        with pytest.raises(FrameDeterminantError, match="frame determinant 4.0 too far from 1"):
+            hyperlink._circle_tangent_at(rep.a, rep.k, rep.t0, rep.j)
+        with pytest.raises(FrameDeterminantError):
+            star_profile(octagon, 8)
+        with pytest.raises(FrameDeterminantError):
+            _link_end_margins(list(octagon.assembled.reps))
+        assert verify_checks(octagon.chain)[0][:2] == ("assembly", False)
 
 
 @pytest.mark.parametrize("per_link", [0, -1, 2.5, True])
@@ -340,8 +356,8 @@ class TestLinkEndArgument:
         for _ in range(50):
             rep = random_square_rep(rng)
             rep = SquareRep(rep.a, rep.t0, rep.tau, 0)
-            for tt in (rep.t0, t_end(rep)):
-                got = _star_margins(rep, tt)
+            # the rows at the link's two ends
+            for got, tt in zip(_star_rows([rep], 2), (rep.t0, t_end(rep))):
                 assert np.allclose(got, exact(rep.k, tt), rtol=1e-12, atol=1e-14)
 
 

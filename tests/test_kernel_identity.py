@@ -9,15 +9,18 @@ is sampled on its own.  The library must agree with them exactly, on
 success (states, square representations, sampled sweep angles) and on
 failure (error class, failing link, message).  The angle margin, read from
 link-end states, is held to the margins of the sampled oracle sweep at 64
-and 512 samples per link.  ``chain_path``, which reads ``link_curves``, is
-held bit for bit to the stacked relative-frame pass it replaced, and the
-verify rows read at link ends to the same rows over 257 samples per link.
+and 512 samples per link.  ``chain_path`` is held bit for bit to an earlier
+stacked relative-frame pass, and the verify rows read at link ends to the
+same rows over 257 samples per link.
 The curve sampler is held to the scalar 2-vector sampler it replaced, one
 parameter at a time, bit for bit, and the array ``apply`` and ``wedge`` to
 the scalar formulas of that 2-vector.  A five-link point (the endpoint
 equations, ``point``, ``jacobian``) and the solver steps on it (``_qp``,
 ``_step``) are held byte for byte to the numpy forms they were first
-written in.
+written in.  The rendered outputs (``boundary_polyline``, ``star_profile``,
+``chain_path``, ``export_svg``), which sample all links in one array pass,
+are held byte for byte to the per-link bodies they replaced, and their
+parameter grid to one ``np.linspace`` per link.
 """
 import math
 from dataclasses import dataclass
@@ -39,7 +42,16 @@ from hexameral.chain import (
     assemble_jacobian,
     end_target,
 )
-from hexameral.domain import _link_end_margins, _star_rows, boundary_polyline, from_chain
+from hexameral.domain import (
+    _hexagon_vertices,
+    _link_end_margins,
+    _star_rows,
+    boundary_polyline,
+    export_svg,
+    from_chain,
+    initial_multipoint,
+    star_profile,
+)
 from hexameral.errors import (
     DegenerateVelocity,
     GeometryError,
@@ -52,6 +64,8 @@ from hexameral.hyperlink import (
     VELOCITY_TOL,
     LinkState,
     SquareRep,
+    _circle_tangent_at,
+    _link_grid,
     _link_lead,
     _square_points,
     frame_at,
@@ -84,7 +98,7 @@ from hexameral.sl2 import (
     star_check,
     wedge,
 )
-from hexameral.variational import chain_path
+from hexameral.variational import MIN_GRID, FramePath, chain_path
 
 from conftest import random_frame, random_square_rep, random_star_tangent, split_octagon_period
 
@@ -515,7 +529,7 @@ def curve_frames(rep: SquareRep, ts: np.ndarray) -> np.ndarray:
 def _sampled_link_margins(assembled, samples: int):
     """Least star margin, determinant and hyperbola wedge(v, acc), and the
     ranks, over ``samples`` parameters per link."""
-    rows = _star_rows(assembled, samples)
+    rows = _star_rows(assembled.reps, samples)
     bends, ranks = [], []
     for rep in assembled.reps:
         if rep.tau == 0.0:
@@ -939,3 +953,144 @@ def test_endpoint_equations_match_numpy_forms():
             for got, want in zip(_endpoint_equations(final, target),
                                  oracle_endpoint_equations(final, target)):
                 assert got.tobytes() == want.tobytes()
+
+
+# The rendered outputs against the per-link bodies they replaced: each link
+# sampled on its own np.linspace, mapped by its own products, and each SVG
+# point formatted by its own f-string.
+
+def oracle_grid_rows(reps, n: int) -> np.ndarray:
+    return np.array([np.linspace(rep.t0, t_end(rep), n) for rep in reps]).reshape(-1, n)
+
+
+def oracle_polyline_points(dom, per_link: int) -> np.ndarray:
+    links = []
+    for state, rep in zip(dom.assembled.states, dom.assembled.reps):
+        if rep.tau == 0.0:
+            continue
+        g_mat = np.reshape(link_map(state, rep).entries(), (2, 2))
+        ts = np.linspace(rep.t0, t_end(rep), per_link, endpoint=False)
+        links.append((link_curves(rep, ts)[:, 0], g_mat))
+    return np.concatenate([positions[m] @ g_mat.T for m in range(6)
+                           for positions, g_mat in links])
+
+
+def oracle_star_rows(assembled, per_link: int) -> np.ndarray:
+    rows = []
+    for rep in assembled.reps:
+        if rep.tau != 0.0:
+            a, b, c = _circle_tangent_at(rep.a, rep.k, np.linspace(rep.t0, t_end(rep), per_link),
+                                         rep.j)
+            rows.append(np.stack((c - SQRT3 * abs(a), -(3.0 * b + c), -a * a - b * c), axis=-1))
+    return np.concatenate(rows + [np.empty((0, 3))])
+
+
+def oracle_chain_path(chain: ChainParams, per_link: int) -> FramePath:
+    links = sum(tau != 0.0 for tau, _ in chain.links)
+    if per_link < 2 or links * (per_link - 1) + 1 < MIN_GRID:
+        raise ParameterOutOfRange(f"per_link = {per_link!r}")
+    assembled = assemble(chain)
+    inv0 = chain.initial.frame.inverse()
+    real = [(state, rep) for state, rep in zip(assembled.states, assembled.reps)
+            if rep.tau != 0.0]
+    grid, frames = [], []
+    for pos, (state, rep) in enumerate(real):
+        t0, t1 = rep.t0, t_end(rep)
+        ts = np.linspace(t0, t1, per_link)
+        p = link_curves(rep, ts)[:, 0]
+        canonical = (np.stack((p[rep.j], p[(rep.j + 2) % 6]), axis=-1)
+                     @ np.reshape(_STANDARD_INVERSE[rep.j], (2, 2)))
+        lead = np.reshape(inv0.compose(link_map(state, rep)).entries(), (2, 2))
+        start = 1 if pos > 0 else 0
+        grid.append(pos + (ts[start:] - t0) / (t1 - t0))
+        frames.append((lead @ canonical)[start:])
+    return FramePath(np.concatenate(grid), np.concatenate(frames))
+
+
+def oracle_export_svg(dom, per_link: int) -> str:
+    points = oracle_polyline_points(dom, per_link)
+    markers = initial_multipoint(dom).points
+    hexagon = _hexagon_vertices(markers, dom.chain.initial.tangent.rep.apply(markers))
+    all_pts = np.concatenate((points, hexagon))
+    lo_x, lo_y = all_pts.min(axis=0).tolist()
+    hi_x, hi_y = all_pts.max(axis=0).tolist()
+    span = max(hi_x - lo_x, hi_y - lo_y)
+    margin = 0.05 * span
+    scale = 1000.0 / (span + 2.0 * margin)
+
+    def place(pts):
+        px = (pts[:, 0] - lo_x + margin) * scale
+        py = 1000.0 - (pts[:, 1] - lo_y + margin) * scale
+        return list(zip(px.tolist(), py.tolist()))
+
+    def closed_path(pts) -> str:
+        moves = [f"{'L' if i else 'M'} {px:.3f} {py:.3f}" for i, (px, py) in enumerate(place(pts))]
+        return " ".join(moves + ["Z"])
+
+    lines = [
+        '<?xml version="1.0" encoding="UTF-8"?>',
+        '<svg xmlns="http://www.w3.org/2000/svg" version="1.1" viewBox="0 0 1000 1000">',
+        f'  <path d="{closed_path(hexagon)}" fill="none" stroke="#999999" stroke-width="2"/>',
+        f'  <path d="{closed_path(points)}" fill="none" stroke="#000000" stroke-width="3"/>',
+        *(f'  <circle cx="{px:.3f}" cy="{py:.3f}" r="6" fill="#c43b3b"/>'
+          for px, py in place(markers)),
+        "</svg>",
+    ]
+    return "\n".join(lines) + "\n"
+
+
+RENDER_PER_LINK = (1, 2, 3, 64, 97)
+
+
+def _render_chains(octagon):
+    """The octagon, 50 seeded SL2-moved octagons and three split periods, whose
+    tau = 0 pad link sits beside links at j = 2 and 4."""
+    rng = np.random.default_rng(45)
+    moved = [ChainParams(transform_state(random_frame(rng), octagon.chain.initial),
+                         octagon.chain.links) for _ in range(50)]
+    splits = [split_octagon_period(octagon, ta) for ta in (0.1, 0.3, 0.5)]
+    return [octagon.chain, *moved, *splits]
+
+
+def _path_outcome(chain: ChainParams, per_link: int, build):
+    try:
+        path = build(chain, per_link)
+    except ParameterOutOfRange:
+        return "too few grid points"
+    return path.grid.tobytes(), path.frames.tobytes()
+
+
+def test_rendered_outputs_match_per_link_bodies(octagon):
+    for chain in _render_chains(octagon):
+        dom = from_chain(chain)
+        links = sum(tau != 0.0 for tau, _ in chain.links)
+        # the fewest samples per link that give a frame path MIN_GRID points
+        least = -(-(MIN_GRID - 1) // links) + 1
+        for per_link in RENDER_PER_LINK:
+            assert (boundary_polyline(dom, per_link).points.tobytes()
+                    == oracle_polyline_points(dom, per_link).tobytes())
+            assert (star_profile(dom, per_link).tobytes()
+                    == oracle_star_rows(dom.assembled, per_link).tobytes())
+            assert export_svg(dom, per_link) == oracle_export_svg(dom, per_link)
+        for per_link in sorted({least, *RENDER_PER_LINK[1:]}):
+            assert (_path_outcome(chain, per_link, chain_path)
+                    == _path_outcome(chain, per_link, oracle_chain_path))
+        assert _path_outcome(chain, least, chain_path) != "too few grid points"
+        assert _path_outcome(chain, least - 1, chain_path) == "too few grid points"
+
+
+@pytest.mark.parametrize("n", RENDER_PER_LINK)
+def test_link_grid_rows_are_linspace_rows(octagon, n):
+    # a link so short that its step is zero, beside normal links: a stacked
+    # np.linspace would move the normal rows' interior bits
+    links = (LinkParam(0.3, 0), LinkParam(1e-300, 2), LinkParam(0.4, 4))
+    reps = list(assemble(ChainParams(octagon.chain.initial, links)).reps)
+    assert t_end(reps[1]) == reps[1].t0
+    for rows in (reps, reps[::2], reps[1:2]):
+        a, k, j, ts = _link_grid(rows, n)
+        assert ts.tobytes() == oracle_grid_rows(rows, n).tobytes()
+        assert (a.tolist(), k.tolist(), j.tolist()) == (
+            [r.a for r in rows], [r.k for r in rows], [r.j for r in rows])
+        # np.linspace without its end is the grid one sample longer, less its end
+        assert _link_grid(rows, n + 1)[3][:, :-1].tobytes() == np.array(
+            [np.linspace(r.t0, t_end(r), n, endpoint=False) for r in rows]).tobytes()
