@@ -39,10 +39,10 @@ RANGE_TOL = 1e-12
 
 def k_of(a: float) -> float:
     """Hyperbola parameter k = sqrt(3)/(2 a^2); requires a^2 > sqrt(3)/2."""
-    if a <= 0.0:
+    if not a > 0.0:  # NaN too
         raise ScaleTooSmall(f"scale a = {a!r} must be positive")
     k = SQRT3 / (2.0 * a * a)
-    if k >= 1.0:
+    if not k < 1.0:
         raise ScaleTooSmall(f"a = {a!r} gives k = {k!r} >= 1")
     return k
 

@@ -122,16 +122,20 @@ def _fixed_start(x, chain: ChainParams) -> np.ndarray:
 
 
 class Evaluation(NamedTuple):
-    """One point of an endpoint problem; ``report`` is None where assembly failed.
+    """One point x of an endpoint problem with the assembly it was computed
+    from: ``assembled`` is an AssembledChain, a batch member (``_Member``),
+    or None where assembly failed, as ``report`` is.
 
     ``EndpointProblem.point`` adds the value's gradient and the five endpoint
     equations with their Jacobian, zero-slope where assembly failed.
     """
 
+    x: np.ndarray
     value: float
     residuals: np.ndarray
     report: ClosureReport | None
     chain: ChainParams | None
+    assembled: AssembledChain | _Member | None
     gradient: np.ndarray | None = None
     equations: np.ndarray | None = None
     equation_jacobian: np.ndarray | None = None
@@ -158,7 +162,8 @@ class EndpointProblem:
     gradient to the value's.  A ``target`` of None means the
     chain's own start state turned by pi/3.  ``fail_value`` stands in for
     the value where no chain can be assembled.  Methods that take an
-    ``assembly`` accept ``self.assembly(x)`` from a caller who holds it.
+    ``assembly`` accept ``self.assembly(x)`` from a caller who holds it, and
+    ``evaluate`` a record of ``_assemblies`` too.
     """
 
     decode: Callable[[np.ndarray], ChainParams]
@@ -214,30 +219,30 @@ class EndpointProblem:
 
     def evaluate(self, x, assembly=None) -> Evaluation:
         """Value, residuals and closure report of the chain at x."""
-        chain, assembled = self.assembly(x) if assembly is None else assembly
+        held = self.assembly(x) if assembly is None else assembly
+        chain, assembled = _whole(held)
         if assembled is None:
-            return Evaluation(self.fail_value, np.full(7, FAIL_RESIDUAL), None, chain)
+            return Evaluation(x, self.fail_value, np.full(7, FAIL_RESIDUAL), None, chain, None)
         target = end_target(chain, self.target)
-        return Evaluation(self.value(assembled.area()),
+        return Evaluation(x, self.value(assembled.area()),
                           _endpoint_residuals(assembled.final, target),
-                          closure_of(chain, assembled, target=target), chain)
+                          closure_of(chain, assembled, target=target), chain, held[1])
 
-    def point(self, x, assembly=None, evaluation: Evaluation | None = None) -> Evaluation:
-        """``evaluate``, or a given ``evaluation`` of x, with the derivatives an
-        SQP step needs, from one assembly."""
-        chain, assembled = self.assembly(x) if assembly is None else assembly
+    def point(self, ev: Evaluation) -> Evaluation:
+        """The evaluation ``ev`` with the derivatives an SQP step needs, from
+        its assembly."""
+        x, (chain, assembled) = ev.x, _whole((ev.chain, ev.assembled))
         if assembled is None:
-            n = len(x)
-            return Evaluation(self.fail_value, np.full(7, FAIL_RESIDUAL), None, chain,
-                              np.zeros(n), np.full(5, FAIL_RESIDUAL), np.zeros((5, n)))
+            return ev._replace(gradient=np.zeros(len(x)), equations=np.full(5, FAIL_RESIDUAL),
+                               equation_jacobian=np.zeros((5, len(x))))
         d_state, d_target = self._derivatives(x, chain, assembled)
         target = end_target(chain, self.target)
         equations, d_end, d_moved = _endpoint_equations(assembled.final, target)
         jac = d_end @ d_state[:5]
         if d_target is not None:
             jac += d_moved @ d_target
-        return (evaluation or self.evaluate(x, (chain, assembled)))._replace(
-            gradient=self.value(d_state[5]), equations=equations, equation_jacobian=jac)
+        return ev._replace(gradient=self.value(d_state[5]), equations=equations,
+                           equation_jacobian=jac)
 
 
 def _rank(ev: Evaluation, closure_tol: float = math.inf) -> tuple[int, float]:
@@ -256,46 +261,27 @@ class _Exhausted(Exception):
 class _Search:
     """Evaluation count, budget and incumbent shared by every stage of one search.
 
-    Every chain assembly goes through ``assembly``, or ``_assemblies`` for a
-    batch, and counts as an evaluation, except the point last assembled on
-    floats, which is kept.  One past ``limit`` raises _Exhausted.
+    Every chain assembly goes through ``_assemblies`` and counts as an
+    evaluation; those past ``limit`` are refused.  The stages hand each
+    other evaluations, which keep their assemblies, so no point is
+    assembled twice.
     """
 
     def __init__(self, closure_tol: float = math.inf) -> None:
         self.evals = 0
         self.limit = math.inf
         self.closure_tol = closure_tol
-        self.x: np.ndarray | None = None
         self.best: Evaluation | None = None
-        self._held: tuple | None = None
 
-    def assembly(self, problem: EndpointProblem, x):
-        """``problem.assembly(x)``, counted unless x is the point assembled last."""
-        held, key = self._held, np.asarray(x, dtype=float).tobytes()
-        if held is None or held[0] is not problem or held[1] != key:
-            if self.evals >= self.limit:
-                raise _Exhausted
-            self.evals += 1
-            held = self._held = (problem, key, problem.assembly(x))
-        return held[2]
-
-    def consider(self, x, ev: Evaluation) -> Evaluation:
-        rank = _rank(ev, self.closure_tol)
-        if self.best is None or rank < _rank(self.best, self.closure_tol):
-            self.x = np.array(x, dtype=float)
+    def consider(self, ev: Evaluation) -> None:
+        if self.best is None or _rank(ev, self.closure_tol) < _rank(self.best, self.closure_tol):
             self.best = ev
-        return ev
-
-    def offer(self, problem: EndpointProblem, x) -> Evaluation:
-        """``problem.evaluate`` at x, offered to the incumbent."""
-        return self.consider(x, problem.evaluate(x, self.assembly(problem, x)))
 
 
 # A round of fewer trials assembles them chain by chain on floats: a batched
 # round of five links costs about as much as 16 to 24 chains on floats at any
 # size (link reduction tasks ran 4 % slower at 8).
 BATCH_MIN = 16
-_REFUSED = object()  # an assembly past the evaluation budget
 # chain b of an assembled batch, with its residuals and their Jacobian
 _Member = NamedTuple("_Member", [("batch", ChainBatch), ("b", int),
                                  ("residuals", np.ndarray), ("jac", np.ndarray)])
@@ -308,23 +294,19 @@ def _whole(held):
 
 
 def _assemblies(run: _Search, asks: list) -> list:
-    """``run.assembly`` at each (problem, x) in order, _REFUSED past the
-    budget.  BATCH_MIN or more points that the budget admits, with fixed
-    targets and chains of one length, are assembled in one batch, which
-    counts each and keeps none for ``run.assembly``'s next call."""
+    """The assembly (chain, assembled) of each (problem, x) in order, the
+    only place a search assembles: the first ``room`` points, those the
+    budget admits, are assembled and counted, and the rest read None.  With
+    ``room`` at least BATCH_MIN, fixed targets and chains of one length,
+    they are assembled in one batch, each assembled a ``_Member``; else
+    each is ``problem.assembly(x)`` on floats."""
     room, chains = min(len(asks), max(run.limit - run.evals, 0)), []
     if room >= BATCH_MIN and all(problem.target is not None for problem, _ in asks):
         with contextlib.suppress(GeometryError):
             chains = [problem.decode(x) for problem, x in asks[:room]]
-    if len({len(c.links) for c in chains}) != 1:
-        held = []
-        for problem, x in asks:
-            try:
-                held.append(run.assembly(problem, x))
-            except _Exhausted:
-                held.append(_REFUSED)
-        return held
     run.evals += room
+    if len({len(c.links) for c in chains}) != 1:
+        return [problem.assembly(x) for problem, x in asks[:room]] + [None] * (len(asks) - room)
     with np.errstate(all="ignore"):
         batch = assemble(chains)
         heads = np.array([p.start_jacobian(x, c) for (p, x), c in zip(asks, chains)])
@@ -334,8 +316,7 @@ def _assemblies(run: _Search, asks: list) -> list:
     r = np.concatenate(final).T - [sum(p.target.entries(), ()) for p, _ in asks[:room]]
     held = [(c, None if batch.errors[n] else _Member(batch, n, r[n].copy(), jac[n].copy()))
             for n, c in enumerate(chains)]
-    run._held = None
-    return held + [_REFUSED] * (len(asks) - room)
+    return held + [None] * (len(asks) - room)
 
 
 def _dots(u: np.ndarray) -> np.ndarray:
@@ -404,16 +385,16 @@ def _roots(run: _Search, solves: list) -> list:
     (``_stacked_steps``; ``_step`` for one) and assembles their trials in
     order, each with the bits it has alone; one refused an assembly stops.
     Starts and ends, but a refused solve's end, go to the incumbent solve by
-    solve.  Returns the ends and evaluations.
+    solve.  Returns the ends' evaluations, None for a refused solve.
     """
     problems, count = [solve[0] for solve in solves], len(solves)
     boxes = [problem.box() for problem in problems]
     x = [np.minimum(np.maximum(solve[1], lo), hi) for solve, (lo, hi) in zip(solves, boxes)]
     lam, held = [solve[3] for solve in solves], _assemblies(run, list(zip(problems, x)))
-    starts = [None if got is _REFUSED else (x[i], problems[i].evaluate(x[i], _whole(got)))
+    starts = [None if got is None else problems[i].evaluate(x[i], got)
               for i, got in enumerate(held)]
-    live = [i for i, start in enumerate(starts) if start is not None and held[i][1] is not None]
-    r = [None if start is None else start[1].residuals for start in starts]
+    live = [i for i, start in enumerate(starts) if start is not None and start.report is not None]
+    r = [None if start is None else start.residuals for start in starts]
     cost = [None if v is None else 0.5 * (v @ v) for v in r]
     ends, jac, spent, moved = list(starts), [None] * count, [1] * count, [False] * count
     rejected = [np.full(len(v), np.nan) for v in x]  # NaN equals nothing: none rejected
@@ -435,7 +416,7 @@ def _roots(run: _Search, solves: list) -> list:
             else:
                 go.append((i, trial))
         for (i, trial), got in zip(go, _assemblies(run, [(problems[i], t) for i, t in go])):
-            if got is _REFUSED:
+            if got is None:
                 stop.add(i)
                 ends[i] = None
                 continue
@@ -458,16 +439,15 @@ def _roots(run: _Search, solves: list) -> list:
         live = [i for i in live if i not in stop]
     for i, start in enumerate(starts):
         if start is not None:
-            run.consider(*start)
+            run.consider(start)
         if moved[i] and ends[i] is not None:
-            ends[i] = (x[i], problems[i].evaluate(x[i], _whole(held[i])))
-            run.consider(*ends[i])
+            ends[i] = problems[i].evaluate(x[i], held[i])
+            run.consider(ends[i])
     return ends
 
 
 def _root(run: _Search, problem: EndpointProblem, x, budget: int,
-          damping: float = LM_DAMPING, xtol: float = STEP_TOL
-          ) -> tuple[np.ndarray, Evaluation]:
+          damping: float = LM_DAMPING, xtol: float = STEP_TOL) -> Evaluation:
     """One solve of ``_roots``, on floats; _Exhausted where the budget binds."""
     (end,) = _roots(run, [(problem, x, budget, damping, xtol)])
     if end is None:
@@ -516,43 +496,45 @@ def _qp(hess: np.ndarray, at: Evaluation, x, lo, hi):
     return d, lam, nu
 
 
-def _descend(run: _Search, problem: EndpointProblem, x, here: Evaluation) -> None:
-    """Active-set SQP from x: ``_qp`` steps on a damped-BFGS Hessian of the
-    Lagrangian.  Each trial x + d / 2^h is restored onto closure by ``_root``
-    before it is judged, so the closure surface's curvature cannot reject
-    full steps as under a penalty merit (the Maratos effect).  The first
-    trial that ranks above x in the incumbent's order is taken, h <=
-    SQP_HALVINGS.  Where none is, the Hessian restarts from the identity
-    once; the descent stops there, or on closure where the model promises a
-    fall under SQP_FTOL.  ``here`` is ``problem.evaluate(x)``, already offered to the incumbent."""
+def _descend(run: _Search, problem: EndpointProblem, here: Evaluation) -> None:
+    """Active-set SQP from the point x of ``here``, an evaluation already
+    offered to the incumbent: ``_qp`` steps on a damped-BFGS Hessian of the
+    Lagrangian.  Each trial x + d / 2^h is restored onto closure by
+    ``_root`` before it is judged, so the closure surface's curvature cannot
+    reject full steps as under a penalty merit (the Maratos effect).  The
+    first trial that ranks above x in the incumbent's order is taken, h <=
+    SQP_HALVINGS, and ``point`` completes the evaluation ``_root`` returned.
+    Where none is, the Hessian restarts from the identity once; the descent
+    stops there, or on closure where the model promises a fall under
+    SQP_FTOL."""
     lo, hi = problem.box()
-    here = problem.point(x, run.assembly(problem, x), here)
-    hess, fresh = np.eye(len(x)), True
+    here = problem.point(here)
+    hess, fresh = np.eye(len(here.x)), True
     while here.report is not None:
-        step, lam, _ = _qp(hess, here, x, lo, hi)
+        step, lam, _ = _qp(hess, here, here.x, lo, hi)
         if (_rank(here, run.closure_tol)[0] == 0
                 and -(here.gradient @ step + 0.5 * step @ hess @ step) <= SQP_FTOL):
             return
         for halving in range(SQP_HALVINGS + 1):
-            trial = np.minimum(np.maximum(x + step / 2 ** halving, lo), hi)
-            new_x, new = _root(run, problem, trial, RESTORE_EVALS, RESTORE_DAMPING, RESTORE_XTOL)
+            trial = np.minimum(np.maximum(here.x + step / 2 ** halving, lo), hi)
+            new = _root(run, problem, trial, RESTORE_EVALS, RESTORE_DAMPING, RESTORE_XTOL)
             if _rank(new, run.closure_tol) < _rank(here, run.closure_tol):
                 break
         else:
             if fresh:
                 return
-            hess, fresh = np.eye(len(x)), True
+            hess, fresh = np.eye(len(here.x)), True
             continue
         fresh = False
-        new = problem.point(new_x, run.assembly(problem, new_x), new)
+        new = problem.point(new)
         # Powell's damping keeps the update positive definite
-        s, jump = new_x - x, new.equation_jacobian - here.equation_jacobian
+        s, jump = new.x - here.x, new.equation_jacobian - here.equation_jacobian
         y, hs = new.gradient - here.gradient + jump.T @ lam, hess @ s
         shs, sy = s @ hs, s @ y
         theta = 1.0 if sy >= 0.2 * shs else 0.8 * shs / (shs - sy)
         y = theta * y + (1.0 - theta) * hs
         hess = hess + np.outer(y, y) / (s @ y) - np.outer(hs, hs) / shs
-        x, here = new_x, new
+        here = new
 
 
 def decode_five_link(params) -> ChainParams:
@@ -607,8 +589,8 @@ def octagon_embedding() -> np.ndarray:
 
 def five_link_search(spec: SearchSpec) -> SearchResult:
     """Multi-start constrained descent: per start, a ``_root`` snap onto
-    closure, then the SQP ``_descend`` on density.  Every point assembled is
-    offered to the incumbent, and only points on closure (roots in
+    closure, then the SQP ``_descend`` on density.  Every start and end of a
+    solve is offered to the incumbent, and only points on closure (roots in
     ``_root``'s sense) compete on density.  A random start that does not
     assemble is redrawn, each draw counted, up to ``START_DRAWS`` draws; a
     given start is kept.  Each start may assemble ``max_evals // restarts``
@@ -630,19 +612,18 @@ def five_link_search(spec: SearchSpec) -> SearchResult:
     for i, p0 in enumerate(starts):
         run.limit = run.evals + max(per_start, 1 if i == 0 else 0)
         try:
-            ev = run.offer(problem, p0)
+            ev = _root(run, problem, p0, SNAP_EVALS)
             # a random start that does not assemble gives the solvers no slope
             redraws = START_DRAWS - 1 if spec.start is None or i > 0 else 0
             while ev.report is None and redraws > 0:
-                p0, redraws = draw(), redraws - 1
-                ev = run.offer(problem, p0)
-            _descend(run, problem, *_root(run, problem, p0, SNAP_EVALS))
+                ev, redraws = _root(run, problem, draw(), SNAP_EVALS), redraws - 1
+            _descend(run, problem, ev)
         except _Exhausted:
             pass
 
     best = run.best
     return SearchResult(
-        tuple(float(v) for v in run.x), best.value, best.feasible(), run.evals,
+        tuple(float(v) for v in best.x), best.value, best.feasible(), run.evals,
         best.report if best.report is not None else _NO_CLOSURE)
 
 
@@ -720,7 +701,7 @@ def link_reduction_experiment(six_link: ChainParams,
         solves += [(problem, t0, per_pattern, LM_DAMPING, STEP_TOL) for t0 in starts]
         owners += [n] * len(starts)
     ends = _roots(run, solves)
-    roots = len({n for n, end in zip(owners, ends) if end is not None and end[1].feasible()})
+    roots = len({n for n, end in zip(owners, ends) if end is not None and end.feasible()})
 
     best = run.best
     feasible = best.feasible()

@@ -187,10 +187,10 @@ def test_lockstep_solves_end_as_each_alone(octagon):
         ends = _roots(run, _segment_solves(six, together))
         assert run.evals == sum(together.values())
         for solve, end in zip(_segment_solves(six, alone), ends):
-            x, ev = _root(_Search(), *solve)
-            assert np.array_equal(x, end[0])
-            assert repr(ev.value) == repr(end[1].value)
-            assert ev.residuals.tobytes() == end[1].residuals.tobytes()
+            ev = _root(_Search(), *solve)
+            assert np.array_equal(ev.x, end.x)
+            assert repr(ev.value) == repr(end.value)
+            assert ev.residuals.tobytes() == end.residuals.tobytes()
         assert together == alone
 
 
@@ -202,5 +202,5 @@ def test_budget_goes_to_solves_in_order(octagon):
     # that assembles is then refused its first trial, and no end is offered
     assert run.evals == 10
     assert all(end is None for end in ends[10:])
-    assert all(end is None or end[1].report is None for end in ends[:10])
+    assert all(end is None or end.report is None for end in ends[:10])
     assert run.best is not None

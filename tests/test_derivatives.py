@@ -238,7 +238,7 @@ def _residual_rows(problem: EndpointProblem):
 def _equation_rows(problem: EndpointProblem):
     """The five endpoint equations over the value, as ``point`` reads them."""
     def read(x):
-        point = problem.point(x)
+        point = problem.point(problem.evaluate(x))
         if point.report is None:
             raise GeometryError("left the domain")
         return np.append(point.equations, point.value)
@@ -285,7 +285,7 @@ def test_equation_jacobian_and_gradient_match_richardson():
         columns = _problem_oracle(problem, x, _equation_rows(problem))
         if columns is None:
             continue
-        point = problem.point(x)
+        point = problem.point(problem.evaluate(x))
         _assert_matches_richardson(np.vstack((point.equation_jacobian, point.gradient)),
                                    columns, assemble(problem.decode(x)).reps)
         checked[kind] += 1
@@ -302,7 +302,8 @@ def test_held_assembly_gives_identical_derivatives():
         chain, assembled = held
         assert problem.residuals(x, held).tobytes() == problem.residuals(x).tobytes()
         assert problem.jacobian(x, held).tobytes() == problem.jacobian(x).tobytes()
-        point, fresh_point = problem.point(x, held), problem.point(x)
+        point = problem.point(problem.evaluate(x, held))
+        fresh_point = problem.point(problem.evaluate(x))
         assert (point.value, point.report) == (fresh_point.value, fresh_point.report)
         for name in ("residuals", "gradient", "equations", "equation_jacobian"):
             assert getattr(point, name).tobytes() == getattr(fresh_point, name).tobytes()
@@ -374,7 +375,7 @@ def test_empty_link_meets_the_determinant_rule(octagon):
     assert plain.value.link_index == derived.value.link_index == 4
     assert np.all(problem.residuals(x) == FAIL_RESIDUAL)
     assert np.all(problem.jacobian(x) == 0.0)
-    assert problem.point(x).report is None
+    assert problem.point(problem.evaluate(x)).report is None
 
 
 # The exact oracle.

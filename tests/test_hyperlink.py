@@ -56,6 +56,10 @@ class TestScale:
         with pytest.raises(ScaleTooSmall):
             k_of(-1.0)
 
+    def test_nan_rejected(self):
+        with pytest.raises(ScaleTooSmall):
+            k_of(float("nan"))
+
 
 class TestSquareRep:
     def test_octagon_values(self):

@@ -76,7 +76,7 @@ class TestFiveLinkObjective:
     def test_failed_assembly_is_infinitely_far(self):
         ev = five_link_problem().evaluate([0.9, -0.9, 0.3, 0.3, 0.3, 0.3, 0.3])
         assert (ev.value, ev.report, ev.violation()) == (1.0, None, math.inf)
-        point = five_link_problem().point([0.9, -0.9, 0.3, 0.3, 0.3, 0.3, 0.3])
+        point = five_link_problem().point(ev)
         assert point.value == 1.0
         assert np.all(point.gradient == 0.0)
         assert np.all(point.equation_jacobian == 0.0)
@@ -89,7 +89,8 @@ class TestFiveLinkObjective:
     def test_point_extends_evaluate(self):
         p = [0.05, -0.6, 0.4, 0.5, 0.3, 0.2, 0.6]
         problem = five_link_problem()
-        ev, point = problem.evaluate(p), problem.point(p)
+        ev = problem.evaluate(p)
+        point = problem.point(ev)
         assert point.value == ev.value
         assert point.report == ev.report
         assert np.array_equal(point.residuals, ev.residuals)
@@ -100,7 +101,8 @@ class TestEndpointEquations:
     """The five equations the SQP holds at zero, at the octagon embedding."""
 
     def test_rank_five(self):
-        point = five_link_problem().point(octagon_embedding())
+        problem = five_link_problem()
+        point = problem.point(problem.evaluate(octagon_embedding()))
         assert np.abs(point.equations).max() < 1e-14
         sing = np.linalg.svd(point.equation_jacobian, compute_uv=False)
         assert sing.shape == (5,)
@@ -111,12 +113,13 @@ class TestEndpointEquations:
         # lower bound 0
         problem = five_link_problem()
         x = octagon_embedding()
-        point = problem.point(x)
+        point = problem.point(problem.evaluate(x))
         h = 1e-5
         for c in range(7):
             e = np.eye(7)[c]
             read = [np.append(p.equations, p.value)
-                    for p in (problem.point(x + k * h * e) for k in (-1, 1, 2))]
+                    for p in (problem.point(problem.evaluate(x + k * h * e))
+                              for k in (-1, 1, 2))]
             if x[c] == 0.0:
                 here = np.append(point.equations, point.value)
                 diff = (4.0 * read[1] - read[2] - 3.0 * here) / (2.0 * h)
@@ -131,7 +134,7 @@ def test_kkt_multipliers_at_the_octagon():
     # combination of the five equation rows and the active bound tau4 = 0
     problem = five_link_problem()
     x = octagon_embedding()
-    point = problem.point(x)
+    point = problem.point(problem.evaluate(x))
     step, lam, nu = _qp(np.eye(7), point, x, *problem.box())
     assert np.abs(step).max() <= 1e-14
     assert np.flatnonzero(nu).tolist() == [5]
@@ -149,7 +152,7 @@ def test_second_order_conditions_at_the_octagon():
     # one side, and that side's zero stand-in gradient halves the reading.
     problem = five_link_problem()
     x = octagon_embedding()
-    point = problem.point(x)
+    point = problem.point(problem.evaluate(x))
     _, lam, _ = _qp(np.eye(7), point, x, *problem.box())
     stacked = np.vstack((point.equation_jacobian, np.eye(7)[5]))
     assert abs(np.linalg.cond(stacked) - 3.169) <= 1e-3
@@ -158,7 +161,7 @@ def test_second_order_conditions_at_the_octagon():
     face /= np.linalg.norm(face)
 
     def lagrangian_gradient(y):
-        at = problem.point(y)
+        at = problem.point(problem.evaluate(y))
         return at.gradient + at.equation_jacobian.T @ lam
 
     h = 1e-5
@@ -266,6 +269,20 @@ class TestFiveLinkSearch:
         result = five_link_search(SearchSpec(start=start, restarts=1, max_evals=50))
         assert not result.feasible
         assert result.best_params == start
+
+    @pytest.mark.parametrize("seed", [1, 13])
+    def test_each_point_is_assembled_once(self, seed, monkeypatch):
+        # seeds whose restoring solves end on a rejected trial, after which
+        # the descent must not assemble the solve's end again
+        real, seen = EndpointProblem.assembly, []
+
+        def recorded(self, x):
+            seen.append(np.asarray(x, dtype=float).tobytes())
+            return real(self, x)
+        monkeypatch.setattr(EndpointProblem, "assembly", recorded)
+        result = five_link_search(SearchSpec(seed=seed))
+        assert len(seen) == result.eval_count
+        assert len(seen) - len(set(seen)) == 0  # no point assembled twice
 
     def test_criterion_13_starts_reach_octagon(self):
         # the twenty starts of acceptance criterion 13, drawn the same way
@@ -407,7 +424,7 @@ class TestLinkReduction:
             lambda area: area, 0.0, SEGMENT_BOUNDS, assemble(six).final)
         for budget in (1, 3, 61):
             run = _Search(False)
-            _, end = _root(run, problem, np.full(5, 0.3), budget)
+            end = _root(run, problem, np.full(5, 0.3), budget)
             assert not end.feasible()
             assert 1 <= run.evals <= budget
         # the stall, not the budget, ends the full solve
