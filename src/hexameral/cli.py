@@ -17,7 +17,7 @@ from dataclasses import asdict, fields
 from .chain import FEASIBLE_TOL, ChainParams, chain_to_dict, load_chain, normalized_length
 from .domain import export_json, export_svg, from_chain, smoothed_octagon, verify_checks
 from .errors import GeometryError, InfeasibleInput
-from .optimize import SearchSpec, decode_five_link, five_link_search, link_reduction_experiment
+from .optimize import SearchSpec, five_link_problem, five_link_search, link_reduction_experiment
 
 # the SearchSpec fields that five-link and reduce-link take as options
 _SEARCH_OPTIONS = ("seed", "restarts", "max_evals")
@@ -80,7 +80,7 @@ def _cmd_five_link(args: argparse.Namespace) -> int:
     result = five_link_search(spec)
     doc: dict = {}
     if result.feasible:
-        doc.update(chain_to_dict(decode_five_link(result.best_params)))
+        doc.update(chain_to_dict(five_link_problem(spec.bounds).decode(result.best_params)))
     doc["spec"] = {"variable_count": len(spec.bounds), **asdict(spec)}
     doc["result"] = asdict(result)
     path = args.output_path or "five-link.json"

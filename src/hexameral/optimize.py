@@ -1,15 +1,17 @@
 """Searches over chain parameters, on the module's own solvers.
 
-Both experiments are one endpoint problem: minimise a multiple of the chain
-area over link parameters in a box, subject to the chain ending in a target
-state.  One Newton solve, ``_roots`` (bounded Levenberg-Marquardt on the
-exact Jacobian, many solves in lockstep), serves both.  The five-link density
-search targets the start state turned by pi/3: per start, one solve snaps
-onto closure, then an active-set SQP (``_descend``) lowers density with five
-endpoint equations as equality constraints.  Link reduction refits a six-link
-segment with five links ending in its end state, solving five equations in
-five turning fractions per index pattern; the least closed root wins.  Every
-chain assembly counts as an evaluation; ``SearchSpec.max_evals`` caps them.
+Both experiments are one endpoint problem, stated as data (an index
+pattern, a value, a box, an open segment's end states or none for a closed
+chain): minimise a multiple of the chain area over link parameters in the
+box, subject to the chain ending in a target state.  One Newton solve,
+``_roots`` (bounded Levenberg-Marquardt on the exact Jacobian, many solves in
+lockstep), serves both.  The five-link density search runs on closed chains:
+per start, one solve snaps onto closure, then an active-set SQP
+(``_descend``) lowers density with five endpoint equations as constraints.
+Link reduction refits a six-link segment with five links ending in its end
+state, solving five equations in five turning fractions per index pattern;
+the least closed root wins.  Every chain assembly counts as an evaluation;
+``SearchSpec.max_evals`` caps them.
 """
 from __future__ import annotations
 
@@ -24,12 +26,12 @@ import numpy as np
 from .chain import (
     ANGLE_TOL, STRICT_TOL, AssembledChain, ChainBatch, ChainParams, ClosureReport, LinkParam,
     _endpoint_equations, _endpoint_jacobian, _endpoint_residuals, _TARGET_TURN, angle_margin_of,
-    assemble, assemble_jacobian, closure_of, end_target, merged_links,
+    assemble, assemble_jacobian, closure_of, merged_links,
 )
 from .domain import SQRT12, smoothed_octagon
 from .errors import GeometryError, InfeasibleInput
 from .hyperlink import LinkState, circle_tangent
-from .sl2 import IDENTITY, ProjectiveTangent, TangentElement, _sphere_basis
+from .sl2 import IDENTITY, ROT60, ProjectiveTangent, TangentElement, _sphere_basis
 
 FIVE_LINK_PATTERN = (0, 2, 4, 2, 0)
 TAU_HI = 1.0 - 1e-6
@@ -116,11 +118,6 @@ class SearchResult:
     closure: ClosureReport
 
 
-def _fixed_start(x, chain: ChainParams) -> np.ndarray:
-    """Start-state derivative of a decoder whose variables are all taus."""
-    return np.zeros((5, len(x) - len(chain.links)))
-
-
 class Evaluation(NamedTuple):
     """One point x of an endpoint problem with the assembly it was computed
     from: ``assembled`` is an AssembledChain, a batch member (``_Member``),
@@ -155,23 +152,59 @@ class Evaluation(NamedTuple):
 class EndpointProblem:
     """Minimise ``value(area)`` over a box subject to the chain ending in a target.
 
-    ``decode`` maps search variables to a chain whose link taus are the
-    last variables; ``start_jacobian(x, chain)`` is the derivative (5, m) of
-    the decoded start state in the m variables before them, in a state's
-    five local coordinates.  ``value`` is linear, so it also maps the area
-    gradient to the value's.  A ``target`` of None means the
-    chain's own start state turned by pi/3.  ``fail_value`` stands in for
-    the value where no chain can be assembled.  Methods that take an
-    ``assembly`` accept ``self.assembly(x)`` from a caller who holds it, and
-    ``evaluate`` a record of ``_assemblies`` too.
+    The links follow the index ``pattern``, their taus the last variables.
+    ``segment`` is an open segment's (start, target) pair of states, and
+    then the taus are all the variables.  A ``segment`` of None is a closed
+    chain: it starts on the identity frame with the tangent (a, b,
+    sqrt(1 - a^2 - b^2)) from two leading variables, and must end in that
+    start state turned by pi/3.  ``value`` is linear, so it also maps the
+    area gradient to the value's.  ``fail_value`` stands in for the value
+    where no chain can be assembled.  Methods that take an ``assembly``
+    accept ``self.assembly(x)`` from a caller who holds it, and ``evaluate``
+    a record of ``_assemblies`` too.
     """
 
-    decode: Callable[[np.ndarray], ChainParams]
+    pattern: tuple[int, ...]
     value: Callable[[float], float]
     fail_value: float
     bounds: tuple[tuple[float, float], ...]
-    target: LinkState | None = None
-    start_jacobian: Callable[[np.ndarray, ChainParams], np.ndarray] = _fixed_start
+    segment: tuple[LinkState, LinkState] | None = None
+
+    def __post_init__(self) -> None:
+        if len(self.bounds) != len(self.pattern) + (2 if self.segment is None else 0):
+            raise InfeasibleInput(f"{len(self.bounds)} bounds do not fit pattern {self.pattern}")
+
+    def decode(self, x) -> ChainParams:
+        """The chain at the search variables x."""
+        if self.segment is not None:
+            return ChainParams(self.segment[0], tuple(zip(x, self.pattern)))
+        p = np.asarray(x, dtype=float)
+        if p.shape != (len(self.bounds),):
+            raise InfeasibleInput(f"expected {len(self.bounds)} parameters, got shape {p.shape}")
+        a, b = float(p[0]), float(p[1])
+        r2 = a * a + b * b
+        if not r2 < 1.0:  # NaN too
+            raise InfeasibleInput("tangent components leave the unit disk")
+        tangent = ProjectiveTangent.from_tangent(TangentElement(a, b, math.sqrt(1.0 - r2)))
+        links = tuple(LinkParam(float(t), j) for t, j in zip(p[2:], self.pattern))
+        return ChainParams(LinkState(IDENTITY, tangent), links)
+
+    def start_jacobian(self, x, chain: ChainParams) -> np.ndarray:
+        """The derivative (5, m) of the decoded start state in the m variables
+        before the taus, in a state's five local coordinates."""
+        if self.segment is not None:
+            return np.zeros((5, 0))
+        a, b = float(x[0]), float(x[1])
+        c = math.sqrt(1.0 - a * a - b * b)
+        # only the tangent (a, b, c) moves, by (1, 0, -a/c) and (0, 1, -b/c)
+        (p0, p1, p2), (q0, q1, q2) = _sphere_basis(*chain.initial.tangent.components())
+        return np.array(((0.0, 0.0), (0.0, 0.0), (0.0, 0.0),
+                         (p0 - p2 * a / c, p1 - p2 * b / c), (q0 - q2 * a / c, q1 - q2 * b / c)))
+
+    def target(self, chain: ChainParams) -> LinkState:
+        """The state the decoded chain must end in: its identity start frame
+        turned by pi/3 with its start tangent, or the segment's target."""
+        return LinkState(ROT60, chain.initial.tangent) if self.segment is None else self.segment[1]
 
     def box(self) -> tuple[np.ndarray, np.ndarray]:
         return (np.array([b[0] for b in self.bounds]),
@@ -191,7 +224,7 @@ class EndpointProblem:
         chain, assembled = self.assembly(x) if assembly is None else assembly
         if assembled is None:
             return np.full(7, FAIL_RESIDUAL)
-        return _endpoint_residuals(assembled.final, end_target(chain, self.target))
+        return _endpoint_residuals(assembled.final, self.target(chain))
 
     def _derivatives(self, x, chain: ChainParams, assembled: AssembledChain):
         """The derivative (6, n) of the chain's final state and area, and the
@@ -199,7 +232,7 @@ class EndpointProblem:
         head = self.start_jacobian(x, chain)
         _, d_state = assemble_jacobian(chain, head, assembled)
         d_target = None
-        if self.target is None:
+        if self.segment is None:
             # the target, the start turned by pi/3, moves with the start
             d_target = np.zeros((5, len(x)))
             d_target[:3, :head.shape[1]] = _TARGET_TURN @ head[:3]
@@ -214,7 +247,7 @@ class EndpointProblem:
         d_state, d_target = self._derivatives(x, chain, assembled)
         jac = _endpoint_jacobian(*assembled.final.entries()) @ d_state[:5]
         if d_target is not None:
-            jac -= _endpoint_jacobian(*end_target(chain).entries()) @ d_target
+            jac -= _endpoint_jacobian(*self.target(chain).entries()) @ d_target
         return jac
 
     def evaluate(self, x, assembly=None) -> Evaluation:
@@ -223,7 +256,7 @@ class EndpointProblem:
         chain, assembled = _whole(held)
         if assembled is None:
             return Evaluation(x, self.fail_value, np.full(7, FAIL_RESIDUAL), None, chain, None)
-        target = end_target(chain, self.target)
+        target = self.target(chain)
         return Evaluation(x, self.value(assembled.area()),
                           _endpoint_residuals(assembled.final, target),
                           closure_of(chain, assembled, target=target), chain, held[1])
@@ -236,7 +269,7 @@ class EndpointProblem:
             return ev._replace(gradient=np.zeros(len(x)), equations=np.full(5, FAIL_RESIDUAL),
                                equation_jacobian=np.zeros((5, len(x))))
         d_state, d_target = self._derivatives(x, chain, assembled)
-        target = end_target(chain, self.target)
+        target = self.target(chain)
         equations, d_end, d_moved = _endpoint_equations(assembled.final, target)
         jac = d_end @ d_state[:5]
         if d_target is not None:
@@ -297,11 +330,11 @@ def _assemblies(run: _Search, asks: list) -> list:
     """The assembly (chain, assembled) of each (problem, x) in order, the
     only place a search assembles: the first ``room`` points, those the
     budget admits, are assembled and counted, and the rest read None.  With
-    ``room`` at least BATCH_MIN, fixed targets and chains of one length,
+    ``room`` at least BATCH_MIN, open segments and chains of one length,
     they are assembled in one batch, each assembled a ``_Member``; else
     each is ``problem.assembly(x)`` on floats."""
     room, chains = min(len(asks), max(run.limit - run.evals, 0)), []
-    if room >= BATCH_MIN and all(problem.target is not None for problem, _ in asks):
+    if room >= BATCH_MIN and all(problem.segment is not None for problem, _ in asks):
         with contextlib.suppress(GeometryError):
             chains = [problem.decode(x) for problem, x in asks[:room]]
     run.evals += room
@@ -313,7 +346,7 @@ def _assemblies(run: _Search, asks: list) -> list:
         final = (tuple(batch.frames[-1]), tuple(batch.tangents[-1]))
         jac = _endpoint_jacobian(*final) @ assemble_jacobian(None, heads, batch)[1][:, :5]
     # rows as the 7-vectors _endpoint_residuals gives
-    r = np.concatenate(final).T - [sum(p.target.entries(), ()) for p, _ in asks[:room]]
+    r = np.concatenate(final).T - [sum(p.segment[1].entries(), ()) for p, _ in asks[:room]]
     held = [(c, None if batch.errors[n] else _Member(batch, n, r[n].copy(), jac[n].copy()))
             for n, c in enumerate(chains)]
     return held + [None] * (len(asks) - room)
@@ -537,36 +570,6 @@ def _descend(run: _Search, problem: EndpointProblem, here: Evaluation) -> None:
         here = new
 
 
-def decode_five_link(params) -> ChainParams:
-    """Seven search variables to a chain: two tangent components, five taus.
-
-    The initial frame is the identity and the tangent is completed to unit
-    norm with positive third component, using up the group action so the
-    search space stays seven dimensional.
-    """
-    p = np.asarray(params, dtype=float)
-    if p.shape != (7,):
-        raise InfeasibleInput(f"expected 7 parameters, got shape {p.shape}")
-    a, b = float(p[0]), float(p[1])
-    r2 = a * a + b * b
-    if r2 >= 1.0:
-        raise InfeasibleInput("tangent components leave the unit disk")
-    x = TangentElement(a, b, math.sqrt(1.0 - r2))
-    initial = LinkState(IDENTITY, ProjectiveTangent.from_tangent(x))
-    links = tuple(LinkParam(float(t), j) for t, j in zip(p[2:], FIVE_LINK_PATTERN))
-    return ChainParams(initial, links)
-
-
-def _five_link_start(params, chain: ChainParams) -> np.ndarray:
-    """Derivative of decode_five_link's start state in (a, b): only the tangent moves."""
-    a, b = float(params[0]), float(params[1])
-    c = math.sqrt(1.0 - a * a - b * b)
-    # the tangent (a, b, c) moves by (1, 0, -a/c) and (0, 1, -b/c)
-    (p0, p1, p2), (q0, q1, q2) = _sphere_basis(*chain.initial.tangent.components())
-    return np.array(((0.0, 0.0), (0.0, 0.0), (0.0, 0.0),
-                     (p0 - p2 * a / c, p1 - p2 * b / c), (q0 - q2 * a / c, q1 - q2 * b / c)))
-
-
 def _density(chain_area):
     """Packing density of the domain: twice the chain area over sqrt(12)."""
     return 2.0 * chain_area / SQRT12
@@ -574,8 +577,7 @@ def _density(chain_area):
 
 def five_link_problem(bounds=DEFAULT_BOUNDS) -> EndpointProblem:
     """Closed five-link chains with density as the value."""
-    return EndpointProblem(decode_five_link, _density, 1.0, bounds,
-                           start_jacobian=_five_link_start)
+    return EndpointProblem(FIVE_LINK_PATTERN, _density, 1.0, bounds)
 
 
 def octagon_embedding() -> np.ndarray:
@@ -674,12 +676,6 @@ def link_reduction_experiment(six_link: ChainParams,
     run = _Search()
     run.limit = max(spec.max_evals, 1)
 
-    def segment_problem(pattern: tuple[int, ...]) -> EndpointProblem:
-        def decode(taus) -> ChainParams:
-            return ChainParams(six_link.initial, tuple(zip(taus, pattern)))
-        return EndpointProblem(decode, lambda area: area, 0.0, SEGMENT_BOUNDS,
-                               assembled.final)
-
     patterns = _consecutive_distinct_patterns()
     seed_links = merged_links(six_link.links)
     seed_pattern = None
@@ -692,7 +688,8 @@ def link_reduction_experiment(six_link: ChainParams,
     per_pattern = max(60, spec.max_evals // (len(patterns) + 1))
     solves, owners = [], []
     for n, pattern in enumerate(patterns):
-        problem = segment_problem(pattern)
+        problem = EndpointProblem(pattern, lambda area: area, 0.0, SEGMENT_BOUNDS,
+                                  (six_link.initial, assembled.final))
         starts = [np.full(5, 0.3)] + [rng.uniform(0.05, 0.9, size=5)
                                       for _ in range(spec.restarts - 1)]
         if pattern == seed_pattern:

@@ -37,7 +37,6 @@ from hexameral.multicurve import STANDARD, rank_classify
 from hexameral.optimize import (
     DEFAULT_BOUNDS,
     SearchSpec,
-    decode_five_link,
     five_link_problem,
     five_link_search,
     link_reduction_experiment,
@@ -138,7 +137,7 @@ def test_criterion_05_link_length_congruence():
         p = np.clip(emb + rng.normal(0.0, 0.02, 7), lo, hi)
         snapped = least_squares(five_link_problem().residuals, p,
                                 bounds=(lo, hi), max_nfev=200).x
-        chain = decode_five_link(snapped)
+        chain = five_link_problem().decode(snapped)
         if not closure_report(chain).closed():
             continue
         accepted += 1

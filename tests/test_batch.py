@@ -169,15 +169,14 @@ def test_array_kernel_rejects_parameters_as_floats_do(octagon, tau, j):
 def _segment_solves(six: ChainParams, counts: dict) -> list:
     """One solve per index pattern from taus 0.3, as link reduction starts
     them; ``counts`` tallies each pattern's decoded chains, one per assembly."""
-    target = assemble(six).final
-    solves = []
-    for pattern in _consecutive_distinct_patterns():
-        def decode(taus, pattern=pattern):
-            counts[pattern] = counts.get(pattern, 0) + 1
-            return ChainParams(six.initial, tuple(zip(taus, pattern)))
-        problem = EndpointProblem(decode, lambda area: area, 0.0, SEGMENT_BOUNDS, target)
-        solves.append((problem, np.full(5, 0.3), 60, LM_DAMPING, STEP_TOL))
-    return solves
+    class Counted(EndpointProblem):
+        def decode(self, x):
+            counts[self.pattern] = counts.get(self.pattern, 0) + 1
+            return super().decode(x)
+    segment = (six.initial, assemble(six).final)
+    return [(Counted(pattern, lambda area: area, 0.0, SEGMENT_BOUNDS, segment),
+             np.full(5, 0.3), 60, LM_DAMPING, STEP_TOL)
+            for pattern in _consecutive_distinct_patterns()]
 
 
 def test_lockstep_solves_end_as_each_alone(octagon):

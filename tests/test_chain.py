@@ -260,10 +260,10 @@ class TestLinkLength:
             link_length(chain, closure_tol=1e6)
 
     def test_five_link_embedding_reports_seven(self):
-        from hexameral.optimize import decode_five_link, octagon_embedding
+        from hexameral.optimize import five_link_problem, octagon_embedding
         emb = octagon_embedding()
         emb[5] = 0.35  # move off the degenerate octagon point
-        chain = decode_five_link(emb)
+        chain = five_link_problem().decode(emb)
         # not closed anymore, so only the normalized count is checked
         normal = normalize_links(chain)
         assert len(normal.links) == 7

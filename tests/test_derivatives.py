@@ -5,7 +5,8 @@ Two oracles, neither of which shares code with the derivative path:
 * Richardson-extrapolated difference quotients of ``propagate``, of
   ``EndpointProblem.residuals`` and of the five equations and the value
   ``EndpointProblem.point`` reads, on the seeded chains of
-  ``test_kernel_identity``, for both decoders;
+  ``test_kernel_identity``, closed five-link chains and open segments, and
+  on the octagon closed on its own four-link pattern;
 * an exact oracle from sympy: the derivatives in a and t of the canonical
   frame (``_square_frame``, built on ``_square_points``), of
   ``_square_tangent`` and of ``link_area``'s closed form, together with the
@@ -23,6 +24,7 @@ import pytest
 import sympy
 
 from hexameral.chain import ChainParams, assemble, assemble_jacobian
+from hexameral.domain import OCTAGON_TAU
 from hexameral.errors import FrameDeterminantError, GeometryError
 from hexameral.hyperlink import (
     LinkState,
@@ -34,10 +36,12 @@ from hexameral.hyperlink import (
     propagate,
 )
 from hexameral.optimize import (
+    DEFAULT_BOUNDS,
     FAIL_RESIDUAL,
     SEGMENT_BOUNDS,
     TAU_HI,
     EndpointProblem,
+    _density,
     five_link_problem,
     octagon_embedding,
 )
@@ -193,15 +197,12 @@ def test_degenerate_link_is_the_identity_on_the_state(octagon):
     _assert_matches_richardson(jac, _link_oracle(state, 0.0, 2), [rep])
 
 
-# Endpoint problems: both decoders.
+# Endpoint problems: closed chains and open segments.
 
 def _segment_problem(chain: ChainParams, target: LinkState) -> EndpointProblem:
     pattern = tuple(j for _, j in chain.links)
-
-    def decode(taus) -> ChainParams:
-        return ChainParams(chain.initial, tuple(zip(taus, pattern)))
-    return EndpointProblem(decode, lambda area: area, 0.0,
-                           ((0.0, TAU_HI),) * len(pattern), target)
+    return EndpointProblem(pattern, lambda area: area, 0.0,
+                           ((0.0, TAU_HI),) * len(pattern), (chain.initial, target))
 
 
 def _five_link_x(chain: ChainParams) -> np.ndarray:
@@ -210,7 +211,8 @@ def _five_link_x(chain: ChainParams) -> np.ndarray:
 
 
 def _problem_cases():
-    """(problem, x) for five-link points and for open segments, both assembling."""
+    """(problem, x) for five-link points, for open segments, both assembling,
+    and for the octagon closed on its own four-link pattern."""
     five = five_link_problem()
     for chain in _five_link_points(np.random.default_rng(31), 120):
         x = _five_link_x(chain)
@@ -224,6 +226,8 @@ def _problem_cases():
         yield "segment", _segment_problem(chain, target), np.array(
             [tau for tau, _ in chain.links])
     yield "five", five, octagon_embedding()
+    closed = EndpointProblem((0, 2, 4, 0), _density, 1.0, DEFAULT_BOUNDS[:2] + SEGMENT_BOUNDS[:4])
+    yield "closed", closed, np.append(octagon_embedding()[:2], [OCTAGON_TAU] * 4)
 
 
 def _residual_rows(problem: EndpointProblem):
@@ -266,7 +270,7 @@ def _problem_oracle(problem: EndpointProblem, x: np.ndarray, read=None):
 
 
 def test_endpoint_jacobian_matches_richardson():
-    checked = {"five": 0, "segment": 0}
+    checked = {"five": 0, "segment": 0, "closed": 0}
     for kind, problem, x in _problem_cases():
         columns = _problem_oracle(problem, x)
         if columns is None:
@@ -274,11 +278,11 @@ def test_endpoint_jacobian_matches_richardson():
         _assert_matches_richardson(problem.jacobian(x), columns,
                                    assemble(problem.decode(x)).reps)
         checked[kind] += 1
-    assert checked["five"] >= 30 and checked["segment"] >= 30, checked
+    assert checked["five"] >= 30 and checked["segment"] >= 30 and checked["closed"] == 1, checked
 
 
 def test_equation_jacobian_and_gradient_match_richardson():
-    checked = {"five": 0, "segment": 0}
+    checked = {"five": 0, "segment": 0, "closed": 0}
     for kind, problem, x in _problem_cases():
         if checked[kind] >= 40:
             continue
@@ -289,14 +293,14 @@ def test_equation_jacobian_and_gradient_match_richardson():
         _assert_matches_richardson(np.vstack((point.equation_jacobian, point.gradient)),
                                    columns, assemble(problem.decode(x)).reps)
         checked[kind] += 1
-    assert checked == {"five": 40, "segment": 40}, checked
+    assert checked == {"five": 40, "segment": 40, "closed": 1}, checked
 
 
 def test_held_assembly_gives_identical_derivatives():
     """Residuals, Jacobian and ``point`` from an assembly the caller holds, as
     the searches share one between them, match fresh ones bit for bit; so
     does ``assemble_jacobian`` handed that assembly."""
-    checked = {"five": 0, "segment": 0}
+    checked = {"five": 0, "segment": 0, "closed": 0}
     for kind, problem, x in _problem_cases():
         held = problem.assembly(x)
         chain, assembled = held
@@ -314,7 +318,7 @@ def test_held_assembly_gives_identical_derivatives():
         assert fresh.states == assembled.states and fresh.reps == assembled.reps
         assert d_reused.tobytes() == d_fresh.tobytes()
         checked[kind] += 1
-    assert checked["five"] >= 30 and checked["segment"] >= 30, checked
+    assert checked["five"] >= 30 and checked["segment"] >= 30 and checked["closed"] == 1, checked
     five = five_link_problem()
     for chain in _five_link_points(np.random.default_rng(31), 60):
         x = _five_link_x(chain)
@@ -363,9 +367,8 @@ def test_empty_link_meets_the_determinant_rule(octagon):
     a = 51771.5, t0 = -1 + 2.5e-10, where det C(t0) reads 0.99999985."""
     six = split_octagon_period(octagon, 0.10562745551078648)
     pattern = (4, 2, 0, 4, 0)
-    problem = EndpointProblem(
-        lambda taus: ChainParams(six.initial, tuple(zip(taus, pattern))),
-        lambda area: area, 0.0, SEGMENT_BOUNDS, assemble(six).final)
+    problem = EndpointProblem(pattern, lambda area: area, 0.0, SEGMENT_BOUNDS,
+                              (six.initial, assemble(six).final))
     x = np.array((0.41707547460919453, 0.9245758772946722, 0.999999, 0.999999, 0.0))
     chain = problem.decode(x)
     with pytest.raises(FrameDeterminantError) as plain:
@@ -478,13 +481,13 @@ def exact_link_jacobian(state: LinkState, tau: float, j: int) -> np.ndarray:
     return np.array(outputs).T @ np.linalg.inv(np.array(inputs).T)
 
 
-def _exact_endpoint_jacobian(problem: EndpointProblem, x: np.ndarray, five: bool) -> np.ndarray:
+def _exact_endpoint_jacobian(problem: EndpointProblem, x: np.ndarray, closed: bool) -> np.ndarray:
     """Exact link Jacobians composed by the chain rule, then read as residuals."""
     chain = problem.decode(x)
     assembled = assemble(chain)
     m = len(x) - len(chain.links)
     d = np.zeros((5, len(x)))
-    if five:
+    if closed:
         a, b = x[0], x[1]
         c = math.sqrt(1.0 - a * a - b * b)
         basis = np.array(_sphere_basis(*chain.initial.tangent.components()))
@@ -502,7 +505,7 @@ def _exact_endpoint_jacobian(problem: EndpointProblem, x: np.ndarray, five: bool
         return np.vstack((np.array(frame).T, tangent))
 
     jac = residual_rows(assembled.final, d)
-    if five:
+    if closed:
         # the target's frame (identity turned by pi/3) is fixed, its tangent
         # is the start's
         jac[4:, :m] -= np.array(_sphere_basis(*chain.initial.tangent.components())).T @ head[3:]
@@ -529,22 +532,22 @@ def test_link_jacobian_matches_exact_oracle():
 
 
 def test_endpoint_jacobian_matches_exact_oracle():
-    checked = {"five": 0, "segment": 0}
+    checked = {"five": 0, "segment": 0, "closed": 0}
     for kind, problem, x in _problem_cases():
         if checked[kind] >= 20:
             continue
-        exact = _exact_endpoint_jacobian(problem, x, kind == "five")
+        exact = _exact_endpoint_jacobian(problem, x, problem.segment is None)
         jac = problem.jacobian(x)
         reps = assemble(problem.decode(x)).reps
         assert np.abs(jac - exact).max() <= 1e-12 * _widening(reps) * np.abs(exact).max(), kind
         checked[kind] += 1
-    assert checked == {"five": 20, "segment": 20}
+    assert checked == {"five": 20, "segment": 20, "closed": 1}
 
 
 def test_area_gradient_matches_exact_oracle(octagon):
     # the chain's area gradient over its taus, on the octagon and a segment
     segments = [chain for _, problem, x in _problem_cases()
-                for chain in (problem.decode(x),) if problem.target is not None]
+                for chain in (problem.decode(x),) if problem.segment is not None]
     for chain in (octagon.chain, segments[0], segments[1]):
         assembled, d_state = assemble_jacobian(chain, np.zeros((5, 0)))
         d = np.zeros((6, len(chain.links)))

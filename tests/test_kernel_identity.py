@@ -81,7 +81,6 @@ from hexameral.optimize import (
     QP_CHANGES,
     _qp,
     _step,
-    decode_five_link,
     five_link_problem,
     octagon_embedding,
 )
@@ -294,13 +293,13 @@ def _five_link_points(rng, count: int):
             x = lo + (hi - lo) * rng.uniform(size=7)
         if x[0] ** 2 + x[1] ** 2 >= 1.0:
             continue
-        chains.append(decode_five_link(x))
+        chains.append(five_link_problem().decode(x))
     return chains
 
 
 def _moved_segments(rng, count: int):
     """Random index patterns (j = 4 included) from moved and random starts."""
-    base = decode_five_link(octagon_embedding()).initial
+    base = five_link_problem().decode(octagon_embedding()).initial
     chains = []
     for i in range(count):
         if i % 3 == 0:
@@ -425,7 +424,7 @@ def test_moved_segments_match_oracle():
 def test_index_four_wraps_standard_columns(octagon):
     # j = 4 reads u*_6 = u*_0 and u*_8 = u*_2
     links = tuple(LinkParam(0.3, j) for j in (4, 0, 2, 4))
-    for start in (octagon.chain.initial, decode_five_link(octagon_embedding()).initial):
+    for start in (octagon.chain.initial, five_link_problem().decode(octagon_embedding()).initial):
         _assert_identical(ChainParams(start, links), ANGLE_SAMPLES)
 
 
@@ -927,6 +926,16 @@ def test_five_link_points_match_numpy_forms():
                 assert got[0].tobytes() == want[0].tobytes() and got[1:] == want[1:]
                 rejected = got[0]
     assert pinned > 40 and tied > 40
+
+
+def test_closed_target_is_the_turned_start_bit_for_bit():
+    # a closed problem builds its target without composing the identity
+    # start frame with ROT60; the entries are those end_target composes
+    problem, xs = _five_link_xs(np.random.default_rng(61), 240)
+    for _, chain, _ in xs:
+        got, want = problem.target(chain), end_target(chain)
+        assert (np.array(sum(got.entries(), ())).tobytes()
+                == np.array(sum(want.entries(), ())).tobytes())
 
 
 def test_endpoint_equations_match_numpy_forms():

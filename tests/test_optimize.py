@@ -14,7 +14,7 @@ from hexameral.chain import (
     assemble,
     chain_area,
 )
-from hexameral.domain import OCTAGON_DENSITY
+from hexameral.domain import OCTAGON_DENSITY, OCTAGON_TAU
 from hexameral.errors import GeometryError, InfeasibleInput
 from hexameral.optimize import (
     DEFAULT_BOUNDS,
@@ -25,8 +25,8 @@ from hexameral.optimize import (
     SearchSpec,
     _qp,
     _root,
+    _density,
     _Search,
-    decode_five_link,
     five_link_problem,
     five_link_search,
     link_reduction_experiment,
@@ -40,21 +40,22 @@ from conftest import random_reduce_segment, split_octagon_period
 class TestDecodeFiveLink:
     def test_wrong_shape(self):
         with pytest.raises(InfeasibleInput):
-            decode_five_link([0.0, -0.5, 0.3, 0.3, 0.3])
+            five_link_problem().decode([0.0, -0.5, 0.3, 0.3, 0.3])
 
     def test_tangent_outside_disk(self):
-        with pytest.raises(InfeasibleInput):
-            decode_five_link([0.8, -0.7, 0.3, 0.3, 0.3, 0.3, 0.3])
+        for a in (0.8, math.nan):  # NaN compares false with the disk's edge
+            with pytest.raises(InfeasibleInput):
+                five_link_problem().decode([a, -0.7, 0.3, 0.3, 0.3, 0.3, 0.3])
 
     def test_embedding_structure(self):
-        chain = decode_five_link(octagon_embedding())
+        chain = five_link_problem().decode(octagon_embedding())
         f = chain.initial.frame
         assert (f.alpha, f.beta, f.gamma, f.delta) == (1.0, 0.0, 0.0, 1.0)
         assert tuple(l.j for l in chain.links) == FIVE_LINK_PATTERN
         assert chain.links[3].tau == 0.0
 
     def test_tangent_unit_norm(self):
-        chain = decode_five_link([0.1, -0.4, 0.2, 0.2, 0.2, 0.2, 0.2])
+        chain = five_link_problem().decode([0.1, -0.4, 0.2, 0.2, 0.2, 0.2, 0.2])
         a, b, c = chain.initial.tangent.components()
         assert abs(a * a + b * b + c * c - 1.0) < 1e-15
         assert c > 0.0
@@ -95,6 +96,32 @@ class TestFiveLinkObjective:
         assert point.report == ev.report
         assert np.array_equal(point.residuals, ev.residuals)
         assert ev.gradient is None and point.gradient.shape == (7,)
+
+
+class TestEndpointProblem:
+    def test_bounds_must_fit_the_pattern(self, octagon):
+        # two bounds for (a, b) beside one per link when closed, none when open
+        with pytest.raises(InfeasibleInput):
+            five_link_search(SearchSpec(bounds=((0.0, 0.5),) * 3))
+        with pytest.raises(InfeasibleInput):
+            five_link_problem(SEGMENT_BOUNDS)
+        segment = (octagon.chain.initial, octagon.chain.initial)
+        with pytest.raises(InfeasibleInput):
+            EndpointProblem(FIVE_LINK_PATTERN, _density, 1.0, DEFAULT_BOUNDS, segment)
+
+    def test_closed_octagon_on_its_own_pattern(self):
+        # the octagon's four links (0, 2, 4, 0), without five-link's empty one
+        problem = EndpointProblem((0, 2, 4, 0), _density, 1.0,
+                                  DEFAULT_BOUNDS[:2] + ((0.0, TAU_HI),) * 4)
+        x = np.append(octagon_embedding()[:2], [OCTAGON_TAU] * 4)
+        point = problem.point(problem.evaluate(x))
+        assert point.feasible()
+        assert abs(point.value - OCTAGON_DENSITY) <= 4e-16
+        assert np.abs(point.residuals).max() <= 2e-15
+        assert point.equation_jacobian.shape == (5, 6)
+        sing = np.linalg.svd(point.equation_jacobian, compute_uv=False)
+        assert np.linalg.matrix_rank(point.equation_jacobian) == 5
+        assert abs(sing[-1] - 0.7776) <= 1e-3
 
 
 class TestEndpointEquations:
@@ -332,7 +359,7 @@ class TestFiveLinkSearch:
         result = five_link_search(spec)
         if result.feasible:
             assert result.closure.closed(STRICT_TOL)
-            chain = decode_five_link(np.array(result.best_params))
+            chain = five_link_problem().decode(np.array(result.best_params))
             area = 2.0 * chain_area(chain)
             assert abs(area / math.sqrt(12.0) - result.best_density) < 1e-12
 
@@ -419,9 +446,8 @@ class TestLinkReduction:
 
     def test_rootless_pattern_stops_within_its_budget(self, octagon):
         six = split_octagon_period(octagon)
-        problem = EndpointProblem(
-            lambda taus: ChainParams(six.initial, tuple(zip(taus, (0, 2, 0, 2, 0)))),
-            lambda area: area, 0.0, SEGMENT_BOUNDS, assemble(six).final)
+        problem = EndpointProblem((0, 2, 0, 2, 0), lambda area: area, 0.0, SEGMENT_BOUNDS,
+                                  (six.initial, assemble(six).final))
         for budget in (1, 3, 61):
             run = _Search(False)
             end = _root(run, problem, np.full(5, 0.3), budget)
@@ -496,15 +522,13 @@ def _least_reference_root(segment: ChainParams) -> float | None:
     generous iteration bound, its end point polished to a residual of at
     most 1e-13; None where no pattern has one."""
     from scipy.optimize import least_squares
-    target = assemble(segment).final
+    ends = (segment.initial, assemble(segment).final)
     lo, hi = np.array(SEGMENT_BOUNDS).T
     least = None
     for pattern in itertools.product((0, 2, 4), repeat=5):
         if any(a == b for a, b in zip(pattern, pattern[1:])):
             continue
-        problem = EndpointProblem(
-            lambda taus, p=pattern: ChainParams(segment.initial, tuple(zip(taus, p))),
-            lambda area: area, 0.0, SEGMENT_BOUNDS, target)
+        problem = EndpointProblem(pattern, lambda area: area, 0.0, SEGMENT_BOUNDS, ends)
         x = least_squares(problem.residuals, np.full(5, 0.3), jac=problem.jacobian,
                           bounds=(lo, hi), ftol=None, gtol=None, max_nfev=100).x
         x = _polished_root(problem, x)
@@ -533,7 +557,7 @@ def test_reduction_reaches_the_least_reference_root(octagon):
 
 
 def test_embedding_closure_is_tight():
-    chain = decode_five_link(octagon_embedding())
+    chain = five_link_problem().decode(octagon_embedding())
     from hexameral.chain import closure_report
     report = closure_report(chain)
     assert report.frame_residual < 1e-12
@@ -544,7 +568,7 @@ def test_embedding_closure_is_tight():
 def test_embedding_matches_octagon_tangent(octagon):
     from hexameral.hyperlink import circle_tangent
     from hexameral.sl2 import ProjectiveTangent
-    chain = decode_five_link(octagon_embedding())
+    chain = five_link_problem().decode(octagon_embedding())
     target = ProjectiveTangent.from_tangent(
         circle_tangent(octagon.chain.initial))
     assert chain.initial.tangent.distance(target) < 1e-15
