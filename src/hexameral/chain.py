@@ -26,6 +26,7 @@ from .errors import (
     ParameterOutOfRange,
 )
 from .hyperlink import LinkState, SquareRep, _entry, _transfer, link_area, propagate
+from .kit import ARRAYS, FLOATS, Arrays, kit_of
 from .sl2 import (
     ROT60, FrameMatrix, ProjectiveTangent, TangentElement, _adjoint_matrix, _inverse, _product,
     _sphere_basis, frame_distance,
@@ -136,13 +137,12 @@ def _assemble_batch(chains) -> ChainBatch:
     links = np.array([c.links for c in chains], dtype=float).reshape(len(chains), -1, 2).T
     frames = [np.array([c.initial.frame.entries() for c in chains]).T]
     tangents = [np.array([c.initial.tangent.components() for c in chains]).T]
-    reps, checks, ends = [], [], []
+    reps, ends, kit = [], [], Arrays(checks := [])
     with np.errstate(all="ignore"):
         for tau, j in zip(links[0], links[1].astype(int)):
-            (frame, x), a, t0 = propagate((tuple(frames[-1]), tuple(tangents[-1])), tau, j,
-                                          checks)
-            frames.append(np.array(frame))
-            tangents.append(np.array(x))
+            (frame, x), a, t0 = propagate((tuple(frames[-1]), tuple(tangents[-1])), tau, j, kit)
+            frames.append(frame)
+            tangents.append(x)
             reps.append((a, t0, tau, j))
             ends.append(len(checks))
     # each chain fails at the first check it is bad in; a last row, bad
@@ -151,12 +151,6 @@ def _assemble_batch(chains) -> ChainBatch:
     return ChainBatch(np.array(frames), np.array(tangents), reps,
                       np.array([e for _, e in checks] + [None], dtype=object)[first],
                       np.where(first < len(checks), np.searchsorted(ends, first, "right"), -1))
-
-
-def _stacked(rows) -> np.ndarray:
-    """The matrix of these rows, (r, c); (B, r, c), contiguous, if they hold (B,) arrays."""
-    m = np.array(rows)
-    return m if m.ndim == 2 else np.ascontiguousarray(np.moveaxis(m, -1, 0))
 
 
 def assemble_jacobian(chain: ChainParams | None, head: np.ndarray,
@@ -180,9 +174,10 @@ def assemble_jacobian(chain: ChainParams | None, head: np.ndarray,
     if assembled is None:
         assembled = assemble(chain)
     if isinstance(assembled, ChainBatch):
-        frames, tangents, reps = list(assembled.frames), list(assembled.tangents), assembled.reps
+        kit, frames, tangents = ARRAYS, list(assembled.frames), list(assembled.tangents)
+        reps = assembled.reps
     else:
-        frames, tangents = zip(*(s.entries() for s in assembled.states))
+        kit, (frames, tangents) = FLOATS, zip(*(s.entries() for s in assembled.states))
         reps = [(r.a, r.t0, r.tau, r.j) for r in assembled.reps]
     m = head.shape[-1]
     d_state = np.zeros(head.shape[:-2] + (6, m + len(reps)))
@@ -190,21 +185,21 @@ def assemble_jacobian(chain: ChainParams | None, head: np.ndarray,
         d_state[..., :5, :] = head
         return assembled, d_state
     d_state[..., :3, :m] = head[..., :3, :]
-    d_state[..., 3:5, :m] = _stacked(_entry(frames[0], tangents[0], reps[0][3])) @ head
+    d_state[..., 3:5, :m] = kit.stack(_entry(frames[0], tangents[0], reps[0][3], kit)) @ head
     transfers, inner = [], len(reps) - 1
-    if isinstance(assembled, ChainBatch) and inner:
+    if kit.batched and inner:
         # a link's derivative reads no other link's: all links but the last,
         # whose rows end in sphere coordinates, in one call side by side
         def flat(parts):
             return np.concatenate(list(parts), axis=-1)
-        transfers = list(_stacked(_transfer(
+        transfers = list(kit.stack(_transfer(
             flat(frames[:inner]), flat(frames[1:-1]), flat(tangents[1:-1]),
             *(flat(rep[k] for rep in reps[:inner]) for k in range(4)),
-            flat(rep[3] for rep in reps[1:]))).reshape(inner, -1, 6, 7))
+            flat(rep[3] for rep in reps[1:]), kit)).reshape(inner, -1, 6, 7))
     for i in range(len(transfers), len(reps)):
         next_j = reps[i + 1][3] if i < inner else None
-        transfers.append(_stacked(_transfer(frames[i], frames[i + 1], tangents[i + 1], *reps[i],
-                                            next_j)))
+        transfers.append(kit.stack(_transfer(frames[i], frames[i + 1], tangents[i + 1], *reps[i],
+                                             next_j, kit)))
     for i, transfer in enumerate(transfers):
         d_state = transfer[..., :6] @ d_state
         # no earlier link reads this tau
@@ -309,11 +304,12 @@ def _endpoint_jacobian(frame, tangent) -> np.ndarray:
     entries move as F xi; the tangent moves along its sphere basis.
     """
     al, be, ga, de = frame
-    (p0, p1, p2), (q0, q1, q2) = _sphere_basis(*tangent)
+    kit = kit_of(al)
+    (p0, p1, p2), (q0, q1, q2) = _sphere_basis(*tangent, kit)
     z = abs(al) * 0.0  # zeros shaped as the entries, so that the rows stack
-    return _stacked(((al, z, be, z, z), (-be, al, z, z, z), (ga, z, de, z, z),
-                     (-de, ga, z, z, z), (z, z, z, p0, q0), (z, z, z, p1, q1),
-                     (z, z, z, p2, q2)))
+    return kit.stack(((al, z, be, z, z), (-be, al, z, z, z), (ga, z, de, z, z),
+                      (-de, ga, z, z, z), (z, z, z, p0, q0), (z, z, z, p1, q1),
+                      (z, z, z, p2, q2)))
 
 
 def _endpoint_equations(final: LinkState, target: LinkState):
@@ -407,9 +403,7 @@ def link_length(chain: ChainParams, closure_tol: float = FEASIBLE_TOL) -> int:
 def require_closed(report: ClosureReport, closure_tol: float) -> None:
     """Raise NotClosed where the report's residual exceeds ``closure_tol``."""
     if report.residual() > closure_tol:
-        raise NotClosed(
-            f"closure residual {report.residual():.3e} exceeds {closure_tol:.1e}"
-        )
+        raise NotClosed(f"closure residual {report.residual():.3e} exceeds {closure_tol:.1e}")
 
 
 def normalized_length(chain: ChainParams) -> int:

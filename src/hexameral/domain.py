@@ -42,6 +42,7 @@ from .hyperlink import (
     _CURVE_ROWS, SquareRep, _circle_tangent_at, _even_points, _link_grid, _sample_count, frame_at,
     link_curves, link_map, t_end,
 )
+from .kit import Arrays
 from .multicurve import STANDARD, MultiPoint, convexity_value
 from .sl2 import SQRT3, wedge
 
@@ -193,7 +194,7 @@ def _star_rows(reps, per_link: int) -> np.ndarray:
     a, k, j, ts = _link_grid([rep for rep in reps if rep.tau != 0.0], per_link)
     checks = []
     # samples down, links across, so that a, k and j are columns of the grid
-    x, y, z = _circle_tangent_at(a, k, ts.T, j, checks)
+    x, y, z = _circle_tangent_at(a, k, ts.T, j, Arrays(checks))
     for bad, error in checks:
         if bad.any():
             raise error(f"circle tangent fails at {np.count_nonzero(bad)} sampled parameters")
@@ -234,8 +235,7 @@ def _link_end_checks(assembled: AssembledChain) -> list[tuple[str, bool, str]]:
     ]
 
 
-def verify_checks(chain: ChainParams,
-                  tol: float = FEASIBLE_TOL) -> list[tuple[str, bool, str]]:
+def verify_checks(chain: ChainParams, tol: float = FEASIBLE_TOL) -> list[tuple[str, bool, str]]:
     """The invariant checklist of a chain: (name, passed, detail) rows in order.
 
     Assembly failure ends the list; otherwise star and determinant margins,

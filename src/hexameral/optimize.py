@@ -175,10 +175,10 @@ class EndpointProblem:
             raise InfeasibleInput(f"{len(self.bounds)} bounds do not fit pattern {self.pattern}")
 
     def decode(self, x) -> ChainParams:
-        """The chain at the search variables x."""
-        if self.segment is not None:
+        """The chain at the search variables x, which must be one per bound."""
+        if self.segment is not None and len(x) == len(self.pattern):
             return ChainParams(self.segment[0], tuple(zip(x, self.pattern)))
-        p = np.asarray(x, dtype=float)
+        p = np.asarray(x, dtype=float)  # a closed chain's x, or an open one's of the wrong size
         if p.shape != (len(self.bounds),):
             raise InfeasibleInput(f"expected {len(self.bounds)} parameters, got shape {p.shape}")
         a, b = float(p[0]), float(p[1])
@@ -207,8 +207,7 @@ class EndpointProblem:
         return LinkState(ROT60, chain.initial.tangent) if self.segment is None else self.segment[1]
 
     def box(self) -> tuple[np.ndarray, np.ndarray]:
-        return (np.array([b[0] for b in self.bounds]),
-                np.array([b[1] for b in self.bounds]))
+        return np.array([b[0] for b in self.bounds]), np.array([b[1] for b in self.bounds])
 
     def assembly(self, x) -> tuple[ChainParams | None, AssembledChain | None]:
         """The chain decoded from x and its assembly, None where either fails."""
@@ -649,8 +648,7 @@ class LinkReductionReport:
     root_count: int
 
 
-def link_reduction_experiment(six_link: ChainParams,
-                              spec: SearchSpec) -> LinkReductionReport:
+def link_reduction_experiment(six_link: ChainParams, spec: SearchSpec) -> LinkReductionReport:
     """Search five-link chains joining the endpoint states of a six-link one.
 
     Hyperbolic indices run over all consecutive-distinct patterns, and one
@@ -668,8 +666,7 @@ def link_reduction_experiment(six_link: ChainParams,
         raise InfeasibleInput(f"six-link segment does not assemble: {exc}")
     margin = angle_margin_of(six_link, assembled)
     if margin < -ANGLE_TOL:
-        raise InfeasibleInput(
-            f"six-link segment violates the angle condition by {-margin:.3e}")
+        raise InfeasibleInput(f"six-link segment violates the angle condition by {-margin:.3e}")
 
     six_area = assembled.area()
     rng = np.random.default_rng(spec.seed)

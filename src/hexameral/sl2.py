@@ -3,8 +3,7 @@
 Plane points are float arrays whose last axis is (x, y).  Frames act on
 them as on column vectors: (x, y) -> (alpha*x + beta*y, gamma*x + delta*y).
 Tangents (a, b, c) stand for the traceless matrix [[a, b], [c, -a]].
-The private entry-tuple helpers take floats, or arrays of B entries with
-the same bits per element (see ``_fail`` for their checks).
+The private entry-tuple helpers take the numbers of a ``kit``, floats by default.
 """
 from __future__ import annotations
 
@@ -14,13 +13,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateVelocity, FrameDeterminantError
+from .kit import FLOATS
 
 # Construction rejects frames whose determinant cannot be repaired by scaling.
 DET_REJECT_TOL = 1e-9
 # After repair the determinant is within this bound of one.
 DET_TOL = 1e-12
 
-SQRT3 = math.sqrt(3.0)
+SQRT3 = FLOATS.SQRT3
 
 
 def wedge(u, v) -> np.ndarray:
@@ -40,37 +40,18 @@ def _act(m00: float, m01: float, m10: float, m11: float, points) -> np.ndarray:
 Frame = tuple[float, float, float, float]
 
 
-def _where(cond, yes, no):
-    """``yes`` where ``cond`` holds, else ``no``, on floats or arrays."""
-    return np.where(cond, yes, no) if isinstance(cond, np.ndarray) else yes if cond else no
-
-
-def _sqrt(x):
-    return np.sqrt(x) if isinstance(x, np.ndarray) else math.sqrt(x)
-
-
-def _fail(bad, error: type, checks, message: str, *args) -> None:
-    """Raise error(message) where a float check is ``bad``; note (bad, error)
-    in a list ``checks`` on arrays.  ``ok ^ True`` is a check NaN fails."""
-    if not isinstance(bad, np.ndarray):
-        if bad:
-            raise error(message.format(*args))
-    elif checks is not None:
-        checks.append((bad, error))
-
-
-def _unit_det(al, be, ga, de, checks=None) -> Frame:
+def _unit_det(al, be, ga, de, kit=FLOATS) -> Frame:
     """The determinant rule of every frame: reject far from one, rescale near it."""
     det = al * de - be * ga
     off = abs(det - 1.0)
     # a NaN determinant fails too; a check on floats that passes skips the call
     if (bad := (off <= DET_REJECT_TOL) ^ True) is not False:
-        _fail(bad, FrameDeterminantError, checks, "frame determinant {!r} too far from 1", det)
+        kit.fail(bad, FrameDeterminantError, "frame determinant {!r} too far from 1", det)
     drift = off > DET_TOL
-    if drift is False or not np.count_nonzero(drift):
+    if drift is False or not kit.any(drift):
         return (al, be, ga, de)
     # det is within 1e-9 of 1, hence positive; rescale to kill drift (x * 1.0 is x)
-    fix = _where(drift, 1.0 / _sqrt(det), 1.0)
+    fix = kit.where(drift, 1.0 / kit.sqrt(det), 1.0)
     return (al * fix, be * fix, ga * fix, de * fix)
 
 
@@ -81,9 +62,9 @@ def _product(g: Frame, h: Frame) -> Frame:
     return (al * ph + be * rh, al * qh + be * sh, ga * ph + de * rh, ga * qh + de * sh)
 
 
-def _inverse(g: Frame, checks=None) -> Frame:
+def _inverse(g: Frame, kit=FLOATS) -> Frame:
     al, be, ga, de = g
-    return _unit_det(de, -be, -ga, al, checks)
+    return _unit_det(de, -be, -ga, al, kit)
 
 
 @dataclass(frozen=True, slots=True)
@@ -182,7 +163,7 @@ def _adjoint_matrix(g: Frame) -> tuple[tuple[float, float, float], ...]:
             (2.0 * ga * de, -ga * ga, de * de))
 
 
-def _sphere_basis(a: float, b: float, c: float) -> tuple[tuple[float, float, float], ...]:
+def _sphere_basis(a, b, c, kit=FLOATS) -> tuple[tuple[float, float, float], ...]:
     """Two orthonormal directions tangent to the unit sphere at (a, b, c).
 
     The first is the coordinate axis least aligned with the point, less its
@@ -191,12 +172,12 @@ def _sphere_basis(a: float, b: float, c: float) -> tuple[tuple[float, float, flo
     on_a = (abs(a) <= abs(b)) & (abs(a) <= abs(c))
     on_b = (on_a ^ True) & (abs(b) <= abs(c))
     on_c = (on_a | on_b) ^ True
-    p = _where(on_a, a, _where(on_b, b, c))
-    f = 1.0 / _sqrt(1.0 - p * p)
+    p = kit.where(on_a, a, kit.where(on_b, b, c))
+    f = 1.0 / kit.sqrt(1.0 - p * p)
     # entry k is (1 - p^2) f, the others -p u_i f (products commute bitwise)
-    e0 = _where(on_a, (1.0 - p * p) * f, -p * a * f)
-    e1 = _where(on_b, (1.0 - p * p) * f, -p * b * f)
-    e2 = _where(on_c, (1.0 - p * p) * f, -p * c * f)
+    e0 = kit.where(on_a, (1.0 - p * p) * f, -p * a * f)
+    e1 = kit.where(on_b, (1.0 - p * p) * f, -p * b * f)
+    e2 = kit.where(on_c, (1.0 - p * p) * f, -p * c * f)
     return ((e0, e1, e2), (b * e2 - c * e1, c * e0 - a * e2, a * e1 - b * e0))
 
 
@@ -205,8 +186,8 @@ def adjoint(g: FrameMatrix, x: TangentElement) -> TangentElement:
     return TangentElement(*_adjoint(g.entries(), x.a, x.b, x.c))
 
 
-def _star(a, b, c):
-    return (SQRT3 * abs(a) < c) & (3.0 * b + c < 0.0)
+def _star(a, b, c, kit=FLOATS):
+    return (kit.SQRT3 * abs(a) < c) & (3.0 * b + c < 0.0)
 
 
 def star_check(x: TangentElement) -> bool:
@@ -229,19 +210,14 @@ def exp_tangent(x: TangentElement, t: float) -> FrameMatrix:
         w = math.sqrt(-q)
         cos_part = math.cosh(w)
         sinc = t * math.sinh(w) / w
-    return FrameMatrix(
-        cos_part + sinc * x.a,
-        sinc * x.b,
-        sinc * x.c,
-        cos_part - sinc * x.a,
-    )
+    return FrameMatrix(cos_part + sinc * x.a, sinc * x.b, sinc * x.c, cos_part - sinc * x.a)
 
 
-def _unit_tangent(a, b, c, checks=None) -> tuple[float, float, float]:
+def _unit_tangent(a, b, c, kit=FLOATS) -> tuple[float, float, float]:
     """The unit-norm representative of a tangent's positive-scalar class."""
-    n = _sqrt(a * a + b * b + c * c)
+    n = kit.sqrt(a * a + b * b + c * c)
     if (bad := n < 1e-300) is not False:
-        _fail(bad, DegenerateVelocity, checks, "cannot project a zero tangent")
+        kit.fail(bad, DegenerateVelocity, "cannot project a zero tangent")
     f = 1.0 / n
     return (f * a, f * b, f * c)
 

@@ -41,11 +41,9 @@ class FramePath:
         frames = np.array(self.frames, dtype=float)
         if grid.ndim != 1 or grid.size < MIN_GRID:
             raise ParameterOutOfRange(
-                f"frame path needs at least {MIN_GRID} grid points, got {grid.size}"
-            )
+                f"frame path needs at least {MIN_GRID} grid points, got {grid.size}")
         if frames.shape != (grid.size, 2, 2):
-            raise ParameterOutOfRange(
-                f"frames have shape {frames.shape}, not ({grid.size}, 2, 2)")
+            raise ParameterOutOfRange(f"frames have shape {frames.shape}, not ({grid.size}, 2, 2)")
         det = frames[:, 0, 0] * frames[:, 1, 1] - frames[:, 0, 1] * frames[:, 1, 0]
         for i in np.flatnonzero(~(np.abs(det - 1.0) <= DET_TOL)):
             frames[i] = np.reshape(_unit_det(*frames[i].ravel().tolist()), (2, 2))
@@ -53,8 +51,7 @@ class FramePath:
             raise ParameterOutOfRange("grid parameters must increase strictly")
         if np.max(np.abs(frames[0] - np.eye(2))) > IDENTITY_TOL:
             raise ParameterOutOfRange(
-                "frame path must start at the identity; relativize with from_absolute"
-            )
+                "frame path must start at the identity; relativize with from_absolute")
         grid.flags.writeable = frames.flags.writeable = False
         object.__setattr__(self, "grid", grid)
         object.__setattr__(self, "frames", frames)
@@ -90,8 +87,7 @@ def chain_path(chain: ChainParams, per_link: int = 256) -> FramePath:
                                   f"{links} links; a frame path needs at least {MIN_GRID}")
     assembled = assemble(chain)
     inv0 = chain.initial.frame.inverse()
-    real = [(state, rep) for state, rep in zip(assembled.states, assembled.reps)
-            if rep.tau != 0.0]
+    real = [(state, rep) for state, rep in zip(assembled.states, assembled.reps) if rep.tau != 0.0]
     a, k, j, ts = _link_grid([rep for _, rep in real], per_link)
     # the canonical frame sends u*_j, u*_{j+2} to curves j and j + 2: the hyperbola, x = a
     cols = np.stack(_even_points(a[:, None], k[:, None], ts)[:2], axis=-1)
@@ -153,8 +149,7 @@ def second_variation_circle(u, w: Sampled, grid) -> float:
 def _wedge_coefficients(x: TangentElement, m: int) -> tuple[float, float, float]:
     """Coefficients of wedge(X u, V u) as a linear functional of V = (a', b', c')."""
     p, q = STANDARD[m].tolist()
-    return (-x.b * q * q - x.c * p * p, x.a * q * q - x.c * p * q,
-            x.a * p * p + x.b * p * q)
+    return (-x.b * q * q - x.c * p * p, x.a * q * q - x.c * p * q, x.a * p * p + x.b * p * q)
 
 
 def curvature_lemma_value(x: TangentElement) -> float:
@@ -175,12 +170,9 @@ def curvature_lemma_value(x: TangentElement) -> float:
     sol, *_ = np.linalg.lstsq(np.array(rows), np.array(rhs), rcond=None)
     u4 = STANDARD[4]
     ca, cb, cc = _wedge_coefficients(x, 4)
-    direct = (ca * sol[0] + cb * sol[1] + cc * sol[2]
-              - disc * wedge(u4, x.apply(u4)))
+    direct = ca * sol[0] + cb * sol[1] + cc * sol[2] - disc * wedge(u4, x.apply(u4))
     if abs(direct - closed) > LEMMA_TOL * max(1.0, abs(closed)):
-        raise WedgeMismatch(
-            f"curvature value {direct!r} disagrees with closed form {closed!r}"
-        )
+        raise WedgeMismatch(f"curvature value {direct!r} disagrees with closed form {closed!r}")
     return closed
 
 

@@ -21,6 +21,7 @@ from hexameral.errors import (
     ParameterOutOfRange,
 )
 from hexameral.hyperlink import LinkState, propagate, transform_state
+from hexameral.kit import Arrays
 from hexameral.optimize import (
     LM_DAMPING,
     SEGMENT_BOUNDS,
@@ -161,7 +162,7 @@ def test_array_kernel_rejects_parameters_as_floats_do(octagon, tau, j):
     frame, tangent = state.entries()
     checks = []
     propagate((tuple(np.full(2, v) for v in frame), tuple(np.full(2, v) for v in tangent)),
-              np.array([0.3, tau]), np.array([0, j]), checks)
+              np.array([0.3, tau]), np.array([0, j]), Arrays(checks))
     first = [next((error for bad, error in checks if bad[b]), None) for b in (0, 1)]
     assert first == [None, ParameterOutOfRange]
 

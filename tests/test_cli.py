@@ -320,15 +320,15 @@ class TestCommandConfig:
                               max_evals=args.max_evals) == SearchSpec()
 
 
-# Runs in a fresh interpreter: prints which of scipy and sympy are loaded
-# after the import and after each command, the two searches included;
-# six.json is a split octagon period.
+# Runs in a fresh interpreter: prints which of scipy, sympy and mpmath are
+# loaded after the import and after each command, the two searches
+# included; six.json is a split octagon period.
 _SCIPY_PROBE = """
 import json, sys
 import hexameral
 from hexameral.cli import main
 def heavy():
-    return [name for name in ("scipy", "sympy") if name in sys.modules]
+    return [name for name in ("scipy", "sympy", "mpmath") if name in sys.modules]
 loaded = {"import hexameral": heavy()}
 for argv in (["octagon", "-o", "oct.json"], ["density", "oct.json"],
              ["verify", "oct.json"],
@@ -354,5 +354,6 @@ def test_no_command_loads_scipy(octagon, tmp_path):
     assert done.returncode == 0, done.stderr
     loaded = json.loads(done.stdout.strip().splitlines()[-1])
     assert len(loaded) == 8
-    # scipy and sympy are test-only oracles; the library never imports them
+    # scipy, sympy and mpmath are test-only oracles and kits; the library
+    # never imports them
     assert all(names == [] for names in loaded.values()), loaded

@@ -18,6 +18,7 @@ from hexameral.domain import OCTAGON_DENSITY, OCTAGON_TAU
 from hexameral.errors import GeometryError, InfeasibleInput
 from hexameral.optimize import (
     DEFAULT_BOUNDS,
+    FAIL_RESIDUAL,
     FIVE_LINK_PATTERN,
     SEGMENT_BOUNDS,
     TAU_HI,
@@ -108,6 +109,19 @@ class TestEndpointProblem:
         segment = (octagon.chain.initial, octagon.chain.initial)
         with pytest.raises(InfeasibleInput):
             EndpointProblem(FIVE_LINK_PATTERN, _density, 1.0, DEFAULT_BOUNDS, segment)
+
+    def test_x_of_the_wrong_length_is_rejected(self, octagon):
+        # decode raises InfeasibleInput, and residuals read the failure
+        # value, for an open segment's x as for a closed chain's
+        six = split_octagon_period(octagon)
+        open_problem = EndpointProblem(FIVE_LINK_PATTERN, lambda area: area, 0.0,
+                                       SEGMENT_BOUNDS, (six.initial, assemble(six).final))
+        for problem, size in ((open_problem, 5), (five_link_problem(), 7)):
+            for x in ([0.3] * (size - 2), [0.3] * (size + 2)):
+                with pytest.raises(InfeasibleInput):
+                    problem.decode(x)
+                assert np.array_equal(problem.residuals(x), np.full(7, FAIL_RESIDUAL))
+            assert len(problem.decode([0.05, -0.6, 0.3, 0.3, 0.3, 0.3, 0.3][-size:]).links) == 5
 
     def test_closed_octagon_on_its_own_pattern(self):
         # the octagon's four links (0, 2, 4, 0), without five-link's empty one
