@@ -17,6 +17,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, NamedTuple
 
 import numpy as np
@@ -25,11 +26,11 @@ from .errors import (
     ChainFormatError, FrameDeterminantError, GeometryError, LinkLengthViolation, NotClosed,
     ParameterOutOfRange,
 )
-from .hyperlink import LinkState, SquareRep, _entry, _transfer, link_area, propagate
+from .hyperlink import LinkState, SquareRep, _entry, _link_area, _transfer, propagate
 from .kit import ARRAYS, FLOATS, Arrays, kit_of
 from .sl2 import (
     ROT60, FrameMatrix, ProjectiveTangent, TangentElement, _adjoint_matrix, _inverse, _product,
-    _sphere_basis, frame_distance,
+    _sphere_basis,
 )
 
 # Residual bound under which closure_report classifies a chain as closed.
@@ -65,17 +66,39 @@ class ChainParams:
 
 @dataclass(frozen=True)
 class AssembledChain:
-    """Propagation record: states[0] is the initial state, one rep per link."""
+    """Propagation record from the ``initial`` state: link-end entries ``frames``
+    and ``tangents`` (index 0 the initial state's), and (a, t0, tau, j) per link
+    in ``links``.  ``states``, ``reps`` and ``final`` are objects built on first
+    read; ``states[0]`` is ``initial``, an empty link's state the one before it."""
 
-    states: tuple[LinkState, ...]
-    reps: tuple[SquareRep, ...]
+    initial: LinkState
+    frames: tuple
+    tangents: tuple
+    links: tuple
+
+    @cached_property
+    def states(self) -> tuple[LinkState, ...]:
+        states = [self.initial]
+        for (_, _, tau, _), frame, tangent in zip(self.links, self.frames[1:], self.tangents[1:]):
+            states.append(states[-1] if tau == 0.0 else LinkState(
+                FrameMatrix(*frame), ProjectiveTangent(TangentElement(*tangent))))
+        return tuple(states)
+
+    @cached_property
+    def reps(self) -> tuple[SquareRep, ...]:
+        return tuple(SquareRep(*link) for link in self.links)
 
     @property
     def final(self) -> LinkState:
         return self.states[-1]
 
+    @property
+    def end(self) -> tuple:
+        """The final state's entries (frame, tangent)."""
+        return self.frames[-1], self.tangents[-1]
+
     def area(self) -> float:
-        return sum(link_area(r) for r in self.reps)
+        return sum(_link_area(a, t0, tau) for a, t0, tau, _ in self.links)
 
 
 def assemble(chain: ChainParams | list[ChainParams]) -> AssembledChain | ChainBatch:
@@ -89,17 +112,18 @@ def assemble(chain: ChainParams | list[ChainParams]) -> AssembledChain | ChainBa
     """
     if isinstance(chain, (list, tuple)):
         return _assemble_batch(chain)
-    states = [chain.initial]
-    reps = []
+    state = chain.initial.entries()
+    frames, tangents, links = [state[0]], [state[1]], []
     for i, (tau, j) in enumerate(chain.links):
         try:
-            state, rep = propagate(states[-1], tau, j)
+            state, a, t0 = propagate(state, tau, j)
         except GeometryError as exc:
             exc.at_link(i)
             raise
-        states.append(state)
-        reps.append(rep)
-    return AssembledChain(tuple(states), tuple(reps))
+        frames.append(state[0])
+        tangents.append(state[1])
+        links.append((a, t0, tau, j))
+    return AssembledChain(chain.initial, tuple(frames), tuple(tangents), tuple(links))
 
 
 class ChainBatch(NamedTuple):
@@ -117,14 +141,11 @@ class ChainBatch(NamedTuple):
 
     def assembled(self, chain: ChainParams, b: int) -> AssembledChain:
         """``assemble(chain)`` bit for bit, where ``chain`` is chain b, which assembles."""
-        states = [chain.initial]
-        for (tau, _), frame, tangent in zip(chain.links, self.frames[1:, :, b].tolist(),
-                                            self.tangents[1:, :, b].tolist()):
-            states.append(states[-1] if tau == 0.0 else LinkState(
-                FrameMatrix(*frame), ProjectiveTangent(TangentElement(*tangent))))
-        return AssembledChain(tuple(states), tuple(
-            SquareRep(a[b].item(), t0[b].item(), tau, j)
-            for (a, t0, _, _), (tau, j) in zip(self.reps, chain.links)))
+        return AssembledChain(
+            chain.initial, tuple(map(tuple, self.frames[:, :, b].tolist())),
+            tuple(map(tuple, self.tangents[:, :, b].tolist())),
+            tuple((a[b].item(), t0[b].item(), tau, j)
+                  for (a, t0, _, _), (tau, j) in zip(self.reps, chain.links)))
 
     def columns(self, keep) -> ChainBatch:
         """The chains at the indices ``keep``, copied out of this batch."""
@@ -177,8 +198,8 @@ def assemble_jacobian(chain: ChainParams | None, head: np.ndarray,
         kit, frames, tangents = ARRAYS, list(assembled.frames), list(assembled.tangents)
         reps = assembled.reps
     else:
-        kit, (frames, tangents) = FLOATS, zip(*(s.entries() for s in assembled.states))
-        reps = [(r.a, r.t0, r.tau, r.j) for r in assembled.reps]
+        kit, frames, tangents = FLOATS, assembled.frames, assembled.tangents
+        reps = assembled.links
     m = head.shape[-1]
     d_state = np.zeros(head.shape[:-2] + (6, m + len(reps)))
     if not reps:
@@ -246,9 +267,9 @@ def closure_of(chain: ChainParams, assembled: AssembledChain,
     against it instead of against the closure condition.
     """
     target = end_target(chain, target)
-    end = assembled.final
-    frame_res = frame_distance(end.frame, target.frame)
-    tangent_res = target.tangent.distance(end.tangent)
+    (frame, tangent), (aim, r) = assembled.end, target.entries()
+    frame_res = max(abs(p - q) for p, q in zip(frame, aim))
+    tangent_res = 1.0 - (r[0] * tangent[0] + r[1] * tangent[1] + r[2] * tangent[2])
     margin = angle_margin_of(chain, assembled)
     return ClosureReport(frame_res, tangent_res, margin >= -ANGLE_TOL, margin)
 
@@ -274,12 +295,12 @@ def angle_margin_of(chain: ChainParams, assembled: AssembledChain | None = None)
     inv0 = _inverse(chain.initial.frame.entries())
     angles = [0.0]
     turns = 0.0
-    for start, end, rep in zip(assembled.states, assembled.states[1:], assembled.reps):
-        if rep.tau == 0.0:
+    for i, (_, _, tau, _) in enumerate(assembled.links):
+        if tau == 0.0:
             continue
-        for state in (start, end):
+        for frame in assembled.frames[i:i + 2]:
             # u*_0 = (1, 0): the relative position is the first column
-            al, _, ga, _ = _product(inv0, state.frame.entries())
+            al, _, ga, _ = _product(inv0, frame)
             angle = math.atan2(ga, al)
             turns += 2.0 * math.pi * round((angles[-1] - angle - turns) / (2.0 * math.pi))
             angles.append(angle + turns if turns else angle)
@@ -291,9 +312,9 @@ def angle_margin_of(chain: ChainParams, assembled: AssembledChain | None = None)
 # hyperlink's derivative path: its frame F as F exp(xi), xi in sl2, and its
 # unit tangent along the two directions _sphere_basis gives at it.
 
-def _endpoint_residuals(final: LinkState, target: LinkState) -> np.ndarray:
-    """End state minus target: four frame entries, three tangent components."""
-    return np.array(sum(final.entries(), ())) - np.array(sum(target.entries(), ()))
+def _endpoint_residuals(final, target: LinkState) -> np.ndarray:
+    """End-state entries minus target: four frame entries, three tangent components."""
+    return np.array(final[0] + final[1]) - np.array(sum(target.entries(), ()))
 
 
 def _endpoint_jacobian(frame, tangent) -> np.ndarray:
@@ -312,9 +333,9 @@ def _endpoint_jacobian(frame, tangent) -> np.ndarray:
                       (z, z, z, p2, q2)))
 
 
-def _endpoint_equations(final: LinkState, target: LinkState):
+def _endpoint_equations(final, target: LinkState):
     """Five independent endpoint equations, and their derivatives (5, 5) in
-    the end state's and in the target's local coordinates.
+    the local coordinates of the end state, given as entries, and the target.
 
     The seven residual entries have rank 5.  Here the frame gives the sl2
     coordinates of G - I, G = T^{-1} F: F exp(xi) moves G by G xi, and
@@ -324,8 +345,8 @@ def _endpoint_equations(final: LinkState, target: LinkState):
     with u, which adds the terms in u_k / s^2.  The equations also vanish at
     F = -T, which closure_of does not count as closed.
     """
-    p, q, r, t = _product(_inverse(target.frame.entries()), final.frame.entries())
-    u, w = target.tangent.components(), final.tangent.components()
+    p, q, r, t = _product(_inverse(target.frame.entries()), final[0])
+    u, w = target.tangent.components(), final[1]
     basis = np.array(_sphere_basis(*u))
     k = min(range(3), key=lambda i: abs(u[i]))  # _sphere_basis's choice, ties included
     axis, uk, s = tuple(float(i == k) for i in range(3)), u[k], math.sqrt(1.0 - u[k] * u[k])

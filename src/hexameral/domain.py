@@ -246,7 +246,7 @@ def verify_checks(chain: ChainParams, tol: float = FEASIBLE_TOL) -> list[tuple[s
         assembled = assemble(chain)
     except GeometryError as exc:
         return [("assembly", False, str(exc))]
-    checks = [("assembly", True, f"{len(assembled.states) - 1} links"),
+    checks = [("assembly", True, f"{len(assembled.links)} links"),
               *_link_end_checks(assembled)]
 
     report = closure_of(chain, assembled)

@@ -15,7 +15,6 @@ marks a degenerate (single-point) link.
 """
 from __future__ import annotations
 
-import math
 import numbers
 from dataclasses import dataclass
 
@@ -80,12 +79,16 @@ def link_area(rep: SquareRep) -> float:
     Closed form a^2 [ (1-k)(1/t0 - 1/t1) + (t1 - t0) - (1-k) ln(t0/t1) ];
     zero for a degenerate link.
     """
-    if rep.tau == 0.0:
+    return _link_area(rep.a, rep.t0, rep.tau)
+
+
+def _link_area(a, t0, tau, kit=FLOATS):
+    """link_area of the link (a, t0, tau), in the numbers of a scalar ``kit``."""
+    if tau == 0.0:
         return 0.0
-    k = rep.k
-    t0, t1 = rep.t0, t_end(rep)
-    return rep.a * rep.a * ((1.0 - k) * (1.0 / t0 - 1.0 / t1) + (t1 - t0)
-                            - (1.0 - k) * math.log(t0 / t1))
+    k = kit.SQRT3 / (2.0 * a * a)
+    t1 = t0 + tau * (k - 1.0 - t0)
+    return a * a * ((1.0 - k) * (1.0 / t0 - 1.0 / t1) + (t1 - t0) - (1.0 - k) * kit.log(t0 / t1))
 
 
 def _check_range(rep: SquareRep, t) -> None:
@@ -164,7 +167,7 @@ def _square_tangent(a: float, k: float, t: float) -> tuple[float, float, float]:
 
 def _link_lead(frame: Frame, a, k, t0, j, kit=FLOATS) -> Frame:
     """Entries of frame C(t0)^{-1}, before the determinant rule: the link map."""
-    return _product(frame, _inverse(_unit_det(*_square_frame(a, k, t0, j, kit), kit), kit))
+    return _product(frame, _inverse(_unit_det(*_square_frame(a, k, t0, j, kit), kit)))
 
 
 def frame_at(rep: SquareRep, t: float) -> LinkState:
@@ -180,7 +183,7 @@ def _circle_tangent_at(a, k, t, j, kit=None) -> tuple[float, float, float]:
     floats, or of arrays that broadcast, whose ``kit`` may collect the checks."""
     kit = kit or kit_of(t)
     frame = _unit_det(*_square_frame(a, k, t, j, kit), kit)
-    return _adjoint(_inverse(frame, kit), *_unit_tangent(*_square_tangent(a, k, t), kit))
+    return _adjoint(_inverse(frame), *_unit_tangent(*_square_tangent(a, k, t), kit))
 
 
 def propagate(state, tau, j, kit=FLOATS):
@@ -190,15 +193,15 @@ def propagate(state, tau, j, kit=FLOATS):
     the edge velocities d2 = X p_{j+2} and d4 = X p_{j+4} are aligned with
     the +y and -x axes by a unit-determinant map, whose residual diagonal
     freedom is fixed by requiring both mapped edge points to share the
-    coordinate value a.  The recovered t0 must land in (-1, k-1).  Returns
-    the out state, the in state for an empty link, and the rep.
+    coordinate value a.  The recovered t0 must land in (-1, k-1).
 
-    The same body advances B states at once with an ``Arrays`` kit:
-    ``state`` is then its frame and tangent entries as (B,) arrays, the kit
-    collects the checks, and it returns the out state's entries, a and t0.
-    Another scalar kit runs it as on floats.
+    ``state`` is the entries (frame, tangent) of a frame and a unit tangent;
+    it returns the out state's entries (an empty link's in state as it is),
+    a and t0.  The same body advances B states at once with an ``Arrays``
+    kit, on (B,) arrays, which collects the checks; another scalar kit runs
+    it as on floats.
     """
-    frame, x = kit.entries(state)
+    frame, x = state
     # a check on floats that passes (False) skips the call to kit.fail
     if (bad := ((0.0 <= tau) & (tau < 1.0)) ^ True) is not False:
         kit.fail(bad, ParameterOutOfRange, "tau = {!r} outside [0, 1)", tau)
@@ -217,7 +220,9 @@ def propagate(state, tau, j, kit=FLOATS):
         kit.fail(bad, DegenerateVelocity, "edge velocities are linearly dependent")
     if (bad := w < 0.0) is not False:
         kit.fail(bad, NotRankOneCompatible, "edge velocities wind clockwise; star conditions fail")
-    if (bad := _star(*_adjoint(_inverse(frame, kit), xa, xb, xc), kit) ^ True) is not False:
+    # a frame a caller supplies meets the determinant rule here
+    inv = _unit_det(*_inverse(frame), kit)
+    if (bad := _star(*_adjoint(inv, xa, xb, xc), kit) ^ True) is not False:
         kit.fail(bad, NotRankOneCompatible, "state tangent violates the star inequalities")
     # h0 sends d2 to (0, w) and d4 to (-1, 0) with determinant one.
     hal, hbe, hga, hde = _unit_det(d2y / w, -d2x / w, d4y, -d4x, kit)
@@ -237,19 +242,13 @@ def propagate(state, tau, j, kit=FLOATS):
     # C(t0) meets the determinant rule even for an empty link, as in its
     # derivative (_transfer), so a chain that assembles has a Jacobian
     g = _unit_det(*_link_lead(frame, a, k, t0, j, kit), kit)
-    if not kit.batched:  # objects; an empty link returns its in state
-        if tau == 0.0:
-            return state, SquareRep(a, t0, tau, j)
-        frame_out, tangent_out = _link_end(g, a, k, t0, tau, j, kit)
-        # FrameMatrix applies the determinant rule
-        return LinkState(FrameMatrix(*frame_out), ProjectiveTangent(
-            TangentElement(*tangent_out))), SquareRep(a, t0, tau, j)
-    # on arrays an empty link keeps its in state, unchecked past g
-    late = kit.masked(moving := tau != 0.0)
+    # an empty link keeps its in state, unchecked past g
+    if not kit.any(moving := tau != 0.0):
+        return state, a, t0
+    late = kit.masked(moving)
     frame_out, tangent_out = _link_end(g, a, k, t0, tau, j, late)
-    frame_out = _unit_det(*frame_out, late)
-    return ((kit.where(moving, np.array(frame_out), np.array(frame)),
-             kit.where(moving, np.array(tangent_out), np.array(x))), a, t0)
+    return ((kit.where(moving, _unit_det(*frame_out, late), frame),
+             kit.where(moving, tangent_out, x)), a, t0)
 
 
 def _link_end(g: Frame, a, k, t0, tau, j, kit) -> tuple[Frame, tuple[float, float, float]]:
@@ -304,7 +303,7 @@ def _entry(frame: Frame, x, j, kit=FLOATS) -> list[tuple[float, ...]]:
     moving F to F exp(xi) moves y by [y, xi], and a tangent step e moves it
     by F^{-1} e F.
     """
-    inv = _inverse(frame, kit)
+    inv = _inverse(frame)
     ya, yb, yc = y = _adjoint(inv, *x)
     e1, e2 = (_adjoint(inv, *e) for e in _sphere_basis(*x, kit))
     return [(2.0 * (gc * yc - gb * yb), 2.0 * gb * ya - ga * yc, ga * yb - 2.0 * gc * ya,
@@ -347,13 +346,13 @@ def _transfer(frame: Frame, out_frame: Frame, out_x, a, t0, tau, j, next_j,
 
     # X(t) = (q/t, -q/t^2, 1/k) with q = (1 - k)/k
     q = (1.0 - k) / k
-    back = _inverse(_unit_det(*_square_frame(a, k, t1, j, kit), kit), kit)
+    back = _inverse(_unit_det(*_square_frame(a, k, t1, j, kit), kit))
     ba, _, bc, _ = back
     lift = (-ba * bc, ba * ba, -bc * bc)  # B (0, 1, 0)
     step_nu = 2.0 / (a * t1) - 2.0 / (a * t0)
     lift0 = _adjoint(back, q / t0, -q / (t0 * t0), 1.0 / k)
     lift1 = _adjoint(back, q / t1, -q / (t1 * t1), 1.0 / k)
-    to_in = _adjoint_matrix(_product(_inverse(out_frame, kit), frame))
+    to_in = _adjoint_matrix(_product(_inverse(out_frame), frame))
     rows = [row(to_in[r], step_nu * lift[r], -lift0[r], lift1[r]) for r in range(3)]
 
     lift_a = -2.0 / (a * t1 * t1)

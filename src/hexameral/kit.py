@@ -8,7 +8,6 @@ index, the rule for a failed check, and the constants at the kit's precision.
 from __future__ import annotations
 
 import math
-from operator import methodcaller
 
 import numpy as np
 
@@ -30,7 +29,8 @@ class Kit:
     def __init__(self, lib=math):
         self.batched, self.sqrt, self.hypot, self.log = False, lib.sqrt, lib.hypot, lib.log
         self.where = lambda cond, yes, no: yes if cond else no
-        self.any, self.entries, self.stack = bool, methodcaller("entries"), np.array
+        # a scalar kit checks each link it runs, so it is its own masked kit
+        self.any, self.stack, self.masked = bool, np.array, lambda keep: self
         self.SQRT3 = lib.sqrt(3.0)
         self.MIN_SCALE_SQ = self.SQRT3 / 2.0  # a^2 at most this gives k >= 1: no hyperbola
         u = [(lib.cos(lib.pi * m / 3.0), lib.sin(lib.pi * m / 3.0)) for m in range(6)] * 2
@@ -68,10 +68,10 @@ class _Columns:
 
 
 class Arrays(Kit):
-    """The kit of (B,) arrays, each element with its float bits: a state is its entries,
-    rows stack as (B, r, c), and a failed check is noted in ``checks``, if a list."""
+    """The kit of (B,) arrays, each element with its float bits: rows stack as
+    (B, r, c), and a failed check is noted in ``checks``, if a list."""
 
-    batched, entries, sqrt = True, staticmethod(lambda state: state), staticmethod(np.sqrt)
+    batched, sqrt = True, staticmethod(np.sqrt)
     where, any = staticmethod(np.where), staticmethod(np.count_nonzero)
     # log is NaN where v is not positive, as in a batched chain that failed
     hypot, log = _each(math.hypot), _each(lambda v: math.log(v) if v > 0.0 else math.nan)

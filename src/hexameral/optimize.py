@@ -223,7 +223,7 @@ class EndpointProblem:
         chain, assembled = self.assembly(x) if assembly is None else assembly
         if assembled is None:
             return np.full(7, FAIL_RESIDUAL)
-        return _endpoint_residuals(assembled.final, self.target(chain))
+        return _endpoint_residuals(assembled.end, self.target(chain))
 
     def _derivatives(self, x, chain: ChainParams, assembled: AssembledChain):
         """The derivative (6, n) of the chain's final state and area, and the
@@ -244,7 +244,7 @@ class EndpointProblem:
         if assembled is None:
             return np.zeros((7, len(x)))
         d_state, d_target = self._derivatives(x, chain, assembled)
-        jac = _endpoint_jacobian(*assembled.final.entries()) @ d_state[:5]
+        jac = _endpoint_jacobian(*assembled.end) @ d_state[:5]
         if d_target is not None:
             jac -= _endpoint_jacobian(*self.target(chain).entries()) @ d_target
         return jac
@@ -257,7 +257,7 @@ class EndpointProblem:
             return Evaluation(x, self.fail_value, np.full(7, FAIL_RESIDUAL), None, chain, None)
         target = self.target(chain)
         return Evaluation(x, self.value(assembled.area()),
-                          _endpoint_residuals(assembled.final, target),
+                          _endpoint_residuals(assembled.end, target),
                           closure_of(chain, assembled, target=target), chain, held[1])
 
     def point(self, ev: Evaluation) -> Evaluation:
@@ -269,7 +269,7 @@ class EndpointProblem:
                                equation_jacobian=np.zeros((5, len(x))))
         d_state, d_target = self._derivatives(x, chain, assembled)
         target = self.target(chain)
-        equations, d_end, d_moved = _endpoint_equations(assembled.final, target)
+        equations, d_end, d_moved = _endpoint_equations(assembled.end, target)
         jac = d_end @ d_state[:5]
         if d_target is not None:
             jac += d_moved @ d_target

@@ -62,9 +62,11 @@ def _product(g: Frame, h: Frame) -> Frame:
     return (al * ph + be * rh, al * qh + be * sh, ga * ph + de * rh, ga * qh + de * sh)
 
 
-def _inverse(g: Frame, kit=FLOATS) -> Frame:
+def _inverse(g: Frame) -> Frame:
+    """The adjugate of g, its inverse where g met the determinant rule: its
+    determinant de al - (-be)(-ga) is g's own float, so it meets the rule too."""
     al, be, ga, de = g
-    return _unit_det(de, -be, -ga, al, kit)
+    return (de, -be, -ga, al)
 
 
 @dataclass(frozen=True, slots=True)

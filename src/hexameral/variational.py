@@ -62,7 +62,7 @@ def from_absolute(grid, frames) -> FramePath:
     frames = np.asarray(frames, dtype=float)
     if frames.ndim != 3 or frames.shape[1:] != (2, 2) or len(frames) == 0:
         raise ParameterOutOfRange(f"frames have shape {frames.shape}, not (n, 2, 2) with n > 0")
-    inv0 = np.reshape(_inverse(frames[0].ravel().tolist()), (2, 2))
+    inv0 = np.reshape(_unit_det(*_inverse(frames[0].ravel().tolist())), (2, 2))
     return FramePath(grid, inv0 @ frames)
 
 

@@ -4,8 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from hexameral.hyperlink import SquareRep, link_curves, t_end
-from hexameral.sl2 import SQRT3, FrameMatrix, TangentElement, exp_tangent
+from hexameral.hyperlink import LinkState, SquareRep, link_curves, propagate, t_end
+from hexameral.sl2 import SQRT3, FrameMatrix, ProjectiveTangent, TangentElement, exp_tangent
 
 
 @pytest.fixture(scope="session")
@@ -17,6 +17,18 @@ def octagon():
 @pytest.fixture
 def rng():
     return np.random.default_rng(20260814)
+
+
+def as_state(entries) -> LinkState:
+    """The LinkState of a state's entries (frame, tangent), as ``propagate`` returns them."""
+    frame, tangent = entries
+    return LinkState(FrameMatrix(*frame), ProjectiveTangent(TangentElement(*tangent)))
+
+
+def propagate_state(state: LinkState, tau: float, j: int):
+    """``propagate`` on a LinkState: the out state as a LinkState, and the link's rep."""
+    out, a, t0 = propagate(state.entries(), tau, j)
+    return as_state(out), SquareRep(a, t0, tau, j)
 
 
 def random_square_rep(rng, tau=None) -> SquareRep:

@@ -158,7 +158,7 @@ def test_batch_jacobian_matches_each_chain_on_floats(octagon):
 def test_array_kernel_rejects_parameters_as_floats_do(octagon, tau, j):
     state = octagon.chain.initial
     with pytest.raises(ParameterOutOfRange):
-        propagate(state, tau, j)
+        propagate(state.entries(), tau, j)
     frame, tangent = state.entries()
     checks = []
     propagate((tuple(np.full(2, v) for v in frame), tuple(np.full(2, v) for v in tangent)),

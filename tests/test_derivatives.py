@@ -33,7 +33,6 @@ from hexameral.hyperlink import (
     _square_tangent,
     link_area,
     link_map,
-    propagate,
 )
 from hexameral.optimize import (
     DEFAULT_BOUNDS,
@@ -47,7 +46,7 @@ from hexameral.optimize import (
 )
 from hexameral.sl2 import ProjectiveTangent, TangentElement, _sphere_basis, exp_tangent
 
-from conftest import split_octagon_period
+from conftest import propagate_state, split_octagon_period
 from test_kernel_identity import _five_link_points, _moved_segments
 
 
@@ -56,7 +55,7 @@ def propagate_jacobian(state: LinkState, tau: float, j: int):
     link_area: columns the in state's five coordinates, then tau; rows the
     out state's five, then link_area.  This is assemble_jacobian on the
     one-link chain, whose start moves by the identity."""
-    out, rep = propagate(state, tau, j)
+    out, rep = propagate_state(state, tau, j)
     _, jac = assemble_jacobian(ChainParams(state, ((tau, j),)), np.eye(5))
     return out, rep, jac
 
@@ -154,10 +153,10 @@ def _assembled_links(chains):
 def _link_oracle(state, tau, j):
     """Richardson columns of propagate's out state and link_area, or None
     where a perturbed state leaves the kernel's domain."""
-    out, rep = propagate(state, tau, j)
+    out, rep = propagate_state(state, tau, j)
 
     def read(moved_state, moved_tau):
-        o, r = propagate(moved_state, moved_tau, j)
+        o, r = propagate_state(moved_state, moved_tau, j)
         return np.append(_coordinates(out, o), link_area(r))
 
     columns = []
@@ -347,7 +346,7 @@ def test_jacobian_fails_like_propagate():
         state = assemble(ChainParams(chain.initial, chain.links[:i])).final
         tau, j = chain.links[i]
         with pytest.raises(GeometryError) as plain:
-            propagate(state, tau, j)
+            propagate_state(state, tau, j)
         with pytest.raises(GeometryError) as derived:
             propagate_jacobian(state, tau, j)
         assert (type(derived.value), derived.value.link_index, str(derived.value)) == (
@@ -440,7 +439,7 @@ def exact_link_jacobian(state: LinkState, tau: float, j: int) -> np.ndarray:
     (exp(s Z) applied on the left, which the link carries along), the
     scale a and the start t0 of the rep, and tau.
     """
-    out, rep = propagate(state, tau, j)
+    out, rep = propagate_state(state, tau, j)
     a, t0 = rep.a, rep.t0
     k = math.sqrt(3.0) / (2.0 * a * a)
     t1 = t0 + tau * (k - 1.0 - t0)

@@ -35,7 +35,7 @@ from hexameral.sl2 import (
     wedge,
 )
 
-from conftest import curve_positions, random_frame, random_square_rep, sector_quadrature
+from conftest import as_state, curve_positions, random_frame, random_square_rep, sector_quadrature
 from test_kernel_identity import curve_frames
 
 SQRT2 = math.sqrt(2.0)
@@ -219,41 +219,41 @@ class TestPropagate:
     def test_octagon_roundtrip(self):
         rep = octagon_square_rep()
         start = frame_at(rep, rep.t0)
-        out, found = propagate(start, OCTAGON_TAU, 0)
-        assert abs(found.a - rep.a) < 1e-12
-        assert abs(found.t0 - rep.t0) < 1e-12
+        out, a, t0 = propagate(start.entries(), OCTAGON_TAU, 0)
+        assert abs(a - rep.a) < 1e-12
+        assert abs(t0 - rep.t0) < 1e-12
         end = frame_at(rep, t_end(rep))
-        assert frame_distance(out.frame, end.frame) < 1e-10
-        assert out.tangent.distance(end.tangent) < 1e-10
+        assert frame_distance(as_state(out).frame, end.frame) < 1e-10
+        assert as_state(out).tangent.distance(end.tangent) < 1e-10
 
     def test_degenerate_link_identity(self):
         rep = octagon_square_rep()
-        start = frame_at(rep, rep.t0)
-        out, found = propagate(start, 0.0, 2)
+        start = frame_at(rep, rep.t0).entries()
+        out, _, _ = propagate(start, 0.0, 2)
         assert out is start
-        assert found.tau == 0.0
 
     def test_star_violation_rejected(self):
         bad = LinkState(IDENTITY,
                         ProjectiveTangent.from_tangent(TangentElement(0, 1, 1)))
         with pytest.raises(NotRankOneCompatible):
-            propagate(bad, 0.5, 0)
+            propagate(bad.entries(), 0.5, 0)
 
     def test_invalid_parameters(self):
-        state = frame_at(octagon_square_rep(), -0.6)
+        state = frame_at(octagon_square_rep(), -0.6).entries()
         with pytest.raises(ParameterOutOfRange):
             propagate(state, 1.0, 0)
         with pytest.raises(ParameterOutOfRange):
             propagate(state, 0.5, 3)
 
     def test_semigroup_same_index(self, rng):
-        state = frame_at(octagon_square_rep(), -1.0 / SQRT2)
+        state = frame_at(octagon_square_rep(), -1.0 / SQRT2).entries()
         for _ in range(20):
             ta, tb = rng.uniform(0.05, 0.9, 2)
-            mid, _ = propagate(state, float(ta), 0)
-            two, _ = propagate(mid, float(tb), 0)
+            mid, _, _ = propagate(state, float(ta), 0)
+            two, _, _ = propagate(mid, float(tb), 0)
             merged = ta + tb - ta * tb
-            one, _ = propagate(state, float(merged), 0)
+            one, _, _ = propagate(state, float(merged), 0)
+            two, one = as_state(two), as_state(one)
             assert frame_distance(two.frame, one.frame) < 1e-9
             assert two.tangent.distance(one.tangent) < 1e-9
 
@@ -262,21 +262,26 @@ class TestPropagate:
         state = frame_at(rep, rep.t0)
         for _ in range(50):
             g = random_frame(rng)
-            out, found = propagate(state, 0.4, 0)
-            out_g, found_g = propagate(transform_state(g, state), 0.4, 0)
-            expected = transform_state(g, out)
+            out, a, t0 = propagate(state.entries(), 0.4, 0)
+            out_g, a_g, t0_g = propagate(transform_state(g, state).entries(), 0.4, 0)
+            out_g, expected = as_state(out_g), transform_state(g, as_state(out))
             assert frame_distance(out_g.frame, expected.frame) < 1e-9
             assert out_g.tangent.distance(expected.tangent) < 1e-9
-            assert abs(found_g.a - found.a) < 1e-9
-            assert abs(found_g.t0 - found.t0) < 1e-9
+            assert abs(a_g - a) < 1e-9
+            assert abs(t0_g - t0) < 1e-9
 
     def test_area_invariant_under_sl2(self, rng):
         rep = octagon_square_rep()
         state = frame_at(rep, rep.t0)
-        base = link_area(propagate(state, 0.4, 0)[1])
+
+        def area(moved: LinkState) -> float:
+            _, a, t0 = propagate(moved.entries(), 0.4, 0)
+            return link_area(SquareRep(a, t0, 0.4, 0))
+
+        base = area(state)
         for _ in range(20):
             g = random_frame(rng)
-            moved = link_area(propagate(transform_state(g, state), 0.4, 0)[1])
+            moved = area(transform_state(g, state))
             assert abs(moved - base) < 1e-9
 
 

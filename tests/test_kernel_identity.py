@@ -21,6 +21,11 @@ written in.  The rendered outputs (``boundary_polyline``, ``star_profile``,
 ``chain_path``, ``export_svg``), which sample all links in one array pass,
 are held byte for byte to the per-link bodies they replaced, and their
 parameter grid to one ``np.linspace`` per link.
+The assembly record (link-end entries, and ``states``, ``reps`` and
+``final`` built from them on first read) is held bit for bit to the float
+``propagate`` and ``assemble`` as they were when they returned objects, and
+the adjugate ``_inverse`` of a frame that met the determinant rule to the
+rule itself.
 """
 import math
 from dataclasses import dataclass
@@ -28,6 +33,9 @@ from typing import NamedTuple
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from mpmath import mp, mpf
 
 from hexameral.chain import (
     _TARGET_TURN,
@@ -54,6 +62,7 @@ from hexameral.domain import (
 )
 from hexameral.errors import (
     DegenerateVelocity,
+    FrameDeterminantError,
     GeometryError,
     NotRankOneCompatible,
     ParameterOutOfRange,
@@ -65,16 +74,20 @@ from hexameral.hyperlink import (
     LinkState,
     SquareRep,
     _circle_tangent_at,
+    _link_end,
     _link_grid,
     _link_lead,
+    _square_frame,
     _square_points,
     frame_at,
+    link_area,
     link_curves,
     link_map,
     link_multicurve,
     t_end,
     transform_state,
 )
+from hexameral.kit import FLOATS, Kit
 from hexameral.multicurve import STANDARD
 from hexameral.optimize import (
     DEFAULT_BOUNDS,
@@ -89,9 +102,11 @@ from hexameral.sl2 import (
     FrameMatrix,
     ProjectiveTangent,
     TangentElement,
+    _adjoint,
     _inverse,
     _product,
     _sphere_basis,
+    _star,
     _unit_det,
     adjoint,
     star_check,
@@ -954,7 +969,7 @@ def test_endpoint_equations_match_numpy_forms():
         for end, aim in ((frames[4], frames[5]), (frames[4], frames[4]),
                          *((f, frames[5]) for f in frames[:4]), (frames[5], frames[0])):
             final, target = LinkState(end, tangents[0]), LinkState(aim, tangents[1])
-            for got, want in zip(_endpoint_equations(final, target),
+            for got, want in zip(_endpoint_equations(final.entries(), target),
                                  oracle_endpoint_equations(final, target)):
                 assert got.tobytes() == want.tobytes()
 
@@ -1098,3 +1113,161 @@ def test_link_grid_rows_are_linspace_rows(octagon, n):
         # np.linspace without its end is the grid one sample longer, less its end
         assert _link_grid(rows, n + 1)[3][:, :-1].tobytes() == np.array(
             [np.linspace(r.t0, t_end(r), n, endpoint=False) for r in rows]).tobytes()
+
+
+# The float propagate and assemble as they were when they returned objects,
+# kept as oracles of the assembly record and of its views.  Their frames
+# go through the determinant rule wherever they did then, the inverse's too.
+
+def _ruled_inverse(g):
+    """The inverse as ``_inverse`` once gave it, through the determinant rule."""
+    al, be, ga, de = g
+    return _unit_det(de, -be, -ga, al)
+
+
+def object_propagate(state: LinkState, tau: float, j: int):
+    """The out state (an empty link's in state itself) and the link's rep."""
+    frame, x = state.entries()
+    if not 0.0 <= tau < 1.0:
+        raise ParameterOutOfRange(f"tau = {tau!r} outside [0, 1)")
+    if j not in (0, 2, 4):
+        raise ParameterOutOfRange(f"hyperbolic index j = {j!r} not in (0, 2, 4)")
+    xa, xb, xc = x
+    al, be, ga, de = frame
+    u2x, u2y, u4x, u4y = FLOATS.EDGE_POINTS[j]
+    p2x, p2y = al * u2x + be * u2y, ga * u2x + de * u2y
+    p4x, p4y = al * u4x + be * u4y, ga * u4x + de * u4y
+    d2x, d2y = xa * p2x + xb * p2y, xc * p2x - xa * p2y
+    d4x, d4y = xa * p4x + xb * p4y, xc * p4x - xa * p4y
+    w = d2x * d4y - d2y * d4x
+    scale = math.hypot(d2x, d2y) * math.hypot(d4x, d4y)
+    if scale == 0.0 or abs(w) < VELOCITY_TOL * scale:
+        raise DegenerateVelocity("edge velocities are linearly dependent")
+    if w < 0.0:
+        raise NotRankOneCompatible("edge velocities wind clockwise; star conditions fail")
+    if not _star(*_adjoint(_ruled_inverse(frame), xa, xb, xc)):
+        raise NotRankOneCompatible("state tangent violates the star inequalities")
+    hal, hbe, hga, hde = _unit_det(d2y / w, -d2x / w, d4y, -d4x)
+    q2x, q2y = hal * p2x + hbe * p2y, hga * p2x + hde * p2y
+    q4x, q4y = hal * p4x + hbe * p4y, hga * p4x + hde * p4y
+    if q2x <= 0.0 or q4y <= 0.0:
+        raise NotRankOneCompatible("edge points map off the positive axes")
+    a = math.sqrt(q2x * q4y)
+    if a * a <= MIN_SCALE_SQ:
+        raise NotRankOneCompatible(f"recovered scale a = {a!r} gives no hyperbola")
+    t0 = q2y / q4y
+    s0 = q4x / q2x
+    k = SQRT3 / (2.0 * a * a)
+    if not (-1.0 < t0 < k - 1.0 and -1.0 < s0 < k - 1.0):
+        raise NotRankOneCompatible(
+            f"recovered start t0 = {t0!r}, s0 = {s0!r} outside (-1, {k - 1.0!r})")
+    lead = _product(frame, _ruled_inverse(_unit_det(*_square_frame(a, k, t0, j))))
+    g = _unit_det(*lead)
+    if tau == 0.0:
+        return state, SquareRep(a, t0, tau, j)
+    frame_out, tangent_out = _link_end(g, a, k, t0, tau, j, FLOATS)
+    return LinkState(FrameMatrix(*frame_out), ProjectiveTangent(
+        TangentElement(*tangent_out))), SquareRep(a, t0, tau, j)
+
+
+def object_assemble(chain: ChainParams):
+    states, reps = [chain.initial], []
+    for i, (tau, j) in enumerate(chain.links):
+        try:
+            state, rep = object_propagate(states[-1], tau, j)
+        except GeometryError as exc:
+            exc.at_link(i)
+            raise
+        states.append(state)
+        reps.append(rep)
+    return tuple(states), tuple(reps)
+
+
+def _record_chains(octagon):
+    """The octagon, 50 SL2-moved copies, its period split at 0.1, 0.3 and 0.5
+    (each with a tau = 0 pad), and 100 five-link points that assemble."""
+    rng = np.random.default_rng(71)
+    chains = [octagon.chain] + [
+        ChainParams(transform_state(random_frame(rng), octagon.chain.initial),
+                    octagon.chain.links) for _ in range(50)]
+    chains += [split_octagon_period(octagon, ta) for ta in (0.1, 0.3, 0.5)]
+    _, xs = _five_link_xs(rng, 100)
+    return chains + [chain for _, chain, _ in xs]
+
+
+def _bytes(rows) -> bytes:
+    return np.array(rows, dtype=float).tobytes()
+
+
+def test_assembly_record_matches_object_assembly(octagon):
+    pads = 0
+    for chain in _record_chains(octagon):
+        assembled = assemble(chain)
+        states, reps = object_assemble(chain)
+        # the entries, bit for bit
+        assert _bytes(assembled.frames) == _bytes([s.frame.entries() for s in states])
+        assert _bytes(assembled.tangents) == _bytes([s.tangent.components() for s in states])
+        assert _bytes([link[:3] for link in assembled.links]) == _bytes(
+            [(r.a, r.t0, r.tau) for r in reps])
+        assert [link[3] for link in assembled.links] == [r.j for r in reps]
+        assert _bytes(sum(assembled.end, ())) == _bytes(sum(states[-1].entries(), ()))
+        # the views, bit for bit, and the objects they share
+        assert assembled.states == states and assembled.reps == reps
+        assert _bytes([sum(s.entries(), ()) for s in assembled.states]) == _bytes(
+            [sum(s.entries(), ()) for s in states])
+        assert _bytes([(r.a, r.t0, r.tau) for r in assembled.reps]) == _bytes(
+            [(r.a, r.t0, r.tau) for r in reps])
+        assert assembled.final == states[-1]
+        assert assembled.states[0] is chain.initial
+        assert assembled.states is assembled.states and assembled.reps is assembled.reps
+        for i, (tau, _) in enumerate(chain.links):
+            if tau == 0.0:
+                pads += 1
+                assert assembled.states[i + 1] is assembled.states[i]
+                assert states[i + 1] is states[i]
+        assert repr(assembled.area()) == repr(sum(link_area(r) for r in reps))
+    assert pads >= 20  # the split periods' pads and the five-link points' clipped to 0
+
+
+# The adjugate of a frame that met the determinant rule meets it unchanged.
+
+def _ruled_frame(al, be, ga, drift, kit=None):
+    """A frame through the determinant rule, from (al, be, ga) and a determinant
+    1 + drift, within the rule's reach, so that the rescale fires too."""
+    de = (1.0 + be * ga) / al
+    scale = (1.0 + drift) ** 0.5
+    entries = (al * scale, be * scale, ga * scale, de * scale)
+    return _unit_det(*entries) if kit is None else _unit_det(*entries, kit)
+
+
+def _det(g):
+    al, be, ga, de = g
+    return al * de - be * ga
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.floats(0.05, 20.0) | st.floats(-20.0, -0.05), st.floats(-20.0, 20.0),
+       st.floats(-20.0, 20.0), st.sampled_from((0.0, 1e-13, -3e-12, 5e-10, -9e-10)))
+def test_inverse_of_a_ruled_frame_meets_the_rule(al, be, ga, drift):
+    try:
+        g = _ruled_frame(al, be, ga, drift)
+    except FrameDeterminantError:  # rounding took the determinant out of reach
+        return
+    inv = _inverse(g)
+    assert _bytes(_unit_det(*inv)) == _bytes(inv)
+    assert _bytes([_det(inv)]) == _bytes([_det(g)])
+    assert _bytes(inv) == _bytes(_ruled_inverse(g))
+
+
+def test_inverse_of_a_ruled_mpmath_frame_meets_the_rule():
+    rng = np.random.default_rng(73)
+    with mp.workdps(40):
+        kit = Kit(mp)
+        for _ in range(20):
+            al, be, ga = (mpf(float(v)) for v in rng.uniform(0.2, 3.0, 3) * rng.choice((-1, 1)))
+            drift = mpf(float(rng.choice((0.0, 1e-30, 2e-13, -7e-10))))
+            g = _ruled_frame(al, be, ga, drift, kit)
+            inv = _inverse(g)
+            assert all(isinstance(v, mpf) for v in inv)
+            assert _unit_det(*inv, kit) == inv
+            assert _det(inv) == _det(g)

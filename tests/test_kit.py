@@ -9,57 +9,51 @@ is rebound; the kit is the only thing that knows the number type.
 from mpmath import mp, mpf
 
 from hexameral.domain import OCTAGON_INDICES
-from hexameral.hyperlink import LinkState, _square_frame, _square_tangent, propagate
+from hexameral.hyperlink import _link_area, _square_frame, _square_tangent, propagate
 from hexameral.kit import Kit
-from hexameral.sl2 import FrameMatrix, ProjectiveTangent, TangentElement, _unit_tangent
+from hexameral.sl2 import _unit_det, _unit_tangent
 
 DIGITS = 40
 RESIDUAL_TOL = mpf("1e-35")
 
 
-def _link_area(kit: Kit, a, t0, tau):
-    """link_area's closed form at the kit's precision."""
-    k = kit.SQRT3 / (2 * a * a)
-    t1 = t0 + tau * (k - 1 - t0)
-    return a * a * ((1 - k) * (1 / t0 - 1 / t1) + (t1 - t0) - (1 - k) * kit.log(t0 / t1))
-
-
 def _octagon_at_40_digits():
-    """The octagon's start state, its links' out states and reps, at 40 digits."""
+    """The octagon's start state and its links' out states, as entries, and
+    each link's (a, t0, tau), at 40 digits."""
     kit = Kit(mp)  # mpmath numbers at the working precision
     a = mpf(12) ** mpf("0.25") / mp.sqrt(4 - mp.sqrt(2))
     t0, tau = -1 / mp.sqrt(2), 2 - mp.sqrt(2)
     k = kit.SQRT3 / (2 * a * a)
-    start = LinkState(FrameMatrix(*_square_frame(a, k, t0, 0, kit)), ProjectiveTangent(
-        TangentElement(*_unit_tangent(*_square_tangent(a, k, t0), kit))))
-    states, reps = [start], []
+    start = (_unit_det(*_square_frame(a, k, t0, 0, kit), kit),
+             _unit_tangent(*_square_tangent(a, k, t0), kit))
+    states, links = [start], []
     for j in OCTAGON_INDICES:
-        state, rep = propagate(states[-1], tau, j, kit)
+        state, a, t0 = propagate(states[-1], tau, j, kit)
         states.append(state)
-        reps.append(rep)
-    return kit, states, reps
+        links.append((a, t0, tau))
+    return kit, states, links
 
 
 def test_mpmath_kit_closes_the_octagon():
     with mp.workdps(DIGITS):
-        kit, states, reps = _octagon_at_40_digits()
-        assert all(isinstance(v, mpf) for rep in reps for v in (rep.a, rep.t0, rep.tau))
-        start, end = states[0], states[-1]
+        kit, states, links = _octagon_at_40_digits()
+        assert all(isinstance(v, mpf) for link in links for v in link)
+        assert all(isinstance(v, mpf) for state in states for part in state for v in part)
+        (start_frame, start_tangent), (end_frame, end_tangent) = states[0], states[-1]
         # the start frame turned by pi/3: F R, R the rotation by pi/3
         c, s = mp.cos(mp.pi / 3), mp.sin(mp.pi / 3)
-        al, be, ga, de = start.frame.entries()
+        al, be, ga, de = start_frame
         turned = (al * c + be * s, be * c - al * s, ga * c + de * s, de * c - ga * s)
-        frame_residual = max(abs(p - q) for p, q in zip(end.frame.entries(), turned))
-        tangent_residual = max(abs(p - q) for p, q in
-                               zip(end.tangent.components(), start.tangent.components()))
+        frame_residual = max(abs(p - q) for p, q in zip(end_frame, turned))
+        tangent_residual = max(abs(p - q) for p, q in zip(end_tangent, start_tangent))
         assert frame_residual < RESIDUAL_TOL
         assert tangent_residual < RESIDUAL_TOL
 
 
 def test_mpmath_kit_gives_the_octagon_density():
     with mp.workdps(DIGITS):
-        kit, _, reps = _octagon_at_40_digits()
-        area = sum(_link_area(kit, rep.a, rep.t0, rep.tau) for rep in reps)
+        kit, _, links = _octagon_at_40_digits()
+        area = sum(_link_area(a, t0, tau, kit) for a, t0, tau in links)
         density = 2 * area / mp.sqrt(12)
         closed_form = (8 - mp.sqrt(32) - mp.log(2)) / (mp.sqrt(8) - 1)
         assert abs(density - closed_form) < RESIDUAL_TOL
