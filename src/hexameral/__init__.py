@@ -11,8 +11,7 @@ from .errors import (
     RankUndefined, RankZero, ScaleTooSmall, SignCondition, StarViolation, WedgeMismatch,
 )
 from .sl2 import (
-    FrameMatrix, ProjectiveTangent, TangentElement, adjoint, exp_tangent, rotation, star_check,
-    wedge,
+    FrameMatrix, TangentElement, adjoint, exp_tangent, rotation, star_check, wedge,
 )
 from .multicurve import (
     MultiPoint, RankLabel, convexity_value, multipoint_from_pair, rank_classify,

@@ -2,7 +2,7 @@
 
 A chain is an initial link state plus a list of (tau, j) parameters.  A
 closed chain covers the fundamental boundary interval: its final frame is
-the initial frame composed with a rotation by pi/3 and its projective
+the initial frame composed with a rotation by pi/3 and its unit
 tangent returns to the start.  The sweep angle of the relative position
 frame(t0)^{-1} phi(t) u*_0 must grow monotonically from 0 to pi/3.
 
@@ -29,8 +29,7 @@ from .errors import (
 from .hyperlink import LinkState, SquareRep, _entry, _link_area, _transfer, propagate
 from .kit import ARRAYS, FLOATS, Arrays, kit_of
 from .sl2 import (
-    ROT60, FrameMatrix, ProjectiveTangent, TangentElement, _adjoint_matrix, _inverse, _product,
-    _sphere_basis,
+    ROT60, FrameMatrix, TangentElement, _adjoint_matrix, _inverse, _product, _sphere_basis,
 )
 
 # Residual bound under which closure_report classifies a chain as closed.
@@ -81,7 +80,7 @@ class AssembledChain:
         states = [self.initial]
         for (_, _, tau, _), frame, tangent in zip(self.links, self.frames[1:], self.tangents[1:]):
             states.append(states[-1] if tau == 0.0 else LinkState(
-                FrameMatrix(*frame), ProjectiveTangent(TangentElement(*tangent))))
+                FrameMatrix(*frame), TangentElement(*tangent)))
         return tuple(states)
 
     @cached_property
@@ -490,7 +489,10 @@ def chain_from_dict(data: dict) -> ChainParams:
     except FrameDeterminantError as exc:
         raise ChainFormatError(str(exc)) from exc
     ta, tb, tc = _reals(tangent_raw, 3, "initial.tangent")
-    tangent = ProjectiveTangent.from_tangent(TangentElement(ta, tb, tc))
+    # a squared norm that underflows or overflows leaves no accurate unit tangent
+    if not 1e-300 <= ta * ta + tb * tb + tc * tc < math.inf:
+        raise ChainFormatError("initial.tangent norm must be finite and at least 1e-150")
+    tangent = TangentElement(ta, tb, tc).unit()
     if not isinstance(links_raw, list):
         raise ChainFormatError("links must be a list")
     links = []

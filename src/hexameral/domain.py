@@ -293,7 +293,7 @@ def export_svg(dom: HexameralDomain, per_link: int = 64) -> str:
     """SVG 1.1 document: boundary, initial multi-point, balanced hexagon."""
     poly = boundary_polyline(dom, per_link)
     markers = initial_multipoint(dom).points
-    hexagon = _hexagon_vertices(markers, dom.chain.initial.tangent.rep.apply(markers))
+    hexagon = _hexagon_vertices(markers, dom.chain.initial.tangent.apply(markers))
 
     all_pts = np.concatenate((poly.points, hexagon))
     lo = all_pts.min(axis=0)

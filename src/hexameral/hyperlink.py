@@ -23,8 +23,8 @@ import numpy as np
 from .errors import DegenerateVelocity, NotRankOneCompatible, ParameterOutOfRange, ScaleTooSmall
 from .kit import FLOATS, kit_of
 from .sl2 import (
-    SQRT3, Frame, FrameMatrix, ProjectiveTangent, TangentElement, _adjoint, _adjoint_matrix,
-    _inverse, _product, _sphere_basis, _star, _unit_det, _unit_tangent, adjoint, star_check,
+    SQRT3, Frame, FrameMatrix, TangentElement, _adjoint, _adjoint_matrix, _inverse, _product,
+    _sphere_basis, _star, _unit_det, _unit_tangent, adjoint,
 )
 
 MIN_SCALE_SQ, _STANDARD_INVERSE = FLOATS.MIN_SCALE_SQ, FLOATS.STANDARD_INVERSE
@@ -108,34 +108,31 @@ def _square_points(a, k, t):
 
 @dataclass(frozen=True)
 class LinkState:
-    """Frame and oriented projective tangent at a link endpoint.
+    """Frame and oriented tangent at a link endpoint.
 
+    The tangent is the unit representative of its positive-scalar class, so
+    its sign carries the curve orientation: a counterclockwise boundary
+    tangent X at a point p satisfies wedge(p, X p) > 0, and under the star
+    inequalities the triple (c, -b, a) has its first nonzero entry positive.
     For states on a convex boundary the tangent pulled back to the circle
     representation, adjoint(frame^{-1}, tangent), satisfies the star
     inequalities; this is checked on use, not on construction.
     """
 
     frame: FrameMatrix
-    tangent: ProjectiveTangent
+    tangent: TangentElement
 
     def entries(self) -> tuple[Frame, tuple[float, float, float]]:
-        f, x = self.frame, self.tangent.rep
-        return (f.alpha, f.beta, f.gamma, f.delta), (x.a, x.b, x.c)
+        return self.frame.entries(), self.tangent.components()
 
 
 def circle_tangent(state: LinkState) -> TangentElement:
     """The state's tangent conjugated back to the circle representation."""
-    return adjoint(state.frame.inverse(), state.tangent.rep)
-
-
-def state_is_convex(state: LinkState) -> bool:
-    """Star inequalities for the pulled-back tangent."""
-    return star_check(circle_tangent(state))
+    return adjoint(state.frame.inverse(), state.tangent)
 
 
 def transform_state(g: FrameMatrix, state: LinkState) -> LinkState:
-    return LinkState(g.compose(state.frame),
-                     ProjectiveTangent.from_tangent(adjoint(g, state.tangent.rep)))
+    return LinkState(g.compose(state.frame), adjoint(g, state.tangent).unit())
 
 
 # _CURVE_ROWS[j, m] is the row of curve m in (even, -even) of a link at index j.
@@ -174,8 +171,8 @@ def frame_at(rep: SquareRep, t: float) -> LinkState:
     """Link state at parameter t of the canonical square representation."""
     _check_range(rep, t)
     k = rep.k
-    return LinkState(FrameMatrix(*_square_frame(rep.a, k, t, rep.j)), ProjectiveTangent(
-        TangentElement(*_unit_tangent(*_square_tangent(rep.a, k, t)))))
+    return LinkState(FrameMatrix(*_square_frame(rep.a, k, t, rep.j)),
+                     TangentElement(*_unit_tangent(*_square_tangent(rep.a, k, t))))
 
 
 def _circle_tangent_at(a, k, t, j, kit=None) -> tuple[float, float, float]:

@@ -31,7 +31,7 @@ from .chain import (
 from .domain import SQRT12, smoothed_octagon
 from .errors import GeometryError, InfeasibleInput
 from .hyperlink import LinkState, circle_tangent
-from .sl2 import IDENTITY, ROT60, ProjectiveTangent, TangentElement, _sphere_basis
+from .sl2 import IDENTITY, ROT60, TangentElement, _sphere_basis
 
 FIVE_LINK_PATTERN = (0, 2, 4, 2, 0)
 TAU_HI = 1.0 - 1e-6
@@ -93,6 +93,8 @@ class SearchSpec:
         for lo, hi in self.bounds:
             if not lo < hi:
                 raise InfeasibleInput(f"empty bound interval ({lo!r}, {hi!r})")
+            if not math.isfinite(hi - lo):
+                raise InfeasibleInput(f"bound interval ({lo!r}, {hi!r}) is not finite")
         for name, least in (("restarts", 1), ("max_evals", 0), ("seed", 0)):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, numbers.Integral):
@@ -185,7 +187,7 @@ class EndpointProblem:
         r2 = a * a + b * b
         if not r2 < 1.0:  # NaN too
             raise InfeasibleInput("tangent components leave the unit disk")
-        tangent = ProjectiveTangent.from_tangent(TangentElement(a, b, math.sqrt(1.0 - r2)))
+        tangent = TangentElement(a, b, math.sqrt(1.0 - r2)).unit()
         links = tuple(LinkParam(float(t), j) for t, j in zip(p[2:], self.pattern))
         return ChainParams(LinkState(IDENTITY, tangent), links)
 
@@ -582,8 +584,7 @@ def five_link_problem(bounds=DEFAULT_BOUNDS) -> EndpointProblem:
 def octagon_embedding() -> np.ndarray:
     """The smoothed octagon as a seven-vector of the five-link search space."""
     dom = smoothed_octagon()
-    unit = ProjectiveTangent.from_tangent(circle_tangent(dom.chain.initial))
-    a, b, _ = unit.components()
+    a, b, _ = circle_tangent(dom.chain.initial).unit().components()
     tau = dom.chain.links[0].tau
     return np.array([a, b, tau, tau, tau, 0.0, tau])
 

@@ -145,6 +145,17 @@ class TangentElement:
     def scaled(self, factor: float) -> "TangentElement":
         return TangentElement(factor * self.a, factor * self.b, factor * self.c)
 
+    def unit(self) -> "TangentElement":
+        """The unit-norm representative of the tangent's positive-scalar class."""
+        return TangentElement(*_unit_tangent(self.a, self.b, self.c))
+
+    def components(self) -> tuple[float, float, float]:
+        return (self.a, self.b, self.c)
+
+    def distance(self, other: "TangentElement") -> float:
+        """1 - <r, s> of unit tangents: zero exactly on equal oriented classes."""
+        return 1.0 - (self.a * other.a + self.b * other.b + self.c * other.c)
+
 
 def _adjoint(g: Frame, a: float, b: float, c: float) -> tuple[float, float, float]:
     """Coordinates of g X g^{-1} for X = [[a, b], [c, -a]]."""
@@ -222,28 +233,3 @@ def _unit_tangent(a, b, c, kit=FLOATS) -> tuple[float, float, float]:
         kit.fail(bad, DegenerateVelocity, "cannot project a zero tangent")
     f = 1.0 / n
     return (f * a, f * b, f * c)
-
-
-@dataclass(frozen=True, slots=True)
-class ProjectiveTangent:
-    """Positive-scalar class of a tangent, stored with unit Euclidean norm.
-
-    Only positive rescalings are identified, so the stored sign carries the
-    curve orientation: a counterclockwise boundary tangent X at a point p
-    satisfies wedge(p, X p) > 0, and under the star inequalities the triple
-    (c, -b, a) has its first nonzero entry positive.
-    """
-
-    rep: TangentElement
-
-    @staticmethod
-    def from_tangent(x: TangentElement) -> "ProjectiveTangent":
-        return ProjectiveTangent(TangentElement(*_unit_tangent(x.a, x.b, x.c)))
-
-    def components(self) -> tuple[float, float, float]:
-        return (self.rep.a, self.rep.b, self.rep.c)
-
-    def distance(self, other: "ProjectiveTangent") -> float:
-        """1 - <r1, r2>: zero exactly on equal oriented classes."""
-        r, s = self.rep, other.rep
-        return 1.0 - (r.a * s.a + r.b * s.b + r.c * s.c)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from hexameral.hyperlink import LinkState, SquareRep, link_curves, propagate, t_end
-from hexameral.sl2 import SQRT3, FrameMatrix, ProjectiveTangent, TangentElement, exp_tangent
+from hexameral.sl2 import SQRT3, FrameMatrix, TangentElement, exp_tangent
 
 
 @pytest.fixture(scope="session")
@@ -22,7 +22,7 @@ def rng():
 def as_state(entries) -> LinkState:
     """The LinkState of a state's entries (frame, tangent), as ``propagate`` returns them."""
     frame, tangent = entries
-    return LinkState(FrameMatrix(*frame), ProjectiveTangent(TangentElement(*tangent)))
+    return LinkState(FrameMatrix(*frame), TangentElement(*tangent))
 
 
 def propagate_state(state: LinkState, tau: float, j: int):

@@ -32,7 +32,7 @@ from hexameral.optimize import (
     _roots,
     _Search,
 )
-from hexameral.sl2 import FrameMatrix, ProjectiveTangent, TangentElement
+from hexameral.sl2 import FrameMatrix, TangentElement
 
 from conftest import random_frame, random_reduce_segment, split_octagon_period
 
@@ -76,7 +76,7 @@ def _unruled(entries) -> FrameMatrix:
 
 
 def _state(frame, tangent) -> LinkState:
-    return LinkState(FrameMatrix(*frame), ProjectiveTangent(TangentElement(*tangent)))
+    return LinkState(FrameMatrix(*frame), TangentElement(*tangent))
 
 
 def _mixed_chains(octagon, count: int, seed: int) -> list[ChainParams]:

@@ -1,4 +1,5 @@
 """Chain assembly, closure, normalization, link length, JSON dialect."""
+import contextlib
 import json
 import math
 
@@ -30,9 +31,11 @@ from hexameral.errors import (
     NotRankOneCompatible,
     ParameterOutOfRange,
 )
-from hexameral.sl2 import ROT60, frame_distance
+from hexameral.hyperlink import frame_at, transform_state
+from hexameral.optimize import five_link_problem, octagon_embedding
+from hexameral.sl2 import ROT60, TangentElement, frame_distance
 
-from conftest import random_frame
+from conftest import random_frame, random_square_rep
 
 
 def octagon_chain(octagon) -> ChainParams:
@@ -63,10 +66,10 @@ class TestAssemble:
 
     def test_failure_names_link(self):
         from hexameral.hyperlink import LinkState
-        from hexameral.sl2 import FrameMatrix, ProjectiveTangent, TangentElement
+        from hexameral.sl2 import FrameMatrix, TangentElement
         bad_state = LinkState(
             FrameMatrix(1.0, 0.0, 0.0, 1.0),
-            ProjectiveTangent.from_tangent(TangentElement(0.0, 1.0, 1.0)))
+            TangentElement(0.0, 1.0, 1.0).unit())
         bad = ChainParams(bad_state, (LinkParam(0.3, 0), LinkParam(0.3, 2)))
         with pytest.raises(NotRankOneCompatible, match="link 0"):
             assemble(bad)
@@ -326,6 +329,13 @@ class TestJsonDialect:
         with pytest.raises(ChainFormatError, match="finite"):
             chain_from_dict(doc)
 
+    @pytest.mark.parametrize("tangent", [[0.0, 0.0, 0.0], [1e-200] * 3, [1e200] * 3])
+    def test_degenerate_initial_tangent_rejected(self, octagon, tangent):
+        doc = chain_to_dict(octagon.chain)
+        doc["initial"]["tangent"] = tangent
+        with pytest.raises(ChainFormatError, match="initial.tangent"):
+            chain_from_dict(doc)
+
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     def test_non_finite_tau_rejected(self, octagon, value):
         doc = chain_to_dict(octagon.chain)
@@ -338,3 +348,27 @@ class TestJsonDialect:
         doc["area"] = 3.0
         chain = chain_from_dict(doc)
         assert chain.links == octagon.chain.links
+
+
+def test_library_states_carry_unit_tangents(octagon, rng):
+    """Every state the library hands out holds a unit-norm TangentElement."""
+    states = [octagon.chain.initial, *assemble(octagon.chain).states]
+    for _ in range(20):
+        rep = random_square_rep(rng)
+        states.append(frame_at(rep, rep.t0))
+        states.append(transform_state(random_frame(rng), octagon.chain.initial))
+    doc = chain_to_dict(octagon.chain)
+    doc["initial"]["tangent"] = [3.0, -4.0, 12.0]
+    states.append(chain_from_dict(doc).initial)
+    problem = five_link_problem()
+    lo, hi = problem.box()
+    xs = [octagon_embedding()] + [lo + (hi - lo) * rng.uniform(size=len(lo)) for _ in range(20)]
+    for x in xs:
+        if x[0] ** 2 + x[1] ** 2 < 1.0:
+            chain = problem.decode(x)
+            states.append(chain.initial)
+            with contextlib.suppress(GeometryError):
+                states.extend(assemble(chain).states)
+    for state in states:
+        assert type(state.tangent) is TangentElement
+        assert abs(state.tangent.norm() - 1.0) <= 1e-15

@@ -83,6 +83,16 @@ class TestDensityCommand:
         assert main(["density", str(path)]) == 1
         assert stderr_diagnostic(capsys)["error"] == "NotClosed"
 
+    def test_degenerate_tangent_is_a_format_error(self, octagon_file, tmp_path, capsys):
+        doc = json.loads(open(octagon_file).read())
+        doc["initial"]["tangent"] = [0.0, 0.0, 0.0]
+        path = tmp_path / "zero.json"
+        path.write_text(json.dumps(doc))
+        assert main(["density", str(path)]) == 1
+        diag = stderr_diagnostic(capsys)
+        assert diag["error"] == "ChainFormatError"
+        assert "initial.tangent" in diag["detail"]
+
 
 class TestVerifyCommand:
     def test_perturbed_chain_fails_closure(self, octagon_file, tmp_path,

@@ -44,7 +44,7 @@ from hexameral.optimize import (
     five_link_problem,
     octagon_embedding,
 )
-from hexameral.sl2 import ProjectiveTangent, TangentElement, _sphere_basis, exp_tangent
+from hexameral.sl2 import TangentElement, _sphere_basis, exp_tangent
 
 from conftest import propagate_state, split_octagon_period
 from test_kernel_identity import _five_link_points, _moved_segments
@@ -72,7 +72,7 @@ def _moved(state: LinkState, d, h: float) -> LinkState:
     x = np.array(state.tangent.components())
     e1, e2 = np.array(_sphere_basis(*x))
     tangent = x + h * (d[3] * e1 + d[4] * e2)
-    return LinkState(frame, ProjectiveTangent.from_tangent(TangentElement(*tangent)))
+    return LinkState(frame, TangentElement(*tangent).unit())
 
 
 def _coordinates(base: LinkState, state: LinkState) -> np.ndarray:

@@ -263,10 +263,10 @@ class TestVerifyChecks:
 
     def test_assembly_failure_ends_the_list(self):
         from hexameral.hyperlink import LinkState
-        from hexameral.sl2 import FrameMatrix, ProjectiveTangent, TangentElement
+        from hexameral.sl2 import FrameMatrix, TangentElement
         bad = ChainParams(
             LinkState(FrameMatrix(1.0, 0.0, 0.0, 1.0),
-                      ProjectiveTangent.from_tangent(TangentElement(0.0, 1.0, 1.0))),
+                      TangentElement(0.0, 1.0, 1.0).unit()),
             ((0.3, 0), (0.3, 2)))
         [(name, ok, detail)] = verify_checks(bad)
         assert (name, ok) == ("assembly", False)
@@ -369,7 +369,7 @@ class TestInitialMultipoint:
 
     def test_balanced_hexagon_area(self, octagon):
         mp = initial_multipoint(octagon)
-        x = octagon.chain.initial.tangent.rep
+        x = octagon.chain.initial.tangent
         hexagon = _hexagon_vertices(mp.points, x.apply(mp.points))
         assert abs(polygon_area(hexagon) - SQRT12) < 1e-12
 

@@ -1,8 +1,9 @@
 """Fuzz of the input boundary: chain documents and the density/verify commands.
 
-Any document, however malformed, must either parse or be rejected with a
-GeometryError; the CLI must answer every chain file with exit code 0, 1 or 2
-and a one-line JSON diagnostic on failure, never with an uncaught exception.
+Any document, however malformed, must either parse, with a unit initial
+tangent, or be rejected with a ChainFormatError; the CLI must answer every
+chain file with exit code 0, 1 or 2 and a one-line JSON diagnostic on
+failure, never with an uncaught exception.
 """
 import contextlib
 import io
@@ -15,7 +16,7 @@ from hypothesis import strategies as st
 from hexameral.chain import ChainParams, chain_from_dict, chain_to_dict
 from hexameral.cli import main
 from hexameral.domain import smoothed_octagon
-from hexameral.errors import GeometryError
+from hexameral.errors import ChainFormatError
 
 OCTAGON_DOC = chain_to_dict(smoothed_octagon().chain)
 
@@ -67,14 +68,15 @@ def near_octagon(draw):
 documents = st.one_of(near_octagon(), structured, junk)
 
 
-@settings(max_examples=200, deadline=None, derandomize=True)
+@settings(max_examples=400, deadline=None, derandomize=True)
 @given(documents)
 def test_chain_from_dict_rejects_with_geometry_errors(doc):
     try:
         chain = chain_from_dict(doc)
-    except GeometryError:
+    except ChainFormatError:
         return
     assert isinstance(chain, ChainParams)
+    assert abs(chain.initial.tangent.norm() - 1.0) <= 1e-15
 
 
 @pytest.fixture(scope="module")

@@ -100,7 +100,6 @@ from hexameral.optimize import (
 from hexameral.sl2 import (
     SQRT3,
     FrameMatrix,
-    ProjectiveTangent,
     TangentElement,
     _adjoint,
     _inverse,
@@ -210,7 +209,7 @@ def oracle_propagate(state: LinkState, tau: float, j: int):
         raise ParameterOutOfRange(f"tau = {tau!r} outside [0, 1)")
     if j not in (0, 2, 4):
         raise ParameterOutOfRange(f"hyperbolic index j = {j!r} not in (0, 2, 4)")
-    x = state.tangent.rep
+    x = state.tangent
     p2 = frame_apply(state.frame, standard_vec(j + 2))
     p4 = frame_apply(state.frame, standard_vec(j + 4))
     d2 = tangent_apply(x, p2)
@@ -244,7 +243,7 @@ def oracle_propagate(state: LinkState, tau: float, j: int):
     t1 = t_end(rep)
     g = state.frame.compose(_oracle_frame(rep, t0).inverse())
     frame_out = g.compose(_oracle_frame(rep, t1))
-    tangent_out = ProjectiveTangent.from_tangent(adjoint(g, _oracle_tangent(rep, t1)))
+    tangent_out = adjoint(g, _oracle_tangent(rep, t1)).unit()
     return LinkState(frame_out, tangent_out), rep
 
 
@@ -323,7 +322,7 @@ def _moved_segments(rng, count: int):
             tangent = (random_star_tangent(rng) if i % 3 == 1
                        else TangentElement(*(float(v) for v in rng.uniform(-1.0, 1.0, 3))))
             frame = random_frame(rng)
-            initial = LinkState(frame, ProjectiveTangent.from_tangent(adjoint(frame, tangent)))
+            initial = LinkState(frame, adjoint(frame, tangent).unit())
         n = int(rng.integers(1, 7))
         links = tuple(
             LinkParam(float(rng.uniform(0.0, 0.95)) if rng.uniform() > 0.15 else 0.0,
@@ -619,7 +618,7 @@ def test_frame_at_and_link_map_match_oracle(octagon):
         for t in np.linspace(rep.t0, t_end(rep), 5):
             t = float(t)
             expected = LinkState(_oracle_frame(rep, t),
-                                 ProjectiveTangent.from_tangent(_oracle_tangent(rep, t)))
+                                 _oracle_tangent(rep, t).unit())
             assert frame_at(rep, t) == expected
         assert link_map(state, rep) == state.frame.compose(_oracle_frame(rep, rep.t0).inverse())
 
@@ -965,7 +964,7 @@ def test_endpoint_equations_match_numpy_forms():
             tie = rng.integers(4)  # ties among the smallest components, and none
             if tie < 3:
                 t[(tie + 1) % 3] = t[tie] * rng.choice((1.0, -1.0))
-            tangents.append(ProjectiveTangent.from_tangent(TangentElement(*t)))
+            tangents.append(TangentElement(*t).unit())
         for end, aim in ((frames[4], frames[5]), (frames[4], frames[4]),
                          *((f, frames[5]) for f in frames[:4]), (frames[5], frames[0])):
             final, target = LinkState(end, tangents[0]), LinkState(aim, tangents[1])
@@ -1029,7 +1028,7 @@ def oracle_chain_path(chain: ChainParams, per_link: int) -> FramePath:
 def oracle_export_svg(dom, per_link: int) -> str:
     points = oracle_polyline_points(dom, per_link)
     markers = initial_multipoint(dom).points
-    hexagon = _hexagon_vertices(markers, dom.chain.initial.tangent.rep.apply(markers))
+    hexagon = _hexagon_vertices(markers, dom.chain.initial.tangent.apply(markers))
     all_pts = np.concatenate((points, hexagon))
     lo_x, lo_y = all_pts.min(axis=0).tolist()
     hi_x, hi_y = all_pts.max(axis=0).tolist()
@@ -1166,8 +1165,8 @@ def object_propagate(state: LinkState, tau: float, j: int):
     if tau == 0.0:
         return state, SquareRep(a, t0, tau, j)
     frame_out, tangent_out = _link_end(g, a, k, t0, tau, j, FLOATS)
-    return LinkState(FrameMatrix(*frame_out), ProjectiveTangent(
-        TangentElement(*tangent_out))), SquareRep(a, t0, tau, j)
+    out = LinkState(FrameMatrix(*frame_out), TangentElement(*tangent_out))
+    return out, SquareRep(a, t0, tau, j)
 
 
 def object_assemble(chain: ChainParams):

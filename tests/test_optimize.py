@@ -217,6 +217,11 @@ class TestSpecValidation:
         with pytest.raises(InfeasibleInput):
             SearchSpec(bounds=bounds)
 
+    @pytest.mark.parametrize("bound", [(-math.inf, math.inf), (0.0, math.inf), (-math.inf, 0.0)])
+    def test_infinite_bound_rejected(self, bound):
+        with pytest.raises(InfeasibleInput, match="not finite"):
+            SearchSpec(bounds=(bound,) + DEFAULT_BOUNDS[1:], restarts=2, max_evals=50, seed=1)
+
     def test_restarts_positive(self):
         with pytest.raises(InfeasibleInput):
             SearchSpec(restarts=0)
@@ -385,11 +390,10 @@ class TestLinkReduction:
 
     def test_non_assembling_rejected(self):
         from hexameral.hyperlink import LinkState
-        from hexameral.sl2 import (FrameMatrix, ProjectiveTangent,
-                                   TangentElement)
+        from hexameral.sl2 import FrameMatrix, TangentElement
         bad_state = LinkState(
             FrameMatrix(1.0, 0.0, 0.0, 1.0),
-            ProjectiveTangent.from_tangent(TangentElement(0.0, 1.0, 1.0)))
+            TangentElement(0.0, 1.0, 1.0).unit())
         bad = ChainParams(bad_state, (LinkParam(0.2, 0),) * 6)
         with pytest.raises(InfeasibleInput):
             link_reduction_experiment(bad, SearchSpec())
@@ -581,10 +585,8 @@ def test_embedding_closure_is_tight():
 
 def test_embedding_matches_octagon_tangent(octagon):
     from hexameral.hyperlink import circle_tangent
-    from hexameral.sl2 import ProjectiveTangent
     chain = five_link_problem().decode(octagon_embedding())
-    target = ProjectiveTangent.from_tangent(
-        circle_tangent(octagon.chain.initial))
+    target = circle_tangent(octagon.chain.initial).unit()
     assert chain.initial.tangent.distance(target) < 1e-15
     assert abs(chain.links[0].tau - octagon.chain.links[0].tau) < 1e-15
 

@@ -11,7 +11,6 @@ from hexameral.sl2 import (
     IDENTITY,
     ROT60,
     FrameMatrix,
-    ProjectiveTangent,
     TangentElement,
     adjoint,
     exp_tangent,
@@ -174,30 +173,30 @@ class TestExpTangent:
             assert abs(exp_tangent(x, rng.uniform(-2, 2)).det() - 1.0) < 1e-12
 
 
-class TestProjectiveTangent:
+class TestUnitTangent:
     def test_unit_norm(self):
-        p = ProjectiveTangent.from_tangent(TangentElement(3.0, -4.0, 12.0))
-        assert abs(p.rep.norm() - 1.0) < 1e-12
+        p = TangentElement(3.0, -4.0, 12.0).unit()
+        assert abs(p.norm() - 1.0) < 1e-12
 
     @given(st.floats(min_value=0.01, max_value=100.0))
     def test_positive_scale_invariance(self, lam):
         x = TangentElement(0.2, -1.1, 0.8)
-        p = ProjectiveTangent.from_tangent(x)
-        q = ProjectiveTangent.from_tangent(x.scaled(lam))
+        p = x.unit()
+        q = x.scaled(lam).unit()
         assert p.distance(q) < 1e-12
 
     def test_normalization_idempotent(self):
-        p = ProjectiveTangent.from_tangent(TangentElement(0.5, -0.6, 0.7))
-        q = ProjectiveTangent.from_tangent(p.rep)
+        p = TangentElement(0.5, -0.6, 0.7).unit()
+        q = p.unit()
         assert p.distance(q) < 1e-15
 
     def test_distance_separates_orientation(self):
         x = TangentElement(0.0, -1.0, 1.0)
-        p = ProjectiveTangent.from_tangent(x)
-        q = ProjectiveTangent.from_tangent(x.scaled(-1.0))
+        p = x.unit()
+        q = x.scaled(-1.0).unit()
         assert p.distance(q) > 1.0
 
     def test_distance_symmetric(self, rng):
-        p = ProjectiveTangent.from_tangent(TangentElement(*rng.uniform(-1, 1, 3)))
-        q = ProjectiveTangent.from_tangent(TangentElement(*rng.uniform(-1, 1, 3)))
+        p = TangentElement(*rng.uniform(-1, 1, 3)).unit()
+        q = TangentElement(*rng.uniform(-1, 1, 3)).unit()
         assert abs(p.distance(q) - q.distance(p)) < 1e-15
