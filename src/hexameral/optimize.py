@@ -37,22 +37,21 @@ FIVE_LINK_PATTERN = (0, 2, 4, 2, 0)
 TAU_HI = 1.0 - 1e-6
 FAIL_RESIDUAL = 1.0e3
 IMPROVEMENT_MARGIN = 1e-9
-# The stop rule of a Newton solve (_roots): a root is a residual of at most
-# ROOT_TOL; an accepted step that cuts the cost by under ROOT_FTOL of it is a
-# stall, which is how a pattern without a root plateaus; a step under
-# STEP_TOL relative to x ends it too.  LM_DAMPING is the first
-# Levenberg-Marquardt parameter.
+# The stop rule of every Newton solve (_roots): a root is a point whose
+# residual entries are within ROOT_TOL; an accepted step that cuts the cost
+# by under ROOT_FTOL of it is a stall, which is how a pattern without a root
+# plateaus; a step under STEP_TOL relative to x ends it too.  LM_DAMPING is
+# the first Levenberg-Marquardt parameter.
 ROOT_TOL = 1e-14
 ROOT_FTOL = 1e-2
-STEP_TOL = 1e-12
+STEP_TOL = 1e-15
 LM_DAMPING = 1e-3
 # Assemblies of the solve that snaps a five-link start onto closure, and of
 # each that restores an SQP trial, which sits so near closure that its solve
-# starts almost undamped and stops short of a root only on a tiny step.
+# starts almost undamped.
 SNAP_EVALS = 200
 RESTORE_EVALS = 20
 RESTORE_DAMPING = 1e-9
-RESTORE_XTOL = 1e-15
 # The SQP stops where its model promises a fall under SQP_FTOL; a trial step
 # halves at most SQP_HALVINGS times, an active set changes QP_CHANGES times.
 SQP_FTOL = 1e-15
@@ -279,11 +278,11 @@ class EndpointProblem:
                            equation_jacobian=jac)
 
 
-def _rank(ev: Evaluation, closure_tol: float = math.inf) -> tuple[int, float]:
-    """Incumbent order: feasible points by value, then the rest by violation;
-    with a ``closure_tol``, only those whose residual entries are within it
-    rank by value, so closure slack never passes for a lower value."""
-    if ev.feasible() and np.abs(ev.residuals).max() <= closure_tol:
+def _rank(ev: Evaluation) -> tuple[int, float]:
+    """Incumbent order: roots (feasible, residual entries within ROOT_TOL) by
+    value, then the rest by violation, so closure slack never passes for a
+    lower value."""
+    if ev.feasible() and np.abs(ev.residuals).max() <= ROOT_TOL:
         return (0, ev.value)
     return (1, ev.violation())
 
@@ -301,14 +300,13 @@ class _Search:
     assembled twice.
     """
 
-    def __init__(self, closure_tol: float = math.inf) -> None:
+    def __init__(self) -> None:
         self.evals = 0
         self.limit = math.inf
-        self.closure_tol = closure_tol
         self.best: Evaluation | None = None
 
     def consider(self, ev: Evaluation) -> None:
-        if self.best is None or _rank(ev, self.closure_tol) < _rank(self.best, self.closure_tol):
+        if self.best is None or _rank(ev) < _rank(self.best):
             self.best = ev
 
 
@@ -358,7 +356,7 @@ def _dots(u: np.ndarray) -> np.ndarray:
     return (u[:, None, :] @ u[:, :, None])[:, 0, 0]
 
 
-def _step(x, jac, r, lo, hi, lam, xtol, rejected):
+def _step(x, jac, r, lo, hi, lam, rejected):
     """``_stacked_steps`` for one solve, in 2-D calls with the stacked bits:
     at one solve they cost about half the stacked step, which is cheaper
     from two solves on, so only a lone live solve steps here."""
@@ -371,11 +369,11 @@ def _step(x, jac, r, lo, hi, lam, xtol, rejected):
     except np.linalg.LinAlgError:
         return x, True, False
     trial = np.minimum(np.maximum(x + step, lo), hi)
-    stop = math.sqrt((trial - x) @ (trial - x)) <= xtol * (xtol + math.sqrt(x @ x))
+    stop = math.sqrt((trial - x) @ (trial - x)) <= STEP_TOL * (STEP_TOL + math.sqrt(x @ x))
     return trial, stop, not stop and (trial == rejected).all()
 
 
-def _stacked_steps(xs, js, rs, lo, hi, lam, xtol, rejected):
+def _stacked_steps(xs, js, rs, lo, hi, lam, rejected):
     """The Marquardt trials of a round's solves, stacked: the stacked
     products and solves give the bits of each solve's own 2-D calls.
     Returns the trials, where each solve stops, and where its trial is the
@@ -401,25 +399,25 @@ def _stacked_steps(xs, js, rs, lo, hi, lam, xtol, rejected):
                 except np.linalg.LinAlgError:
                     solved[k] = False
     trials = np.minimum(np.maximum(xs + steps, lo), hi)
-    solved &= ~(np.sqrt(_dots(trials - xs)) <= xtol * (xtol + np.sqrt(_dots(xs))))
+    solved &= ~(np.sqrt(_dots(trials - xs)) <= STEP_TOL * (STEP_TOL + np.sqrt(_dots(xs))))
     return trials, ~solved, solved & np.all(trials == rejected, axis=1)
 
 
 def _roots(run: _Search, solves: list) -> list:
-    """Levenberg-Marquardt solves (problem, x, budget, damping, xtol) of the
+    """Levenberg-Marquardt solves (problem, x, budget, damping) of the
     endpoint residuals, over one number of variables, in lockstep.
 
     From x, clipped to the box, Marquardt's step solves (J'J + lam diag(J'J))
     dx = -J'r over the variables not held at a bound that the gradient
     pushes against, clipped to the box.  It is taken if its chain assembles
     and the cost |r|^2 / 2 falls, and lam falls tenfold; else lam rises
-    tenfold from ``damping``.  A solve stops by the rule above (with
-    ``xtol``), on a singular system, or after ``budget`` assemblies, its
-    start's included.  Each round steps the live solves together
-    (``_stacked_steps``; ``_step`` for one) and assembles their trials in
-    order, each with the bits it has alone; one refused an assembly stops.
-    Starts and ends, but a refused solve's end, go to the incumbent solve by
-    solve.  Returns the ends' evaluations, None for a refused solve.
+    tenfold from ``damping``.  A solve stops by the rule above, on a
+    singular system, or after ``budget`` assemblies, its start's included.
+    Each round steps the live solves together (``_stacked_steps``; ``_step``
+    for one) and assembles their trials in order, each with the bits it has
+    alone; one refused an assembly stops.  Starts and ends, but a refused
+    solve's end, go to the incumbent solve by solve.  Returns the ends'
+    evaluations, None for a refused solve.
     """
     problems, count = [solve[0] for solve in solves], len(solves)
     boxes = [problem.box() for problem in problems]
@@ -438,7 +436,7 @@ def _roots(run: _Search, solves: list) -> list:
                 got = held[i][1]
                 jac[i] = (got.jac if isinstance(got, _Member)
                           else problems[i].jacobian(x[i], held[i]))
-        rows = [(x[i], jac[i], r[i], *boxes[i], lam[i], solves[i][4], rejected[i]) for i in live]
+        rows = [(x[i], jac[i], r[i], *boxes[i], lam[i], rejected[i]) for i in live]
         steps = [_step(*rows[0])] if len(rows) == 1 else zip(*_stacked_steps(
             *(np.array(column) for column in zip(*rows))))
         go, stop, taken = [], set(), []
@@ -481,9 +479,9 @@ def _roots(run: _Search, solves: list) -> list:
 
 
 def _root(run: _Search, problem: EndpointProblem, x, budget: int,
-          damping: float = LM_DAMPING, xtol: float = STEP_TOL) -> Evaluation:
+          damping: float = LM_DAMPING) -> Evaluation:
     """One solve of ``_roots``, on floats; _Exhausted where the budget binds."""
-    (end,) = _roots(run, [(problem, x, budget, damping, xtol)])
+    (end,) = _roots(run, [(problem, x, budget, damping)])
     if end is None:
         raise _Exhausted
     return end
@@ -546,13 +544,13 @@ def _descend(run: _Search, problem: EndpointProblem, here: Evaluation) -> None:
     hess, fresh = np.eye(len(here.x)), True
     while here.report is not None:
         step, lam, _ = _qp(hess, here, here.x, lo, hi)
-        if (_rank(here, run.closure_tol)[0] == 0
+        if (_rank(here)[0] == 0
                 and -(here.gradient @ step + 0.5 * step @ hess @ step) <= SQP_FTOL):
             return
         for halving in range(SQP_HALVINGS + 1):
             trial = np.minimum(np.maximum(here.x + step / 2 ** halving, lo), hi)
-            new = _root(run, problem, trial, RESTORE_EVALS, RESTORE_DAMPING, RESTORE_XTOL)
-            if _rank(new, run.closure_tol) < _rank(here, run.closure_tol):
+            new = _root(run, problem, trial, RESTORE_EVALS, RESTORE_DAMPING)
+            if _rank(new) < _rank(here):
                 break
         else:
             if fresh:
@@ -592,25 +590,25 @@ def octagon_embedding() -> np.ndarray:
 def five_link_search(spec: SearchSpec) -> SearchResult:
     """Multi-start constrained descent: per start, a ``_root`` snap onto
     closure, then the SQP ``_descend`` on density.  Every start and end of a
-    solve is offered to the incumbent, and only points on closure (roots in
-    ``_root``'s sense) compete on density.  A random start that does not
-    assemble is redrawn, each draw counted, up to ``START_DRAWS`` draws; a
-    given start is kept.  Each start may assemble ``max_evals // restarts``
-    chains, the first at least one, so ``eval_count`` never exceeds a
-    positive ``max_evals``."""
+    solve is offered to the incumbent, and only roots compete on density.
+    A random start that does not assemble is redrawn, each draw counted, up
+    to ``START_DRAWS`` draws; a given start is kept.  Each start may
+    assemble ``max_evals // restarts`` chains, the first at least one, so
+    ``eval_count`` never exceeds a positive ``max_evals``; where that share
+    is zero, only the first start is drawn, as no other could assemble."""
     rng = np.random.default_rng(spec.seed)
     problem = five_link_problem(spec.bounds)
     lo, hi = problem.box()
-    run = _Search(ROOT_TOL)
+    run = _Search()
 
     def draw() -> np.ndarray:
         return lo + (hi - lo) * rng.uniform(size=len(lo))
 
+    per_start = spec.max_evals // spec.restarts
     starts = [] if spec.start is None else [np.asarray(spec.start, dtype=float)]
-    while len(starts) < spec.restarts:
+    while len(starts) < (spec.restarts if per_start else 1):
         starts.append(draw())
 
-    per_start = spec.max_evals // len(starts)
     for i, p0 in enumerate(starts):
         run.limit = run.evals + max(per_start, 1 if i == 0 else 0)
         try:
@@ -645,7 +643,7 @@ class LinkReductionReport:
     feasible: bool
     improved: bool
     eval_count: int
-    # patterns with a solve that ended strictly closed, angle condition met
+    # patterns with a solve that ended at a root
     root_count: int
 
 
@@ -657,7 +655,8 @@ def link_reduction_experiment(six_link: ChainParams, spec: SearchSpec) -> LinkRe
     fractions from each start of each pattern.  The merged input links seed
     their own pattern, so degenerate six-link chains are refit exactly.
     ``max_evals`` caps the assemblies, the first evaluation excepted; where
-    it binds, they go to the solves pattern by pattern.
+    it binds, they go to the solves pattern by pattern, and no start is
+    drawn for a solve that could not assemble it.
     """
     if len(six_link.links) != 6:
         raise InfeasibleInput(f"expected six links, got {len(six_link.links)}")
@@ -686,17 +685,19 @@ def link_reduction_experiment(six_link: ChainParams, spec: SearchSpec) -> LinkRe
     per_pattern = max(60, spec.max_evals // (len(patterns) + 1))
     solves, owners = [], []
     for n, pattern in enumerate(patterns):
+        if len(solves) >= run.limit:  # _assemblies refuses every later start
+            break
         problem = EndpointProblem(pattern, lambda area: area, 0.0, SEGMENT_BOUNDS,
                                   (six_link.initial, assembled.final))
         starts = [np.full(5, 0.3)] + [rng.uniform(0.05, 0.9, size=5)
-                                      for _ in range(spec.restarts - 1)]
+                                      for _ in range(min(spec.restarts, run.limit) - 1)]
         if pattern == seed_pattern:
             starts.insert(0, seed_taus)
         # five equations in five taus: bounded Levenberg-Marquardt
-        solves += [(problem, t0, per_pattern, LM_DAMPING, STEP_TOL) for t0 in starts]
+        solves += [(problem, t0, per_pattern, LM_DAMPING) for t0 in starts]
         owners += [n] * len(starts)
-    ends = _roots(run, solves)
-    roots = len({n for n, end in zip(owners, ends) if end is not None and end.feasible()})
+    ends = _roots(run, solves[:run.limit])
+    roots = len({n for n, end in zip(owners, ends) if end is not None and _rank(end)[0] == 0})
 
     best = run.best
     feasible = best.feasible()

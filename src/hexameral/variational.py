@@ -193,6 +193,8 @@ def rank2_first_variation(s: Sampled, x: Sampled, grid, z=None) -> Rank2Report:
     The x-variation sign is the uniform sign of s s' / 2, or 0 if mixed.
     """
     grid = np.asarray(grid, dtype=float)
+    if grid.size < 2:  # a quadrature needs an interval
+        raise ParameterOutOfRange(f"rank-2 grid needs at least 2 points, got {grid.size}")
     if s.deriv is None or x.deriv is None:
         raise ParameterOutOfRange("s and x must carry derivative samples")
     sv, _, sd, xd = _on_grid(grid, s.values, x.values, s.deriv, x.deriv)

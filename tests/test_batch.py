@@ -25,7 +25,6 @@ from hexameral.kit import Arrays
 from hexameral.optimize import (
     LM_DAMPING,
     SEGMENT_BOUNDS,
-    STEP_TOL,
     EndpointProblem,
     _consecutive_distinct_patterns,
     _root,
@@ -176,7 +175,7 @@ def _segment_solves(six: ChainParams, counts: dict) -> list:
             return super().decode(x)
     segment = (six.initial, assemble(six).final)
     return [(Counted(pattern, lambda area: area, 0.0, SEGMENT_BOUNDS, segment),
-             np.full(5, 0.3), 60, LM_DAMPING, STEP_TOL)
+             np.full(5, 0.3), 60, LM_DAMPING)
             for pattern in _consecutive_distinct_patterns()]
 
 

@@ -12,6 +12,7 @@ import pytest
 
 from hexameral.optimize import (
     DEFAULT_BOUNDS,
+    ROOT_TOL,
     SearchSpec,
     five_link_search,
     link_reduction_experiment,
@@ -29,12 +30,12 @@ def test_probe_search_fingerprint():
     start = np.clip(octagon_embedding() + 1e-3 * step / np.linalg.norm(step), lo, hi)
     result = five_link_search(SearchSpec(start=tuple(float(v) for v in start),
                                          restarts=1, max_evals=2000, seed=0))
-    assert result.eval_count == 10
+    assert result.eval_count == 11
     assert repr(result.best_density) == "0.902414182997157"
     assert result.feasible
 
 
-@pytest.mark.parametrize("seed, evals", [(1, 272), (2, 259)])
+@pytest.mark.parametrize("seed, evals", [(1, 272), (2, 260)])
 def test_cold_five_link_fingerprint(seed, evals):
     # cold starts restore trials far from closure, and seed 1 halves steps;
     # the probe near the octagon does neither
@@ -47,7 +48,7 @@ def test_cold_five_link_fingerprint(seed, evals):
 def test_split_period_reduction_fingerprint(octagon):
     report = link_reduction_experiment(split_octagon_period(octagon),
                                        SearchSpec(restarts=1, max_evals=3000))
-    assert report.eval_count == 603
+    assert report.eval_count == 605
     assert repr(report.six_area) == "1.5630272144218342"
     assert repr(report.five_area) == "1.5630272144218325"
     assert report.root_count == 15
@@ -56,8 +57,9 @@ def test_split_period_reduction_fingerprint(octagon):
 def test_random_segment_reduction_fingerprint(octagon):
     report = link_reduction_experiment(random_reduce_segment(octagon),
                                        SearchSpec(restarts=1, max_evals=3000))
-    assert report.eval_count == 439
+    assert report.eval_count == 440
     assert report.root_count == 10
     assert repr(report.six_area) == "0.3126181255911544"
-    assert repr(report.five_area) == "0.31252342123387417"
+    assert repr(report.five_area) == "0.3125234212338651"
     assert [j for _, j in report.five_links] == [2, 4, 0, 4, 2]
+    assert report.endpoint_residual <= ROOT_TOL

@@ -51,7 +51,7 @@ RUNS = {
         ["reduce-link", "{d}/six.json", "--restarts", "1", "--max-evals", "1500",
          "--seed", "5", "-o", "{d}/six.reduced.json"], "six.reduced.json",
         "2d17bae0b853c5760d2696a0b1668d503277517e6a33f221887a10182ecdda3f",
-        "435563475c4cc41031822248d84afa983fdf8463c84d35b76dadade2490dc42c"),
+        "383715762fcc1d414e727851924f32789563e8330076bfe18dd3de4da87fcc03"),
 }
 
 CHOICES = "'octagon', 'density', 'verify', 'five-link', 'reduce-link', 'export'"

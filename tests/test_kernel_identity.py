@@ -92,6 +92,7 @@ from hexameral.multicurve import STANDARD
 from hexameral.optimize import (
     DEFAULT_BOUNDS,
     QP_CHANGES,
+    STEP_TOL,
     _qp,
     _step,
     five_link_problem,
@@ -868,7 +869,7 @@ def oracle_qp(hess, at, x, lo, hi):
     return d, lam, nu
 
 
-def oracle_step(x, jac, r, lo, hi, lam, xtol, rejected):
+def oracle_step(x, jac, r, lo, hi, lam, rejected):
     grad = jac.T @ r
     free = ~(((x <= lo) & (grad > 0.0)) | ((x >= hi) & (grad < 0.0)))
     normal = jac[:, free].T @ jac[:, free]
@@ -878,7 +879,7 @@ def oracle_step(x, jac, r, lo, hi, lam, xtol, rejected):
     except np.linalg.LinAlgError:
         return x, True, False
     trial = np.clip(x + step, lo, hi)
-    stop = bool(np.linalg.norm(trial - x) <= xtol * (xtol + np.linalg.norm(x)))
+    stop = bool(np.linalg.norm(trial - x) <= STEP_TOL * (STEP_TOL + np.linalg.norm(x)))
     return trial, stop, not stop and np.array_equal(trial, rejected)
 
 
@@ -914,7 +915,7 @@ def test_five_link_points_match_numpy_forms():
     rng = np.random.default_rng(61)
     problem, xs = _five_link_xs(rng, 240)
     lo, hi = problem.box()
-    pinned = tied = 0
+    pinned = tied = stops = 0
     for n, (x, chain, assembled) in enumerate(xs):
         pinned += bool(np.any((x <= lo) | (x >= hi)))
         u = chain.initial.tangent.components()
@@ -932,14 +933,15 @@ def test_five_link_points_match_numpy_forms():
         for got, want in zip(_qp(hess, point, x, lo, hi), oracle_qp(hess, point, x, lo, hi)):
             assert got.tobytes() == want.tobytes()
         r = problem.residuals(x, (chain, assembled))
-        for lam, xtol in ((1e-3, 1e-12), (1e-9, 1e-15), (1e3, 1e-2)):
+        # a damping of 1e30 makes the step fall under STEP_TOL, so the solve stops
+        for lam in (1e-3, 1e-9, 1e3, 1e30):
             rejected = np.full(7, np.nan)
             for _ in range(2):  # the second time, the trial is the one rejected
-                got = _step(x, jac, r, lo, hi, lam, xtol, rejected)
-                want = oracle_step(x, jac, r, lo, hi, lam, xtol, rejected)
+                got = _step(x, jac, r, lo, hi, lam, rejected)
+                want = oracle_step(x, jac, r, lo, hi, lam, rejected)
                 assert got[0].tobytes() == want[0].tobytes() and got[1:] == want[1:]
-                rejected = got[0]
-    assert pinned > 40 and tied > 40
+                rejected, stops = got[0], stops + got[1]
+    assert pinned > 40 and tied > 40 and stops > 0
 
 
 def test_closed_target_is_the_turned_start_bit_for_bit():

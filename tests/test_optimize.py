@@ -20,7 +20,10 @@ from hexameral.optimize import (
     DEFAULT_BOUNDS,
     FAIL_RESIDUAL,
     FIVE_LINK_PATTERN,
+    ROOT_TOL,
     SEGMENT_BOUNDS,
+    SNAP_EVALS,
+    START_DRAWS,
     TAU_HI,
     EndpointProblem,
     SearchSpec,
@@ -36,6 +39,33 @@ from hexameral.optimize import (
 from hexameral.sl2 import frame_distance
 
 from conftest import random_reduce_segment, split_octagon_period
+
+
+def _criterion_13_starts():
+    """The twenty starts of acceptance criterion 13, drawn the same way."""
+    emb = octagon_embedding()
+    lo, hi = five_link_problem().box()
+    rng = np.random.default_rng(0)
+    for _ in range(20):
+        d = rng.standard_normal(7)
+        d *= 1e-3 / np.linalg.norm(d)
+        yield np.clip(emb + d, lo, hi)
+
+
+def _cap_draws(monkeypatch, cap: int) -> None:
+    """Fail the test once a search's generator draws more than ``cap``
+    times, before starts the budget cannot assemble fill memory."""
+    real = np.random.default_rng
+
+    class Capped:
+        def __init__(self, seed):
+            self.rng, self.draws = real(seed), 0
+
+        def uniform(self, *args, **kwargs):
+            self.draws += 1
+            assert self.draws <= cap, "drew starts the budget cannot assemble"
+            return self.rng.uniform(*args, **kwargs)
+    monkeypatch.setattr(np.random, "default_rng", Capped)
 
 
 class TestDecodeFiveLink:
@@ -331,19 +361,26 @@ class TestFiveLinkSearch:
         assert len(seen) - len(set(seen)) == 0  # no point assembled twice
 
     def test_criterion_13_starts_reach_octagon(self):
-        # the twenty starts of acceptance criterion 13, drawn the same way
-        emb = octagon_embedding()
-        lo = np.array([b[0] for b in DEFAULT_BOUNDS])
-        hi = np.array([b[1] for b in DEFAULT_BOUNDS])
-        rng = np.random.default_rng(0)
-        for i in range(20):
-            d = rng.standard_normal(7)
-            d *= 1e-3 / np.linalg.norm(d)
-            start = np.clip(emb + d, lo, hi)
+        for i, start in enumerate(_criterion_13_starts()):
             result = five_link_search(SearchSpec(start=tuple(float(v) for v in start),
                                                  restarts=1, max_evals=2000, seed=i))
             assert result.feasible
             assert abs(result.best_density - OCTAGON_DENSITY) <= 1e-13, i
+
+    def test_criterion_13_snaps_end_at_roots(self):
+        # a solve runs on while its residual exceeds ROOT_TOL: its step test
+        # must not end it a step short
+        for i, start in enumerate(_criterion_13_starts()):
+            end = _root(_Search(), five_link_problem(), start, SNAP_EVALS)
+            assert np.abs(end.residuals).max() <= ROOT_TOL, i
+
+    def test_restarts_past_the_budget_draw_one_start(self, monkeypatch):
+        # max_evals // restarts is 0 from 6001 restarts on, so only the
+        # first start, redraws included, can assemble
+        _cap_draws(monkeypatch, START_DRAWS)
+        results = [five_link_search(SearchSpec(restarts=n, seed=1)) for n in (6001, 10**6)]
+        assert results[0] == results[1]
+        assert results[0].eval_count == 1
 
     def test_cold_seeds_report_no_closure_slack(self):
         # only points on closure compete on density: no seed reports a
@@ -462,12 +499,20 @@ class TestLinkReduction:
             assert all(0.0 <= tau <= TAU_HI for links in refits for tau, _ in links)
             assert len(set(refits)) == len(refits)
 
+    def test_restarts_past_the_budget_draw_no_more_starts(self, octagon, monkeypatch):
+        # only the first max_evals starts can assemble
+        _cap_draws(monkeypatch, 3000)
+        for six in (split_octagon_period(octagon), random_reduce_segment(octagon)):
+            reports = [link_reduction_experiment(six, SearchSpec(restarts=n, max_evals=3000))
+                       for n in (3000, 10**6)]
+            assert reports[0] == reports[1]
+
     def test_rootless_pattern_stops_within_its_budget(self, octagon):
         six = split_octagon_period(octagon)
         problem = EndpointProblem((0, 2, 0, 2, 0), lambda area: area, 0.0, SEGMENT_BOUNDS,
                                   (six.initial, assemble(six).final))
         for budget in (1, 3, 61):
-            run = _Search(False)
+            run = _Search()
             end = _root(run, problem, np.full(5, 0.3), budget)
             assert not end.feasible()
             assert 1 <= run.evals <= budget
@@ -517,6 +562,17 @@ def test_feasible_refits_reassemble_to_the_target(octagon):
         assert angle_margin_of(refit, assembled) >= -ANGLE_TOL
         assert abs(assembled.area() - report.five_area) <= 1e-12
     assert feasible >= 2
+
+
+def test_feasible_reductions_end_at_roots(octagon):
+    # segments whose best stopped a step short of a root under a looser step test
+    segments = [random_reduce_segment(octagon)]
+    for seed in (5, 7, 9):
+        segments += _random_segments(octagon, np.random.default_rng(seed), 3)
+    for segment in segments:
+        report = link_reduction_experiment(segment, SearchSpec(restarts=1, max_evals=3000))
+        assert report.feasible
+        assert report.endpoint_residual <= ROOT_TOL
 
 
 def _polished_root(problem: EndpointProblem, x) -> np.ndarray | None:

@@ -271,6 +271,14 @@ class TestRank2FirstVariation:
         with pytest.raises(ParameterOutOfRange, match="lengths differ"):
             rank2_first_variation(s, x, g, z=np.full(size, 0.1))
 
+    @pytest.mark.parametrize("grid", [[], [0.0]])
+    def test_grid_needs_two_points(self, grid):
+        # an empty grid has no minimum slope, and one point no interval
+        s = Sampled(np.full(len(grid), -0.8), np.full(len(grid), 0.4))
+        x = Sampled(np.zeros(len(grid)), np.zeros(len(grid)))
+        with pytest.raises(ParameterOutOfRange, match="at least 2 points"):
+            rank2_first_variation(s, x, grid)
+
     def test_missing_derivatives(self):
         g = np.linspace(0.0, 1.0, 101)
         s = Sampled(-0.8 + 0.4 * g)
