@@ -34,8 +34,14 @@ from .variational import (
     FramePath, area_functional, chain_path, curvature_lemma_value, euler_lagrange_residual,
     rank2_first_variation, rotation_path, second_variation_circle,
 )
-from .optimize import (
-    SearchResult, SearchSpec, five_link_search, link_reduction_experiment, octagon_embedding,
-)
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    """The search names, loaded from ``optimize`` on first use (PEP 562)."""
+    if name in ("SearchResult", "SearchSpec", "five_link_search", "link_reduction_experiment",
+                "octagon_embedding"):
+        from . import optimize
+        return getattr(optimize, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -17,7 +17,6 @@ from dataclasses import asdict, fields
 from .chain import FEASIBLE_TOL, ChainParams, chain_to_dict, load_chain, normalized_length
 from .domain import export_json, export_svg, from_chain, smoothed_octagon, verify_checks
 from .errors import GeometryError, InfeasibleInput
-from .optimize import SearchSpec, five_link_problem, five_link_search, link_reduction_experiment
 
 # the SearchSpec fields that five-link and reduce-link take as options
 _SEARCH_OPTIONS = ("seed", "restarts", "max_evals")
@@ -71,11 +70,13 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     return 1 if failed else 0
 
 
-def _search_spec(args: argparse.Namespace) -> SearchSpec:
+def _search_spec(args: argparse.Namespace):
+    from .optimize import SearchSpec
     return SearchSpec(**{name: getattr(args, name) for name in _SEARCH_OPTIONS})
 
 
 def _cmd_five_link(args: argparse.Namespace) -> int:
+    from .optimize import five_link_problem, five_link_search
     spec = _search_spec(args)
     result = five_link_search(spec)
     doc: dict = {}
@@ -92,6 +93,7 @@ def _cmd_five_link(args: argparse.Namespace) -> int:
 
 
 def _cmd_reduce_link(args: argparse.Namespace) -> int:
+    from .optimize import link_reduction_experiment
     segment = load_chain(args.input_path)
     report = link_reduction_experiment(segment, _search_spec(args))
     reduced = ChainParams(segment.initial, report.five_links)
@@ -129,7 +131,6 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="hexameral",
                      description="Hexameral-domain geometry toolkit")
     sub = parser.add_subparsers(dest="subcommand", required=True)
-    search_defaults = {f.name: f.default for f in fields(SearchSpec)}
 
     # option groups; each command takes only the ones it reads
     chain_in, output, tol, search = (argparse.ArgumentParser(add_help=False) for _ in range(4))
@@ -137,8 +138,7 @@ def _build_parser() -> _Parser:
     output.add_argument("-o", "--output", dest="output_path", default=None)
     tol.add_argument("--closure-tol", dest="closure_tol", type=float, default=FEASIBLE_TOL)
     for name in _SEARCH_OPTIONS:
-        search.add_argument("--" + name.replace("_", "-"), dest=name, type=int,
-                            default=search_defaults[name])
+        search.add_argument("--" + name.replace("_", "-"), dest=name, type=int, default=None)
 
     def add(name: str, run, help_text: str, *groups) -> _Parser:
         p = sub.add_parser(name, help=help_text, parents=groups)
@@ -158,11 +158,18 @@ def _build_parser() -> _Parser:
 
 
 def parse_args(argv) -> argparse.Namespace:
-    """The parsed command line, whose ``run`` is the command's function;
-    UsageError where argparse would exit or the closure tolerance is not positive."""
+    """The parsed command line, whose ``run`` is the command's function; UsageError where
+    argparse would exit or the closure tolerance is not positive and finite.  A search
+    command's missing options take ``SearchSpec``'s defaults."""
     args = _build_parser().parse_args(argv)
-    if "closure_tol" in args and not args.closure_tol > 0.0:  # NaN included
-        raise UsageError("closure tolerance must be positive")
+    if "closure_tol" in args and not 0.0 < args.closure_tol < float("inf"):  # NaN included
+        bound = "finite" if args.closure_tol > 0.0 else "positive"
+        raise UsageError(f"closure tolerance must be {bound}")
+    if "seed" in args:  # a search command
+        from .optimize import SearchSpec
+        for f in fields(SearchSpec):
+            if f.name in _SEARCH_OPTIONS and getattr(args, f.name) is None:
+                setattr(args, f.name, f.default)
     return args
 
 

@@ -321,6 +321,24 @@ class TestCommandConfig:
         assert main(["density", octagon_file, "--closure-tol", "nan"]) == 1
         assert stderr_diagnostic(capsys)["error"] == "UsageError"
 
+    def test_infinite_tolerance(self, octagon_file, tmp_path, capsys):
+        # inf would make every closure check vacuous: this open chain (frame
+        # residual 0.257) would read density 0.743, below the octagon's, and
+        # pass every verify row
+        doc = json.loads(open(octagon_file).read())
+        doc["links"][0]["tau"] -= 0.3
+        path = tmp_path / "open.json"
+        path.write_text(json.dumps(doc))
+        svg = tmp_path / "open.svg"
+        for argv in (["density", str(path)], ["verify", str(path)],
+                     ["export", str(path), "-o", str(svg)]):
+            argv += ["--closure-tol", "inf"]
+            with pytest.raises(UsageError):
+                parse_args(argv)
+            assert main(argv) == 1, argv
+            assert stderr_diagnostic(capsys)["error"] == "UsageError"
+        assert not svg.exists()
+
     def test_defaults_are_valid(self):
         # the search options' defaults are SearchSpec's own
         for command in (["five-link"], ["reduce-link", "x.json"]):
@@ -354,16 +372,61 @@ print(json.dumps(loaded))
 """
 
 
-def test_no_command_loads_scipy(octagon, tmp_path):
+def _fresh_interpreter(script: str, octagon, tmp_path):
+    """The JSON last line that ``script`` prints, run with tmp_path as cwd."""
     save_chain(split_octagon_period(octagon), str(tmp_path / "six.json"))
     src = str(Path(hexameral.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    done = subprocess.run([sys.executable, "-c", _SCIPY_PROBE], cwd=tmp_path, env=env,
+    done = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, env=env,
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
-    loaded = json.loads(done.stdout.strip().splitlines()[-1])
+    return json.loads(done.stdout.strip().splitlines()[-1])
+
+
+def test_no_command_loads_scipy(octagon, tmp_path):
+    loaded = _fresh_interpreter(_SCIPY_PROBE, octagon, tmp_path)
     assert len(loaded) == 8
     # scipy, sympy and mpmath are test-only oracles and kits; the library
     # never imports them
     assert all(names == [] for names in loaded.values()), loaded
+
+
+# Runs in a fresh interpreter: whether hexameral.optimize is loaded after the
+# import and after each command that does not search; then both searches,
+# which load it, must still succeed.
+_OPTIMIZE_PROBE = """
+import json, sys
+import hexameral
+from hexameral.cli import main
+loaded = {"import hexameral": "hexameral.optimize" in sys.modules}
+for argv in (["octagon", "-o", "oct.json"], ["density", "oct.json"],
+             ["verify", "oct.json"],
+             ["export", "oct.json", "--format", "svg", "-o", "oct.svg"],
+             ["export", "oct.json", "--format", "json", "-o", "oct.geo.json"]):
+    assert main(argv) == 0, argv
+    loaded[" ".join(argv)] = "hexameral.optimize" in sys.modules
+for argv in (["reduce-link", "six.json", "--restarts", "1", "--max-evals", "3000",
+              "-o", "six.reduced.json"],
+             ["five-link", "--seed", "1", "--restarts", "1", "--max-evals", "300",
+              "-o", "five.json"]):
+    assert main(argv) == 0, argv
+print(json.dumps(loaded))
+"""
+
+
+def test_only_searches_load_optimize(octagon, tmp_path):
+    loaded = _fresh_interpreter(_OPTIMIZE_PROBE, octagon, tmp_path)
+    assert len(loaded) == 6
+    assert not any(loaded.values()), loaded
+
+
+def test_search_names_are_optimize_names():
+    import hexameral.optimize as optimize
+    for name in ("SearchResult", "SearchSpec", "five_link_search",
+                 "link_reduction_experiment", "octagon_embedding"):
+        assert getattr(hexameral, name) is getattr(optimize, name)
+    from hexameral import SearchSpec as spec_cls, optimize as submodule
+    assert spec_cls is optimize.SearchSpec and submodule is optimize
+    with pytest.raises(AttributeError):
+        hexameral.no_such_name
