@@ -20,17 +20,14 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, NamedTuple
 
-import numpy as np
-
+from . import _np as np
 from .errors import (
     ChainFormatError, FrameDeterminantError, GeometryError, LinkLengthViolation, NotClosed,
     ParameterOutOfRange,
 )
 from .hyperlink import LinkState, SquareRep, _entry, _link_area, _transfer, propagate
 from .kit import ARRAYS, FLOATS, Arrays, kit_of
-from .sl2 import (
-    ROT60, FrameMatrix, TangentElement, _adjoint_matrix, _inverse, _product, _sphere_basis,
-)
+from .sl2 import ROT60, FrameMatrix, TangentElement, _inverse, _product, _sphere_basis
 
 # Residual bound under which closure_report classifies a chain as closed.
 FEASIBLE_TOL = 1e-6
@@ -368,11 +365,6 @@ def _endpoint_equations(final, target: LinkState):
     return equations, d_end, d_target
 
 
-# A start frame F0 moved to F0 exp(xi) turns its target F0 R into
-# F0 R exp(Ad(R^{-1}) xi), R the rotation by pi/3.
-_TARGET_TURN = np.array(_adjoint_matrix(_inverse(ROT60.entries())))
-
-
 def _merge(tau_a: float, tau_b: float) -> float:
     """Turning fraction of two consecutive links on the same hyperbola."""
     return tau_a + tau_b - tau_a * tau_b
@@ -441,14 +433,9 @@ def normalized_length(chain: ChainParams) -> int:
 
 def chain_to_dict(chain: ChainParams) -> dict:
     f = chain.initial.frame
-    a, b, c = chain.initial.tangent.components()
-    return {
-        "initial": {
-            "frame": [f.alpha, f.beta, f.gamma, f.delta],
-            "tangent": [a, b, c],
-        },
-        "links": [{"tau": tau, "j": j} for tau, j in chain.links],
-    }
+    return {"initial": {"frame": [f.alpha, f.beta, f.gamma, f.delta],
+                        "tangent": list(chain.initial.tangent.components())},
+            "links": [{"tau": tau, "j": j} for tau, j in chain.links]}
 
 
 def _as_float(v: int | float) -> float:
@@ -511,10 +498,14 @@ def chain_from_dict(data: dict) -> ChainParams:
         raise ChainFormatError(str(exc)) from exc
 
 
-def save_chain(chain: ChainParams, path: str) -> None:
+def write_json(doc: dict, path: str) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(chain_to_dict(chain), fh, indent=2)
+        json.dump(doc, fh, indent=2)
         fh.write("\n")
+
+
+def save_chain(chain: ChainParams, path: str) -> None:
+    write_json(chain_to_dict(chain), path)
 
 
 def load_chain(path: str) -> ChainParams:

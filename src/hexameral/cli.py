@@ -14,7 +14,9 @@ import json
 import sys
 from dataclasses import asdict, fields
 
-from .chain import FEASIBLE_TOL, ChainParams, chain_to_dict, load_chain, normalized_length
+from .chain import (
+    FEASIBLE_TOL, ChainParams, chain_to_dict, load_chain, normalized_length, write_json,
+)
 from .domain import export_json, export_svg, from_chain, smoothed_octagon, verify_checks
 from .errors import GeometryError, InfeasibleInput
 
@@ -26,21 +28,13 @@ class UsageError(Exception):
     """Bad command line; reported like a parse error, never as exit 2."""
 
 
-def _write_json(doc: dict, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2)
-        fh.write("\n")
-
-
 def _diagnostic(code: str, detail: str) -> None:
-    line = json.dumps({"error": code, "detail": " ".join(detail.split())})
-    print(line, file=sys.stderr)
+    print(json.dumps({"error": code, "detail": " ".join(detail.split())}), file=sys.stderr)
 
 
 def _cmd_octagon(args: argparse.Namespace) -> int:
     dom = smoothed_octagon()
-    path = args.output_path or "octagon.json"
-    _write_json(chain_to_dict(dom.chain), path)
+    write_json(chain_to_dict(dom.chain), args.output_path or "octagon.json")
     print(f"density {dom.density:.12g}")
     return 0
 
@@ -84,8 +78,7 @@ def _cmd_five_link(args: argparse.Namespace) -> int:
         doc.update(chain_to_dict(five_link_problem(spec.bounds).decode(result.best_params)))
     doc["spec"] = {"variable_count": len(spec.bounds), **asdict(spec)}
     doc["result"] = asdict(result)
-    path = args.output_path or "five-link.json"
-    _write_json(doc, path)
+    write_json(doc, args.output_path or "five-link.json")
     print(f"best_density {result.best_density!r}")
     print(f"feasible {result.feasible}")
     print(f"eval_count {result.eval_count}")
@@ -96,12 +89,10 @@ def _cmd_reduce_link(args: argparse.Namespace) -> int:
     from .optimize import link_reduction_experiment
     segment = load_chain(args.input_path)
     report = link_reduction_experiment(segment, _search_spec(args))
-    reduced = ChainParams(segment.initial, report.five_links)
-    doc = chain_to_dict(reduced)
+    doc = chain_to_dict(ChainParams(segment.initial, report.five_links))
     doc["report"] = {key: value for key, value in asdict(report).items()
                      if key != "five_links"}
-    path = args.output_path or "reduce-link.json"
-    _write_json(doc, path)
+    write_json(doc, args.output_path or "reduce-link.json")
     print(f"six_area {report.six_area!r}")
     print(f"five_area {report.five_area!r}")
     print(f"improved {report.improved}")
@@ -116,7 +107,7 @@ def _cmd_export(args: argparse.Namespace) -> int:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(export_svg(dom))
     else:
-        _write_json(export_json(dom), path)
+        write_json(export_json(dom), path)
     print(f"wrote {path}")
     return 0
 

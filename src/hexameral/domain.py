@@ -31,19 +31,18 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, dataclass
 
-import numpy as np
-
+from . import _np as np
 from .chain import (
     ANGLE_TOL, FEASIBLE_TOL, STRICT_TOL, AssembledChain, ChainParams, ClosureReport, LinkParam,
     assemble, chain_to_dict, closure_of, normalized_length, require_closed,
 )
 from .errors import GeometryError, LinkLengthViolation, NotClosed
 from .hyperlink import (
-    _CURVE_ROWS, SquareRep, _circle_tangent_at, _even_points, _link_grid, _sample_count, frame_at,
+    SquareRep, _circle_tangent_at, _curve_rows, _even_points, _link_grid, _sample_count, frame_at,
     link_curves, link_map, t_end,
 )
 from .kit import Arrays
-from .multicurve import STANDARD, MultiPoint, convexity_value
+from .multicurve import MultiPoint, convexity_value, standard_multipoint
 from .sl2 import SQRT3, wedge
 
 SQRT12 = math.sqrt(12.0)
@@ -81,8 +80,8 @@ class BoundaryPolyline:
             raise NotClosed("polyline needs at least three points in the plane")
         if not np.all(np.isfinite(pts)):
             raise NotClosed("polyline has a non-finite coordinate")
-        loop = np.vstack((pts, pts[:1])) if self.closed else pts
-        if np.any(np.all(np.diff(loop, axis=0) == 0.0, axis=1)):
+        # the finite points repeat where their difference is zero
+        if (pts[1:] == pts[:-1]).all(axis=1).any() or self.closed and (pts[0] == pts[-1]).all():
             raise NotClosed("polyline has coincident consecutive points")
         pts.flags.writeable = False
         object.__setattr__(self, "points", pts)
@@ -91,8 +90,8 @@ class BoundaryPolyline:
 
     def area(self) -> float:
         """Shoelace area; for open polylines the chord closes the loop."""
-        x, y = self.points[:, 0], self.points[:, 1]
-        return 0.5 * float(np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y))
+        (x, y), (x1, y1) = self.points.T, np.concatenate((self.points[1:], self.points[:1])).T
+        return 0.5 * float(np.sum(x * y1 - x1 * y))
 
     def centrally_symmetric(self, tol: float = 1e-9) -> bool:
         """Does -p appear among the points for every point p?"""
@@ -120,10 +119,8 @@ def from_chain(chain: ChainParams, tol: float = FEASIBLE_TOL) -> HexameralDomain
     assembled = assemble(chain)
     report = closure_of(chain, assembled)
     if not report.closed(tol):
-        raise NotClosed(
-            f"chain is not closed: residual {report.residual():.3e}, "
-            f"angle margin {report.angle_margin:.3e}"
-        )
+        raise NotClosed(f"chain is not closed: residual {report.residual():.3e}, "
+                        f"angle margin {report.angle_margin:.3e}")
     area = 2.0 * assembled.area()
     return HexameralDomain(chain, assembled, report, area, area / SQRT12)
 
@@ -155,7 +152,7 @@ def boundary_polyline(dom: HexameralDomain, per_link: int = 64) -> BoundaryPolyl
     # each link's grid to its end, the end left out
     a, k, j, ts = _link_grid([rep for _, rep in links], per_link + 1)
     even = _even_points(a[:, None], k[:, None], ts[:, :-1])
-    curves = np.concatenate((even, -even))[_CURVE_ROWS[j].T, np.arange(len(j))]
+    curves = np.concatenate((even, -even))[_curve_rows()[j].T, np.arange(len(j))]
     maps = np.array([link_map(state, rep).entries() for state, rep in links]).reshape(-1, 2, 2)
     # curve by curve, link by link: one stacked product by each link's map
     return BoundaryPolyline((curves @ maps.transpose(0, 2, 1)).reshape(-1, 2), closed=True)
@@ -251,8 +248,7 @@ def verify_checks(chain: ChainParams, tol: float = FEASIBLE_TOL) -> list[tuple[s
 
     report = closure_of(chain, assembled)
     # the angle condition has its own row
-    checks.append(("closure", report.residual() <= tol,
-                   f"frame {report.frame_residual:.3e} "
+    checks.append(("closure", report.residual() <= tol, f"frame {report.frame_residual:.3e} "
                    f"tangent {report.tangent_residual:.3e}"))
     checks.append(("angle-condition", report.angle_margin >= -ANGLE_TOL,
                    f"margin {report.angle_margin:.3e}"))
@@ -268,7 +264,7 @@ def verify_checks(chain: ChainParams, tol: float = FEASIBLE_TOL) -> list[tuple[s
 
 
 def initial_multipoint(dom: HexameralDomain) -> MultiPoint:
-    return STANDARD.transformed(dom.chain.initial.frame)
+    return standard_multipoint().transformed(dom.chain.initial.frame)
 
 
 def _hexagon_vertices(points: np.ndarray, dirs: np.ndarray) -> np.ndarray:
@@ -280,13 +276,9 @@ def _hexagon_vertices(points: np.ndarray, dirs: np.ndarray) -> np.ndarray:
 
 def export_json(dom: HexameralDomain) -> dict:
     """Chain dialect extended with the domain's derived quantities."""
-    doc = chain_to_dict(dom.chain)
-    doc["area"] = dom.area
-    doc["density"] = dom.density
     # closure was checked, at the caller's tolerance, when dom was built
-    doc["link_length"] = normalized_length(dom.chain)
-    doc["closure"] = asdict(dom.closure)
-    return doc
+    return {**chain_to_dict(dom.chain), "area": dom.area, "density": dom.density,
+            "link_length": normalized_length(dom.chain), "closure": asdict(dom.closure)}
 
 
 def export_svg(dom: HexameralDomain, per_link: int = 64) -> str:

@@ -17,9 +17,9 @@ from __future__ import annotations
 
 import numbers
 from dataclasses import dataclass
+from functools import cache
 
-import numpy as np
-
+from . import _np as np
 from .errors import DegenerateVelocity, NotRankOneCompatible, ParameterOutOfRange, ScaleTooSmall
 from .kit import FLOATS, kit_of
 from .sl2 import (
@@ -95,8 +95,8 @@ def _check_range(rep: SquareRep, t) -> None:
     """Reject parameters outside the link's range, NaN included; t may be an array."""
     lo, hi = rep.t0, t_end(rep)  # tau >= 0 and k - 1 > t0, so t1 >= t0
     inside = (lo - RANGE_TOL <= t) & (t <= hi + RANGE_TOL)
-    if not np.all(inside):
-        bad = float(np.extract(np.logical_not(inside), t)[0])
+    if (bad := inside ^ True) is True or bad is not False and bad.any():
+        bad = float(t if bad is True else np.extract(bad, t)[0])
         raise ParameterOutOfRange(f"t = {bad!r} outside link range [{lo!r}, {hi!r}]")
 
 
@@ -135,8 +135,10 @@ def transform_state(g: FrameMatrix, state: LinkState) -> LinkState:
     return LinkState(g.compose(state.frame), adjoint(g, state.tangent).unit())
 
 
-# _CURVE_ROWS[j, m] is the row of curve m in (even, -even) of a link at index j.
-_CURVE_ROWS = np.array([[(0, 5, 1, 3, 2, 4)[(m - j) % 6] for m in range(6)] for j in range(6)])
+@cache
+def _curve_rows():
+    """Entry [j, m]: the row of curve m in (even, -even) of a link at index j."""
+    return np.array([[(0, 5, 1, 3, 2, 4)[(m - j) % 6] for m in range(6)] for j in range(6)])
 
 
 # The kernel: one link's frames and tangents, on the numbers of a kit (``kit``).
@@ -415,7 +417,7 @@ def link_curves(rep: SquareRep, ts) -> np.ndarray:
     even[1, 1, :, 1] = a
     even[2, 1, :, 0] = a * ds
     even[2, 2, :, 0] = a * dds
-    return np.concatenate((even, -even))[_CURVE_ROWS[rep.j]]
+    return np.concatenate((even, -even))[_curve_rows()[rep.j]]
 
 
 def _even_points(a, k, t) -> np.ndarray:

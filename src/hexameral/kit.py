@@ -9,12 +9,28 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
+from . import _np as np
 
 
 def _form(ux, uy, vx, vy) -> tuple:
     """Gradient in y of u ^ y v = ux (yc vx - ya vy) - uy (ya vx + yb vy)."""
     return (-(ux * vy + uy * vx), -uy * vy, ux * vx)
+
+
+class _NumpyPart:
+    """A kit class attribute numpy provides: the first read of one sets them all on
+    their classes in place of these, so a kit loads no numpy before and costs no call after."""
+
+    def __set_name__(self, owner: type, name: str) -> None:
+        self.name = name
+
+    def __get__(self, kit, owner: type):
+        Kit.stack = staticmethod(np.array)
+        Arrays.sqrt, Arrays.where, Arrays.any = map(staticmethod, (
+            np.sqrt, np.where, np.count_nonzero))
+        Arrays.STANDARD_INVERSE, Arrays.EDGE_POINTS, Arrays.EDGE_FORMS = map(
+            _Columns, (FLOATS.STANDARD_INVERSE, FLOATS.EDGE_POINTS, FLOATS.EDGE_FORMS))
+        return getattr(owner if kit is None else kit, self.name)
 
 
 class Kit:
@@ -26,11 +42,13 @@ class Kit:
     u4 = u*_{j+4}, and the gradients in y of u2 ^ y u2, u4 ^ y u4, u2 ^ y u4.
     """
 
+    stack = _NumpyPart()
+
     def __init__(self, lib=math):
         self.batched, self.sqrt, self.hypot, self.log = False, lib.sqrt, lib.hypot, lib.log
         self.where = lambda cond, yes, no: yes if cond else no
         # a scalar kit checks each link it runs, so it is its own masked kit
-        self.any, self.stack, self.masked = bool, np.array, lambda keep: self
+        self.any, self.masked = bool, lambda keep: self
         self.SQRT3 = lib.sqrt(3.0)
         self.MIN_SCALE_SQ = self.SQRT3 / 2.0  # a^2 at most this gives k >= 1: no hyperbola
         u = [(lib.cos(lib.pi * m / 3.0), lib.sin(lib.pi * m / 3.0)) for m in range(6)] * 2
@@ -71,14 +89,12 @@ class Arrays(Kit):
     """The kit of (B,) arrays, each element with its float bits: rows stack as
     (B, r, c), and a failed check is noted in ``checks``, if a list."""
 
-    batched, sqrt = True, staticmethod(np.sqrt)
-    where, any = staticmethod(np.where), staticmethod(np.count_nonzero)
+    batched = True
+    sqrt, where, any, STANDARD_INVERSE, EDGE_POINTS, EDGE_FORMS = (_NumpyPart() for _ in range(6))
     # log is NaN where v is not positive, as in a batched chain that failed
     hypot, log = _each(math.hypot), _each(lambda v: math.log(v) if v > 0.0 else math.nan)
     stack = staticmethod(lambda rows: np.ascontiguousarray(np.moveaxis(np.array(rows), -1, 0)))
     SQRT3, MIN_SCALE_SQ = FLOATS.SQRT3, FLOATS.MIN_SCALE_SQ
-    STANDARD_INVERSE, EDGE_POINTS, EDGE_FORMS = map(
-        _Columns, (FLOATS.STANDARD_INVERSE, FLOATS.EDGE_POINTS, FLOATS.EDGE_FORMS))
 
     def __init__(self, checks: list | None = None, mask=True):
         self.checks, self.mask = checks, mask

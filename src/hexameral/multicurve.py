@@ -9,9 +9,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache
 
-import numpy as np
-
+from . import _np as np
 from .errors import MissingAcceleration, RankUndefined, RankZero, WedgeMismatch
 from .sl2 import FrameMatrix, wedge
 
@@ -52,13 +52,11 @@ class MultiPoint:
         return MultiPoint(g.apply(self.points))
 
 
+@cache
 def standard_multipoint() -> MultiPoint:
     """The sixth roots of unity u*_j = (cos(pi j / 3), sin(pi j / 3))."""
     angles = [math.pi * j / 3.0 for j in range(6)]
     return MultiPoint([(math.cos(ang), math.sin(ang)) for ang in angles])
-
-
-STANDARD = standard_multipoint()
 
 
 def multipoint_from_pair(u0, u2) -> MultiPoint:

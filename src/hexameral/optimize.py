@@ -21,17 +21,16 @@ import numbers
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
-import numpy as np
-
+from . import _np as np
 from .chain import (
     ANGLE_TOL, STRICT_TOL, AssembledChain, ChainBatch, ChainParams, ClosureReport, LinkParam,
-    _endpoint_equations, _endpoint_jacobian, _endpoint_residuals, _TARGET_TURN, angle_margin_of,
+    _endpoint_equations, _endpoint_jacobian, _endpoint_residuals, angle_margin_of,
     assemble, assemble_jacobian, closure_of, merged_links,
 )
 from .domain import SQRT12, smoothed_octagon
 from .errors import GeometryError, InfeasibleInput
 from .hyperlink import LinkState, circle_tangent
-from .sl2 import IDENTITY, ROT60, TangentElement, _sphere_basis
+from .sl2 import IDENTITY, ROT60, TangentElement, _adjoint_matrix, _inverse, _sphere_basis
 
 FIVE_LINK_PATTERN = (0, 2, 4, 2, 0)
 TAU_HI = 1.0 - 1e-6
@@ -66,6 +65,9 @@ SEGMENT_BOUNDS = ((0.0, TAU_HI),) * 5
 DEFAULT_BOUNDS = ((-0.6, 0.6), (-0.99, -0.01)) + SEGMENT_BOUNDS
 
 _NO_CLOSURE = ClosureReport(math.inf, math.inf, False, -math.inf)
+# A start frame F0 moved to F0 exp(xi) turns its target F0 R into
+# F0 R exp(Ad(R^{-1}) xi), R the rotation by pi/3.
+_TARGET_TURN = np.array(_adjoint_matrix(_inverse(ROT60.entries())))
 
 
 def __getattr__(name: str):

@@ -10,8 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
+from . import _np as np
 from .errors import DegenerateVelocity, FrameDeterminantError
 from .kit import FLOATS
 

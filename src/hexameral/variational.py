@@ -11,12 +11,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
+from . import _np as np
 from .chain import ChainParams, assemble
 from .errors import ParameterOutOfRange, SignCondition, StarViolation, WedgeMismatch
 from .hyperlink import _STANDARD_INVERSE, _even_points, _link_grid, _sample_count, link_map
-from .multicurve import STANDARD
+from .multicurve import standard_multipoint
 from .sl2 import DET_TOL, SQRT3, TangentElement, _inverse, _unit_det, star_check, wedge
 
 MIN_GRID = 16
@@ -148,7 +147,7 @@ def second_variation_circle(u, w: Sampled, grid) -> float:
 
 def _wedge_coefficients(x: TangentElement, m: int) -> tuple[float, float, float]:
     """Coefficients of wedge(X u, V u) as a linear functional of V = (a', b', c')."""
-    p, q = STANDARD[m].tolist()
+    p, q = standard_multipoint()[m].tolist()
     return (-x.b * q * q - x.c * p * p, x.a * q * q - x.c * p * q, x.a * p * p + x.b * p * q)
 
 
@@ -166,9 +165,10 @@ def curvature_lemma_value(x: TangentElement) -> float:
     closed = 3.0 * SQRT3 * disc * disc / (3.0 * x.a + SQRT3 * x.c)
 
     rows = [_wedge_coefficients(x, m) for m in (0, 2)]
-    rhs = [disc * wedge(STANDARD[m], x.apply(STANDARD[m])) for m in (0, 2)]
+    u = standard_multipoint()
+    rhs = [disc * wedge(u[m], x.apply(u[m])) for m in (0, 2)]
     sol, *_ = np.linalg.lstsq(np.array(rows), np.array(rhs), rcond=None)
-    u4 = STANDARD[4]
+    u4 = u[4]
     ca, cb, cc = _wedge_coefficients(x, 4)
     direct = ca * sol[0] + cb * sol[1] + cc * sol[2] - disc * wedge(u4, x.apply(u4))
     if abs(direct - closed) > LEMMA_TOL * max(1.0, abs(closed)):

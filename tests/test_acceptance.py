@@ -33,7 +33,7 @@ from hexameral.domain import (
 )
 from hexameral.errors import RankZero
 from hexameral.hyperlink import link_area, link_multicurve, transform_state
-from hexameral.multicurve import STANDARD, rank_classify
+from hexameral.multicurve import rank_classify, standard_multipoint
 from hexameral.optimize import (
     DEFAULT_BOUNDS,
     SearchSpec,
@@ -62,6 +62,8 @@ from conftest import (
     split_octagon_period,
     uniform_grid,
 )
+
+STANDARD = standard_multipoint()
 
 
 def _report(num: int, name: str, ok: bool, detail: str) -> bool:

@@ -421,6 +421,47 @@ def test_only_searches_load_optimize(octagon, tmp_path):
     assert not any(loaded.values()), loaded
 
 
+
+# Runs in a fresh interpreter: whether numpy is loaded after the import and
+# after each command that builds no array; then the commands that build
+# arrays, which load it, must still succeed.
+_NUMPY_PROBE = """
+import json, sys
+import hexameral
+from hexameral.cli import main
+loaded = {"import hexameral": "numpy" in sys.modules}
+for argv in (["octagon", "-o", "oct.json"], ["density", "oct.json"],
+             ["export", "oct.json", "--format", "json", "-o", "oct.geo.json"]):
+    assert main(argv) == 0, argv
+    loaded[" ".join(argv)] = "numpy" in sys.modules
+for argv in (["verify", "oct.json"],
+             ["export", "oct.json", "--format", "svg", "-o", "oct.svg"],
+             ["reduce-link", "six.json", "--restarts", "1", "--max-evals", "3000",
+              "-o", "six.reduced.json"],
+             ["five-link", "--seed", "1", "--restarts", "1", "--max-evals", "300",
+              "-o", "five.json"]):
+    assert main(argv) == 0, argv
+loaded["array commands"] = "numpy" in sys.modules
+print(json.dumps(loaded))
+"""
+
+
+def test_only_array_commands_load_numpy(octagon, tmp_path):
+    loaded = _fresh_interpreter(_NUMPY_PROBE, octagon, tmp_path)
+    assert loaded.pop("array commands"), loaded
+    assert len(loaded) == 4
+    assert not any(loaded.values()), loaded
+
+
+def test_numpy_names_are_numpy_names():
+    import numpy
+    from hexameral import _np
+    assert _np.ndarray is numpy.ndarray and _np.linalg is numpy.linalg
+    # dunder names are the module's own, never numpy's
+    assert not hasattr(_np, "__path__")
+    with pytest.raises(AttributeError):
+        _np.__wrapped__
+
 def test_search_names_are_optimize_names():
     import hexameral.optimize as optimize
     for name in ("SearchResult", "SearchSpec", "five_link_search",

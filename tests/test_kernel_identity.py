@@ -38,7 +38,6 @@ from hypothesis import strategies as st
 from mpmath import mp, mpf
 
 from hexameral.chain import (
-    _TARGET_TURN,
     ANGLE_TOL,
     SIXTH_TURN,
     ChainParams,
@@ -88,8 +87,9 @@ from hexameral.hyperlink import (
     transform_state,
 )
 from hexameral.kit import FLOATS, Kit
-from hexameral.multicurve import STANDARD
+from hexameral.multicurve import standard_multipoint
 from hexameral.optimize import (
+    _TARGET_TURN,
     DEFAULT_BOUNDS,
     QP_CHANGES,
     STEP_TOL,
@@ -115,6 +115,8 @@ from hexameral.sl2 import (
 from hexameral.variational import MIN_GRID, FramePath, chain_path
 
 from conftest import random_frame, random_square_rep, random_star_tangent, split_octagon_period
+
+STANDARD = standard_multipoint()
 
 # Samples per link of the sampled sweep the angle check used to run.
 ANGLE_SAMPLES = 64

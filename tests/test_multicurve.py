@@ -14,7 +14,6 @@ from hexameral.errors import (
 from hexameral.hyperlink import link_curves
 from hexameral.multicurve import (
     HALF_SQRT3,
-    STANDARD,
     MultiPoint,
     RankLabel,
     convexity_value,
@@ -25,6 +24,8 @@ from hexameral.multicurve import (
 from hexameral.sl2 import wedge
 
 from conftest import curve_positions, random_frame
+
+STANDARD = standard_multipoint()
 
 
 def check_multipoint_relations(mp: MultiPoint, tol: float = 1e-9):
