@@ -10,9 +10,7 @@ from .errors import (
     LinkLengthViolation, MissingAcceleration, NotClosed, NotRankOneCompatible, ParameterOutOfRange,
     RankUndefined, RankZero, ScaleTooSmall, SignCondition, StarViolation, WedgeMismatch,
 )
-from .sl2 import (
-    FrameMatrix, TangentElement, adjoint, exp_tangent, rotation, star_check, wedge,
-)
+from .sl2 import FrameMatrix, TangentElement, adjoint, exp_tangent, rotation, star_check, wedge
 from .multicurve import (
     MultiPoint, RankLabel, convexity_value, multipoint_from_pair, rank_classify,
     standard_multipoint,

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, NamedTuple
 
@@ -27,7 +26,7 @@ from .errors import (
 )
 from .hyperlink import LinkState, SquareRep, _entry, _link_area, _transfer, propagate
 from .kit import ARRAYS, FLOATS, Arrays, kit_of
-from .sl2 import ROT60, FrameMatrix, TangentElement, _inverse, _product, _sphere_basis
+from .sl2 import ROT60, FrameMatrix, TangentElement, _Checked, _inverse, _product, _sphere_basis
 
 # Residual bound under which closure_report classifies a chain as closed.
 FEASIBLE_TOL = 1e-6
@@ -43,34 +42,29 @@ class LinkParam(NamedTuple):
     j: int
 
 
-@dataclass(frozen=True)
-class ChainParams:
+class ChainParams(_Checked, NamedTuple("ChainParams", [("initial", LinkState),
+                                                       ("links", tuple[LinkParam, ...])])):
     """Initial state plus link parameters (tau in [0, 1), j in {0, 2, 4})."""
 
-    initial: LinkState
-    links: tuple[LinkParam, ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        links = tuple(LinkParam(float(t), int(j)) for t, j in self.links)
-        object.__setattr__(self, "links", links)
+    def __new__(cls, initial: LinkState, links: Iterable) -> ChainParams:
+        links = tuple(LinkParam(float(t), int(j)) for t, j in links)
         for i, (tau, j) in enumerate(links):
             if not 0.0 <= tau < 1.0:
                 raise ParameterOutOfRange(f"tau = {tau!r} outside [0, 1)").at_link(i)
             if j not in (0, 2, 4):
                 raise ParameterOutOfRange(f"index j = {j!r} not in (0, 2, 4)").at_link(i)
+        return super().__new__(cls, initial, links)
 
 
-@dataclass(frozen=True)
-class AssembledChain:
+class AssembledChain(NamedTuple("AssembledChain", [
+        ("initial", LinkState), ("frames", tuple), ("tangents", tuple), ("links", tuple)])):
     """Propagation record from the ``initial`` state: link-end entries ``frames``
     and ``tangents`` (index 0 the initial state's), and (a, t0, tau, j) per link
     in ``links``.  ``states``, ``reps`` and ``final`` are objects built on first
-    read; ``states[0]`` is ``initial``, an empty link's state the one before it."""
-
-    initial: LinkState
-    frames: tuple
-    tangents: tuple
-    links: tuple
+    read, and cached in its ``__dict__``; ``states[0]`` is ``initial``, an empty
+    link's state the one before it."""
 
     @cached_property
     def states(self) -> tuple[LinkState, ...]:
@@ -106,7 +100,7 @@ def assemble(chain: ChainParams | list[ChainParams]) -> AssembledChain | ChainBa
     arithmetic with the bits of each chain's own assembly, into a ChainBatch
     where a chain that fails reads its error's class and link instead.
     """
-    if isinstance(chain, (list, tuple)):
+    if not isinstance(chain, ChainParams):
         return _assemble_batch(chain)
     state = chain.initial.entries()
     frames, tangents, links = [state[0]], [state[1]], []
@@ -229,8 +223,7 @@ def chain_area(chain: ChainParams) -> float:
     return assemble(chain).area()
 
 
-@dataclass(frozen=True)
-class ClosureReport:
+class ClosureReport(NamedTuple):
     frame_residual: float
     tangent_residual: float
     angle_ok: bool
@@ -365,11 +358,6 @@ def _endpoint_equations(final, target: LinkState):
     return equations, d_end, d_target
 
 
-def _merge(tau_a: float, tau_b: float) -> float:
-    """Turning fraction of two consecutive links on the same hyperbola."""
-    return tau_a + tau_b - tau_a * tau_b
-
-
 def merged_links(links: Iterable[LinkParam]) -> list[LinkParam]:
     """Degenerate entries dropped, same-index neighbours merged."""
     stack: list[LinkParam] = []
@@ -377,7 +365,8 @@ def merged_links(links: Iterable[LinkParam]) -> list[LinkParam]:
         if tau == 0.0:
             continue
         if stack and stack[-1].j == j:
-            stack[-1] = LinkParam(_merge(stack[-1].tau, tau), j)
+            # turning fractions on one hyperbola compose as 1 - (1 - s)(1 - t)
+            stack[-1] = LinkParam(stack[-1].tau + tau - stack[-1].tau * tau, j)
         else:
             stack.append(LinkParam(tau, j))
     return stack
@@ -432,9 +421,8 @@ def normalized_length(chain: ChainParams) -> int:
 # JSON chain dialect.
 
 def chain_to_dict(chain: ChainParams) -> dict:
-    f = chain.initial.frame
-    return {"initial": {"frame": [f.alpha, f.beta, f.gamma, f.delta],
-                        "tangent": list(chain.initial.tangent.components())},
+    frame, tangent = chain.initial.entries()
+    return {"initial": {"frame": list(frame), "tangent": list(tangent)},
             "links": [{"tau": tau, "j": j} for tau, j in chain.links]}
 
 

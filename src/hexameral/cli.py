@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict, fields
 
 from .chain import (
     FEASIBLE_TOL, ChainParams, chain_to_dict, load_chain, normalized_length, write_json,
@@ -40,8 +39,7 @@ def _cmd_octagon(args: argparse.Namespace) -> int:
 
 
 def _cmd_density(args: argparse.Namespace) -> int:
-    chain = load_chain(args.input_path)
-    dom = from_chain(chain, tol=args.closure_tol)
+    dom = from_chain(load_chain(args.input_path), tol=args.closure_tol)
     print(f"area {dom.area!r}")
     print(f"density {dom.density!r}")
     # from_chain checked closure at this tolerance
@@ -52,12 +50,10 @@ def _cmd_density(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    chain = load_chain(args.input_path)
-    checks = verify_checks(chain, args.closure_tol)
+    checks = verify_checks(load_chain(args.input_path), args.closure_tol)
     width = max(len(name) for name, _, _ in checks)
     for name, ok, detail in checks:
-        verdict = "pass" if ok else "FAIL"
-        print(f"{name:<{width}}  {verdict}  {detail}")
+        print(f"{name:<{width}}  {'pass' if ok else 'FAIL'}  {detail}")
     failed = [name for name, ok, _ in checks if not ok]
     if failed:
         _diagnostic("VerifyFailed", ",".join(failed))
@@ -76,8 +72,8 @@ def _cmd_five_link(args: argparse.Namespace) -> int:
     doc: dict = {}
     if result.feasible:
         doc.update(chain_to_dict(five_link_problem(spec.bounds).decode(result.best_params)))
-    doc["spec"] = {"variable_count": len(spec.bounds), **asdict(spec)}
-    doc["result"] = asdict(result)
+    doc["spec"] = {"variable_count": len(spec.bounds), **spec._asdict()}
+    doc["result"] = {**result._asdict(), "closure": result.closure._asdict()}
     write_json(doc, args.output_path or "five-link.json")
     print(f"best_density {result.best_density!r}")
     print(f"feasible {result.feasible}")
@@ -90,8 +86,7 @@ def _cmd_reduce_link(args: argparse.Namespace) -> int:
     segment = load_chain(args.input_path)
     report = link_reduction_experiment(segment, _search_spec(args))
     doc = chain_to_dict(ChainParams(segment.initial, report.five_links))
-    doc["report"] = {key: value for key, value in asdict(report).items()
-                     if key != "five_links"}
+    doc["report"] = {k: v for k, v in report._asdict().items() if k != "five_links"}
     write_json(doc, args.output_path or "reduce-link.json")
     print(f"six_area {report.six_area!r}")
     print(f"five_area {report.five_area!r}")
@@ -100,8 +95,7 @@ def _cmd_reduce_link(args: argparse.Namespace) -> int:
 
 
 def _cmd_export(args: argparse.Namespace) -> int:
-    chain = load_chain(args.input_path)
-    dom = from_chain(chain, tol=args.closure_tol)
+    dom = from_chain(load_chain(args.input_path), tol=args.closure_tol)
     path = args.output_path or f"export.{args.format}"
     if args.format == "svg":
         with open(path, "w", encoding="utf-8") as fh:
@@ -158,9 +152,9 @@ def parse_args(argv) -> argparse.Namespace:
         raise UsageError(f"closure tolerance must be {bound}")
     if "seed" in args:  # a search command
         from .optimize import SearchSpec
-        for f in fields(SearchSpec):
-            if f.name in _SEARCH_OPTIONS and getattr(args, f.name) is None:
-                setattr(args, f.name, f.default)
+        for name in _SEARCH_OPTIONS:
+            if getattr(args, name) is None:
+                setattr(args, name, SearchSpec._field_defaults[name])
     return args
 
 
@@ -168,13 +162,10 @@ def main(argv=None) -> int:
     try:
         args = parse_args(sys.argv[1:] if argv is None else argv)
         return args.run(args)
-    except UsageError as exc:
-        _diagnostic("UsageError", str(exc))
-        return 1
     except InfeasibleInput as exc:
         _diagnostic("InfeasibleInput", str(exc))
         return 2
-    except GeometryError as exc:
+    except (UsageError, GeometryError) as exc:
         _diagnostic(type(exc).__name__, str(exc))
         return 1
     except OSError as exc:

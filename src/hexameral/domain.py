@@ -29,7 +29,7 @@ non-degenerate link.  That is exact, because on the link domain 0 < k < 1,
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from typing import NamedTuple
 
 from . import _np as np
 from .chain import (
@@ -43,7 +43,7 @@ from .hyperlink import (
 )
 from .kit import Arrays
 from .multicurve import MultiPoint, convexity_value, standard_multipoint
-from .sl2 import SQRT3, wedge
+from .sl2 import SQRT3, _Frozen, wedge
 
 SQRT12 = math.sqrt(12.0)
 
@@ -66,26 +66,25 @@ CIRCLE_DENSITY = math.pi / SQRT12
 LINK_CHECKS = ("star-conditions", "tangent-determinant", "convexity", "rank-per-link")
 
 
-@dataclass(frozen=True, eq=False)
-class BoundaryPolyline:
+class BoundaryPolyline(_Frozen):
     """Sampled boundary: an (n, 2) array of finite points, consecutive points
     distinct, positively oriented when closed.  The points are read-only."""
 
-    points: np.ndarray
-    closed: bool
+    __slots__ = ("points", "closed")
 
-    def __post_init__(self) -> None:
-        pts = np.array(self.points, dtype=float)
+    def __init__(self, points, closed: bool) -> None:
+        pts = np.array(points, dtype=float)
         if pts.shape[1:] != (2,) or len(pts) < 3:
             raise NotClosed("polyline needs at least three points in the plane")
         if not np.all(np.isfinite(pts)):
             raise NotClosed("polyline has a non-finite coordinate")
         # the finite points repeat where their difference is zero
-        if (pts[1:] == pts[:-1]).all(axis=1).any() or self.closed and (pts[0] == pts[-1]).all():
+        if (pts[1:] == pts[:-1]).all(axis=1).any() or closed and (pts[0] == pts[-1]).all():
             raise NotClosed("polyline has coincident consecutive points")
         pts.flags.writeable = False
         object.__setattr__(self, "points", pts)
-        if self.closed and self.area() <= 0.0:
+        object.__setattr__(self, "closed", closed)
+        if closed and self.area() <= 0.0:
             raise NotClosed("closed polyline is not positively oriented")
 
     def area(self) -> float:
@@ -103,8 +102,7 @@ class BoundaryPolyline:
         return bool(np.max(np.abs(c + np.roll(c, n // 2, axis=0))) < tol)
 
 
-@dataclass(frozen=True)
-class HexameralDomain:
+class HexameralDomain(NamedTuple):
     """A closed chain together with its area and packing density."""
 
     chain: ChainParams
@@ -158,8 +156,7 @@ def boundary_polyline(dom: HexameralDomain, per_link: int = 64) -> BoundaryPolyl
     return BoundaryPolyline((curves @ maps.transpose(0, 2, 1)).reshape(-1, 2), closed=True)
 
 
-@dataclass(frozen=True)
-class CircleReference:
+class CircleReference(NamedTuple):
     """Unit-circle comparison domain (rank three, density pi / sqrt(12))."""
 
     polyline: BoundaryPolyline
@@ -278,7 +275,7 @@ def export_json(dom: HexameralDomain) -> dict:
     """Chain dialect extended with the domain's derived quantities."""
     # closure was checked, at the caller's tolerance, when dom was built
     return {**chain_to_dict(dom.chain), "area": dom.area, "density": dom.density,
-            "link_length": normalized_length(dom.chain), "closure": asdict(dom.closure)}
+            "link_length": normalized_length(dom.chain), "closure": dom.closure._asdict()}
 
 
 def export_svg(dom: HexameralDomain, per_link: int = 64) -> str:

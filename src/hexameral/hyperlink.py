@@ -16,15 +16,15 @@ marks a degenerate (single-point) link.
 from __future__ import annotations
 
 import numbers
-from dataclasses import dataclass
 from functools import cache
+from typing import NamedTuple
 
 from . import _np as np
 from .errors import DegenerateVelocity, NotRankOneCompatible, ParameterOutOfRange, ScaleTooSmall
 from .kit import FLOATS, kit_of
 from .sl2 import (
-    SQRT3, Frame, FrameMatrix, TangentElement, _adjoint, _adjoint_matrix, _inverse, _product,
-    _sphere_basis, _star, _unit_det, _unit_tangent, adjoint,
+    SQRT3, Frame, FrameMatrix, TangentElement, _adjoint, _adjoint_matrix, _Checked, _inverse,
+    _product, _sphere_basis, _star, _unit_det, _unit_tangent, adjoint,
 )
 
 MIN_SCALE_SQ, _STANDARD_INVERSE = FLOATS.MIN_SCALE_SQ, FLOATS.STANDARD_INVERSE
@@ -44,24 +44,21 @@ def k_of(a: float) -> float:
     return k
 
 
-@dataclass(frozen=True)
-class SquareRep:
+class SquareRep(_Checked, NamedTuple("SquareRep", [("a", float), ("t0", float),
+                                                   ("tau", float), ("j", int)])):
     """Square-representation parameters (a, t0, tau) of one link at index j."""
 
-    a: float
-    t0: float
-    tau: float
-    j: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        k = k_of(self.a)
-        if not -1.0 < self.t0 < k - 1.0:
-            raise ParameterOutOfRange(
-                f"t0 = {self.t0!r} outside (-1, {k - 1.0!r}) for a = {self.a!r}")
-        if not 0.0 <= self.tau <= 1.0:
-            raise ParameterOutOfRange(f"tau = {self.tau!r} outside [0, 1]")
-        if self.j not in (0, 2, 4):
-            raise ParameterOutOfRange(f"hyperbolic index j = {self.j!r} not in (0, 2, 4)")
+    def __new__(cls, a: float, t0: float, tau: float, j: int) -> SquareRep:
+        k = k_of(a)
+        if not -1.0 < t0 < k - 1.0:
+            raise ParameterOutOfRange(f"t0 = {t0!r} outside (-1, {k - 1.0!r}) for a = {a!r}")
+        if not 0.0 <= tau <= 1.0:
+            raise ParameterOutOfRange(f"tau = {tau!r} outside [0, 1]")
+        if j not in (0, 2, 4):
+            raise ParameterOutOfRange(f"hyperbolic index j = {j!r} not in (0, 2, 4)")
+        return super().__new__(cls, a, t0, tau, j)
 
     @property
     def k(self) -> float:
@@ -106,8 +103,7 @@ def _square_points(a, k, t):
     return (a * (-1.0 - s), a * (-1.0 - t)), (a, a * t), (a * s, a)
 
 
-@dataclass(frozen=True)
-class LinkState:
+class LinkState(NamedTuple):
     """Frame and oriented tangent at a link endpoint.
 
     The tangent is the unit representative of its positive-scalar class, so

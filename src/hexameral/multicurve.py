@@ -8,12 +8,12 @@ normalized to sqrt(12).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cache
+from typing import NamedTuple
 
 from . import _np as np
 from .errors import MissingAcceleration, RankUndefined, RankZero, WedgeMismatch
-from .sl2 import FrameMatrix, wedge
+from .sl2 import FrameMatrix, _Checked, _Frozen, wedge
 
 MULTIPOINT_TOL = 1e-9
 # A sampled curve counts as linear when |wedge(v, acc)| < RANK_TOL * |v|^2.
@@ -22,14 +22,13 @@ RANK_TOL = 1e-9
 HALF_SQRT3 = math.sqrt(3.0) / 2.0
 
 
-@dataclass(frozen=True, eq=False)
-class MultiPoint:
+class MultiPoint(_Frozen):
     """Six boundary positions, a read-only (6, 2) array, satisfying the relations."""
 
-    points: np.ndarray
+    __slots__ = ("points",)
 
-    def __post_init__(self) -> None:
-        pts = np.array(self.points, dtype=float)
+    def __init__(self, points) -> None:
+        pts = np.array(points, dtype=float)
         if pts.shape != (6, 2):
             raise WedgeMismatch("a multi-point needs exactly six positions")
         pts.flags.writeable = False
@@ -77,15 +76,15 @@ def convexity_value(curves) -> np.ndarray:
     return wedge(curves[..., 1, :, :], curves[..., 2, :, :])
 
 
-@dataclass(frozen=True)
-class RankLabel:
+class RankLabel(_Checked, NamedTuple("RankLabel", [("value", int)])):
     """Count of strictly curved even-index curves (1, 2 or 3)."""
 
-    value: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.value not in (1, 2, 3):
-            raise RankZero(f"rank {self.value} is not admissible")
+    def __new__(cls, value: int) -> RankLabel:
+        if value not in (1, 2, 3):
+            raise RankZero(f"rank {value} is not admissible")
+        return super().__new__(cls, value)
 
 
 def rank_classify(curves) -> RankLabel:

@@ -18,7 +18,6 @@ from __future__ import annotations
 import contextlib
 import math
 import numbers
-from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 from . import _np as np
@@ -30,7 +29,8 @@ from .chain import (
 from .domain import SQRT12, smoothed_octagon
 from .errors import GeometryError, InfeasibleInput
 from .hyperlink import LinkState, circle_tangent
-from .sl2 import IDENTITY, ROT60, TangentElement, _adjoint_matrix, _inverse, _sphere_basis
+from .sl2 import (IDENTITY, ROT60, TangentElement, _adjoint_matrix, _Checked, _inverse,
+                  _sphere_basis)
 
 FIVE_LINK_PATTERN = (0, 2, 4, 2, 0)
 TAU_HI = 1.0 - 1e-6
@@ -80,40 +80,44 @@ def __getattr__(name: str):
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
-@dataclass(frozen=True)
-class SearchSpec:
+class _SearchFields(NamedTuple):
     bounds: tuple[tuple[float, float], ...] = DEFAULT_BOUNDS
     restarts: int = 3
     max_evals: int = 6000
     seed: int = 0
     start: tuple[float, ...] | None = None
 
-    def __post_init__(self) -> None:
-        if not self.bounds:
+
+class SearchSpec(_Checked, _SearchFields):
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs) -> SearchSpec:
+        bounds, *counts, start = super().__new__(cls, *args, **kwargs)
+        if not bounds:
             raise InfeasibleInput("bounds must be nonempty")
-        for lo, hi in self.bounds:
+        for lo, hi in bounds:
             if not lo < hi:
                 raise InfeasibleInput(f"empty bound interval ({lo!r}, {hi!r})")
             if not math.isfinite(hi - lo):
                 raise InfeasibleInput(f"bound interval ({lo!r}, {hi!r}) is not finite")
-        for name, least in (("restarts", 1), ("max_evals", 0), ("seed", 0)):
-            value = getattr(self, name)
+        for k, (name, least) in enumerate((("restarts", 1), ("max_evals", 0), ("seed", 0))):
+            value = counts[k]
             if isinstance(value, bool) or not isinstance(value, numbers.Integral):
                 raise InfeasibleInput(f"{name} = {value!r} must be an integer")
             if value < least:
                 raise InfeasibleInput(f"{name} must be {'at least 1' if least else 'nonnegative'}")
-            object.__setattr__(self, name, int(value))
-        if self.start is not None:
-            object.__setattr__(self, "start", tuple(float(v) for v in self.start))
-            if len(self.start) != len(self.bounds):
+            counts[k] = int(value)
+        if start is not None:
+            start = tuple(float(v) for v in start)
+            if len(start) != len(bounds):
                 raise InfeasibleInput("start point has the wrong dimension")
             # NaN lies in no interval
-            if not all(lo <= v <= hi for v, (lo, hi) in zip(self.start, self.bounds)):
+            if not all(lo <= v <= hi for v, (lo, hi) in zip(start, bounds)):
                 raise InfeasibleInput("start point lies outside the bounds")
+        return super().__new__(cls, bounds, *counts, start)
 
 
-@dataclass(frozen=True)
-class SearchResult:
+class SearchResult(NamedTuple):
     best_params: tuple[float, ...]
     best_density: float
     feasible: bool
@@ -151,8 +155,10 @@ class Evaluation(NamedTuple):
         return max(self.report.residual(), -self.report.angle_margin)
 
 
-@dataclass(frozen=True)
-class EndpointProblem:
+class EndpointProblem(_Checked, NamedTuple("EndpointProblem", [
+        ("pattern", tuple[int, ...]), ("value", Callable[[float], float]), ("fail_value", float),
+        ("bounds", tuple[tuple[float, float], ...]),
+        ("segment", tuple[LinkState, LinkState] | None)])):
     """Minimise ``value(area)`` over a box subject to the chain ending in a target.
 
     The links follow the index ``pattern``, their taus the last variables.
@@ -167,15 +173,12 @@ class EndpointProblem:
     a record of ``_assemblies`` too.
     """
 
-    pattern: tuple[int, ...]
-    value: Callable[[float], float]
-    fail_value: float
-    bounds: tuple[tuple[float, float], ...]
-    segment: tuple[LinkState, LinkState] | None = None
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if len(self.bounds) != len(self.pattern) + (2 if self.segment is None else 0):
-            raise InfeasibleInput(f"{len(self.bounds)} bounds do not fit pattern {self.pattern}")
+    def __new__(cls, pattern, value, fail_value, bounds, segment=None) -> EndpointProblem:
+        if len(bounds) != len(pattern) + (2 if segment is None else 0):
+            raise InfeasibleInput(f"{len(bounds)} bounds do not fit pattern {pattern}")
+        return super().__new__(cls, pattern, value, fail_value, bounds, segment)
 
     def decode(self, x) -> ChainParams:
         """The chain at the search variables x, which must be one per bound."""
@@ -636,8 +639,7 @@ def _consecutive_distinct_patterns() -> list[tuple[int, ...]]:
     return patterns
 
 
-@dataclass(frozen=True)
-class LinkReductionReport:
+class LinkReductionReport(NamedTuple):
     six_area: float
     five_area: float
     five_links: tuple[LinkParam, ...]

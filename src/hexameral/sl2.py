@@ -8,7 +8,7 @@ The private entry-tuple helpers take the numbers of a ``kit``, floats by default
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import _np as np
 from .errors import DegenerateVelocity, FrameDeterminantError
@@ -68,21 +68,54 @@ def _inverse(g: Frame) -> Frame:
     return (de, -be, -ga, al)
 
 
-@dataclass(frozen=True, slots=True)
-class FrameMatrix:
+class _Frozen:
+    """A frozen record of ``__slots__`` set by ``__init__``, which copies and pickles call."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, *_):
+        raise AttributeError(f"cannot assign to field {name!r}")
+    __delattr__ = __setattr__
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, name) for name in self.__slots__)
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({fields})"
+
+
+class _Checked:
+    """Base of a NamedTuple whose ``__new__`` checks it: ``_make`` and ``_replace`` call it."""
+
+    __slots__ = ()
+    _make = classmethod(lambda cls, iterable: cls(*iterable))
+
+
+class FrameMatrix(_Frozen):
     """Element of SL2(R); determinant is re-projected to one on construction."""
 
-    alpha: float
-    beta: float
-    gamma: float
-    delta: float
+    __slots__ = ("alpha", "beta", "gamma", "delta")
+
+    def __init__(self, alpha: float, beta: float, gamma: float, delta: float) -> None:
+        object.__setattr__(self, "alpha", alpha)
+        object.__setattr__(self, "beta", beta)
+        object.__setattr__(self, "gamma", gamma)
+        object.__setattr__(self, "delta", delta)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         entries = (self.alpha, self.beta, self.gamma, self.delta)
         fixed = _unit_det(*entries)
         if fixed != entries:
-            for name, value in zip(("alpha", "beta", "gamma", "delta"), fixed):
+            for name, value in zip(self.__slots__, fixed):
                 object.__setattr__(self, name, value)
+
+    def __eq__(self, other):
+        return self.entries() == other.entries() if type(other) is FrameMatrix else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self.entries())
 
     def det(self) -> float:
         return self.alpha * self.delta - self.beta * self.gamma
@@ -95,8 +128,7 @@ class FrameMatrix:
         """Matrix product self * other (other acts first)."""
         return FrameMatrix(*_product(self.entries(), other.entries()))
 
-    def __matmul__(self, other: "FrameMatrix") -> "FrameMatrix":
-        return self.compose(other)
+    __matmul__ = compose
 
     def inverse(self) -> "FrameMatrix":
         return FrameMatrix(self.delta, -self.beta, -self.gamma, self.alpha)
@@ -123,8 +155,7 @@ def frame_distance(g: FrameMatrix, h: FrameMatrix) -> float:
     return max(abs(p - q) for p, q in zip(g.entries(), h.entries()))
 
 
-@dataclass(frozen=True, slots=True)
-class TangentElement:
+class TangentElement(NamedTuple):
     """Traceless 2x2 matrix [[a, b], [c, -a]] in coordinates (a, b, c)."""
 
     a: float

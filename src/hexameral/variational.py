@@ -9,22 +9,21 @@ the chain area) on chain-derived paths and pi on the unit-circle path.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import _np as np
 from .chain import ChainParams, assemble
 from .errors import ParameterOutOfRange, SignCondition, StarViolation, WedgeMismatch
 from .hyperlink import _STANDARD_INVERSE, _even_points, _link_grid, _sample_count, link_map
 from .multicurve import standard_multipoint
-from .sl2 import DET_TOL, SQRT3, TangentElement, _inverse, _unit_det, star_check, wedge
+from .sl2 import DET_TOL, SQRT3, TangentElement, _Frozen, _inverse, _unit_det, star_check, wedge
 
 MIN_GRID = 16
 IDENTITY_TOL = 1e-8
 LEMMA_TOL = 1e-10
 
 
-@dataclass(frozen=True, eq=False)
-class FramePath:
+class FramePath(_Frozen):
     """Frames sampled along a parameter grid, relative to the starting frame.
 
     ``grid`` has shape (n,) and ``frames`` shape (n, 2, 2); both are read-only.
@@ -32,12 +31,11 @@ class FramePath:
     determinant is not within ``DET_TOL`` of one goes through ``_unit_det``.
     """
 
-    grid: np.ndarray
-    frames: np.ndarray
+    __slots__ = ("grid", "frames")
 
-    def __post_init__(self) -> None:
-        grid = np.array(self.grid, dtype=float)
-        frames = np.array(self.frames, dtype=float)
+    def __init__(self, grid, frames) -> None:
+        grid = np.array(grid, dtype=float)
+        frames = np.array(frames, dtype=float)
         if grid.ndim != 1 or grid.size < MIN_GRID:
             raise ParameterOutOfRange(
                 f"frame path needs at least {MIN_GRID} grid points, got {grid.size}")
@@ -118,8 +116,7 @@ def euler_lagrange_residual(path: FramePath) -> float:
     ))
 
 
-@dataclass(frozen=True)
-class Sampled:
+class Sampled(NamedTuple):
     """A function sampled on a grid, optionally with derivative samples."""
 
     values: np.ndarray
@@ -176,8 +173,7 @@ def curvature_lemma_value(x: TangentElement) -> float:
     return closed
 
 
-@dataclass(frozen=True)
-class Rank2Report:
+class Rank2Report(NamedTuple):
     """First-variation data for the rank-two reduction."""
 
     integral: float

@@ -453,6 +453,34 @@ def test_only_array_commands_load_numpy(octagon, tmp_path):
     assert not any(loaded.values()), loaded
 
 
+# Runs in a fresh interpreter: whether dataclasses is loaded after the two
+# imports and after each command, the two searches included.
+_DATACLASSES_PROBE = """
+import json, sys
+import hexameral
+loaded = {"import hexameral": "dataclasses" in sys.modules}
+from hexameral.cli import main
+loaded["import hexameral.cli"] = "dataclasses" in sys.modules
+for argv in (["octagon", "-o", "oct.json"], ["density", "oct.json"],
+             ["verify", "oct.json"],
+             ["export", "oct.json", "--format", "svg", "-o", "oct.svg"],
+             ["export", "oct.json", "--format", "json", "-o", "oct.geo.json"],
+             ["reduce-link", "six.json", "--restarts", "1", "-o", "six.reduced.json"],
+             ["five-link", "--seed", "1", "--restarts", "1", "--max-evals", "300",
+              "-o", "five.json"]):
+    assert main(argv) == 0, argv
+    loaded[" ".join(argv)] = "dataclasses" in sys.modules
+print(json.dumps(loaded))
+"""
+
+
+def test_no_command_loads_dataclasses(octagon, tmp_path):
+    loaded = _fresh_interpreter(_DATACLASSES_PROBE, octagon, tmp_path)
+    assert len(loaded) == 9
+    # records are NamedTuples and slotted classes, which generate no code at import
+    assert not any(loaded.values()), loaded
+
+
 def test_numpy_names_are_numpy_names():
     import numpy
     from hexameral import _np
