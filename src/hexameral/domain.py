@@ -4,9 +4,9 @@ The area of a domain is twice the chain area (odd-index sectors mirror the
 even ones), and the packing density of a balanced-hexagon normalized domain
 is area / sqrt(12).
 
-The verify checklist reads its four link rows at the two ends of every
-non-degenerate link.  That is exact, because on the link domain 0 < k < 1,
--1 < t < k - 1 none of the four quantities has an interior minimum:
+The verify checklist reads its four link rows, on floats, at the two ends of
+every non-degenerate link.  That is exact, because on the link domain
+0 < k < 1, -1 < t < k - 1 none of the four quantities has an interior minimum:
 
 * Convexity and rank.  Of the even curves, the hyperbola has
   wedge(v, acc) = 2 a^2 (1 - k) / |t|^3 > 0, monotone in t; for the two
@@ -39,10 +39,10 @@ from .chain import (
 from .errors import GeometryError, LinkLengthViolation, NotClosed
 from .hyperlink import (
     SquareRep, _circle_tangent_at, _curve_rows, _even_points, _link_grid, _sample_count, frame_at,
-    link_curves, link_map, t_end,
+    link_map, t_end,
 )
 from .kit import Arrays
-from .multicurve import MultiPoint, convexity_value, standard_multipoint
+from .multicurve import MultiPoint, standard_multipoint
 from .sl2 import SQRT3, _Frozen, wedge
 
 SQRT12 = math.sqrt(12.0)
@@ -94,12 +94,9 @@ class BoundaryPolyline(_Frozen):
 
     def centrally_symmetric(self, tol: float = 1e-9) -> bool:
         """Does -p appear among the points for every point p?"""
-        c = self.points
-        n = len(c)
-        if n % 2 != 0:
-            return False
+        c, n = self.points, len(self.points)
         # boundary order pairs p_i with p_{i + n/2} for a symmetric sampling
-        return bool(np.max(np.abs(c + np.roll(c, n // 2, axis=0))) < tol)
+        return n % 2 == 0 and bool(np.max(np.abs(c + np.roll(c, n // 2, axis=0))) < tol)
 
 
 class HexameralDomain(NamedTuple):
@@ -203,13 +200,14 @@ def star_profile(dom: HexameralDomain, per_link: int = 32) -> np.ndarray:
 
 def _link_end_margins(reps) -> tuple[float, float, float, list[int]]:
     """Least star margin, determinant and hyperbola wedge(v, acc) over the ends
-    of the given links, and each link's rank."""
-    star = _star_rows(reps, 2)
-    # wedge(v, acc) at both ends of the even curves 0, 2, 4; curve j is the hyperbola
-    bends = [convexity_value(link_curves(rep, (rep.t0, t_end(rep)))[0::2]) for rep in reps]
-    hyperbola = min(float(bend[rep.j // 2].min()) for bend, rep in zip(bends, reps))
-    ranks = [int((bend.min(axis=1) > 0.0).sum()) for bend in bends]
-    return float(star[:, :2].min()), float(star[:, 2].min()), hyperbola, ranks
+    of the given links, and each link's rank: the star rows' kernel, on floats."""
+    ends = [(rep.a, rep.k, rep.j, t) for rep in reps for t in (rep.t0, t_end(rep))]
+    xyz = [_circle_tangent_at(a, k, t, j) for a, k, j, t in ends]
+    # link_curves' hyperbola has wedge(v, acc) = (-a ds) 0 - (-a)(-a dds); each line's is 0
+    bends = [-(a * (a * (2.0 * (1.0 - k) / (t * t * t)))) for a, k, _, t in ends]
+    star = min(min(z - SQRT3 * abs(x), -(3.0 * y + z)) for x, y, z in xyz)
+    return (star, min(-x * x - y * z for x, y, z in xyz), min(bends),
+            [int(b0 > 0.0 and b1 > 0.0) for b0, b1 in zip(bends[::2], bends[1::2])])
 
 
 def _link_end_checks(assembled: AssembledChain) -> list[tuple[str, bool, str]]:

@@ -112,5 +112,5 @@ ARRAYS = Arrays()
 
 
 def kit_of(value) -> Kit:
-    """The kit of a kernel input: arrays for an array, else floats."""
-    return ARRAYS if isinstance(value, np.ndarray) else FLOATS
+    """The kit of a kernel input: arrays for an array, else floats; a float reads no numpy."""
+    return FLOATS if isinstance(value, float) or not isinstance(value, np.ndarray) else ARRAYS

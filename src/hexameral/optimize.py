@@ -95,11 +95,15 @@ class SearchSpec(_Checked, _SearchFields):
         bounds, *counts, start = super().__new__(cls, *args, **kwargs)
         if not bounds:
             raise InfeasibleInput("bounds must be nonempty")
-        for lo, hi in bounds:
-            if not lo < hi:
-                raise InfeasibleInput(f"empty bound interval ({lo!r}, {hi!r})")
-            if not math.isfinite(hi - lo):
-                raise InfeasibleInput(f"bound interval ({lo!r}, {hi!r}) is not finite")
+        try:  # a bound that is no pair of numbers, or a start entry that is no number
+            for lo, hi in bounds:
+                if not lo < hi:
+                    raise InfeasibleInput(f"empty bound interval ({lo!r}, {hi!r})")
+                if not math.isfinite(hi - lo):
+                    raise InfeasibleInput(f"bound interval ({lo!r}, {hi!r}) is not finite")
+            start = None if start is None else tuple(float(v) for v in start)
+        except (TypeError, ValueError) as exc:
+            raise InfeasibleInput(f"malformed bounds or start: {exc}") from None
         for k, (name, least) in enumerate((("restarts", 1), ("max_evals", 0), ("seed", 0))):
             value = counts[k]
             if isinstance(value, bool) or not isinstance(value, numbers.Integral):
@@ -108,7 +112,6 @@ class SearchSpec(_Checked, _SearchFields):
                 raise InfeasibleInput(f"{name} must be {'at least 1' if least else 'nonnegative'}")
             counts[k] = int(value)
         if start is not None:
-            start = tuple(float(v) for v in start)
             if len(start) != len(bounds):
                 raise InfeasibleInput("start point has the wrong dimension")
             # NaN lies in no interval

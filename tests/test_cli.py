@@ -430,12 +430,11 @@ import json, sys
 import hexameral
 from hexameral.cli import main
 loaded = {"import hexameral": "numpy" in sys.modules}
-for argv in (["octagon", "-o", "oct.json"], ["density", "oct.json"],
+for argv in (["octagon", "-o", "oct.json"], ["density", "oct.json"], ["verify", "oct.json"],
              ["export", "oct.json", "--format", "json", "-o", "oct.geo.json"]):
     assert main(argv) == 0, argv
     loaded[" ".join(argv)] = "numpy" in sys.modules
-for argv in (["verify", "oct.json"],
-             ["export", "oct.json", "--format", "svg", "-o", "oct.svg"],
+for argv in (["export", "oct.json", "--format", "svg", "-o", "oct.svg"],
              ["reduce-link", "six.json", "--restarts", "1", "--max-evals", "3000",
               "-o", "six.reduced.json"],
              ["five-link", "--seed", "1", "--restarts", "1", "--max-evals", "300",
@@ -449,8 +448,24 @@ print(json.dumps(loaded))
 def test_only_array_commands_load_numpy(octagon, tmp_path):
     loaded = _fresh_interpreter(_NUMPY_PROBE, octagon, tmp_path)
     assert loaded.pop("array commands"), loaded
-    assert len(loaded) == 4
+    assert len(loaded) == 5
     assert not any(loaded.values()), loaded
+
+
+# Runs in a fresh interpreter: the kit of a float is found without reading
+# numpy, and the kit of an array is still the array kit.
+_KIT_PROBE = """
+import json, sys
+from hexameral.kit import ARRAYS, FLOATS, kit_of
+floats = kit_of(0.5) is FLOATS
+loaded = "numpy" in sys.modules
+import numpy as np
+print(json.dumps([floats, loaded, kit_of(np.zeros(2)) is ARRAYS]))
+"""
+
+
+def test_kit_of_a_float_reads_no_numpy(octagon, tmp_path):
+    assert _fresh_interpreter(_KIT_PROBE, octagon, tmp_path) == [True, False, True]
 
 
 # Runs in a fresh interpreter: whether dataclasses is loaded after the two

@@ -12,14 +12,17 @@ import io
 
 import pytest
 
-from hexameral.chain import save_chain
+from hexameral.chain import ChainParams, save_chain
 from hexameral.cli import main
 from hexameral.domain import smoothed_octagon
+from hexameral.hyperlink import transform_state
+from hexameral.sl2 import TangentElement, exp_tangent
 
 from conftest import split_octagon_period
 
 # name: (argv, file written, sha256 of stdout, sha256 of the file); the runs
-# go in this order, so later ones read oct.json; six.json is a split period
+# go in this order, so later ones read oct.json; six.json is a split period and
+# moved.json the octagon moved by an SL2 frame, the cli benchmark's other two chain kinds
 RUNS = {
     "octagon": (
         ["octagon", "-o", "{d}/oct.json"], "oct.json",
@@ -32,6 +35,14 @@ RUNS = {
     "verify": (
         ["verify", "{d}/oct.json"], None,
         "16a6c82838cec13f7e4a508e8d923c2945d3a92796a5f6b71e4da80eb82a541b",
+        None),
+    "verify-moved": (
+        ["verify", "{d}/moved.json"], None,
+        "41c7f0c5c93a04c106eb5647242c1bcfb7ee334e844e65395b1bed1f9254f73a",
+        None),
+    "verify-split": (
+        ["verify", "{d}/six.json"], None,
+        "81f1976e87802046e899429caf91069ae1705ef691a0f35b88dfe0d4bbc7f802",
         None),
     "export-svg": (
         ["export", "{d}/oct.json", "--format", "svg", "-o", "{d}/oct.svg"], "oct.svg",
@@ -95,7 +106,11 @@ def run_cli(argv: list[str], directory: str) -> tuple[int, str, str]:
 
 def run_all(directory: str) -> dict:
     """name: (exit code, stderr, sha256 of stdout, sha256 of the file written)."""
-    save_chain(split_octagon_period(smoothed_octagon()), f"{directory}/six.json")
+    octagon = smoothed_octagon()
+    save_chain(split_octagon_period(octagon), f"{directory}/six.json")
+    g = exp_tangent(TangentElement(0.4, -0.7, 0.2), 0.9)
+    moved = ChainParams(transform_state(g, octagon.chain.initial), octagon.chain.links)
+    save_chain(moved, f"{directory}/moved.json")
     outcomes = {}
     for name, (argv, written, _, _) in RUNS.items():
         code, out, err = run_cli(argv, directory)

@@ -275,6 +275,13 @@ class TestSpecValidation:
         with pytest.raises(InfeasibleInput, match="must be an integer"):
             SearchSpec(**{field: value})
 
+    @pytest.mark.parametrize("field,value", [("bounds", ((0.0, 1.0, 2.0),)),
+                                             ("bounds", ((0.0, "a"),)), ("start", ("x",) * 7)])
+    def test_malformed_bounds_and_start(self, field, value):
+        # a bound of three numbers, a bound that is no number, a start that is no number
+        with pytest.raises(InfeasibleInput, match="malformed bounds or start"):
+            SearchSpec(**{field: value})
+
     def test_numpy_integers_accepted(self):
         spec = SearchSpec(restarts=np.int64(2), max_evals=np.int32(0), seed=np.uint8(3))
         assert (spec.restarts, spec.max_evals, spec.seed) == (2, 0, 3)
