@@ -164,41 +164,33 @@ def _assemble_batch(chains) -> ChainBatch:
                       np.where(first < len(checks), np.searchsorted(ends, first, "right"), -1))
 
 
-def assemble_jacobian(chain: ChainParams | None, head: np.ndarray,
-                      assembled: AssembledChain | ChainBatch | None = None):
-    """assemble, plus the derivatives of the final state and the area.
+def assemble_jacobian(assembled: AssembledChain | ChainBatch, head: np.ndarray) -> np.ndarray:
+    """The derivatives of an assembled chain's final state and area.
 
     The variables are m leading ones, whose derivative of the initial state
     is ``head`` (5, m) in a state's five local coordinates, then the link
-    taus in order.  Returns the assembled chain and a (6, m + links) array:
-    the final state's derivative over the area gradient.  A caller that
-    already holds ``assemble(chain)`` passes it as ``assembled``, and the
-    chain is not assembled again; a ChainBatch and heads (B, 5, m) give
-    each chain's derivative, (B, 6, m + links), with the bits of one call
-    (and nothing meaningful for a chain that fails).
+    taus in order.  Returns a (6, m + links) array: the final state's
+    derivative over the area gradient.  A ChainBatch and heads (B, 5, m)
+    give each chain's derivative, (B, 6, m + links), with the bits of one
+    call (and nothing meaningful for a chain that fails).
 
     This is ``hyperlink._transfer`` composed link by link, except that
     between two links the out tangent's sphere coordinates and the next
     link's reading of them cancel: the chain carries (xi, da, dt0) of the
     next link and converts to sphere coordinates only at its two ends.
     """
-    if assembled is None:
-        assembled = assemble(chain)
-    if isinstance(assembled, ChainBatch):
-        kit, frames, tangents = ARRAYS, list(assembled.frames), list(assembled.tangents)
-        reps = assembled.reps
-    else:
-        kit, frames, tangents = FLOATS, assembled.frames, assembled.tangents
-        reps = assembled.links
+    kit, reps = ((ARRAYS, assembled.reps) if isinstance(assembled, ChainBatch)
+                 else (FLOATS, assembled.links))
+    frames, tangents = assembled.frames, assembled.tangents
     m = head.shape[-1]
     d_state = np.zeros(head.shape[:-2] + (6, m + len(reps)))
     if not reps:
         d_state[..., :5, :] = head
-        return assembled, d_state
+        return d_state
     d_state[..., :3, :m] = head[..., :3, :]
     d_state[..., 3:5, :m] = kit.stack(_entry(frames[0], tangents[0], reps[0][3], kit)) @ head
     transfers, inner = [], len(reps) - 1
-    if kit.batched and inner:
+    if kit is ARRAYS and inner:
         # a link's derivative reads no other link's: all links but the last,
         # whose rows end in sphere coordinates, in one call side by side
         def flat(parts):
@@ -215,7 +207,7 @@ def assemble_jacobian(chain: ChainParams | None, head: np.ndarray,
         d_state = transfer[..., :6] @ d_state
         # no earlier link reads this tau
         d_state[..., m + i] = transfer[..., 6]
-    return assembled, d_state
+    return d_state
 
 
 def chain_area(chain: ChainParams) -> float:

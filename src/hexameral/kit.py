@@ -45,7 +45,7 @@ class Kit:
     stack = _NumpyPart()
 
     def __init__(self, lib=math):
-        self.batched, self.sqrt, self.hypot, self.log = False, lib.sqrt, lib.hypot, lib.log
+        self.sqrt, self.hypot, self.log = lib.sqrt, lib.hypot, lib.log
         self.where = lambda cond, yes, no: yes if cond else no
         # a scalar kit checks each link it runs, so it is its own masked kit
         self.any, self.masked = bool, lambda keep: self
@@ -89,9 +89,8 @@ class Arrays(Kit):
     """The kit of (B,) arrays, each element with its float bits: rows stack as
     (B, r, c), and a failed check is noted in ``checks``, if a list."""
 
-    batched = True
     sqrt, where, any, STANDARD_INVERSE, EDGE_POINTS, EDGE_FORMS = (_NumpyPart() for _ in range(6))
-    # log is NaN where v is not positive, as in a batched chain that failed
+    # log is NaN where v is not positive, as in a chain of a batch that failed
     hypot, log = _each(math.hypot), _each(lambda v: math.log(v) if v > 0.0 else math.nan)
     stack = staticmethod(lambda rows: np.ascontiguousarray(np.moveaxis(np.array(rows), -1, 0)))
     SQRT3, MIN_SCALE_SQ = FLOATS.SQRT3, FLOATS.MIN_SCALE_SQ

@@ -29,8 +29,7 @@ from .chain import (
 from .domain import SQRT12, smoothed_octagon
 from .errors import GeometryError, InfeasibleInput
 from .hyperlink import LinkState, circle_tangent
-from .sl2 import (IDENTITY, ROT60, TangentElement, _adjoint_matrix, _Checked, _inverse,
-                  _sphere_basis)
+from .sl2 import IDENTITY, ROT60, TangentElement, _Checked, _sphere_basis
 
 FIVE_LINK_PATTERN = (0, 2, 4, 2, 0)
 TAU_HI = 1.0 - 1e-6
@@ -65,9 +64,6 @@ SEGMENT_BOUNDS = ((0.0, TAU_HI),) * 5
 DEFAULT_BOUNDS = ((-0.6, 0.6), (-0.99, -0.01)) + SEGMENT_BOUNDS
 
 _NO_CLOSURE = ClosureReport(math.inf, math.inf, False, -math.inf)
-# A start frame F0 moved to F0 exp(xi) turns its target F0 R into
-# F0 R exp(Ad(R^{-1}) xi), R the rotation by pi/3.
-_TARGET_TURN = np.array(_adjoint_matrix(_inverse(ROT60.entries())))
 
 
 def __getattr__(name: str):
@@ -130,8 +126,8 @@ class SearchResult(NamedTuple):
 
 class Evaluation(NamedTuple):
     """One point x of an endpoint problem with the assembly it was computed
-    from: ``assembled`` is an AssembledChain, a batch member (``_Member``),
-    or None where assembly failed, as ``report`` is.
+    from: ``assembled`` is an AssembledChain, or None where assembly failed,
+    as ``report`` is.
 
     ``EndpointProblem.point`` adds the value's gradient and the five endpoint
     equations with their Jacobian, zero-slope where assembly failed.
@@ -142,7 +138,7 @@ class Evaluation(NamedTuple):
     residuals: np.ndarray
     report: ClosureReport | None
     chain: ChainParams | None
-    assembled: AssembledChain | _Member | None
+    assembled: AssembledChain | None
     gradient: np.ndarray | None = None
     equations: np.ndarray | None = None
     equation_jacobian: np.ndarray | None = None
@@ -238,14 +234,11 @@ class EndpointProblem(_Checked, NamedTuple("EndpointProblem", [
         """The derivative (6, n) of the chain's final state and area, and the
         target's (5, n), None where the target is fixed."""
         head = self.start_jacobian(x, chain)
-        _, d_state = assemble_jacobian(chain, head, assembled)
-        d_target = None
-        if self.segment is None:
-            # the target, the start turned by pi/3, moves with the start
-            d_target = np.zeros((5, len(x)))
-            d_target[:3, :head.shape[1]] = _TARGET_TURN @ head[:3]
-            d_target[3:, :head.shape[1]] = head[3:]
-        return d_state, d_target
+        # a closed chain's target, its start turned by pi/3, moves as its
+        # start: the tangent alone, as the start frame is the identity at every x
+        d_target = (None if self.segment is not None
+                    else np.concatenate((head, np.zeros((5, len(x) - 2))), axis=1))
+        return assemble_jacobian(assembled, head), d_target
 
     def jacobian(self, x, assembly=None) -> np.ndarray:
         """The exact 7 x n Jacobian of ``residuals``; zero where no chain assembles."""
@@ -260,19 +253,20 @@ class EndpointProblem(_Checked, NamedTuple("EndpointProblem", [
 
     def evaluate(self, x, assembly=None) -> Evaluation:
         """Value, residuals and closure report of the chain at x."""
-        held = self.assembly(x) if assembly is None else assembly
-        chain, assembled = _whole(held)
+        chain, assembled = self.assembly(x) if assembly is None else assembly
+        if isinstance(assembled, _Member):
+            assembled = assembled.batch.assembled(chain, assembled.b)
         if assembled is None:
             return Evaluation(x, self.fail_value, np.full(7, FAIL_RESIDUAL), None, chain, None)
         target = self.target(chain)
         return Evaluation(x, self.value(assembled.area()),
                           _endpoint_residuals(assembled.end, target),
-                          closure_of(chain, assembled, target=target), chain, held[1])
+                          closure_of(chain, assembled, target=target), chain, assembled)
 
     def point(self, ev: Evaluation) -> Evaluation:
         """The evaluation ``ev`` with the derivatives an SQP step needs, from
         its assembly."""
-        x, (chain, assembled) = ev.x, _whole((ev.chain, ev.assembled))
+        x, chain, assembled = ev.x, ev.chain, ev.assembled
         if assembled is None:
             return ev._replace(gradient=np.zeros(len(x)), equations=np.full(5, FAIL_RESIDUAL),
                                equation_jacobian=np.zeros((5, len(x))))
@@ -318,19 +312,13 @@ class _Search:
             self.best = ev
 
 
-# A round of fewer trials assembles them chain by chain on floats: a batched
-# round of five links costs about as much as 16 to 24 chains on floats at any
+# A round of fewer trials assembles them chain by chain on floats: one batch
+# of five-link chains costs about as much as 16 to 24 chains on floats at any
 # size (link reduction tasks ran 4 % slower at 8).
 BATCH_MIN = 16
 # chain b of an assembled batch, with its residuals and their Jacobian
 _Member = NamedTuple("_Member", [("batch", ChainBatch), ("b", int),
                                  ("residuals", np.ndarray), ("jac", np.ndarray)])
-
-
-def _whole(held):
-    """A held assembly, a batch member built into its AssembledChain."""
-    chain, got = held
-    return (chain, got.batch.assembled(chain, got.b)) if isinstance(got, _Member) else held
 
 
 def _assemblies(run: _Search, asks: list) -> list:
@@ -351,7 +339,7 @@ def _assemblies(run: _Search, asks: list) -> list:
         batch = assemble(chains)
         heads = np.array([p.start_jacobian(x, c) for (p, x), c in zip(asks, chains)])
         final = (tuple(batch.frames[-1]), tuple(batch.tangents[-1]))
-        jac = _endpoint_jacobian(*final) @ assemble_jacobian(None, heads, batch)[1][:, :5]
+        jac = _endpoint_jacobian(*final) @ assemble_jacobian(batch, heads)[:, :5]
     # rows as the 7-vectors _endpoint_residuals gives
     r = np.concatenate(final).T - [sum(p.segment[1].entries(), ()) for p, _ in asks[:room]]
     held = [(c, None if batch.errors[n] else _Member(batch, n, r[n].copy(), jac[n].copy()))
@@ -663,8 +651,11 @@ def link_reduction_experiment(six_link: ChainParams, spec: SearchSpec) -> LinkRe
     their own pattern, so degenerate six-link chains are refit exactly.
     ``max_evals`` caps the assemblies, the first evaluation excepted; where
     it binds, they go to the solves pattern by pattern, and no start is
-    drawn for a solve that could not assemble it.
+    drawn for a solve that could not assemble it.  The taus span
+    SEGMENT_BOUNDS from their own starts: a spec's start or bounds raise.
     """
+    if spec.start is not None or spec.bounds != DEFAULT_BOUNDS:
+        raise InfeasibleInput("link reduction takes no start point or bounds")
     if len(six_link.links) != 6:
         raise InfeasibleInput(f"expected six links, got {len(six_link.links)}")
     try:

@@ -117,10 +117,17 @@ def euler_lagrange_residual(path: FramePath) -> float:
 
 
 class Sampled(NamedTuple):
-    """A function sampled on a grid, optionally with derivative samples."""
+    """A function sampled on a grid, optionally with derivative samples; equal
+    field by field by ``np.array_equal``, under which None equals only None."""
 
     values: np.ndarray
     deriv: np.ndarray | None = None
+
+    def __eq__(self, other):
+        return type(other) is Sampled and all(map(np.array_equal, self, other))
+
+    def __ne__(self, other):
+        return not self == other
 
 
 def _on_grid(grid: np.ndarray, *samples) -> list[np.ndarray]:
@@ -194,7 +201,7 @@ def rank2_first_variation(s: Sampled, x: Sampled, grid, z=None) -> Rank2Report:
     if s.deriv is None or x.deriv is None:
         raise ParameterOutOfRange("s and x must carry derivative samples")
     sv, _, sd, xd = _on_grid(grid, s.values, x.values, s.deriv, x.deriv)
-    if np.min(sd) <= 0.0:
+    if not np.all(sd > 0.0):  # NaN too
         raise SignCondition("s must increase strictly along the grid")
 
     lhs = xd * (sv * sv - 1.0)

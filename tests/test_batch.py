@@ -142,12 +142,12 @@ def test_batch_jacobian_matches_each_chain_on_floats(octagon):
     batch = assemble(chains)
     heads = np.random.default_rng(5).standard_normal((len(chains), 5, 2))
     with np.errstate(all="ignore"):  # the chains that fail give NaN
-        _, d_state = assemble_jacobian(None, heads, batch)
+        d_state = assemble_jacobian(batch, heads)
     assert d_state.shape == (len(chains), 6, 7)
     checked = 0
     for b, chain in enumerate(chains):
         if batch.errors[b] is None:
-            _, alone = assemble_jacobian(chain, heads[b])
+            alone = assemble_jacobian(assemble(chain), heads[b])
             assert alone.tobytes() == np.ascontiguousarray(d_state[b]).tobytes(), b
             checked += 1
     assert checked == 40
@@ -190,6 +190,7 @@ def test_lockstep_solves_end_as_each_alone(octagon):
             assert np.array_equal(ev.x, end.x)
             assert repr(ev.value) == repr(end.value)
             assert ev.residuals.tobytes() == end.residuals.tobytes()
+            assert end.assembled == ev.assembled
         assert together == alone
 
 

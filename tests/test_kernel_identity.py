@@ -89,7 +89,6 @@ from hexameral.hyperlink import (
 from hexameral.kit import FLOATS, Kit
 from hexameral.multicurve import standard_multipoint
 from hexameral.optimize import (
-    _TARGET_TURN,
     DEFAULT_BOUNDS,
     QP_CHANGES,
     STEP_TOL,
@@ -99,10 +98,12 @@ from hexameral.optimize import (
     octagon_embedding,
 )
 from hexameral.sl2 import (
+    ROT60,
     SQRT3,
     FrameMatrix,
     TangentElement,
     _adjoint,
+    _adjoint_matrix,
     _inverse,
     _product,
     _sphere_basis,
@@ -817,9 +818,14 @@ def oracle_endpoint_equations(final: LinkState, target: LinkState):
     return equations, d_end, d_target
 
 
+# A start frame F0 moved to F0 exp(xi) turns its target F0 R into
+# F0 R exp(Ad(R^{-1}) xi), R the rotation by pi/3.
+_TARGET_TURN = np.array(_adjoint_matrix(_inverse(ROT60.entries())))
+
+
 def _oracle_derivatives(problem, x, chain, assembled):
     head = problem.start_jacobian(x, chain)
-    _, d_state = assemble_jacobian(chain, head, assembled)
+    d_state = assemble_jacobian(assembled, head)
     d_target = np.zeros((5, len(x)))
     d_target[:, :head.shape[1]] = np.vstack((_TARGET_TURN @ head[:3], head[3:]))
     return d_state, d_target
@@ -944,6 +950,16 @@ def test_five_link_points_match_numpy_forms():
                 assert got[0].tobytes() == want[0].tobytes() and got[1:] == want[1:]
                 rejected, stops = got[0], stops + got[1]
     assert pinned > 40 and tied > 40 and stops > 0
+
+
+def test_closed_start_frame_does_not_move():
+    # a closed chain starts on the identity frame at every x, so its target's
+    # frame does not move either: the turned frame rows are +0.0 bit for bit
+    problem, xs = _five_link_xs(np.random.default_rng(61), 240)
+    for x, chain, _ in xs:
+        head = problem.start_jacobian(x, chain)
+        assert np.all(head[:3] == 0.0)
+        assert (_TARGET_TURN @ head[:3]).tobytes() == np.zeros((3, 2)).tobytes()
 
 
 def test_closed_target_is_the_turned_start_bit_for_bit():

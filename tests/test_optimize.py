@@ -432,6 +432,14 @@ class TestLinkReduction:
         with pytest.raises(InfeasibleInput):
             link_reduction_experiment(octagon.chain, SearchSpec())
 
+    @pytest.mark.parametrize("spec", [
+        SearchSpec(start=octagon_embedding()),
+        SearchSpec(bounds=((-0.5, 0.5), (-0.9, -0.1)) + SEGMENT_BOUNDS)])
+    def test_start_and_bounds_rejected(self, octagon, spec):
+        # the taus span SEGMENT_BOUNDS from the search's own starts
+        with pytest.raises(InfeasibleInput, match="no start point or bounds"):
+            link_reduction_experiment(split_octagon_period(octagon), spec)
+
     def test_non_assembling_rejected(self):
         from hexameral.hyperlink import LinkState
         from hexameral.sl2 import FrameMatrix, TangentElement

@@ -162,6 +162,17 @@ def test_search_spec_defaults_are_its_field_defaults():
     assert SearchSpec._field_defaults == SearchSpec()._asdict()
 
 
+def test_sampled_compares_arrays_by_value():
+    values, deriv = np.linspace(0.0, 1.0, 16), np.ones(16)
+    assert Sampled(values, None) == Sampled(values.copy(), None)
+    assert Sampled(values, deriv) == Sampled(values.copy(), deriv.copy())
+    assert not Sampled(values, None) != Sampled(values.copy(), None)
+    assert Sampled(values, None) != Sampled(values + 1.0, None)
+    assert Sampled(values, deriv) != Sampled(values.copy(), None)
+    assert Sampled(values, None) != Sampled(values, deriv)
+    assert not Sampled(values, deriv) == Sampled(values, 2.0 * deriv)
+
+
 def test_records_are_tuples():
     report = ClosureReport(1e-16, 2e-16, True, 0.0)
     assert report._asdict() == {"frame_residual": 1e-16, "tangent_residual": 2e-16,

@@ -256,6 +256,15 @@ class TestRank2FirstVariation:
         x = Sampled(np.zeros_like(g), np.zeros_like(g))
         assert rank2_first_variation(s, x, g).x_variation_sign == 0
 
+    def test_nan_slope_rejected(self):
+        # NaN fails "s must increase strictly" as any other slope that is not positive
+        g = np.linspace(0.0, 1.0, 101)
+        sd = np.full_like(g, 0.4)
+        sd[50] = np.nan
+        x = Sampled(np.zeros_like(g), np.zeros_like(g))
+        with pytest.raises(SignCondition):
+            rank2_first_variation(Sampled(-0.8 + 0.4 * g, sd), x, g)
+
     def test_length_mismatch(self):
         g = np.linspace(0.0, 1.0, 101)
         s = Sampled(-0.8 + 0.4 * g, np.full_like(g, 0.4))
