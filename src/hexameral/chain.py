@@ -250,7 +250,7 @@ def closure_of(chain: ChainParams, assembled: AssembledChain,
     target = end_target(chain, target)
     (frame, tangent), (aim, r) = assembled.end, target.entries()
     frame_res = max(abs(p - q) for p, q in zip(frame, aim))
-    tangent_res = 1.0 - (r[0] * tangent[0] + r[1] * tangent[1] + r[2] * tangent[2])
+    tangent_res = math.hypot(r[0] - tangent[0], r[1] - tangent[1], r[2] - tangent[2])
     margin = angle_margin_of(chain, assembled)
     return ClosureReport(frame_res, tangent_res, margin >= -ANGLE_TOL, margin)
 

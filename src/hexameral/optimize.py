@@ -4,14 +4,14 @@ Both experiments are one endpoint problem, stated as data (an index
 pattern, a value, a box, an open segment's end states or none for a closed
 chain): minimise a multiple of the chain area over link parameters in the
 box, subject to the chain ending in a target state.  One Newton solve,
-``_roots`` (bounded Levenberg-Marquardt on the exact Jacobian, many solves in
-lockstep), serves both.  The five-link density search runs on closed chains:
-per start, one solve snaps onto closure, then an active-set SQP
-(``_descend``) lowers density with five endpoint equations as constraints.
-Link reduction refits a six-link segment with five links ending in its end
-state, solving five equations in five turning fractions per index pattern;
-the least closed root wins.  Every chain assembly counts as an evaluation;
-``SearchSpec.max_evals`` caps them.
+``_roots`` (Levenberg-Marquardt on the exact Jacobian, stepping short of the
+upper bounds, many solves in lockstep), serves both.  The five-link density
+search runs on closed chains: per start, one solve snaps onto closure, then
+an active-set SQP (``_descend``) lowers density with five endpoint equations
+as constraints.  Link reduction refits a six-link segment with five links
+ending in its end state, solving five equations in five turning fractions
+per index pattern; the least closed root wins.  Every chain assembly counts
+as an evaluation; ``SearchSpec.max_evals`` caps them.
 """
 from __future__ import annotations
 
@@ -44,6 +44,9 @@ ROOT_TOL = 1e-14
 ROOT_FTOL = 1e-2
 STEP_TOL = 1e-15
 LM_DAMPING = 1e-3
+# A Newton trial stops this fraction of the way to an upper bound, where chains
+# barely assemble, and clips onto a lower one: tau = 0 is an empty link.
+BOUND_FRACTION = 0.9
 # Assemblies of the solve that snaps a five-link start onto closure, and of
 # each that restores an SQP trial, which sits so near closure that its solve
 # starts almost undamped.
@@ -92,6 +95,7 @@ class SearchSpec(_Checked, _SearchFields):
         if not bounds:
             raise InfeasibleInput("bounds must be nonempty")
         try:  # a bound that is no pair of numbers, or a start entry that is no number
+            bounds = tuple((lo, hi) for lo, hi in bounds)
             for lo, hi in bounds:
                 if not lo < hi:
                     raise InfeasibleInput(f"empty bound interval ({lo!r}, {hi!r})")
@@ -352,6 +356,15 @@ def _dots(u: np.ndarray) -> np.ndarray:
     return (u[:, None, :] @ u[:, :, None])[:, 0, 0]
 
 
+def _trial(x, step, lo, hi):
+    """x + step cut to BOUND_FRACTION of the way to the first upper bound it
+    crosses from below, then clipped to the box; rows of a stack as alone."""
+    over = (x + step > hi) & (x < hi)
+    room = np.divide(hi - x, step, out=np.full(np.shape(x), np.inf), where=over)
+    scale = np.minimum(BOUND_FRACTION * room.min(axis=-1, keepdims=True), 1.0)
+    return np.minimum(np.maximum(x + scale * step, lo), hi)
+
+
 def _step(x, jac, r, lo, hi, lam, rejected):
     """``_stacked_steps`` for one solve, in 2-D calls with the stacked bits:
     at one solve they cost about half the stacked step, which is cheaper
@@ -364,7 +377,7 @@ def _step(x, jac, r, lo, hi, lam, rejected):
         step[free] = np.linalg.solve(normal + lam * np.diag(np.diag(normal)), -grad[free])
     except np.linalg.LinAlgError:
         return x, True, False
-    trial = np.minimum(np.maximum(x + step, lo), hi)
+    trial = _trial(x, step, lo, hi)
     stop = math.sqrt((trial - x) @ (trial - x)) <= STEP_TOL * (STEP_TOL + math.sqrt(x @ x))
     return trial, stop, not stop and (trial == rejected).all()
 
@@ -394,7 +407,7 @@ def _stacked_steps(xs, js, rs, lo, hi, lam, rejected):
                     steps[k, cols] = np.linalg.solve(system, b)[:, 0]
                 except np.linalg.LinAlgError:
                     solved[k] = False
-    trials = np.minimum(np.maximum(xs + steps, lo), hi)
+    trials = _trial(xs, steps, lo, hi)
     solved &= ~(np.sqrt(_dots(trials - xs)) <= STEP_TOL * (STEP_TOL + np.sqrt(_dots(xs))))
     return trials, ~solved, solved & np.all(trials == rejected, axis=1)
 
@@ -405,7 +418,8 @@ def _roots(run: _Search, solves: list) -> list:
 
     From x, clipped to the box, Marquardt's step solves (J'J + lam diag(J'J))
     dx = -J'r over the variables not held at a bound that the gradient
-    pushes against, clipped to the box.  It is taken if its chain assembles
+    pushes against; its trial (``_trial``) stops short of the upper bounds
+    and clips onto the lower ones.  It is taken if its chain assembles
     and the cost |r|^2 / 2 falls, and lam falls tenfold; else lam rises
     tenfold from ``damping``.  A solve stops by the rule above, on a
     singular system, or after ``budget`` assemblies, its start's included.
@@ -544,8 +558,7 @@ def _descend(run: _Search, problem: EndpointProblem, here: Evaluation) -> None:
                 and -(here.gradient @ step + 0.5 * step @ hess @ step) <= SQP_FTOL):
             return
         for halving in range(SQP_HALVINGS + 1):
-            trial = np.minimum(np.maximum(here.x + step / 2 ** halving, lo), hi)
-            new = _root(run, problem, trial, RESTORE_EVALS, RESTORE_DAMPING)
+            new = _root(run, problem, here.x + step / 2 ** halving, RESTORE_EVALS, RESTORE_DAMPING)
             if _rank(new) < _rank(here):
                 break
         else:
@@ -700,8 +713,6 @@ def link_reduction_experiment(six_link: ChainParams, spec: SearchSpec) -> LinkRe
     best = run.best
     feasible = best.feasible()
     return LinkReductionReport(
-        six_area, best.value, best.chain.links,
-        float(np.max(np.abs(best.residuals))), feasible,
-        feasible and best.value < six_area - IMPROVEMENT_MARGIN, run.evals, roots,
-    )
+        six_area, best.value, best.chain.links, float(np.max(np.abs(best.residuals))), feasible,
+        feasible and best.value < six_area - IMPROVEMENT_MARGIN, run.evals, roots)
 

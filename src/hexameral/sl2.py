@@ -183,8 +183,8 @@ class TangentElement(NamedTuple):
         return (self.a, self.b, self.c)
 
     def distance(self, other: "TangentElement") -> float:
-        """1 - <r, s> of unit tangents: zero exactly on equal oriented classes."""
-        return 1.0 - (self.a * other.a + self.b * other.b + self.c * other.c)
+        """|r - s| of unit tangents, 2 sin(angle / 2): zero exactly on equal classes."""
+        return math.hypot(self.a - other.a, self.b - other.b, self.c - other.c)
 
 
 def _adjoint(g: Frame, a: float, b: float, c: float) -> tuple[float, float, float]:

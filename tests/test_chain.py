@@ -8,6 +8,7 @@ import pytest
 
 from hexameral.chain import (
     ANGLE_TOL,
+    STRICT_TOL,
     ChainParams,
     LinkParam,
     angle_margin_of,
@@ -31,9 +32,9 @@ from hexameral.errors import (
     NotRankOneCompatible,
     ParameterOutOfRange,
 )
-from hexameral.hyperlink import frame_at, transform_state
+from hexameral.hyperlink import LinkState, frame_at, transform_state
 from hexameral.optimize import five_link_problem, octagon_embedding
-from hexameral.sl2 import ROT60, TangentElement, frame_distance
+from hexameral.sl2 import ROT60, TangentElement, exp_tangent, frame_distance
 
 from conftest import random_frame, random_square_rep
 
@@ -165,6 +166,32 @@ class TestClosureReport:
                 transform_state(g, octagon.chain.initial), octagon.chain.links))
             assert abs(moved.frame_residual - base.frame_residual) < 1e-9
             assert abs(moved.tangent_residual - base.tangent_residual) < 1e-9
+
+    def test_tangent_residual_of_a_moved_octagon_is_not_negative(self, octagon):
+        # read back from JSON, as ``verify`` reads it; 1 - <r, s> of two
+        # float unit tangents read -2.2e-16 at s = 0.9
+        for s in (0.3, 0.9, 2.0, 4.0):
+            g = exp_tangent(TangentElement(0.4, -0.7, 0.2), s)
+            moved = chain_from_dict(chain_to_dict(ChainParams(
+                transform_state(g, octagon.chain.initial), octagon.chain.links)))
+            assert closure_report(moved).tangent_residual >= 0.0
+
+    def test_tangent_residual_is_the_chord(self, octagon):
+        segment = ChainParams(octagon.chain.initial, octagon.chain.links[:2])
+        assembled = assemble(segment)
+        end = assembled.final
+        assert closure_of(segment, assembled, target=end).tangent_residual == 0.0
+        # the end tangent turned by 4.5e-5 rad on the unit sphere: the
+        # residual reads the angle, which STRICT_TOL rejects
+        r = np.array(end.tangent.components())
+        p = np.cross(r, (1.0, 0.0, 0.0))
+        p /= np.linalg.norm(p)
+        angle = 4.5e-5
+        turned = TangentElement(*(math.cos(angle) * r + math.sin(angle) * p).tolist())
+        report = closure_of(segment, assembled, target=LinkState(end.frame, turned))
+        assert report.frame_residual == 0.0
+        assert abs(report.tangent_residual - angle) < 1e-12
+        assert not report.closed(STRICT_TOL)
 
     def test_target_measures_open_segment(self, octagon):
         segment = ChainParams(octagon.chain.initial, octagon.chain.links[:2])

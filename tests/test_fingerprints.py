@@ -3,9 +3,11 @@
 A change meant only to make the library faster must leave these exactly as
 they are: the evaluation counts show that the searches took the same path,
 and the densities and areas, compared by ``repr``, that they ended at the
-same floats.  The values were captured with numpy 2.4.6.  Both searches
-run the library's own solvers on numpy alone, so their fingerprints do not
-move with scipy; another numpy may round differently and move them.
+same floats.  A change to a solver's rules may move them; it recaptures
+each pin that moved, with its old and new values in CHANGES.md.  The
+values were captured with numpy 2.4.6.  Both searches run the library's
+own solvers on numpy alone, so their fingerprints do not move with scipy;
+another numpy may round differently and move them.
 """
 import numpy as np
 import pytest
@@ -35,22 +37,22 @@ def test_probe_search_fingerprint():
     assert result.feasible
 
 
-@pytest.mark.parametrize("seed, evals", [(1, 272), (2, 260)])
+@pytest.mark.parametrize("seed, evals", [(1, 144), (2, 128)], ids=["1", "2"])
 def test_cold_five_link_fingerprint(seed, evals):
-    # cold starts restore trials far from closure, and seed 1 halves steps;
-    # the probe near the octagon does neither
+    # cold starts restore trials far from closure, which the probe near the
+    # octagon does not; neither seed halves an SQP step (seeds 0 and 11 do)
     result = five_link_search(SearchSpec(seed=seed))
     assert result.eval_count == evals
-    assert repr(result.best_density) == "0.902414182997157"
+    assert repr(result.best_density) == "0.9024141829971569"
     assert result.feasible
 
 
 def test_split_period_reduction_fingerprint(octagon):
     report = link_reduction_experiment(split_octagon_period(octagon),
                                        SearchSpec(restarts=1, max_evals=3000))
-    assert report.eval_count == 605
+    assert report.eval_count == 430
     assert repr(report.six_area) == "1.5630272144218342"
-    assert repr(report.five_area) == "1.5630272144218325"
+    assert repr(report.five_area) == "1.5630272144218338"
     assert report.root_count == 15
 
 

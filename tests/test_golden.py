@@ -30,19 +30,19 @@ RUNS = {
         "21d0d8d2413e83bab1a0c3beea97e6373f8346a4ecea7a91536c160a36d27021"),
     "density": (
         ["density", "{d}/oct.json"], None,
-        "decca2d34817020fb1df52d09e7e5acdb15cfe1891e67404263716d04b4e20ef",
+        "a909e3b5a51b3748e341f162240f1c7063d83adb585f44ff4e8895dc3cdaf1a4",
         None),
     "verify": (
         ["verify", "{d}/oct.json"], None,
-        "16a6c82838cec13f7e4a508e8d923c2945d3a92796a5f6b71e4da80eb82a541b",
+        "ad68595633ab56f9b69d759a9f7ada58abc83420157583c45b690ab7f49757cd",
         None),
     "verify-moved": (
         ["verify", "{d}/moved.json"], None,
-        "41c7f0c5c93a04c106eb5647242c1bcfb7ee334e844e65395b1bed1f9254f73a",
+        "746519b46129829ac326f2384a81a40dc23986810e72521061503514861af5a6",
         None),
     "verify-split": (
         ["verify", "{d}/six.json"], None,
-        "81f1976e87802046e899429caf91069ae1705ef691a0f35b88dfe0d4bbc7f802",
+        "0998ab7a1ee7c8436b4058241820b32c1ca03e6c62c7c52ebd6ebec95ebc6888",
         None),
     "export-svg": (
         ["export", "{d}/oct.json", "--format", "svg", "-o", "{d}/oct.svg"], "oct.svg",
@@ -52,17 +52,17 @@ RUNS = {
         ["export", "{d}/oct.json", "--format", "json", "-o", "{d}/oct.geo.json"],
         "oct.geo.json",
         "fdf76baa0eaacc9fde4ae361f487e7d5d991d12c1cd153bdf9493384f1f7ee0d",
-        "0a21c5b40151053dce269c4ab6d24f4808fecf7c546a297732fe12d865d351ec"),
+        "d7509a324ab1de9235ab5a0d5d7f688006503118605f11c22dd8da3a014b2e70"),
     "five-link": (
         ["five-link", "--seed", "1", "--restarts", "1", "--max-evals", "300",
          "-o", "{d}/five.json"], "five.json",
-        "bde4f3f57178d79048a4521784bf2cb0bb87f7ff05a2ef39ffb10bcfc78f31ef",
-        "70c22d5c81531bf79e6b7b2558c17be2951ad1034ff37ed5cda5c580a4d56c3b"),
+        "98f663edf5cb52de48d85532517489eb6746ea789ea92fe054597a3c14fd27e9",
+        "230473a2e197884faf2e90e0975798e9853d0b0c2527a2295b963c699678bd4a"),
     "reduce-link": (
         ["reduce-link", "{d}/six.json", "--restarts", "1", "--max-evals", "1500",
          "--seed", "5", "-o", "{d}/six.reduced.json"], "six.reduced.json",
-        "2d17bae0b853c5760d2696a0b1668d503277517e6a33f221887a10182ecdda3f",
-        "383715762fcc1d414e727851924f32789563e8330076bfe18dd3de4da87fcc03"),
+        "4cb97b14d397c51a7562be1e18fe7da5131413f3ebb5850431d77d3ea3dd8e7b",
+        "5849dcc82e431a6bf8a6d4004579203fcac0c6254f610586e837c5c85334db65"),
 }
 
 CHOICES = "'octagon', 'density', 'verify', 'five-link', 'reduce-link', 'export'"

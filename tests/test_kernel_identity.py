@@ -17,10 +17,12 @@ parameter at a time, bit for bit, and the array ``apply`` and ``wedge`` to
 the scalar formulas of that 2-vector.  A five-link point (the endpoint
 equations, ``point``, ``jacobian``) and the solver steps on it (``_qp``,
 ``_step``) are held byte for byte to the numpy forms they were first
-written in.  The rendered outputs (``boundary_polyline``, ``star_profile``,
-``chain_path``, ``export_svg``), which sample all links in one array pass,
-are held byte for byte to the per-link bodies they replaced, and their
-parameter grid to one ``np.linspace`` per link.
+written in; the step's oracle states the fraction-to-the-boundary rule at
+the upper bounds in those forms too.  The rendered outputs
+(``boundary_polyline``, ``star_profile``, ``chain_path``, ``export_svg``),
+which sample all links in one array pass, are held byte for byte to the
+per-link bodies they replaced, and their parameter grid to one
+``np.linspace`` per link.
 The assembly record (link-end entries, and ``states``, ``reps`` and
 ``final`` built from them on first read) is held bit for bit to the float
 ``propagate`` and ``assemble`` as they were when they returned objects, and
@@ -89,6 +91,7 @@ from hexameral.hyperlink import (
 from hexameral.kit import FLOATS, Kit
 from hexameral.multicurve import standard_multipoint
 from hexameral.optimize import (
+    BOUND_FRACTION,
     DEFAULT_BOUNDS,
     QP_CHANGES,
     STEP_TOL,
@@ -886,7 +889,11 @@ def oracle_step(x, jac, r, lo, hi, lam, rejected):
         step[free] = np.linalg.solve(normal + lam * np.diag(np.diag(normal)), -grad[free])
     except np.linalg.LinAlgError:
         return x, True, False
-    trial = np.clip(x + step, lo, hi)
+    # back along the step to BOUND_FRACTION of the way to the first upper
+    # bound it crosses, then clipped: a lower bound takes the trial onto it
+    crossing = (x + step > hi) & (x < hi)
+    fraction = BOUND_FRACTION * np.min((hi - x)[crossing] / step[crossing], initial=np.inf)
+    trial = np.clip(x + min(fraction, 1.0) * step, lo, hi)
     stop = bool(np.linalg.norm(trial - x) <= STEP_TOL * (STEP_TOL + np.linalg.norm(x)))
     return trial, stop, not stop and np.array_equal(trial, rejected)
 

@@ -17,6 +17,7 @@ from hexameral.chain import (
 from hexameral.domain import OCTAGON_DENSITY, OCTAGON_TAU
 from hexameral.errors import GeometryError, InfeasibleInput
 from hexameral.optimize import (
+    BOUND_FRACTION,
     DEFAULT_BOUNDS,
     FAIL_RESIDUAL,
     FIVE_LINK_PATTERN,
@@ -31,6 +32,9 @@ from hexameral.optimize import (
     _root,
     _density,
     _Search,
+    _stacked_steps,
+    _step,
+    _trial,
     five_link_problem,
     five_link_search,
     link_reduction_experiment,
@@ -282,6 +286,14 @@ class TestSpecValidation:
         with pytest.raises(InfeasibleInput, match="malformed bounds or start"):
             SearchSpec(**{field: value})
 
+    def test_bounds_are_stored_as_tuple_pairs(self, octagon):
+        lists = SearchSpec(bounds=[list(b) for b in DEFAULT_BOUNDS], restarts=1, max_evals=0)
+        default = SearchSpec(restarts=1, max_evals=0)
+        assert lists.bounds == DEFAULT_BOUNDS and lists == default
+        assert hash(lists) == hash(default)
+        six = split_octagon_period(octagon)
+        assert link_reduction_experiment(six, lists) == link_reduction_experiment(six, default)
+
     def test_numpy_integers_accepted(self):
         spec = SearchSpec(restarts=np.int64(2), max_evals=np.int32(0), seed=np.uint8(3))
         assert (spec.restarts, spec.max_evals, spec.seed) == (2, 0, 3)
@@ -295,6 +307,51 @@ class TestSpecValidation:
         start[index] = value
         with pytest.raises(InfeasibleInput):
             SearchSpec(start=start, max_evals=0)
+
+
+class TestNewtonTrial:
+    """The trial of a Newton step in the box [0, 1]^3.  With J = I and
+    lam = 0, ``_step`` and ``_stacked_steps`` step from x by -r."""
+
+    lo, hi = np.zeros(3), np.ones(3)
+
+    def _stepped(self, x, step):
+        x, r = np.array(x), -np.array(step)
+        alone, stop, _ = _step(x, np.eye(3), r, self.lo, self.hi, 0.0, np.full(3, np.nan))
+        stacked = _stacked_steps(x[None], np.eye(3)[None], r[None], self.lo[None],
+                                 self.hi[None], np.zeros(1), np.full((1, 3), np.nan))[0][0]
+        assert not stop and alone.tobytes() == stacked.tobytes()
+        return alone
+
+    def test_upper_bound_stops_the_step_short(self):
+        x, step = np.full(3, 0.5), np.array([1.0, 0.2, -0.2])
+        trial = self._stepped(x, step)
+        # BOUND_FRACTION of the way to the bound, in the step's direction
+        assert trial[0] < 1.0 and abs(trial[0] - (0.5 + BOUND_FRACTION * 0.5)) < 1e-15
+        assert np.allclose(trial - x, 0.5 * BOUND_FRACTION * step, rtol=0.0, atol=1e-15)
+
+    def test_first_upper_bound_crossed_binds(self):
+        trial = self._stepped([0.5, 0.5, 0.5], [1.0, 2.0, 0.0])
+        assert np.allclose(trial, 0.5 + 0.25 * BOUND_FRACTION * np.array([1.0, 2.0, 0.0]),
+                           rtol=0.0, atol=1e-15)
+
+    def test_lower_bound_clips_onto_it(self):
+        trial = self._stepped([0.5, 0.5, 0.5], [-1.0, 0.2, 0.0])
+        assert trial.tolist() == [0.0, 0.7, 0.5]
+
+    def test_coordinate_on_an_upper_bound_leaves_the_others_free(self):
+        trial = _trial(np.array([1.0, 0.5, 0.5]), np.array([0.3, 0.2, -0.1]), self.lo, self.hi)
+        assert trial.tolist() == [1.0, 0.7, 0.4]
+
+    def test_stacked_rows_take_the_bits_of_each_alone(self, rng):
+        xs = rng.uniform(0.0, 1.0, (64, 5))
+        xs[::4, 0], xs[1::4, 1] = 1.0, 0.0
+        steps = rng.normal(scale=0.5, size=(64, 5))
+        lo, hi = np.zeros((64, 5)), np.ones((64, 5))
+        stacked = _trial(xs, steps, lo, hi)
+        assert np.all((lo <= stacked) & (stacked <= hi))
+        for k in range(64):
+            assert stacked[k].tobytes() == _trial(xs[k], steps[k], lo[k], hi[k]).tobytes()
 
 
 class TestFiveLinkSearch:

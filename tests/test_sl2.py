@@ -190,6 +190,18 @@ class TestUnitTangent:
         q = p.unit()
         assert p.distance(q) < 1e-15
 
+    def test_distance_of_equal_tangents_is_zero(self, rng):
+        for _ in range(200):
+            p = TangentElement(*rng.uniform(-1, 1, 3)).unit()
+            assert p.distance(TangentElement(*p.components())) == 0.0
+
+    def test_distance_is_the_chord(self):
+        # unit tangents at angle t read 2 sin(t / 2), linear in t
+        for t in (4.5e-5, 0.3, 2.0):
+            p = TangentElement(1.0, 0.0, 0.0)
+            q = TangentElement(math.cos(t), math.sin(t), 0.0)
+            assert abs(p.distance(q) - 2.0 * math.sin(t / 2.0)) < 1e-16
+
     def test_distance_separates_orientation(self):
         x = TangentElement(0.0, -1.0, 1.0)
         p = x.unit()
