@@ -102,7 +102,7 @@ def assemble(chain: ChainParams | list[ChainParams]) -> AssembledChain | ChainBa
     """
     if not isinstance(chain, ChainParams):
         return _assemble_batch(chain)
-    state = chain.initial.entries()
+    state = chain.initial
     frames, tangents, links = [state[0]], [state[1]], []
     for i, (tau, j) in enumerate(chain.links):
         try:
@@ -146,8 +146,8 @@ class ChainBatch(NamedTuple):
 
 def _assemble_batch(chains) -> ChainBatch:
     links = np.array([c.links for c in chains], dtype=float).reshape(len(chains), -1, 2).T
-    frames = [np.array([c.initial.frame.entries() for c in chains]).T]
-    tangents = [np.array([c.initial.tangent.components() for c in chains]).T]
+    frames = [np.array([c.initial.frame for c in chains]).T]
+    tangents = [np.array([c.initial.tangent for c in chains]).T]
     reps, ends, kit = [], [], Arrays(checks := [])
     with np.errstate(all="ignore"):
         for tau, j in zip(links[0], links[1].astype(int)):
@@ -248,7 +248,7 @@ def closure_of(chain: ChainParams, assembled: AssembledChain,
     against it instead of against the closure condition.
     """
     target = end_target(chain, target)
-    (frame, tangent), (aim, r) = assembled.end, target.entries()
+    (frame, tangent), (aim, r) = assembled.end, target
     frame_res = max(abs(p - q) for p, q in zip(frame, aim))
     tangent_res = math.hypot(r[0] - tangent[0], r[1] - tangent[1], r[2] - tangent[2])
     margin = angle_margin_of(chain, assembled)
@@ -273,7 +273,7 @@ def angle_margin_of(chain: ChainParams, assembled: AssembledChain | None = None)
     """
     if assembled is None:
         assembled = assemble(chain)
-    inv0 = _inverse(chain.initial.frame.entries())
+    inv0 = _inverse(chain.initial.frame)
     angles = [0.0]
     turns = 0.0
     for i, (_, _, tau, _) in enumerate(assembled.links):
@@ -295,7 +295,7 @@ def angle_margin_of(chain: ChainParams, assembled: AssembledChain | None = None)
 
 def _endpoint_residuals(final, target: LinkState) -> np.ndarray:
     """End-state entries minus target: four frame entries, three tangent components."""
-    return np.array(final[0] + final[1]) - np.array(sum(target.entries(), ()))
+    return np.array(final[0] + final[1]) - np.array(target.frame + target.tangent)
 
 
 def _endpoint_jacobian(frame, tangent) -> np.ndarray:
@@ -326,8 +326,8 @@ def _endpoint_equations(final, target: LinkState):
     with u, which adds the terms in u_k / s^2.  The equations also vanish at
     F = -T, which closure_of does not count as closed.
     """
-    p, q, r, t = _product(_inverse(target.frame.entries()), final[0])
-    u, w = target.tangent.components(), final[1]
+    p, q, r, t = _product(_inverse(target.frame), final[0])
+    u, w = target.tangent, final[1]
     basis = np.array(_sphere_basis(*u))
     k = min(range(3), key=lambda i: abs(u[i]))  # _sphere_basis's choice, ties included
     axis, uk, s = tuple(float(i == k) for i in range(3)), u[k], math.sqrt(1.0 - u[k] * u[k])
@@ -413,7 +413,7 @@ def normalized_length(chain: ChainParams) -> int:
 # JSON chain dialect.
 
 def chain_to_dict(chain: ChainParams) -> dict:
-    frame, tangent = chain.initial.entries()
+    frame, tangent = chain.initial
     return {"initial": {"frame": list(frame), "tangent": list(tangent)},
             "links": [{"tau": tau, "j": j} for tau, j in chain.links]}
 

@@ -67,12 +67,13 @@ def _search_spec(args: argparse.Namespace):
 
 def _cmd_five_link(args: argparse.Namespace) -> int:
     from .optimize import five_link_problem, five_link_search
-    spec = _search_spec(args)
+    spec, problem = _search_spec(args), five_link_problem()
     result = five_link_search(spec)
     doc: dict = {}
     if result.feasible:
-        doc.update(chain_to_dict(five_link_problem(spec.bounds).decode(result.best_params)))
-    doc["spec"] = {"variable_count": len(spec.bounds), **spec._asdict()}
+        doc.update(chain_to_dict(problem.decode(result.best_params)))
+    doc["spec"] = {"variable_count": len(problem.bounds), "bounds": problem.bounds,
+                   **spec._asdict()}
     doc["result"] = {**result._asdict(), "closure": result.closure._asdict()}
     write_json(doc, args.output_path or "five-link.json")
     print(f"best_density {result.best_density!r}")

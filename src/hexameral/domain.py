@@ -148,7 +148,7 @@ def boundary_polyline(dom: HexameralDomain, per_link: int = 64) -> BoundaryPolyl
     a, k, j, ts = _link_grid([rep for _, rep in links], per_link + 1)
     even = _even_points(a[:, None], k[:, None], ts[:, :-1])
     curves = np.concatenate((even, -even))[_curve_rows()[j].T, np.arange(len(j))]
-    maps = np.array([link_map(state, rep).entries() for state, rep in links]).reshape(-1, 2, 2)
+    maps = np.array([link_map(state, rep) for state, rep in links]).reshape(-1, 2, 2)
     # curve by curve, link by link: one stacked product by each link's map
     return BoundaryPolyline((curves @ maps.transpose(0, 2, 1)).reshape(-1, 2), closed=True)
 

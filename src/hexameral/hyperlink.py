@@ -118,9 +118,6 @@ class LinkState(NamedTuple):
     frame: FrameMatrix
     tangent: TangentElement
 
-    def entries(self) -> tuple[Frame, tuple[float, float, float]]:
-        return self.frame.entries(), self.tangent.components()
-
 
 def circle_tangent(state: LinkState) -> TangentElement:
     """The state's tangent conjugated back to the circle representation."""
@@ -385,7 +382,7 @@ def _transfer(frame: Frame, out_frame: Frame, out_x, a, t0, tau, j, next_j,
 
 def link_map(state: LinkState, rep: SquareRep) -> FrameMatrix:
     """The frame g with state = g applied to the canonical link start."""
-    return FrameMatrix(*_link_lead(state.frame.entries(), rep.a, rep.k, rep.t0, rep.j))
+    return FrameMatrix(*_link_lead(state.frame, rep.a, rep.k, rep.t0, rep.j))
 
 
 def _sample_count(name: str, value, least: int) -> int:

@@ -47,6 +47,9 @@ class MultiPoint(_Frozen):
     def __getitem__(self, j: int) -> np.ndarray:
         return self.points[j % 6]
 
+    def __iter__(self):
+        return iter(self.points)
+
     def transformed(self, g: FrameMatrix) -> "MultiPoint":
         return MultiPoint(g.apply(self.points))
 

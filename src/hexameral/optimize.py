@@ -80,7 +80,6 @@ def __getattr__(name: str):
 
 
 class _SearchFields(NamedTuple):
-    bounds: tuple[tuple[float, float], ...] = DEFAULT_BOUNDS
     restarts: int = 3
     max_evals: int = 6000
     seed: int = 0
@@ -91,19 +90,11 @@ class SearchSpec(_Checked, _SearchFields):
     __slots__ = ()
 
     def __new__(cls, *args, **kwargs) -> SearchSpec:
-        bounds, *counts, start = super().__new__(cls, *args, **kwargs)
-        if not bounds:
-            raise InfeasibleInput("bounds must be nonempty")
-        try:  # a bound that is no pair of numbers, or a start entry that is no number
-            bounds = tuple((lo, hi) for lo, hi in bounds)
-            for lo, hi in bounds:
-                if not lo < hi:
-                    raise InfeasibleInput(f"empty bound interval ({lo!r}, {hi!r})")
-                if not math.isfinite(hi - lo):
-                    raise InfeasibleInput(f"bound interval ({lo!r}, {hi!r}) is not finite")
+        *counts, start = super().__new__(cls, *args, **kwargs)
+        try:  # a start entry that is no number
             start = None if start is None else tuple(float(v) for v in start)
         except (TypeError, ValueError) as exc:
-            raise InfeasibleInput(f"malformed bounds or start: {exc}") from None
+            raise InfeasibleInput(f"malformed start: {exc}") from None
         for k, (name, least) in enumerate((("restarts", 1), ("max_evals", 0), ("seed", 0))):
             value = counts[k]
             if isinstance(value, bool) or not isinstance(value, numbers.Integral):
@@ -112,12 +103,12 @@ class SearchSpec(_Checked, _SearchFields):
                 raise InfeasibleInput(f"{name} must be {'at least 1' if least else 'nonnegative'}")
             counts[k] = int(value)
         if start is not None:
-            if len(start) != len(bounds):
+            if len(start) != len(DEFAULT_BOUNDS):
                 raise InfeasibleInput("start point has the wrong dimension")
             # NaN lies in no interval
-            if not all(lo <= v <= hi for v, (lo, hi) in zip(start, bounds)):
+            if not all(lo <= v <= hi for v, (lo, hi) in zip(start, DEFAULT_BOUNDS)):
                 raise InfeasibleInput("start point lies outside the bounds")
-        return super().__new__(cls, bounds, *counts, start)
+        return super().__new__(cls, *counts, start)
 
 
 class SearchResult(NamedTuple):
@@ -206,7 +197,7 @@ class EndpointProblem(_Checked, NamedTuple("EndpointProblem", [
         a, b = float(x[0]), float(x[1])
         c = math.sqrt(1.0 - a * a - b * b)
         # only the tangent (a, b, c) moves, by (1, 0, -a/c) and (0, 1, -b/c)
-        (p0, p1, p2), (q0, q1, q2) = _sphere_basis(*chain.initial.tangent.components())
+        (p0, p1, p2), (q0, q1, q2) = _sphere_basis(*chain.initial.tangent)
         return np.array(((0.0, 0.0), (0.0, 0.0), (0.0, 0.0),
                          (p0 - p2 * a / c, p1 - p2 * b / c), (q0 - q2 * a / c, q1 - q2 * b / c)))
 
@@ -252,7 +243,7 @@ class EndpointProblem(_Checked, NamedTuple("EndpointProblem", [
         d_state, d_target = self._derivatives(x, chain, assembled)
         jac = _endpoint_jacobian(*assembled.end) @ d_state[:5]
         if d_target is not None:
-            jac -= _endpoint_jacobian(*self.target(chain).entries()) @ d_target
+            jac -= _endpoint_jacobian(*self.target(chain)) @ d_target
         return jac
 
     def evaluate(self, x, assembly=None) -> Evaluation:
@@ -345,7 +336,7 @@ def _assemblies(run: _Search, asks: list) -> list:
         final = (tuple(batch.frames[-1]), tuple(batch.tangents[-1]))
         jac = _endpoint_jacobian(*final) @ assemble_jacobian(batch, heads)[:, :5]
     # rows as the 7-vectors _endpoint_residuals gives
-    r = np.concatenate(final).T - [sum(p.segment[1].entries(), ()) for p, _ in asks[:room]]
+    r = np.concatenate(final).T - [sum(p.segment[1], ()) for p, _ in asks[:room]]
     held = [(c, None if batch.errors[n] else _Member(batch, n, r[n].copy(), jac[n].copy()))
             for n, c in enumerate(chains)]
     return held + [None] * (len(asks) - room)
@@ -583,15 +574,15 @@ def _density(chain_area):
     return 2.0 * chain_area / SQRT12
 
 
-def five_link_problem(bounds=DEFAULT_BOUNDS) -> EndpointProblem:
-    """Closed five-link chains with density as the value."""
-    return EndpointProblem(FIVE_LINK_PATTERN, _density, 1.0, bounds)
+def five_link_problem() -> EndpointProblem:
+    """Closed five-link chains in DEFAULT_BOUNDS with density as the value."""
+    return EndpointProblem(FIVE_LINK_PATTERN, _density, 1.0, DEFAULT_BOUNDS)
 
 
 def octagon_embedding() -> np.ndarray:
     """The smoothed octagon as a seven-vector of the five-link search space."""
     dom = smoothed_octagon()
-    a, b, _ = circle_tangent(dom.chain.initial).unit().components()
+    a, b, _ = circle_tangent(dom.chain.initial).unit()
     tau = dom.chain.links[0].tau
     return np.array([a, b, tau, tau, tau, 0.0, tau])
 
@@ -606,7 +597,7 @@ def five_link_search(spec: SearchSpec) -> SearchResult:
     ``eval_count`` never exceeds a positive ``max_evals``; where that share
     is zero, only the first start is drawn, as no other could assemble."""
     rng = np.random.default_rng(spec.seed)
-    problem = five_link_problem(spec.bounds)
+    problem = five_link_problem()
     lo, hi = problem.box()
     run = _Search()
 
@@ -665,10 +656,10 @@ def link_reduction_experiment(six_link: ChainParams, spec: SearchSpec) -> LinkRe
     ``max_evals`` caps the assemblies, the first evaluation excepted; where
     it binds, they go to the solves pattern by pattern, and no start is
     drawn for a solve that could not assemble it.  The taus span
-    SEGMENT_BOUNDS from their own starts: a spec's start or bounds raise.
+    SEGMENT_BOUNDS from their own starts: a spec's start raises.
     """
-    if spec.start is not None or spec.bounds != DEFAULT_BOUNDS:
-        raise InfeasibleInput("link reduction takes no start point or bounds")
+    if spec.start is not None:
+        raise InfeasibleInput("link reduction takes no start point")
     if len(six_link.links) != 6:
         raise InfeasibleInput(f"expected six links, got {len(six_link.links)}")
     try:

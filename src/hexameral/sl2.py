@@ -92,49 +92,36 @@ class _Checked:
     _make = classmethod(lambda cls, iterable: cls(*iterable))
 
 
-class FrameMatrix(_Frozen):
-    """Element of SL2(R); determinant is re-projected to one on construction."""
+class FrameMatrix(_Checked, NamedTuple("FrameMatrix", [("alpha", float), ("beta", float),
+                                                       ("gamma", float), ("delta", float)])):
+    """Element of SL2(R), its entry tuple; determinant is re-projected to one on construction."""
 
-    __slots__ = ("alpha", "beta", "gamma", "delta")
+    __slots__ = ()
 
-    def __init__(self, alpha: float, beta: float, gamma: float, delta: float) -> None:
-        object.__setattr__(self, "alpha", alpha)
-        object.__setattr__(self, "beta", beta)
-        object.__setattr__(self, "gamma", gamma)
-        object.__setattr__(self, "delta", delta)
-        self.__post_init__()
+    def __new__(cls, alpha: float, beta: float, gamma: float, delta: float) -> FrameMatrix:
+        given = tuple.__new__(cls, (alpha, beta, gamma, delta))
+        given.__post_init__()
+        fixed = _unit_det(alpha, beta, gamma, delta)
+        return given if fixed == given else tuple.__new__(cls, fixed)
 
     def __post_init__(self) -> None:
-        entries = (self.alpha, self.beta, self.gamma, self.delta)
-        fixed = _unit_det(*entries)
-        if fixed != entries:
-            for name, value in zip(self.__slots__, fixed):
-                object.__setattr__(self, name, value)
-
-    def __eq__(self, other):
-        return self.entries() == other.entries() if type(other) is FrameMatrix else NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self.entries())
+        """A hook that sees the given entries before the determinant rule; it does nothing."""
 
     def det(self) -> float:
         return self.alpha * self.delta - self.beta * self.gamma
 
     def apply(self, points) -> np.ndarray:
         """The frame applied to an array (..., 2) of plane points."""
-        return _act(self.alpha, self.beta, self.gamma, self.delta, points)
+        return _act(*self, points)
 
     def compose(self, other: "FrameMatrix") -> "FrameMatrix":
         """Matrix product self * other (other acts first)."""
-        return FrameMatrix(*_product(self.entries(), other.entries()))
+        return FrameMatrix(*_product(self, other))
 
     __matmul__ = compose
 
     def inverse(self) -> "FrameMatrix":
-        return FrameMatrix(self.delta, -self.beta, -self.gamma, self.alpha)
-
-    def entries(self) -> tuple[float, float, float, float]:
-        return (self.alpha, self.beta, self.gamma, self.delta)
+        return FrameMatrix(*_inverse(self))
 
 
 IDENTITY = FrameMatrix(1.0, 0.0, 0.0, 1.0)
@@ -152,7 +139,7 @@ ROT60 = rotation(math.pi / 3.0)
 
 def frame_distance(g: FrameMatrix, h: FrameMatrix) -> float:
     """Max-norm of the entrywise difference."""
-    return max(abs(p - q) for p, q in zip(g.entries(), h.entries()))
+    return max(abs(p - q) for p, q in zip(g, h))
 
 
 class TangentElement(NamedTuple):
@@ -178,9 +165,6 @@ class TangentElement(NamedTuple):
     def unit(self) -> "TangentElement":
         """The unit-norm representative of the tangent's positive-scalar class."""
         return TangentElement(*_unit_tangent(self.a, self.b, self.c))
-
-    def components(self) -> tuple[float, float, float]:
-        return (self.a, self.b, self.c)
 
     def distance(self, other: "TangentElement") -> float:
         """|r - s| of unit tangents, 2 sin(angle / 2): zero exactly on equal classes."""
@@ -226,7 +210,7 @@ def _sphere_basis(a, b, c, kit=FLOATS) -> tuple[tuple[float, float, float], ...]
 
 def adjoint(g: FrameMatrix, x: TangentElement) -> TangentElement:
     """Conjugated tangent g X g^{-1}, again traceless."""
-    return TangentElement(*_adjoint(g.entries(), x.a, x.b, x.c))
+    return TangentElement(*_adjoint(g, *x))
 
 
 def _star(a, b, c, kit=FLOATS):

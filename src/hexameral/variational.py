@@ -88,7 +88,7 @@ def chain_path(chain: ChainParams, per_link: int = 256) -> FramePath:
     a, k, j, ts = _link_grid([rep for _, rep in real], per_link)
     # the canonical frame sends u*_j, u*_{j+2} to curves j and j + 2: the hyperbola, x = a
     cols = np.stack(_even_points(a[:, None], k[:, None], ts)[:2], axis=-1)
-    leads = [inv0.compose(link_map(state, rep)).entries() for state, rep in real]
+    leads = [inv0.compose(link_map(state, rep)) for state, rep in real]
     # stacked @, not written-out products, which round differently
     frames = (np.reshape(leads, (-1, 1, 2, 2))
               @ (cols @ np.asarray(_STANDARD_INVERSE)[j].reshape(-1, 1, 2, 2)))

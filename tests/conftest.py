@@ -27,7 +27,7 @@ def as_state(entries) -> LinkState:
 
 def propagate_state(state: LinkState, tau: float, j: int):
     """``propagate`` on a LinkState: the out state as a LinkState, and the link's rep."""
-    out, a, t0 = propagate(state.entries(), tau, j)
+    out, a, t0 = propagate(state, tau, j)
     return as_state(out), SquareRep(a, t0, tau, j)
 
 

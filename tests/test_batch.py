@@ -68,10 +68,7 @@ _LATE_FAILURES = {
 
 def _unruled(entries) -> FrameMatrix:
     """A FrameMatrix built past its determinant rule, which would reject it."""
-    frame = object.__new__(FrameMatrix)
-    for name, value in zip(FrameMatrix.__slots__, entries):
-        object.__setattr__(frame, name, value)
-    return frame
+    return tuple.__new__(FrameMatrix, entries)
 
 
 def _state(frame, tangent) -> LinkState:
@@ -95,9 +92,9 @@ def _mixed_chains(octagon, count: int, seed: int) -> list[ChainParams]:
     chains += [
         # a frame whose determinant is 4, and a nilpotent tangent
         ChainParams(LinkState(_unruled((2.0, 0.0, 0.0, 2.0)), tangent), links),
-        ChainParams(_state(octagon.chain.initial.frame.entries(), (0.0, 1.0, 0.0)), links),
+        ChainParams(_state(octagon.chain.initial.frame, (0.0, 1.0, 0.0)), links),
         # a tangent that violates the star inequalities
-        ChainParams(_state(octagon.chain.initial.frame.entries(), (0.0, 0.6, 0.8)), links),
+        ChainParams(_state(octagon.chain.initial.frame, (0.0, 0.6, 0.8)), links),
     ]
     chains += [ChainParams(_state(frame, tangent), links)
                for frame, tangent, links in _LATE_FAILURES.values()]
@@ -124,12 +121,12 @@ def test_batch_matches_each_chain_on_floats(octagon):
             continue
         assert batch.errors[b] is None and batch.link[b] == -1
         for i, state in enumerate(alone.states):
-            assert batch.frames[i, :, b].tobytes() == np.array(state.frame.entries()).tobytes()
+            assert batch.frames[i, :, b].tobytes() == np.array(state.frame).tobytes()
             assert (batch.tangents[i, :, b].tobytes()
-                    == np.array(state.tangent.components()).tobytes())
+                    == np.array(state.tangent).tobytes())
         built = batch.assembled(chain, b)
         assert built == alone
-        assert all(type(v) is float for s in built.states for v in s.frame.entries())
+        assert all(type(v) is float for s in built.states for v in s.frame)
         assert repr(built.area()) == repr(alone.area())
     assert {error for error, _ in failures} == {
         FrameDeterminantError, DegenerateVelocity, NotRankOneCompatible}
@@ -153,12 +150,24 @@ def test_batch_jacobian_matches_each_chain_on_floats(octagon):
     assert checked == 40
 
 
+def test_jacobian_of_a_chain_without_links(octagon):
+    # the final state is the initial one, and the area is zero at every x
+    chain = ChainParams(octagon.chain.initial, ())
+    heads = np.random.default_rng(7).standard_normal((2, 5, 3))
+    alone = assemble_jacobian(assemble(chain), heads[0])
+    assert alone.shape == (6, 3)
+    assert alone[:5].tobytes() == heads[0].tobytes() and not alone[5].any()
+    batch = assemble_jacobian(assemble([chain, chain]), heads)
+    assert batch.shape == (2, 6, 3)
+    assert batch[:, :5].tobytes() == heads.tobytes() and not batch[:, 5].any()
+
+
 @pytest.mark.parametrize("tau,j", [(1.0, 0), (-0.1, 2), (math.nan, 4), (0.3, 1)])
 def test_array_kernel_rejects_parameters_as_floats_do(octagon, tau, j):
     state = octagon.chain.initial
     with pytest.raises(ParameterOutOfRange):
-        propagate(state.entries(), tau, j)
-    frame, tangent = state.entries()
+        propagate(state, tau, j)
+    frame, tangent = state
     checks = []
     propagate((tuple(np.full(2, v) for v in frame), tuple(np.full(2, v) for v in tangent)),
               np.array([0.3, tau]), np.array([0, j]), Arrays(checks))

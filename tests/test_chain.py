@@ -183,7 +183,7 @@ class TestClosureReport:
         assert closure_of(segment, assembled, target=end).tangent_residual == 0.0
         # the end tangent turned by 4.5e-5 rad on the unit sphere: the
         # residual reads the angle, which STRICT_TOL rejects
-        r = np.array(end.tangent.components())
+        r = np.array(end.tangent)
         p = np.cross(r, (1.0, 0.0, 0.0))
         p /= np.linalg.norm(p)
         angle = 4.5e-5

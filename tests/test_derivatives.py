@@ -69,7 +69,7 @@ H = 1e-2
 def _moved(state: LinkState, d, h: float) -> LinkState:
     """The state moved by h along the local direction d (five entries)."""
     frame = state.frame.compose(exp_tangent(TangentElement(*d[:3]), h))
-    x = np.array(state.tangent.components())
+    x = np.array(state.tangent)
     e1, e2 = np.array(_sphere_basis(*x))
     tangent = x + h * (d[3] * e1 + d[4] * e2)
     return LinkState(frame, TangentElement(*tangent).unit())
@@ -78,8 +78,8 @@ def _moved(state: LinkState, d, h: float) -> LinkState:
 def _coordinates(base: LinkState, state: LinkState) -> np.ndarray:
     """First-order local coordinates of ``state`` around ``base``."""
     m = base.frame.inverse().compose(state.frame)
-    x0 = np.array(base.tangent.components())
-    step = np.array(state.tangent.components()) - x0
+    x0 = np.array(base.tangent)
+    step = np.array(state.tangent) - x0
     return np.concatenate(([0.5 * (m.alpha - m.delta), m.beta, m.gamma],
                            np.array(_sphere_basis(*x0)) @ step))
 
@@ -205,7 +205,7 @@ def _segment_problem(chain: ChainParams, target: LinkState) -> EndpointProblem:
 
 
 def _five_link_x(chain: ChainParams) -> np.ndarray:
-    a, b, _ = chain.initial.tangent.components()
+    a, b, _ = chain.initial.tangent
     return np.array([a, b] + [tau for tau, _ in chain.links])
 
 
@@ -408,7 +408,7 @@ def _xi(m: np.ndarray) -> np.ndarray:
 
 
 def _tangent_matrix(state: LinkState) -> np.ndarray:
-    a, b, c = state.tangent.components()
+    a, b, c = state.tangent
     return np.array([[a, b], [c, -a]])
 
 
@@ -438,7 +438,7 @@ def exact_link_jacobian(state: LinkState, tau: float, j: int) -> np.ndarray:
 
     def sphere(end: LinkState, tangent_move: np.ndarray, size: float) -> np.ndarray:
         # first-order move of the unit tangent along its sphere basis
-        return np.array(_sphere_basis(*end.tangent.components())) @ _xi(tangent_move) / size
+        return np.array(_sphere_basis(*end.tangent)) @ _xi(tangent_move) / size
 
     in_size = np.linalg.norm(_xi(g @ x0 @ g_inv))
     out_size = np.linalg.norm(_xi(g @ x1 @ g_inv))
@@ -476,7 +476,7 @@ def _exact_endpoint_jacobian(problem: EndpointProblem, x: np.ndarray, closed: bo
     if closed:
         a, b = x[0], x[1]
         c = math.sqrt(1.0 - a * a - b * b)
-        basis = np.array(_sphere_basis(*chain.initial.tangent.components()))
+        basis = np.array(_sphere_basis(*chain.initial.tangent))
         d[3:, :2] = basis @ np.array([[1.0, 0.0], [0.0, 1.0], [-a / c, -b / c]])
     head = d[:, :m].copy()
     for i, (state, (tau, j)) in enumerate(zip(assembled.states, chain.links)):
@@ -487,14 +487,14 @@ def _exact_endpoint_jacobian(problem: EndpointProblem, x: np.ndarray, closed: bo
     def residual_rows(end: LinkState, moves: np.ndarray) -> np.ndarray:
         f = _frame_matrix(end)
         frame = [(f @ np.array([[p, q], [r, -p]])).ravel() for p, q, r in moves[:3].T]
-        tangent = np.array(_sphere_basis(*end.tangent.components())).T @ moves[3:]
+        tangent = np.array(_sphere_basis(*end.tangent)).T @ moves[3:]
         return np.vstack((np.array(frame).T, tangent))
 
     jac = residual_rows(assembled.final, d)
     if closed:
         # the target's frame (identity turned by pi/3) is fixed, its tangent
         # is the start's
-        jac[4:, :m] -= np.array(_sphere_basis(*chain.initial.tangent.components())).T @ head[3:]
+        jac[4:, :m] -= np.array(_sphere_basis(*chain.initial.tangent)).T @ head[3:]
     return jac
 
 

@@ -210,14 +210,14 @@ class TestFrameAt:
         for mat, t in zip(grid, ts):
             state = frame_at(rep, float(t))
             assert np.max(np.abs(
-                mat - np.array(state.frame.entries()).reshape(2, 2))) < 1e-12
+                mat - np.array(state.frame).reshape(2, 2))) < 1e-12
 
 
 class TestPropagate:
     def test_octagon_roundtrip(self):
         rep = octagon_square_rep()
         start = frame_at(rep, rep.t0)
-        out, a, t0 = propagate(start.entries(), OCTAGON_TAU, 0)
+        out, a, t0 = propagate(start, OCTAGON_TAU, 0)
         assert abs(a - rep.a) < 1e-12
         assert abs(t0 - rep.t0) < 1e-12
         end = frame_at(rep, t_end(rep))
@@ -226,24 +226,24 @@ class TestPropagate:
 
     def test_degenerate_link_identity(self):
         rep = octagon_square_rep()
-        start = frame_at(rep, rep.t0).entries()
+        start = frame_at(rep, rep.t0)
         out, _, _ = propagate(start, 0.0, 2)
         assert out is start
 
     def test_star_violation_rejected(self):
         bad = LinkState(IDENTITY, TangentElement(0, 1, 1).unit())
         with pytest.raises(NotRankOneCompatible):
-            propagate(bad.entries(), 0.5, 0)
+            propagate(bad, 0.5, 0)
 
     def test_invalid_parameters(self):
-        state = frame_at(octagon_square_rep(), -0.6).entries()
+        state = frame_at(octagon_square_rep(), -0.6)
         with pytest.raises(ParameterOutOfRange):
             propagate(state, 1.0, 0)
         with pytest.raises(ParameterOutOfRange):
             propagate(state, 0.5, 3)
 
     def test_semigroup_same_index(self, rng):
-        state = frame_at(octagon_square_rep(), -1.0 / SQRT2).entries()
+        state = frame_at(octagon_square_rep(), -1.0 / SQRT2)
         for _ in range(20):
             ta, tb = rng.uniform(0.05, 0.9, 2)
             mid, _, _ = propagate(state, float(ta), 0)
@@ -259,8 +259,8 @@ class TestPropagate:
         state = frame_at(rep, rep.t0)
         for _ in range(50):
             g = random_frame(rng)
-            out, a, t0 = propagate(state.entries(), 0.4, 0)
-            out_g, a_g, t0_g = propagate(transform_state(g, state).entries(), 0.4, 0)
+            out, a, t0 = propagate(state, 0.4, 0)
+            out_g, a_g, t0_g = propagate(transform_state(g, state), 0.4, 0)
             out_g, expected = as_state(out_g), transform_state(g, as_state(out))
             assert frame_distance(out_g.frame, expected.frame) < 1e-9
             assert out_g.tangent.distance(expected.tangent) < 1e-9
@@ -272,7 +272,7 @@ class TestPropagate:
         state = frame_at(rep, rep.t0)
 
         def area(moved: LinkState) -> float:
-            _, a, t0 = propagate(moved.entries(), 0.4, 0)
+            _, a, t0 = propagate(moved, 0.4, 0)
             return link_area(SquareRep(a, t0, 0.4, 0))
 
         base = area(state)

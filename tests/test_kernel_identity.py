@@ -372,10 +372,10 @@ def stacked_relative_frames(chain: ChainParams, assembled, n: int):
              if rep.tau != 0.0]
     if not links:
         return (), np.empty((0, n)), np.empty((0, n, 2, 2))
-    inv0 = _inverse(chain.initial.frame.entries())
+    inv0 = _inverse(chain.initial.frame)
     leads = np.array([
-        _unit_det(*_product(inv0, _unit_det(*_link_lead(state.frame.entries(), rep.a, rep.k,
-                                             rep.t0, rep.j))))
+        _unit_det(*_product(inv0, _unit_det(*_link_lead(state.frame, rep.a, rep.k, rep.t0,
+                                                        rep.j))))
         for state, rep in links
     ]).reshape(-1, 1, 2, 2)
     reps = tuple(rep for _, rep in links)
@@ -598,7 +598,7 @@ def _stacked_chain_path(chain: ChainParams, per_link: int):
         start = 1 if pos > 0 else 0
         t0, t1 = rep.t0, t_end(rep)
         grid.extend(pos + (t - t0) / (t1 - t0) for t in row[start:])
-        frames.extend(FrameMatrix(*m[0], *m[1]).entries() for m in mats[start:])
+        frames.extend(FrameMatrix(*m[0], *m[1]) for m in mats[start:])
     return grid, frames
 
 
@@ -802,10 +802,9 @@ def _sl2_coordinates(m: np.ndarray) -> np.ndarray:
 
 
 def oracle_endpoint_equations(final: LinkState, target: LinkState):
-    g = np.array(_product(_inverse(target.frame.entries()),
-                          final.frame.entries())).reshape(2, 2)
-    u = np.array(target.tangent.components())
-    w = np.array(final.tangent.components())
+    g = np.array(_product(_inverse(target.frame), final.frame)).reshape(2, 2)
+    u = np.array(target.tangent)
+    w = np.array(final.tangent)
     basis = np.array(_sphere_basis(*u))
     k = int(np.argmin(np.abs(u)))
     s = math.sqrt(1.0 - u[k] * u[k])
@@ -823,7 +822,7 @@ def oracle_endpoint_equations(final: LinkState, target: LinkState):
 
 # A start frame F0 moved to F0 exp(xi) turns its target F0 R into
 # F0 R exp(Ad(R^{-1}) xi), R the rotation by pi/3.
-_TARGET_TURN = np.array(_adjoint_matrix(_inverse(ROT60.entries())))
+_TARGET_TURN = np.array(_adjoint_matrix(_inverse(ROT60)))
 
 
 def _oracle_derivatives(problem, x, chain, assembled):
@@ -845,8 +844,8 @@ def oracle_point(problem, x, chain, assembled):
 
 def oracle_jacobian(problem, x, chain, assembled):
     d_state, d_target = _oracle_derivatives(problem, x, chain, assembled)
-    jac = _endpoint_jacobian(*assembled.final.entries()) @ d_state[:5]
-    jac -= _endpoint_jacobian(*end_target(chain).entries()) @ d_target
+    jac = _endpoint_jacobian(*assembled.final) @ d_state[:5]
+    jac -= _endpoint_jacobian(*end_target(chain)) @ d_target
     return jac
 
 
@@ -933,7 +932,7 @@ def test_five_link_points_match_numpy_forms():
     pinned = tied = stops = 0
     for n, (x, chain, assembled) in enumerate(xs):
         pinned += bool(np.any((x <= lo) | (x >= hi)))
-        u = chain.initial.tangent.components()
+        u = chain.initial.tangent
         tied += sorted(map(abs, u))[0] == sorted(map(abs, u))[1]
         point = problem.point(problem.evaluate(x, (chain, assembled)))
         for got, want in zip((point.gradient, point.equations, point.equation_jacobian),
@@ -975,8 +974,7 @@ def test_closed_target_is_the_turned_start_bit_for_bit():
     problem, xs = _five_link_xs(np.random.default_rng(61), 240)
     for _, chain, _ in xs:
         got, want = problem.target(chain), end_target(chain)
-        assert (np.array(sum(got.entries(), ())).tobytes()
-                == np.array(sum(want.entries(), ())).tobytes())
+        assert np.array(sum(got, ())).tobytes() == np.array(sum(want, ())).tobytes()
 
 
 def test_endpoint_equations_match_numpy_forms():
@@ -995,7 +993,7 @@ def test_endpoint_equations_match_numpy_forms():
         for end, aim in ((frames[4], frames[5]), (frames[4], frames[4]),
                          *((f, frames[5]) for f in frames[:4]), (frames[5], frames[0])):
             final, target = LinkState(end, tangents[0]), LinkState(aim, tangents[1])
-            for got, want in zip(_endpoint_equations(final.entries(), target),
+            for got, want in zip(_endpoint_equations(final, target),
                                  oracle_endpoint_equations(final, target)):
                 assert got.tobytes() == want.tobytes()
 
@@ -1013,7 +1011,7 @@ def oracle_polyline_points(dom, per_link: int) -> np.ndarray:
     for state, rep in zip(dom.assembled.states, dom.assembled.reps):
         if rep.tau == 0.0:
             continue
-        g_mat = np.reshape(link_map(state, rep).entries(), (2, 2))
+        g_mat = np.reshape(link_map(state, rep), (2, 2))
         ts = np.linspace(rep.t0, t_end(rep), per_link, endpoint=False)
         links.append((link_curves(rep, ts)[:, 0], g_mat))
     return np.concatenate([positions[m] @ g_mat.T for m in range(6)
@@ -1045,7 +1043,7 @@ def oracle_chain_path(chain: ChainParams, per_link: int) -> FramePath:
         p = link_curves(rep, ts)[:, 0]
         canonical = (np.stack((p[rep.j], p[(rep.j + 2) % 6]), axis=-1)
                      @ np.reshape(_STANDARD_INVERSE[rep.j], (2, 2)))
-        lead = np.reshape(inv0.compose(link_map(state, rep)).entries(), (2, 2))
+        lead = np.reshape(inv0.compose(link_map(state, rep)), (2, 2))
         start = 1 if pos > 0 else 0
         grid.append(pos + (ts[start:] - t0) / (t1 - t0))
         frames.append((lead @ canonical)[start:])
@@ -1153,7 +1151,7 @@ def _ruled_inverse(g):
 
 def object_propagate(state: LinkState, tau: float, j: int):
     """The out state (an empty link's in state itself) and the link's rep."""
-    frame, x = state.entries()
+    frame, x = state
     if not 0.0 <= tau < 1.0:
         raise ParameterOutOfRange(f"tau = {tau!r} outside [0, 1)")
     if j not in (0, 2, 4):
@@ -1231,16 +1229,16 @@ def test_assembly_record_matches_object_assembly(octagon):
         assembled = assemble(chain)
         states, reps = object_assemble(chain)
         # the entries, bit for bit
-        assert _bytes(assembled.frames) == _bytes([s.frame.entries() for s in states])
-        assert _bytes(assembled.tangents) == _bytes([s.tangent.components() for s in states])
+        assert _bytes(assembled.frames) == _bytes([s.frame for s in states])
+        assert _bytes(assembled.tangents) == _bytes([s.tangent for s in states])
         assert _bytes([link[:3] for link in assembled.links]) == _bytes(
             [(r.a, r.t0, r.tau) for r in reps])
         assert [link[3] for link in assembled.links] == [r.j for r in reps]
-        assert _bytes(sum(assembled.end, ())) == _bytes(sum(states[-1].entries(), ()))
+        assert _bytes(sum(assembled.end, ())) == _bytes(sum(states[-1], ()))
         # the views, bit for bit, and the objects they share
         assert assembled.states == states and assembled.reps == reps
-        assert _bytes([sum(s.entries(), ()) for s in assembled.states]) == _bytes(
-            [sum(s.entries(), ()) for s in states])
+        assert _bytes([sum(s, ()) for s in assembled.states]) == _bytes(
+            [sum(s, ()) for s in states])
         assert _bytes([(r.a, r.t0, r.tau) for r in assembled.reps]) == _bytes(
             [(r.a, r.t0, r.tau) for r in reps])
         assert assembled.final == states[-1]

@@ -1,4 +1,5 @@
 """Multi-point relations, convexity sampling, rank classification."""
+import itertools
 import math
 
 import numpy as np
@@ -48,6 +49,12 @@ class TestStandardMultipoint:
     def test_cyclic_indexing(self):
         assert np.array_equal(STANDARD[7], STANDARD[1])
         assert np.array_equal(STANDARD[-1], STANDARD[5])
+
+    def test_iteration_ends_after_six_rows(self):
+        # indexing wraps, so iteration cannot fall back on it
+        rows = list(itertools.islice(iter(STANDARD), 7))
+        assert len(rows) == 6
+        assert np.array_equal(np.array(rows), STANDARD.points)
 
 
 class TestMultiPointValidation:

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from hexameral import optimize
 from hexameral.chain import (
     ANGLE_TOL,
     STRICT_TOL,
@@ -56,6 +57,44 @@ def _criterion_13_starts():
         yield np.clip(emb + d, lo, hi)
 
 
+def _branch_counts(monkeypatch) -> dict[str, int]:
+    """Counts of the solver branches a search takes, read from the functions
+    that choose them: ``_descend``'s Hessian restarts (a QP on the identity
+    after its first), and the rounds of ``_roots`` that raise lam on a
+    repeated trial, or stop a solve on a tiny step or on a singular system
+    (``_step`` hands x itself back)."""
+    counts = dict.fromkeys(("restart", "repeat", "stop", "singular"), 0)
+    qp, descend, step, stacked = (optimize._qp, optimize._descend, optimize._step,
+                                  optimize._stacked_steps)
+    first = [True]
+
+    def counted_descend(*args):
+        first[0] = True
+        return descend(*args)
+
+    def counted_qp(hess, *args):
+        counts["restart"] += not first[0] and np.array_equal(hess, np.eye(len(hess)))
+        first[0] = False
+        return qp(hess, *args)
+
+    def counted_step(x, *args):
+        trial, stop, repeat = got = step(x, *args)
+        counts["singular"] += trial is x
+        counts["stop"] += bool(stop) and trial is not x
+        counts["repeat"] += bool(repeat)
+        return got
+
+    def counted_stacked(*args):
+        got = stacked(*args)
+        counts["stop"] += int(got[1].sum())
+        counts["repeat"] += int(got[2].sum())
+        return got
+    for name, counted in (("_qp", counted_qp), ("_descend", counted_descend),
+                          ("_step", counted_step), ("_stacked_steps", counted_stacked)):
+        monkeypatch.setattr(optimize, name, counted)
+    return counts
+
+
 def _cap_draws(monkeypatch, cap: int) -> None:
     """Fail the test once a search's generator draws more than ``cap``
     times, before starts the budget cannot assemble fill memory."""
@@ -91,7 +130,7 @@ class TestDecodeFiveLink:
 
     def test_tangent_unit_norm(self):
         chain = five_link_problem().decode([0.1, -0.4, 0.2, 0.2, 0.2, 0.2, 0.2])
-        a, b, c = chain.initial.tangent.components()
+        a, b, c = chain.initial.tangent
         assert abs(a * a + b * b + c * c - 1.0) < 1e-15
         assert c > 0.0
 
@@ -137,9 +176,7 @@ class TestEndpointProblem:
     def test_bounds_must_fit_the_pattern(self, octagon):
         # two bounds for (a, b) beside one per link when closed, none when open
         with pytest.raises(InfeasibleInput):
-            five_link_search(SearchSpec(bounds=((0.0, 0.5),) * 3))
-        with pytest.raises(InfeasibleInput):
-            five_link_problem(SEGMENT_BOUNDS)
+            EndpointProblem(FIVE_LINK_PATTERN, _density, 1.0, SEGMENT_BOUNDS)
         segment = (octagon.chain.initial, octagon.chain.initial)
         with pytest.raises(InfeasibleInput):
             EndpointProblem(FIVE_LINK_PATTERN, _density, 1.0, DEFAULT_BOUNDS, segment)
@@ -246,16 +283,6 @@ def test_second_order_conditions_at_the_octagon():
 
 
 class TestSpecValidation:
-    def test_empty_bound_interval(self):
-        bounds = (((0.5, 0.5),) + SearchSpec().bounds[1:])
-        with pytest.raises(InfeasibleInput):
-            SearchSpec(bounds=bounds)
-
-    @pytest.mark.parametrize("bound", [(-math.inf, math.inf), (0.0, math.inf), (-math.inf, 0.0)])
-    def test_infinite_bound_rejected(self, bound):
-        with pytest.raises(InfeasibleInput, match="not finite"):
-            SearchSpec(bounds=(bound,) + DEFAULT_BOUNDS[1:], restarts=2, max_evals=50, seed=1)
-
     def test_restarts_positive(self):
         with pytest.raises(InfeasibleInput):
             SearchSpec(restarts=0)
@@ -279,20 +306,10 @@ class TestSpecValidation:
         with pytest.raises(InfeasibleInput, match="must be an integer"):
             SearchSpec(**{field: value})
 
-    @pytest.mark.parametrize("field,value", [("bounds", ((0.0, 1.0, 2.0),)),
-                                             ("bounds", ((0.0, "a"),)), ("start", ("x",) * 7)])
-    def test_malformed_bounds_and_start(self, field, value):
-        # a bound of three numbers, a bound that is no number, a start that is no number
-        with pytest.raises(InfeasibleInput, match="malformed bounds or start"):
-            SearchSpec(**{field: value})
-
-    def test_bounds_are_stored_as_tuple_pairs(self, octagon):
-        lists = SearchSpec(bounds=[list(b) for b in DEFAULT_BOUNDS], restarts=1, max_evals=0)
-        default = SearchSpec(restarts=1, max_evals=0)
-        assert lists.bounds == DEFAULT_BOUNDS and lists == default
-        assert hash(lists) == hash(default)
-        six = split_octagon_period(octagon)
-        assert link_reduction_experiment(six, lists) == link_reduction_experiment(six, default)
+    def test_malformed_start(self):
+        # a start that is no number
+        with pytest.raises(InfeasibleInput, match="malformed start"):
+            SearchSpec(start=("x",) * 7)
 
     def test_numpy_integers_accepted(self):
         spec = SearchSpec(restarts=np.int64(2), max_evals=np.int32(0), seed=np.uint8(3))
@@ -342,6 +359,28 @@ class TestNewtonTrial:
     def test_coordinate_on_an_upper_bound_leaves_the_others_free(self):
         trial = _trial(np.array([1.0, 0.5, 0.5]), np.array([0.3, 0.2, -0.1]), self.lo, self.hi)
         assert trial.tolist() == [1.0, 0.7, 0.4]
+
+    def test_singular_system_stops_its_solve_alone(self, monkeypatch):
+        # one free set, so one stacked solve, which raises: the second
+        # Jacobian has a zero column, so its system is singular
+        xs, lo, hi = np.full((2, 3), 0.5), np.zeros((2, 3)), np.ones((2, 3))
+        js = np.stack((np.eye(3), np.diag([1.0, 1.0, 0.0])))
+        rs, lam = np.tile([0.1, -0.2, 0.05], (2, 1)), np.full(2, 1e-3)
+        rejected = np.full((2, 3), np.nan)
+        alone = [_step(*row) for row in zip(xs, js, rs, lo, hi, lam, rejected)]
+        solve, shapes = np.linalg.solve, []
+
+        def counted(a, b):
+            shapes.append(np.shape(a))
+            return solve(a, b)
+        monkeypatch.setattr(np.linalg, "solve", counted)
+        trials, stop, repeat = _stacked_steps(xs, js, rs, lo, hi, lam, rejected)
+        assert shapes == [(2, 3, 3), (3, 3), (3, 3)]
+        assert stop.tolist() == [False, True] and repeat.tolist() == [False, False]
+        # each row as _step gives it alone: a step, and x itself on the singular system
+        assert not alone[0][1] and trials[0].tobytes() == alone[0][0].tobytes()
+        assert alone[1][1:] == (True, False)
+        assert trials[1].tobytes() == alone[1][0].tobytes() == xs[1].tobytes()
 
     def test_stacked_rows_take_the_bits_of_each_alone(self, rng):
         xs = rng.uniform(0.0, 1.0, (64, 5))
@@ -438,6 +477,14 @@ class TestFiveLinkSearch:
             end = _root(_Search(), five_link_problem(), start, SNAP_EVALS)
             assert np.abs(end.residuals).max() <= ROOT_TOL, i
 
+    @pytest.mark.parametrize("seed,branch", [(42, "restart"), (62, "restart"), (12, "repeat"),
+                                             (17, "stop"), (45, "singular"), (65, "singular")])
+    def test_cold_seed_takes_a_rare_solver_branch(self, seed, branch, monkeypatch):
+        counts = _branch_counts(monkeypatch)
+        result = five_link_search(SearchSpec(seed=seed))
+        assert counts[branch] >= 1, counts
+        assert result.feasible and abs(result.best_density - OCTAGON_DENSITY) <= 1.7e-15
+
     def test_restarts_past_the_budget_draw_one_start(self, monkeypatch):
         # max_evals // restarts is 0 from 6001 restarts on, so only the
         # first start, redraws included, can assemble
@@ -489,13 +536,11 @@ class TestLinkReduction:
         with pytest.raises(InfeasibleInput):
             link_reduction_experiment(octagon.chain, SearchSpec())
 
-    @pytest.mark.parametrize("spec", [
-        SearchSpec(start=octagon_embedding()),
-        SearchSpec(bounds=((-0.5, 0.5), (-0.9, -0.1)) + SEGMENT_BOUNDS)])
-    def test_start_and_bounds_rejected(self, octagon, spec):
+    def test_start_rejected(self, octagon):
         # the taus span SEGMENT_BOUNDS from the search's own starts
-        with pytest.raises(InfeasibleInput, match="no start point or bounds"):
-            link_reduction_experiment(split_octagon_period(octagon), spec)
+        with pytest.raises(InfeasibleInput, match="no start point"):
+            link_reduction_experiment(split_octagon_period(octagon),
+                                      SearchSpec(start=octagon_embedding()))
 
     def test_non_assembling_rejected(self):
         from hexameral.hyperlink import LinkState

@@ -1,9 +1,8 @@
 """Every record class keeps the semantics of a frozen dataclass.
 
-Records are ``NamedTuple``s, except four frozen ``__slots__`` classes:
-``FrameMatrix``, which compares by value, and the array holders
-``BoundaryPolyline``, ``MultiPoint`` and ``FramePath``, which compare by
-identity.  For each class: equal inputs give equal records with equal
+Records are ``NamedTuple``s, ``FrameMatrix`` among them, except three frozen
+``__slots__`` classes: the array holders ``BoundaryPolyline``,
+``MultiPoint`` and ``FramePath``, which compare by identity.  For each class: equal inputs give equal records with equal
 hashes (identity for the array holders), a field cannot be assigned, and
 ``copy.copy``, ``copy.deepcopy`` and a pickle round trip give an equal
 record.
@@ -21,7 +20,7 @@ from hexameral.domain import (
     CIRCLE_DENSITY, BoundaryPolyline, CircleReference, HexameralDomain, boundary_polyline,
     octagon_square_rep, smoothed_octagon,
 )
-from hexameral.errors import InfeasibleInput, ParameterOutOfRange, RankZero
+from hexameral.errors import FrameDeterminantError, InfeasibleInput, ParameterOutOfRange, RankZero
 from hexameral.hyperlink import LinkState, SquareRep
 from hexameral.multicurve import MultiPoint, RankLabel, standard_multipoint
 from hexameral.optimize import (
@@ -46,7 +45,7 @@ def parts():
 
 
 def _state(octagon) -> LinkState:
-    frame, tangent = octagon.chain.initial.entries()
+    frame, tangent = octagon.chain.initial
     return LinkState(FrameMatrix(*frame), TangentElement(*tangent))
 
 
@@ -148,6 +147,7 @@ def test_copy_check_catches_a_frozen_class_without_reduce():
     (RankLabel, "value", 0, RankZero),
     (SearchSpec, "seed", -1, InfeasibleInput),
     (EndpointProblem, "bounds", ((0.0, 1.0),), InfeasibleInput),
+    (FrameMatrix, "alpha", 3.0, FrameDeterminantError),
 ], ids=lambda v: v.__name__ if isinstance(v, type) else None)
 def test_checked_records_check_replace_and_make(cls, field, value, error, parts):
     record = RECORDS[cls](parts)

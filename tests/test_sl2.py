@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from hexameral.errors import FrameDeterminantError
 from hexameral.sl2 import (
+    DET_TOL,
     IDENTITY,
     ROT60,
     FrameMatrix,
@@ -21,6 +22,7 @@ from hexameral.sl2 import (
 )
 
 from conftest import random_frame, random_star_tangent
+from test_benchmark_calls import PERFBENCH, _load
 
 finite = st.floats(min_value=-1e3, max_value=1e3, allow_nan=False)
 small = st.floats(min_value=-2.0, max_value=2.0, allow_nan=False)
@@ -63,6 +65,29 @@ class TestFrameMatrix:
         eps = 1e-10
         g = FrameMatrix(1.0 + eps, 0.0, 0.0, 1.0)
         assert abs(g.det() - 1.0) < 1e-12
+        with pytest.raises(FrameDeterminantError):
+            FrameMatrix(1.0 + 1e-6, 0.0, 0.0, 1.0)
+
+    def test_frame_is_its_entry_tuple(self):
+        g = FrameMatrix(1.0, 0.0, 0.0, 1.0)
+        assert isinstance(IDENTITY, tuple) and g == (1.0, 0.0, 0.0, 1.0) == IDENTITY
+        assert hash(g) == hash((1.0, 0.0, 0.0, 1.0))
+        assert g + (2.0,) == (1.0, 0.0, 0.0, 1.0, 2.0) and g * 2 == (1.0, 0.0, 0.0, 1.0) * 2
+        assert type(g + ()) is tuple
+        with pytest.raises(FrameDeterminantError):
+            g._replace(alpha=2.0)
+        assert not {"__init__", "__eq__", "__hash__"} & set(vars(FrameMatrix))
+
+    def test_tracer_sees_the_given_entries(self):
+        # the benchmark's frame counters read the entries before the rule
+        tracer = _load("perfbench_tracing", PERFBENCH / "tracing.py").Tracer()
+        tracer.install()
+        try:
+            g = FrameMatrix(1.0 + 1e-10, 0.0, 0.0, 1.0)
+        finally:
+            tracer.uninstall()
+        assert abs(g.det() - 1.0) <= DET_TOL
+        assert (tracer.counters["sl2.frames_built"], tracer.counters["sl2.det_repairs"]) == (1, 1)
 
     def test_apply_identity(self):
         assert np.array_equal(IDENTITY.apply(vec(3, 4)), vec(3.0, 4.0))
@@ -193,7 +218,7 @@ class TestUnitTangent:
     def test_distance_of_equal_tangents_is_zero(self, rng):
         for _ in range(200):
             p = TangentElement(*rng.uniform(-1, 1, 3)).unit()
-            assert p.distance(TangentElement(*p.components())) == 0.0
+            assert p.distance(TangentElement(*p)) == 0.0
 
     def test_distance_is_the_chord(self):
         # unit tangents at angle t read 2 sin(t / 2), linear in t

@@ -60,7 +60,7 @@ class TestFramePath:
             FramePath(grid, identities(15))
 
     def test_from_absolute_relativizes(self, octagon):
-        g0 = np.reshape(octagon.chain.initial.frame.entries(), (2, 2))
+        g0 = np.reshape(octagon.chain.initial.frame, (2, 2))
         grid = np.arange(16.0)
         path = from_absolute(grid, np.tile(g0, (16, 1, 1)))
         assert path.frames[0, 0, 0] == pytest.approx(1.0, abs=1e-12)
@@ -76,7 +76,7 @@ def _scaled_frames(rng, det_offsets) -> np.ndarray:
     """The identity, then random SL2 frames scaled to det 1 + each offset."""
     frames = identities(len(det_offsets) + 1)
     for frame, offset in zip(frames[1:], det_offsets):
-        frame[:] = np.reshape(random_frame(rng).entries(), (2, 2)) * math.sqrt(1.0 + offset)
+        frame[:] = np.reshape(random_frame(rng), (2, 2)) * math.sqrt(1.0 + offset)
     return frames
 
 
@@ -91,13 +91,13 @@ class TestFramePathDeterminant:
         path = FramePath(np.arange(32.0), frames)
         assert not np.array_equal(path.frames[1:], frames[1:])
         for row, frame in zip(path.frames, frames):
-            expected = FrameMatrix(*frame.ravel().tolist()).entries()
+            expected = FrameMatrix(*frame.ravel().tolist())
             assert [v.hex() for v in row.ravel().tolist()] == [v.hex() for v in expected]
 
     @pytest.mark.parametrize("offset", [2.0 * DET_REJECT_TOL, -1e-6, 3.0, math.nan])
     def test_reject_band_and_nan_raise(self, rng, offset):
         frames = _scaled_frames(rng, np.zeros(15))
-        frames[7] = np.reshape(random_frame(rng).entries(), (2, 2)) * math.sqrt(1.0 + offset)
+        frames[7] = np.reshape(random_frame(rng), (2, 2)) * math.sqrt(1.0 + offset)
         with pytest.raises(FrameDeterminantError):
             FrameMatrix(*frames[7].ravel().tolist())
         with pytest.raises(FrameDeterminantError):
