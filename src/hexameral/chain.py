@@ -119,13 +119,13 @@ def assemble(chain: ChainParams | list[ChainParams]) -> AssembledChain | ChainBa
 class ChainBatch(NamedTuple):
     """Chains assembled at once by ``assemble``: chain b is column b of the
     link-end states' entries, ``frames`` (links + 1, 4, B) and ``tangents``
-    (links + 1, 3, B), and of each link's (a, t0, tau, j) in ``reps``.
+    (links + 1, 3, B), and of each link's (a, t0, tau, j) in ``links``.
     ``errors`` and ``link`` hold the class and link of the error ``assemble``
     raises on it alone, or None and -1."""
 
     frames: np.ndarray
     tangents: np.ndarray
-    reps: list
+    links: list
     errors: np.ndarray
     link: np.ndarray
 
@@ -135,31 +135,25 @@ class ChainBatch(NamedTuple):
             chain.initial, tuple(map(tuple, self.frames[:, :, b].tolist())),
             tuple(map(tuple, self.tangents[:, :, b].tolist())),
             tuple((a[b].item(), t0[b].item(), tau, j)
-                  for (a, t0, _, _), (tau, j) in zip(self.reps, chain.links)))
-
-    def columns(self, keep) -> ChainBatch:
-        """The chains at the indices ``keep``, copied out of this batch."""
-        return ChainBatch(self.frames[:, :, keep], self.tangents[:, :, keep],
-                          [tuple(v[keep] for v in rep) for rep in self.reps],
-                          self.errors[keep], self.link[keep])
+                  for (a, t0, _, _), (tau, j) in zip(self.links, chain.links)))
 
 
 def _assemble_batch(chains) -> ChainBatch:
-    links = np.array([c.links for c in chains], dtype=float).reshape(len(chains), -1, 2).T
+    params = np.array([c.links for c in chains], dtype=float).reshape(len(chains), -1, 2).T
     frames = [np.array([c.initial.frame for c in chains]).T]
     tangents = [np.array([c.initial.tangent for c in chains]).T]
-    reps, ends, kit = [], [], Arrays(checks := [])
+    links, ends, kit = [], [], Arrays(checks := [])
     with np.errstate(all="ignore"):
-        for tau, j in zip(links[0], links[1].astype(int)):
+        for tau, j in zip(params[0], params[1].astype(int)):
             (frame, x), a, t0 = propagate((tuple(frames[-1]), tuple(tangents[-1])), tau, j, kit)
             frames.append(frame)
             tangents.append(x)
-            reps.append((a, t0, tau, j))
+            links.append((a, t0, tau, j))
             ends.append(len(checks))
     # each chain fails at the first check it is bad in; a last row, bad
     # everywhere with no error, stands for none
     first = np.array([b for b, _ in checks] + [np.ones(len(chains), dtype=bool)]).argmax(axis=0)
-    return ChainBatch(np.array(frames), np.array(tangents), reps,
+    return ChainBatch(np.array(frames), np.array(tangents), links,
                       np.array([e for _, e in checks] + [None], dtype=object)[first],
                       np.where(first < len(checks), np.searchsorted(ends, first, "right"), -1))
 
@@ -179,17 +173,16 @@ def assemble_jacobian(assembled: AssembledChain | ChainBatch, head: np.ndarray) 
     link's reading of them cancel: the chain carries (xi, da, dt0) of the
     next link and converts to sphere coordinates only at its two ends.
     """
-    kit, reps = ((ARRAYS, assembled.reps) if isinstance(assembled, ChainBatch)
-                 else (FLOATS, assembled.links))
-    frames, tangents = assembled.frames, assembled.tangents
+    kit = ARRAYS if isinstance(assembled, ChainBatch) else FLOATS
+    frames, tangents, links = assembled.frames, assembled.tangents, assembled.links
     m = head.shape[-1]
-    d_state = np.zeros(head.shape[:-2] + (6, m + len(reps)))
-    if not reps:
+    d_state = np.zeros(head.shape[:-2] + (6, m + len(links)))
+    if not links:
         d_state[..., :5, :] = head
         return d_state
     d_state[..., :3, :m] = head[..., :3, :]
-    d_state[..., 3:5, :m] = kit.stack(_entry(frames[0], tangents[0], reps[0][3], kit)) @ head
-    transfers, inner = [], len(reps) - 1
+    d_state[..., 3:5, :m] = kit.stack(_entry(frames[0], tangents[0], links[0][3], kit)) @ head
+    transfers, inner = [], len(links) - 1
     if kit is ARRAYS and inner:
         # a link's derivative reads no other link's: all links but the last,
         # whose rows end in sphere coordinates, in one call side by side
@@ -197,12 +190,12 @@ def assemble_jacobian(assembled: AssembledChain | ChainBatch, head: np.ndarray) 
             return np.concatenate(list(parts), axis=-1)
         transfers = list(kit.stack(_transfer(
             flat(frames[:inner]), flat(frames[1:-1]), flat(tangents[1:-1]),
-            *(flat(rep[k] for rep in reps[:inner]) for k in range(4)),
-            flat(rep[3] for rep in reps[1:]), kit)).reshape(inner, -1, 6, 7))
-    for i in range(len(transfers), len(reps)):
-        next_j = reps[i + 1][3] if i < inner else None
-        transfers.append(kit.stack(_transfer(frames[i], frames[i + 1], tangents[i + 1], *reps[i],
-                                             next_j, kit)))
+            *(flat(link[k] for link in links[:inner]) for k in range(4)),
+            flat(link[3] for link in links[1:]), kit)).reshape(inner, -1, 6, 7))
+    for i in range(len(transfers), len(links)):
+        next_j = links[i + 1][3] if i < inner else None
+        transfers.append(kit.stack(_transfer(frames[i], frames[i + 1], tangents[i + 1],
+                                             *links[i], next_j, kit)))
     for i, transfer in enumerate(transfers):
         d_state = transfer[..., :6] @ d_state
         # no earlier link reads this tau
@@ -293,9 +286,9 @@ def angle_margin_of(chain: ChainParams, assembled: AssembledChain | None = None)
 # hyperlink's derivative path: its frame F as F exp(xi), xi in sl2, and its
 # unit tangent along the two directions _sphere_basis gives at it.
 
-def _endpoint_residuals(final, target: LinkState) -> np.ndarray:
-    """End-state entries minus target: four frame entries, three tangent components."""
-    return np.array(final[0] + final[1]) - np.array(target.frame + target.tangent)
+def _endpoint_residuals(final, target) -> np.ndarray:
+    """End-state entries minus the target's, both (frame, tangent): seven in all."""
+    return np.array(final[0] + final[1]) - np.array(target[0] + target[1])
 
 
 def _endpoint_jacobian(frame, tangent) -> np.ndarray:
@@ -314,9 +307,9 @@ def _endpoint_jacobian(frame, tangent) -> np.ndarray:
                       (z, z, z, p2, q2)))
 
 
-def _endpoint_equations(final, target: LinkState):
-    """Five independent endpoint equations, and their derivatives (5, 5) in
-    the local coordinates of the end state, given as entries, and the target.
+def _endpoint_equations(final, target):
+    """Five independent endpoint equations, and their derivatives (5, 5) in the
+    local coordinates of the end state and the target, both (frame, tangent) entries.
 
     The seven residual entries have rank 5.  Here the frame gives the sl2
     coordinates of G - I, G = T^{-1} F: F exp(xi) moves G by G xi, and
@@ -326,8 +319,8 @@ def _endpoint_equations(final, target: LinkState):
     with u, which adds the terms in u_k / s^2.  The equations also vanish at
     F = -T, which closure_of does not count as closed.
     """
-    p, q, r, t = _product(_inverse(target.frame), final[0])
-    u, w = target.tangent, final[1]
+    (aim, u), w = target, final[1]
+    p, q, r, t = _product(_inverse(aim), final[0])
     basis = np.array(_sphere_basis(*u))
     k = min(range(3), key=lambda i: abs(u[i]))  # _sphere_basis's choice, ties included
     axis, uk, s = tuple(float(i == k) for i in range(3)), u[k], math.sqrt(1.0 - u[k] * u[k])
@@ -394,8 +387,8 @@ def link_length(chain: ChainParams, closure_tol: float = FEASIBLE_TOL) -> int:
 
 
 def require_closed(report: ClosureReport, closure_tol: float) -> None:
-    """Raise NotClosed where the report's residual exceeds ``closure_tol``."""
-    if report.residual() > closure_tol:
+    """Raise NotClosed unless the report's residual is within ``closure_tol``; NaN is not."""
+    if not report.residual() <= closure_tol:
         raise NotClosed(f"closure residual {report.residual():.3e} exceeds {closure_tol:.1e}")
 
 

@@ -23,8 +23,8 @@ from . import _np as np
 from .errors import DegenerateVelocity, NotRankOneCompatible, ParameterOutOfRange, ScaleTooSmall
 from .kit import FLOATS, kit_of
 from .sl2 import (
-    SQRT3, Frame, FrameMatrix, TangentElement, _adjoint, _adjoint_matrix, _Checked, _inverse,
-    _product, _sphere_basis, _star, _unit_det, _unit_tangent, adjoint,
+    SQRT3, Frame, FrameMatrix, TangentElement, _act, _adjoint, _adjoint_matrix, _Checked,
+    _inverse, _product, _sphere_basis, _star, _unit_det, _unit_tangent, adjoint,
 )
 
 MIN_SCALE_SQ, _STANDARD_INVERSE = FLOATS.MIN_SCALE_SQ, FLOATS.STANDARD_INVERSE
@@ -121,11 +121,11 @@ class LinkState(NamedTuple):
 
 def circle_tangent(state: LinkState) -> TangentElement:
     """The state's tangent conjugated back to the circle representation."""
-    return adjoint(state.frame.inverse(), state.tangent)
+    return adjoint(FrameMatrix(*_inverse(state[0])), state[1])
 
 
 def transform_state(g: FrameMatrix, state: LinkState) -> LinkState:
-    return LinkState(g.compose(state.frame), adjoint(g, state.tangent).unit())
+    return LinkState(FrameMatrix(*_product(g, state[0])), adjoint(g, state[1]).unit())
 
 
 @cache
@@ -382,7 +382,7 @@ def _transfer(frame: Frame, out_frame: Frame, out_x, a, t0, tau, j, next_j,
 
 def link_map(state: LinkState, rep: SquareRep) -> FrameMatrix:
     """The frame g with state = g applied to the canonical link start."""
-    return FrameMatrix(*_link_lead(state.frame, rep.a, rep.k, rep.t0, rep.j))
+    return FrameMatrix(*_link_lead(state[0], rep.a, rep.k, rep.t0, rep.j))
 
 
 def _sample_count(name: str, value, least: int) -> int:
@@ -443,4 +443,4 @@ def link_multicurve(rep: SquareRep, samples: int = 16, g: FrameMatrix | None = N
     if rep.tau == 0.0:
         raise ParameterOutOfRange("cannot sample a zero-length link")
     curves = link_curves(rep, np.linspace(rep.t0, t_end(rep), samples))
-    return curves if g is None else g.apply(curves)
+    return curves if g is None else _act(*g, curves)

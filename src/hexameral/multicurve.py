@@ -13,7 +13,7 @@ from typing import NamedTuple
 
 from . import _np as np
 from .errors import MissingAcceleration, RankUndefined, RankZero, WedgeMismatch
-from .sl2 import FrameMatrix, _Checked, _Frozen, wedge
+from .sl2 import FrameMatrix, _act, _Checked, _Frozen, wedge
 
 MULTIPOINT_TOL = 1e-9
 # A sampled curve counts as linear when |wedge(v, acc)| < RANK_TOL * |v|^2.
@@ -50,8 +50,12 @@ class MultiPoint(_Frozen):
     def __iter__(self):
         return iter(self.points)
 
+    def __contains__(self, point) -> bool:
+        p = np.asarray(point)  # a 2-vector equal to a row, by value
+        return p.shape == (2,) and bool((self.points == p).all(axis=1).any())
+
     def transformed(self, g: FrameMatrix) -> "MultiPoint":
-        return MultiPoint(g.apply(self.points))
+        return MultiPoint(_act(*g, self.points))
 
 
 @cache

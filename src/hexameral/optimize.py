@@ -152,19 +152,19 @@ class Evaluation(NamedTuple):
 class EndpointProblem(_Checked, NamedTuple("EndpointProblem", [
         ("pattern", tuple[int, ...]), ("value", Callable[[float], float]), ("fail_value", float),
         ("bounds", tuple[tuple[float, float], ...]),
-        ("segment", tuple[LinkState, LinkState] | None)])):
+        ("segment", tuple[LinkState, tuple] | None)])):
     """Minimise ``value(area)`` over a box subject to the chain ending in a target.
 
     The links follow the index ``pattern``, their taus the last variables.
-    ``segment`` is an open segment's (start, target) pair of states, and
-    then the taus are all the variables.  A ``segment`` of None is a closed
-    chain: it starts on the identity frame with the tangent (a, b,
-    sqrt(1 - a^2 - b^2)) from two leading variables, and must end in that
-    start state turned by pi/3.  ``value`` is linear, so it also maps the
-    area gradient to the value's.  ``fail_value`` stands in for the value
-    where no chain can be assembled.  Methods that take an ``assembly``
-    accept ``self.assembly(x)`` from a caller who holds it, and ``evaluate``
-    a record of ``_assemblies`` too.
+    ``segment`` is an open segment's start state and target, a state or its
+    entries (frame, tangent), and then the taus are all the variables.  A
+    ``segment`` of None is a closed chain: it starts on the identity frame
+    with the tangent (a, b, sqrt(1 - a^2 - b^2)) from two leading variables,
+    and must end in that start state turned by pi/3.  ``value`` is linear,
+    so it also maps the area gradient to the value's.  ``fail_value`` stands
+    in for the value where no chain can be assembled.  Methods that take an
+    ``assembly`` accept ``self.assembly(x)`` from a caller who holds it, and
+    ``evaluate`` a record of ``_assemblies`` too.
     """
 
     __slots__ = ()
@@ -201,7 +201,7 @@ class EndpointProblem(_Checked, NamedTuple("EndpointProblem", [
         return np.array(((0.0, 0.0), (0.0, 0.0), (0.0, 0.0),
                          (p0 - p2 * a / c, p1 - p2 * b / c), (q0 - q2 * a / c, q1 - q2 * b / c)))
 
-    def target(self, chain: ChainParams) -> LinkState:
+    def target(self, chain: ChainParams) -> tuple:
         """The state the decoded chain must end in: its identity start frame
         turned by pi/3 with its start tangent, or the segment's target."""
         return LinkState(ROT60, chain.initial.tangent) if self.segment is None else self.segment[1]
@@ -332,12 +332,13 @@ def _assemblies(run: _Search, asks: list) -> list:
         return [problem.assembly(x) for problem, x in asks[:room]] + [None] * (len(asks) - room)
     with np.errstate(all="ignore"):
         batch = assemble(chains)
-        heads = np.array([p.start_jacobian(x, c) for (p, x), c in zip(asks, chains)])
+        # open segments have no start variables
+        heads = np.zeros((len(chains), 5, 0))
         final = (tuple(batch.frames[-1]), tuple(batch.tangents[-1]))
         jac = _endpoint_jacobian(*final) @ assemble_jacobian(batch, heads)[:, :5]
     # rows as the 7-vectors _endpoint_residuals gives
     r = np.concatenate(final).T - [sum(p.segment[1], ()) for p, _ in asks[:room]]
-    held = [(c, None if batch.errors[n] else _Member(batch, n, r[n].copy(), jac[n].copy()))
+    held = [(c, None if batch.errors[n] else _Member(batch, n, r[n], jac[n]))
             for n, c in enumerate(chains)]
     return held + [None] * (len(asks) - room)
 
@@ -440,7 +441,7 @@ def _roots(run: _Search, solves: list) -> list:
         rows = [(x[i], jac[i], r[i], *boxes[i], lam[i], rejected[i]) for i in live]
         steps = [_step(*rows[0])] if len(rows) == 1 else zip(*_stacked_steps(
             *(np.array(column) for column in zip(*rows))))
-        go, stop, taken = [], set(), []
+        go, stop = [], set()
         for i, (trial, stopped, repeat) in zip(live, steps):
             if stopped:
                 stop.add(i)
@@ -464,11 +465,6 @@ def _roots(run: _Search, solves: list) -> list:
                 stop.add(i)  # a stall
             x[i], held[i], r[i], cost[i], moved[i] = trial, got, trial_r, trial_cost, True
             lam[i], jac[i], rejected[i] = lam[i] / 10.0, None, np.full(len(trial), np.nan)
-            taken += [i] if isinstance(got[1], _Member) else []
-        if taken:  # hold copies of the taken chains, not the round's whole batch
-            kept = held[taken[0]][1].batch.columns([held[i][1].b for i in taken])
-            for b, i in enumerate(taken):
-                held[i] = (held[i][0], held[i][1]._replace(batch=kept, b=b))
         live = [i for i in live if i not in stop]
     for i, start in enumerate(starts):
         if start is not None:
@@ -690,7 +686,7 @@ def link_reduction_experiment(six_link: ChainParams, spec: SearchSpec) -> LinkRe
         if len(solves) >= run.limit:  # _assemblies refuses every later start
             break
         problem = EndpointProblem(pattern, lambda area: area, 0.0, SEGMENT_BOUNDS,
-                                  (six_link.initial, assembled.final))
+                                  (six_link.initial, assembled.end))
         starts = [np.full(5, 0.3)] + [rng.uniform(0.05, 0.9, size=5)
                                       for _ in range(min(spec.restarts, run.limit) - 1)]
         if pattern == seed_pattern:

@@ -219,13 +219,14 @@ def _star(a, b, c, kit=FLOATS):
 
 def star_check(x: TangentElement) -> bool:
     """Strict convexity inequalities sqrt(3)|a| < c and 3b + c < 0."""
-    return _star(x.a, x.b, x.c)
+    return _star(*x)
 
 
 def exp_tangent(x: TangentElement, t: float) -> FrameMatrix:
     """Closed-form exponential exp(t X) of a traceless 2x2 matrix."""
     # X^2 = -det(X) I, so the series splits into cosine and sinc parts.
-    q = x.det() * t * t
+    a, b, c = x
+    q = (-a * a - b * c) * t * t
     if abs(q) < 1e-12:
         cos_part = 1.0 - q / 2.0 + q * q / 24.0
         sinc = t * (1.0 - q / 6.0 + q * q / 120.0)
@@ -237,7 +238,7 @@ def exp_tangent(x: TangentElement, t: float) -> FrameMatrix:
         w = math.sqrt(-q)
         cos_part = math.cosh(w)
         sinc = t * math.sinh(w) / w
-    return FrameMatrix(cos_part + sinc * x.a, sinc * x.b, sinc * x.c, cos_part - sinc * x.a)
+    return FrameMatrix(cos_part + sinc * a, sinc * b, sinc * c, cos_part - sinc * a)
 
 
 def _unit_tangent(a, b, c, kit=FLOATS) -> tuple[float, float, float]:

@@ -130,18 +130,22 @@ class Sampled(NamedTuple):
         return not self == other
 
 
-def _on_grid(grid: np.ndarray, *samples) -> list[np.ndarray]:
-    """The samples as float arrays, each of the grid's shape, else ParameterOutOfRange."""
-    arrays = [np.asarray(v, dtype=float) for v in samples]
-    if any(v.shape != grid.shape for v in arrays):
+def _on_grid(grid: np.ndarray | None, *samples) -> list[np.ndarray]:
+    """The samples as float arrays, each of the grid's shape unless the grid is
+    None, else ParameterOutOfRange."""
+    try:
+        arrays = [np.asarray(v, dtype=float) for v in samples]
+    except (TypeError, ValueError) as exc:
+        raise ParameterOutOfRange(f"grid and samples must be numbers: {exc}") from None
+    if grid is not None and any(v.shape != grid.shape for v in arrays):
         raise ParameterOutOfRange("grid and sample lengths differ")
     return arrays
 
 
 def second_variation_circle(u, w: Sampled, grid) -> float:
     """Quadrature of 4 u w' along the grid; indefinite in sign."""
-    grid = np.asarray(grid, dtype=float)
-    if len(grid) < MIN_GRID:
+    (grid,) = _on_grid(None, grid)
+    if grid.size < MIN_GRID:
         raise ParameterOutOfRange("second variation grid needs at least 16 points")
     if w.deriv is None:
         raise ParameterOutOfRange("w must carry derivative samples")
@@ -195,7 +199,7 @@ def rank2_first_variation(s: Sampled, x: Sampled, grid, z=None) -> Rank2Report:
     x'(s^2 - 1) = s' z so the constraint residual vanishes identically.
     The x-variation sign is the uniform sign of s s' / 2, or 0 if mixed.
     """
-    grid = np.asarray(grid, dtype=float)
+    (grid,) = _on_grid(None, grid)
     if grid.size < 2:  # a quadrature needs an interval
         raise ParameterOutOfRange(f"rank-2 grid needs at least 2 points, got {grid.size}")
     if s.deriv is None or x.deriv is None:
@@ -207,10 +211,10 @@ def rank2_first_variation(s: Sampled, x: Sampled, grid, z=None) -> Rank2Report:
     lhs = xd * (sv * sv - 1.0)
     if z is None:
         z_vals = lhs / sd
-    elif np.ndim(z) == 0:
-        z_vals = float(z)
     else:
-        (z_vals,) = _on_grid(grid, z)
+        (z_vals,) = _on_grid(None, z)
+        if z_vals.ndim:
+            (z_vals,) = _on_grid(grid, z_vals)
     residual = float(np.max(np.abs(lhs - sd * z_vals)))
 
     integrand = 0.25 * (SQRT3 * sd - (1.0 + sv * sv) * xd)

@@ -23,7 +23,7 @@ from hexameral.chain import (
     normalize_links,
     save_chain,
 )
-from hexameral.domain import OCTAGON_LINK_AREA, OCTAGON_TAU
+from hexameral.domain import OCTAGON_LINK_AREA, OCTAGON_TAU, verify_checks
 from hexameral.errors import (
     ChainFormatError,
     GeometryError,
@@ -97,20 +97,6 @@ class TestAssemble:
             assemble(octagon.chain)
         assert info.value.link_index == 2
         assert info.value.__cause__ is None  # re-raised, not wrapped
-
-    def test_batch_columns_are_copies_that_assemble_alike(self, octagon, rng):
-        js = [j for _, j in octagon.chain.links]
-        chains = [ChainParams(octagon.chain.initial, tuple(zip(rng.uniform(0.05, 0.9, 4), js)))
-                  for _ in range(24)]
-        batch = assemble(chains)
-        keep = [b for b in range(len(chains)) if batch.errors[b] is None][::2]
-        assert len(keep) >= 3
-        kept = batch.columns(keep)
-        for n, b in enumerate(keep):
-            assert kept.assembled(chains[b], n) == batch.assembled(chains[b], b)
-        ours = [kept.frames, kept.tangents, kept.errors, kept.link, *sum(kept.reps, ())]
-        theirs = [batch.frames, batch.tangents, batch.errors, batch.link, *sum(batch.reps, ())]
-        assert not any(np.shares_memory(a, b) for a in ours for b in theirs)
 
     def test_parameter_errors_name_link(self, octagon):
         with pytest.raises(ParameterOutOfRange, match="link 1") as exc:
@@ -280,6 +266,16 @@ class TestLinkLength:
         with pytest.raises(NotClosed):
             link_length(ChainParams(octagon.chain.initial,
                                     octagon.chain.links[:2]))
+
+    def test_nan_tolerance_bounds_nothing(self, octagon):
+        # NaN is no bound: an open chain's residual is not within it
+        links = (LinkParam(OCTAGON_TAU + 0.1, 0),) + octagon.chain.links[1:]
+        chain = ChainParams(octagon.chain.initial, links)
+        assert link_length(chain, closure_tol=1e6) == 4
+        with pytest.raises(NotClosed, match="exceeds nan"):
+            link_length(chain, closure_tol=math.nan)
+        rows = {name: passed for name, passed, _ in verify_checks(chain, tol=math.nan)}
+        assert rows["closure"] is False and rows["link-length"] is False
 
     def test_congruence_guard(self, octagon):
         # an open two-entry list forced through with a huge tolerance

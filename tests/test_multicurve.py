@@ -50,6 +50,12 @@ class TestStandardMultipoint:
         assert np.array_equal(STANDARD[7], STANDARD[1])
         assert np.array_equal(STANDARD[-1], STANDARD[5])
 
+    def test_membership_compares_rows_by_value(self):
+        assert (1.0, 0.0) in STANDARD and np.array([1.0, 0.0]) in STANDARD
+        assert [float(v) for v in STANDARD[4]] in STANDARD
+        for point in ((2.0, 0.0), (1.0, 0.0, 0.0), 1.0, STANDARD.points, (math.nan, 0.0)):
+            assert point not in STANDARD
+
     def test_iteration_ends_after_six_rows(self):
         # indexing wraps, so iteration cannot fall back on it
         rows = list(itertools.islice(iter(STANDARD), 7))

@@ -21,12 +21,14 @@ from hexameral.domain import (
     octagon_square_rep, smoothed_octagon,
 )
 from hexameral.errors import FrameDeterminantError, InfeasibleInput, ParameterOutOfRange, RankZero
-from hexameral.hyperlink import LinkState, SquareRep
+from hexameral.hyperlink import (
+    LinkState, SquareRep, circle_tangent, link_map, link_multicurve, transform_state,
+)
 from hexameral.multicurve import MultiPoint, RankLabel, standard_multipoint
 from hexameral.optimize import (
     EndpointProblem, LinkReductionReport, SearchResult, SearchSpec, five_link_problem,
 )
-from hexameral.sl2 import FrameMatrix, TangentElement
+from hexameral.sl2 import FrameMatrix, TangentElement, exp_tangent, star_check
 from hexameral.variational import FramePath, Rank2Report, Sampled, rotation_path
 
 # the classes that compare by identity, with their fields
@@ -186,3 +188,36 @@ def test_assemble_dispatches_on_chain_params(octagon):
     assert type(assemble(octagon.chain)) is AssembledChain
     assert type(assemble([octagon.chain])) is ChainBatch
     assert type(assemble((octagon.chain, octagon.chain))) is ChainBatch
+    assert ChainBatch._fields == ("frames", "tangents", "links", "errors", "link")
+
+
+# calls on frames g, states and tangents x, each given as an object or as its entries
+ENTRY_CALLS = {
+    "link_multicurve": lambda e, rep: link_multicurve(rep, 8, e["g"]),
+    "MultiPoint.transformed": lambda e, rep: standard_multipoint().transformed(e["g"]),
+    "transform_state": lambda e, rep: transform_state(e["g"], e["state"]),
+    "circle_tangent": lambda e, rep: circle_tangent(e["state"]),
+    "link_map": lambda e, rep: link_map(e["state"], rep),
+    "star_check": lambda e, rep: star_check(e["x"]),
+    "exp_tangent": lambda e, rep: exp_tangent(e["x"], 0.7),
+}
+
+
+def _bits(value) -> bytes:
+    """The bytes of every float a result holds, in order."""
+    if isinstance(value, MultiPoint):
+        value = value.points
+    if isinstance(value, tuple):
+        return b"".join(map(_bits, value))
+    return np.asarray(value, dtype=float).tobytes()
+
+
+@pytest.mark.parametrize("call", ENTRY_CALLS)
+def test_public_functions_take_entry_tuples(call, octagon):
+    state, rep = octagon.assembled.states[0], octagon.assembled.reps[0]
+    g, x = FrameMatrix(2.0, 1.0, 1.0, 1.0), circle_tangent(state)
+    objects = {"g": g, "state": state, "x": x}
+    entries = {"g": tuple(g), "state": (tuple(state.frame), tuple(state.tangent)),
+               "x": tuple(x)}
+    ours, theirs = ENTRY_CALLS[call](objects, rep), ENTRY_CALLS[call](entries, rep)
+    assert type(ours) is type(theirs) and _bits(ours) == _bits(theirs)

@@ -191,9 +191,17 @@ class TestSecondVariation:
             second_variation_circle(np.cos(g), Sampled(np.sin(g)), g)
 
     def test_small_grid_rejected(self):
-        g = uniform_grid(8)
-        with pytest.raises(ParameterOutOfRange):
-            second_variation_circle(np.cos(g), Sampled(np.sin(g), np.cos(g)), g)
+        for g in (uniform_grid(8), 3.0):  # a scalar grid has one point
+            with pytest.raises(ParameterOutOfRange):
+                second_variation_circle(np.cos(g), Sampled(np.sin(g), np.cos(g)), g)
+
+    @pytest.mark.parametrize("bad", ["u", "deriv", "grid"])
+    def test_non_numeric_input_rejected(self, bad):
+        inputs = {"u": np.ones(20), "deriv": np.ones(20), "grid": uniform_grid(20)}
+        inputs[bad] = ["a"] * 20
+        w = Sampled(np.ones(20), inputs["deriv"])
+        with pytest.raises(ParameterOutOfRange, match="must be numbers"):
+            second_variation_circle(inputs["u"], w, inputs["grid"])
 
     @pytest.mark.parametrize("u_size, deriv_size", [(1, 20), (20, 1), (19, 20), (20, 21)])
     def test_sample_lengths_must_match_grid(self, u_size, deriv_size):
@@ -279,6 +287,17 @@ class TestRank2FirstVariation:
         x = Sampled(np.zeros_like(g), np.zeros_like(g))
         with pytest.raises(ParameterOutOfRange, match="lengths differ"):
             rank2_first_variation(s, x, g, z=np.full(size, 0.1))
+
+    @pytest.mark.parametrize("bad", ["s", "x", "grid", "z", "scalar z", "ragged z"])
+    def test_non_numeric_input_rejected(self, bad):
+        g = np.linspace(0.0, 1.0, 21)
+        inputs = {"s": -0.8 + 0.4 * g, "x": np.zeros_like(g), "grid": g, "z": None}
+        inputs[bad.split()[-1]] = {"scalar z": "a", "ragged z": [[1.0], [1.0, 2.0]]}.get(
+            bad, ["a"] * 21)
+        s = Sampled(inputs["s"], np.full_like(g, 0.4))
+        x = Sampled(np.zeros_like(g), inputs["x"])
+        with pytest.raises(ParameterOutOfRange, match="must be numbers"):
+            rank2_first_variation(s, x, inputs["grid"], inputs["z"])
 
     @pytest.mark.parametrize("grid", [[], [0.0]])
     def test_grid_needs_two_points(self, grid):
