@@ -49,13 +49,13 @@ class ChainParams(_Checked, NamedTuple("ChainParams", [("initial", LinkState),
     __slots__ = ()
 
     def __new__(cls, initial: LinkState, links: Iterable) -> ChainParams:
-        links = tuple(LinkParam(float(t), int(j)) for t, j in links)
+        links = tuple((float(t), j) for t, j in links)
         for i, (tau, j) in enumerate(links):
             if not 0.0 <= tau < 1.0:
                 raise ParameterOutOfRange(f"tau = {tau!r} outside [0, 1)").at_link(i)
-            if j not in (0, 2, 4):
+            if j not in (0, 2, 4):  # checked before int(), which reads 2.7 as 2
                 raise ParameterOutOfRange(f"index j = {j!r} not in (0, 2, 4)").at_link(i)
-        return super().__new__(cls, initial, links)
+        return super().__new__(cls, initial, tuple(LinkParam(t, int(j)) for t, j in links))
 
 
 class AssembledChain(NamedTuple("AssembledChain", [
@@ -140,8 +140,8 @@ class ChainBatch(NamedTuple):
 
 def _assemble_batch(chains) -> ChainBatch:
     params = np.array([c.links for c in chains], dtype=float).reshape(len(chains), -1, 2).T
-    frames = [np.array([c.initial.frame for c in chains]).T]
-    tangents = [np.array([c.initial.tangent for c in chains]).T]
+    frames = [np.array([c.initial[0] for c in chains]).T]
+    tangents = [np.array([c.initial[1] for c in chains]).T]
     links, ends, kit = [], [], Arrays(checks := [])
     with np.errstate(all="ignore"):
         for tau, j in zip(params[0], params[1].astype(int)):
@@ -226,11 +226,9 @@ def closure_report(chain: ChainParams) -> ClosureReport:
     return closure_of(chain, assemble(chain))
 
 
-def end_target(chain: ChainParams, target: LinkState | None = None) -> LinkState:
-    """The state a chain must end in: ``target``, else its start turned by pi/3."""
-    if target is not None:
-        return target
-    return LinkState(chain.initial.frame.compose(ROT60), chain.initial.tangent)
+def end_target(chain: ChainParams) -> LinkState:
+    """The state a closed chain must end in: its start turned by pi/3."""
+    return LinkState(FrameMatrix(*_product(chain.initial[0], ROT60)), chain.initial[1])
 
 
 def closure_of(chain: ChainParams, assembled: AssembledChain,
@@ -240,8 +238,7 @@ def closure_of(chain: ChainParams, assembled: AssembledChain,
     With a ``target`` the residuals measure an open segment's end state
     against it instead of against the closure condition.
     """
-    target = end_target(chain, target)
-    (frame, tangent), (aim, r) = assembled.end, target
+    (frame, tangent), (aim, r) = assembled.end, end_target(chain) if target is None else target
     frame_res = max(abs(p - q) for p, q in zip(frame, aim))
     tangent_res = math.hypot(r[0] - tangent[0], r[1] - tangent[1], r[2] - tangent[2])
     margin = angle_margin_of(chain, assembled)
@@ -266,9 +263,8 @@ def angle_margin_of(chain: ChainParams, assembled: AssembledChain | None = None)
     """
     if assembled is None:
         assembled = assemble(chain)
-    inv0 = _inverse(chain.initial.frame)
-    angles = [0.0]
-    turns = 0.0
+    inv0 = _inverse(chain.initial[0])
+    angles, turns = [0.0], 0.0
     for i, (_, _, tau, _) in enumerate(assembled.links):
         if tau == 0.0:
             continue
@@ -437,15 +433,12 @@ def chain_from_dict(data: dict) -> ChainParams:
     if not isinstance(data, dict):
         raise ChainFormatError("chain document must be a JSON object")
     try:
-        initial = data["initial"]
-        frame_raw = initial["frame"]
-        tangent_raw = initial["tangent"]
+        frame_raw, tangent_raw = data["initial"]["frame"], data["initial"]["tangent"]
         links_raw = data["links"]
     except (KeyError, TypeError) as exc:
         raise ChainFormatError(f"missing chain field: {exc}") from exc
-    al, be, ga, de = _reals(frame_raw, 4, "initial.frame")
     try:
-        frame = FrameMatrix(al, be, ga, de)
+        frame = FrameMatrix(*_reals(frame_raw, 4, "initial.frame"))
     except FrameDeterminantError as exc:
         raise ChainFormatError(str(exc)) from exc
     ta, tb, tc = _reals(tangent_raw, 3, "initial.tangent")

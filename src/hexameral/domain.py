@@ -38,12 +38,12 @@ from .chain import (
 )
 from .errors import GeometryError, LinkLengthViolation, NotClosed
 from .hyperlink import (
-    SquareRep, _circle_tangent_at, _curve_rows, _even_points, _link_grid, _sample_count, frame_at,
-    link_map, t_end,
+    SquareRep, _circle_tangent_at, _curve_rows, _even_points, _link_grid, _link_maps,
+    _sample_count, frame_at,
 )
 from .kit import Arrays
 from .multicurve import MultiPoint, standard_multipoint
-from .sl2 import SQRT3, _Frozen, wedge
+from .sl2 import SQRT3, TangentElement, _Frozen, wedge
 
 SQRT12 = math.sqrt(12.0)
 
@@ -142,13 +142,11 @@ def smoothed_octagon() -> HexameralDomain:
 def boundary_polyline(dom: HexameralDomain, per_link: int = 64) -> BoundaryPolyline:
     """All six curve images over the fundamental interval, in boundary order."""
     per_link = _sample_count("per_link", per_link, 1)
-    links = [(state, rep) for state, rep in zip(dom.assembled.states, dom.assembled.reps)
-             if rep.tau != 0.0]
     # each link's grid to its end, the end left out
-    a, k, j, ts = _link_grid([rep for _, rep in links], per_link + 1)
+    a, k, j, ts = _link_grid(dom.assembled.links, per_link + 1)
     even = _even_points(a[:, None], k[:, None], ts[:, :-1])
     curves = np.concatenate((even, -even))[_curve_rows()[j].T, np.arange(len(j))]
-    maps = np.array([link_map(state, rep) for state, rep in links]).reshape(-1, 2, 2)
+    maps = np.array(_link_maps(dom.assembled)).reshape(-1, 2, 2)
     # curve by curve, link by link: one stacked product by each link's map
     return BoundaryPolyline((curves @ maps.transpose(0, 2, 1)).reshape(-1, 2), closed=True)
 
@@ -179,10 +177,10 @@ def circle_multicurve(samples: int = 16) -> np.ndarray:
     return np.stack((p, np.stack((-p[..., 1], p[..., 0]), axis=-1), -p), axis=1)
 
 
-def _star_rows(reps, per_link: int) -> np.ndarray:
+def _star_rows(links, per_link: int) -> np.ndarray:
     """Rows (c - sqrt(3)|a|, -(3b + c), det X) of the circle tangent at per_link
-    parameters of each non-degenerate link, link by link; the first check that fails raises."""
-    a, k, j, ts = _link_grid([rep for rep in reps if rep.tau != 0.0], per_link)
+    parameters of each moving link (a, t0, tau, j); the first check that fails raises."""
+    a, k, j, ts = _link_grid(links, per_link)
     checks = []
     # samples down, links across, so that a, k and j are columns of the grid
     x, y, z = _circle_tangent_at(a, k, ts.T, j, Arrays(checks))
@@ -195,13 +193,14 @@ def _star_rows(reps, per_link: int) -> np.ndarray:
 
 def star_profile(dom: HexameralDomain, per_link: int = 32) -> np.ndarray:
     """Star margins (c - sqrt(3)|a|, -(3b + c), det X) sampled along the boundary."""
-    return _star_rows(dom.assembled.reps, _sample_count("per_link", per_link, 1))
+    return _star_rows(dom.assembled.links, _sample_count("per_link", per_link, 1))
 
 
-def _link_end_margins(reps) -> tuple[float, float, float, list[int]]:
-    """Least star margin, determinant and hyperbola wedge(v, acc) over the ends
-    of the given links, and each link's rank: the star rows' kernel, on floats."""
-    ends = [(rep.a, rep.k, rep.j, t) for rep in reps for t in (rep.t0, t_end(rep))]
+def _link_end_margins(links) -> tuple[float, float, float, list[int]]:
+    """Least star margin, determinant and hyperbola wedge(v, acc) at the ends of the
+    links (a, t0, tau, j), and each link's rank: the star rows' kernel, on floats."""
+    ends = [(a, k, j, t) for a, t0, tau, j in links for k in (SQRT3 / (2.0 * a * a),)
+            for t in (t0, t0 + tau * (k - 1.0 - t0))]
     xyz = [_circle_tangent_at(a, k, t, j) for a, k, j, t in ends]
     # link_curves' hyperbola has wedge(v, acc) = (-a ds) 0 - (-a)(-a dds); each line's is 0
     bends = [-(a * (a * (2.0 * (1.0 - k) / (t * t * t)))) for a, k, _, t in ends]
@@ -215,10 +214,10 @@ def _link_end_checks(assembled: AssembledChain) -> list[tuple[str, bool, str]]:
 
     With no non-degenerate link there is nothing to read, and no row can pass.
     """
-    reps = [rep for rep in assembled.reps if rep.tau != 0.0]
-    if not reps:
+    links = [link for link in assembled.links if link[2] != 0.0]
+    if not links:
         return [(name, False, "no link is non-degenerate") for name in LINK_CHECKS]
-    star, det, bend, ranks = _link_end_margins(reps)
+    star, det, bend, ranks = _link_end_margins(links)
     return [
         ("star-conditions", star > 0.0, f"min margin {star:.3e}"),
         ("tangent-determinant", det > 0.0, f"min -a^2-bc {det:.3e}"),
@@ -238,8 +237,7 @@ def verify_checks(chain: ChainParams, tol: float = FEASIBLE_TOL) -> list[tuple[s
         assembled = assemble(chain)
     except GeometryError as exc:
         return [("assembly", False, str(exc))]
-    checks = [("assembly", True, f"{len(assembled.links)} links"),
-              *_link_end_checks(assembled)]
+    checks = [("assembly", True, f"{len(assembled.links)} links"), *_link_end_checks(assembled)]
 
     report = closure_of(chain, assembled)
     # the angle condition has its own row
@@ -259,7 +257,7 @@ def verify_checks(chain: ChainParams, tol: float = FEASIBLE_TOL) -> list[tuple[s
 
 
 def initial_multipoint(dom: HexameralDomain) -> MultiPoint:
-    return standard_multipoint().transformed(dom.chain.initial.frame)
+    return standard_multipoint().transformed(dom.chain.initial[0])
 
 
 def _hexagon_vertices(points: np.ndarray, dirs: np.ndarray) -> np.ndarray:
@@ -280,7 +278,7 @@ def export_svg(dom: HexameralDomain, per_link: int = 64) -> str:
     """SVG 1.1 document: boundary, initial multi-point, balanced hexagon."""
     poly = boundary_polyline(dom, per_link)
     markers = initial_multipoint(dom).points
-    hexagon = _hexagon_vertices(markers, dom.chain.initial.tangent.apply(markers))
+    hexagon = _hexagon_vertices(markers, TangentElement(*dom.chain.initial[1]).apply(markers))
 
     all_pts = np.concatenate((poly.points, hexagon))
     lo = all_pts.min(axis=0)

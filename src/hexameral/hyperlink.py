@@ -422,15 +422,23 @@ def _even_points(a, k, t) -> np.ndarray:
     return even
 
 
-def _link_grid(reps, n: int):
-    """Columns a, k and j of the links, (L,) each, and their parameters (L, n):
-    row l is np.linspace(t0, t1, n) of link l, bit for bit.  (A stacked linspace
-    steps every row by its zero-step rule once one row has step zero.)"""
-    a, k, t0, t1 = np.array([(r.a, r.k, r.t0, t_end(r)) for r in reps]).reshape(-1, 4).T
+def _link_grid(links, n: int):
+    """Columns a, k and j of the moving links among rows (a, t0, tau, j), (L,)
+    each, and their parameters (L, n): row l is np.linspace(t0, t1, n) of link
+    l, bit for bit, which a stacked linspace is not beside a row of step zero."""
+    a, t0, tau, j = np.array([r for r in links if r[2] != 0.0], dtype=float).reshape(-1, 4).T
+    k = SQRT3 / (2.0 * a * a)  # the kernel's k and t1
+    t1 = t0 + tau * (k - 1.0 - t0)
     ts = np.arange(n) * ((t1 - t0) / max(n - 1, 1))[:, None] + t0[:, None]
     if n > 1:
         ts[:, -1] = t1
-    return a, k, np.array([r.j for r in reps], dtype=int), ts
+    return a, k, j.astype(int), ts
+
+
+def _link_maps(assembled) -> list[Frame]:
+    """link_map's frame F C(t0)^{-1} of each moving link of an assembly record."""
+    return [_unit_det(*_link_lead(frame, a, SQRT3 / (2.0 * a * a), t0, j))
+            for frame, (a, t0, tau, j) in zip(assembled.frames, assembled.links) if tau != 0.0]
 
 
 def link_multicurve(rep: SquareRep, samples: int = 16, g: FrameMatrix | None = None) -> np.ndarray:

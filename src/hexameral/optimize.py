@@ -197,14 +197,14 @@ class EndpointProblem(_Checked, NamedTuple("EndpointProblem", [
         a, b = float(x[0]), float(x[1])
         c = math.sqrt(1.0 - a * a - b * b)
         # only the tangent (a, b, c) moves, by (1, 0, -a/c) and (0, 1, -b/c)
-        (p0, p1, p2), (q0, q1, q2) = _sphere_basis(*chain.initial.tangent)
+        (p0, p1, p2), (q0, q1, q2) = _sphere_basis(*chain.initial[1])
         return np.array(((0.0, 0.0), (0.0, 0.0), (0.0, 0.0),
                          (p0 - p2 * a / c, p1 - p2 * b / c), (q0 - q2 * a / c, q1 - q2 * b / c)))
 
     def target(self, chain: ChainParams) -> tuple:
         """The state the decoded chain must end in: its identity start frame
         turned by pi/3 with its start tangent, or the segment's target."""
-        return LinkState(ROT60, chain.initial.tangent) if self.segment is None else self.segment[1]
+        return LinkState(ROT60, chain.initial[1]) if self.segment is None else self.segment[1]
 
     def box(self) -> tuple[np.ndarray, np.ndarray]:
         return np.array([b[0] for b in self.bounds]), np.array([b[1] for b in self.bounds])

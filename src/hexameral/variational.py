@@ -14,9 +14,11 @@ from typing import NamedTuple
 from . import _np as np
 from .chain import ChainParams, assemble
 from .errors import ParameterOutOfRange, SignCondition, StarViolation, WedgeMismatch
-from .hyperlink import _STANDARD_INVERSE, _even_points, _link_grid, _sample_count, link_map
+from .hyperlink import _STANDARD_INVERSE, _even_points, _link_grid, _link_maps, _sample_count
 from .multicurve import standard_multipoint
-from .sl2 import DET_TOL, SQRT3, TangentElement, _Frozen, _inverse, _unit_det, star_check, wedge
+from .sl2 import (
+    DET_TOL, SQRT3, TangentElement, _Frozen, _inverse, _product, _unit_det, star_check, wedge,
+)
 
 MIN_GRID = 16
 IDENTITY_TOL = 1e-8
@@ -83,18 +85,17 @@ def chain_path(chain: ChainParams, per_link: int = 256) -> FramePath:
         raise ParameterOutOfRange(f"per_link = {per_link!r} gives {points} grid points over "
                                   f"{links} links; a frame path needs at least {MIN_GRID}")
     assembled = assemble(chain)
-    inv0 = chain.initial.frame.inverse()
-    real = [(state, rep) for state, rep in zip(assembled.states, assembled.reps) if rep.tau != 0.0]
-    a, k, j, ts = _link_grid([rep for _, rep in real], per_link)
+    a, k, j, ts = _link_grid(assembled.links, per_link)
     # the canonical frame sends u*_j, u*_{j+2} to curves j and j + 2: the hyperbola, x = a
     cols = np.stack(_even_points(a[:, None], k[:, None], ts)[:2], axis=-1)
-    leads = [inv0.compose(link_map(state, rep)) for state, rep in real]
+    inv0 = _unit_det(*_inverse(chain.initial[0]))
+    leads = [_unit_det(*_product(inv0, g)) for g in _link_maps(assembled)]
     # stacked @, not written-out products, which round differently
     frames = (np.reshape(leads, (-1, 1, 2, 2))
               @ (cols @ np.asarray(_STANDARD_INVERSE)[j].reshape(-1, 1, 2, 2)))
-    grid = np.arange(len(real))[:, None] + (ts - ts[:, :1]) / (ts[:, -1:] - ts[:, :1])
+    grid = np.arange(len(ts))[:, None] + (ts - ts[:, :1]) / (ts[:, -1:] - ts[:, :1])
     # links after the first share their start sample with the previous end
-    keep = (np.arange(per_link) > 0) | (np.arange(len(real)) == 0)[:, None]
+    keep = (np.arange(per_link) > 0) | (np.arange(len(ts)) == 0)[:, None]
     return FramePath(grid[keep], frames[keep])
 
 

@@ -52,6 +52,15 @@ class TestChainParams:
         with pytest.raises(ParameterOutOfRange):
             ChainParams(octagon.chain.initial, (LinkParam(0.5, 5),))
 
+    def test_fractional_index_rejected_before_truncation(self, octagon):
+        # int(2.7) would read it as 2
+        with pytest.raises(ParameterOutOfRange, match=r"link 0: index j = 2\.7") as exc:
+            ChainParams(octagon.chain.initial, [(0.3, 2.7)])
+        assert exc.value.link_index == 0
+        links = ChainParams(octagon.chain.initial, [(0.3, 2.0), (0.4, np.int64(4))]).links
+        assert links == ((0.3, 2), (0.4, 4))
+        assert [type(j) for _, j in links] == [int, int]
+
 
 class TestAssemble:
     def test_empty_chain(self, octagon):
