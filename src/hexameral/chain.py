@@ -49,13 +49,14 @@ class ChainParams(_Checked, NamedTuple("ChainParams", [("initial", LinkState),
     __slots__ = ()
 
     def __new__(cls, initial: LinkState, links: Iterable) -> ChainParams:
-        links = tuple((float(t), j) for t, j in links)
+        params = []
         for i, (tau, j) in enumerate(links):
-            if not 0.0 <= tau < 1.0:
+            if not 0.0 <= (tau := float(tau)) < 1.0:
                 raise ParameterOutOfRange(f"tau = {tau!r} outside [0, 1)").at_link(i)
-            if j not in (0, 2, 4):  # checked before int(), which reads 2.7 as 2
+            if isinstance(j, bool) or j not in (0, 2, 4):  # int() would read 2.7 as 2
                 raise ParameterOutOfRange(f"index j = {j!r} not in (0, 2, 4)").at_link(i)
-        return super().__new__(cls, initial, tuple(LinkParam(t, int(j)) for t, j in links))
+            params.append(LinkParam(tau, int(j)))
+        return super().__new__(cls, initial, tuple(params))
 
 
 class AssembledChain(NamedTuple("AssembledChain", [
@@ -264,7 +265,8 @@ def angle_margin_of(chain: ChainParams, assembled: AssembledChain | None = None)
     if assembled is None:
         assembled = assemble(chain)
     inv0 = _inverse(chain.initial[0])
-    angles, turns = [0.0], 0.0
+    angles = [0.0]
+    turns = 0.0
     for i, (_, _, tau, _) in enumerate(assembled.links):
         if tau == 0.0:
             continue
@@ -433,12 +435,15 @@ def chain_from_dict(data: dict) -> ChainParams:
     if not isinstance(data, dict):
         raise ChainFormatError("chain document must be a JSON object")
     try:
-        frame_raw, tangent_raw = data["initial"]["frame"], data["initial"]["tangent"]
+        initial = data["initial"]
+        frame_raw = initial["frame"]
+        tangent_raw = initial["tangent"]
         links_raw = data["links"]
     except (KeyError, TypeError) as exc:
         raise ChainFormatError(f"missing chain field: {exc}") from exc
+    al, be, ga, de = _reals(frame_raw, 4, "initial.frame")
     try:
-        frame = FrameMatrix(*_reals(frame_raw, 4, "initial.frame"))
+        frame = FrameMatrix(al, be, ga, de)
     except FrameDeterminantError as exc:
         raise ChainFormatError(str(exc)) from exc
     ta, tb, tc = _reals(tangent_raw, 3, "initial.tangent")

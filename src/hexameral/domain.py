@@ -38,8 +38,8 @@ from .chain import (
 )
 from .errors import GeometryError, LinkLengthViolation, NotClosed
 from .hyperlink import (
-    SquareRep, _circle_tangent_at, _curve_rows, _even_points, _link_grid, _link_maps,
-    _sample_count, frame_at,
+    SquareRep, _circle_tangent_at, _curve_rows, _even_points, _k, _link_grid, _link_maps,
+    _sample_count, frame_at, t_end,
 )
 from .kit import Arrays
 from .multicurve import MultiPoint, standard_multipoint
@@ -197,33 +197,16 @@ def star_profile(dom: HexameralDomain, per_link: int = 32) -> np.ndarray:
 
 
 def _link_end_margins(links) -> tuple[float, float, float, list[int]]:
-    """Least star margin, determinant and hyperbola wedge(v, acc) at the ends of the
-    links (a, t0, tau, j), and each link's rank: the star rows' kernel, on floats."""
-    ends = [(a, k, j, t) for a, t0, tau, j in links for k in (SQRT3 / (2.0 * a * a),)
-            for t in (t0, t0 + tau * (k - 1.0 - t0))]
+    """Least star margin, determinant and hyperbola wedge(v, acc) at the ends of the moving
+    links among rows (a, t0, tau, j), and each one's rank: the star rows' kernel, on floats."""
+    ends = [(a, _k(a), j, t) for a, t0, tau, j in links if tau != 0.0
+            for t in (t0, t_end((a, t0, tau, j)))]
     xyz = [_circle_tangent_at(a, k, t, j) for a, k, j, t in ends]
     # link_curves' hyperbola has wedge(v, acc) = (-a ds) 0 - (-a)(-a dds); each line's is 0
     bends = [-(a * (a * (2.0 * (1.0 - k) / (t * t * t)))) for a, k, _, t in ends]
     star = min(min(z - SQRT3 * abs(x), -(3.0 * y + z)) for x, y, z in xyz)
     return (star, min(-x * x - y * z for x, y, z in xyz), min(bends),
             [int(b0 > 0.0 and b1 > 0.0) for b0, b1 in zip(bends[::2], bends[1::2])])
-
-
-def _link_end_checks(assembled: AssembledChain) -> list[tuple[str, bool, str]]:
-    """Star, determinant, convexity and rank rows, read at the ends of every real link.
-
-    With no non-degenerate link there is nothing to read, and no row can pass.
-    """
-    links = [link for link in assembled.links if link[2] != 0.0]
-    if not links:
-        return [(name, False, "no link is non-degenerate") for name in LINK_CHECKS]
-    star, det, bend, ranks = _link_end_margins(links)
-    return [
-        ("star-conditions", star > 0.0, f"min margin {star:.3e}"),
-        ("tangent-determinant", det > 0.0, f"min -a^2-bc {det:.3e}"),
-        ("convexity", bend > 0.0, f"min wedge(v, acc) {bend:.3e}"),
-        ("rank-per-link", all(r == 1 for r in ranks), f"ranks {ranks}"),
-    ]
 
 
 def verify_checks(chain: ChainParams, tol: float = FEASIBLE_TOL) -> list[tuple[str, bool, str]]:
@@ -237,7 +220,15 @@ def verify_checks(chain: ChainParams, tol: float = FEASIBLE_TOL) -> list[tuple[s
         assembled = assemble(chain)
     except GeometryError as exc:
         return [("assembly", False, str(exc))]
-    checks = [("assembly", True, f"{len(assembled.links)} links"), *_link_end_checks(assembled)]
+    checks = [("assembly", True, f"{len(assembled.links)} links")]
+    if all(tau == 0.0 for _, _, tau, _ in assembled.links):
+        checks += [(name, False, "no link is non-degenerate") for name in LINK_CHECKS]
+    else:
+        star, det, bend, ranks = _link_end_margins(assembled.links)
+        checks += [("star-conditions", star > 0.0, f"min margin {star:.3e}"),
+                   ("tangent-determinant", det > 0.0, f"min -a^2-bc {det:.3e}"),
+                   ("convexity", bend > 0.0, f"min wedge(v, acc) {bend:.3e}"),
+                   ("rank-per-link", all(r == 1 for r in ranks), f"ranks {ranks}")]
 
     report = closure_of(chain, assembled)
     # the angle condition has its own row

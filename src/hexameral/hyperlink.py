@@ -34,12 +34,16 @@ VELOCITY_TOL = 1e-13
 RANGE_TOL = 1e-12
 
 
+def _k(a):
+    """k = sqrt(3)/(2 a^2), unchecked: of a float, or of an array of them."""
+    return SQRT3 / (2.0 * a * a)
+
+
 def k_of(a: float) -> float:
     """Hyperbola parameter k = sqrt(3)/(2 a^2); requires a^2 > sqrt(3)/2."""
     if not a > 0.0:  # NaN too
         raise ScaleTooSmall(f"scale a = {a!r} must be positive")
-    k = SQRT3 / (2.0 * a * a)
-    if not k < 1.0:
+    if not (k := _k(a)) < 1.0:
         raise ScaleTooSmall(f"a = {a!r} gives k = {k!r} >= 1")
     return k
 
@@ -65,9 +69,10 @@ class SquareRep(_Checked, NamedTuple("SquareRep", [("a", float), ("t0", float),
         return k_of(self.a)
 
 
-def t_end(rep: SquareRep) -> float:
-    """Final parameter t1 = t0 + tau*(k - 1 - t0)."""
-    return rep.t0 + rep.tau * (rep.k - 1.0 - rep.t0)
+def t_end(link) -> float:
+    """Final parameter t1 = t0 + tau*(k - 1 - t0) of a link (a, t0, tau, j), or of columns."""
+    a, t0, tau, _ = link
+    return t0 + tau * (_k(a) - 1.0 - t0)
 
 
 def link_area(rep: SquareRep) -> float:
@@ -426,9 +431,9 @@ def _link_grid(links, n: int):
     """Columns a, k and j of the moving links among rows (a, t0, tau, j), (L,)
     each, and their parameters (L, n): row l is np.linspace(t0, t1, n) of link
     l, bit for bit, which a stacked linspace is not beside a row of step zero."""
-    a, t0, tau, j = np.array([r for r in links if r[2] != 0.0], dtype=float).reshape(-1, 4).T
-    k = SQRT3 / (2.0 * a * a)  # the kernel's k and t1
-    t1 = t0 + tau * (k - 1.0 - t0)
+    rows = np.array([r for r in links if r[2] != 0.0], dtype=float).reshape(-1, 4).T
+    a, t0, _, j = rows
+    k, t1 = _k(a), t_end(rows)
     ts = np.arange(n) * ((t1 - t0) / max(n - 1, 1))[:, None] + t0[:, None]
     if n > 1:
         ts[:, -1] = t1
@@ -437,7 +442,7 @@ def _link_grid(links, n: int):
 
 def _link_maps(assembled) -> list[Frame]:
     """link_map's frame F C(t0)^{-1} of each moving link of an assembly record."""
-    return [_unit_det(*_link_lead(frame, a, SQRT3 / (2.0 * a * a), t0, j))
+    return [_unit_det(*_link_lead(frame, a, _k(a), t0, j))
             for frame, (a, t0, tau, j) in zip(assembled.frames, assembled.links) if tau != 0.0]
 
 

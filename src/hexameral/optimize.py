@@ -177,7 +177,7 @@ class EndpointProblem(_Checked, NamedTuple("EndpointProblem", [
     def decode(self, x) -> ChainParams:
         """The chain at the search variables x, which must be one per bound."""
         if self.segment is not None and len(x) == len(self.pattern):
-            return ChainParams(self.segment[0], tuple(zip(x, self.pattern)))
+            return ChainParams(self.segment[0], zip(x, self.pattern))
         p = np.asarray(x, dtype=float)  # a closed chain's x, or an open one's of the wrong size
         if p.shape != (len(self.bounds),):
             raise InfeasibleInput(f"expected {len(self.bounds)} parameters, got shape {p.shape}")
@@ -186,8 +186,7 @@ class EndpointProblem(_Checked, NamedTuple("EndpointProblem", [
         if not r2 < 1.0:  # NaN too
             raise InfeasibleInput("tangent components leave the unit disk")
         tangent = TangentElement(a, b, math.sqrt(1.0 - r2)).unit()
-        links = tuple(LinkParam(float(t), j) for t, j in zip(p[2:], self.pattern))
-        return ChainParams(LinkState(IDENTITY, tangent), links)
+        return ChainParams(LinkState(IDENTITY, tangent), zip(p[2:], self.pattern))
 
     def start_jacobian(self, x, chain: ChainParams) -> np.ndarray:
         """The derivative (5, m) of the decoded start state in the m variables

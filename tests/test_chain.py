@@ -52,11 +52,14 @@ class TestChainParams:
         with pytest.raises(ParameterOutOfRange):
             ChainParams(octagon.chain.initial, (LinkParam(0.5, 5),))
 
-    def test_fractional_index_rejected_before_truncation(self, octagon):
-        # int(2.7) would read it as 2
-        with pytest.raises(ParameterOutOfRange, match=r"link 0: index j = 2\.7") as exc:
-            ChainParams(octagon.chain.initial, [(0.3, 2.7)])
-        assert exc.value.link_index == 0
+    @pytest.mark.parametrize("j", [2.7, False, "2"])
+    def test_index_rejected_before_truncation(self, octagon, j):
+        # int() would read 2.7 and "2" as 2, and False as 0
+        with pytest.raises(ParameterOutOfRange, match=r"link 1: index j = ") as exc:
+            ChainParams(octagon.chain.initial, [(0.3, 2), (0.3, j)])
+        assert exc.value.link_index == 1
+
+    def test_integral_indices_read_as_ints(self, octagon):
         links = ChainParams(octagon.chain.initial, [(0.3, 2.0), (0.4, np.int64(4))]).links
         assert links == ((0.3, 2), (0.4, 4))
         assert [type(j) for _, j in links] == [int, int]
