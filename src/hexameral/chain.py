@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from functools import cached_property
 from typing import Iterable, NamedTuple
 
@@ -51,6 +52,8 @@ class ChainParams(_Checked, NamedTuple("ChainParams", [("initial", LinkState),
     def __new__(cls, initial: LinkState, links: Iterable) -> ChainParams:
         params = []
         for i, (tau, j) in enumerate(links):
+            if not (isinstance(tau, float) or _is_real(tau)):  # float() reads "0.3", False
+                raise ParameterOutOfRange(f"tau = {tau!r} is not a real number").at_link(i)
             if not 0.0 <= (tau := float(tau)) < 1.0:
                 raise ParameterOutOfRange(f"tau = {tau!r} outside [0, 1)").at_link(i)
             if isinstance(j, bool) or j not in (0, 2, 4):  # int() would read 2.7 as 2
@@ -97,12 +100,12 @@ def assemble(chain: ChainParams | list[ChainParams]) -> AssembledChain | ChainBa
 
     A failing link re-raises its own error with ``link_index`` set and the
     message prefixed by ``link <i>: ``.  A list of chains of one length,
-    whose index patterns may differ, is assembled at once in array
-    arithmetic with the bits of each chain's own assembly, into a ChainBatch
-    where a chain that fails reads its error's class and link instead.
+    whose index patterns may differ, is assembled by ``assemble_rows``.
     """
     if not isinstance(chain, ChainParams):
-        return _assemble_batch(chain)
+        params = np.array([c.links for c in chain], dtype=float).reshape(len(chain), -1, 2)
+        return assemble_rows([c.initial for c in chain], params[..., 0],
+                             params[..., 1].astype(int))
     state = chain.initial
     frames, tangents, links = [state[0]], [state[1]], []
     for i, (tau, j) in enumerate(chain.links):
@@ -118,11 +121,12 @@ def assemble(chain: ChainParams | list[ChainParams]) -> AssembledChain | ChainBa
 
 
 class ChainBatch(NamedTuple):
-    """Chains assembled at once by ``assemble``: chain b is column b of the
-    link-end states' entries, ``frames`` (links + 1, 4, B) and ``tangents``
-    (links + 1, 3, B), and of each link's (a, t0, tau, j) in ``links``.
-    ``errors`` and ``link`` hold the class and link of the error ``assemble``
-    raises on it alone, or None and -1."""
+    """Chains assembled at once by ``assemble_rows``, as columns only: chain b
+    is column b of the link-end states' entries, ``frames`` (links + 1, 4, B)
+    and ``tangents`` (links + 1, 3, B), and of each link's (a, t0, tau, j) in
+    ``links``; ``errors`` and ``link`` hold the class and link of the error
+    ``assemble`` raises on it alone, or None and -1.  ``assembled`` builds a
+    chain's record."""
 
     frames: np.ndarray
     tangents: np.ndarray
@@ -139,13 +143,16 @@ class ChainBatch(NamedTuple):
                   for (a, t0, _, _), (tau, j) in zip(self.links, chain.links)))
 
 
-def _assemble_batch(chains) -> ChainBatch:
-    params = np.array([c.links for c in chains], dtype=float).reshape(len(chains), -1, 2).T
-    frames = [np.array([c.initial[0] for c in chains]).T]
-    tangents = [np.array([c.initial[1] for c in chains]).T]
+def assemble_rows(starts, taus, js) -> ChainBatch:
+    """B chains of L links at once, with the bits of each chain's own
+    ``assemble``: chain b starts in ``starts[b]``, a state or its entries,
+    with links row b of the (B, L) arrays ``taus`` and ``js``.  A row that
+    ``ChainParams`` would refuse fails in the batch: ``ParameterOutOfRange``."""
+    frames = [np.array([start[0] for start in starts]).T]
+    tangents = [np.array([start[1] for start in starts]).T]
     links, ends, kit = [], [], Arrays(checks := [])
     with np.errstate(all="ignore"):
-        for tau, j in zip(params[0], params[1].astype(int)):
+        for tau, j in zip(np.asarray(taus, dtype=float).T, np.asarray(js).T):
             (frame, x), a, t0 = propagate((tuple(frames[-1]), tuple(tangents[-1])), tau, j, kit)
             frames.append(frame)
             tangents.append(x)
@@ -153,7 +160,7 @@ def _assemble_batch(chains) -> ChainBatch:
             ends.append(len(checks))
     # each chain fails at the first check it is bad in; a last row, bad
     # everywhere with no error, stands for none
-    first = np.array([b for b, _ in checks] + [np.ones(len(chains), dtype=bool)]).argmax(axis=0)
+    first = np.array([b for b, _ in checks] + [np.ones(len(starts), dtype=bool)]).argmax(axis=0)
     return ChainBatch(np.array(frames), np.array(tangents), links,
                       np.array([e for _, e in checks] + [None], dtype=object)[first],
                       np.where(first < len(checks), np.searchsorted(ends, first, "right"), -1))
@@ -407,6 +414,11 @@ def chain_to_dict(chain: ChainParams) -> dict:
     frame, tangent = chain.initial
     return {"initial": {"frame": list(frame), "tangent": list(tangent)},
             "links": [{"tau": tau, "j": j} for tau, j in chain.links]}
+
+
+def _is_real(v) -> bool:
+    """A real number, booleans aside: floats, numpy's included, take the first test."""
+    return isinstance(v, float) or isinstance(v, numbers.Real) and not isinstance(v, bool)
 
 
 def _as_float(v: int | float) -> float:

@@ -15,7 +15,6 @@ as an evaluation; ``SearchSpec.max_evals`` caps them.
 """
 from __future__ import annotations
 
-import contextlib
 import math
 import numbers
 from typing import Callable, NamedTuple
@@ -23,8 +22,8 @@ from typing import Callable, NamedTuple
 from . import _np as np
 from .chain import (
     ANGLE_TOL, STRICT_TOL, AssembledChain, ChainBatch, ChainParams, ClosureReport, LinkParam,
-    _endpoint_equations, _endpoint_jacobian, _endpoint_residuals, angle_margin_of,
-    assemble, assemble_jacobian, closure_of, merged_links,
+    _endpoint_equations, _endpoint_jacobian, _endpoint_residuals, _is_real, angle_margin_of,
+    assemble, assemble_jacobian, assemble_rows, closure_of, merged_links,
 )
 from .domain import SQRT12, smoothed_octagon
 from .errors import GeometryError, InfeasibleInput
@@ -91,9 +90,11 @@ class SearchSpec(_Checked, _SearchFields):
 
     def __new__(cls, *args, **kwargs) -> SearchSpec:
         *counts, start = super().__new__(cls, *args, **kwargs)
-        try:  # a start entry that is no number
+        try:  # a start that is no sequence of real numbers: float() would read "0.1"
+            if start is not None and not all(map(_is_real, start := tuple(start))):
+                raise TypeError(f"{start!r} holds an entry that is no real number")
             start = None if start is None else tuple(float(v) for v in start)
-        except (TypeError, ValueError) as exc:
+        except (TypeError, OverflowError) as exc:  # an integer beyond float range
             raise InfeasibleInput(f"malformed start: {exc}") from None
         for k, (name, least) in enumerate((("restarts", 1), ("max_evals", 0), ("seed", 0))):
             value = counts[k]
@@ -163,8 +164,9 @@ class EndpointProblem(_Checked, NamedTuple("EndpointProblem", [
     and must end in that start state turned by pi/3.  ``value`` is linear,
     so it also maps the area gradient to the value's.  ``fail_value`` stands
     in for the value where no chain can be assembled.  Methods that take an
-    ``assembly`` accept ``self.assembly(x)`` from a caller who holds it, and
-    ``evaluate`` a record of ``_assemblies`` too.
+    ``assembly`` accept ``self.assembly(x)`` from a caller who holds it, or a
+    record of ``_assemblies``: a batched one, (None, ``_Member``), holds no
+    chain, and only ``evaluate`` decodes x for it.
     """
 
     __slots__ = ()
@@ -208,12 +210,14 @@ class EndpointProblem(_Checked, NamedTuple("EndpointProblem", [
     def box(self) -> tuple[np.ndarray, np.ndarray]:
         return np.array([b[0] for b in self.bounds]), np.array([b[1] for b in self.bounds])
 
-    def assembly(self, x) -> tuple[ChainParams | None, AssembledChain | None]:
-        """The chain decoded from x and its assembly, None where either fails."""
+    def assembly(self, x, assembles: bool = True) -> tuple:
+        """The chain decoded from x and its assembly (ChainParams,
+        AssembledChain), None where either fails or, with ``assembles``
+        False, is known to."""
         chain = None
         try:
             chain = self.decode(x)
-            return chain, assemble(chain)
+            return chain, assemble(chain) if assembles else None
         except GeometryError:
             return chain, None
 
@@ -222,6 +226,8 @@ class EndpointProblem(_Checked, NamedTuple("EndpointProblem", [
         chain, assembled = self.assembly(x) if assembly is None else assembly
         if assembled is None:
             return np.full(7, FAIL_RESIDUAL)
+        if isinstance(assembled, _Member):
+            return assembled.residuals
         return _endpoint_residuals(assembled.end, self.target(chain))
 
     def _derivatives(self, x, chain: ChainParams, assembled: AssembledChain):
@@ -239,6 +245,8 @@ class EndpointProblem(_Checked, NamedTuple("EndpointProblem", [
         chain, assembled = self.assembly(x) if assembly is None else assembly
         if assembled is None:
             return np.zeros((7, len(x)))
+        if isinstance(assembled, _Member):
+            return assembled.jac
         d_state, d_target = self._derivatives(x, chain, assembled)
         jac = _endpoint_jacobian(*assembled.end) @ d_state[:5]
         if d_target is not None:
@@ -249,6 +257,7 @@ class EndpointProblem(_Checked, NamedTuple("EndpointProblem", [
         """Value, residuals and closure report of the chain at x."""
         chain, assembled = self.assembly(x) if assembly is None else assembly
         if isinstance(assembled, _Member):
+            chain = self.decode(x)
             assembled = assembled.batch.assembled(chain, assembled.b)
         if assembled is None:
             return Evaluation(x, self.fail_value, np.full(7, FAIL_RESIDUAL), None, chain, None)
@@ -319,27 +328,29 @@ def _assemblies(run: _Search, asks: list) -> list:
     """The assembly (chain, assembled) of each (problem, x) in order, the
     only place a search assembles: the first ``room`` points, those the
     budget admits, are assembled and counted, and the rest read None.  With
-    ``room`` at least BATCH_MIN, open segments and chains of one length,
-    they are assembled in one batch, each assembled a ``_Member``; else
-    each is ``problem.assembly(x)`` on floats."""
-    room, chains = min(len(asks), max(run.limit - run.evals, 0)), []
-    if room >= BATCH_MIN and all(problem.segment is not None for problem, _ in asks):
-        with contextlib.suppress(GeometryError):
-            chains = [problem.decode(x) for problem, x in asks[:room]]
+    ``room`` at least BATCH_MIN, open segments and patterns of one length,
+    their rows (x, pattern) go to ``assemble_rows`` in one batch, and each
+    reads (None, ``_Member``), or where its row fails
+    ``problem.assembly(x, assembles=False)``: only an evaluation builds a
+    member's chain.  Else each is ``problem.assembly(x)`` on floats."""
+    room = min(len(asks), max(run.limit - run.evals, 0))
     run.evals += room
-    if len({len(c.links) for c in chains}) != 1:
-        return [problem.assembly(x) for problem, x in asks[:room]] + [None] * (len(asks) - room)
+    asks, refused = asks[:room], [None] * (len(asks) - room)
+    if (room < BATCH_MIN or any(problem.segment is None for problem, _ in asks)
+            or len({len(problem.pattern) for problem, _ in asks}) != 1):
+        return [problem.assembly(x) for problem, x in asks] + refused
     with np.errstate(all="ignore"):
-        batch = assemble(chains)
-        # open segments have no start variables
-        heads = np.zeros((len(chains), 5, 0))
+        batch = assemble_rows([problem.segment[0] for problem, _ in asks],
+                              np.array([x for _, x in asks]),
+                              np.array([problem.pattern for problem, _ in asks]))
         final = (tuple(batch.frames[-1]), tuple(batch.tangents[-1]))
-        jac = _endpoint_jacobian(*final) @ assemble_jacobian(batch, heads)[:, :5]
+        # open segments have no start variables
+        jac = _endpoint_jacobian(*final) @ assemble_jacobian(batch, np.zeros((room, 5, 0)))[:, :5]
     # rows as the 7-vectors _endpoint_residuals gives
-    r = np.concatenate(final).T - [sum(p.segment[1], ()) for p, _ in asks[:room]]
-    held = [(c, None if batch.errors[n] else _Member(batch, n, r[n], jac[n]))
-            for n, c in enumerate(chains)]
-    return held + [None] * (len(asks) - room)
+    r = np.concatenate(final).T - [sum(p.segment[1], ()) for p, _ in asks]
+    held = [(None, _Member(batch, n, r[n], jac[n])) if batch.errors[n] is None
+            else problem.assembly(x, assembles=False) for n, (problem, x) in enumerate(asks)]
+    return held + refused
 
 
 def _dots(u: np.ndarray) -> np.ndarray:
@@ -416,27 +427,27 @@ def _roots(run: _Search, solves: list) -> list:
     singular system, or after ``budget`` assemblies, its start's included.
     Each round steps the live solves together (``_stacked_steps``; ``_step``
     for one) and assembles their trials in order, each with the bits it has
-    alone; one refused an assembly stops.  Starts and ends, but a refused
-    solve's end, go to the incumbent solve by solve.  Returns the ends'
-    evaluations, None for a refused solve.
+    alone; one refused an assembly stops.  Residuals are read from each
+    assembly.  Starts and ends, but a refused solve's end, go to the
+    incumbent solve by solve; a start is evaluated only where it is its
+    solve's end or can displace the incumbent: there is none, it is no
+    root, or the start's residual entries are within ROOT_TOL.  Returns the
+    ends' evaluations, None for a refused solve.
     """
     problems, count = [solve[0] for solve in solves], len(solves)
     boxes = [problem.box() for problem in problems]
     x = [np.minimum(np.maximum(solve[1], lo), hi) for solve, (lo, hi) in zip(solves, boxes)]
     lam, held = [solve[3] for solve in solves], _assemblies(run, list(zip(problems, x)))
-    starts = [None if got is None else problems[i].evaluate(x[i], got)
-              for i, got in enumerate(held)]
-    live = [i for i, start in enumerate(starts) if start is not None and start.report is not None]
-    r = [None if start is None else start.residuals for start in starts]
+    r = [None if got is None or got[1] is None else problems[i].residuals(x[i], got)
+         for i, got in enumerate(held)]
+    starts, live = list(zip(x, held, r)), [i for i, v in enumerate(r) if v is not None]
     cost = [None if v is None else 0.5 * (v @ v) for v in r]
-    ends, jac, spent, moved = list(starts), [None] * count, [1] * count, [False] * count
+    jac, spent, moved = [None] * count, [1] * count, [False] * count
     rejected = [np.full(len(v), np.nan) for v in x]  # NaN equals nothing: none rejected
     while live := [i for i in live if spent[i] < solves[i][2] and np.abs(r[i]).max() > ROOT_TOL]:
         for i in live:
             if jac[i] is None:
-                got = held[i][1]
-                jac[i] = (got.jac if isinstance(got, _Member)
-                          else problems[i].jacobian(x[i], held[i]))
+                jac[i] = problems[i].jacobian(x[i], held[i])
         rows = [(x[i], jac[i], r[i], *boxes[i], lam[i], rejected[i]) for i in live]
         steps = [_step(*rows[0])] if len(rows) == 1 else zip(*_stacked_steps(
             *(np.array(column) for column in zip(*rows))))
@@ -451,11 +462,10 @@ def _roots(run: _Search, solves: list) -> list:
         for (i, trial), got in zip(go, _assemblies(run, [(problems[i], t) for i, t in go])):
             if got is None:
                 stop.add(i)
-                ends[i] = None
+                held[i] = None  # refused, as a start that _assemblies refuses
                 continue
             spent[i] += 1
-            trial_r = (None if got[1] is None else got[1].residuals
-                       if isinstance(got[1], _Member) else problems[i].residuals(trial, got))
+            trial_r = None if got[1] is None else problems[i].residuals(trial, got)
             trial_cost = math.inf if trial_r is None else 0.5 * (trial_r @ trial_r)
             if not trial_cost < cost[i]:
                 lam[i], rejected[i] = lam[i] * 10.0, trial
@@ -465,10 +475,14 @@ def _roots(run: _Search, solves: list) -> list:
             x[i], held[i], r[i], cost[i], moved[i] = trial, got, trial_r, trial_cost, True
             lam[i], jac[i], rejected[i] = lam[i] / 10.0, None, np.full(len(trial), np.nan)
         live = [i for i in live if i not in stop]
-    for i, start in enumerate(starts):
-        if start is not None:
-            run.consider(start)
-        if moved[i] and ends[i] is not None:
+    ends = [None] * count
+    for i, (x0, got, r0) in enumerate(starts):
+        kept = held[i] is not None and not moved[i]  # the start is the end
+        if kept or got is not None and (run.best is None or _rank(run.best)[0]
+                                        or np.abs(r0).max() <= ROOT_TOL):
+            run.consider(start := problems[i].evaluate(x0, got))
+            ends[i] = start if kept else None
+        if moved[i] and held[i] is not None:
             ends[i] = problems[i].evaluate(x[i], held[i])
             run.consider(ends[i])
     return ends

@@ -4,15 +4,17 @@
 over arrays of B states.  Every chain of the batch must match its own
 assembly on floats bit for bit (states, reps, area and Jacobian), and a
 chain that fails must read the error class and link that the float run
-raises.  ``_roots`` must end each of its lockstep solves at the x, with the
-evaluation and the assembly count, of the solve run alone.
+raises.  ``assemble_rows`` must give the bits of ``assemble`` on the list of
+the same chains.  ``_roots`` must end each of its lockstep solves at the x,
+with the evaluation and the assembly count, of the solve run alone.
 """
 import math
 
 import numpy as np
 import pytest
 
-from hexameral.chain import ChainBatch, ChainParams, assemble, assemble_jacobian
+from hexameral import optimize
+from hexameral.chain import ChainBatch, ChainParams, assemble, assemble_jacobian, assemble_rows
 from hexameral.errors import (
     DegenerateVelocity,
     FrameDeterminantError,
@@ -175,38 +177,83 @@ def test_array_kernel_rejects_parameters_as_floats_do(octagon, tau, j):
     assert first == [None, ParameterOutOfRange]
 
 
-def _segment_solves(six: ChainParams, counts: dict) -> list:
-    """One solve per index pattern from taus 0.3, as link reduction starts
-    them; ``counts`` tallies each pattern's decoded chains, one per assembly."""
-    class Counted(EndpointProblem):
-        def decode(self, x):
-            counts[self.pattern] = counts.get(self.pattern, 0) + 1
-            return super().decode(x)
+def test_rows_entry_matches_the_list_entry(octagon):
+    chains = _mixed_chains(octagon, 30, 13)
+    listed = assemble(chains)
+    # starts as entries, and rows as lists of Python numbers
+    starts = [(tuple(c.initial[0]), tuple(c.initial[1])) for c in chains]
+    taus = [[tau for tau, _ in c.links] for c in chains]
+    js = [[j for _, j in c.links] for c in chains]
+    rows = assemble_rows(starts, taus, js)
+    assert isinstance(rows, ChainBatch)
+    assert rows.frames.tobytes() == listed.frames.tobytes()
+    assert rows.tangents.tobytes() == listed.tangents.tobytes()
+    for mine, theirs in zip(rows.links, listed.links):
+        for m, t in zip(mine, theirs):
+            assert m.dtype == t.dtype and m.tobytes() == t.tobytes()
+    assert list(rows.errors) == list(listed.errors)
+    assert rows.link.tobytes() == listed.link.tobytes()
+
+
+def test_rows_that_chain_params_refuses_fail_in_the_batch(octagon):
+    chain = _mixed_chains(octagon, 1, 13)[0]
+    taus, js = [tau for tau, _ in chain.links], [j for _, j in chain.links]
+    # (link, tau, j) rows that ChainParams refuses, after the row itself
+    bad = [(1, 1.0, 0), (2, math.nan, 2), (3, 0.3, 1)]
+    rows = assemble_rows([chain.initial] * 4,
+                         [taus] + [taus[:k] + [tau] + taus[k + 1:] for k, tau, _ in bad],
+                         [js] + [js[:k] + [j] + js[k + 1:] for k, _, j in bad])
+    assert list(rows.errors) == [None] + [ParameterOutOfRange] * 3
+    assert rows.link.tolist() == [-1, 1, 2, 3]
+    assert rows.assembled(chain, 0) == assemble(chain)
+
+
+def _segment_solves(six: ChainParams) -> list:
+    """One solve per index pattern from taus 0.3, as link reduction starts them."""
     segment = (six.initial, assemble(six).final)
-    return [(Counted(pattern, lambda area: area, 0.0, SEGMENT_BOUNDS, segment),
+    return [(EndpointProblem(pattern, lambda area: area, 0.0, SEGMENT_BOUNDS, segment),
              np.full(5, 0.3), 60, LM_DAMPING)
             for pattern in _consecutive_distinct_patterns()]
 
 
-def test_lockstep_solves_end_as_each_alone(octagon):
+def test_lockstep_solves_end_as_each_alone(octagon, monkeypatch):
+    real_rows, real_assembly = optimize.assemble_rows, EndpointProblem.assembly
     for six in (split_octagon_period(octagon), random_reduce_segment(octagon)):
-        together, alone = {}, {}
-        run = _Search()
-        ends = _roots(run, _segment_solves(six, together))
-        assert run.evals == sum(together.values())
-        for solve, end in zip(_segment_solves(six, alone), ends):
-            ev = _root(_Search(), *solve)
+        alone, solo = {}, []
+        for solve in _segment_solves(six):
+            run = _Search()
+            solo.append(_root(run, *solve))
+            alone[solve[0].pattern] = run.evals
+        # each pattern's assemblies in lockstep: its batched rows and its
+        # float assemblies (a failed row's decode assembles nothing)
+        together = dict.fromkeys(alone, 0)
+
+        def rows(starts, taus, js):
+            for pattern in map(tuple, np.asarray(js).tolist()):
+                together[pattern] += 1
+            return real_rows(starts, taus, js)
+
+        def assembly(self, x, assembles=True):
+            together[self.pattern] += assembles
+            return real_assembly(self, x, assembles)
+        with monkeypatch.context() as patch:
+            patch.setattr(optimize, "assemble_rows", rows)
+            patch.setattr(EndpointProblem, "assembly", assembly)
+            run = _Search()
+            ends = _roots(run, _segment_solves(six))
+        assert run.evals == sum(alone.values())
+        assert together == alone
+        for ev, end in zip(solo, ends):
             assert np.array_equal(ev.x, end.x)
             assert repr(ev.value) == repr(end.value)
             assert ev.residuals.tobytes() == end.residuals.tobytes()
             assert end.assembled == ev.assembled
-        assert together == alone
 
 
 def test_budget_goes_to_solves_in_order(octagon):
     run = _Search()
     run.limit = 10
-    ends = _roots(run, _segment_solves(split_octagon_period(octagon), {}))
+    ends = _roots(run, _segment_solves(split_octagon_period(octagon)))
     # the first ten starts are assembled, the rest refused; each of the ten
     # that assembles is then refused its first trial, and no end is offered
     assert run.evals == 10

@@ -2,6 +2,7 @@
 import contextlib
 import json
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -58,6 +59,20 @@ class TestChainParams:
         with pytest.raises(ParameterOutOfRange, match=r"link 1: index j = ") as exc:
             ChainParams(octagon.chain.initial, [(0.3, 2), (0.3, j)])
         assert exc.value.link_index == 1
+
+    @pytest.mark.parametrize("tau", ["0.3", b"0.3", False, True],
+                             ids=["str", "bytes", "False", "True"])
+    def test_tau_that_is_no_real_number_rejected(self, octagon, tau):
+        # float() would read "0.3" and b"0.3" as 0.3, and False as 0.0
+        with pytest.raises(ParameterOutOfRange, match=r"link 1: tau = ") as exc:
+            ChainParams(octagon.chain.initial, [(0.3, 2), (tau, 0)])
+        assert exc.value.link_index == 1
+
+    def test_real_taus_read_as_floats(self, octagon):
+        links = ChainParams(octagon.chain.initial, [(0, 2), (np.float32(0.5), 4),
+                                                    (Fraction(1, 4), 0), (np.int64(0), 2)]).links
+        assert links == ((0.0, 2), (0.5, 4), (0.25, 0), (0.0, 2))
+        assert all(type(tau) is float for tau, _ in links)
 
     def test_integral_indices_read_as_ints(self, octagon):
         links = ChainParams(octagon.chain.initial, [(0.3, 2.0), (0.4, np.int64(4))]).links

@@ -30,6 +30,7 @@ from hexameral.optimize import (
     EndpointProblem,
     SearchSpec,
     _qp,
+    _rank,
     _root,
     _density,
     _Search,
@@ -311,6 +312,23 @@ class TestSpecValidation:
         with pytest.raises(InfeasibleInput, match="malformed start"):
             SearchSpec(start=("x",) * 7)
 
+    @pytest.mark.parametrize("index,value", [(0, "0.1"), (2, b"0.3"), (6, False), (3, True)],
+                             ids=["str", "bytes", "False", "True"])
+    def test_start_entries_are_real_numbers(self, index, value):
+        # float() would read "0.1", b"0.3" and the booleans
+        start = list(octagon_embedding())
+        start[index] = value
+        with pytest.raises(InfeasibleInput, match="malformed start"):
+            SearchSpec(start=start)
+
+    def test_start_beyond_float_range_rejected(self):
+        with pytest.raises(InfeasibleInput, match="malformed start"):
+            SearchSpec(start=[10**400] + [0.0] * 6)
+
+    def test_start_of_numeric_strings_rejected(self):
+        with pytest.raises(InfeasibleInput, match="malformed start"):
+            SearchSpec(start=[str(v) for v in octagon_embedding()])
+
     def test_numpy_integers_accepted(self):
         spec = SearchSpec(restarts=np.int64(2), max_evals=np.int32(0), seed=np.uint8(3))
         assert (spec.restarts, spec.max_evals, spec.seed) == (2, 0, 3)
@@ -586,15 +604,21 @@ class TestLinkReduction:
     def test_every_assembly_is_counted_once(self, octagon, monkeypatch):
         import hexameral.chain as chain_module
         import hexameral.optimize as optimize_module
-        real = chain_module.assemble
+        real, real_rows = chain_module.assemble, optimize_module.assemble_rows
         calls = []
 
         def counted(chain):
             # a list of chains is one batched assembly
             calls.extend(chain if isinstance(chain, list) else [chain])
             return real(chain)
+
+        def counted_rows(starts, taus, js):
+            # one assembly per row
+            calls.extend(starts)
+            return real_rows(starts, taus, js)
         monkeypatch.setattr(chain_module, "assemble", counted)
         monkeypatch.setattr(optimize_module, "assemble", counted)
+        monkeypatch.setattr(optimize_module, "assemble_rows", counted_rows)
         report = link_reduction_experiment(split_octagon_period(octagon),
                                            SearchSpec(restarts=1, max_evals=3000))
         # the segment's own assembly, then one per evaluation
@@ -602,7 +626,7 @@ class TestLinkReduction:
 
     def test_iterates_stay_in_the_box_and_assemble_once(self, octagon, monkeypatch):
         import hexameral.optimize as optimize_module
-        real = optimize_module.assemble
+        real, real_rows = optimize_module.assemble, optimize_module.assemble_rows
         for six in (split_octagon_period(octagon), random_reduce_segment(octagon)):
             calls = []
 
@@ -610,11 +634,66 @@ class TestLinkReduction:
                 # a list of chains is one batched assembly
                 calls.extend(c.links for c in (chain if isinstance(chain, list) else [chain]))
                 return real(chain)
+
+            def recorded_rows(starts, taus, js):
+                # one assembly per row, its links (tau, j)
+                calls.extend(tuple(zip(*row)) for row in zip(taus.tolist(), js.tolist()))
+                return real_rows(starts, taus, js)
             monkeypatch.setattr(optimize_module, "assemble", recorded)
+            monkeypatch.setattr(optimize_module, "assemble_rows", recorded_rows)
             link_reduction_experiment(six, SearchSpec(restarts=1, max_evals=3000))
             refits = calls[1:]
             assert all(0.0 <= tau <= TAU_HI for links in refits for tau, _ in links)
             assert len(set(refits)) == len(refits)
+
+    def test_chains_are_built_only_where_evaluated(self, octagon, monkeypatch):
+        # a chain is decoded for an assembly on floats (small rounds) or for
+        # an evaluation, never for each row of a batched round
+        import hexameral.optimize as optimize_module
+        counts = {}
+
+        def count(owner, name):
+            real = getattr(owner, name)
+
+            def counted(*args, **kwargs):
+                counts[name] = counts.get(name, 0) + 1
+                return real(*args, **kwargs)
+            monkeypatch.setattr(owner, name, counted)
+        count(optimize_module, "ChainParams")
+        count(EndpointProblem, "assembly")
+        count(EndpointProblem, "evaluate")
+        report = link_reduction_experiment(split_octagon_period(octagon),
+                                           SearchSpec(restarts=1, max_evals=3000))
+        assert counts["ChainParams"] <= counts["assembly"] + counts["evaluate"]
+        assert counts["ChainParams"] < report.eval_count / 2
+
+    @pytest.mark.parametrize("max_evals", [17, 40, 60])
+    def test_best_is_the_first_least_start_or_end(self, octagon, monkeypatch, max_evals):
+        # the incumbent, against every start and end of every solve, each
+        # evaluated on floats, taken in the order the solves offer them
+        import hexameral.optimize as optimize_module
+        real = optimize_module._roots
+        for six in (split_octagon_period(octagon), random_reduce_segment(octagon)):
+            seen = []
+
+            def recorded(run, solves):
+                seen.append((solves, real(run, solves)))
+                return seen[-1][1]
+            monkeypatch.setattr(optimize_module, "_roots", recorded)
+            report = link_reduction_experiment(six, SearchSpec(restarts=1, max_evals=max_evals))
+            ((solves, ends),) = seen
+            best = None
+            # one _roots call, handed only the solves whose starts the budget admits
+            for (problem, x, _, _), end in zip(solves, ends):
+                lo, hi = problem.box()
+                start = problem.evaluate(np.minimum(np.maximum(x, lo), hi))
+                for ev in (start, end):
+                    if ev is not None and (best is None or _rank(ev) < _rank(best)):
+                        best = ev
+            assert report.five_area == best.value
+            assert report.five_links == best.chain.links
+            assert report.endpoint_residual == float(np.max(np.abs(best.residuals)))
+            assert report.feasible == best.feasible()
 
     def test_restarts_past_the_budget_draw_no_more_starts(self, octagon, monkeypatch):
         # only the first max_evals starts can assemble
